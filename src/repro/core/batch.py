@@ -35,10 +35,9 @@ def batch_deduplicate(
     Executes every comparison surviving meta-blocking (each distinct pair
     once), counting them in *context* so BA's cost is measured with the
     same meter as QueryER's.  Returns a DR_E whose QE is the entire
-    table.  With *executor*, graph construction and matching shard onto
-    its worker pool — BA over a whole table is the subsystem's ideal
-    workload — while the deterministic merge keeps the linkset
-    bit-identical to a serial run.
+    table.  With *executor*, graph construction and the matcher's
+    undecided remainder may shard onto its workers, while the
+    deterministic merge keeps the linkset bit-identical to a serial run.
     """
     context = context or ExecutionContext()
     matcher = matcher or ProfileMatcher(exclude=(index.table.schema.id_column,))
@@ -48,41 +47,27 @@ def batch_deduplicate(
         refined = apply_meta_blocking(index.tbi, meta_blocking, executor=executor)
 
     links = LinkSet()
-    compared = set()
     with context.timed("resolution"):
-        if executor is not None and executor.parallel:
-            # Materialize the deduplicated pair list once so it can be
-            # partitioned (below the executor's threshold it still runs
-            # the identical serial loop over the same list).
-            pairs = []
-            for block in refined:
-                members = safe_sorted(block.entities)
-                for i, left in enumerate(members):
-                    for right in members[i + 1 :]:
-                        pair = canonical_pair(left, right)
-                        if pair in compared:
-                            continue
-                        compared.add(pair)
-                        pairs.append(pair)
-            context.comparisons += len(pairs)
-            for position in executor.match_pairs(index, matcher, pairs):
-                links.add(*pairs[position])
+        # The deduplicated pair list, materialized once (the set that
+        # de-duplicates it is as large): the matcher screens it in
+        # bounded chunks, and an executor may spread what that leaves.
+        compared = set()
+        pairs = []
+        for block in refined:
+            members = safe_sorted(block.entities)
+            for i, left in enumerate(members):
+                for right in members[i + 1 :]:
+                    pair = canonical_pair(left, right)
+                    if pair in compared:
+                        continue
+                    compared.add(pair)
+                    pairs.append(pair)
+        context.comparisons += len(pairs)
+        if executor is not None:
+            matched = executor.match_pairs(index, matcher, pairs)
         else:
-            # Serial: stream each pair as it is enumerated — a
-            # whole-table BA pair list would be pure memory overhead.
-            signature_of = index.signature_of
-            match = matcher.match_signatures
-            for block in refined:
-                members = safe_sorted(block.entities)
-                for i, left in enumerate(members):
-                    left_signature = signature_of(left)
-                    for right in members[i + 1 :]:
-                        pair = canonical_pair(left, right)
-                        if pair in compared:
-                            continue
-                        compared.add(pair)
-                        context.comparisons += 1
-                        if match(left_signature, signature_of(right)):
-                            links.add(left, right)
+            matched = matcher.match_pair_indices(pairs, index.signatures)
+        for position in matched:
+            links.add(*pairs[position])
 
     return DedupResult(index.table, index.table.ids, links=links)

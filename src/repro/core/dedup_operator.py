@@ -167,36 +167,27 @@ class DeduplicateOperator:
         pairs = self._candidate_pairs(frontier, compared, context, stats)
 
         # (iv) Comparison-Execution — QE-side pairs only, each pair once.
-        # Pairs are compared through cached profile signatures (interned
-        # token arrays + normalized strings) so the matcher's cascade can
-        # short-circuit; decisions stay bit-identical to the raw
-        # attribute path.  Above the configured threshold the executor
-        # shards the pair list across its worker pool; each decision is a
-        # pure function of the two signatures, so the deterministically
-        # merged match set equals the serial one.
+        # The whole list goes through the matcher's batched cascade
+        # (cached profile signatures; decisions bit-identical to the raw
+        # attribute path).  With an executor, it alone decides whether
+        # the cascade's undecided remainder is worth its workers, and
+        # counts the run either way.
         newly_found: Set[Any] = set()
         with context.timed("resolution"):
             if self.collect_candidates:
                 stats.candidate_pairs.extend(pairs)
             context.comparisons += len(pairs)
             stats.executed_comparisons += len(pairs)
-            executor = self.executor
-            if executor is not None and executor.should_parallelize_pairs(len(pairs)):
-                for position in executor.match_pairs(self.index, self.matcher, pairs):
-                    left, right = pairs[position]
-                    links.add(left, right)
-                    stats.matches_found += 1
-                    newly_found.add(left)
-                    newly_found.add(right)
+            if self.executor is not None:
+                matched = self.executor.match_pairs(self.index, self.matcher, pairs)
             else:
-                signature_of = self.index.signature_of
-                match = self.matcher.match_signatures
-                for left, right in pairs:
-                    if match(signature_of(left), signature_of(right)):
-                        links.add(left, right)
-                        stats.matches_found += 1
-                        newly_found.add(left)
-                        newly_found.add(right)
+                matched = self.matcher.match_pair_indices(pairs, self.index.signatures)
+            for position in matched:
+                left, right = pairs[position]
+                links.add(left, right)
+                stats.matches_found += 1
+                newly_found.add(left)
+                newly_found.add(right)
         return newly_found
 
     def _candidate_pairs(

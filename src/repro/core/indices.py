@@ -106,6 +106,22 @@ class LinkIndex:
         return f"LinkIndex({len(self._resolved)} resolved, {len(self._links)} links)"
 
 
+class SignatureView:
+    """Read-only mapping view: entity id → its (lazily built) signature.
+
+    What :meth:`ProfileMatcher.match_pair_indices` takes as its
+    ``signatures`` — no dict of signatures is materialized per call.
+    """
+
+    __slots__ = ("_signature_of",)
+
+    def __init__(self, index: "TableIndex"):
+        self._signature_of = index.signature_of
+
+    def __getitem__(self, entity_id: Any) -> ProfileSignature:
+        return self._signature_of(entity_id)
+
+
 class TableIndex:
     """TBI + ITBI + LI bundle for one registered entity collection.
 
@@ -266,6 +282,11 @@ class TableIndex:
             )
             self._signatures[entity_id] = signature
         return signature
+
+    @property
+    def signatures(self) -> SignatureView:
+        """Mapping view over :meth:`signature_of` (see :class:`SignatureView`)."""
+        return SignatureView(self)
 
     @property
     def signature_count(self) -> int:

@@ -6,11 +6,16 @@ modifications/record" (paper §9.1).  The :class:`Corruptor` re-implements
 those knobs with the classic error channels: keyboard typos
 (insert/delete/substitute/transpose), token abbreviation ("john" → "j."),
 token drop, token swap, value removal and OCR-style confusions.
+
+:meth:`Corruptor.unicode_variant` adds the *encoding-level* channel dirty
+non-ASCII data shows (the Modern-Greek spelling variants of PAPERS.md):
+the same text to a reader under different code points.
 """
 
 from __future__ import annotations
 
 import random
+import unicodedata
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 _KEYBOARD_NEIGHBOURS = {
@@ -65,6 +70,12 @@ class Corruptor:
             self._swap_tokens,
             self._ocr_confuse,
         ]
+        self._unicode_mutations: List[Callable[[str], str]] = [
+            self._decompose,
+            self._strip_accents,
+            self._fold_final_sigma,
+            str.upper,
+        ]
 
     # -- public API ------------------------------------------------------
     def corrupt_record(
@@ -109,6 +120,17 @@ class Corruptor:
         mutation = self.rng.choice(self._value_mutations)
         mutated = mutation(value)
         return mutated if mutated else value
+
+    def unicode_variant(self, value: str) -> str:
+        """One random encoding-level variant of *value*.
+
+        NFD decomposition (accents become combining marks), accent
+        stripping, Greek final-sigma folding (``ς`` → ``σ``) or
+        upper-casing.  Deliberately not among :meth:`corrupt_value`'s
+        channels: the seeded datasets are defined by those draws, so
+        suites that want spelling variants call this directly.
+        """
+        return self.rng.choice(self._unicode_mutations)(value)
 
     # -- mutations -----------------------------------------------------------
     def _typo_insert(self, value: str) -> str:
@@ -173,3 +195,16 @@ class Corruptor:
             return self._typo_substitute(value)
         position = self.rng.choice(positions)
         return value[:position] + _OCR_CONFUSIONS[value[position]] + value[position + 1 :]
+
+    @staticmethod
+    def _decompose(value: str) -> str:
+        return unicodedata.normalize("NFD", value)
+
+    @staticmethod
+    def _strip_accents(value: str) -> str:
+        decomposed = unicodedata.normalize("NFD", value)
+        return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+    @staticmethod
+    def _fold_final_sigma(value: str) -> str:
+        return value.replace("ς", "σ")

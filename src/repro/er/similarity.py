@@ -10,6 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping, Set
 
+import numpy as np
+
 
 def levenshtein(a: str, b: str) -> int:
     """Edit distance (insert/delete/substitute) between *a* and *b*."""
@@ -221,6 +223,41 @@ def jaccard_sorted_ids(a, b) -> float:
     return intersection / (len_a + len_b - intersection)
 
 
+def jaccard_sorted_ids_batch(indptr, tokens, left, right):
+    """:func:`jaccard_sorted_ids` for many pairs at once.
+
+    *indptr* / *tokens* are a CSR over entity rows — row ``u``'s sorted,
+    de-duplicated token ids are ``tokens[indptr[u]:indptr[u + 1]]`` —
+    and *left* / *right* name one row per pair.  Rows ascend and tokens
+    ascend within a row, so ``row * span + token`` is globally sorted:
+    each pair's smaller side is gathered, re-keyed onto the other
+    side's row and located with one ``searchsorted``; the hits per pair
+    are the intersection cardinality.  Cardinalities are the same
+    integers the merge pass counts and are divided once, so every float
+    equals the scalar function's bit for bit.
+    """
+    sizes = np.diff(indptr)
+    size_left, size_right = sizes[left], sizes[right]
+    # Intersection is symmetric: walk the side with fewer tokens.
+    swap = size_right < size_left
+    probe = np.where(swap, right, left)
+    target = np.where(swap, left, right)
+    probe_sizes = sizes[probe]
+    pair_of = np.repeat(np.arange(len(probe)), probe_sizes)
+    within = np.arange(len(pair_of)) - np.repeat(
+        np.cumsum(probe_sizes) - probe_sizes, probe_sizes
+    )
+    gathered = tokens[indptr[probe][pair_of] + within]
+    span = int(tokens.max()) + 1 if len(tokens) else 1
+    # A trailing sentinel no probe equals absorbs past-the-end searches.
+    keys = np.append(np.repeat(np.arange(len(sizes)), sizes) * span + tokens, -1)
+    wanted = target[pair_of] * span + gathered
+    hits = keys[np.searchsorted(keys[:-1], wanted)] == wanted
+    intersection = np.bincount(pair_of[hits], minlength=len(probe))
+    union = size_left + size_right - intersection
+    return np.where(union > 0, intersection / np.maximum(union, 1), 1.0)
+
+
 def jaro_winkler_bound(a: str, b: str, prefix_scale: float = 0.1, max_prefix: int = 4) -> float:
     """Cheap upper bound on ``jaro_winkler(a, b)`` from lengths + prefix.
 
@@ -302,6 +339,31 @@ def jaro_winkler_char_bound(
             break
         prefix += 1
     return jaro_ub + prefix * prefix_scale * (1.0 - jaro_ub)
+
+
+def jaro_winkler_char_bound_batch(matches, len_a, len_b, prefix, prefix_scale=0.1):
+    """:func:`jaro_winkler_char_bound`, element by element over arrays.
+
+    *matches* holds each string pair's multiset character intersection
+    ``Σ_c min(count_a(c), count_b(c))``, *len_a* / *len_b* the string
+    lengths and *prefix* the common-prefix length (at most
+    ``max_prefix``).  The arithmetic is the scalar function's, operation
+    for operation on exactly representable integers, so each float
+    equals the scalar bound bit for bit (two empty strings score the
+    exact 1.0, one empty string or no common character the exact 0.0).
+    """
+    matches = matches.astype(np.float64)
+    len_a = len_a.astype(np.float64)
+    len_b = len_b.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jaro_ub = (matches / len_a + matches / len_b + 1.0) / 3.0
+        length_ub = (2.0 + np.minimum(len_a, len_b) / np.maximum(len_a, len_b)) / 3.0
+    jaro_ub = np.minimum(jaro_ub, length_ub)
+    bound = jaro_ub + prefix * prefix_scale * (1.0 - jaro_ub)
+    bound[matches == 0] = 0.0
+    empty = (len_a == 0) | (len_b == 0)
+    bound[empty] = (len_a == len_b)[empty]
+    return bound
 
 
 def jaccard(a: Iterable, b: Iterable) -> float:

@@ -23,6 +23,19 @@ _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 MIN_TOKEN_LENGTH = 2
 
 
+def normalize_value(value: Any) -> str:
+    """The one normalization every comparison and blocking key sees.
+
+    ``str(value).lower()``: non-strings are stringified (``1`` and
+    ``"1"`` compare equal, ``1.0`` stays ``"1.0"``), case folds through
+    Unicode's context-aware lowering (Greek ``"ΟΔΟΣ"`` ends in the final
+    sigma ``"ς"``), and nothing else changes — no trimming, no Unicode
+    composition, no accent stripping.  NULL is not a value: callers skip
+    ``None`` before normalizing (stringified it would read ``"none"``).
+    """
+    return str(value).lower()
+
+
 def tokenize_value(
     value: Any,
     min_length: int = MIN_TOKEN_LENGTH,
@@ -38,8 +51,9 @@ def tokenize_value(
     """
     if value is None:
         return []
-    text = str(value).lower()
-    tokens = [tok for tok in _TOKEN_SPLIT.split(text) if len(tok) >= min_length]
+    tokens = [
+        tok for tok in _TOKEN_SPLIT.split(normalize_value(value)) if len(tok) >= min_length
+    ]
     if numeric_min_length is None:
         return tokens
     return [

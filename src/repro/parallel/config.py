@@ -2,10 +2,10 @@
 
 :class:`ExecutionConfig` is the one knob surface: how many workers, which
 backend, and the thresholds below which a query stays on the serial fast
-path (partitioning a few hundred pairs costs more than it saves).  The
-default is auto-detection — ``REPRO_WORKERS`` if set, otherwise the
-process's usable core count — so the engine scales with the hardware
-without per-deployment code changes.
+path (partitioning a few hundred undecided pairs costs more than it
+saves).  The default is auto-detection — ``REPRO_WORKERS`` if set,
+otherwise the process's usable core count — so the engine scales with
+the hardware without per-deployment code changes.
 """
 
 from __future__ import annotations
@@ -105,10 +105,14 @@ class ExecutionConfig:
         matcher memos are lock-guarded), ``"serial"``, or ``"auto"``
         (process where fork exists, thread otherwise).
     min_parallel_pairs:
-        Candidate-pair count below which matching stays serial.  The
-        default is sized against pool start-up cost: forking from a
-        memory-heavy parent can cost ~100 ms, so the sharded work must
-        comfortably exceed that.
+        How many pairs the matcher's batched cascade must leave
+        *undecided* — pairs that need scalar Jaro-Winkler — before that
+        remainder is spread over workers.  The cascade's array stages
+        always run in the calling process and settle most candidates;
+        only the remainder is ever shipped, and one smaller than this
+        stays serial.  The default is sized against pool start-up
+        cost: forking from a memory-heavy parent can cost ~100 ms, so
+        the sharded work must comfortably exceed that.
     min_parallel_comparisons:
         Block-collection cardinality below which the blocking graph is
         built serially.  Sized like ``min_parallel_pairs``, noting that

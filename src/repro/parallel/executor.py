@@ -6,8 +6,10 @@ engine talks to.  Per invocation it
 1. asks the :class:`~repro.parallel.planner.PartitionPlanner` for
    balanced contiguous spans of the work (candidate pairs, or blocks of
    a graph build),
-2. pre-builds every profile signature the spans touch — workers treat
-   signature state as read-only,
+2. for matching, lets the matcher's batched cascade decide what it can
+   in this process and takes only the undecided remainder (whose
+   signatures the cascade has built by then — workers treat signature
+   state as read-only),
 3. runs the spans on a :class:`~repro.parallel.pool.WorkerPool`
    (fork-based processes by default, threads or serial as fallback), and
 4. recombines per-partition results through the
@@ -44,7 +46,7 @@ from typing import (
 )
 
 from repro.er.edge_pruning import BlockingGraph, WeightingScheme, prepare_packed_universe
-from repro.er.matching import ProfileMatcher, ProfileSignature
+from repro.er.matching import PendingPairs, ProfileMatcher
 from repro.er.util import LRUCache
 from repro.parallel.config import ExecutionConfig
 from repro.parallel.merger import DeterministicMerger
@@ -66,22 +68,6 @@ from repro.parallel.tasks import (
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.indices import TableIndex
     from repro.er.blocking import BlockCollection
-
-
-class _LazySignatures:
-    """Mapping view over ``TableIndex.signature_of`` for serial fallbacks.
-
-    Avoids materializing a signature dict when no worker will ever need
-    a fork-shareable snapshot of it.
-    """
-
-    __slots__ = ("_signature_of",)
-
-    def __init__(self, index: "TableIndex"):
-        self._signature_of = index.signature_of
-
-    def __getitem__(self, entity_id: Any) -> ProfileSignature:
-        return self._signature_of(entity_id)
 
 
 class ParallelComparisonExecutor:
@@ -155,8 +141,9 @@ class ParallelComparisonExecutor:
             task_timeout=self.config.task_timeout_s,
         )
 
-    def should_parallelize_pairs(self, pair_count: int) -> bool:
-        return self.parallel and pair_count >= self.config.min_parallel_pairs
+    def should_parallelize_pairs(self, undecided: int) -> bool:
+        """Whether *undecided* cascade-remainder pairs go to the workers."""
+        return self.parallel and undecided > 0 and undecided >= self.config.min_parallel_pairs
 
     def wants_parallel_graph(self, collection: "BlockCollection") -> bool:
         """Whether a packed graph over *collection* should use the pool."""
@@ -181,37 +168,60 @@ class ParallelComparisonExecutor:
         matcher: ProfileMatcher,
         pairs: Sequence[Tuple[Any, Any]],
     ) -> List[int]:
-        """Matched positions of *pairs*, identical to the serial loop.
+        """Matched positions of *pairs*, identical to the serial cascade.
 
-        Signatures are pre-built up front (workers never mutate the
-        signature cache); the matcher handed to workers is a partition
-        view sharing the lock-guarded memos but owning private cascade
-        counters, which the merger folds back in partition order.
+        The matcher screens the whole list array-at-a-time in this
+        process; only what that leaves undecided — scalar Jaro-Winkler
+        work — is ever spread over workers, and only when there is
+        enough of it (:meth:`should_parallelize_pairs`).  Every
+        invocation is counted as one serial or one parallel match run.
         """
-        if not self.should_parallelize_pairs(len(pairs)):
-            self.stats["serial_match_runs"] += 1
-            return matcher.match_pair_indices(pairs, _LazySignatures(index))
+        signatures = index.signatures
+        shipped = False
+
+        def resolve(pending: PendingPairs) -> List[int]:
+            nonlocal shipped
+            shipped = self.should_parallelize_pairs(len(pending))
+            if shipped:
+                return self._resolve_on_workers(index, matcher, pairs, pending)
+            return matcher.resolve_pending(pairs, signatures, pending)
+
+        matched = matcher.match_pair_indices(pairs, signatures, resolve=resolve)
+        self.stats["parallel_match_runs" if shipped else "serial_match_runs"] += 1
+        return matched
+
+    def _resolve_on_workers(
+        self,
+        index: "TableIndex",
+        matcher: ProfileMatcher,
+        pairs: Sequence[Tuple[Any, Any]],
+        pending: PendingPairs,
+    ) -> List[int]:
+        """Stage 3 of *pending*, partitioned; positions ascending.
+
+        The matcher handed to pool workers is a partition view sharing
+        the lock-guarded memos but owning private cascade counters,
+        which the merger folds back in partition order.
+        """
         if self._shards is not None:
-            # Persistent shard path: no signature pre-build, no payload
-            # install, no fork — pairs route to the workers holding the
-            # resident state.  An unavailable runtime (spawn failure)
-            # falls through to the per-query pool below.
+            # Persistent shard path: no payload install, no fork — the
+            # remainder routes to the workers holding the resident
+            # state.  An unavailable runtime (spawn failure) falls
+            # through to the per-query pool below.
             try:
-                matched = self._shards.match_pairs(
-                    index.table.name.lower(), index, matcher, pairs
+                matched = self._shards.resolve_pending(
+                    index.table.name.lower(), index, matcher, pairs, pending
                 )
             except ShardUnavailable:
                 pass
             else:
-                self.stats["parallel_match_runs"] += 1
                 self.stats["shard_match_runs"] += 1
                 return matched
-        self.stats["parallel_match_runs"] += 1
-        signatures = self._signature_map(index, pairs)
-        partitions = self.planner.partition_pairs(len(pairs))
+        partitions = self.planner.partition_pairs(len(pending))
         view = matcher.partition_view()
         payload = MatchPayload(
-            pairs, signatures, view, private_state=self.backend == "process"
+            pairs, index.signatures, view, pending,
+            private_state=self.backend == "process",
         )
         tasks = [MatchTask(p.index, p.start, p.stop) for p in partitions]
         results = self._pool().run(
@@ -228,19 +238,6 @@ class ParallelComparisonExecutor:
             for key, value in view.cascade_stats.items():
                 matcher.cascade_stats[key] = matcher.cascade_stats.get(key, 0) + value
         return matched
-
-    @staticmethod
-    def _signature_map(
-        index: "TableIndex", pairs: Sequence[Tuple[Any, Any]]
-    ) -> Dict[Any, ProfileSignature]:
-        signature_of = index.signature_of
-        signatures: Dict[Any, ProfileSignature] = {}
-        for left, right in pairs:
-            if left not in signatures:
-                signatures[left] = signature_of(left)
-            if right not in signatures:
-                signatures[right] = signature_of(right)
-        return signatures
 
     # -- blocking graph --------------------------------------------------
     def build_blocking_graph(

@@ -13,10 +13,11 @@ module amortizes that cost the way long-lived parallel query engines do:
   signatures, vocabulary) and matcher stay **resident** across queries,
   so no per-query payload ever crosses the IPC boundary again.
 * Entity ids are hash-partitioned over the shards by :func:`owner_of`;
-  Comparison-Execution routes each candidate pair to the shard owning
-  its left entity, span-graph partitions route round-robin.  Per-task
-  traffic is the task descriptor out (pair-id lists / span triples) and
-  matched positions or packed arrays back.
+  Comparison-Execution routes each pair of the cascade's undecided
+  remainder to the shard owning its left entity, span-graph partitions
+  route round-robin.  Per-task traffic is the task descriptor out (pair
+  ids with their stage-2 bounds / span triples) and matched positions
+  or packed arrays back.
 * Committed ``INSERT INTO`` batches are shipped to every live shard as
   **epoch-tagged delta segments** — the same per-row blocking-key CSR
   layout ``repro.persist`` serializes to disk, made self-contained by a
@@ -57,6 +58,9 @@ import weakref
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.er.matching import PendingPairs
 from repro.parallel.tasks import GraphResult, compute_span_result
 from repro.resilience import DEGRADATION, FaultError, inject
 
@@ -358,33 +362,38 @@ class ShardRuntime:
         return reply[2:]
 
     # -- matching --------------------------------------------------------
-    def match_pairs(
+    def resolve_pending(
         self,
         table_key: str,
         index: Any,
         matcher: Any,
         pairs: Sequence[Tuple[Any, Any]],
+        pending: PendingPairs,
     ) -> List[int]:
-        """Matched positions of *pairs*, bit-identical to the serial loop.
+        """Matched positions of *pending*, bit-identical to the serial stage 3.
 
-        Pairs route to the shard owning their left entity; each bucket
-        ships as one message (pair sublist + global positions).  Failed
-        buckets are recomputed serially in the parent against the live
-        index — pure decisions, so recovery never changes the result.
-        Cascade-counter deltas fold back in shard order (integer sums:
-        exact in any order).
+        *pending* is the remainder the parent's batched cascade left
+        undecided (:class:`~repro.er.matching.PendingPairs`).  Its pairs
+        route to the shard owning their left entity; each bucket ships
+        as one message (pair sublist + its rows of the remainder,
+        re-based onto that sublist).
+        Failed buckets are recomputed serially in the parent against the
+        live index — pure decisions, so recovery never changes the
+        result.  Cascade-counter deltas fold back in shard order
+        (integer sums: exact in any order).
         """
         with self._lock:
             if not self.ensure_started():
                 raise ShardUnavailable("shard runtime unavailable")
             n = self.workers
+            positions = pending.positions.tolist()
             buckets: List[List[int]] = [[] for _ in range(n)]
-            for position, pair in enumerate(pairs):
-                buckets[owner_of(pair[0], n)].append(position)
+            for row, position in enumerate(positions):
+                buckets[owner_of(pairs[position][0], n)].append(row)
             dispatched: Dict[int, int] = {}
             failed: List[int] = []
-            for shard_id, positions in enumerate(buckets):
-                if not positions:
+            for shard_id, rows in enumerate(buckets):
+                if not rows:
                     continue
                 shard = self._shards[shard_id]
                 try:
@@ -395,8 +404,8 @@ class ShardRuntime:
                             "match",
                             seq,
                             table_key,
-                            [pairs[p] for p in positions],
-                            positions,
+                            [pairs[positions[row]] for row in rows],
+                            _rebased(pending.take(rows)),
                         )
                     )
                     dispatched[shard_id] = seq
@@ -420,7 +429,8 @@ class ShardRuntime:
                     failed.append(shard_id)
                     continue
                 shard_matched, delta = reply
-                matched.extend(shard_matched)
+                rows = buckets[shard_id]
+                matched.extend(positions[rows[offset]] for offset in shard_matched)
                 if delta:
                     for key, value in delta.items():
                         matcher.cascade_stats[key] = (
@@ -438,12 +448,11 @@ class ShardRuntime:
                     f"shard {shard_id} bucket of {len(buckets[shard_id])} pairs "
                     f"recomputed serially in the parent",
                 )
-                signature_of = index.signature_of
-                match = matcher.match_signatures
-                for position in buckets[shard_id]:
-                    left, right = pairs[position]
-                    if match(signature_of(left), signature_of(right)):
-                        matched.append(position)
+                matched.extend(
+                    matcher.resolve_pending(
+                        pairs, index.signatures, pending.take(buckets[shard_id])
+                    )
+                )
             matched.sort()
             return matched
 
@@ -617,6 +626,13 @@ class ShardRuntime:
         }
 
 
+def _rebased(pending: PendingPairs) -> PendingPairs:
+    """*pending* with positions 0..n-1: rows of a pair list shipped alongside."""
+    return PendingPairs(
+        np.arange(len(pending)), pending.total_bounds, pending.bounds
+    )
+
+
 # -- teardown helpers (module-level: the GC finalizer must not hold the
 # runtime) -------------------------------------------------------------
 
@@ -702,17 +718,12 @@ def _shard_main(
 
 
 def _handle_match(state: ShardState, message: Tuple) -> Tuple:
-    """Match one routed bucket against the resident index/matcher."""
-    _, _, table_key, pairs, positions = message
+    """Resolve one routed bucket against the resident index/matcher."""
+    _, _, table_key, pairs, pending = message
     inject("shard.task")  # fork-inherited plans reach the worker body here
     index, matcher = state.tables[table_key]
     before = dict(matcher.cascade_stats)
-    signature_of = index.signature_of
-    match = matcher.match_signatures
-    matched: List[int] = []
-    for offset, (left, right) in enumerate(pairs):
-        if match(signature_of(left), signature_of(right)):
-            matched.append(positions[offset])
+    matched = matcher.resolve_pending(pairs, index.signatures, pending)
     delta = {
         key: matcher.cascade_stats[key] - before.get(key, 0)
         for key in matcher.cascade_stats

@@ -24,7 +24,7 @@ from repro.er.edge_pruning import (
     generate_packed_segments,
     generate_span_segments,
 )
-from repro.er.matching import ProfileMatcher, ProfileSignature
+from repro.er.matching import PendingPairs, ProfileMatcher, ProfileSignature
 
 #: The invocation payload forked workers inherit (see module docstring).
 _PAYLOAD: Optional[object] = None
@@ -55,33 +55,37 @@ def current_payload() -> object:
 class MatchPayload:
     """Everything one Comparison-Execution invocation shares with workers.
 
-    ``signatures`` is fully pre-built by the orchestrator before the pool
-    exists, so workers treat it as read-only — the one rule that makes
-    the threaded backend safe without locking the signature cache.
+    ``pending`` is the undecided remainder the parent's batched cascade
+    left; tasks are spans of it.  Every signature it touches was built
+    by that cascade before the pool exists, so workers treat
+    ``signatures`` as read-only — the one rule that makes the threaded
+    backend safe without locking the signature cache.
     ``private_state`` tells workers whether their matcher is a private
     copy-on-write copy (process backend: cascade-counter deltas are
     collected and merged deterministically) or the live shared object
     (thread backend: counters are already accumulated in place).
     """
 
-    __slots__ = ("pairs", "signatures", "matcher", "private_state")
+    __slots__ = ("pairs", "signatures", "matcher", "pending", "private_state")
 
     def __init__(
         self,
         pairs: Sequence[Tuple[Any, Any]],
         signatures: Mapping[Any, ProfileSignature],
         matcher: ProfileMatcher,
+        pending: PendingPairs,
         private_state: bool,
     ):
         self.pairs = pairs
         self.signatures = signatures
         self.matcher = matcher
+        self.pending = pending
         self.private_state = private_state
 
 
 @dataclass(frozen=True)
 class MatchTask:
-    """One contiguous candidate-pair span to match."""
+    """One contiguous span of the pending remainder to resolve."""
 
     partition: int
     start: int
@@ -98,12 +102,12 @@ class MatchResult:
 
 
 def run_match_task(task: MatchTask) -> MatchResult:
-    """Worker entry: match one pair span via the shared payload."""
+    """Worker entry: resolve one pending span via the shared payload."""
     payload: MatchPayload = current_payload()  # type: ignore[assignment]
     matcher = payload.matcher
     before = dict(matcher.cascade_stats) if payload.private_state else None
-    matched = matcher.match_pair_indices(
-        payload.pairs, payload.signatures, task.start, task.stop
+    matched = matcher.resolve_pending(
+        payload.pairs, payload.signatures, payload.pending, task.start, task.stop
     )
     delta = None
     if before is not None:

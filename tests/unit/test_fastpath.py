@@ -5,13 +5,18 @@ interning, profile signatures, the similarity bounds and the matcher's
 short-circuit cascade.
 """
 
+from collections import Counter
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from repro.core.indices import TableIndex
-from repro.er.matching import ProfileMatcher, build_signature
+from repro.er.matching import ProfileMatcher, _StackedColumns, build_signature
 from repro.er.similarity import (
     jaccard,
     jaccard_sorted_ids,
+    jaccard_sorted_ids_batch,
     jaro,
     jaro_fast,
     jaro_winkler,
@@ -137,6 +142,92 @@ class TestSimilarityBoundsAndFastJaro:
             assert jaro_fast(a, b) == jaro(a, b)
 
 
+class TestBatchKernelsBitEqualScalar:
+    """The array stages must reproduce the scalar floats, not approximate them."""
+
+    values = [
+        "martha", "marhta", "dixon", "dicksonx", "acme corporation", "acme corp",
+        "", "a", "ab", "abc", "abcd", "abcde", "abcx", "completely", "different",
+        "a" * 60 + "xyz", "a" * 60 + "zyx", "a" * 40000,
+        "οδός αθηνάς", "οδος αθηνας", "οδο\u0301ς αθηνα\u0301ς", "ΟΔΟΣ".lower(), "οδοσ",
+        "naïve café", "nai\u0308ve cafe\u0301", None,
+    ]
+
+    def signatures(self):
+        vocabulary = TokenVocabulary()
+        return [
+            build_signature(i, {"first": a, "second": b}, vocabulary)
+            for i, (a, b) in enumerate(zip(self.values, reversed(self.values)))
+        ]
+
+    def test_per_attribute_bounds(self):
+        signatures = self.signatures()
+        columns = _StackedColumns(signatures, 2)
+        rows = np.array(list(combinations(range(len(signatures)), 2)))
+        bounds, comparable = columns.attribute_bounds(rows[:, 0], rows[:, 1])
+        for (i, j), pair_bounds, pair_comparable in zip(
+            rows.tolist(), bounds.tolist(), comparable.tolist()
+        ):
+            left, right = signatures[i], signatures[j]
+            for slot, name in enumerate(("first", "second")):
+                a, b = left.norms.get(name), right.norms.get(name)
+                assert pair_comparable[slot] == (a is not None and b is not None)
+                if a is None or b is None:
+                    assert pair_bounds[slot] == 0.0
+                    continue
+                expected = jaro_winkler_char_bound(a, b, Counter(a), Counter(b))
+                assert pair_bounds[slot] == expected  # ==, not approx
+                assert jaro_winkler(a, b) <= pair_bounds[slot] + 1e-9
+
+    def test_counts_past_int16_widen_the_matrix(self):
+        columns = _StackedColumns(self.signatures(), 2)
+        assert columns.counts.dtype == np.int32  # "a" * 40000
+        narrow = [s for s in self.signatures() if "a" * 40000 not in s.norms.values()]
+        assert _StackedColumns(narrow, 2).counts.dtype == np.int16
+
+    def test_token_jaccard(self):
+        sets = [(), (3,), (1, 2, 3), (2, 3, 9), (0, 1, 2, 3, 4, 5, 6, 7), (9,), (100, 200)]
+        indptr = np.cumsum([0] + [len(s) for s in sets])
+        tokens = np.array([t for s in sets for t in s], dtype=np.int64)
+        rows = np.array([(i, j) for i in range(len(sets)) for j in range(len(sets))])
+        sims = jaccard_sorted_ids_batch(indptr, tokens, rows[:, 0], rows[:, 1])
+        for (i, j), sim in zip(rows.tolist(), sims.tolist()):
+            assert sim == jaccard_sorted_ids(sets[i], sets[j])
+
+    def test_pending_rows_carry_the_scalar_bounds(self):
+        """What stage 3 receives from the batch is what the scalar computes."""
+        index = TableIndex(people_table())
+        matcher = ProfileMatcher(exclude=("id",), threshold=0.75)
+        pairs = [("p1", "p2"), ("p1", "p3"), ("p2", "p3"), ("p3", "p4")]
+        shipped = []
+
+        def resolve(pending):
+            shipped.append(pending)
+            return matcher.resolve_pending(pairs, index.signatures, pending)
+
+        matcher.match_pair_indices(pairs, index.signatures, resolve=resolve)
+        (pending,) = shipped
+        assert len(pending) >= 1
+        for position, total, row in zip(
+            pending.positions.tolist(), pending.total_bounds.tolist(), pending.bounds.tolist()
+        ):
+            left, right = (index.signature_of(e) for e in pairs[position])
+            expected = [
+                0.0
+                if name not in left.norms or name not in right.norms
+                else jaro_winkler_char_bound(
+                    left.norms[name], right.norms[name],
+                    left.char_counts[name], right.char_counts[name],
+                )
+                for name in left.attributes
+            ]
+            assert row == expected
+            running = 0.0
+            for bound in expected:
+                running += bound
+            assert total == running
+
+
 def people_table():
     return Table(
         "P",
@@ -233,7 +324,6 @@ class TestMatchSignatureCascade:
             left = {"name": f"value number {i}", "city": f"city {i}"}
             right = {"name": f"value number {i + 1}", "city": f"city {i + 1}"}
             matcher.matches(left, right)
-        assert len(matcher._token_cache) <= 8
         assert len(matcher._pair_cache) <= 8
 
     def test_clear_cache_and_stats(self):

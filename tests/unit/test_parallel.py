@@ -267,6 +267,50 @@ class TestBatchModeWiring:
         assert parallel_engine.parallel_executor.stats["parallel_match_runs"] >= 1
 
 
+class TestSchedulingAccounting:
+    """The executor alone decides where matching runs, and counts every run."""
+
+    SQL = "SELECT DEDUP id, given_name, surname FROM PPL WHERE state = 'nsw'"
+
+    def test_small_dedup_is_counted_as_a_serial_match_run(self):
+        table, _ = generate_people(120, seed=8)
+        # Default thresholds: a remainder this small never reaches the workers.
+        with QueryEREngine(sample_stats=False, execution=ExecutionConfig(workers=2)) as engine:
+            engine.register(table)
+            report = engine.execute("EXPLAIN ANALYZE " + self.SQL)
+            text = "\n".join(str(row[0]) for row in report.rows)
+            stats = engine.parallel_executor.stats
+            assert stats["serial_match_runs"] >= 1
+            assert stats["parallel_match_runs"] == 0
+            assert (
+                f"scheduling: parallel_match_runs=0 "
+                f"serial_match_runs={stats['serial_match_runs']} " in text
+            )
+
+    def test_the_remainder_not_the_candidate_count_is_what_gets_shipped(self):
+        table, _ = generate_people(120, seed=8)
+        index = TableIndex(table)
+        pairs = [(a.id, b.id) for a in table for b in table if a.id < b.id]
+        from repro.er.matching import ProfileMatcher
+
+        matcher = ProfileMatcher(exclude=("id",))
+        reference = ProfileMatcher(exclude=("id",))
+        expected = reference.match_pair_indices(pairs, index.signatures)
+        undecided = reference.cascade_stats["exact_fallbacks"]
+        assert 0 < undecided < len(pairs)
+        # Thousands of candidates, a threshold just above the remainder: serial.
+        above = ParallelComparisonExecutor(
+            ExecutionConfig(workers=2, backend="thread", min_parallel_pairs=undecided + 1)
+        )
+        assert above.match_pairs(index, matcher, pairs) == expected
+        assert (above.stats["serial_match_runs"], above.stats["parallel_match_runs"]) == (1, 0)
+        at = ParallelComparisonExecutor(
+            ExecutionConfig(workers=2, backend="thread", min_parallel_pairs=undecided)
+        )
+        assert at.match_pairs(index, matcher, pairs) == expected
+        assert (at.stats["serial_match_runs"], at.stats["parallel_match_runs"]) == (0, 1)
+
+
 class TestSerialEngineHasNoExecutor:
     def test_serial_config_keeps_pre_subsystem_path(self):
         engine = QueryEREngine(execution=ExecutionConfig.serial(), sample_stats=False)

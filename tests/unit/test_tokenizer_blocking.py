@@ -1,7 +1,48 @@
 """Unit tests for tokenization and Token Blocking."""
 
 from repro.er.blocking import Block, BlockCollection, TokenBlocking
-from repro.er.tokenizer import tokenize_entity, tokenize_value
+from repro.er.matching import ProfileMatcher, build_signature
+from repro.er.tokenizer import TokenVocabulary, normalize_value, tokenize_entity, tokenize_value
+
+
+class TestNormalizeValue:
+    """The contract every comparison string and blocking key is built on."""
+
+    def test_is_str_then_lower(self):
+        for value in ("ACM SIGMOD", "  Mixed Case\t", "", "straße", "İstanbul"):
+            assert normalize_value(value) == str(value).lower()
+
+    def test_non_strings_are_stringified(self):
+        assert normalize_value(2017) == "2017"
+        assert normalize_value(4.50) == "4.5"
+        assert normalize_value(1.0) == "1.0"  # not folded onto the int 1
+        assert normalize_value(True) == "true"
+
+    def test_none_is_not_a_value(self):
+        # Callers skip NULLs; stringified it would be the word "none".
+        assert normalize_value(None) == "none"
+        assert tokenize_value(None) == []
+        signature = build_signature("e", {"name": None}, TokenVocabulary())
+        assert dict(signature.norms) == {}
+
+    def test_greek_lowering_knows_the_final_sigma(self):
+        assert normalize_value("ΟΔΟΣ") == "οδος"
+        assert normalize_value("ΟΔΟΣ")[-1] == "\u03c2"  # ς, not σ
+        assert normalize_value("ΣΟΦΟΣ ΣΟΦΟΣ") == "σοφος σοφος"
+
+    def test_nothing_else_is_folded(self):
+        # No trimming, no Unicode composition, no accent stripping.
+        assert normalize_value(" a ") == " a "
+        assert normalize_value("e\u0301") != normalize_value("\u00e9")
+        assert normalize_value("οδός") != normalize_value("οδος")
+
+    def test_every_consumer_sees_the_same_string(self):
+        value = "ΟΔΟΣ Ermou 12"
+        signature = build_signature("e", {"street": value}, TokenVocabulary())
+        assert signature.norms["street"] == normalize_value(value)
+        assert tokenize_value(value) == ["ermou", "12"]
+        matcher = ProfileMatcher()
+        assert matcher._aligned_similarity({"street": value}, {"street": value.lower()}) == 1.0
 
 
 class TestTokenizeValue:
