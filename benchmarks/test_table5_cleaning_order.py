@@ -57,7 +57,7 @@ def motivating_tables():
 
 def engine_with_tables():
     publications, venues = motivating_tables()
-    engine = QueryEREngine(match_threshold=0.70, sample_stats=False)
+    engine = QueryEREngine(match_threshold=0.70)
     engine.register(publications)
     engine.register(venues)
     return engine

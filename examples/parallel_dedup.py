@@ -28,7 +28,7 @@ SQL = (
 
 
 def run(table, config: ExecutionConfig):
-    engine = QueryEREngine(sample_stats=False, execution=config)
+    engine = QueryEREngine(execution=config)
     engine.register(table)
     engine.clear_caches()  # cold caches: comparable timings
     start = time.perf_counter()

@@ -38,7 +38,7 @@ def build_engine(mode: str) -> QueryEREngine:
             min_parallel_pairs=256,
             min_parallel_comparisons=4096,
         )
-    engine = QueryEREngine(sample_stats=False, execution=execution)
+    engine = QueryEREngine(execution=execution)
     engine.register(table)
     return engine
 

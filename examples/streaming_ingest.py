@@ -27,7 +27,7 @@ def main() -> None:
     rows = [tuple(r.values) for r in people]
     base, feed = rows[:900], rows[900:]
 
-    engine = QueryEREngine(sample_stats=False)
+    engine = QueryEREngine()
     engine.register(Table("PPL", people.schema, base, coerce=False))
     print(f"registered {len(base)} rows; {len(feed)} more will stream in\n")
 
@@ -48,7 +48,7 @@ def main() -> None:
         )
 
     final = engine.execute(sql)
-    fresh = QueryEREngine(sample_stats=False)
+    fresh = QueryEREngine()
     fresh.register(Table("PPL", people.schema, rows, coerce=False))
     fresh_result = fresh.execute(sql)
     print(

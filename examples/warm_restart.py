@@ -35,7 +35,7 @@ def main() -> None:
     base, delta = rows[:9950], rows[9950:]
     sql = "SELECT DEDUP id, given_name, surname FROM PPL WHERE state = 'nsw'"
 
-    engine = QueryEREngine(sample_stats=False)
+    engine = QueryEREngine()
     engine.register(Table("PPL", people.schema, base, coerce=False))
 
     with tempfile.TemporaryDirectory() as directory:
@@ -60,7 +60,7 @@ def main() -> None:
         warm_s = time.perf_counter() - started
 
         started = time.perf_counter()
-        cold = QueryEREngine(sample_stats=False)
+        cold = QueryEREngine()
         cold.register(Table("PPL", people.schema, rows, coerce=False))
         cold_result = cold.execute(sql)
         cold_s = time.perf_counter() - started

@@ -45,8 +45,6 @@ def fresh_engine(
 ) -> QueryEREngine:
     """A new engine with *tables* registered.
 
-    ``sample_stats`` defaults to False in benchmarks — load-time
-    statistics are measured separately so per-query numbers stay clean.
     ``execution`` defaults to strictly serial: the paper-reproduction
     benchmarks assert stage shares and relative timings of the serial
     pipeline, which worker-pool scheduling overhead would distort
@@ -54,7 +52,6 @@ def fresh_engine(
     :mod:`repro.bench.parallel_scaling`); results are bit-identical
     either way.
     """
-    engine_kwargs.setdefault("sample_stats", False)
     engine_kwargs.setdefault("execution", ExecutionConfig.serial())
     engine = QueryEREngine(**engine_kwargs)
     for item in tables:

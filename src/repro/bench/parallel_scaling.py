@@ -64,7 +64,7 @@ def _config(workers: int) -> ExecutionConfig:
 
 
 def _run_once(table, sql: str, workers: int) -> Dict[str, Any]:
-    engine = QueryEREngine(sample_stats=False, execution=_config(workers))
+    engine = QueryEREngine(execution=_config(workers))
     engine.register(table)
     engine.clear_caches()
     start = time.perf_counter()

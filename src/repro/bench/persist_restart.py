@@ -65,9 +65,7 @@ def _insert_sql(rows: Sequence[tuple]) -> str:
 
 
 def _engine() -> QueryEREngine:
-    # sample_stats off: sampling is irrelevant to the timing story and
-    # keeps every leg's answers deterministic.
-    return QueryEREngine(sample_stats=False)
+    return QueryEREngine()
 
 
 def run(quick: bool = False) -> Dict[str, Any]:

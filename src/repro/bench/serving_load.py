@@ -82,7 +82,7 @@ def _split_dataset() -> Tuple[List[tuple], List[tuple]]:
 
 def _library_rows(base: List[tuple], extra: Optional[List[tuple]], sql: str) -> str:
     """A fresh single-caller engine's answer (canonical form)."""
-    engine = QueryEREngine(sample_stats=False, execution=ExecutionConfig.serial())
+    engine = QueryEREngine(execution=ExecutionConfig.serial())
     engine.register(Table("PPL", people_schema(), base))
     if extra:
         engine.insert("PPL", extra)
@@ -195,7 +195,7 @@ def run(quick: bool = False) -> Dict[str, Any]:
     pre_reference = {q.qid: _library_rows(base, None, q.sql) for q in pool}
     post_reference = {q.qid: _library_rows(base, extra, q.sql) for q in pool}
 
-    engine = QueryEREngine(sample_stats=False, execution=ExecutionConfig.serial())
+    engine = QueryEREngine(execution=ExecutionConfig.serial())
     engine.register(Table("PPL", people_schema(), base))
     service = EngineService(engine, max_inflight=4 * widest, default_timeout=300.0)
     server = make_server(service)

@@ -110,7 +110,7 @@ def run_mode(
     """
     if fault:
         install_plan(FaultPlan.parse(fault))
-    engine = QueryEREngine(sample_stats=False, execution=_config(mode, workers))
+    engine = QueryEREngine(execution=_config(mode, workers))
     try:
         size = len(table)
         engine.register(

@@ -1,10 +1,10 @@
 """The QueryER engine facade (paper §3, Fig. 2).
 
 Registers dirty entity collections, builds the per-table indices once
-(TBI, ITBI, LI) plus load-time statistics, parses incoming SQL, routes
-``SELECT DEDUP`` queries through the ER planner/executor, ``INSERT
-INTO`` through the incremental ingestion subsystem, and everything else
-through the plain relational path.
+(TBI, ITBI, LI), parses incoming SQL, routes ``SELECT DEDUP`` queries
+through the ER planner/executor, ``INSERT INTO`` through the incremental
+ingestion subsystem, and everything else through the plain relational
+path.  The planner's §7.2.1 statistics are computed when first read.
 
 >>> engine = QueryEREngine()
 >>> engine.register(publications)
@@ -63,9 +63,6 @@ class QueryEREngine:
     transitive:
         Expand newly found duplicates until fixpoint so DR_G matches the
         Batch Approach exactly (DQ Correctness, §5).
-    sample_stats:
-        Eagerly clean a small sample at registration for the duplication
-        factor statistic (§7.2.1); disable to skip that cost.
     invalidation_policy:
         How ``INSERT INTO`` revokes progressive-cleaning state: the
         targeted per-cluster policy (default) or a full LI reset — see
@@ -78,6 +75,13 @@ class QueryEREngine:
         the usable core count); on a single core — or below the
         configured work thresholds — execution is exactly the serial
         fast path.  Parallel DEDUP results are bit-identical to serial.
+
+    **Statistics.**  Registration builds indices only.  The §7.2.1
+    duplication-factor sample runs on the first :meth:`statistics_of`
+    (a join plan being priced, or ``EXPLAIN``) and again on the first
+    read after an insert; join percentages are likewise computed on
+    first read and dropped on insert.  Single-table DEDUPs never read
+    either.
 
     **Epoch/snapshot contract.**  The engine is the single source of
     truth for per-table *epochs*: :meth:`register` and every ingested
@@ -102,7 +106,6 @@ class QueryEREngine:
         meta_blocking: Optional[MetaBlockingConfig] = None,
         use_link_index: bool = True,
         transitive: bool = True,
-        sample_stats: bool = True,
         invalidation_policy: Union[InvalidationPolicy, str] = InvalidationPolicy.TARGETED,
         execution: Union[ExecutionConfig, int, None] = None,
         optimizer: bool = True,
@@ -130,7 +133,6 @@ class QueryEREngine:
         self.match_threshold = match_threshold
         self.use_link_index = use_link_index
         self.transitive = transitive
-        self.sample_stats = sample_stats
         self._indices: Dict[str, TableIndex] = {}
         self._epochs: Dict[str, int] = {}
         # Epochs of unregistered tables: a re-registration under the same
@@ -160,19 +162,19 @@ class QueryEREngine:
 
     # -- registration -----------------------------------------------------
     def register(self, table: Table, replace: bool = False) -> TableIndex:
-        """Register *table*, building its TBI/ITBI/LI and statistics.
+        """Register *table*, building its TBI/ITBI/LI.
 
-        With ``replace=True`` every per-table cached artefact of the
-        previous registration — statistics (including ones memoized
-        lazily under ``sample_stats=False``) and join percentages — is
-        purged; leaving them would hand the planner estimates computed
-        against the dead index.
+        No statistic is computed here: :meth:`statistics_of` and
+        :meth:`join_percentage` compute theirs on first read.  With
+        ``replace=True`` every per-table cached artefact of the previous
+        registration — statistics and join percentages — is purged;
+        leaving them would hand the planner estimates computed against
+        the dead index.
         """
         self.catalog.register(table, replace=replace)
         index = TableIndex(table)
         key = table.name.lower()
-        if replace:
-            self._purge_cached_state(key)
+        self._purge_cached_state(key)
         # Registration (fresh or replacing) opens a new epoch: any
         # artefact keyed on a previous epoch of this name is now
         # unservable by construction.  Resuming past a retired epoch
@@ -181,13 +183,10 @@ class QueryEREngine:
             max(self._epochs.get(key, 0), self._retired_epochs.pop(key, 0)) + 1
         )
         self._indices[key] = index
-        matcher = ProfileMatcher(
+        self._matchers[key] = ProfileMatcher(
             threshold=self.match_threshold,
             exclude=(table.schema.id_column,),
         )
-        self._matchers[key] = matcher
-        if self.sample_stats:
-            self._statistics[key] = TableStatistics(index, matcher)
         self._invalidate_plans()
         self._reset_shards()
         return index
@@ -442,7 +441,11 @@ class QueryEREngine:
             raise KeyError(f"table {name!r} is not registered") from None
 
     def statistics_of(self, name: str) -> TableStatistics:
-        """Load-time statistics of a registered table (refreshed when stale)."""
+        """Duplication-factor statistics of a registered table.
+
+        Sampled on the first read, kept until an insert makes them
+        stale, then re-sampled on the next read.
+        """
         key = name.lower()
         statistics = self._statistics.get(key)
         if statistics is None or statistics.stale:

@@ -4,14 +4,18 @@ Three estimators:
 
 * **Comparison estimation** — from the WHERE clause's string literals
   (treated as blocking keys into the TBI) derive the approximate
-  selected set S_E ≈ QE, expand it to a block collection via the ITBI,
-  apply Block Purging + Block Filtering approximations, and evaluate the
-  paper's comparison formula.  The chain stops before Edge Pruning
-  ("the cost of estimating the output of the Edge Pruning ... is very
-  high; we terminate our calculations at the BF step").
-* **Duplication factor** — a sample of each table is eagerly cleaned at
-  load time; df = duplicates found / sample size, used to estimate
-  |DR_E| from |QE|.
+  selected set S_E ≈ QE, expand it to its table blocks, apply Block
+  Purging + Block Filtering, and evaluate the paper's comparison formula.
+  The chain stops before Edge Pruning ("the cost of estimating the
+  output of the Edge Pruning ... is very high; we terminate our
+  calculations at the BF step").  BP/BF is the packed pipeline's own
+  stage (:func:`~repro.er.packed_blocking.purge_and_filter`) over the
+  table's postings.
+* **Duplication factor** — a sample of each table is cleaned with an
+  all-pairs comparison; df = duplicates found / sample size, used to
+  estimate |DR_E| from |QE|.  The sample runs the first time the
+  planner reads the statistic (and again after an insert makes it
+  stale), never at registration or load time.
 * **Join percentage** — for every table pair, the fraction of rows whose
   join value appears on the other side, used to estimate how much a join
   shrinks each DR_E.
@@ -19,17 +23,22 @@ Three estimators:
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Optional, Set, Tuple
+from collections import Counter
+from itertools import combinations
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
+from repro.core.dedup_join import _join_value
 from repro.core.indices import TableIndex
-from repro.er.block_filtering import DEFAULT_RATIO, retained_keys
-from repro.er.block_purging import SMOOTHING_FACTOR, purge_threshold
-from repro.er.blocking import Block, BlockCollection
-from repro.er.matching import ProfileMatcher
-from repro.er.tokenizer import tokenize_value
+from repro.er.block_filtering import DEFAULT_RATIO
+from repro.er.block_purging import SMOOTHING_FACTOR
+from repro.er.matching import ProfileMatcher, build_signature
+from repro.er.packed_blocking import purge_and_filter
+from repro.er.tokenizer import TokenVocabulary, tokenize_value
 from repro.sql import ast
 from repro.sql.expressions import string_literals
+from repro.storage.table import Row, Table
 
 
 class ComparisonEstimator:
@@ -114,48 +123,51 @@ class ComparisonEstimator:
         return self.estimate_for_entities(selected)
 
     def estimate_for_entities(self, selected: Set[Any]) -> int:
-        """C = Σ_{b ∈ SB} |q_b|·(|S_b| − (|q_b|+1)/2) after BP + BF."""
-        if not selected:
-            return 0
-        pending = {
-            e for e in selected if not self.index.link_index.is_resolved(e)
-        }
+        """C = Σ_{b ∈ SB} |q_b|·(|S_b| − (|q_b|+1)/2) after BP + BF.
+
+        SB is the table blocks of the selected entities not yet resolved
+        in the Link Index (the pending ones, q); |S_b| counts a block's
+        members after BP/BF and |q_b| its pending ones.  Every term,
+        |q_b|·|S_b| − |q_b|(|q_b|+1)/2, is an integer, so C is summed
+        exactly in integers.
+        """
+        resolved = self.index.link_index.is_resolved
+        pending = [e for e in selected if not resolved(e)]
         if not pending:
             return 0
-        # SB: blocks of the pending entities, enriched from the TBI.
-        sb = BlockCollection()
-        for entity_id in pending:
-            for key in self.index.itbi.get(entity_id, ()):
-                table_block = self.index.tbi.get(key)
-                if table_block is not None and key not in sb:
-                    sb.put(Block(key, table_block.entities))
-        # Approximate BP: drop blocks above the purge threshold of SB.
-        threshold = purge_threshold(sb, smoothing=self.smoothing)
-        purged = BlockCollection(
-            {b.key: b for b in sb if 0 < b.cardinality <= threshold}
+        postings = self.index.postings
+        dense = postings.dense_frontier(pending)
+        tokens = postings.tokens_of_entities(dense)
+        blocks = purge_and_filter(
+            postings,
+            tokens,
+            postings.sizes_of(tokens),
+            self.smoothing,
+            self.filter_ratio,
         )
-        # Approximate BF via the retained-keys rule.
-        kept = retained_keys(purged, ratio=self.filter_ratio) if len(purged) else {}
-        filtered = BlockCollection()
-        for entity_id, keys in kept.items():
-            for key in keys:
-                filtered.add(key, entity_id)
-        # Comparison formula over the filtered collection.
-        total = 0.0
-        for block in filtered:
-            q_b = sum(1 for e in block.entities if e in pending)
-            if q_b == 0:
-                continue
-            total += q_b * (block.size - (q_b + 1) / 2.0)
-        return max(0, int(math.ceil(total)))
+        if not len(blocks.sizes):
+            return 0
+        is_pending = np.zeros(postings.entity_count, dtype=bool)
+        is_pending[dense] = True
+        block_of = np.repeat(np.arange(len(blocks.sizes)), np.diff(blocks.indptr))
+        q = np.bincount(
+            block_of[is_pending[blocks.members]], minlength=len(blocks.sizes)
+        )
+        return int((q * blocks.sizes - q * (q + 1) // 2).sum())
 
 
 class TableStatistics:
-    """Load-time statistics of one table: duplication factor + sample size.
+    """Duplication factor of one table, from an all-pairs cleaned sample.
 
-    A fraction of the table is eagerly cleaned with an exhaustive
-    in-sample comparison (the sample is small, so the quadratic cost is
-    bounded) to estimate df = |duplicates| / |sample| (§7.2.1).
+    A fraction of the table is cleaned with an exhaustive in-sample
+    comparison (the sample is small, so the quadratic pair count is
+    bounded) to estimate df = |duplicates| / |sample| (§7.2.1).  The
+    pairs go through the batched Comparison-Execution entry point,
+    :meth:`~repro.er.matching.ProfileMatcher.match_pair_indices`, on a
+    private matcher configured like *matcher* and over signatures
+    interned into a private vocabulary — so neither the table matcher's
+    counters and memo nor the table index's vocabulary and signatures
+    change.  The decisions equal ``matcher.matches`` on every pair.
     """
 
     def __init__(
@@ -167,15 +179,8 @@ class TableStatistics:
         seed: int = 7,
     ):
         table = index.table
-        sample = table.sample(min(1.0, max(sample_fraction, 1e-9)), seed=seed)
-        rows = list(sample)[:max_sample]
-        duplicates = 0
-        attributes = index.entities.attributes_of_row
-        for i, left in enumerate(rows):
-            left_attrs = attributes(left)
-            for right in rows[i + 1 :]:
-                if matcher.matches(left_attrs, attributes(right)):
-                    duplicates += 1
+        rows = sample_rows(table, sample_fraction, max_sample, seed)
+        duplicates = _count_duplicates(index, matcher, rows)
         self.sample_size = len(rows)
         self.sample_duplicates = duplicates
         self.duplication_factor = duplicates / len(rows) if rows else 0.0
@@ -217,15 +222,43 @@ class TableStatistics:
     def stale(self) -> bool:
         """Whether appends since sampling invalidate the duplication factor.
 
-        The eagerly-cleaned sample no longer represents the collection
-        once it has grown; ``QueryEREngine.statistics_of`` recomputes a
-        stale statistic lazily on next use.
+        The cleaned sample no longer represents the collection once it
+        has grown; ``QueryEREngine.statistics_of`` recomputes a stale
+        statistic on its next read.
         """
         return self.appended_rows > 0
 
     def estimated_dr_size(self, qe_size: int) -> int:
         """Estimated |DR_E| for a query evaluating *qe_size* entities."""
         return int(round(qe_size * (1.0 + self.duplication_factor)))
+
+
+def sample_rows(
+    table: Table, sample_fraction: float = 0.05, max_sample: int = 200, seed: int = 7
+) -> List[Row]:
+    """The rows :class:`TableStatistics` cleans for the duplication factor."""
+    sample = table.sample(min(1.0, max(sample_fraction, 1e-9)), seed=seed)
+    return list(sample)[:max_sample]
+
+
+def _count_duplicates(index: TableIndex, matcher: ProfileMatcher, rows: List[Row]) -> int:
+    """Matching pairs among *rows*, all pairs in one batched call."""
+    if len(rows) < 2:
+        return 0
+    private = ProfileMatcher(
+        similarity=matcher.similarity,
+        threshold=matcher.threshold,
+        exclude=matcher.exclude,
+        fast_path=matcher.fast_path,
+    )
+    vocabulary = TokenVocabulary()
+    attributes = index.entities.attributes_of_row
+    signatures = {
+        row.id: build_signature(row.id, attributes(row), vocabulary, private.exclude)
+        for row in rows
+    }
+    pairs = list(combinations(signatures, 2))
+    return len(private.match_pair_indices(pairs, signatures))
 
 
 def join_percentage(
@@ -238,25 +271,18 @@ def join_percentage(
 
     Pre-computed per table pair at registration time (§7.2.1: "we
     pre-compute for every table pair the percentage of entities that
-    join").  Join values are case-folded like the join operators do.
+    join").  Join values are folded exactly as the Deduplicate-Join
+    folds them.
     """
-
-    def values(index: TableIndex, column: str) -> Dict[Any, int]:
-        counts: Dict[Any, int] = {}
-        position = index.table.schema.position(column)
-        for row in index.table:
-            value = row.values[position]
-            if value is None:
-                continue
-            if isinstance(value, str):
-                value = value.lower()
-            counts[value] = counts.get(value, 0) + 1
-        return counts
-
-    left_values = values(left, left_column)
-    right_values = values(right, right_column)
+    left_values = _join_value_counts(left.table, left_column)
+    right_values = _join_value_counts(right.table, right_column)
     left_total = len(left.table) or 1
     right_total = len(right.table) or 1
     left_joining = sum(count for value, count in left_values.items() if value in right_values)
     right_joining = sum(count for value, count in right_values.items() if value in left_values)
     return left_joining / left_total, right_joining / right_total
+
+
+def _join_value_counts(table: Table, column: str) -> Counter:
+    values = table.column_values()[table.schema.position(column)]
+    return Counter(_join_value(value) for value in values if value is not None)

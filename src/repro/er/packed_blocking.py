@@ -10,7 +10,9 @@ gathered from the forward CSR, Block-Join is the observation that an
 EQBI block *is* the table block (QE ⊆ E, and TBI and QBI share the
 blocking function), Block Purging and Block Filtering run vectorized on
 cardinality arrays, and Edge Pruning consumes postings spans directly
-through :func:`~repro.er.edge_pruning.generate_span_segments`.
+through :func:`~repro.er.edge_pruning.generate_span_segments`.  The
+BP/BF stage, :func:`purge_and_filter`, is also what the planner's
+§7.2.1 comparison estimate runs.
 
 Equivalence contract (checked by the packed-blocking property suite):
 the packed pipeline produces the *same purge threshold* (exact integer,
@@ -72,6 +74,81 @@ class PackedCandidates:
     comparisons_after: int
 
 
+@dataclass
+class FilteredBlocks:
+    """Blocks surviving Block Purging + Block Filtering, as a CSR.
+
+    ``tokens[i]`` keys block ``i``, whose retained members (dense
+    postings ids) are ``members[indptr[i]:indptr[i + 1]]`` and number
+    ``sizes[i]``.
+    """
+
+    tokens: Any
+    sizes: Any
+    indptr: Any
+    members: Any
+
+
+def purge_and_filter(
+    postings: TokenPostings,
+    tokens: Any,
+    sizes: Any,
+    smoothing: Optional[float],
+    filter_ratio: Optional[float],
+) -> FilteredBlocks:
+    """Block Purging and Block Filtering over the table blocks of *tokens*.
+
+    *sizes* are the blocks' full posting lengths.  Singleton blocks go
+    first (the dict path's ``non_singleton`` precondition), then blocks
+    above the purge threshold of the rest (skipped when *smoothing* is
+    None), then each entity keeps its first ``ceil(filter_ratio · n)``
+    blocks in ascending ``(|b|, key)`` order and blocks reduced below two
+    members are dropped (skipped when *filter_ratio* is None).  The one
+    BP/BF implementation: candidate derivation and the planner's
+    comparison estimate both call it.
+    """
+    np = _np
+    keep = sizes >= 2
+    tokens = tokens[keep]
+    sizes = sizes[keep]
+
+    # Block Purging — vectorized cumulative-stat threshold.
+    if smoothing is not None and len(tokens):
+        threshold = purge_threshold_from_sizes(sizes, smoothing)
+        kept = sizes * (sizes - 1) // 2 <= threshold
+        tokens = tokens[kept]
+        sizes = sizes[kept]
+
+    # Materialize the surviving assignments as one CSR gather.
+    indptr, members = postings.members_of(tokens)
+
+    # Block Filtering — per-entity top-k retention over flat assignment
+    # arrays, with the dict path's (|b|, key) tie-break.
+    if filter_ratio is not None and len(tokens):
+        counts = np.diff(indptr)
+        block_of = np.repeat(np.arange(len(tokens), dtype=np.int64), counts)
+        token_of = postings.vocabulary.token_of
+        key_strings = np.array([token_of(t) for t in tokens.tolist()])
+        ranks = np.empty(len(tokens), dtype=np.int64)
+        ranks[np.argsort(key_strings)] = np.arange(len(tokens), dtype=np.int64)
+        mask = retained_assignment_mask(
+            members, np.repeat(sizes, counts), ranks[block_of], filter_ratio
+        )
+        members = members[mask]
+        block_of = block_of[mask]
+        new_counts = np.bincount(block_of, minlength=len(tokens)).astype(np.int64)
+        # Blocks reduced below two entities are dropped
+        # (``non_singleton`` after restructuring).
+        survives = new_counts >= 2
+        members = members[survives[block_of]]
+        sizes = new_counts[survives]
+        tokens = tokens[survives]
+        indptr = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64))
+        )
+    return FilteredBlocks(tokens, sizes, indptr, members)
+
+
 def packed_blocking_supported(config: Any) -> bool:
     """Whether the columnar pipeline can serve *config*.
 
@@ -115,52 +192,16 @@ def derive_candidates(
         comparisons_before = int((sizes * (sizes - 1) // 2).sum())
 
     with timed("meta-blocking"):
-        # Singleton blocks yield no comparisons (the dict path's
-        # ``non_singleton`` precondition before purging).
-        keep = sizes >= 2
-        tokens = tokens[keep]
-        sizes = sizes[keep]
-
-        # (iii)a Block Purging — vectorized cumulative-stat threshold.
-        if config.purging and len(tokens):
-            threshold = purge_threshold_from_sizes(sizes, config.smoothing_factor)
-            kept = sizes * (sizes - 1) // 2 <= threshold
-            tokens = tokens[kept]
-            sizes = sizes[kept]
-
-        # Materialize the surviving assignments as one CSR gather.
-        indptr, members = postings.members_of(tokens)
-
-        # (iii)b Block Filtering — per-entity top-k retention over flat
-        # assignment arrays, with the dict path's (|b|, key) tie-break.
-        if config.filtering and len(tokens):
-            counts = np.diff(indptr)
-            block_of = np.repeat(np.arange(len(tokens), dtype=np.int64), counts)
-            token_of = postings.vocabulary.token_of
-            key_strings = np.array([token_of(t) for t in tokens.tolist()])
-            ranks = np.empty(len(tokens), dtype=np.int64)
-            ranks[np.argsort(key_strings)] = np.arange(len(tokens), dtype=np.int64)
-            mask = retained_assignment_mask(
-                members,
-                np.repeat(sizes, counts),
-                ranks[block_of],
-                config.filter_ratio,
-            )
-            members = members[mask]
-            block_of = block_of[mask]
-            new_counts = np.bincount(block_of, minlength=len(tokens)).astype(np.int64)
-            # Blocks reduced below two entities are dropped
-            # (``non_singleton`` after restructuring).
-            survives = new_counts >= 2
-            assignment_survives = survives[block_of]
-            members = members[assignment_survives]
-            sizes = new_counts[survives]
-            tokens = tokens[survives]
-            indptr = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64))
-            )
-
-        block_count = len(tokens)
+        # (iii)a Block Purging + (iii)b Block Filtering.
+        blocks = purge_and_filter(
+            postings,
+            tokens,
+            sizes,
+            config.smoothing_factor if config.purging else None,
+            config.filter_ratio if config.filtering else None,
+        )
+        sizes, indptr, members = blocks.sizes, blocks.indptr, blocks.members
+        block_count = len(sizes)
         if not block_count:
             return PackedCandidates([], qbi_blocks, eqbi_blocks, comparisons_before, 0)
 

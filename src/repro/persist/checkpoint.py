@@ -343,7 +343,6 @@ class CheckpointManager:
             "meta_blocking": snap.meta_blocking_state(engine.meta_blocking),
             "use_link_index": engine.use_link_index,
             "transitive": engine.transitive,
-            "sample_stats": engine.sample_stats,
             "invalidation_policy": engine._maintainer.policy.value,
         }
         self._manifest["join_percentages"] = [

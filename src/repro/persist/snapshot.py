@@ -424,7 +424,6 @@ def save_engine(engine: "QueryEREngine", directory: Union[str, Path]) -> Dict[st
             "meta_blocking": meta_blocking_state(engine.meta_blocking),
             "use_link_index": engine.use_link_index,
             "transitive": engine.transitive,
-            "sample_stats": engine.sample_stats,
             "invalidation_policy": engine._maintainer.policy.value,
             "optimizer": engine.optimizer_enabled,
             "plan_cache_size": engine.plan_cache.capacity,
@@ -508,6 +507,8 @@ def load_engine(
     manifest = read_manifest(directory)
     if manifest is None:
         raise SnapshotError(f"no snapshot manifest in {directory}")
+    # Older manifests also carry ``sample_stats``; statistics are sampled
+    # on first read now, so that key selects nothing and is ignored.
     config = dict(manifest["engine"])
     config.update(overrides)
     if meta_blocking is None:
@@ -517,7 +518,6 @@ def load_engine(
         meta_blocking=meta_blocking,
         use_link_index=config["use_link_index"],
         transitive=config["transitive"],
-        sample_stats=config["sample_stats"],
         invalidation_policy=config["invalidation_policy"],
         execution=execution,
         # Pre-optimizer manifests lack these keys; default to the

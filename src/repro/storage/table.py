@@ -239,8 +239,9 @@ class Table:
     def sample(self, fraction: float, seed: int = 0) -> "Table":
         """Deterministic pseudo-random sample of ~``fraction`` of the rows.
 
-        Used by the planner to eagerly clean a sample at load time for the
-        duplication-factor statistic (paper §7.2.1).
+        Used by the planner to clean a sample for the duplication-factor
+        statistic (paper §7.2.1) the first time that statistic is read —
+        not at registration or load time.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")

@@ -11,7 +11,7 @@ def csv_engine(tmp_path):
     table, _ = generate_dsd(200, seed=77)
     path = tmp_path / "dsd.csv"
     write_csv(table, path)
-    engine = QueryEREngine(sample_stats=False)
+    engine = QueryEREngine()
     engine.register(read_csv(path, name="DSD", id_column="id"))
     return engine
 

@@ -17,7 +17,6 @@ from repro.er.meta_blocking import MetaBlockingConfig
 
 
 def build_engine(table, **kwargs):
-    kwargs.setdefault("sample_stats", False)
     engine = QueryEREngine(**kwargs)
     engine.register(table)
     return engine

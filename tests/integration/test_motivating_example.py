@@ -14,7 +14,7 @@ SQL = (
 
 @pytest.fixture
 def engine(publications, venues):
-    e = QueryEREngine(match_threshold=0.70, sample_stats=False)
+    e = QueryEREngine(match_threshold=0.70)
     e.register(publications)
     e.register(venues)
     return e
@@ -83,7 +83,6 @@ class TestDedupQuery:
 
         engine = QueryEREngine(
             match_threshold=0.70,
-            sample_stats=False,
             meta_blocking=MetaBlockingConfig.none(),
         )
         engine.register(publications)

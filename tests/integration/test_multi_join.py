@@ -14,7 +14,7 @@ def three_table_engine():
     names = [row["name"] for row in orgs]
     people, _ = generate_people(150, organisations=names, seed=42)
     projects, _ = generate_projects(120, organisations=names, seed=43)
-    engine = QueryEREngine(sample_stats=False)
+    engine = QueryEREngine()
     engine.register(people)
     engine.register(orgs)
     engine.register(projects)
@@ -47,7 +47,7 @@ class TestThreeWayJoin:
         names = [row["name"] for row in orgs]
         people, _ = generate_people(100, organisations=names, seed=45)
         projects, _ = generate_projects(80, organisations=names, seed=46)
-        engine = QueryEREngine(sample_stats=False, meta_blocking=MetaBlockingConfig.none())
+        engine = QueryEREngine(meta_blocking=MetaBlockingConfig.none())
         for table in (people, orgs, projects):
             engine.register(table)
         baseline = engine.execute(THREE_WAY, ExecutionMode.BATCH).sorted_rows()

@@ -9,7 +9,7 @@ from repro.er.meta_blocking import MetaBlockingConfig
 
 @pytest.fixture(scope="module")
 def spj_engine(people_with_orgs, small_orgs):
-    engine = QueryEREngine(sample_stats=False)
+    engine = QueryEREngine()
     engine.register(people_with_orgs[0])
     engine.register(small_orgs[0])
     return engine
@@ -31,7 +31,7 @@ class TestSpjModes:
             assert result.columns == ["id", "surname", "name", "country"]
 
     def test_spj_modes_agree_without_metablocking(self, people_with_orgs, small_orgs):
-        engine = QueryEREngine(sample_stats=False, meta_blocking=MetaBlockingConfig.none())
+        engine = QueryEREngine(meta_blocking=MetaBlockingConfig.none())
         engine.register(people_with_orgs[0])
         engine.register(small_orgs[0])
         baseline = engine.execute(SPJ, ExecutionMode.BATCH).sorted_rows()
@@ -51,7 +51,7 @@ class TestSpjModes:
         # pairs BA compares.  (Under ALL, thresholds adapt to the smaller
         # query-time block collection, so the counts are not comparable at
         # tiny scale.)
-        engine = QueryEREngine(sample_stats=False, meta_blocking=MetaBlockingConfig.none())
+        engine = QueryEREngine(meta_blocking=MetaBlockingConfig.none())
         engine.register(people_with_orgs[0])
         engine.register(small_orgs[0])
         nes = engine.execute(SPJ, ExecutionMode.NES)
@@ -89,7 +89,7 @@ class TestJoinSemantics:
 
 class TestProgressiveCleaning:
     def test_link_index_makes_second_query_cheaper(self, people_with_orgs):
-        engine = QueryEREngine(sample_stats=False)
+        engine = QueryEREngine()
         engine.register(people_with_orgs[0])
         sql = "SELECT DEDUP id, surname FROM PPL WHERE state IN ('nsw', 'vic')"
         first = engine.execute(sql)  # do not reset LI
@@ -97,17 +97,17 @@ class TestProgressiveCleaning:
         assert second_result.comparisons == 0
 
     def test_overlapping_queries_partial_reuse(self, people_with_orgs):
-        engine = QueryEREngine(sample_stats=False)
+        engine = QueryEREngine()
         engine.register(people_with_orgs[0])
         narrow = engine.execute("SELECT DEDUP id FROM PPL WHERE state = 'nsw'")
         wide = engine.execute("SELECT DEDUP id FROM PPL WHERE state IN ('nsw', 'vic')")
-        fresh = QueryEREngine(sample_stats=False)
+        fresh = QueryEREngine()
         fresh.register(people_with_orgs[0])
         cold = fresh.execute("SELECT DEDUP id FROM PPL WHERE state IN ('nsw', 'vic')")
         assert wide.comparisons < cold.comparisons
 
     def test_without_li_costs_do_not_drop(self, people_with_orgs):
-        engine = QueryEREngine(sample_stats=False, use_link_index=False)
+        engine = QueryEREngine(use_link_index=False)
         engine.register(people_with_orgs[0])
         sql = "SELECT DEDUP id FROM PPL WHERE state = 'nsw'"
         first = engine.execute(sql)

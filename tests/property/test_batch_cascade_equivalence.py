@@ -184,7 +184,6 @@ class TestWorkers:
         pairs = all_pairs(table)
         with QueryEREngine(
             match_threshold=threshold,
-            sample_stats=False,
             execution=ExecutionConfig(workers=2, backend="process", min_parallel_pairs=1),
         ) as engine:
             engine.register(table)
@@ -233,7 +232,7 @@ class TestEngineLifecycle:
 
     def test_character_first_seen_in_an_insert(self):
         """The count columns have no alphabet to outgrow."""
-        with QueryEREngine(execution=1, sample_stats=False) as engine:
+        with QueryEREngine(execution=1) as engine:
             engine.register(greek())
             index = engine.index_of("GR")
             # Every original row's signature exists before the new characters arrive.
@@ -249,7 +248,7 @@ class TestEngineLifecycle:
             assert any("903" in str(cluster).split(" | ") for cluster in clusters)
 
     def test_signatures_rebuilt_after_load(self, tmp_path):
-        with QueryEREngine(execution=1, sample_stats=False) as engine:
+        with QueryEREngine(execution=1) as engine:
             engine.register(people())
             engine.execute("SELECT DEDUP id, surname FROM PPL")
             live = engine.index_of("PPL")

@@ -18,7 +18,7 @@ from repro.er.meta_blocking import MetaBlockingConfig
 
 
 def engine_for(table):
-    engine = QueryEREngine(sample_stats=False, meta_blocking=MetaBlockingConfig.none())
+    engine = QueryEREngine(meta_blocking=MetaBlockingConfig.none())
     engine.register(table)
     return engine
 

@@ -22,7 +22,6 @@ from repro.storage.table import Table
 
 def engine_for(table, policy="targeted"):
     engine = QueryEREngine(
-        sample_stats=False,
         meta_blocking=MetaBlockingConfig.none(),
         invalidation_policy=policy,
     )

@@ -66,7 +66,6 @@ def engine_for(table, packed: bool, workers: int = 1) -> QueryEREngine:
     engine = QueryEREngine(
         meta_blocking=MetaBlockingConfig(packed_blocking=packed),
         execution=execution,
-        sample_stats=False,
     )
     engine.register(table)
     return engine

@@ -52,7 +52,7 @@ def fresh_engine(table, workers: int, backend: str) -> QueryEREngine:
         if workers == 1
         else forced_parallel(workers, backend)
     )
-    engine = QueryEREngine(sample_stats=False, execution=config)
+    engine = QueryEREngine(execution=config)
     engine.register(table)
     return engine
 

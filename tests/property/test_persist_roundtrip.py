@@ -23,7 +23,6 @@ from repro.storage.table import Table
 
 def engine_for(table, workers=None):
     engine = QueryEREngine(
-        sample_stats=False,
         meta_blocking=MetaBlockingConfig.none(),
         execution=workers,
     )

@@ -39,7 +39,6 @@ QUERIES = [
 
 def _engine(rows):
     engine = QueryEREngine(
-        sample_stats=False,
         meta_blocking=MetaBlockingConfig.none(),
         execution=ExecutionConfig.serial(),
     )

@@ -53,7 +53,7 @@ def build_engine(table: Table, workers: int) -> QueryEREngine:
     config = (
         ExecutionConfig.serial() if workers == 1 else sharded_config(workers)
     )
-    engine = QueryEREngine(sample_stats=False, execution=config)
+    engine = QueryEREngine(execution=config)
     engine.register(table)
     return engine
 

@@ -34,7 +34,7 @@ def engine():
         ),
         [(1, "a", 10.0), (2, "a", 20.0), (3, "b", 30.0), (4, "b", None), (5, None, 50.0)],
     )
-    e = QueryEREngine(sample_stats=False)
+    e = QueryEREngine()
     e.register(table)
     return e
 
@@ -192,7 +192,7 @@ class TestDedupAggregation:
                 ("d4", "kate jones", "b", "40"),
             ],
         )
-        e = QueryEREngine(sample_stats=False)
+        e = QueryEREngine()
         e.register(table)
         return e
 

@@ -32,7 +32,7 @@ def right_table():
 
 @pytest.fixture
 def engine():
-    e = QueryEREngine(sample_stats=False)
+    e = QueryEREngine()
     e.register(left_table())
     e.register(right_table())
     return e
@@ -168,7 +168,7 @@ class TestModes:
         # (§6.1 correctness argument assumes the same candidate pairs).
         from repro.er.meta_blocking import MetaBlockingConfig
 
-        engine = QueryEREngine(sample_stats=False, meta_blocking=MetaBlockingConfig.none())
+        engine = QueryEREngine(meta_blocking=MetaBlockingConfig.none())
         engine.register(left_table())
         engine.register(right_table())
         baseline = engine.execute(self.SQL, ExecutionMode.BATCH).sorted_rows()
@@ -188,7 +188,7 @@ class TestModes:
             S([Column("id", ColumnType.INTEGER), Column("v", ColumnType.INTEGER)]),
             [(1, 9), (2, 10), (3, 2)],
         )
-        engine = QueryEREngine(sample_stats=False)
+        engine = QueryEREngine()
         engine.register(table)
         result = engine.execute("SELECT DEDUP id, v FROM N ORDER BY v")
         assert [row[1] for row in result.rows] == [2, 9, 10]  # not "10" < "2" < "9"
@@ -207,7 +207,7 @@ class TestRegisterReplace:
         assert engine.join_percentage("L", "R", "ref", "key") == (0.75, 1.0)
 
     def test_replace_purges_memoized_statistics(self):
-        engine = QueryEREngine(sample_stats=False)
+        engine = QueryEREngine()
         engine.register(left_table())
         before = engine.statistics_of("L")  # lazily memoized
         replacement = Table("L", Schema.of("id", "name"), [("l1", "solo")])
@@ -215,11 +215,3 @@ class TestRegisterReplace:
         after = engine.statistics_of("L")
         assert after is not before
         assert after.base_rows == 1
-
-    def test_replace_with_sample_stats_rebuilds_statistics(self):
-        engine = QueryEREngine(sample_stats=True)
-        engine.register(left_table())
-        before = engine.statistics_of("L")
-        engine.register(Table("L", Schema.of("id", "name"), [("l1", "solo")]), replace=True)
-        after = engine.statistics_of("L")
-        assert after is not before and after.base_rows == 1

@@ -101,7 +101,7 @@ class TestDeltaIndexMaintenance:
 
 class TestLinkIndexInvalidation:
     def engine_with_resolved_pair(self, policy=InvalidationPolicy.TARGETED):
-        engine = QueryEREngine(sample_stats=False, invalidation_policy=policy)
+        engine = QueryEREngine(invalidation_policy=policy)
         engine.register(
             Table(
                 "P",
@@ -131,7 +131,7 @@ class TestLinkIndexInvalidation:
         assert li.duplicates_of("p1") == {"p2"}
 
     def test_cluster_closure_reaches_entities_without_touched_blocks(self):
-        engine = QueryEREngine(sample_stats=False)
+        engine = QueryEREngine()
         engine.register(
             Table(
                 "P",
@@ -170,7 +170,7 @@ class TestLinkIndexInvalidation:
         engine = self.engine_with_resolved_pair()
         engine.insert("P", [("p4", "collective entity res")])
         grown = engine.catalog.get("P")
-        fresh = QueryEREngine(sample_stats=False)
+        fresh = QueryEREngine()
         fresh.register(Table("P2", grown.schema, [tuple(r.values) for r in grown], coerce=False))
         sql = "SELECT DEDUP id, title FROM {} WHERE title LIKE 'collective%'"
         assert (
@@ -217,7 +217,7 @@ class TestInsertSql:
         assert str(parse(text)) == text
 
     def test_execute_insert_reports_counters(self):
-        engine = QueryEREngine(sample_stats=False)
+        engine = QueryEREngine()
         engine.register(Table("T", Schema.of("id", "name"), [("a", "alpha")]))
         result = engine.execute("INSERT INTO T (id, name) VALUES ('b', 'beta')")
         assert result.columns == ["rows_inserted", "touched_blocks", "invalidated_entities"]
@@ -225,14 +225,14 @@ class TestInsertSql:
         assert len(engine.catalog.get("T")) == 2
 
     def test_insert_missing_columns_become_null(self):
-        engine = QueryEREngine(sample_stats=False)
+        engine = QueryEREngine()
         engine.register(Table("T", Schema.of("id", "name", "city"), [("a", "x", "rome")]))
         engine.execute("INSERT INTO T (city, id) VALUES ('oslo', 'b')")
         row = engine.catalog.get("T").by_id("b")
         assert row["city"] == "oslo" and row["name"] is None
 
     def test_insert_unknown_table_or_column_fails_cleanly(self):
-        engine = QueryEREngine(sample_stats=False)
+        engine = QueryEREngine()
         engine.register(Table("T", Schema.of("id", "name"), [("a", "x")]))
         with pytest.raises(KeyError):
             engine.execute("INSERT INTO missing (id) VALUES ('b')")
@@ -245,7 +245,7 @@ class TestInsertSql:
 
 class TestStatisticsRefresh:
     def test_duplication_sample_marked_stale_and_recomputed(self):
-        engine = QueryEREngine(sample_stats=True)
+        engine = QueryEREngine()
         table, _ = generate_people(60, seed=3)
         engine.register(table)
         before = engine.statistics_of("PPL")
@@ -257,7 +257,7 @@ class TestStatisticsRefresh:
         assert after.base_rows == 61 and not after.stale
 
     def test_join_percentages_recomputed_after_insert(self):
-        engine = QueryEREngine(sample_stats=False)
+        engine = QueryEREngine()
         engine.register(Table("L", Schema.of("id", "ref"), [("l1", "k1"), ("l2", "k2")]))
         engine.register(Table("R", Schema.of("id", "key"), [("r1", "k1")]))
         assert engine.join_percentage("L", "R", "ref", "key") == (0.5, 1.0)

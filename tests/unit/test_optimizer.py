@@ -134,7 +134,7 @@ class TestPlanCache:
         assert engine.statistics_version() > version
 
     def test_register_bumps_statistics_version(self):
-        engine = QueryEREngine(sample_stats=False)
+        engine = QueryEREngine()
         version = engine.statistics_version()
         engine.register(Table("T", Schema.of("id", "x"), [("t1", "a")]))
         assert engine.statistics_version() > version

@@ -193,7 +193,6 @@ class TestEngineInvalidation:
         # tests INSERT into the table.
         engine = QueryEREngine(
             use_link_index=False,
-            sample_stats=False,
             meta_blocking=MetaBlockingConfig.none(),
             execution=parallel_config(),
         )
@@ -253,11 +252,9 @@ class TestBatchModeWiring:
         table, _ = generate_people(250, seed=21)
         sql = "SELECT DEDUP id, given_name, surname FROM PPL WHERE state = 'nsw'"
 
-        serial_engine = QueryEREngine(
-            sample_stats=False, execution=ExecutionConfig.serial()
-        )
+        serial_engine = QueryEREngine(execution=ExecutionConfig.serial())
         serial_engine.register(table)
-        parallel_engine = QueryEREngine(sample_stats=False, execution=parallel_config())
+        parallel_engine = QueryEREngine(execution=parallel_config())
         parallel_engine.register(table)
 
         expected = serial_engine.execute(sql, ExecutionMode.BATCH)
@@ -275,7 +272,7 @@ class TestSchedulingAccounting:
     def test_small_dedup_is_counted_as_a_serial_match_run(self):
         table, _ = generate_people(120, seed=8)
         # Default thresholds: a remainder this small never reaches the workers.
-        with QueryEREngine(sample_stats=False, execution=ExecutionConfig(workers=2)) as engine:
+        with QueryEREngine(execution=ExecutionConfig(workers=2)) as engine:
             engine.register(table)
             report = engine.execute("EXPLAIN ANALYZE " + self.SQL)
             text = "\n".join(str(row[0]) for row in report.rows)
@@ -313,5 +310,5 @@ class TestSchedulingAccounting:
 
 class TestSerialEngineHasNoExecutor:
     def test_serial_config_keeps_pre_subsystem_path(self):
-        engine = QueryEREngine(execution=ExecutionConfig.serial(), sample_stats=False)
+        engine = QueryEREngine(execution=ExecutionConfig.serial())
         assert engine.parallel_executor is None

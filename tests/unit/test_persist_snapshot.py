@@ -14,7 +14,7 @@ from repro.persist import (
     read_manifest,
     save_engine,
 )
-from repro.persist.snapshot import MANIFEST_NAME
+from repro.persist.snapshot import MANIFEST_NAME, write_manifest
 from repro.resilience import DEGRADATION, FaultPlan, clear_plan, install_plan
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
@@ -32,7 +32,6 @@ def _clean_faults():
 
 
 def make_engine(size=120, seed=11, **kwargs):
-    kwargs.setdefault("sample_stats", False)
     kwargs.setdefault("meta_blocking", MetaBlockingConfig.none())
     engine = QueryEREngine(**kwargs)
     table, _ = generate_people(size, seed=seed)
@@ -101,13 +100,33 @@ class TestSaveLoad:
         )
 
     def test_statistics_survive_without_resampling(self, tmp_path):
-        engine = make_engine(sample_stats=True)
+        engine = make_engine()
         live = engine.statistics_of("ppl")
         engine.save(tmp_path)
         warm = QueryEREngine.load(tmp_path)
         restored = warm.statistics_of("ppl")
         assert restored.duplication_factor == live.duplication_factor
         assert restored.sample_size == live.sample_size
+
+    def test_statistics_are_not_persisted_before_first_read(self, tmp_path):
+        engine = make_engine()
+        manifest = engine.save(tmp_path)
+        assert manifest["tables"]["ppl"]["statistics"] is None
+        assert "sample_stats" not in manifest["engine"]
+        warm = QueryEREngine.load(tmp_path)
+        assert warm.statistics_of("ppl").to_state() == engine.statistics_of("ppl").to_state()
+
+    def test_manifest_with_legacy_sample_stats_key_loads(self, tmp_path):
+        """Manifests written while statistics were sampled at registration
+        carry ``"sample_stats": true``; the key no longer selects anything."""
+        engine = make_engine()
+        engine.statistics_of("ppl")
+        manifest = engine.save(tmp_path)
+        manifest["engine"]["sample_stats"] = True
+        write_manifest(tmp_path, manifest)
+        warm = QueryEREngine.load(tmp_path)
+        assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
+        assert warm.statistics_of("ppl").to_state() == engine.statistics_of("ppl").to_state()
 
     def test_manifest_records_format_and_checksums(self, tmp_path):
         engine = make_engine()
@@ -286,7 +305,7 @@ class TestEngineHooks:
         class CustomBlocking(TokenBlocking):
             pass
 
-        engine = QueryEREngine(sample_stats=False)
+        engine = QueryEREngine()
         table = Table("T", Schema.of("id", "name"), [("1", "ann"), ("2", "bob")])
         engine.register(table)
         engine._indices["t"] = TableIndex(table, blocking=CustomBlocking())

@@ -35,7 +35,7 @@ class TestEngineEpochs:
     @pytest.fixture
     def engine(self):
         table, _ = generate_people(60, seed=11, name="PPL")
-        engine = QueryEREngine(sample_stats=False, execution=ExecutionConfig.serial())
+        engine = QueryEREngine(execution=ExecutionConfig.serial())
         engine.register(table)
         return engine
 
@@ -74,7 +74,6 @@ class TestExecutorEpochSource:
     def _engine(self):
         table, _ = generate_people(60, seed=13, name="P")
         engine = QueryEREngine(
-            sample_stats=False,
             meta_blocking=MetaBlockingConfig.none(),
             use_link_index=False,
             execution=ExecutionConfig(
@@ -276,7 +275,7 @@ class TestSingleFlight:
 @pytest.fixture(scope="module")
 def served():
     table, _ = generate_people(150, seed=21, name="PPL")
-    engine = QueryEREngine(sample_stats=False, execution=ExecutionConfig.serial())
+    engine = QueryEREngine(execution=ExecutionConfig.serial())
     engine.register(table)
     service = EngineService(engine, max_inflight=8, cache_size=64)
     server = make_server(service)
@@ -392,7 +391,7 @@ def _jsonify(value):
 class TestAdmissionAndTimeouts:
     def _service(self, **kwargs):
         table, _ = generate_people(60, seed=31, name="PPL")
-        engine = QueryEREngine(sample_stats=False, execution=ExecutionConfig.serial())
+        engine = QueryEREngine(execution=ExecutionConfig.serial())
         engine.register(table)
         return EngineService(engine, **kwargs)
 

@@ -55,7 +55,7 @@ def rows():
 @pytest.fixture()
 def service(rows):
     base, _ = rows
-    engine = QueryEREngine(sample_stats=False, execution=ExecutionConfig.serial())
+    engine = QueryEREngine(execution=ExecutionConfig.serial())
     engine.register(Table("PPL", people_schema(), base))
     return EngineService(engine, max_inflight=4, cache_size=64)
 

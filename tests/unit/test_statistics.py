@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.core.engine import QueryEREngine
 from repro.core.indices import TableIndex
 from repro.core.statistics import ComparisonEstimator, TableStatistics, join_percentage
 from repro.er.matching import ProfileMatcher
 from repro.sql.parser import parse
-from repro.storage.schema import Schema
+from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
 
 
@@ -126,3 +127,34 @@ class TestJoinPercentage:
         right = TableIndex(Table("R", Schema.of("id", "k"), [("r1", "x")]))
         lp, rp = join_percentage(left, right, "k", "k")
         assert lp == 0.0 and rp == 0.0
+
+    def test_int_and_mixed_type_join_columns(self):
+        """Only strings are case-folded: an int joins an equal float, never its digit string."""
+
+        def typed(name, column_type, values):
+            schema = Schema([Column("id", ColumnType.INTEGER), Column("k", column_type)])
+            return TableIndex(Table(name, schema, list(enumerate(values))))
+
+        ints = typed("L", ColumnType.INTEGER, [7, 7, 8, None])
+        assert join_percentage(ints, typed("R", ColumnType.INTEGER, [7, 9]), "k", "k") == (0.5, 0.5)
+        text = typed("S", ColumnType.STRING, ["7", "EDBT"])
+        assert join_percentage(ints, text, "k", "k") == (0.0, 0.0)
+        floats = typed("F", ColumnType.FLOAT, [7.0, 8.5])
+        assert join_percentage(ints, floats, "k", "k") == (0.5, 0.5)
+
+
+class TestLazyRegistration:
+    def test_register_builds_no_statistics_and_never_matches(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("registration must not sample or match")
+
+        monkeypatch.setattr(TableStatistics, "__init__", forbidden)
+        for method in ("matches", "match_signatures", "match_pair_indices"):
+            monkeypatch.setattr(ProfileMatcher, method, forbidden)
+        engine = QueryEREngine(execution=1)
+        engine.register(table())
+        engine.register(table(), replace=True)
+        assert engine._statistics == {}
+        monkeypatch.undo()
+        assert engine.statistics_of("T").base_rows == len(table())
+        assert set(engine._statistics) == {"t"}

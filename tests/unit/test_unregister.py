@@ -25,7 +25,7 @@ def people_rows(size: int, seed: int):
 
 @pytest.fixture()
 def engine() -> QueryEREngine:
-    e = QueryEREngine(sample_stats=False)
+    e = QueryEREngine()
     e.register(Table("PPL", people_schema(), people_rows(80, seed=5)))
     return e
 
