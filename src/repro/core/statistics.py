@@ -237,8 +237,8 @@ def sample_rows(
     table: Table, sample_fraction: float = 0.05, max_sample: int = 200, seed: int = 7
 ) -> List[Row]:
     """The rows :class:`TableStatistics` cleans for the duplication factor."""
-    sample = table.sample(min(1.0, max(sample_fraction, 1e-9)), seed=seed)
-    return list(sample)[:max_sample]
+    fraction = min(1.0, max(sample_fraction, 1e-9))
+    return list(table.sample(fraction, seed=seed, limit=max_sample))
 
 
 def _count_duplicates(index: TableIndex, matcher: ProfileMatcher, rows: List[Row]) -> int:

@@ -236,8 +236,15 @@ class Table:
         out._by_id = seen
         return out
 
-    def sample(self, fraction: float, seed: int = 0) -> "Table":
+    def sample(
+        self, fraction: float, seed: int = 0, limit: Optional[int] = None
+    ) -> "Table":
         """Deterministic pseudo-random sample of ~``fraction`` of the rows.
+
+        With *limit*, at most that many rows: when more are picked, the
+        same seeded generator chooses *limit* of them uniformly (kept in
+        table order), so rows appended later can be drawn too — the
+        first *limit* picks would all come from a fixed prefix.
 
         Used by the planner to clean a sample for the duplication-factor
         statistic (paper §7.2.1) the first time that statistic is read —
@@ -251,6 +258,9 @@ class Table:
         picked = [r for r in self._rows if rng.random() < fraction]
         if not picked and self._rows:
             picked = [self._rows[0]]
+        if limit is not None and len(picked) > limit:
+            chosen = sorted(rng.sample(range(len(picked)), limit))
+            picked = [picked[i] for i in chosen]
         return self.from_rows(picked, name=f"{self._name}_sample")
 
     def __repr__(self) -> str:

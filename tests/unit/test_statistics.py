@@ -1,10 +1,17 @@
 """Unit tests for the planner statistics (§7.2.1)."""
 
+import random
+
 import pytest
 
 from repro.core.engine import QueryEREngine
 from repro.core.indices import TableIndex
-from repro.core.statistics import ComparisonEstimator, TableStatistics, join_percentage
+from repro.core.statistics import (
+    ComparisonEstimator,
+    TableStatistics,
+    join_percentage,
+    sample_rows,
+)
 from repro.er.matching import ProfileMatcher
 from repro.sql.parser import parse
 from repro.storage.schema import Column, ColumnType, Schema
@@ -141,6 +148,30 @@ class TestJoinPercentage:
         assert join_percentage(ints, text, "k", "k") == (0.0, 0.0)
         floats = typed("F", ColumnType.FLOAT, [7.0, 8.5])
         assert join_percentage(ints, floats, "k", "k") == (0.5, 0.5)
+
+
+class TestLargeTableSample:
+    """More rows picked than ``max_sample`` (5% of a table over 4 000 rows)."""
+
+    def test_sample_reaches_the_tail_and_follows_appends(self):
+        rng = random.Random(3)
+
+        def word():
+            return "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(8))
+
+        schema = Schema([Column("id", ColumnType.INTEGER), Column("a"), Column("b")])
+        rows = [(i, word(), word()) for i in range(6000)]
+        engine = QueryEREngine(execution=1)
+        engine.register(Table("BIG", schema, rows))
+        sampled = [row.id for row in sample_rows(engine.index_of("BIG").table)]
+        assert len(sampled) == 200
+        assert max(sampled) >= 4000  # not just the first 200 picks of a prefix
+        before = engine.statistics_of("BIG")
+        source = rows[sampled[0]]
+        engine.insert("BIG", [(10_000 + k,) + source[1:] for k in range(1000)])
+        after = engine.statistics_of("BIG")
+        assert after.sample_size == 200
+        assert after.sample_duplicates > before.sample_duplicates
 
 
 class TestLazyRegistration:
