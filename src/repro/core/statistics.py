@@ -138,22 +138,14 @@ class ComparisonEstimator:
         postings = self.index.postings
         dense = postings.dense_frontier(pending)
         tokens = postings.tokens_of_entities(dense)
-        blocks = purge_and_filter(
-            postings,
-            tokens,
-            postings.sizes_of(tokens),
-            self.smoothing,
-            self.filter_ratio,
+        sizes, indptr, members = purge_and_filter(
+            postings, tokens, postings.sizes_of(tokens), self.smoothing, self.filter_ratio
         )
-        if not len(blocks.sizes):
-            return 0
         is_pending = np.zeros(postings.entity_count, dtype=bool)
         is_pending[dense] = True
-        block_of = np.repeat(np.arange(len(blocks.sizes)), np.diff(blocks.indptr))
-        q = np.bincount(
-            block_of[is_pending[blocks.members]], minlength=len(blocks.sizes)
-        )
-        return int((q * blocks.sizes - q * (q + 1) // 2).sum())
+        block_of = np.repeat(np.arange(len(sizes)), np.diff(indptr))
+        q = np.bincount(block_of[is_pending[members]], minlength=len(sizes))
+        return int((q * sizes - q * (q + 1) // 2).sum())
 
 
 class TableStatistics:

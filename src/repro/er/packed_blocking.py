@@ -74,31 +74,19 @@ class PackedCandidates:
     comparisons_after: int
 
 
-@dataclass
-class FilteredBlocks:
-    """Blocks surviving Block Purging + Block Filtering, as a CSR.
-
-    ``tokens[i]`` keys block ``i``, whose retained members (dense
-    postings ids) are ``members[indptr[i]:indptr[i + 1]]`` and number
-    ``sizes[i]``.
-    """
-
-    tokens: Any
-    sizes: Any
-    indptr: Any
-    members: Any
-
-
 def purge_and_filter(
     postings: TokenPostings,
     tokens: Any,
     sizes: Any,
     smoothing: Optional[float],
     filter_ratio: Optional[float],
-) -> FilteredBlocks:
+) -> Tuple[Any, Any, Any]:
     """Block Purging and Block Filtering over the table blocks of *tokens*.
 
-    *sizes* are the blocks' full posting lengths.  Singleton blocks go
+    *sizes* are the blocks' full posting lengths.  Returns the surviving
+    blocks as a CSR ``(sizes, indptr, members)``: block ``i`` keeps the
+    dense postings ids ``members[indptr[i]:indptr[i + 1]]``, ``sizes[i]``
+    of them.  Singleton blocks go
     first (the dict path's ``non_singleton`` precondition), then blocks
     above the purge threshold of the rest (skipped when *smoothing* is
     None), then each entity keeps its first ``ceil(filter_ratio · n)``
@@ -142,11 +130,10 @@ def purge_and_filter(
         survives = new_counts >= 2
         members = members[survives[block_of]]
         sizes = new_counts[survives]
-        tokens = tokens[survives]
         indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64))
         )
-    return FilteredBlocks(tokens, sizes, indptr, members)
+    return sizes, indptr, members
 
 
 def packed_blocking_supported(config: Any) -> bool:
@@ -193,14 +180,13 @@ def derive_candidates(
 
     with timed("meta-blocking"):
         # (iii)a Block Purging + (iii)b Block Filtering.
-        blocks = purge_and_filter(
+        sizes, indptr, members = purge_and_filter(
             postings,
             tokens,
             sizes,
             config.smoothing_factor if config.purging else None,
             config.filter_ratio if config.filtering else None,
         )
-        sizes, indptr, members = blocks.sizes, blocks.indptr, blocks.members
         block_count = len(sizes)
         if not block_count:
             return PackedCandidates([], qbi_blocks, eqbi_blocks, comparisons_before, 0)
