@@ -159,7 +159,10 @@ class TableStatistics:
     private matcher configured like *matcher* and over signatures
     interned into a private vocabulary — so neither the table matcher's
     counters and memo nor the table index's vocabulary and signatures
-    change.  The decisions equal ``matcher.matches`` on every pair.
+    change.  (Token ids are assigned in first-intern order, and the
+    packed Edge Pruning visits blocks in token-id order; sample tokens
+    interned into the table vocabulary first would reorder that.)  The
+    decisions equal ``matcher.matches`` on every pair.
     """
 
     def __init__(
@@ -261,10 +264,10 @@ def join_percentage(
 ) -> Tuple[float, float]:
     """Fraction of each side whose join value appears on the other side.
 
-    Pre-computed per table pair at registration time (§7.2.1: "we
-    pre-compute for every table pair the percentage of entities that
-    join").  Join values are folded exactly as the Deduplicate-Join
-    folds them.
+    The paper pre-computes it per table pair (§7.2.1: "we pre-compute
+    for every table pair the percentage of entities that join"); the
+    engine computes it on first read and caches it until an insert.
+    Join values are folded exactly as the Deduplicate-Join folds them.
     """
     left_values = _join_value_counts(left.table, left_column)
     right_values = _join_value_counts(right.table, right_column)

@@ -83,10 +83,7 @@ def purge_and_filter(
 ) -> Tuple[Any, Any, Any]:
     """Block Purging and Block Filtering over the table blocks of *tokens*.
 
-    *sizes* are the blocks' full posting lengths.  Returns the surviving
-    blocks as a CSR ``(sizes, indptr, members)``: block ``i`` keeps the
-    dense postings ids ``members[indptr[i]:indptr[i + 1]]``, ``sizes[i]``
-    of them.  Singleton blocks go
+    *sizes* are the blocks' full posting lengths.  Singleton blocks go
     first (the dict path's ``non_singleton`` precondition), then blocks
     above the purge threshold of the rest (skipped when *smoothing* is
     None), then each entity keeps its first ``ceil(filter_ratio · n)``
@@ -94,6 +91,10 @@ def purge_and_filter(
     members are dropped (skipped when *filter_ratio* is None).  The one
     BP/BF implementation: candidate derivation and the planner's
     comparison estimate both call it.
+
+    Returns the surviving blocks as a CSR ``(sizes, indptr, members)``:
+    block ``i`` keeps the dense postings ids
+    ``members[indptr[i]:indptr[i + 1]]``, ``sizes[i]`` of them.
     """
     np = _np
     keep = sizes >= 2
