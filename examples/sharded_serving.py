@@ -1,17 +1,18 @@
-"""Persistent worker shards: warm repeated queries without per-query forks.
+"""Resident worker shards: warm repeated queries without per-query forks.
 
-Serves the same DEDUP workload three ways — serial, the per-query fork
-pool, and the persistent shard runtime (``persistent_shards=True``) —
+Serves the same DEDUP workload two ways — serial (the engine default)
+and on two resident shard workers (``ExecutionConfig(workers=2)``) —
 and shows:
 
-* identical results (rows, comparisons) across all three paths;
+* identical results (rows, comparisons) on both paths;
 * the shard runtime paying its fork cost *once* (the cold query), then
-  answering warm repetitions at near-serial overhead while the
-  per-query pool forks a fresh pool every time;
+  answering warm repetitions without forking again;
 * ``INSERT INTO`` keeping resident workers current via epoch-tagged
-  delta segments (watch ``deltas_published`` and ``delta_lag``);
+  delta segments (watch ``deltas_published`` and ``delta_lag``) — each
+  insert waits for every live shard to apply the batch;
 * the per-shard observability block (also exported at ``/metrics`` by
-  ``repro serve --shards`` and in ``EXPLAIN ANALYZE`` scheduling lines).
+  ``repro serve --workers N`` and in ``EXPLAIN ANALYZE`` scheduling
+  lines).
 
 Run:  python examples/sharded_serving.py
 """
@@ -33,8 +34,6 @@ def build_engine(mode: str) -> QueryEREngine:
     else:
         execution = ExecutionConfig(
             workers=2,
-            backend="process",
-            persistent_shards=(mode == "shards"),
             min_parallel_pairs=256,
             min_parallel_comparisons=4096,
         )
@@ -62,7 +61,7 @@ def main() -> None:
     print(f"{'mode':>8}  {'cold s':>8}  {'warm s':>8}  rows  comparisons")
     reference = None
     engines = {}
-    for mode in ("serial", "pool", "shards"):
+    for mode in ("serial", "shards"):
         engine = build_engine(mode)
         engines[mode] = engine
         cold, warm, result = warm_loop(engine)
@@ -74,7 +73,7 @@ def main() -> None:
             reference = (len(result), result.comparisons)
         else:
             assert (len(result), result.comparisons) == reference, mode
-    print("all three paths returned identical results\n")
+    print("both paths returned identical results\n")
 
     # Delta shipping: the insert commits, then fans out to resident
     # workers as a self-contained columnar segment — no respawn.

@@ -45,12 +45,12 @@ def fresh_engine(
 ) -> QueryEREngine:
     """A new engine with *tables* registered.
 
-    ``execution`` defaults to strictly serial: the paper-reproduction
-    benchmarks assert stage shares and relative timings of the serial
-    pipeline, which worker-pool scheduling overhead would distort
-    (parallel scaling has its own harness,
-    :mod:`repro.bench.parallel_scaling`); results are bit-identical
-    either way.
+    ``execution`` defaults to strictly serial, whatever ``REPRO_WORKERS``
+    says: the paper-reproduction benchmarks assert stage shares and
+    relative timings of the serial pipeline, which shard scheduling
+    would distort (shards have their own harness,
+    :mod:`repro.bench.shard_scaling`); results are bit-identical either
+    way.
     """
     engine_kwargs.setdefault("execution", ExecutionConfig.serial())
     engine = QueryEREngine(**engine_kwargs)

@@ -1,12 +1,10 @@
-"""Shard-runtime benchmark: persistent workers vs per-query fork pools.
+"""Shard-runtime benchmark: resident workers vs serial.
 
 Measures the *warm repeated-query* path — the serving pattern the
-persistent shard runtime (:mod:`repro.parallel.shards`) exists for —
-across three execution modes over the same fig10-style PPL ladder:
+shard runtime (:mod:`repro.parallel.shards`) exists for — in two
+execution modes over the same fig10-style PPL ladder:
 
-* ``serial``  — the single-core reference;
-* ``pool``    — the per-query fork pool (a pool spawned and joined
-  inside every DEDUP execution);
+* ``serial``  — the single-process reference (the engine default);
 * ``shards``  — long-lived hash-partitioned workers spawned once and
   reused, state advanced by per-commit delta segments.
 
@@ -14,16 +12,12 @@ Between warm repetitions the Link Index and similarity caches are
 cleared, so every repetition re-runs full Comparison-Execution; the
 first shard-mode query (which pays the one-time fork) is recorded
 separately as ``cold_s`` and excluded from warm statistics.  The gated
-claims are:
-
-* **identity** — rows, comparison counts and link sets are identical
-  across all three modes, including after a mid-sequence ``INSERT
-  INTO`` (delta shipping) and under an injected ``shard.task`` fault
-  (serial-retry recovery);
-* **overhead** — the shard runtime's warm per-query overhead versus
-  serial is strictly below the per-query pool's (it forks nothing per
-  query).  Speedup magnitudes are machine properties and are reported
-  with ``cpu_count`` context, never gated.
+claim is **identity**: rows, comparison counts and link sets are
+identical across both modes, including after a mid-sequence ``INSERT
+INTO`` (delta shipping) and under an injected ``shard.task`` fault
+(serial-retry recovery).  Timings and the warm overhead versus serial
+are machine properties, reported with ``cpu_count`` context and never
+gated.
 
 Usage::
 
@@ -48,7 +42,7 @@ from repro.parallel import ExecutionConfig
 from repro.parallel.config import fork_available, usable_cores
 from repro.resilience import FaultPlan, clear_plan, install_plan
 
-SCHEMA = "repro/bench/shard-scaling/v1"
+SCHEMA = "repro/bench/shard-scaling/v2"
 
 LADDER: Sequence[int] = (1500, 3000)
 QUICK_LADDER: Sequence[int] = (1500,)
@@ -56,12 +50,10 @@ QUICK_LADDER: Sequence[int] = (1500,)
 WORKER_SETTINGS: Sequence[int] = (2, 4)
 QUICK_WORKER_SETTINGS: Sequence[int] = (2,)
 
-#: Same bench thresholds as parallel_scaling: the ladder's lower rungs
-#: must take the parallel path rather than fall back to serial.
+#: Low thresholds: the ladder's lower rungs must take the shard path
+#: rather than stay serial.
 BENCH_MIN_PAIRS = 256
 BENCH_MIN_COMPARISONS = 4096
-
-MODES = ("serial", "pool", "shards")
 
 
 def _config(mode: str, workers: int) -> ExecutionConfig:
@@ -69,8 +61,6 @@ def _config(mode: str, workers: int) -> ExecutionConfig:
         return ExecutionConfig.serial()
     return ExecutionConfig(
         workers=workers,
-        backend="process",
-        persistent_shards=(mode == "shards"),
         min_parallel_pairs=BENCH_MIN_PAIRS,
         min_parallel_comparisons=BENCH_MIN_COMPARISONS,
     )
@@ -164,11 +154,10 @@ def bench_dataset(size: int, sql: str, worker_settings: Sequence[int], reps: int
     identical = True
     serial_warm = reference["warm_s"]
     for workers in worker_settings:
-        for mode in ("pool", "shards"):
-            entry = run_mode(table, sql, mode, workers, reps)
-            identical = identical and _identity(entry, reference)
-            entry["warm_overhead_vs_serial_s"] = round(entry["warm_s"] - serial_warm, 6)
-            runs.append(entry)
+        entry = run_mode(table, sql, "shards", workers, reps)
+        identical = identical and _identity(entry, reference)
+        entry["warm_overhead_vs_serial_s"] = round(entry["warm_s"] - serial_warm, 6)
+        runs.append(entry)
     # Recovery identity: a task fault on the shard path must not change bits.
     faulted = run_mode(table, sql, "shards", worker_settings[0], 1,
                        fault="shard.task:times=1")
@@ -176,14 +165,6 @@ def bench_dataset(size: int, sql: str, worker_settings: Sequence[int], reps: int
 
     serial_entry = dict(reference)
     serial_entry["warm_overhead_vs_serial_s"] = 0.0
-    overheads = {
-        (entry["mode"], entry["workers"]): entry["warm_overhead_vs_serial_s"]
-        for entry in runs
-    }
-    shards_beat_pool = all(
-        overheads[("shards", workers)] < overheads[("pool", workers)]
-        for workers in worker_settings
-    )
     for entry in [serial_entry] + runs + [faulted]:
         entry.pop("links", None)
         entry.pop("links_after_insert", None)
@@ -196,7 +177,6 @@ def bench_dataset(size: int, sql: str, worker_settings: Sequence[int], reps: int
         "rows_after_insert": reference["rows_after_insert"],
         "comparisons_after_insert": reference["comparisons_after_insert"],
         "identical_results": identical,
-        "shards_beat_pool": shards_beat_pool,
         "serial": serial_entry,
         "runs": runs,
         "faulted_shards_run": faulted,
@@ -205,7 +185,7 @@ def bench_dataset(size: int, sql: str, worker_settings: Sequence[int], reps: int
 
 def run(quick: bool = False, reps: int = 3) -> Dict[str, Any]:
     if not fork_available():
-        raise SystemExit("shard benchmark needs the fork backend")
+        raise SystemExit("shard benchmark needs fork (shard workers are forked processes)")
     query = sp_queries("PPL")[4]  # Q5, S≈80%: the broad-frontier probe
     ladder = QUICK_LADDER if quick else LADDER
     worker_settings = QUICK_WORKER_SETTINGS if quick else WORKER_SETTINGS
@@ -226,7 +206,6 @@ def run(quick: bool = False, reps: int = 3) -> Dict[str, Any]:
         "datasets": datasets,
         "aggregate": {
             "identical_results": all(d["identical_results"] for d in datasets),
-            "shards_beat_pool": all(d["shards_beat_pool"] for d in datasets),
             "note": (
                 "warm_s is best-of warm repetitions with caches cleared "
                 "between; cold_s for shards includes the one-time worker "
@@ -235,7 +214,7 @@ def run(quick: bool = False, reps: int = 3) -> Dict[str, Any]:
                 + ("" if cpu_count >= widest else
                    f", fewer than the widest setting of {widest} — parallel "
                    "columns include oversubscription")
-                + "); only their ordering (shards < pool) is gated."
+                + "); only result identity is gated."
             ),
         },
     }
@@ -260,12 +239,12 @@ def render(report: Dict[str, Any]) -> str:
     table = format_table(
         ["dataset", "mode", "workers", "cold s", "warm s", "overhead s", "comparisons", "identical"],
         rows,
-        title="Persistent shards vs per-query pools (warm repeated Q5)",
+        title="Resident shards vs serial (warm repeated Q5)",
     )
     aggregate = report["aggregate"]
     summary = (
-        f"cpu_count={report['cpu_count']}  identical={aggregate['identical_results']}  "
-        f"shards_beat_pool={aggregate['shards_beat_pool']}\nnote: {aggregate['note']}"
+        f"cpu_count={report['cpu_count']}  identical={aggregate['identical_results']}"
+        f"\nnote: {aggregate['note']}"
     )
     return table + "\n" + summary
 
@@ -273,8 +252,8 @@ def render(report: Dict[str, Any]) -> str:
 def check_shape(report: Dict[str, Any], baseline: Dict[str, Any]) -> List[str]:
     """Deterministic-field drift between a fresh run and the baseline.
 
-    Rows, comparisons, link counts (cold and post-insert) and both
-    gated invariants must match; timings and overhead magnitudes are
+    Rows, comparisons, link counts (cold and post-insert) and the
+    identity invariant must match; timings and overhead magnitudes are
     machine properties and are never gated.  A quick run checks the
     rung subset it executed.
     """
@@ -282,9 +261,7 @@ def check_shape(report: Dict[str, Any], baseline: Dict[str, Any]) -> List[str]:
     if report.get("schema") != baseline.get("schema"):
         return [f"schema drift: {report.get('schema')!r} != {baseline.get('schema')!r}"]
     if not report["aggregate"]["identical_results"]:
-        problems.append("shard/pool/serial outputs diverged")
-    if not report["aggregate"]["shards_beat_pool"]:
-        problems.append("shard warm overhead not below per-query pool overhead")
+        problems.append("shard/serial outputs diverged")
     baseline_datasets = {d["dataset"]: d for d in baseline["datasets"]}
     for dataset in report["datasets"]:
         reference = baseline_datasets.get(dataset["dataset"])
@@ -342,17 +319,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(render(report))
     print(f"\nreport written to {args.output}")
 
-    failed = False
     if not report["aggregate"]["identical_results"]:
-        print("FAIL: shard/pool/serial outputs diverged", file=sys.stderr)
-        failed = True
-    if not report["aggregate"]["shards_beat_pool"]:
-        print(
-            "FAIL: shard warm overhead not below per-query pool overhead",
-            file=sys.stderr,
-        )
-        failed = True
-    if failed:
+        print("FAIL: shard/serial outputs diverged", file=sys.stderr)
         return 1
     if args.check:
         with open(args.check) as handle:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.bench.reporting import format_table
 from repro.core.engine import QueryEREngine
@@ -85,8 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="parallel Comparison-Execution workers (default: auto-detect; "
-        "1 forces serial; results are identical either way)",
+        help="Comparison-Execution workers: 1 is serial, N > 1 keeps N "
+        "resident shard workers (default: REPRO_WORKERS, else 1; results "
+        "are identical either way)",
     )
     parser.add_argument(
         "--format",
@@ -150,16 +151,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="parallel Comparison-Execution workers (default: auto-detect)",
-    )
-    parser.add_argument(
-        "--shards",
-        action="store_true",
-        help="keep a persistent sharded worker runtime resident across "
-        "queries (repro.parallel.shards): workers fork once, hold the "
-        "indices/matchers, and receive committed INSERT batches as "
-        "delta segments — instead of forking a pool per query "
-        "(env: REPRO_SHARDS=1)",
+        help="Comparison-Execution workers: 1 is serial, N > 1 keeps N "
+        "resident shard workers (default: REPRO_WORKERS, else 1)",
     )
     parser.add_argument(
         "--max-inflight",
@@ -237,11 +230,6 @@ def run_serve(argv: Sequence[str], output=None) -> int:
         plan = FaultPlan.parse(args.faults)
         install_plan(plan)
         print(f"fault injection armed: sites={plan.sites}", file=output)
-    execution: Any = args.workers
-    if args.shards:
-        from repro.parallel import ExecutionConfig
-
-        execution = ExecutionConfig(workers=args.workers, persistent_shards=True)
     engine = None
     if args.data_dir:
         from repro.persist import read_manifest
@@ -254,7 +242,7 @@ def run_serve(argv: Sequence[str], output=None) -> int:
         if manifest is not None:
             engine = QueryEREngine.load(
                 args.data_dir,
-                execution=execution,
+                execution=args.workers,
                 optimizer=not args.no_optimizer,
             )
             for name in sorted(engine.table_epochs()):
@@ -267,7 +255,7 @@ def run_serve(argv: Sequence[str], output=None) -> int:
     if engine is None:
         engine = QueryEREngine(
             match_threshold=args.threshold,
-            execution=execution,
+            execution=args.workers,
             optimizer=not args.no_optimizer,
         )
     for spec in args.csv:
@@ -338,7 +326,8 @@ def build_save_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="parallel Comparison-Execution workers (default: auto-detect)",
+        help="Comparison-Execution workers: 1 is serial, N > 1 keeps N "
+        "resident shard workers (default: REPRO_WORKERS, else 1)",
     )
     return parser
 
@@ -377,7 +366,8 @@ def build_load_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="parallel Comparison-Execution workers (default: auto-detect)",
+        help="Comparison-Execution workers: 1 is serial, N > 1 keeps N "
+        "resident shard workers (default: REPRO_WORKERS, else 1)",
     )
     return parser
 
@@ -419,7 +409,8 @@ def build_explain_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="parallel Comparison-Execution workers (default: auto-detect)",
+        help="Comparison-Execution workers: 1 is serial, N > 1 keeps N "
+        "resident shard workers (default: REPRO_WORKERS, else 1)",
     )
     parser.add_argument(
         "--no-optimizer",

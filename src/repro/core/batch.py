@@ -35,16 +35,15 @@ def batch_deduplicate(
     Executes every comparison surviving meta-blocking (each distinct pair
     once), counting them in *context* so BA's cost is measured with the
     same meter as QueryER's.  Returns a DR_E whose QE is the entire
-    table.  With *executor*, graph construction and the matcher's
-    undecided remainder may shard onto its workers, while the
-    deterministic merge keeps the linkset bit-identical to a serial run.
+    table.  With *executor*, the matcher's undecided remainder may shard
+    onto its workers; the linkset stays bit-identical to a serial run.
     """
     context = context or ExecutionContext()
     matcher = matcher or ProfileMatcher(exclude=(index.table.schema.id_column,))
     meta_blocking = meta_blocking or MetaBlockingConfig.all()
 
     with context.timed("meta-blocking"):
-        refined = apply_meta_blocking(index.tbi, meta_blocking, executor=executor)
+        refined = apply_meta_blocking(index.tbi, meta_blocking)
 
     links = LinkSet()
     with context.timed("resolution"):

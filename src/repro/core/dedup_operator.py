@@ -70,10 +70,10 @@ class DeduplicateOperator:
         docstring).
     executor:
         Optional :class:`~repro.parallel.executor.ParallelComparisonExecutor`:
-        blocking-graph construction and pair matching above its
-        configured thresholds run partitioned on its worker pool, with a
-        deterministic merge keeping results bit-identical to serial.  It
-        also serves/stores cached candidate plans for repeated frontiers.
+        packed blocking-graph construction and pair matching above its
+        configured thresholds run on its resident shard workers, with
+        results bit-identical to serial.  It also serves/stores cached
+        candidate plans for repeated frontiers.
     """
 
     def __init__(
@@ -262,9 +262,7 @@ class DeduplicateOperator:
             # graph scoped to frontier-incident edges (the only comparisons
             # the next stage executes, §6.1(iv)).
             with context.timed("meta-blocking"):
-                refined = apply_meta_blocking(
-                    eqbi, self.meta_blocking, focus=frontier, executor=executor
-                )
+                refined = apply_meta_blocking(eqbi, self.meta_blocking, focus=frontier)
             stats.eqbi_comparisons_after += refined.cardinality
 
             # Pair enumeration is Comparison-Execution work and is

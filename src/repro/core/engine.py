@@ -70,11 +70,12 @@ class QueryEREngine:
     execution:
         Parallel-execution configuration
         (:class:`~repro.parallel.ExecutionConfig`), or a plain int as
-        shorthand for ``ExecutionConfig(workers=N)``.  The default
-        auto-detects the worker count (``REPRO_WORKERS`` env var, else
-        the usable core count); on a single core — or below the
-        configured work thresholds — execution is exactly the serial
-        fast path.  Parallel DEDUP results are bit-identical to serial.
+        shorthand for ``ExecutionConfig(workers=N)``.  The default is
+        serial (``REPRO_WORKERS`` if set, else one worker).  With
+        ``N > 1`` the engine keeps ``N`` resident shard workers, forked
+        on the first query above the configured work thresholds and
+        sent every committed insert; DEDUP results are bit-identical to
+        serial either way.
 
     **Statistics.**  Registration builds indices only.  The §7.2.1
     duplication-factor sample runs on the first :meth:`statistics_of`
@@ -119,8 +120,8 @@ class QueryEREngine:
         # No executor on single-worker configurations: the operator then
         # runs the exact pre-subsystem serial path, with zero scheduling
         # or caching layered on top.  The shard state source hands the
-        # persistent runtime (when configured) everything a freshly
-        # forked worker keeps resident.
+        # shard runtime everything a freshly forked worker keeps
+        # resident.
         self._parallel: Optional[ParallelComparisonExecutor] = (
             ParallelComparisonExecutor(
                 self.execution,
@@ -340,7 +341,7 @@ class QueryEREngine:
     def close(self) -> None:
         """Release every long-lived resource this engine holds.
 
-        Joins the persistent shard workers (and their pipe fds) and
+        Joins the resident shard workers (and their pipe fds) and
         drains/stops the checkpointer's background writer.  Idempotent;
         also runs when the engine is used as a context manager.  An
         engine without shards or checkpointing holds no such resources

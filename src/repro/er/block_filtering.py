@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List
 
-try:  # pragma: no cover - exercised implicitly by every packed filter
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+import numpy as np
 
 from repro.er.blocking import Block, BlockCollection
 
@@ -45,19 +42,19 @@ def retained_assignment_mask(
     _validate_ratio(ratio)
     total = len(entities)
     if not total:
-        return _np.zeros(0, dtype=bool)
-    order = _np.lexsort((key_ranks, sizes, entities))
+        return np.zeros(0, dtype=bool)
+    order = np.lexsort((key_ranks, sizes, entities))
     grouped = entities[order]
     # Per-entity group spans over the sorted assignments.
-    boundaries = _np.nonzero(_np.diff(grouped))[0] + 1
-    starts = _np.concatenate((_np.zeros(1, dtype=_np.int64), boundaries))
-    stops = _np.concatenate((boundaries, _np.array([total], dtype=_np.int64)))
+    boundaries = np.nonzero(np.diff(grouped))[0] + 1
+    starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
+    stops = np.concatenate((boundaries, np.array([total], dtype=np.int64)))
     counts = stops - starts
     # Same float arithmetic as the dict path's math.ceil(ratio * count).
-    limits = _np.maximum(1, _np.ceil(ratio * counts)).astype(_np.int64)
-    positions = _np.arange(total, dtype=_np.int64) - _np.repeat(starts, counts)
-    keep_sorted = positions < _np.repeat(limits, counts)
-    mask = _np.empty(total, dtype=bool)
+    limits = np.maximum(1, np.ceil(ratio * counts)).astype(np.int64)
+    positions = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+    keep_sorted = positions < np.repeat(limits, counts)
+    mask = np.empty(total, dtype=bool)
     mask[order] = keep_sorted
     return mask
 

@@ -8,10 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every postings build
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+import numpy as np
 
 from repro.er.tokenizer import MIN_TOKEN_LENGTH, TokenVocabulary, tokenize_entity
 from repro.er.util import safe_sorted
@@ -192,10 +189,10 @@ class _GrowableIntArray:
 
     def __init__(self, initial: Optional[Iterable[int]] = None, capacity: int = 16):
         if initial is not None:
-            self._data = _np.array(list(initial), dtype=_np.int64)
+            self._data = np.array(list(initial), dtype=np.int64)
             self._size = len(self._data)
         else:
-            self._data = _np.empty(max(capacity, 1), dtype=_np.int64)
+            self._data = np.empty(max(capacity, 1), dtype=np.int64)
             self._size = 0
 
     def __len__(self) -> int:
@@ -212,7 +209,7 @@ class _GrowableIntArray:
         capacity = max(len(self._data), 1)
         while capacity < needed:
             capacity *= 2
-        grown = _np.empty(capacity, dtype=_np.int64)
+        grown = np.empty(capacity, dtype=np.int64)
         grown[: self._size] = self._data[: self._size]
         self._data = grown
 
@@ -222,7 +219,7 @@ class _GrowableIntArray:
         self._size += 1
 
     def extend(self, values: Any) -> None:
-        values = _np.asarray(values, dtype=_np.int64)
+        values = np.asarray(values, dtype=np.int64)
         self._reserve(len(values))
         self._data[self._size : self._size + len(values)] = values
         self._size += len(values)
@@ -243,12 +240,12 @@ def _gather_ranges(source: Any, starts: Any, counts: Any) -> Any:
     """
     total = int(counts.sum())
     if total == 0:
-        return _np.empty(0, dtype=source.dtype)
-    ends = _np.cumsum(counts)
+        return np.empty(0, dtype=source.dtype)
+    ends = np.cumsum(counts)
     positions = (
-        _np.arange(total, dtype=_np.int64)
-        - _np.repeat(ends - counts, counts)
-        + _np.repeat(starts, counts)
+        np.arange(total, dtype=np.int64)
+        - np.repeat(ends - counts, counts)
+        + np.repeat(starts, counts)
     )
     return source[positions]
 
@@ -275,16 +272,14 @@ class TokenPostings:
     """
 
     def __init__(self, vocabulary: TokenVocabulary):
-        if _np is None:  # pragma: no cover - the container bakes numpy in
-            raise RuntimeError("TokenPostings requires numpy")
         self.vocabulary = vocabulary
         self._entity_ids: List[Any] = []
         self._entity_index: Dict[Any, int] = {}
         self._ent_indptr = _GrowableIntArray([0])
         self._ent_tokens = _GrowableIntArray()
         # Inverted base CSR (rebuilt only by compaction) + pending delta.
-        self._tok_indptr = _np.zeros(1, dtype=_np.int64)
-        self._tok_members = _np.empty(0, dtype=_np.int64)
+        self._tok_indptr = np.zeros(1, dtype=np.int64)
+        self._tok_members = np.empty(0, dtype=np.int64)
         self._pending: Dict[int, List[int]] = {}
         self._pending_count = 0
         # Total posting length per token id (base + pending), maintained
@@ -320,7 +315,7 @@ class TokenPostings:
         postings._ent_tokens = _GrowableIntArray(tokens)
         postings._sizes.pad_to(len(vocabulary))
         if tokens:
-            _np.add.at(postings._sizes.view(), postings._ent_tokens.view(), 1)
+            np.add.at(postings._sizes.view(), postings._ent_tokens.view(), 1)
         postings.compact()
         return postings
 
@@ -343,8 +338,8 @@ class TokenPostings:
         postings = cls(vocabulary)
         postings._entity_ids = list(entity_ids)
         postings._entity_index = {e: i for i, e in enumerate(postings._entity_ids)}
-        postings._ent_indptr = _GrowableIntArray(_np.asarray(indptr, dtype=_np.int64))
-        postings._ent_tokens = _GrowableIntArray(_np.asarray(tokens, dtype=_np.int64))
+        postings._ent_indptr = _GrowableIntArray(np.asarray(indptr, dtype=np.int64))
+        postings._ent_tokens = _GrowableIntArray(np.asarray(tokens, dtype=np.int64))
         if len(postings._ent_indptr) != len(postings._entity_ids) + 1:
             raise ValueError(
                 f"indptr has {len(postings._ent_indptr)} entries for "
@@ -352,7 +347,7 @@ class TokenPostings:
             )
         postings._sizes.pad_to(len(vocabulary))
         if len(postings._ent_tokens):
-            _np.add.at(postings._sizes.view(), postings._ent_tokens.view(), 1)
+            np.add.at(postings._sizes.view(), postings._ent_tokens.view(), 1)
         postings.compact()
         return postings
 
@@ -407,14 +402,14 @@ class TokenPostings:
         """
         tokens = self._ent_tokens.view()
         indptr = self._ent_indptr.view()
-        counts = _np.diff(indptr)
-        entities = _np.repeat(_np.arange(len(self._entity_ids), dtype=_np.int64), counts)
+        counts = np.diff(indptr)
+        entities = np.repeat(np.arange(len(self._entity_ids), dtype=np.int64), counts)
         self._sizes.pad_to(len(self.vocabulary))
-        token_counts = _np.bincount(tokens, minlength=len(self._sizes))
-        self._tok_indptr = _np.concatenate(
-            (_np.zeros(1, dtype=_np.int64), _np.cumsum(token_counts, dtype=_np.int64))
+        token_counts = np.bincount(tokens, minlength=len(self._sizes))
+        self._tok_indptr = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(token_counts, dtype=np.int64))
         )
-        order = _np.argsort(tokens, kind="stable")
+        order = np.argsort(tokens, kind="stable")
         self._tok_members = entities[order]
         self._pending = {}
         self._pending_count = 0
@@ -450,18 +445,18 @@ class TokenPostings:
         index = self._entity_index
         dense = [index[e] for e in entity_ids if e in index]
         dense.sort()
-        return _np.array(dense, dtype=_np.int64)
+        return np.array(dense, dtype=np.int64)
 
     # -- forward postings -----------------------------------------------
     def tokens_of_entities(self, dense: Any) -> Any:
         """Distinct token ids over the given dense entities (sorted)."""
         if not len(dense):
-            return _np.empty(0, dtype=_np.int64)
+            return np.empty(0, dtype=np.int64)
         indptr = self._ent_indptr.view()
         starts = indptr[dense]
         counts = indptr[dense + 1] - starts
         gathered = _gather_ranges(self._ent_tokens.view(), starts, counts)
-        return _np.unique(gathered)
+        return np.unique(gathered)
 
     # -- inverted postings ----------------------------------------------
     def sizes_of(self, token_ids: Any) -> Any:
@@ -476,36 +471,36 @@ class TokenPostings:
         between an append and the next compaction) fill in per token.
         """
         self._maybe_compact()
-        token_ids = _np.asarray(token_ids, dtype=_np.int64)
+        token_ids = np.asarray(token_ids, dtype=np.int64)
         base_n = len(self._tok_indptr) - 1
         if base_n:
-            clipped = _np.minimum(token_ids, base_n - 1)
+            clipped = np.minimum(token_ids, base_n - 1)
             in_base = token_ids < base_n
-            starts = _np.where(in_base, self._tok_indptr[clipped], 0)
-            base_counts = _np.where(
+            starts = np.where(in_base, self._tok_indptr[clipped], 0)
+            base_counts = np.where(
                 in_base, self._tok_indptr[clipped + 1] - starts, 0
             )
         else:
-            starts = _np.zeros(len(token_ids), dtype=_np.int64)
-            base_counts = _np.zeros(len(token_ids), dtype=_np.int64)
+            starts = np.zeros(len(token_ids), dtype=np.int64)
+            base_counts = np.zeros(len(token_ids), dtype=np.int64)
         totals = self.sizes_of(token_ids)
-        out_indptr = _np.concatenate(
-            (_np.zeros(1, dtype=_np.int64), _np.cumsum(totals, dtype=_np.int64))
+        out_indptr = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(totals, dtype=np.int64))
         )
-        members = _np.empty(int(out_indptr[-1]), dtype=_np.int64)
+        members = np.empty(int(out_indptr[-1]), dtype=np.int64)
         base_total = int(base_counts.sum())
         if base_total:
             out_positions = (
-                _np.arange(base_total, dtype=_np.int64)
-                - _np.repeat(_np.cumsum(base_counts) - base_counts, base_counts)
-                + _np.repeat(out_indptr[:-1], base_counts)
+                np.arange(base_total, dtype=np.int64)
+                - np.repeat(np.cumsum(base_counts) - base_counts, base_counts)
+                + np.repeat(out_indptr[:-1], base_counts)
             )
             src = _gather_ranges(self._tok_members, starts, base_counts)
             members[out_positions] = src
         if self._pending:
             pending = self._pending
             extra = totals - base_counts
-            for i in _np.nonzero(extra)[0].tolist():
+            for i in np.nonzero(extra)[0].tolist():
                 bucket = pending[int(token_ids[i])]
                 position = int(out_indptr[i]) + int(base_counts[i])
                 members[position : position + len(bucket)] = bucket

@@ -19,9 +19,8 @@ Graph construction is the meta-blocking hot path, so the default
 (``packed=True``) build maps entities to dense integer indices once and
 represents each unordered pair as a single packed int (``left * n +
 right``).  Pair generation for non-trivial blocks and the per-scheme
-weight computation run as bulk array operations (NumPy when available,
-with a pure-Python packed fallback), and Edge Pruning consumes the
-arrays directly instead of iterating an edge generator.
+weight computation run as bulk NumPy array operations, and Edge Pruning
+consumes the arrays directly instead of iterating an edge generator.
 
 The unpacked build (the pre-fast-path implementation) is kept for the
 perf-regression baseline.  Both builds are observationally identical —
@@ -38,10 +37,7 @@ import enum
 import math
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every packed build
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+import numpy as np
 
 from repro.er.blocking import Block, BlockCollection
 from repro.er.util import LRUCache, ordered_pair, safe_sorted
@@ -63,14 +59,14 @@ _VECTOR_TRIU_MAX = 256
 #: dominates small vectorized blocks.  One entry at the
 #: _VECTOR_TRIU_MAX extreme is ~0.5 MB (two int64 arrays of s(s-1)/2),
 #: so the LRU's worst-case footprint is ~33 MB; larger blocks never
-#: touch the cache.
+#: touch the cache.  Only the Block-object build uses it.
 _TRIU_CACHE = LRUCache(64)
 
 
 def _triu_indices(size: int) -> Tuple[Any, Any]:
     cached = _TRIU_CACHE.get(size)
     if cached is None:
-        cached = _np.triu_indices(size, 1)
+        cached = np.triu_indices(size, 1)
         _TRIU_CACHE.put(size, cached)
     return cached
 
@@ -84,16 +80,16 @@ class WeightingScheme(enum.Enum):
     ARCS = "arcs"
 
 
-# -- partition-addressable construction helpers ------------------------------
+# -- construction helpers -----------------------------------------------------
 #
 # The packed build is split into *segment generation* (per-block work:
 # dense-index sorting, pair enumeration, focus filtering, key packing)
 # and *reduction* (per-pair weight-stat accumulation).  Generation is
-# embarrassingly parallel over contiguous block spans; reduction is a
-# single in-order pass.  The serial build and the parallel execution
-# subsystem (:mod:`repro.parallel`) both run through these helpers, so
-# a partitioned build concatenating per-span segments in block order is
-# *the same computation* as the serial one — bit for bit.
+# independent per contiguous block span; reduction is a single in-order
+# pass.  The serial span build and the shard runtime
+# (:mod:`repro.parallel`) both run through these helpers, so a sharded
+# build concatenating per-span results in block order is *the same
+# computation* as the serial one — bit for bit.
 
 
 def prepare_packed_universe(
@@ -130,9 +126,7 @@ def _emit_scalar_block(
 ) -> None:
     """One small block's packed pair keys, appended to the scalar run.
 
-    *members* are sorted dense indices.  Shared by the Block-object and
-    postings-span generators so their pair enumeration (and focus
-    filtering) can never drift apart.
+    *members* are sorted dense indices.
     """
     size = len(members)
     for ai in range(size):
@@ -160,10 +154,8 @@ def _emit_vector_block(
 
     *members_arr* is a sorted int64 array of dense indices.  Mid-size
     blocks use one cached upper-triangle index pair; larger blocks go
-    row-at-a-time to keep scratch memory linear in block size.  Shared
-    by both segment generators (see :func:`_emit_scalar_block`).
+    row-at-a-time to keep scratch memory linear in block size.
     """
-    np = _np
     size = len(members_arr)
     if size <= _VECTOR_TRIU_MAX:
         ii, jj = _triu_indices(size)
@@ -191,6 +183,12 @@ def _emit_vector_block(
             value_segments.append(np.full(keys.size, reciprocal, dtype=np.float64))
 
 
+def _focus_mask(in_focus: Optional[bytearray]) -> Any:
+    if in_focus is None:
+        return None
+    return np.frombuffer(in_focus, dtype=np.uint8).view(np.bool_)
+
+
 def generate_packed_segments(
     blocks: Iterable[Block],
     index_of: Dict[Any, int],
@@ -199,7 +197,7 @@ def generate_packed_segments(
     need_arcs: bool,
     block_counts: List[int],
 ) -> Tuple[List[Any], List[Any]]:
-    """NumPy path: packed pair-key (and ARCS value) segments for *blocks*.
+    """Packed pair-key (and ARCS value) segments for *blocks*.
 
     Segments come back in block visit order; per-entity block membership
     counts are accumulated into *block_counts* in place.  Runs of
@@ -207,12 +205,7 @@ def generate_packed_segments(
     whenever a vectorized block interleaves, preserving the global visit
     order.
     """
-    np = _np
-    focus_mask = (
-        None
-        if in_focus is None
-        else np.frombuffer(in_focus, dtype=np.uint8).view(np.bool_)
-    )
+    focus_mask = _focus_mask(in_focus)
     key_segments: List[Any] = []
     value_segments: List[Any] = []
     pending_keys: List[int] = []
@@ -264,63 +257,65 @@ def generate_span_segments(
     n: int,
     in_focus: Optional[bytearray],
     need_arcs: bool,
-) -> Tuple[List[Any], List[Any], Any]:
-    """Packed pair segments for block span ``[start, stop)`` of a
+) -> Tuple[Any, Any, Any]:
+    """Every focus-incident pair of block span ``[start, stop)`` of a
     postings-derived collection (the columnar blocking fast path).
 
-    The array twin of :func:`generate_packed_segments`: *members* holds
-    universe positions grouped by block (block ``b`` spans
-    ``members[indptr[b] : indptr[b+1]]``), so no per-entity dict
-    lookups happen at all — block membership counts come from one
-    ``bincount`` and per-block pair enumeration uses the same
-    size-tiered strategy (scalar / cached triangle / row-at-a-time).
-    Returns ``(key_segments, value_segments, block_counts)`` with
-    *block_counts* an int64 array of length *n* covering the span.
+    *members* holds universe positions grouped by block (block ``b``
+    spans ``members[indptr[b] : indptr[b+1]]``).  The whole span is
+    handled by array operations, with no per-block loop: one ``lexsort``
+    orders the members within each block, each focus row pairs with
+    every later member of its block, each non-focus row with every later
+    *focus* member, and each pair gathers its block's ARCS reciprocal.
+    Pairs come out in block order, then ascending left and right member
+    — the order a per-block nested loop would visit them in.
+
+    Returns ``(keys, values, block_counts)``: packed pair keys, their
+    reciprocals (``None`` unless *need_arcs*), and an int64 array of
+    length *n* counting each entity's blocks in the span.
     """
-    np = _np
-    focus_mask = (
-        None
-        if in_focus is None
-        else np.frombuffer(in_focus, dtype=np.uint8).view(np.bool_)
-    )
-    span = members[indptr[start] : indptr[stop]]
-    if len(span):
-        block_counts = np.bincount(span, minlength=n).astype(np.int64)
+    base = int(indptr[start])
+    span = members[base : int(indptr[stop])]
+    block_counts = np.bincount(span, minlength=n).astype(np.int64)
+    sizes = np.diff(indptr[start : stop + 1]).astype(np.int64)
+    block_of = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    rows = span[np.lexsort((span, block_of))]
+    position = np.arange(len(rows), dtype=np.int64)
+    # Span-local exclusive end of each row's block.
+    ends = np.repeat(indptr[start + 1 : stop + 1] - base, sizes)
+    mask = _focus_mask(in_focus)
+    if mask is None:
+        counts = ends - position - 1
     else:
-        block_counts = np.zeros(n, dtype=np.int64)
-    key_segments: List[Any] = []
-    value_segments: List[Any] = []
-    pending_keys: List[int] = []
-    pending_recips: List[float] = []
-
-    def flush_scalar() -> None:
-        if pending_keys:
-            key_segments.append(np.array(pending_keys, dtype=np.int64))
-            if need_arcs:
-                value_segments.append(np.array(pending_recips, dtype=np.float64))
-                pending_recips.clear()
-            pending_keys.clear()
-
-    for block in range(start, stop):
-        lo = int(indptr[block])
-        hi = int(indptr[block + 1])
-        size = hi - lo
-        if size < 2:
-            continue
-        reciprocal = 1.0 / (size * (size - 1) // 2) if need_arcs else 0.0
-        if size < _VECTOR_MIN_SIZE:
-            _emit_scalar_block(
-                sorted(members[lo:hi].tolist()), n, in_focus, need_arcs,
-                reciprocal, pending_keys, pending_recips,
-            )
-            continue
-        flush_scalar()
-        _emit_vector_block(
-            np.sort(members[lo:hi]), n, focus_mask, need_arcs, reciprocal,
-            key_segments, value_segments,
+        focus_row = mask[rows]
+        # focus_before[x]: focus rows among span positions < x.
+        focus_before = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(focus_row, out=focus_before[1:])
+        counts = np.where(
+            focus_row,
+            ends - position - 1,
+            focus_before[ends] - focus_before[position + 1],
         )
-    flush_scalar()
-    return key_segments, value_segments, block_counts
+    left = np.repeat(position, counts)
+    offset = np.arange(len(left), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    right = left + 1 + offset
+    if mask is not None:
+        # A non-focus row's partners are the focus rows after it.
+        others = ~np.repeat(focus_row, counts)
+        first_later_focus = np.repeat(focus_before[position + 1], counts)
+        right[others] = np.flatnonzero(focus_row)[
+            first_later_focus[others] + offset[others]
+        ]
+    keys = rows[left] * n + rows[right]
+    values = None
+    if need_arcs:
+        cardinality = sizes * (sizes - 1) // 2
+        reciprocal = np.zeros(len(sizes), dtype=np.float64)
+        np.divide(1.0, cardinality, out=reciprocal, where=cardinality > 0)
+        values = reciprocal[block_of[left]]
+    return keys, values, block_counts
 
 
 def reduce_packed_segments(
@@ -333,7 +328,6 @@ def reduce_packed_segments(
     (``np.add.at`` is unbuffered and in-order) reproduces the unpacked
     build's float additions exactly.
     """
-    np = _np
     if not key_segments:
         return (
             np.empty(0, dtype=np.int64),
@@ -353,9 +347,7 @@ def reduce_packed_segments(
     return unique_keys[insertion], edge_stats
 
 
-def reduce_span_segments(
-    key_segments: List[Any], value_segments: List[Any], need_arcs: bool
-) -> Tuple[Any, Any]:
+def reduce_span_segments(keys: Any, values: Any, need_arcs: bool) -> Tuple[Any, Any]:
     """Sorted-key reduction for the columnar blocking pipeline.
 
     The packed-TBI pipeline owns its ordering contract (edges in
@@ -365,83 +357,23 @@ def reduce_span_segments(
     detection, and ``np.add.reduceat`` — no ``np.unique`` index
     juggling, no unbuffered ``np.add.at``.  Per-key contributions still
     accumulate left-to-right in global block visit order (the stable
-    sort preserves it), so a partitioned build concatenating span
-    results in partition order reduces bit-identically to the serial
-    span build.
+    sort preserves it), so a sharded build concatenating span results in
+    partition order reduces bit-identically to the serial span build.
     """
-    np = _np
     empty_stats = np.empty(0, dtype=np.float64 if need_arcs else np.int64)
-    if not key_segments:
+    if not len(keys):
         return np.empty(0, dtype=np.int64), empty_stats
-    all_keys = np.concatenate(key_segments)
-    order = np.argsort(all_keys, kind="stable")
-    sorted_keys = all_keys[order]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
     boundaries = np.nonzero(np.diff(sorted_keys))[0] + 1
     starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
     unique_keys = sorted_keys[starts]
     if need_arcs:
-        values = np.concatenate(value_segments)[order]
-        sums = np.add.reduceat(values, starts)
+        sums = np.add.reduceat(values[order], starts)
     else:
         stops = np.concatenate((boundaries, np.array([len(sorted_keys)], dtype=np.int64)))
         sums = stops - starts
     return unique_keys, sums
-
-
-def generate_packed_contributions(
-    blocks: Iterable[Block],
-    index_of: Dict[Any, int],
-    n: int,
-    in_focus: Optional[bytearray],
-    need_arcs: bool,
-    block_counts: List[int],
-) -> Tuple[List[int], List[float]]:
-    """Pure-Python twin of :func:`generate_packed_segments`.
-
-    Returns one (key, ARCS-reciprocal) contribution per pair visit, in
-    visit order, for the no-NumPy fallback.
-    """
-    keys: List[int] = []
-    values: List[float] = []
-    for block in blocks:
-        members = sorted([index_of[e] for e in block.entities])
-        for i in members:
-            block_counts[i] += 1
-        if need_arcs:
-            cardinality = block.cardinality
-            reciprocal = 1.0 / cardinality if cardinality else 0.0
-        count = len(members)
-        for ai in range(count):
-            left = members[ai]
-            base = left * n
-            tail = members[ai + 1 :]
-            if in_focus is not None and not in_focus[left]:
-                tail = [right for right in tail if in_focus[right]]
-            for right in tail:
-                keys.append(base + right)
-                if need_arcs:
-                    values.append(reciprocal)
-    return keys, values
-
-
-def fold_packed_contributions(
-    keys: List[int], values: List[float], need_arcs: bool
-) -> Tuple[List[int], List[Any]]:
-    """Visit-order fold of scalar contributions to (edge_keys, edge_stats).
-
-    Dict insertion order gives first-visit edge order and per-key
-    additions happen in visit order — identical to the direct
-    accumulation the serial scalar build performs.
-    """
-    stats: Dict[int, Any] = {}
-    stats_get = stats.get
-    if need_arcs:
-        for key, value in zip(keys, values):
-            stats[key] = stats_get(key, 0.0) + value
-    else:
-        for key in keys:
-            stats[key] = stats_get(key, 0) + 1
-    return list(stats), list(stats.values())
 
 
 class BlockingGraph:
@@ -471,6 +403,7 @@ class BlockingGraph:
 
     # -- packed construction ----------------------------------------------
     def _build_packed(self, collection: BlockCollection, focus: Optional[Set[Any]]) -> None:
+        """Bulk pair generation + in-order reduction."""
         universe, index_of, in_focus = prepare_packed_universe(collection, focus)
         self._universe = universe
         self._index_of = index_of
@@ -479,10 +412,12 @@ class BlockingGraph:
         self._edge_positions: Optional[Dict[int, int]] = None
         self._weights_memo = None
         need_arcs = self.scheme is WeightingScheme.ARCS
-        if _np is not None:
-            self._accumulate_vectorized(collection, in_focus, need_arcs)
-        else:
-            self._accumulate_scalar(collection, in_focus, need_arcs)
+        key_segments, value_segments = generate_packed_segments(
+            collection, index_of, self._n, in_focus, need_arcs, self._block_counts
+        )
+        self._edge_keys, self._edge_stats = reduce_packed_segments(
+            key_segments, value_segments, need_arcs
+        )
 
     @classmethod
     def from_arrays(
@@ -497,13 +432,10 @@ class BlockingGraph:
     ) -> "BlockingGraph":
         """A packed graph assembled from already-reduced edge arrays.
 
-        The parallel execution subsystem builds per-partition segments in
-        workers, reduces them in canonical block order, and hands the
-        result here; provided the reduction matches
-        :func:`reduce_packed_segments` / :func:`fold_packed_contributions`
-        over the same visit order — or :func:`reduce_span_segments` under
-        the columnar pipeline's sorted-key order — the graph is
-        indistinguishable from one built serially over that order.
+        The columnar pipeline (serial or sharded) reduces its span
+        segments with :func:`reduce_span_segments` and hands the result
+        here; the graph is indistinguishable from one built serially
+        over that order.
         """
         graph = cls.__new__(cls)
         graph.scheme = scheme
@@ -518,35 +450,6 @@ class BlockingGraph:
         graph._edge_keys = edge_keys
         graph._edge_stats = edge_stats
         return graph
-
-    def _accumulate_scalar(
-        self, collection: BlockCollection, in_focus: Optional[bytearray], need_arcs: bool
-    ) -> None:
-        """Pure-Python packed build, through the shared partition helpers.
-
-        Deliberately *not* a bespoke loop: the serial scalar build and
-        the parallel no-NumPy path must enumerate and fold identically,
-        so both run :func:`generate_packed_contributions` +
-        :func:`fold_packed_contributions` (one intermediate contribution
-        list is the price of a single source of truth).
-        """
-        keys, values = generate_packed_contributions(
-            collection, self._index_of, self._n, in_focus, need_arcs, self._block_counts
-        )
-        self._edge_keys, self._edge_stats = fold_packed_contributions(
-            keys, values, need_arcs
-        )
-
-    def _accumulate_vectorized(
-        self, collection: BlockCollection, in_focus: Optional[bytearray], need_arcs: bool
-    ) -> None:
-        """NumPy packed build: bulk pair generation + in-order reduction."""
-        key_segments, value_segments = generate_packed_segments(
-            collection, self._index_of, self._n, in_focus, need_arcs, self._block_counts
-        )
-        self._edge_keys, self._edge_stats = reduce_packed_segments(
-            key_segments, value_segments, need_arcs
-        )
 
     # -- unpacked construction --------------------------------------------
     def _build_unpacked(self, collection: BlockCollection, focus: Optional[Set[Any]]) -> None:
@@ -605,56 +508,30 @@ class BlockingGraph:
         if self.scheme is WeightingScheme.ARCS:
             return stats
         if self.scheme is WeightingScheme.CBS:
-            if _np is not None and isinstance(stats, _np.ndarray):
-                return stats.astype(_np.float64)
-            return [float(common) for common in stats]
+            return stats.astype(np.float64)
         keys = self._edge_keys
         n = self._n
-        if _np is not None and isinstance(stats, _np.ndarray):
-            left = keys // n
-            right = keys % n
-            counts = _np.asarray(self._block_counts, dtype=_np.int64)
-            if self.scheme is WeightingScheme.JS:
-                union = counts[left] + counts[right] - stats
-                with _np.errstate(divide="ignore", invalid="ignore"):
-                    weights = _np.where(union != 0, stats / union, 0.0)
-                return weights
-            # ECBS — math.log per entity (not np.log: bit-identical to
-            # the scalar baseline), bulk multiply per edge.
-            boosts = _np.asarray(self._entity_boosts(), dtype=_np.float64)
-            boost_left = boosts[left]
-            boost_right = boosts[right]
-            weights = stats * boost_left * boost_right
-            degenerate = (boost_left <= 0.0) | (boost_right <= 0.0)
-            return _np.where(degenerate, stats.astype(_np.float64), weights)
-        block_counts = self._block_counts
+        left = keys // n
+        right = keys % n
         if self.scheme is WeightingScheme.JS:
-            weights = []
-            for key, common in zip(keys, stats):
-                left, right = divmod(key, n)
-                union = block_counts[left] + block_counts[right] - common
-                weights.append(common / union if union else 0.0)
-            return weights
-        boosts = self._entity_boosts()
-        weights = []
-        for key, common in zip(keys, stats):
-            left, right = divmod(key, n)
-            boost_left = boosts[left]
-            boost_right = boosts[right]
-            if boost_left <= 0.0 or boost_right <= 0.0:
-                weights.append(float(common))
-            else:
-                weights.append(common * boost_left * boost_right)
-        return weights
+            counts = np.asarray(self._block_counts, dtype=np.int64)
+            union = counts[left] + counts[right] - stats
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(union != 0, stats / union, 0.0)
+        # ECBS — math.log per entity (not np.log: bit-identical to the
+        # scalar baseline), bulk multiply per edge.
+        boosts = np.asarray(self._entity_boosts(), dtype=np.float64)
+        boost_left = boosts[left]
+        boost_right = boosts[right]
+        weights = stats * boost_left * boost_right
+        degenerate = (boost_left <= 0.0) | (boost_right <= 0.0)
+        return np.where(degenerate, stats.astype(np.float64), weights)
 
     def _positions(self) -> Dict[int, int]:
         """Packed key → edge position, built lazily for point lookups."""
         positions = self._edge_positions
         if positions is None:
-            keys = self._edge_keys
-            if _np is not None and isinstance(keys, _np.ndarray):
-                keys = keys.tolist()
-            positions = {key: i for i, key in enumerate(keys)}
+            positions = {key: i for i, key in enumerate(self._edge_keys.tolist())}
             self._edge_positions = positions
         return positions
 
@@ -719,14 +596,10 @@ class BlockingGraph:
         per-pair paths.
         """
         if self.packed:
-            keys = self._edge_keys
-            weights = self._packed_weights()
-            if _np is not None and isinstance(keys, _np.ndarray):
-                keys = keys.tolist()
-                weights = weights.tolist() if isinstance(weights, _np.ndarray) else weights
             universe = self._universe
             n = self._n
-            for key, weight in zip(keys, weights):
+            weights = self._packed_weights().tolist()
+            for key, weight in zip(self._edge_keys.tolist(), weights):
                 left, right = divmod(key, n)
                 yield universe[left], universe[right], float(weight)
             return
@@ -752,14 +625,11 @@ class BlockingGraph:
         if not edge_count:
             return 0.0
         if self.packed:
-            weights = self._packed_weights()
-            if _np is not None and isinstance(weights, _np.ndarray):
-                # Sequential left-to-right summation in C (cumsum, never
-                # np.sum): bit-identical to the baseline's Python sum
-                # over the same edge order — pairwise summation would
-                # round differently.
-                return float(_np.cumsum(weights)[-1]) / edge_count
-            return sum(weights) / edge_count
+            # Sequential left-to-right summation in C (cumsum, never
+            # np.sum): bit-identical to the baseline's Python sum over
+            # the same edge order — pairwise summation would round
+            # differently.
+            return float(np.cumsum(self._packed_weights())[-1]) / edge_count
         if self.scheme is WeightingScheme.ARCS:
             return sum(self._shared_arcs.values()) / edge_count
         if self.scheme is WeightingScheme.CBS:
@@ -774,13 +644,7 @@ class BlockingGraph:
         the caller can unpack to id pairs without set materialization.
         Packed graphs only.
         """
-        keys = self._edge_keys
-        weights = self._packed_weights()
-        if _np is not None and isinstance(keys, _np.ndarray):
-            if not isinstance(weights, _np.ndarray):
-                weights = _np.asarray(weights, dtype=_np.float64)
-            return keys[weights >= threshold]
-        return [key for key, weight in zip(keys, weights) if weight >= threshold]
+        return self._edge_keys[self._packed_weights() >= threshold]
 
     def retained_pairs(self, threshold: float) -> Set[Tuple[Any, Any]]:
         """Canonical pairs whose weight is at or above *threshold*.
@@ -789,18 +653,8 @@ class BlockingGraph:
         unpacks the survivors; equivalent to filtering :meth:`edges`.
         """
         if self.packed:
-            keys = self._edge_keys
-            weights = self._packed_weights()
-            if _np is not None and isinstance(keys, _np.ndarray):
-                if not isinstance(weights, _np.ndarray):
-                    weights = _np.asarray(weights, dtype=_np.float64)
-                selected = keys[weights >= threshold].tolist()
-            else:
-                selected = [
-                    key for key, weight in zip(keys, weights) if weight >= threshold
-                ]
             unpack = self._unpack
-            return {unpack(key) for key in selected}
+            return {unpack(key) for key in self.retained_key_array(threshold).tolist()}
         return {(a, b) for a, b, w in self.edges() if w >= threshold}
 
 
@@ -809,7 +663,6 @@ def edge_pruning(
     scheme: WeightingScheme = WeightingScheme.ARCS,
     focus: Optional[Set[Any]] = None,
     packed: bool = True,
-    executor: Optional[Any] = None,
 ) -> Set[Tuple[Any, Any]]:
     """Weighted Edge Pruning: return the retained comparison pairs.
 
@@ -819,17 +672,8 @@ def edge_pruning(
     granularity of comparison-refinement methods.  With *focus*, the
     graph (and therefore the average-weight threshold) is restricted to
     focus-incident edges — the only edges the caller will execute.
-
-    *executor* (a
-    :class:`~repro.parallel.executor.ParallelComparisonExecutor`) shards
-    segment generation of large packed builds across its worker pool; the
-    deterministic merge guarantees the graph — weights, edge order,
-    retained pairs — is bit-identical to the serial build.
     """
-    if packed and executor is not None and executor.wants_parallel_graph(collection):
-        graph = executor.build_blocking_graph(collection, scheme=scheme, focus=focus)
-    else:
-        graph = BlockingGraph(collection, scheme=scheme, focus=focus, packed=packed)
+    graph = BlockingGraph(collection, scheme=scheme, focus=focus, packed=packed)
     return graph.retained_pairs(graph.average_weight())
 
 

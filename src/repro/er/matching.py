@@ -236,8 +236,8 @@ class PendingPairs:
     Row ``i`` describes the pair at ``positions[i]`` of the candidate
     list: its per-slot Jaro-Winkler upper bounds (0.0 in slots not
     comparable for the pair) and their in-order sum.
-    Plain arrays, so a remainder can be sliced into worker spans or
-    pickled to a resident shard.
+    Plain arrays, so a remainder can be split into per-shard buckets
+    and pickled to a resident shard.
     """
 
     __slots__ = ("positions", "total_bounds", "bounds")
@@ -577,7 +577,7 @@ class ProfileMatcher:
         :data:`_SCREEN_CHUNK` pairs); the undecided remainder goes to
         *resolve* — by default :meth:`resolve_pending`, the scalar stage
         3, here and now; the parallel executor passes a function that
-        may spread a large remainder over its workers instead.  Every
+        may spread a large remainder over its shard workers instead.  Every
         decision and every ``cascade_stats`` counter equals what a loop
         of :meth:`match_signatures` over the span would produce.
 
@@ -717,10 +717,8 @@ class ProfileMatcher:
         pairs: "Sequence[Tuple[Any, Any]]",
         signatures: Mapping[Any, ProfileSignature],
         pending: PendingPairs,
-        start: int = 0,
-        stop: Optional[int] = None,
     ) -> "List[int]":
-        """Stage 3 over ``pending[start:stop]``: the matching positions.
+        """Stage 3 over *pending*: the matching positions.
 
         Each decision is a pure function of the two signatures and the
         remainder's row, so any partition of a remainder resolves to
@@ -729,9 +727,9 @@ class ProfileMatcher:
         matched: List[int] = []
         slot_of: Dict[str, int] = {}
         rows = zip(
-            pending.positions[start:stop].tolist(),
-            pending.total_bounds[start:stop].tolist(),
-            pending.bounds[start:stop].tolist(),
+            pending.positions.tolist(),
+            pending.total_bounds.tolist(),
+            pending.bounds.tolist(),
         )
         for position, total_bound, slot_bounds in rows:
             left, right = pairs[position]
@@ -749,28 +747,6 @@ class ProfileMatcher:
             if self._exact_decision(values, bounds, total_bound):
                 matched.append(position)
         return matched
-
-    def partition_view(self) -> "ProfileMatcher":
-        """A shallow copy for one parallel invocation's workers.
-
-        The view *shares* the pair-score memo (lock-guarded, so the
-        threaded pool may hit them concurrently; forked workers see them
-        copy-on-write) but owns zeroed cascade counters, letting the
-        deterministic merger fold per-partition counter deltas back into
-        this matcher without double counting.
-
-        Counter exactness is backend-dependent by design: forked workers
-        mutate private copies and their deltas merge exactly, while the
-        threaded pool increments this one view's counters without a lock
-        — ``+= 1`` read-modify-writes may interleave, so thread-backend
-        cascade statistics are best-effort instrumentation (match
-        decisions are never affected).  Locking every increment would
-        tax the cascade's hot loop for serial callers too.
-        """
-        view = ProfileMatcher.__new__(ProfileMatcher)
-        view.__dict__.update(self.__dict__)
-        view.cascade_stats = {key: 0 for key in self.cascade_stats}
-        return view
 
     def reset_cascade_stats(self) -> None:
         """Zero the cascade counters (the perf harness reads them)."""

@@ -85,7 +85,6 @@ def apply_meta_blocking(
     collection: BlockCollection,
     config: Optional[MetaBlockingConfig] = None,
     focus: Optional[set] = None,
-    executor: Optional[object] = None,
 ) -> BlockCollection:
     """Run the configured meta-blocking stages over *collection*.
 
@@ -95,13 +94,6 @@ def apply_meta_blocking(
     edges Comparison-Execution can actually run.  Meta-blocking never
     *adds* comparisons — a property the test suite checks with
     hypothesis.
-
-    *executor* is the optional parallel-execution handle
-    (:class:`~repro.parallel.executor.ParallelComparisonExecutor`):
-    Block Purging and Block Filtering reason over the whole collection
-    and stay serial, but Edge Pruning's blocking-graph construction — the
-    stage's hot path — is sharded across its worker pool, with a
-    deterministic merge keeping the output bit-identical to serial.
     """
     config = config or MetaBlockingConfig.all()
     current = collection.non_singleton()
@@ -115,7 +107,6 @@ def apply_meta_blocking(
             scheme=config.weighting,
             focus=focus,
             packed=config.packed_graph,
-            executor=executor,
         )
         current = pairs_to_blocks(retained)
     return current

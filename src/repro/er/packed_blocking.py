@@ -33,12 +33,9 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, ContextManager, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, ContextManager, List, Optional, Set, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every packed derive
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+import numpy as np
 
 from repro.er.block_filtering import retained_assignment_mask
 from repro.er.block_purging import purge_threshold_from_sizes
@@ -96,7 +93,6 @@ def purge_and_filter(
     block ``i`` keeps the dense postings ids
     ``members[indptr[i]:indptr[i + 1]]``, ``sizes[i]`` of them.
     """
-    np = _np
     keep = sizes >= 2
     tokens = tokens[keep]
     sizes = sizes[keep]
@@ -140,11 +136,11 @@ def purge_and_filter(
 def packed_blocking_supported(config: Any) -> bool:
     """Whether the columnar pipeline can serve *config*.
 
-    Requires NumPy, the ``packed_blocking`` flag, and — when Edge
-    Pruning is enabled — the packed graph build (the array pipeline has
-    no unpacked graph to hand its spans to).
+    Requires the ``packed_blocking`` flag and — when Edge Pruning is
+    enabled — the packed graph build (the array pipeline has no unpacked
+    graph to hand its spans to).
     """
-    if _np is None or not getattr(config, "packed_blocking", False):
+    if not getattr(config, "packed_blocking", False):
         return False
     return not config.pruning or config.packed_graph
 
@@ -163,10 +159,9 @@ def derive_candidates(
     (``block-join`` for QBI + Block-Join, ``meta-blocking`` for
     BP/BF/EP, ``resolution`` for pair materialization).  *executor* is
     the optional parallel handle: large graph builds shard their
-    postings spans across its worker pool.
+    postings spans across its resident shard workers.
     """
     timed = timed or _no_timing
-    np = _np
     inject("packed.derive")  # packed-path failure → operator falls back to dict
 
     # (i) Query Blocking + (ii) Block-Join.  The EQBI block of a QBI key
@@ -241,19 +236,17 @@ def _span_graph(
     block_count: int,
     executor: Optional[Any],
 ) -> BlockingGraph:
-    """Blocking graph over postings spans, serial or pool-sharded."""
+    """Blocking graph over postings spans, serial or shard-sharded."""
     total_comparisons = int((sizes * (sizes - 1) // 2).sum())
     if executor is not None and executor.wants_parallel_spans(total_comparisons):
         return executor.build_span_graph(
             members_u, indptr, sizes, universe, index_of, scheme, in_focus
         )
     need_arcs = scheme is WeightingScheme.ARCS
-    key_segments, value_segments, block_counts = generate_span_segments(
+    keys, values, block_counts = generate_span_segments(
         members_u, indptr, 0, block_count, len(universe), in_focus, need_arcs
     )
-    edge_keys, edge_stats = reduce_span_segments(
-        key_segments, value_segments, need_arcs
-    )
+    edge_keys, edge_stats = reduce_span_segments(keys, values, need_arcs)
     return BlockingGraph.from_arrays(
         scheme, block_count, universe, index_of, block_counts.tolist(),
         edge_keys, edge_stats,
@@ -272,18 +265,14 @@ def _enumerate_pair_keys(
     path enumerates from its refined collection (its visit order
     differs; order never affects results).
     """
-    np = _np
-    key_segments, _, _ = generate_span_segments(
+    keys, _, _ = generate_span_segments(
         members_u, indptr, 0, len(indptr) - 1, n, in_focus, need_arcs=False
     )
-    if not key_segments:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(key_segments))
+    return np.unique(keys)
 
 
 def _unpack_pairs(keys: Any, universe: List[Any], n: int) -> List[Tuple[Any, Any]]:
     """Packed keys → canonical ``(left, right)`` id pairs, vectorized."""
-    np = _np
     if not len(keys):
         return []
     keys = np.asarray(keys, dtype=np.int64)

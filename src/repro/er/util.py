@@ -40,11 +40,10 @@ class LRUCache:
     every hit keeps the first key the least recently used one; eviction
     pops it.  All operations are O(1).
 
-    Every mutating operation is guarded by a lock: matcher memos are
-    shared between worker threads when the parallel execution subsystem
-    falls back to its threaded pool, and the hit path is a non-atomic
-    pop-then-reinsert that would corrupt LRU order (or drop entries)
-    under concurrent access.
+    Every mutating operation is guarded by a lock: one engine may be
+    reached from several threads (serving handlers, for one), and the
+    hit path is a non-atomic pop-then-reinsert that would corrupt LRU
+    order (or drop entries) under concurrent access.
     """
 
     __slots__ = ("capacity", "_data", "_lock")

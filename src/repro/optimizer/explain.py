@@ -220,28 +220,23 @@ def scheduling_lines(executor) -> List[str]:
     """``EXPLAIN ANALYZE``'s scheduling block: how the run was executed.
 
     Reads the engine's :class:`ParallelComparisonExecutor` counters and
-    — when the persistent shard runtime serves it — the per-shard
-    task/delta/respawn status.  Serial engines (no executor) contribute
-    nothing, keeping seed ``EXPLAIN ANALYZE`` output unchanged.
+    the shard runtime's per-shard task/delta/respawn status.  Serial
+    engines (no executor) contribute nothing, keeping seed
+    ``EXPLAIN ANALYZE`` output unchanged.
     """
     if executor is None:
         return []
-    status = executor.shard_status()
-    runtime = "shards" if status is not None else "pool"
     stats = executor.stats
     lines = [
-        f"scheduling: workers={executor.workers} backend={executor.backend} "
-        f"runtime={runtime}",
+        f"scheduling: workers={executor.workers}",
         "scheduling: parallel_match_runs={0} serial_match_runs={1} "
-        "parallel_graph_builds={2} shard_match_runs={3} "
-        "shard_graph_builds={4}".format(
+        "parallel_graph_builds={2}".format(
             stats.get("parallel_match_runs", 0),
             stats.get("serial_match_runs", 0),
             stats.get("parallel_graph_builds", 0),
-            stats.get("shard_match_runs", 0),
-            stats.get("shard_graph_builds", 0),
         ),
     ]
+    status = executor.shard_status()
     if status is not None:
         lines.append(
             "scheduling: shards alive={0}/{1} respawns={2} "

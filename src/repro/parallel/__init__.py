@@ -1,42 +1,41 @@
-"""Parallel execution subsystem: partitioned Comparison-Execution.
+"""Parallel execution subsystem: one resident worker runtime.
 
 QueryER's dominant cost is Comparison-Execution — blocking-graph
-construction plus per-pair similarity matching.  This package shards
-that hot path across a worker pool while keeping the output
-**bit-identical** to serial execution:
+construction plus per-pair similarity matching.  An engine runs it
+serially by default (``workers == 1``).  With ``workers > 1`` its large
+invocations go to resident shard workers, with output **bit-identical**
+to serial:
 
-* :class:`~repro.parallel.planner.PartitionPlanner` cuts the work
-  (candidate pairs, graph blocks) into balanced *contiguous* spans;
-* :class:`~repro.parallel.pool.WorkerPool` runs the spans on forked
-  processes (payloads shared copy-on-write), degrading to threads and
-  then to a serial loop where processes are unavailable;
+* :class:`~repro.parallel.shards.ShardRuntime` forks ``N``
+  hash-partitioned worker processes once per engine; they keep every
+  table's indices and matcher resident, receive committed inserts as
+  delta segments, and recover from faults by re-running a failed
+  shard's work serially in the parent;
+* :class:`~repro.parallel.planner.PartitionPlanner` cuts a graph build's
+  blocks into balanced *contiguous* spans;
 * :class:`~repro.parallel.merger.DeterministicMerger` recombines
-  per-partition results in fixed partition order, reassembling the exact
+  per-span results in fixed partition order, reassembling the exact
   serial visit order — so edge weights, pruning decisions and match sets
   carry the same bits as a single-core run;
 * :class:`~repro.parallel.executor.ParallelComparisonExecutor`
   orchestrates the above and owns the candidate-plan cache the engine
   invalidates on ingestion.
 
-For sustained traffic, :class:`~repro.parallel.shards.ShardRuntime`
-replaces the per-query pool with **persistent** hash-partitioned worker
-processes: state ships once at fork (plus per-commit delta segments),
-so a warm query pays IPC of a few task descriptors instead of a fork —
-same merger, same bit-identical guarantee.
-
 Configuration enters through
-:class:`~repro.parallel.config.ExecutionConfig` (``workers=N``,
-auto-detected by default, ``REPRO_WORKERS`` overrides;
-``persistent_shards=True`` / ``REPRO_SHARDS=1`` enables the resident
-runtime).
+:class:`~repro.parallel.config.ExecutionConfig` (``workers=N``; the
+``REPRO_WORKERS`` environment variable sets the default, else 1).
 """
 
-from repro.parallel.config import ExecutionConfig, detect_workers, usable_cores
+from repro.parallel.config import ExecutionConfig, usable_cores
 from repro.parallel.executor import ParallelComparisonExecutor
 from repro.parallel.merger import DeterministicMerger
 from repro.parallel.planner import Partition, PartitionPlanner
-from repro.parallel.pool import WorkerPool
-from repro.parallel.shards import ShardRuntime, ShardUnavailable, owner_of
+from repro.parallel.shards import (
+    ShardRuntime,
+    ShardUnavailable,
+    TaskExecutionError,
+    owner_of,
+)
 
 __all__ = [
     "ExecutionConfig",
@@ -46,8 +45,7 @@ __all__ = [
     "PartitionPlanner",
     "ShardRuntime",
     "ShardUnavailable",
-    "WorkerPool",
-    "detect_workers",
+    "TaskExecutionError",
     "owner_of",
     "usable_cores",
 ]

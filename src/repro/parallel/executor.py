@@ -1,20 +1,19 @@
-"""The orchestrator: partitioned Comparison-Execution over a worker pool.
+"""The orchestrator: Comparison-Execution over resident shard workers.
 
 :class:`ParallelComparisonExecutor` is the one object the rest of the
-engine talks to.  Per invocation it
+engine talks to on a multi-worker engine.  Per invocation it
 
-1. asks the :class:`~repro.parallel.planner.PartitionPlanner` for
-   balanced contiguous spans of the work (candidate pairs, or blocks of
-   a graph build),
-2. for matching, lets the matcher's batched cascade decide what it can
-   in this process and takes only the undecided remainder (whose
-   signatures the cascade has built by then — workers treat signature
-   state as read-only),
-3. runs the spans on a :class:`~repro.parallel.pool.WorkerPool`
-   (fork-based processes by default, threads or serial as fallback), and
-4. recombines per-partition results through the
+1. for matching, lets the matcher's batched cascade decide what it can
+   in this process and routes only a large undecided remainder to the
+   :class:`~repro.parallel.shards.ShardRuntime`;
+2. for a large postings-span graph build, asks the
+   :class:`~repro.parallel.planner.PartitionPlanner` for balanced
+   contiguous block spans, has the shards generate each span's
+   segments, and recombines them through the
    :class:`~repro.parallel.merger.DeterministicMerger`, whose fixed
-   canonical order makes parallel output bit-identical to serial.
+   canonical order makes the graph bit-identical to serial;
+3. falls back to the serial computation in this process whenever the
+   runtime cannot serve (:class:`~repro.parallel.shards.ShardUnavailable`).
 
 It also owns the *candidate-plan cache*: the deterministic candidate-pair
 list derived for a (table, frontier, meta-blocking) triple, reused when
@@ -33,49 +32,33 @@ whole cache when benchmark runs demand cold state.
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.er.edge_pruning import BlockingGraph, WeightingScheme, prepare_packed_universe
+from repro.er.edge_pruning import BlockingGraph, WeightingScheme
 from repro.er.matching import PendingPairs, ProfileMatcher
 from repro.er.util import LRUCache
-from repro.parallel.config import ExecutionConfig
+from repro.parallel.config import ExecutionConfig, fork_available
 from repro.parallel.merger import DeterministicMerger
 from repro.parallel.planner import PartitionPlanner
-from repro.parallel.pool import WorkerPool
 from repro.parallel.shards import ShardRuntime, ShardUnavailable
-from repro.parallel.tasks import (
-    GraphPayload,
-    GraphTask,
-    MatchPayload,
-    MatchTask,
-    SpanPayload,
-    SpanTask,
-    run_graph_task,
-    run_match_task,
-    run_span_task,
-)
+from repro.parallel.tasks import compute_span_result
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.indices import TableIndex
-    from repro.er.blocking import BlockCollection
+
+#: Span-graph partitions planned per shard: more partitions than shards
+#: evens out spans whose true cost deviates from their cardinality.
+PARTITIONS_PER_WORKER = 4
 
 
 class ParallelComparisonExecutor:
-    """Partition-and-merge execution of the ER hot path.
+    """Shard-routed execution of the ER hot path.
 
-    One executor serves one engine for its whole lifetime; pools are
-    created per invocation (a forked child snapshots its parent, and
-    snapshots must not outlive the tables they mirror).
+    One executor serves one engine for its whole lifetime.  The shard
+    runtime exists only when *shard_state_source* is given (the engine's
+    registered index/matcher map — what a freshly forked worker keeps
+    resident) and the platform can fork; without one, every invocation
+    runs serially here and the executor is just the candidate-plan cache.
 
     *epoch_source* maps a lower-cased table name to its current epoch
     and is consulted on every plan-cache access; an engine passes its
@@ -92,8 +75,7 @@ class ParallelComparisonExecutor:
     ):
         self.config = config or ExecutionConfig()
         self.workers = self.config.resolved_workers()
-        self.backend = self.config.resolved_backend()
-        self.planner = PartitionPlanner(self.workers, self.config.partitions_per_worker)
+        self.planner = PartitionPlanner(self.workers, PARTITIONS_PER_WORKER)
         self._candidate_cache: Optional[LRUCache] = (
             LRUCache(self.config.candidate_cache_size)
             if self.config.candidate_cache_size > 0
@@ -101,11 +83,6 @@ class ParallelComparisonExecutor:
         )
         self._epoch_source = epoch_source
         self._fallback_epochs: Dict[str, int] = {}
-        # The persistent shard runtime replaces per-query pools when
-        # configured; *shard_state_source* (the engine's registered
-        # index/matcher map) is what a freshly forked worker keeps
-        # resident.  Without a source (standalone executors) the pool
-        # path serves every invocation.
         self._shards: Optional[ShardRuntime] = (
             ShardRuntime(
                 self.workers,
@@ -113,7 +90,7 @@ class ParallelComparisonExecutor:
                 epoch_source=self.epoch_of,
                 task_timeout=self.config.task_timeout_s,
             )
-            if shard_state_source is not None and self.config.resolved_shards()
+            if shard_state_source is not None and self.workers > 1 and fork_available()
             else None
         )
         #: Instrumentation: how invocations were scheduled.
@@ -121,43 +98,23 @@ class ParallelComparisonExecutor:
             "parallel_match_runs": 0,
             "serial_match_runs": 0,
             "parallel_graph_builds": 0,
-            "shard_match_runs": 0,
-            "shard_graph_builds": 0,
             "candidate_cache_hits": 0,
             "candidate_cache_misses": 0,
         }
 
     # -- scheduling decisions -------------------------------------------
-    @property
-    def parallel(self) -> bool:
-        return self.workers > 1 and self.backend != "serial"
-
-    def _pool(self) -> WorkerPool:
-        """A per-invocation pool carrying the config's recovery policy."""
-        return WorkerPool(
-            self.workers,
-            self.backend,
-            retries=self.config.task_retries,
-            task_timeout=self.config.task_timeout_s,
-        )
-
     def should_parallelize_pairs(self, undecided: int) -> bool:
-        """Whether *undecided* cascade-remainder pairs go to the workers."""
-        return self.parallel and undecided > 0 and undecided >= self.config.min_parallel_pairs
-
-    def wants_parallel_graph(self, collection: "BlockCollection") -> bool:
-        """Whether a packed graph over *collection* should use the pool."""
+        """Whether *undecided* cascade-remainder pairs go to the shards."""
         return (
-            self.parallel
-            and self.config.parallel_graph
-            and collection.cardinality >= self.config.min_parallel_comparisons
+            self._shards is not None
+            and undecided > 0
+            and undecided >= self.config.min_parallel_pairs
         )
 
     def wants_parallel_spans(self, total_comparisons: int) -> bool:
-        """Whether a postings-span graph build should use the pool."""
+        """Whether a postings-span graph build should go to the shards."""
         return (
-            self.parallel
-            and self.config.parallel_graph
+            self._shards is not None
             and total_comparisons >= self.config.min_parallel_comparisons
         )
 
@@ -172,106 +129,32 @@ class ParallelComparisonExecutor:
 
         The matcher screens the whole list array-at-a-time in this
         process; only what that leaves undecided — scalar Jaro-Winkler
-        work — is ever spread over workers, and only when there is
+        work — is ever routed to the shards, and only when there is
         enough of it (:meth:`should_parallelize_pairs`).  Every
         invocation is counted as one serial or one parallel match run.
         """
         signatures = index.signatures
-        shipped = False
+        sharded = False
 
         def resolve(pending: PendingPairs) -> List[int]:
-            nonlocal shipped
-            shipped = self.should_parallelize_pairs(len(pending))
-            if shipped:
-                return self._resolve_on_workers(index, matcher, pairs, pending)
+            nonlocal sharded
+            if self.should_parallelize_pairs(len(pending)):
+                try:
+                    matched = self._shards.resolve_pending(
+                        index.table.name.lower(), index, matcher, pairs, pending
+                    )
+                except ShardUnavailable:
+                    pass
+                else:
+                    sharded = True
+                    return matched
             return matcher.resolve_pending(pairs, signatures, pending)
 
         matched = matcher.match_pair_indices(pairs, signatures, resolve=resolve)
-        self.stats["parallel_match_runs" if shipped else "serial_match_runs"] += 1
-        return matched
-
-    def _resolve_on_workers(
-        self,
-        index: "TableIndex",
-        matcher: ProfileMatcher,
-        pairs: Sequence[Tuple[Any, Any]],
-        pending: PendingPairs,
-    ) -> List[int]:
-        """Stage 3 of *pending*, partitioned; positions ascending.
-
-        The matcher handed to pool workers is a partition view sharing
-        the lock-guarded memos but owning private cascade counters,
-        which the merger folds back in partition order.
-        """
-        if self._shards is not None:
-            # Persistent shard path: no payload install, no fork — the
-            # remainder routes to the workers holding the resident
-            # state.  An unavailable runtime (spawn failure) falls
-            # through to the per-query pool below.
-            try:
-                matched = self._shards.resolve_pending(
-                    index.table.name.lower(), index, matcher, pairs, pending
-                )
-            except ShardUnavailable:
-                pass
-            else:
-                self.stats["shard_match_runs"] += 1
-                return matched
-        partitions = self.planner.partition_pairs(len(pending))
-        view = matcher.partition_view()
-        payload = MatchPayload(
-            pairs, index.signatures, view, pending,
-            private_state=self.backend == "process",
-        )
-        tasks = [MatchTask(p.index, p.start, p.stop) for p in partitions]
-        results = self._pool().run(
-            run_match_task, tasks, payload
-        )
-        # The pool downgrades payload.private_state when a process run
-        # fell back to threads mid-flight — re-read it, don't assume.
-        private_state = payload.private_state
-        matched = DeterministicMerger.merge_matches(
-            results, matcher if private_state else None
-        )
-        if not private_state:
-            # Threaded backend: counters accumulated in the shared view.
-            for key, value in view.cascade_stats.items():
-                matcher.cascade_stats[key] = matcher.cascade_stats.get(key, 0) + value
+        self.stats["parallel_match_runs" if sharded else "serial_match_runs"] += 1
         return matched
 
     # -- blocking graph --------------------------------------------------
-    def build_blocking_graph(
-        self,
-        collection: "BlockCollection",
-        scheme: WeightingScheme = WeightingScheme.ARCS,
-        focus: Optional[Set[Any]] = None,
-    ) -> BlockingGraph:
-        """Packed graph built by partitioned segment generation.
-
-        The universe mapping is prepared once (serial), block spans are
-        balanced by comparison cardinality, and workers generate each
-        span's packed pair segments; the merge reassembles global block
-        visit order, so the resulting graph is bit-identical to
-        ``BlockingGraph(collection, packed=True)``.
-        """
-        self.stats["parallel_graph_builds"] += 1
-        universe, index_of, in_focus = prepare_packed_universe(collection, focus)
-        blocks = list(collection)
-        need_arcs = scheme is WeightingScheme.ARCS
-        payload = GraphPayload(blocks, index_of, len(universe), in_focus, need_arcs)
-        partitions = self.planner.partition_blocks(blocks)
-        tasks = [GraphTask(p.index, p.start, p.stop) for p in partitions]
-        results = self._pool().run(
-            run_graph_task, tasks, payload
-        )
-        edge_keys, edge_stats, block_counts = DeterministicMerger.merge_graph_segments(
-            results, len(universe), need_arcs
-        )
-        return BlockingGraph.from_arrays(
-            scheme, len(collection), universe, index_of, block_counts,
-            edge_keys, edge_stats,
-        )
-
     def build_span_graph(
         self,
         members: Any,
@@ -282,41 +165,36 @@ class ParallelComparisonExecutor:
         scheme: WeightingScheme,
         in_focus: Optional[bytearray],
     ) -> BlockingGraph:
-        """Packed graph from postings spans, sharded across the pool.
+        """Packed graph from postings spans, sharded across the workers.
 
-        The columnar twin of :meth:`build_blocking_graph`: the
-        :class:`~repro.parallel.planner.PartitionPlanner` plans directly
-        over the blocks' cardinality array (no ``Block`` objects exist),
-        workers run
-        :func:`~repro.er.edge_pruning.generate_span_segments` on their
+        The planner cuts the blocks into contiguous spans balanced by
+        cardinality (no ``Block`` objects exist), the shards run
+        :func:`~repro.er.edge_pruning.generate_span_segments` on each
         span, and the deterministic merge reassembles canonical block
-        order — bit-identical to the serial span build.
+        order — bit-identical to the serial span build.  When the
+        runtime cannot serve, the whole span is generated here.
         """
-        self.stats["parallel_graph_builds"] += 1
         need_arcs = scheme is WeightingScheme.ARCS
-        cardinalities = (sizes * (sizes - 1) // 2).tolist()
-        partitions = self.planner.partition_costs(cardinalities)
-        results = None
-        if self._shards is not None:
-            try:
-                results = self._shards.run_spans(
-                    members, indptr, len(universe), in_focus, need_arcs, partitions
-                )
-            except ShardUnavailable:
-                results = None
-            else:
-                self.stats["shard_graph_builds"] += 1
-        if results is None:
-            payload = SpanPayload(members, indptr, len(universe), in_focus, need_arcs)
-            tasks = [SpanTask(p.index, p.start, p.stop) for p in partitions]
-            results = self._pool().run(
-                run_span_task, tasks, payload
+        n = len(universe)
+        block_count = len(indptr) - 1
+        try:
+            results = self._shards.run_spans(
+                members, indptr, n, in_focus, need_arcs,
+                self.planner.partition_costs((sizes * (sizes - 1) // 2).tolist()),
             )
+        except ShardUnavailable:
+            results = [
+                compute_span_result(
+                    members, indptr, 0, block_count, n, in_focus, need_arcs, 0
+                )
+            ]
+        else:
+            self.stats["parallel_graph_builds"] += 1
         edge_keys, edge_stats, block_counts = DeterministicMerger.merge_span_segments(
-            results, len(universe), need_arcs
+            results, n, need_arcs
         )
         return BlockingGraph.from_arrays(
-            scheme, len(indptr) - 1, universe, index_of, block_counts,
+            scheme, block_count, universe, index_of, block_counts,
             edge_keys, edge_stats,
         )
 
@@ -366,9 +244,9 @@ class ParallelComparisonExecutor:
 
         With an engine-provided ``epoch_source`` this is a no-op: the
         engine's epoch counter advances on register/insert, which
-        retires stale partition plans — ones that would miss pairs
-        involving the new records — by construction.  Standalone
-        executors advance the private fallback counter instead.
+        retires stale plans — ones that would miss pairs involving the
+        new records — by construction.  Standalone executors advance the
+        private fallback counter instead.
         """
         if self._epoch_source is not None:
             return
@@ -376,14 +254,14 @@ class ParallelComparisonExecutor:
         self._fallback_epochs[key] = self._fallback_epochs.get(key, 0) + 1
 
     def invalidate(self) -> None:
-        """Drop all cached per-partition state (cold-start contract)."""
+        """Drop all cached plans (cold-start contract)."""
         if self._candidate_cache is not None:
             self._candidate_cache.clear()
 
-    # -- persistent shard runtime ----------------------------------------
+    # -- shard runtime lifecycle -----------------------------------------
     @property
     def shard_runtime(self) -> Optional[ShardRuntime]:
-        """The persistent shard runtime, when configured (else ``None``)."""
+        """The shard runtime, or ``None`` when every run is serial."""
         return self._shards
 
     def note_committed(self, table_name: str, epoch: int, index: Any, count: int) -> None:
@@ -397,7 +275,7 @@ class ParallelComparisonExecutor:
             self._shards.reset()
 
     def shard_status(self) -> Optional[Dict[str, Any]]:
-        """The runtime's observability snapshot, or ``None`` when pooled."""
+        """The runtime's observability snapshot, or ``None`` without one."""
         return self._shards.status() if self._shards is not None else None
 
     def close(self) -> None:

@@ -1,26 +1,18 @@
-"""Partition planning: balanced, contiguous shards of the ER hot path.
+"""Partition planning: balanced, contiguous spans of a graph build.
 
-Two things get partitioned:
-
-* the canonical **candidate-pair list** Comparison-Execution matches
-  (unit cost ≈ one signature cascade), and
-* the **block list** whose packed pair segments the blocking-graph build
-  generates (unit cost ≈ the block's comparison cardinality ||b||).
-
-Partitions are always *contiguous spans* of the input sequence.  That is
-the load-bearing property of the whole subsystem: concatenating
-per-partition outputs in partition order reproduces the serial visit
-order exactly, which is what lets the deterministic merger re-create the
-serial computation bit for bit.  Balance comes from cost-weighted span
+The postings-span blocking-graph build is partitioned over its blocks,
+each costing its comparison cardinality ||b||.  Partitions are always
+*contiguous spans* of the block sequence: concatenating per-partition
+outputs in partition order reproduces the serial visit order exactly,
+which is what lets the deterministic merger re-create the serial
+computation bit for bit.  Balance comes from cost-weighted span
 boundaries, not from reordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Sequence
-
-from repro.er.blocking import Block
+from typing import List, Sequence
 
 
 @dataclass(frozen=True)
@@ -36,16 +28,16 @@ class Partition:
 
 
 class PartitionPlanner:
-    """Splits work into balanced contiguous partitions for a worker pool.
+    """Splits work into balanced contiguous partitions for the shards.
 
     Parameters
     ----------
     workers:
-        Pool size the plan targets.
+        Shard count the plan targets.
     partitions_per_worker:
         Oversubscription factor: planning more (smaller) partitions than
-        workers lets the pool even out spans whose true cost deviates
-        from the estimate.
+        workers evens out spans whose true cost deviates from the
+        estimate.
     """
 
     def __init__(self, workers: int, partitions_per_worker: int = 4):
@@ -61,39 +53,13 @@ class PartitionPlanner:
             return 0
         return max(1, min(self.workers * self.partitions_per_worker, items))
 
-    # -- pair partitioning -------------------------------------------------
-    def partition_pairs(self, pair_count: int) -> List[Partition]:
-        """Even contiguous spans over a candidate-pair list.
-
-        Pairs have near-uniform unit cost, so equal-count spans are
-        balanced spans.
-        """
-        parts = self._target_partitions(pair_count)
-        partitions: List[Partition] = []
-        for index in range(parts):
-            start = pair_count * index // parts
-            stop = pair_count * (index + 1) // parts
-            if stop > start:
-                partitions.append(Partition(len(partitions), start, stop))
-        return partitions
-
-    # -- block partitioning ------------------------------------------------
-    def partition_blocks(self, blocks: Sequence[Block]) -> List[Partition]:
-        """Contiguous block spans balanced by comparison cardinality.
-
-        Greedy span cutting against the ideal per-partition cost: a span
-        closes once its accumulated ||b|| reaches the remaining-work
-        average.  Oversized single blocks become singleton partitions —
-        they cannot be split without breaking visit-order contiguity.
-        """
-        return self.partition_costs([max(1, block.cardinality) for block in blocks])
-
     def partition_costs(self, costs: Sequence[int]) -> List[Partition]:
         """Contiguous spans of a cost-weighted item sequence.
 
-        The cost-array twin of :meth:`partition_blocks` — the columnar
-        blocking pipeline plans directly over postings spans by handing
-        in each block's ||b|| without materializing ``Block`` objects.
+        Greedy span cutting against the ideal per-partition cost: a span
+        closes once its accumulated cost reaches the remaining-work
+        average.  Oversized single items become singleton partitions —
+        they cannot be split without breaking visit-order contiguity.
         """
         costs = [max(1, int(cost)) for cost in costs]
         total = sum(costs)

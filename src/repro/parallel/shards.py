@@ -1,10 +1,8 @@
-"""Persistent sharded worker runtime (the long-lived pool replacement).
+"""Persistent sharded worker runtime: the engine's one parallel runtime.
 
-The per-query :class:`~repro.parallel.pool.WorkerPool` re-pays fork and
-payload installation on every DEDUP invocation — measurably more than
-the sharded work saves at serving scale (``BENCH_parallel_scaling.json``
-records the process backend *losing* to serial at small inputs).  This
-module amortizes that cost the way long-lived parallel query engines do:
+A multi-worker engine (``ExecutionConfig(workers=N)``, ``N > 1``) runs
+its large Comparison-Execution work on long-lived worker processes, the
+way long-lived parallel query engines do — nothing is forked per query:
 
 * :class:`ShardRuntime` forks ``N`` worker processes **once** per engine
   (lazily, on the first eligible query).  Each worker inherits the full
@@ -32,21 +30,24 @@ module amortizes that cost the way long-lived parallel query engines do:
 and span segments are pure functions of the packed arrays, so routing
 changes nothing about any individual result; matched positions are
 re-sorted ascending (the serial visit order) and span segments recombine
-through the existing :class:`~repro.parallel.merger.DeterministicMerger`
-— shard output is bit-identical to serial, including across deltas.
+through the :class:`~repro.parallel.merger.DeterministicMerger` — shard
+output is bit-identical to serial, including across deltas.
 Token ids *inside* a shard may diverge from the parent's (each process
 interns lazily in its own order), which is harmless: interned-token
 Jaccard is invariant under any per-process consistent relabeling.
 
-**Recovery** follows the pool's policy, at shard granularity.  A task
-failure reported by a live worker falls back to a serial parent
-computation of that shard's bucket (identical by purity); a dead or hung
-worker is terminated and its bucket recomputed serially, and the slot is
-respawned lazily from the engine's *current* state (a fresh fork is
-up-to-date by construction).  A failed delta publication kills the
-now-stale shard the same way.  Every event lands in the process-wide
-degradation log, and the fault sites ``shard.spawn``, ``shard.task`` and
-``shard.delta`` make each path deterministically testable.
+**Recovery** is one policy at shard granularity.  A task failure
+reported by a live worker falls back to a serial parent computation of
+that shard's bucket (identical by purity); a dead or hung worker is
+terminated and its bucket recomputed serially, and the slot is respawned
+lazily from the engine's *current* state (a fresh fork is up-to-date by
+construction).  Only when that serial re-run raises too does the
+invocation fail, with :class:`TaskExecutionError`.  A failed delta
+publication kills the now-stale shard the same way.  A runtime that
+cannot spawn raises :class:`ShardUnavailable`, and the caller computes
+serially.  Every event lands in the process-wide degradation log, and
+the fault sites ``shard.spawn``, ``shard.task`` and ``shard.delta`` make
+each path deterministically testable.
 """
 
 from __future__ import annotations
@@ -72,9 +73,24 @@ STOP_JOIN_TIMEOUT_S = 5.0
 class ShardUnavailable(RuntimeError):
     """The runtime cannot serve this invocation (spawn failed/closed).
 
-    Callers treat this as "use the per-query pool path instead"; it is
-    a routing signal, never a result-correctness problem.
+    Callers treat this as "compute serially in this process"; it is a
+    routing signal, never a result-correctness problem.
     """
+
+
+class TaskExecutionError(RuntimeError):
+    """A failed shard bucket's serial re-run in the parent raised too.
+
+    Carries the shard id and chains the re-run's error, so callers (the
+    serving layer's ``task_failed`` response) can tell an exhausted
+    recovery from silent corruption.
+    """
+
+    def __init__(self, shard_id: int, cause: BaseException):
+        super().__init__(
+            f"shard {shard_id} task failed and its serial re-run raised {cause!r}"
+        )
+        self.shard_id = shard_id
 
 
 def owner_of(entity_id: Any, shards: int) -> int:
@@ -197,8 +213,8 @@ class ShardRuntime:
         """Spawn every missing/dead shard from current engine state.
 
         Returns ``False`` (after recording the degradation) when any
-        spawn fails — the invocation then belongs to the per-query pool
-        path; the next invocation retries the missing slots.
+        spawn fails — the invocation then runs serially in the parent;
+        the next invocation retries the missing slots.
         """
         if self._closed or self._state_source is None:
             return False
@@ -441,16 +457,13 @@ class ShardRuntime:
                     shard.stats["tasks"] += 1
                     shard.stats["match_tasks"] += 1
             for shard_id in sorted(failed):
-                self.stats["serial_fallbacks"] += 1
-                DEGRADATION.record(
-                    "parallel",
-                    "shard_serial_retry",
-                    f"shard {shard_id} bucket of {len(buckets[shard_id])} pairs "
-                    f"recomputed serially in the parent",
-                )
                 matched.extend(
-                    matcher.resolve_pending(
-                        pairs, index.signatures, pending.take(buckets[shard_id])
+                    self._serial_retry(
+                        shard_id,
+                        f"bucket of {len(buckets[shard_id])} pairs",
+                        lambda rows=buckets[shard_id]: matcher.resolve_pending(
+                            pairs, index.signatures, pending.take(rows)
+                        ),
                     )
                 )
             matched.sort()
@@ -469,9 +482,8 @@ class ShardRuntime:
         """Per-partition span segments, shards assigned round-robin.
 
         Span inputs are per-query packed arrays (not resident state), so
-        each shard's batch ships them once; results are the same
-        :class:`GraphResult` tuples the pool path produces and merge
-        through the unchanged :class:`DeterministicMerger`.
+        each shard's batch ships them once; results are
+        :class:`GraphResult` tuples for the :class:`DeterministicMerger`.
         """
         with self._lock:
             if not self.ensure_started():
@@ -525,20 +537,43 @@ class ShardRuntime:
                     shard.stats["tasks"] += 1
                     shard.stats["span_tasks"] += 1
             for shard_id in sorted(failed):
-                self.stats["serial_fallbacks"] += 1
-                DEGRADATION.record(
-                    "parallel",
-                    "shard_serial_retry",
-                    f"shard {shard_id} spans recomputed serially in the parent",
-                )
-                for partition_index, start, stop in buckets[shard_id]:
-                    results.append(
-                        compute_span_result(
-                            members, indptr, start, stop, n, in_focus,
-                            need_arcs, partition_index,
-                        )
+                results.extend(
+                    self._serial_retry(
+                        shard_id,
+                        "spans",
+                        lambda triples=buckets[shard_id]: [
+                            compute_span_result(
+                                members, indptr, start, stop, n, in_focus,
+                                need_arcs, partition_index,
+                            )
+                            for partition_index, start, stop in triples
+                        ],
                     )
+                )
             return results
+
+    def _serial_retry(self, shard_id: int, what: str, compute: Callable[[], Any]) -> Any:
+        """Recompute a failed shard's work in the parent, once.
+
+        Pure decisions make the re-run's result the shard's; if the
+        re-run raises as well, recovery is exhausted and the invocation
+        fails with :class:`TaskExecutionError`.
+        """
+        self.stats["serial_fallbacks"] += 1
+        DEGRADATION.record(
+            "parallel",
+            "shard_serial_retry",
+            f"shard {shard_id} {what} recomputed serially in the parent",
+        )
+        try:
+            return compute()
+        except Exception as error:
+            DEGRADATION.record(
+                "parallel",
+                "task_failed",
+                f"shard {shard_id} {what} failed its serial re-run: {error!r}",
+            )
+            raise TaskExecutionError(shard_id, error) from error
 
     # -- deltas ----------------------------------------------------------
     def publish_delta(self, table_key: str, index: Any, epoch: int, count: int) -> None:

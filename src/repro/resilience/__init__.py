@@ -4,19 +4,19 @@ Two halves, used together by the chaos property suite and the CI
 ``chaos-smoke`` job:
 
 * :mod:`repro.resilience.faults` — a seedable **fault-injection
-  registry**.  Named sites threaded through the parallel pool, the DML
+  registry**.  Named sites threaded through the shard runtime, the DML
   path and the serving layer call :func:`inject`; a :class:`FaultPlan`
   (armed programmatically, via ``REPRO_FAULTS``, or ``repro serve
   --faults``) decides deterministically which calls raise or hang.
 
 * :mod:`repro.resilience.degradation` — the **degradation log**: every
-  graceful fallback (partition retry, serial re-run, packed→dict
+  graceful fallback (shard serial re-run, shard respawn, packed→dict
   blocking fallback, DML rollback, serving 500) is recorded in the
   process-wide :data:`DEGRADATION` log, which ``GET /metrics`` and
   ``GET /healthz`` surface.
 
 The recovery policies themselves live in the layers they protect:
-``WorkerPool.run`` (retry-then-serial-fallback, task timeouts),
+``ShardRuntime`` (serial re-run of a failed shard's work, task timeouts),
 ``IndexMaintainer.append`` (transactional rollback), the Deduplicate
 operator (packed→dict fallback), and ``EngineService`` (errors never
 leak admission slots or the engine gate).

@@ -2,7 +2,7 @@
 
 Graceful degradation that nobody can observe is indistinguishable from
 silent data loss.  Whenever a layer survives a failure by doing *less*
-— a worker partition retried or re-run serially, the packed blocking
+— a shard's work re-run serially in the parent, the packed blocking
 pipeline falling back to the dict path, an ``INSERT INTO`` rolled back,
 a serving handler answering 500 instead of results — it records the
 event here, and the serving layer surfaces the log under
@@ -11,9 +11,9 @@ event here, and the serving layer surfaces the log under
 
 One process-wide :data:`DEGRADATION` instance exists because
 degradations happen far below any object the caller holds (deep inside
-a worker-pool recovery there is no service to report to).  Events from
-forked pool *children* are invisible by design — recovery itself always
-runs in the parent, which is where the recording happens.
+a shard recovery there is no service to report to).  Events from forked
+shard *workers* are invisible by design — recovery itself always runs
+in the parent, which is where the recording happens.
 """
 
 from __future__ import annotations

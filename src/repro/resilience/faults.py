@@ -14,9 +14,6 @@ table):
 ========================  ==================================================
 site                      where it fires
 ========================  ==================================================
-``pool.spawn``            process-pool creation in ``WorkerPool``
-``pool.task``             inside a worker, before the task body runs
-``pool.task_hang``        inside a worker (``hang`` kind: sleeps ``delay``)
 ``shard.spawn``           persistent shard fork in ``ShardRuntime._spawn``
 ``shard.task``            shard task dispatch (parent) and execution (child)
 ``shard.delta``           before a commit delta ships to a live shard
@@ -48,7 +45,7 @@ Plan syntax (``REPRO_FAULTS`` / ``--faults``)::
                  delay=SECONDS      sleep length of a ``hang`` (default 0.05)
     seed=N    (as a whole spec)     seeds the plan's RNG
 
-Example: ``REPRO_FAULTS="seed=7,pool.task:times=2,serving.slow:hang:delay=0.3"``.
+Example: ``REPRO_FAULTS="seed=7,shard.task:times=2,serving.slow:hang:delay=0.3"``.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ class FaultError(RuntimeError):
     """The exception an armed ``raise``-kind fault site throws.
 
     Subclasses :class:`RuntimeError` so generic runtime-failure handling
-    (pool-spawn fallback, serving's 500 path) treats an injected fault
+    (shard-spawn fallback, serving's 500 path) treats an injected fault
     exactly like the organic failure it stands in for.
     """
 
@@ -82,7 +79,7 @@ class FaultError(RuntimeError):
     def __reduce__(self):
         # Default exception pickling replays ``args`` (the formatted
         # message) into ``__init__`` — which takes two fields.  Faults
-        # cross the process-pool boundary, so make them round-trip.
+        # cross the shard pipe boundary, so make them round-trip.
         return (FaultError, (self.site, self.occurrence))
 
 
@@ -133,8 +130,8 @@ class FaultPlan:
 
     One plan serves one experiment: install it (:func:`install_plan` or
     the :meth:`active` context manager), run the workload, read
-    :attr:`events` to see what actually fired.  Thread-safe — serving
-    handlers and threaded pool workers hit the same plan concurrently.
+    :attr:`events` to see what actually fired.  Thread-safe — concurrent
+    serving handlers hit the same plan.
     """
 
     def __init__(self, seed: int = 0):

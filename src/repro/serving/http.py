@@ -41,7 +41,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.incremental import IngestError
-from repro.parallel.pool import TaskExecutionError
+from repro.parallel import TaskExecutionError
 from repro.resilience import FaultError
 from repro.serving.service import EngineService, OverloadError, RequestTimeout
 from repro.sql.lexer import LexError

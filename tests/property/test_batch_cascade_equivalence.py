@@ -5,8 +5,8 @@ array-at-a-time; ``ProfileMatcher.match_signatures`` is the single-pair
 form of the same cascade and the reference here.  For every dataset,
 threshold and execution mode the batched entry point must return the
 positions a scalar loop returns **and** leave every ``cascade_stats``
-counter at the value the loop leaves — serial, through the fork pool and
-through resident shards (``REPRO_SHARDS=1``).
+counter at the value the loop leaves — serial and through resident
+shards.
 """
 
 from __future__ import annotations
@@ -163,28 +163,27 @@ class TestSerial:
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 class TestWorkers:
     """workers=2 with the dispatch threshold at the floor: any undecided
-    remainder is shipped — over the fork pool, then over resident shards."""
+    remainder is shipped to the resident shards."""
 
-    def test_pool(self, dataset, threshold):
+    def test_standalone_executor(self, dataset, threshold):
+        """No resident state to ship to: one serial run, same bits."""
         table = DATASETS[dataset]()
         index = TableIndex(table)
         pairs = all_pairs(table)
         executor = ParallelComparisonExecutor(
-            ExecutionConfig(workers=2, backend="process", min_parallel_pairs=1)
+            ExecutionConfig(workers=2, min_parallel_pairs=1)
         )
         assert_batch_equals_scalar(
             index, pairs, threshold, lambda matcher: executor.match_pairs(index, matcher, pairs)
         )
-        runs = executor.stats["parallel_match_runs"] + executor.stats["serial_match_runs"]
-        assert runs == 1
+        assert executor.stats["serial_match_runs"] == 1
 
-    def test_shards(self, dataset, threshold, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "1")
+    def test_shards(self, dataset, threshold):
         table = DATASETS[dataset]()
         pairs = all_pairs(table)
         with QueryEREngine(
             match_threshold=threshold,
-            execution=ExecutionConfig(workers=2, backend="process", min_parallel_pairs=1),
+            execution=ExecutionConfig(workers=2, min_parallel_pairs=1),
         ) as engine:
             engine.register(table)
             index = engine.index_of(table.name)
@@ -196,7 +195,7 @@ class TestWorkers:
             assert executor.match_pairs(index, matcher, pairs) == expected
             assert matcher.cascade_stats == expected_stats
             if expected_stats["exact_fallbacks"]:
-                assert executor.stats["shard_match_runs"] == 1
+                assert executor.stats["parallel_match_runs"] == 1
 
 
 class TestMixedSignatures:

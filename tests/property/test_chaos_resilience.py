@@ -4,8 +4,8 @@ The resilience contract, stated as a property: under ANY deterministic
 fault plan drawn over the engine's fault sites, a DEDUP query either
 
 * answers **bit-identically** to the fault-free baseline (recovery was
-  transparent: retried partitions, serial fallbacks, packed→dict
-  degradation), or
+  transparent: shard buckets re-run serially, hung shards killed and
+  respawned, packed→dict degradation), or
 * raises a **typed** error (:class:`TaskExecutionError`,
   :class:`IngestError` — never a half-written result, never a raw
   internal traceback from a partially mutated engine),
@@ -27,8 +27,8 @@ from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
 from repro.datagen.people import people_schema
 from repro.incremental import IngestError
-from repro.parallel import ExecutionConfig
-from repro.parallel.pool import TaskExecutionError
+from repro.parallel import ExecutionConfig, TaskExecutionError
+from repro.parallel.config import fork_available
 from repro.resilience import DEGRADATION, FaultError, FaultPlan, clear_plan, install_plan
 from repro.storage.table import Table
 
@@ -39,8 +39,8 @@ TYPED_ERRORS = (TaskExecutionError, IngestError, FaultError)
 
 #: The sites chaos draws from, with the kind each one must use.
 CHAOS_SITES = [
-    ("pool.task", "raise"),
-    ("pool.task_hang", "hang"),
+    ("shard.task", "raise"),
+    ("shard.task", "hang"),
     ("packed.derive", "raise"),
     ("dml.after_append", "raise"),
     ("dml.index_delta", "raise"),
@@ -55,15 +55,16 @@ SQL = "SELECT DEDUP id, surname, state FROM PPL WHERE state IN ('nsw', 'vic')"
 SEED_OFFSET = 100 * int(os.environ.get("REPRO_CHAOS_SEED_OFFSET", "0") or 0)
 
 
+pytestmark = pytest.mark.skipif(not fork_available(), reason="shard workers need fork")
+
+
 def chaos_config() -> ExecutionConfig:
-    """Thresholds forced to zero so tiny data still engages the pool;
-    a tight task timeout so injected hangs exercise containment."""
+    """Thresholds forced to the floor so tiny data still engages the
+    shards; a tight task timeout so injected hangs exercise containment."""
     return ExecutionConfig(
         workers=2,
-        backend="thread",
         min_parallel_pairs=1,
         min_parallel_comparisons=1,
-        task_retries=2,
         task_timeout_s=0.15,
     )
 
@@ -82,6 +83,7 @@ def random_plan(seed: int) -> FaultPlan:
     """A seeded random plan over 1–3 chaos sites."""
     rng = random.Random(seed)
     plan = FaultPlan(seed=seed)
+    # One spec per site: a later draw of the same site replaces the earlier.
     for site, kind in rng.sample(CHAOS_SITES, k=rng.randint(1, 3)):
         plan.add(
             site,
@@ -114,39 +116,40 @@ def chaos_rows():
 def baselines(chaos_rows):
     """Fault-free answers for both table states a run can end in."""
     base, extra = chaos_rows
-    return {
-        "base": answer(build_engine(base)),
-        "grown": answer(build_engine(base + extra)),
-    }
+    answers = {}
+    for name, rows in (("base", base), ("grown", base + extra)):
+        with build_engine(rows) as engine:
+            answers[name] = answer(engine)
+    return answers
 
 
 @pytest.mark.parametrize("seed", [SEED_OFFSET + i for i in range(10)])
 def test_chaos_plan_yields_exact_answer_or_typed_error(seed, chaos_rows, baselines):
     base, extra = chaos_rows
-    engine = build_engine(base)
+    # Armed before the engine's shards fork, so workers inherit it too.
     plan = random_plan(seed)
     install_plan(plan)
+    with build_engine(base) as engine:
+        # Phase 1 — query under fire: exact or typed, nothing in between.
+        try:
+            assert answer(engine) == baselines["base"]
+        except TYPED_ERRORS:
+            pass
 
-    # Phase 1 — query under fire: exact or typed, nothing in between.
-    try:
-        assert answer(engine) == baselines["base"]
-    except TYPED_ERRORS:
-        pass
+        # Phase 2 — ingest under fire: committed entirely or rolled back
+        # entirely; the surviving table state decides the final baseline.
+        expected = baselines["base"]
+        try:
+            result = engine.insert("PPL", extra)
+            assert result.inserted == len(extra)
+            expected = baselines["grown"]
+        except TYPED_ERRORS:
+            assert len(engine.index_of("PPL").table) == len(base)
 
-    # Phase 2 — ingest under fire: committed entirely or rolled back
-    # entirely; the surviving table state decides the final baseline.
-    expected = baselines["base"]
-    try:
-        result = engine.insert("PPL", extra)
-        assert result.inserted == len(extra)
-        expected = baselines["grown"]
-    except TYPED_ERRORS:
-        assert len(engine.index_of("PPL").table) == len(base)
-
-    # Phase 3 — disarm: the engine must serve exact answers again, from
-    # exactly the state the faulted run left behind.
-    clear_plan()
-    assert answer(engine) == expected
+        # Phase 3 — disarm: the engine must serve exact answers again,
+        # from exactly the state the faulted run left behind.
+        clear_plan()
+        assert answer(engine) == expected
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -155,12 +158,12 @@ def test_chaos_recoveries_are_observable(seed, chaos_rows):
     raised typed or some layer logged a degradation — recoveries are
     never silent *and* invisible."""
     base, _ = chaos_rows
-    engine = build_engine(base)
-    plan = FaultPlan(seed=seed).add("pool.task", times=2)
+    plan = FaultPlan(seed=seed).add("shard.task", times=2)
     install_plan(plan)
-    try:
-        engine.execute(SQL)
-    except TYPED_ERRORS:
-        pass
+    with build_engine(base) as engine:
+        try:
+            engine.execute(SQL)
+        except TYPED_ERRORS:
+            pass
     if plan.fired_count():
         assert DEGRADATION.count("parallel") > 0

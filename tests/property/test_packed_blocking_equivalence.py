@@ -58,7 +58,6 @@ def engine_for(table, packed: bool, workers: int = 1) -> QueryEREngine:
         if workers == 1
         else ExecutionConfig(
             workers=workers,
-            backend="thread",
             min_parallel_pairs=0,
             min_parallel_comparisons=0,
         )
@@ -72,13 +71,16 @@ def engine_for(table, packed: bool, workers: int = 1) -> QueryEREngine:
 
 
 def observed(engine: QueryEREngine, sql: str):
-    result = engine.execute(sql)
-    links = engine.index_of("PPL").link_index.links
-    return (
-        sorted(result.rows, key=repr),
-        sorted(links, key=repr),
-        result.comparisons,
-    )
+    """(sorted rows, sorted links, comparisons) of a last execution;
+    closes the engine (its shard workers, when it has any)."""
+    with engine:
+        result = engine.execute(sql)
+        links = engine.index_of("PPL").link_index.links
+        return (
+            sorted(result.rows, key=repr),
+            sorted(links, key=repr),
+            result.comparisons,
+        )
 
 
 class TestStageEquivalence:

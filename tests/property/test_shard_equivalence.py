@@ -2,8 +2,8 @@
 
 The persistent shard runtime replays Comparison-Execution on long-lived
 hash-partitioned workers whose resident state advances by epoch-tagged
-delta segments.  Its contract is the pool's, strengthened: the same
-rows, links and comparison counts as a serial run — across worker
+delta segments.  Its contract: the same rows, links and comparison
+counts as a serial run — across worker
 widths, across ``INSERT INTO`` boundaries (where stale shard state is
 the one new way to go quietly wrong), and across injected spawn/task
 faults (where the serial-retry recovery path must preserve the bits it
@@ -42,8 +42,6 @@ def sharded_config(workers: int) -> ExecutionConfig:
     """Thresholds at the floor: tiny hypothesis tables take the shards."""
     return ExecutionConfig(
         workers=workers,
-        backend="process",
-        persistent_shards=True,
         min_parallel_pairs=1,
         min_parallel_comparisons=1,
     )
@@ -173,8 +171,8 @@ def test_sharded_dedup_survives_faults_bit_identical(size, seed, fault):
 
     The plan is armed before engine construction so forked workers
     inherit it (``times=N`` counters are per-process copies).  Spawn
-    faults push work to the per-query pool; task faults trigger the
-    parent's serial bucket retry — both must reproduce the serial
+    faults push work to the parent's serial path; task faults trigger
+    the parent's serial bucket retry — both must reproduce the serial
     answer exactly.
     """
     table, _ = generate_people(size, seed=seed)

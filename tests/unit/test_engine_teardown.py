@@ -18,7 +18,7 @@ import os
 import pytest
 
 from repro.core.engine import QueryEREngine
-from repro.parallel import ExecutionConfig, WorkerPool
+from repro.parallel import ExecutionConfig
 from repro.parallel.config import fork_available
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -53,15 +53,9 @@ def live_children() -> int:
     return len(multiprocessing.active_children())
 
 
-def _square(task):
-    return task * task
-
-
 def shard_config(workers: int = 2) -> ExecutionConfig:
     return ExecutionConfig(
         workers=workers,
-        backend="process",
-        persistent_shards=True,
         min_parallel_pairs=1,
         min_parallel_comparisons=1,
     )
@@ -123,24 +117,3 @@ class TestShardTeardown:
         assert b.execute(SQL).rows
         assert b.parallel_executor.shard_status()["alive"] == 2
         b.close()
-
-
-@needs_fork
-@needs_procfs
-class TestPoolTeardown:
-    def test_per_query_pool_runs_leak_no_fds(self):
-        """The forked per-query pool joins its children deterministically."""
-        pool = WorkerPool(workers=2, backend="process")
-
-        def run():
-            results = pool.run(_square, [0, 1, 2, 3], payload=None)
-            assert results == [0, 1, 4, 9]
-
-        run()
-        gc.collect()
-        baseline = open_fds()
-        for _ in range(6):
-            run()
-        gc.collect()
-        assert live_children() == 0
-        assert open_fds() <= baseline + 2

@@ -192,15 +192,6 @@ class TestPackedPipeline:
 
 
 class TestPartitionCosts:
-    def test_costs_twin_matches_blocks(self):
-        blocks = [Block(f"k{i}", range(i % 7)) for i in range(40)]
-        planner = PartitionPlanner(workers=3)
-        by_blocks = planner.partition_blocks(blocks)
-        by_costs = planner.partition_costs(
-            [max(1, b.cardinality) for b in blocks]
-        )
-        assert by_blocks == by_costs
-
     def test_empty_costs(self):
         assert PartitionPlanner(workers=2).partition_costs([]) == []
 

@@ -77,8 +77,7 @@ class TestExecutorEpochSource:
             meta_blocking=MetaBlockingConfig.none(),
             use_link_index=False,
             execution=ExecutionConfig(
-                workers=2, backend="thread",
-                min_parallel_pairs=0, min_parallel_comparisons=0,
+                workers=2, min_parallel_pairs=0, min_parallel_comparisons=0,
             ),
         )
         engine.register(table)
@@ -109,9 +108,7 @@ class TestExecutorEpochSource:
         assert executor.cached_candidates("P", frontier, "fp") is None
 
     def test_standalone_executor_keeps_fallback_counter(self):
-        executor = ParallelComparisonExecutor(
-            ExecutionConfig(workers=2, backend="thread")
-        )
+        executor = ParallelComparisonExecutor(ExecutionConfig(workers=2))
         executor.store_candidates("T", {1}, "fp", [])
         assert executor.cached_candidates("T", {1}, "fp") == []
         executor.invalidate_table("T")

@@ -1,4 +1,10 @@
-"""Unit tests of the persistent shard runtime (repro.parallel.shards)."""
+"""Unit tests of the shard runtime (repro.parallel.shards).
+
+Recovery is driven deterministically through the runtime's fault sites:
+``shard.task`` (a dispatch or worker failure: the bucket is re-run
+serially in the parent), ``shard.task`` with the ``hang`` kind (contained
+by the task timeout), ``shard.spawn`` and ``shard.delta``.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +14,9 @@ import signal
 import pytest
 
 from repro.core.engine import QueryEREngine
-from repro.parallel import ExecutionConfig, ShardRuntime, owner_of
-from repro.parallel.config import SHARDS_ENV, _cgroup_quota_cores, fork_available
+from repro.er.matching import ProfileMatcher
+from repro.parallel import ExecutionConfig, ShardRuntime, TaskExecutionError, owner_of
+from repro.parallel.config import _cgroup_quota_cores, fork_available
 from repro.persist.snapshot import decode_delta_segment, delta_segment_arrays
 from repro.resilience import DEGRADATION, FaultPlan, clear_plan, install_plan
 from repro.storage.schema import Schema
@@ -31,19 +38,20 @@ def make_table(n: int = 60, name: str = "pubs") -> Table:
     return Table(name, Schema.of("id", "title", "year", "venue"), rows)
 
 
-def shard_config(workers: int = 2) -> ExecutionConfig:
+def shard_config(workers: int = 2, task_timeout_s: float = 300.0) -> ExecutionConfig:
     """Thresholds at the floor so tiny tables exercise the shard path."""
     return ExecutionConfig(
         workers=workers,
-        backend="process",
-        persistent_shards=True,
         min_parallel_pairs=1,
         min_parallel_comparisons=1,
+        task_timeout_s=task_timeout_s,
     )
 
 
-def shard_engine(workers: int = 2, table: Table | None = None) -> QueryEREngine:
-    engine = QueryEREngine(execution=shard_config(workers))
+def shard_engine(
+    workers: int = 2, table: Table | None = None, task_timeout_s: float = 300.0
+) -> QueryEREngine:
+    engine = QueryEREngine(execution=shard_config(workers, task_timeout_s))
     engine.register(table if table is not None else make_table())
     return engine
 
@@ -57,8 +65,10 @@ def serial_engine(table: Table | None = None) -> QueryEREngine:
 @pytest.fixture(autouse=True)
 def _clean_faults():
     clear_plan()
+    DEGRADATION.clear()
     yield
     clear_plan()
+    DEGRADATION.clear()
 
 
 class TestOwnerOf:
@@ -130,31 +140,17 @@ class TestUsableCores:
         assert _cgroup_quota_cores(str(bad)) is None
 
 
-class TestResolvedShards:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv(SHARDS_ENV, raising=False)
-        assert not ExecutionConfig(workers=2, backend="process").resolved_shards()
+class TestRuntimeSelection:
+    @needs_fork
+    def test_more_than_one_worker_means_shards(self):
+        engine = QueryEREngine(execution=ExecutionConfig(workers=2))
+        assert engine.parallel_executor.shard_runtime is not None
+        # Forked lazily: nothing runs until a query crosses a threshold.
+        assert not engine.parallel_executor.shard_status()["started"]
+        engine.close()
 
-    def test_env_enables(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "1")
-        config = ExecutionConfig(workers=2, backend="process")
-        assert config.resolved_shards() == fork_available()
-
-    def test_explicit_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "1")
-        assert not ExecutionConfig(
-            workers=2, backend="process", persistent_shards=False
-        ).resolved_shards()
-
-    def test_needs_process_backend(self):
-        assert not ExecutionConfig(
-            workers=2, backend="thread", persistent_shards=True
-        ).resolved_shards()
-
-    def test_serial_never_shards(self):
-        assert not ExecutionConfig(
-            workers=1, persistent_shards=True
-        ).resolved_shards()
+    def test_one_worker_means_no_runtime(self):
+        assert QueryEREngine(execution=ExecutionConfig(workers=1)).parallel_executor is None
 
 
 @needs_fork
@@ -183,7 +179,7 @@ class TestShardRuntimeLifecycle:
             engine.close()
         status = engine.parallel_executor.shard_status()
         assert status["alive"] == 0 and not status["started"]
-        # Closed runtime routes to the per-query pool path, same answer.
+        # A closed runtime computes serially in the parent, same answer.
         assert engine.execute(SQL).rows == expected
         engine.close()
 
@@ -260,11 +256,57 @@ class TestShardRecovery:
         try:
             assert engine.execute(SQL).rows == expected
             status = engine.parallel_executor.shard_status()
-            assert status["serial_fallbacks"] >= 1 or status["task_errors"] >= 1
+            assert status["serial_fallbacks"] >= 1
+            assert any(e.site == "shard_serial_retry" for e in DEGRADATION.events())
         finally:
             engine.close()
 
-    def test_spawn_fault_degrades_to_pool(self):
+    def test_failed_serial_rerun_raises_task_execution_error(self):
+        """Recovery is exhausted only when the parent's re-run fails too."""
+
+        class BrokenMatcher(ProfileMatcher):
+            def resolve_pending(self, pairs, signatures, pending):
+                raise RuntimeError("stage 3 is broken")
+
+        engine = shard_engine()
+        try:
+            engine.execute(SQL)  # spawn the shards
+            index = engine.index_of("pubs")
+            ids = list(index.table.ids)
+            pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+            matcher = BrokenMatcher(exclude=("id",))
+            # Every dispatch fails, so every bucket is re-run — and raises.
+            install_plan(FaultPlan.parse("shard.task:times=inf"))
+            with pytest.raises(TaskExecutionError) as excinfo:
+                engine.parallel_executor.match_pairs(index, matcher, pairs)
+            assert isinstance(excinfo.value.__cause__, RuntimeError)
+            assert any(e.site == "task_failed" for e in DEGRADATION.events())
+        finally:
+            engine.close()
+
+    def test_hung_worker_is_contained_by_the_task_timeout(self):
+        """A worker sleeping past the timeout is killed, its bucket is
+        re-run serially, and the next query respawns it."""
+        expected = serial_engine().execute(SQL).rows
+        engine = shard_engine(task_timeout_s=0.2)
+        try:
+            # Armed before the workers fork, so each inherits the plan
+            # and hangs on its first task; the parent's own first
+            # dispatch sleeps once too, before any deadline starts.
+            install_plan(FaultPlan.parse("shard.task:hang:delay=0.8:times=1"))
+            assert engine.execute(SQL).rows == expected
+            status = engine.parallel_executor.shard_status()
+            assert status["serial_fallbacks"] >= 1
+            events = DEGRADATION.events()
+            assert any("TimeoutError" in e.detail for e in events)
+            clear_plan()
+            engine.clear_caches()
+            assert engine.execute(SQL).rows == expected
+            assert engine.parallel_executor.shard_status()["respawns"] >= 1
+        finally:
+            engine.close()
+
+    def test_spawn_fault_degrades_to_serial(self):
         expected = serial_engine().execute(SQL).rows
         install_plan(FaultPlan.parse("shard.spawn:times=2"))
         before = len(DEGRADATION)
@@ -325,7 +367,8 @@ class TestObservability:
             engine.execute(SQL)
             report = engine.execute("EXPLAIN ANALYZE " + SQL)
             text = "\n".join(str(row[0]) for row in report.rows)
-            assert "scheduling: workers=2 backend=process runtime=shards" in text
+            assert "scheduling: workers=2\n" in text
+            assert "backend=" not in text and "runtime=" not in text
             assert "scheduling: shards alive=" in text
             assert "scheduling: shard 0:" in text
         finally:
