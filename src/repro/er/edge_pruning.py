@@ -18,7 +18,7 @@ Weighting schemes implemented (standard meta-blocking literature):
 Graph construction is the meta-blocking hot path, so the default
 (``packed=True``) build maps entities to dense integer indices once and
 represents each unordered pair as a single packed int (``left * n +
-right``).  Pair generation for non-trivial blocks and the per-scheme
+right``).  Pair generation over the whole collection and the per-scheme
 weight computation run as bulk NumPy array operations, and Edge Pruning
 consumes the arrays directly instead of iterating an edge generator.
 
@@ -40,35 +40,17 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.er.blocking import Block, BlockCollection
-from repro.er.util import LRUCache, ordered_pair, safe_sorted
+from repro.er.util import ordered_pair, safe_sorted
 
 #: Backwards-compatible aliases; shared definitions live in repro.er.util.
 _safe_sorted = safe_sorted
 _ordered = ordered_pair
 
-#: Blocks below this size stay on the scalar pair loop — per-block array
-#: setup costs more than a handful of Python iterations.
-_VECTOR_MIN_SIZE = 16
-
-#: Blocks above this size switch from one cached triangular index pair to
-#: per-row vectorization, bounding scratch memory at O(block size).
-_VECTOR_TRIU_MAX = 256
-
-#: Bounded cache of upper-triangle index pairs keyed by block size —
-#: sizes repeat heavily across blocks, and building the triangle
-#: dominates small vectorized blocks.  One entry at the
-#: _VECTOR_TRIU_MAX extreme is ~0.5 MB (two int64 arrays of s(s-1)/2),
-#: so the LRU's worst-case footprint is ~33 MB; larger blocks never
-#: touch the cache.  Only the Block-object build uses it.
-_TRIU_CACHE = LRUCache(64)
-
-
-def _triu_indices(size: int) -> Tuple[Any, Any]:
-    cached = _TRIU_CACHE.get(size)
-    if cached is None:
-        cached = np.triu_indices(size, 1)
-        _TRIU_CACHE.put(size, cached)
-    return cached
+#: Pairs :func:`generate_span_segments` enumerates per pass.  A pass
+#: holds a handful of int64 scratch arrays as long as its pair count, so
+#: this bounds the generator's scratch memory (a few MB) however many
+#: pairs the span has.
+_PAIRS_PER_PASS = 1 << 18
 
 
 class WeightingScheme(enum.Enum):
@@ -86,10 +68,11 @@ class WeightingScheme(enum.Enum):
 # dense-index sorting, pair enumeration, focus filtering, key packing)
 # and *reduction* (per-pair weight-stat accumulation).  Generation is
 # independent per contiguous block span; reduction is a single in-order
-# pass.  The serial span build and the shard runtime
-# (:mod:`repro.parallel`) both run through these helpers, so a sharded
-# build concatenating per-span results in block order is *the same
-# computation* as the serial one — bit for bit.
+# pass.  Every build — the Block-object graph, the serial span build and
+# the shard runtime (:mod:`repro.parallel`) — generates through
+# :func:`generate_span_segments`, so a sharded build concatenating
+# per-span results in block order is *the same computation* as the
+# serial one — bit for bit.
 
 
 def prepare_packed_universe(
@@ -115,138 +98,22 @@ def prepare_packed_universe(
     return universe, index_of, in_focus
 
 
-def _emit_scalar_block(
-    members: List[int],
-    n: int,
-    in_focus: Optional[bytearray],
-    need_arcs: bool,
-    reciprocal: float,
-    pending_keys: List[int],
-    pending_recips: List[float],
-) -> None:
-    """One small block's packed pair keys, appended to the scalar run.
-
-    *members* are sorted dense indices.
-    """
-    size = len(members)
-    for ai in range(size):
-        left = members[ai]
-        base = left * n
-        tail = members[ai + 1 :]
-        if in_focus is not None and not in_focus[left]:
-            tail = [right for right in tail if in_focus[right]]
-        for right in tail:
-            pending_keys.append(base + right)
-            if need_arcs:
-                pending_recips.append(reciprocal)
-
-
-def _emit_vector_block(
-    members_arr: Any,
-    n: int,
-    focus_mask: Any,
-    need_arcs: bool,
-    reciprocal: float,
-    key_segments: List[Any],
-    value_segments: List[Any],
-) -> None:
-    """One vectorized block's key (and ARCS value) segments.
-
-    *members_arr* is a sorted int64 array of dense indices.  Mid-size
-    blocks use one cached upper-triangle index pair; larger blocks go
-    row-at-a-time to keep scratch memory linear in block size.
-    """
-    size = len(members_arr)
-    if size <= _VECTOR_TRIU_MAX:
-        ii, jj = _triu_indices(size)
-        left = members_arr[ii]
-        right = members_arr[jj]
-        keys = left * n + right
-        if focus_mask is not None:
-            keep = focus_mask[left] | focus_mask[right]
-            keys = keys[keep]
-        if keys.size:
-            key_segments.append(keys)
-            if need_arcs:
-                value_segments.append(np.full(keys.size, reciprocal, dtype=np.float64))
-        return
-    for ai in range(size - 1):
-        left_idx = int(members_arr[ai])
-        tail = members_arr[ai + 1 :]
-        if focus_mask is not None and not focus_mask[left_idx]:
-            tail = tail[focus_mask[tail]]
-            if not tail.size:
-                continue
-        keys = left_idx * n + tail
-        key_segments.append(keys)
-        if need_arcs:
-            value_segments.append(np.full(keys.size, reciprocal, dtype=np.float64))
-
-
-def _focus_mask(in_focus: Optional[bytearray]) -> Any:
-    if in_focus is None:
-        return None
-    return np.frombuffer(in_focus, dtype=np.uint8).view(np.bool_)
-
-
-def generate_packed_segments(
-    blocks: Iterable[Block],
-    index_of: Dict[Any, int],
-    n: int,
-    in_focus: Optional[bytearray],
-    need_arcs: bool,
-    block_counts: List[int],
-) -> Tuple[List[Any], List[Any]]:
-    """Packed pair-key (and ARCS value) segments for *blocks*.
-
-    Segments come back in block visit order; per-entity block membership
-    counts are accumulated into *block_counts* in place.  Runs of
-    scalar-built pairs from small blocks are flushed into array segments
-    whenever a vectorized block interleaves, preserving the global visit
-    order.
-    """
-    focus_mask = _focus_mask(in_focus)
-    key_segments: List[Any] = []
-    value_segments: List[Any] = []
-    pending_keys: List[int] = []
-    pending_recips: List[float] = []
-
-    def flush_scalar() -> None:
-        if pending_keys:
-            key_segments.append(np.array(pending_keys, dtype=np.int64))
-            if need_arcs:
-                value_segments.append(np.array(pending_recips, dtype=np.float64))
-                pending_recips.clear()
-            pending_keys.clear()
-
-    for block in blocks:
-        size = block.size
-        reciprocal = 0.0
-        if need_arcs:
-            cardinality = block.cardinality
-            reciprocal = 1.0 / cardinality if cardinality else 0.0
-        if size < _VECTOR_MIN_SIZE:
-            members = sorted([index_of[e] for e in block.entities])
-            for i in members:
-                block_counts[i] += 1
-            _emit_scalar_block(
-                members, n, in_focus, need_arcs, reciprocal,
-                pending_keys, pending_recips,
-            )
-            continue
-        flush_scalar()
-        members_arr = np.fromiter(
-            (index_of[e] for e in block.entities), dtype=np.int64, count=size
-        )
-        members_arr.sort()
-        for i in members_arr.tolist():
-            block_counts[i] += 1
-        _emit_vector_block(
-            members_arr, n, focus_mask, need_arcs, reciprocal,
-            key_segments, value_segments,
-        )
-    flush_scalar()
-    return key_segments, value_segments
+def collection_span(
+    blocks: Iterable[Block], index_of: Dict[Any, int]
+) -> Tuple[Any, Any]:
+    """``(members, indptr)``: *blocks* as one CSR span of dense indices,
+    in block visit order — the input :func:`generate_span_segments`
+    takes."""
+    blocks = list(blocks)
+    sizes = np.fromiter((block.size for block in blocks), dtype=np.int64, count=len(blocks))
+    indptr = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    members = np.fromiter(
+        (index_of[e] for block in blocks for e in block.entities),
+        dtype=np.int64,
+        count=int(indptr[-1]),
+    )
+    return members, indptr
 
 
 def generate_span_segments(
@@ -258,17 +125,19 @@ def generate_span_segments(
     in_focus: Optional[bytearray],
     need_arcs: bool,
 ) -> Tuple[Any, Any, Any]:
-    """Every focus-incident pair of block span ``[start, stop)`` of a
-    postings-derived collection (the columnar blocking fast path).
+    """Every focus-incident pair of block span ``[start, stop)``.
 
-    *members* holds universe positions grouped by block (block ``b``
-    spans ``members[indptr[b] : indptr[b+1]]``).  The whole span is
-    handled by array operations, with no per-block loop: one ``lexsort``
-    orders the members within each block, each focus row pairs with
-    every later member of its block, each non-focus row with every later
-    *focus* member, and each pair gathers its block's ARCS reciprocal.
-    Pairs come out in block order, then ascending left and right member
-    — the order a per-block nested loop would visit them in.
+    *members* holds dense entity indices grouped by block (block ``b``
+    spans ``members[indptr[b] : indptr[b+1]]``), in any order within a
+    block.  The whole span is handled by array operations, with no
+    per-block loop: one ``lexsort`` orders the members within each
+    block, each focus row pairs with every later member of its block,
+    each non-focus row with every later *focus* member, and each pair
+    gathers its block's ARCS reciprocal.  Pairs come out in block order,
+    then ascending left and right member — the order a per-block nested
+    loop would visit them in.  They are enumerated in passes of whole
+    rows, about ``_PAIRS_PER_PASS`` pairs each, written straight into
+    the outputs.
 
     Returns ``(keys, values, block_counts)``: packed pair keys, their
     reciprocals (``None`` unless *need_arcs*), and an int64 array of
@@ -283,11 +152,12 @@ def generate_span_segments(
     position = np.arange(len(rows), dtype=np.int64)
     # Span-local exclusive end of each row's block.
     ends = np.repeat(indptr[start + 1 : stop + 1] - base, sizes)
-    mask = _focus_mask(in_focus)
-    if mask is None:
+    if in_focus is None:
+        focus_row = None
         counts = ends - position - 1
     else:
-        focus_row = mask[rows]
+        focus_row = np.frombuffer(in_focus, dtype=np.uint8).view(np.bool_)[rows]
+        focus_positions = np.flatnonzero(focus_row)
         # focus_before[x]: focus rows among span positions < x.
         focus_before = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(focus_row, out=focus_before[1:])
@@ -296,51 +166,65 @@ def generate_span_segments(
             ends - position - 1,
             focus_before[ends] - focus_before[position + 1],
         )
-    left = np.repeat(position, counts)
-    offset = np.arange(len(left), dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    right = left + 1 + offset
-    if mask is not None:
-        # A non-focus row's partners are the focus rows after it.
-        others = ~np.repeat(focus_row, counts)
-        first_later_focus = np.repeat(focus_before[position + 1], counts)
-        right[others] = np.flatnonzero(focus_row)[
-            first_later_focus[others] + offset[others]
-        ]
-    keys = rows[left] * n + rows[right]
+    # pair_end[r]: pairs of rows 0..r — row r's exclusive end in the output.
+    pair_end = np.cumsum(counts)
+    total = int(pair_end[-1]) if len(pair_end) else 0
+    keys = np.empty(total, dtype=np.int64)
     values = None
     if need_arcs:
         cardinality = sizes * (sizes - 1) // 2
         reciprocal = np.zeros(len(sizes), dtype=np.float64)
         np.divide(1.0, cardinality, out=reciprocal, where=cardinality > 0)
-        values = reciprocal[block_of[left]]
+        values = np.empty(total, dtype=np.float64)
+    # Each pass ends at the last row finishing within the next multiple
+    # of _PAIRS_PER_PASS pairs (a pass holds at most one more row).
+    cuts = np.searchsorted(
+        pair_end, np.arange(_PAIRS_PER_PASS, total, _PAIRS_PER_PASS), side="right"
+    ).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+        if lo == hi:
+            continue
+        row_counts = counts[lo:hi]
+        row_starts = pair_end[lo:hi] - row_counts
+        out = slice(int(row_starts[0]), int(pair_end[hi - 1]))
+        left = np.repeat(position[lo:hi], row_counts)
+        # Rank of each pair among its row's pairs.
+        offset = np.arange(out.start, out.stop, dtype=np.int64) - np.repeat(
+            row_starts, row_counts
+        )
+        right = left + 1 + offset
+        if focus_row is not None:
+            # A non-focus row's partners are the focus rows after it.
+            others = ~np.repeat(focus_row[lo:hi], row_counts)
+            first_later_focus = np.repeat(focus_before[lo + 1 : hi + 1], row_counts)
+            right[others] = focus_positions[first_later_focus[others] + offset[others]]
+        np.multiply(rows[left], n, out=keys[out])
+        keys[out] += rows[right]
+        if need_arcs:
+            values[out] = reciprocal[block_of[left]]
     return keys, values, block_counts
 
 
-def reduce_packed_segments(
-    key_segments: List[Any], value_segments: List[Any], need_arcs: bool
-) -> Tuple[Any, Any]:
-    """In-order reduction of generated segments to (edge_keys, edge_stats).
+def reduce_packed_segments(keys: Any, values: Any, need_arcs: bool) -> Tuple[Any, Any]:
+    """In-order reduction of generated pairs to (edge_keys, edge_stats).
 
     Edges come back in first-visit order — the order the unpacked
     build's dict would iterate them in — and per-key accumulation
     (``np.add.at`` is unbuffered and in-order) reproduces the unpacked
     build's float additions exactly.
     """
-    if not key_segments:
+    if not len(keys):
         return (
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.float64) if need_arcs else np.empty(0, dtype=np.int64),
         )
-    all_keys = np.concatenate(key_segments)
     unique_keys, first_seen, inverse = np.unique(
-        all_keys, return_index=True, return_inverse=True
+        keys, return_index=True, return_inverse=True
     )
     insertion = np.argsort(first_seen)
     if need_arcs:
         sums = np.zeros(len(unique_keys), dtype=np.float64)
-        np.add.at(sums, inverse, np.concatenate(value_segments))
+        np.add.at(sums, inverse, values)
         edge_stats = sums[insertion]
     else:
         edge_stats = np.bincount(inverse, minlength=len(unique_keys))[insertion]
@@ -408,15 +292,16 @@ class BlockingGraph:
         self._universe = universe
         self._index_of = index_of
         self._n = len(universe)
-        self._block_counts = [0] * self._n
         self._edge_positions: Optional[Dict[int, int]] = None
         self._weights_memo = None
         need_arcs = self.scheme is WeightingScheme.ARCS
-        key_segments, value_segments = generate_packed_segments(
-            collection, index_of, self._n, in_focus, need_arcs, self._block_counts
+        members, indptr = collection_span(collection, index_of)
+        keys, values, block_counts = generate_span_segments(
+            members, indptr, 0, len(indptr) - 1, self._n, in_focus, need_arcs
         )
+        self._block_counts = block_counts.tolist()
         self._edge_keys, self._edge_stats = reduce_packed_segments(
-            key_segments, value_segments, need_arcs
+            keys, values, need_arcs
         )
 
     @classmethod

@@ -236,12 +236,15 @@ def _span_graph(
     block_count: int,
     executor: Optional[Any],
 ) -> BlockingGraph:
-    """Blocking graph over postings spans, serial or shard-sharded."""
+    """Blocking graph over postings spans: sharded when the executor
+    wants and can serve the build, serial here otherwise."""
     total_comparisons = int((sizes * (sizes - 1) // 2).sum())
     if executor is not None and executor.wants_parallel_spans(total_comparisons):
-        return executor.build_span_graph(
+        graph = executor.build_span_graph(
             members_u, indptr, sizes, universe, index_of, scheme, in_focus
         )
+        if graph is not None:
+            return graph
     need_arcs = scheme is WeightingScheme.ARCS
     keys, values, block_counts = generate_span_segments(
         members_u, indptr, 0, block_count, len(universe), in_focus, need_arcs

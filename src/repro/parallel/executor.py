@@ -13,7 +13,9 @@ engine talks to on a multi-worker engine.  Per invocation it
    :class:`~repro.parallel.merger.DeterministicMerger`, whose fixed
    canonical order makes the graph bit-identical to serial;
 3. falls back to the serial computation in this process whenever the
-   runtime cannot serve (:class:`~repro.parallel.shards.ShardUnavailable`).
+   runtime cannot serve (:class:`~repro.parallel.shards.ShardUnavailable`):
+   matching resolves here, and a graph build returns ``None`` so the
+   caller runs its own serial span build.
 
 It also owns the *candidate-plan cache*: the deterministic candidate-pair
 list derived for a (table, frontier, meta-blocking) triple, reused when
@@ -41,14 +43,9 @@ from repro.parallel.config import ExecutionConfig, fork_available
 from repro.parallel.merger import DeterministicMerger
 from repro.parallel.planner import PartitionPlanner
 from repro.parallel.shards import ShardRuntime, ShardUnavailable
-from repro.parallel.tasks import compute_span_result
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.indices import TableIndex
-
-#: Span-graph partitions planned per shard: more partitions than shards
-#: evens out spans whose true cost deviates from their cardinality.
-PARTITIONS_PER_WORKER = 4
 
 
 class ParallelComparisonExecutor:
@@ -75,7 +72,7 @@ class ParallelComparisonExecutor:
     ):
         self.config = config or ExecutionConfig()
         self.workers = self.config.resolved_workers()
-        self.planner = PartitionPlanner(self.workers, PARTITIONS_PER_WORKER)
+        self.planner = PartitionPlanner(self.workers)
         self._candidate_cache: Optional[LRUCache] = (
             LRUCache(self.config.candidate_cache_size)
             if self.config.candidate_cache_size > 0
@@ -164,37 +161,32 @@ class ParallelComparisonExecutor:
         index_of: Dict[Any, int],
         scheme: WeightingScheme,
         in_focus: Optional[bytearray],
-    ) -> BlockingGraph:
+    ) -> Optional[BlockingGraph]:
         """Packed graph from postings spans, sharded across the workers.
 
         The planner cuts the blocks into contiguous spans balanced by
         cardinality (no ``Block`` objects exist), the shards run
         :func:`~repro.er.edge_pruning.generate_span_segments` on each
         span, and the deterministic merge reassembles canonical block
-        order — bit-identical to the serial span build.  When the
-        runtime cannot serve, the whole span is generated here.
+        order — bit-identical to the serial span build.  Returns
+        ``None`` when the runtime cannot serve; the caller then builds
+        the graph serially.
         """
         need_arcs = scheme is WeightingScheme.ARCS
         n = len(universe)
-        block_count = len(indptr) - 1
         try:
             results = self._shards.run_spans(
                 members, indptr, n, in_focus, need_arcs,
                 self.planner.partition_costs((sizes * (sizes - 1) // 2).tolist()),
             )
         except ShardUnavailable:
-            results = [
-                compute_span_result(
-                    members, indptr, 0, block_count, n, in_focus, need_arcs, 0
-                )
-            ]
-        else:
-            self.stats["parallel_graph_builds"] += 1
+            return None
+        self.stats["parallel_graph_builds"] += 1
         edge_keys, edge_stats, block_counts = DeterministicMerger.merge_span_segments(
             results, n, need_arcs
         )
         return BlockingGraph.from_arrays(
-            scheme, block_count, universe, index_of, block_counts,
+            scheme, len(indptr) - 1, universe, index_of, block_counts,
             edge_keys, edge_stats,
         )
 

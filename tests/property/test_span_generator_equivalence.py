@@ -2,10 +2,11 @@
 
 :func:`~repro.er.edge_pruning.generate_span_segments` enumerates every
 focus-incident pair of a CSR block span with whole-span array
-operations.  The reference below is the per-block generator it replaced
-(scalar loop under 16 members, a cached upper triangle up to 256,
-row-at-a-time above), kept here as the oracle.  Both must produce the
-same keys in the same order, the same ARCS reciprocals and the same
+operations, in bounded passes of rows, for both the postings-span build
+and the Block-object graph.  The reference below is the per-block
+generator it replaced (scalar loop under 16 members, an upper triangle
+up to 256, row-at-a-time above), kept here as the oracle.  Both must
+produce the same keys in the same order, the same ARCS reciprocals and the same
 block counts — and therefore bit-identical ``reduce_span_segments``
 output — over random spans with block sizes 0–600, sub-spans, every
 focus shape and both weightings that read the generator (ARCS sums and
@@ -14,18 +15,73 @@ CBS counts).
 
 from __future__ import annotations
 
+import sys
 from typing import Any, List, Optional
 
 import numpy as np
 import pytest
 
+from repro.er.blocking import BlockCollection
 from repro.er.edge_pruning import (
-    _VECTOR_MIN_SIZE,
-    _emit_scalar_block,
-    _emit_vector_block,
+    BlockingGraph,
+    WeightingScheme,
     generate_span_segments,
     reduce_span_segments,
 )
+
+#: The generator's module; ``repro.er.edge_pruning`` as an attribute is
+#: the function of that name, so look the module up directly.
+EDGE_PRUNING = sys.modules[generate_span_segments.__module__]
+
+#: Reference tiers: blocks below this size take the scalar pair loop.
+_VECTOR_MIN_SIZE = 16
+
+#: Reference tiers: blocks up to this size take one upper triangle,
+#: larger ones go row-at-a-time.
+_VECTOR_TRIU_MAX = 256
+
+
+def _emit_scalar_block(members, n, in_focus, need_arcs, reciprocal,
+                       pending_keys, pending_recips) -> None:
+    """One small block's packed pair keys (*members* sorted), appended
+    to the scalar run."""
+    for ai, left in enumerate(members):
+        tail = members[ai + 1 :]
+        if in_focus is not None and not in_focus[left]:
+            tail = [right for right in tail if in_focus[right]]
+        for right in tail:
+            pending_keys.append(left * n + right)
+            if need_arcs:
+                pending_recips.append(reciprocal)
+
+
+def _emit_vector_block(members_arr, n, focus_mask, need_arcs, reciprocal,
+                       key_segments, value_segments) -> None:
+    """One vectorized block's key (and ARCS value) segments
+    (*members_arr* a sorted int64 array)."""
+    size = len(members_arr)
+    if size <= _VECTOR_TRIU_MAX:
+        ii, jj = np.triu_indices(size, 1)
+        left = members_arr[ii]
+        right = members_arr[jj]
+        keys = left * n + right
+        if focus_mask is not None:
+            keys = keys[focus_mask[left] | focus_mask[right]]
+        if keys.size:
+            key_segments.append(keys)
+            if need_arcs:
+                value_segments.append(np.full(keys.size, reciprocal, dtype=np.float64))
+        return
+    for ai in range(size - 1):
+        left_idx = int(members_arr[ai])
+        tail = members_arr[ai + 1 :]
+        if focus_mask is not None and not focus_mask[left_idx]:
+            tail = tail[focus_mask[tail]]
+            if not tail.size:
+                continue
+        key_segments.append(left_idx * n + tail)
+        if need_arcs:
+            value_segments.append(np.full(tail.size, reciprocal, dtype=np.float64))
 
 
 def reference_span_segments(
@@ -170,6 +226,25 @@ def test_single_block_of_every_tier(size):
         )
 
 
+@pytest.mark.parametrize("pass_pairs", [1, 7, 300])
+@pytest.mark.parametrize("focus", ["none", "partial"])
+def test_multi_pass_generation_equals_reference(monkeypatch, pass_pairs, focus):
+    """Spans larger than one pass are cut into row passes; the output
+    must not depend on where the cuts fall."""
+    monkeypatch.setattr(EDGE_PRUNING, "_PAIRS_PER_PASS", pass_pairs)
+    rng = np.random.default_rng(pass_pairs)
+    n = 700
+    members, indptr = random_csr(rng, n, 30)
+    in_focus = focus_mask(rng, n, focus)
+    blocks = len(indptr) - 1
+    for start, stop in ((0, blocks), (blocks // 3, blocks)):
+        for need_arcs in (True, False):
+            assert_same(
+                generate_span_segments(members, indptr, start, stop, n, in_focus, need_arcs),
+                reference_span_segments(members, indptr, start, stop, n, in_focus, need_arcs),
+            )
+
+
 def test_sharded_spans_reduce_like_the_whole_span():
     """Contiguous sub-spans concatenated in order reduce to the whole."""
     rng = np.random.default_rng(99)
@@ -189,3 +264,21 @@ def test_sharded_spans_reduce_like_the_whole_span():
     serial = reduce_span_segments(whole[0], whole[1], True)
     assert np.array_equal(merged[0], serial[0])
     assert np.array_equal(merged[1], serial[1])
+
+
+@pytest.mark.parametrize("scheme", list(WeightingScheme))
+@pytest.mark.parametrize("focused", [False, True])
+def test_block_object_graph_equals_unpacked_across_tiers(scheme, focused):
+    """The Block-object graph generates through the same whole-span
+    generator (via ``collection_span``); with block sizes on every
+    reference tier it still equals the unpacked build edge for edge."""
+    rng = np.random.default_rng(7)
+    collection = BlockCollection()
+    for number, size in enumerate(EDGE_SIZES * 2):
+        for entity in rng.choice(700, size=size, replace=False).tolist():
+            collection.add(f"k{number}", f"e{entity}")
+    focus = {f"e{i}" for i in range(0, 700, 9)} if focused else None
+    packed = BlockingGraph(collection, scheme=scheme, focus=focus, packed=True)
+    unpacked = BlockingGraph(collection, scheme=scheme, focus=focus, packed=False)
+    assert list(packed.edges()) == list(unpacked.edges())
+    assert packed.average_weight() == unpacked.average_weight()
