@@ -15,10 +15,8 @@ from repro.bench.workload import (
 )
 from repro.bench.harness import Measurement, fresh_engine, run_query
 from repro.bench.reporting import format_table
-from repro.bench import perf_regression
 
 __all__ = [
-    "perf_regression",
     "DatasetRegistry",
     "scaled_size",
     "SCALE",

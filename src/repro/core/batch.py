@@ -13,10 +13,10 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.indices import TableIndex
 from repro.core.result import DedupResult
-from repro.er.linkset import LinkSet, canonical_pair
-from repro.er.util import safe_sorted
+from repro.er.linkset import LinkSet
 from repro.er.matching import ProfileMatcher
-from repro.er.meta_blocking import MetaBlockingConfig, apply_meta_blocking
+from repro.er.meta_blocking import MetaBlockingConfig
+from repro.er.packed_blocking import derive_candidates
 from repro.sql.physical import ExecutionContext
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -32,35 +32,22 @@ def batch_deduplicate(
 ) -> DedupResult:
     """Full offline ER over the whole collection behind *index*.
 
-    Executes every comparison surviving meta-blocking (each distinct pair
-    once), counting them in *context* so BA's cost is measured with the
-    same meter as QueryER's.  Returns a DR_E whose QE is the entire
-    table.  With *executor*, the matcher's undecided remainder may shard
-    onto its workers; the linkset stays bit-identical to a serial run.
+    Derives the candidate pairs exactly as the Deduplicate operator
+    does, with the whole table as the frontier, then executes every
+    surviving comparison once, counting them in *context* so BA's cost
+    is measured with the same meter as QueryER's.  Returns a DR_E whose
+    QE is the entire table.  With *executor*, the matcher's undecided
+    remainder may shard onto its workers; the linkset stays
+    bit-identical to a serial run.
     """
     context = context or ExecutionContext()
     matcher = matcher or ProfileMatcher(exclude=(index.table.schema.id_column,))
     meta_blocking = meta_blocking or MetaBlockingConfig.all()
 
-    with context.timed("meta-blocking"):
-        refined = apply_meta_blocking(index.tbi, meta_blocking)
-
+    ids = index.table.ids
+    pairs = derive_candidates(index.postings, ids, meta_blocking, timed=context.timed).pairs
     links = LinkSet()
     with context.timed("resolution"):
-        # The deduplicated pair list, materialized once (the set that
-        # de-duplicates it is as large): the matcher screens it in
-        # bounded chunks, and an executor may spread what that leaves.
-        compared = set()
-        pairs = []
-        for block in refined:
-            members = safe_sorted(block.entities)
-            for i, left in enumerate(members):
-                for right in members[i + 1 :]:
-                    pair = canonical_pair(left, right)
-                    if pair in compared:
-                        continue
-                    compared.add(pair)
-                    pairs.append(pair)
         context.comparisons += len(pairs)
         if executor is not None:
             matched = executor.match_pairs(index, matcher, pairs)
@@ -69,4 +56,4 @@ def batch_deduplicate(
         for position in matched:
             links.add(*pairs[position])
 
-    return DedupResult(index.table, index.table.ids, links=links)
+    return DedupResult(index.table, ids, links=links)

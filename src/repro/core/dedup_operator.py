@@ -23,12 +23,10 @@ from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Set, Tuple
 
 from repro.core.indices import TableIndex
 from repro.core.result import DedupResult
-from repro.er.linkset import LinkSet, canonical_pair
-from repro.er.packed_blocking import derive_candidates, packed_blocking_supported
-from repro.resilience import DEGRADATION
-from repro.er.util import safe_sorted
+from repro.er.linkset import LinkSet
 from repro.er.matching import ProfileMatcher
-from repro.er.meta_blocking import MetaBlockingConfig, apply_meta_blocking
+from repro.er.meta_blocking import MetaBlockingConfig
+from repro.er.packed_blocking import derive_candidates
 from repro.sql.physical import ExecutionContext
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -70,7 +68,7 @@ class DeduplicateOperator:
         docstring).
     executor:
         Optional :class:`~repro.parallel.executor.ParallelComparisonExecutor`:
-        packed blocking-graph construction and pair matching above its
+        blocking-graph construction and pair matching above its
         configured thresholds run on its resident shard workers, with
         results bit-identical to serial.  It also serves/stores cached
         candidate plans for repeated frontiers.
@@ -128,8 +126,6 @@ class DeduplicateOperator:
             stats.rounds += 1
             newly_found = self._resolve_frontier(frontier, links, compared, context, stats)
             processed.update(frontier)
-            if self.use_link_index:
-                link_index.mark_resolved(frontier)
             if not self.transitive:
                 break
             # Newly discovered duplicates become the next frontier —
@@ -148,7 +144,11 @@ class DeduplicateOperator:
                 next_frontier.add(entity_id)
             frontier = next_frontier
 
+        # The Link Index learns the outcome all at once, after every
+        # round succeeded: an entity marked resolved without its links
+        # would answer every later query from a wrong cluster.
         if self.use_link_index:
+            link_index.mark_resolved(processed - resolved)
             link_index.add_links(links)
 
         duplicate_ids = (links.entities() | self._closure(links, query_set)) - query_set
@@ -199,89 +199,36 @@ class DeduplicateOperator:
     ) -> List[Tuple[Any, Any]]:
         """The frontier's canonical candidate-pair list, not yet compared.
 
-        Stages (i)–(iii) of the pipeline.  The pre-``compared`` plan —
-        a pure function of (table version, frontier, meta-blocking
-        configuration) — is served from the executor's candidate-plan
-        cache when the same frontier repeats; the engine invalidates
-        that cache on every append, so a plan can never miss pairs
-        involving freshly ingested rows.  On a cache hit the block-join
-        and meta-blocking stages are skipped entirely (their stats
-        counters then record only the plan-building pass).
+        Stages (i)–(iii) of the pipeline, derived from the table's CSR
+        token postings by :func:`~repro.er.packed_blocking.derive_candidates`.
+        The pre-``compared`` plan — a pure function of (table version,
+        frontier, meta-blocking configuration) — is served from the
+        executor's candidate-plan cache when the same frontier repeats;
+        the engine invalidates that cache on every append, so a plan can
+        never miss pairs involving freshly ingested rows.  On a cache hit
+        the block-join and meta-blocking stages are skipped entirely
+        (their stats counters then record only the plan-building pass).
+        A derivation failure propagates and fails the query; the Link
+        Index is untouched until every round has succeeded.
         """
         executor = self.executor
         table_name = self.index.table.name
         raw: Optional[List[Tuple[Any, Any]]] = None
         if executor is not None:
             raw = executor.cached_candidates(table_name, frontier, self.meta_blocking)
-        if raw is None and packed_blocking_supported(self.meta_blocking):
-            # Columnar fast path: stages (i)–(iii) derived from the CSR
-            # token postings, no string-keyed BlockCollection at all.
-            # Any packed failure (bad postings state, an injected
-            # ``packed.derive`` fault) degrades to the dict pipeline
-            # below — same pairs by the equivalence contract, so
-            # correctness survives losing the fast path.  Stage stats
-            # and timings are only applied on success; a failed derive
-            # contributes its partial stage timings, which the profile
-            # then attributes alongside the dict path's own.
-            derived = None
-            try:
-                derived = derive_candidates(
-                    self.index.postings,
-                    frontier,
-                    self.meta_blocking,
-                    timed=context.timed,
-                    executor=executor,
-                )
-            except Exception as error:
-                DEGRADATION.record(
-                    "blocking",
-                    "packed_fallback",
-                    f"packed pipeline failed ({error!r}); using dict pipeline",
-                )
-            if derived is not None:
-                stats.qbi_blocks = max(stats.qbi_blocks, derived.qbi_blocks)
-                stats.eqbi_blocks = max(stats.eqbi_blocks, derived.eqbi_blocks)
-                stats.eqbi_comparisons_before += derived.comparisons_before
-                stats.eqbi_comparisons_after += derived.comparisons_after
-                raw = derived.pairs
-                if executor is not None:
-                    executor.store_candidates(
-                        table_name, frontier, self.meta_blocking, raw
-                    )
         if raw is None:
-            # (i) Query Blocking — QBI over the frontier.
-            with context.timed("block-join"):
-                qbi = self.index.query_block_index(frontier)
-                stats.qbi_blocks = max(stats.qbi_blocks, len(qbi))
-                # (ii) Block-Join — enrich with co-occurring table entities.
-                eqbi = self.index.block_join(qbi)
-            stats.eqbi_blocks = max(stats.eqbi_blocks, len(eqbi))
-            stats.eqbi_comparisons_before += eqbi.cardinality
-
-            # (iii) Meta-Blocking — BP → BF → EP, with the Edge-Pruning
-            # graph scoped to frontier-incident edges (the only comparisons
-            # the next stage executes, §6.1(iv)).
-            with context.timed("meta-blocking"):
-                refined = apply_meta_blocking(eqbi, self.meta_blocking, focus=frontier)
-            stats.eqbi_comparisons_after += refined.cardinality
-
-            # Pair enumeration is Comparison-Execution work and is
-            # timed as such (the pre-subsystem code enumerated pairs
-            # inside the resolution loop).
-            with context.timed("resolution"):
-                raw = []
-                seen: Set[Tuple[Any, Any]] = set()
-                for block in refined:
-                    members = safe_sorted(block.entities)
-                    for i, left in enumerate(members):
-                        for right in members[i + 1 :]:
-                            if left not in frontier and right not in frontier:
-                                continue  # only resolve the current selection
-                            pair = canonical_pair(left, right)
-                            if pair in seen:
-                                continue  # comparisons in multiple blocks run once
-                            seen.add(pair)
-                            raw.append(pair)
+            derived = derive_candidates(
+                self.index.postings,
+                frontier,
+                self.meta_blocking,
+                timed=context.timed,
+                executor=executor,
+            )
+            stats.qbi_blocks = max(stats.qbi_blocks, derived.qbi_blocks)
+            stats.eqbi_blocks = max(stats.eqbi_blocks, derived.eqbi_blocks)
+            stats.eqbi_comparisons_before += derived.comparisons_before
+            stats.eqbi_comparisons_after += derived.comparisons_after
+            raw = derived.pairs
             if executor is not None:
                 executor.store_candidates(table_name, frontier, self.meta_blocking, raw)
 

@@ -4,9 +4,9 @@
   collection; built once at registration.
 * **Inverse Table Block Index (ITBI)** — record id → its block keys,
   sorted ascending by block size (what Block Filtering needs).
-* **Query Block Index (QBI)** — the same structure built on-the-fly for
-  the entities a query evaluates; produced by
-  :meth:`TableIndex.query_block_index`.
+* **Query Block Index (QBI)** — the blocks of the entities a query
+  evaluates, gathered on the fly from the table's CSR token postings by
+  :func:`~repro.er.packed_blocking.derive_candidates`.
 * **Link Index (LI)** — record id → resolved duplicates, amended with
   every query's findings; the engine of progressive cleaning (Fig 11).
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.entity import EntityCollection
-from repro.er.blocking import Block, BlockCollection, TokenBlocking, TokenPostings
+from repro.er.blocking import BlockCollection, TokenBlocking, TokenPostings
 from repro.er.linkset import LinkSet
 from repro.er.matching import ProfileSignature, build_signature
 from repro.er.tokenizer import TokenVocabulary
@@ -145,9 +145,9 @@ class TableIndex:
         self.vocabulary = TokenVocabulary()
         self._signatures: Dict[Any, ProfileSignature] = {}
         self._signature_exclude = frozenset({table.schema.id_column.lower()})
-        # Columnar blocking fast-path state: the CSR token postings are
-        # the TBI/ITBI's array twin, built lazily from the dict indices
-        # on first packed query and amended delta-wise on appends.
+        # Candidate-derivation state: the CSR token postings are the
+        # TBI/ITBI's array form, built lazily from the dict indices on
+        # first query and amended delta-wise on appends.
         self._postings: Optional[TokenPostings] = None
 
     # -- (de)hydration ----------------------------------------------------
@@ -230,7 +230,7 @@ class TableIndex:
         index._signatures = {}
         index._signature_exclude = frozenset({table.schema.id_column.lower()})
         # Postings stay lazy: the persisted CSR freezes each row's key
-        # order as of its segment's write, but packed Block Filtering
+        # order as of its segment's write, but Block Filtering
         # needs ascending-by-*current*-block-size order.  Building from
         # the freshly re-sorted ITBI on first use (the exact lazy path a
         # fresh registration takes) guarantees that — at counting-sort
@@ -247,8 +247,8 @@ class TableIndex:
 
         Built lazily from the ITBI (entities in table order, so dense
         ids are registration-ordered), then kept in lockstep with the
-        dict TBI by :meth:`add_records` — the packed blocking pipeline
-        and the dict pipeline always see the same assignments.
+        dict TBI by :meth:`add_records`, so candidate derivation always
+        sees the TBI's assignments.
         """
         if self._postings is None:
             itbi = self.itbi
@@ -449,36 +449,6 @@ class TableIndex:
             list(delta.new_ids),
             self._postings is not None,
         )
-
-    # -- QBI ----------------------------------------------------------------
-    def query_block_index(self, entity_ids: Iterable[Any]) -> BlockCollection:
-        """Build the QBI for the given evaluated entities (§6.1(i)).
-
-        Uses the ITBI (each entity's keys are already known) rather than
-        re-tokenizing, which is equivalent because TBI and QBI share the
-        blocking function.
-        """
-        qbi = BlockCollection()
-        for entity_id in entity_ids:
-            for key in self.itbi.get(entity_id, ()):
-                qbi.add(key, entity_id)
-        return qbi
-
-    # -- Block-Join -----------------------------------------------------------
-    def block_join(self, qbi: BlockCollection) -> BlockCollection:
-        """Hash-join QBI keys with TBI keys to form the enriched EQBI.
-
-        Each QBI block is enriched with every table entity sharing the
-        blocking key (§6.1(ii)); the result approximately covers all
-        "dirty" subsets relevant to the query.
-        """
-        eqbi = BlockCollection()
-        for block in qbi:
-            table_block = self.tbi.get(block.key)
-            if table_block is None:
-                continue
-            eqbi.put(Block(block.key, block.entities | table_block.entities))
-        return eqbi
 
     # -- stats -----------------------------------------------------------------
     @property

@@ -8,7 +8,7 @@ Three estimators:
   Purging + Block Filtering, and evaluate the paper's comparison formula.
   The chain stops before Edge Pruning ("the cost of estimating the
   output of the Edge Pruning ... is very high; we terminate our
-  calculations at the BF step").  BP/BF is the packed pipeline's own
+  calculations at the BF step").  BP/BF is candidate derivation's own
   stage (:func:`~repro.er.packed_blocking.purge_and_filter`) over the
   table's postings.
 * **Duplication factor** — a sample of each table is cleaned with an
@@ -159,8 +159,8 @@ class TableStatistics:
     private matcher configured like *matcher* and over signatures
     interned into a private vocabulary — so neither the table matcher's
     counters and memo nor the table index's vocabulary and signatures
-    change.  (Token ids are assigned in first-intern order, and the
-    packed Edge Pruning visits blocks in token-id order; sample tokens
+    change.  (Token ids are assigned in first-intern order, and
+    Edge Pruning visits blocks in token-id order; sample tokens
     interned into the table vocabulary first would reorder that.)  The
     decisions equal ``matcher.matches`` on every pair.
     """
@@ -244,7 +244,6 @@ def _count_duplicates(index: TableIndex, matcher: ProfileMatcher, rows: List[Row
         similarity=matcher.similarity,
         threshold=matcher.threshold,
         exclude=matcher.exclude,
-        fast_path=matcher.fast_path,
     )
     vocabulary = TokenVocabulary()
     attributes = index.entities.attributes_of_row

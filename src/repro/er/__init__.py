@@ -8,14 +8,8 @@ similarity functions and match clustering used by Comparison-Execution.
 from repro.er.tokenizer import TokenVocabulary, tokenize_value, tokenize_entity
 from repro.er.util import LRUCache, ordered_pair, safe_sorted
 from repro.er.blocking import Block, BlockCollection, NGramBlocking, TokenBlocking
-from repro.er.block_purging import block_purging, purge_threshold
-from repro.er.block_filtering import block_filtering
-from repro.er.edge_pruning import (
-    BlockingGraph,
-    WeightingScheme,
-    edge_pruning,
-)
-from repro.er.meta_blocking import MetaBlockingConfig, apply_meta_blocking
+from repro.er.edge_pruning import BlockingGraph, WeightingScheme
+from repro.er.meta_blocking import MetaBlockingConfig
 from repro.er.similarity import (
     dice,
     jaccard,
@@ -47,14 +41,9 @@ __all__ = [
     "BlockCollection",
     "NGramBlocking",
     "TokenBlocking",
-    "block_purging",
-    "purge_threshold",
-    "block_filtering",
     "BlockingGraph",
     "WeightingScheme",
-    "edge_pruning",
     "MetaBlockingConfig",
-    "apply_meta_blocking",
     "dice",
     "jaccard",
     "jaccard_sorted_ids",

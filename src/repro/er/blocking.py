@@ -251,14 +251,14 @@ def _gather_ranges(source: Any, starts: Any, counts: Any) -> Any:
 
 
 class TokenPostings:
-    """CSR-style columnar twin of the TBI/ITBI (the blocking fast path).
+    """CSR-style columnar form of the TBI/ITBI (candidate derivation's input).
 
     Two contiguous-array indices over the same assignments the dict TBI
     holds:
 
     * **forward** — entity → token ids: ``_ent_indptr`` / ``_ent_tokens``
-      (the ITBI, minus the per-entity size ordering, which the packed
-      Block Filtering re-derives vectorized per query);
+      (the ITBI, minus the per-entity size ordering, which Block
+      Filtering re-derives vectorized per query);
     * **inverted** — token id → entity dense ids: a compacted base CSR
       (``_tok_indptr`` / ``_tok_members``) plus a small per-token pending
       delta that ``INSERT INTO`` batches append to.
@@ -268,7 +268,7 @@ class TokenPostings:
     in registration order.  Appends never rebuild: the forward CSR is
     append-only and inverted deltas are folded into the base only when
     the pending volume reaches the base volume (amortized O(1) per
-    posting).  Requires NumPy; the dict TBI remains the fallback.
+    posting).
     """
 
     def __init__(self, vocabulary: TokenVocabulary):

@@ -15,36 +15,22 @@ Weighting schemes implemented (standard meta-blocking literature):
 * ``ARCS`` — Aggregate Reciprocal Comparisons: Σ 1/||b|| over shared
   blocks, favouring pairs meeting in small blocks.
 
-Graph construction is the meta-blocking hot path, so the default
-(``packed=True``) build maps entities to dense integer indices once and
-represents each unordered pair as a single packed int (``left * n +
-right``).  Pair generation over the whole collection and the per-scheme
-weight computation run as bulk NumPy array operations, and Edge Pruning
-consumes the arrays directly instead of iterating an edge generator.
-
-The unpacked build (the pre-fast-path implementation) is kept for the
-perf-regression baseline.  Both builds are observationally identical —
-same weights, same edge iteration order, same pruning output, bit for
-bit: pairs are visited in the baseline's exact order, per-pair weight
-accumulation (``np.add.at`` is unbuffered and in-order) reproduces the
-baseline's float additions, and the average weight is summed in the
-baseline's edge-insertion order.
+The graph is built from CSR block spans over dense entity indices: each
+unordered pair is one packed int (``left * n + right``), pair generation
+and the per-scheme weights are bulk NumPy array operations, and Edge
+Pruning consumes the arrays directly.  Summation order is part of the
+contract: a pair's ARCS weight sums its reciprocals in block visit order
+(ascending token id on the query path) and the average weight sums the
+edges in ascending packed-key order, both strictly left to right.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
-
-from repro.er.blocking import Block, BlockCollection
-from repro.er.util import ordered_pair, safe_sorted
-
-#: Backwards-compatible aliases; shared definitions live in repro.er.util.
-_safe_sorted = safe_sorted
-_ordered = ordered_pair
 
 #: Pairs :func:`generate_span_segments` enumerates per pass.  A pass
 #: holds a handful of int64 scratch arrays as long as its pair count, so
@@ -64,56 +50,15 @@ class WeightingScheme(enum.Enum):
 
 # -- construction helpers -----------------------------------------------------
 #
-# The packed build is split into *segment generation* (per-block work:
-# dense-index sorting, pair enumeration, focus filtering, key packing)
-# and *reduction* (per-pair weight-stat accumulation).  Generation is
+# A build is split into *segment generation* (per-block work: dense-index
+# sorting, pair enumeration, focus filtering, key packing) and
+# *reduction* (per-pair weight-stat accumulation).  Generation is
 # independent per contiguous block span; reduction is a single in-order
-# pass.  Every build — the Block-object graph, the serial span build and
-# the shard runtime (:mod:`repro.parallel`) — generates through
+# pass.  The serial span build and the shard runtime
+# (:mod:`repro.parallel`) both generate through
 # :func:`generate_span_segments`, so a sharded build concatenating
 # per-span results in block order is *the same computation* as the
 # serial one — bit for bit.
-
-
-def prepare_packed_universe(
-    collection: BlockCollection, focus: Optional[Set[Any]]
-) -> Tuple[List[Any], Dict[Any, int], Optional[bytearray]]:
-    """Entity universe, dense index mapping and focus mask of a build.
-
-    Entities are sorted once, globally: per-block integer sorts then
-    reproduce the unpacked build's per-block entity sorts, so pair visit
-    order — and therefore weight accumulation order and edge order — is
-    preserved exactly.
-    """
-    universe = safe_sorted(collection.entity_ids())
-    index_of: Dict[Any, int] = {entity: i for i, entity in enumerate(universe)}
-    if focus is None:
-        in_focus = None
-    else:
-        in_focus = bytearray(len(universe))
-        for entity in focus:
-            i = index_of.get(entity)
-            if i is not None:
-                in_focus[i] = 1
-    return universe, index_of, in_focus
-
-
-def collection_span(
-    blocks: Iterable[Block], index_of: Dict[Any, int]
-) -> Tuple[Any, Any]:
-    """``(members, indptr)``: *blocks* as one CSR span of dense indices,
-    in block visit order — the input :func:`generate_span_segments`
-    takes."""
-    blocks = list(blocks)
-    sizes = np.fromiter((block.size for block in blocks), dtype=np.int64, count=len(blocks))
-    indptr = np.zeros(len(blocks) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    members = np.fromiter(
-        (index_of[e] for block in blocks for e in block.entities),
-        dtype=np.int64,
-        count=int(indptr[-1]),
-    )
-    return members, indptr
 
 
 def generate_span_segments(
@@ -205,44 +150,16 @@ def generate_span_segments(
     return keys, values, block_counts
 
 
-def reduce_packed_segments(keys: Any, values: Any, need_arcs: bool) -> Tuple[Any, Any]:
-    """In-order reduction of generated pairs to (edge_keys, edge_stats).
-
-    Edges come back in first-visit order — the order the unpacked
-    build's dict would iterate them in — and per-key accumulation
-    (``np.add.at`` is unbuffered and in-order) reproduces the unpacked
-    build's float additions exactly.
-    """
-    if not len(keys):
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64) if need_arcs else np.empty(0, dtype=np.int64),
-        )
-    unique_keys, first_seen, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    insertion = np.argsort(first_seen)
-    if need_arcs:
-        sums = np.zeros(len(unique_keys), dtype=np.float64)
-        np.add.at(sums, inverse, values)
-        edge_stats = sums[insertion]
-    else:
-        edge_stats = np.bincount(inverse, minlength=len(unique_keys))[insertion]
-    return unique_keys[insertion], edge_stats
-
-
 def reduce_span_segments(keys: Any, values: Any, need_arcs: bool) -> Tuple[Any, Any]:
-    """Sorted-key reduction for the columnar blocking pipeline.
+    """Generated pairs → ``(edge_keys, edge_stats)``, edges by ascending key.
 
-    The packed-TBI pipeline owns its ordering contract (edges in
-    ascending packed-key order rather than the dict path's first-visit
-    order), which unlocks a much cheaper reduction than
-    :func:`reduce_packed_segments`: one stable argsort, boundary
-    detection, and ``np.add.reduceat`` — no ``np.unique`` index
-    juggling, no unbuffered ``np.add.at``.  Per-key contributions still
-    accumulate left-to-right in global block visit order (the stable
-    sort preserves it), so a sharded build concatenating span results in
-    partition order reduces bit-identically to the serial span build.
+    One stable argsort groups each key's contributions in global block
+    visit order; ARCS sums then accumulate them strictly left to right
+    (``np.add.at`` is unbuffered and applies its operands in order,
+    where a segmented reduction may reassociate them), and CBS counts
+    are the group lengths.  A sharded build concatenating span results in
+    partition order therefore reduces bit-identically to the serial
+    span build.
     """
     empty_stats = np.empty(0, dtype=np.float64 if need_arcs else np.int64)
     if not len(keys):
@@ -253,7 +170,11 @@ def reduce_span_segments(keys: Any, values: Any, need_arcs: bool) -> Tuple[Any, 
     starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
     unique_keys = sorted_keys[starts]
     if need_arcs:
-        sums = np.add.reduceat(values[order], starts)
+        edge_of = np.zeros(len(sorted_keys), dtype=np.int64)
+        edge_of[boundaries] = 1
+        np.cumsum(edge_of, out=edge_of)
+        sums = np.zeros(len(unique_keys), dtype=np.float64)
+        np.add.at(sums, edge_of, values[order])
     else:
         stops = np.concatenate((boundaries, np.array([len(sorted_keys)], dtype=np.int64)))
         sums = stops - starts
@@ -261,52 +182,10 @@ def reduce_span_segments(keys: Any, values: Any, need_arcs: bool) -> Tuple[Any, 
 
 
 class BlockingGraph:
-    """Weighted co-occurrence graph of a block collection."""
+    """Weighted co-occurrence graph over packed pair keys."""
 
     def __init__(
         self,
-        collection: BlockCollection,
-        scheme: WeightingScheme = WeightingScheme.ARCS,
-        focus: Optional[Set[Any]] = None,
-        packed: bool = True,
-    ):
-        """Build the graph; with *focus* set, only edges incident to a
-        focus entity are materialized.  The Deduplicate operator passes
-        its query frontier here: Comparison-Execution only ever runs
-        QE-incident pairs (§6.1(iv)), so the rest of the graph would be
-        built and thrown away.  *packed* selects the array-based build
-        (see module docstring); both builds are observationally
-        identical."""
-        self.scheme = scheme
-        self.packed = packed
-        self._block_count = max(len(collection), 1)
-        if packed:
-            self._build_packed(collection, focus)
-        else:
-            self._build_unpacked(collection, focus)
-
-    # -- packed construction ----------------------------------------------
-    def _build_packed(self, collection: BlockCollection, focus: Optional[Set[Any]]) -> None:
-        """Bulk pair generation + in-order reduction."""
-        universe, index_of, in_focus = prepare_packed_universe(collection, focus)
-        self._universe = universe
-        self._index_of = index_of
-        self._n = len(universe)
-        self._edge_positions: Optional[Dict[int, int]] = None
-        self._weights_memo = None
-        need_arcs = self.scheme is WeightingScheme.ARCS
-        members, indptr = collection_span(collection, index_of)
-        keys, values, block_counts = generate_span_segments(
-            members, indptr, 0, len(indptr) - 1, self._n, in_focus, need_arcs
-        )
-        self._block_counts = block_counts.tolist()
-        self._edge_keys, self._edge_stats = reduce_packed_segments(
-            keys, values, need_arcs
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
         scheme: WeightingScheme,
         block_count: int,
         universe: List[Any],
@@ -314,62 +193,33 @@ class BlockingGraph:
         block_counts: List[int],
         edge_keys: Any,
         edge_stats: Any,
-    ) -> "BlockingGraph":
-        """A packed graph assembled from already-reduced edge arrays.
+    ):
+        """A graph assembled from already-reduced edge arrays.
 
-        The columnar pipeline (serial or sharded) reduces its span
-        segments with :func:`reduce_span_segments` and hands the result
-        here; the graph is indistinguishable from one built serially
-        over that order.
+        *universe* lists the entities by dense index (``index_of`` is
+        its inverse), *block_counts* each entity's block count,
+        *edge_keys* the packed pairs and *edge_stats* their
+        :func:`reduce_span_segments` statistic (ARCS sums, else shared
+        block counts).  The serial span build and the sharded one both
+        end here, so they are indistinguishable.
         """
-        graph = cls.__new__(cls)
-        graph.scheme = scheme
-        graph.packed = True
-        graph._block_count = max(block_count, 1)
-        graph._universe = universe
-        graph._index_of = index_of
-        graph._n = len(universe)
-        graph._block_counts = block_counts
-        graph._edge_positions = None
-        graph._weights_memo = None
-        graph._edge_keys = edge_keys
-        graph._edge_stats = edge_stats
-        return graph
-
-    # -- unpacked construction --------------------------------------------
-    def _build_unpacked(self, collection: BlockCollection, focus: Optional[Set[Any]]) -> None:
-        # Per-entity block membership counts and per-pair shared stats.
-        entity_blocks: Dict[Any, int] = {}
-        shared_blocks: Dict[Tuple[Any, Any], int] = {}
-        shared_arcs: Dict[Tuple[Any, Any], float] = {}
-        for block in collection:
-            members = safe_sorted(block.entities)
-            reciprocal = 1.0 / block.cardinality if block.cardinality else 0.0
-            for entity in members:
-                entity_blocks[entity] = entity_blocks.get(entity, 0) + 1
-            # Members are sorted, so (left, right) is already canonical.
-            for i, left in enumerate(members):
-                left_in_focus = focus is None or left in focus
-                for right in members[i + 1 :]:
-                    if not left_in_focus and right not in focus:
-                        continue
-                    pair = (left, right)
-                    shared_blocks[pair] = shared_blocks.get(pair, 0) + 1
-                    shared_arcs[pair] = shared_arcs.get(pair, 0.0) + reciprocal
-        self._entity_blocks = entity_blocks
-        self._shared_blocks = shared_blocks
-        self._shared_arcs = shared_arcs
+        self.scheme = scheme
+        self._block_count = max(block_count, 1)
+        self._universe = universe
+        self._index_of = index_of
+        self._n = len(universe)
+        self._block_counts = block_counts
+        self._edge_positions: Optional[Dict[int, int]] = None
+        self._weights_memo = None
+        self._edge_keys = edge_keys
+        self._edge_stats = edge_stats
 
     # -- accessors ---------------------------------------------------------
     def __len__(self) -> int:
-        if self.packed:
-            return len(self._edge_keys)
-        return len(self._shared_blocks)
+        return len(self._edge_keys)
 
     def nodes(self) -> Set[Any]:
-        if self.packed:
-            return set(self._universe)
-        return set(self._entity_blocks)
+        return set(self._universe)
 
     def _entity_boosts(self) -> List[float]:
         """Per-entity ECBS log boosts, computed once (bulk) per graph."""
@@ -378,17 +228,17 @@ class BlockingGraph:
             math.log(total / count) if count else 0.0 for count in self._block_counts
         ]
 
-    def _packed_weights(self):
+    def _weights(self):
         """Per-edge weights in edge order, computed in bulk per scheme.
 
         Memoized: the graph is immutable after construction and WEP
         needs the array twice (average, then filter).
         """
         if self._weights_memo is None:
-            self._weights_memo = self._compute_packed_weights()
+            self._weights_memo = self._compute_weights()
         return self._weights_memo
 
-    def _compute_packed_weights(self):
+    def _compute_weights(self):
         stats = self._edge_stats
         if self.scheme is WeightingScheme.ARCS:
             return stats
@@ -404,7 +254,7 @@ class BlockingGraph:
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(union != 0, stats / union, 0.0)
         # ECBS — math.log per entity (not np.log: bit-identical to the
-        # scalar baseline), bulk multiply per edge.
+        # scalar :meth:`_scheme_weight`), bulk multiply per edge.
         boosts = np.asarray(self._entity_boosts(), dtype=np.float64)
         boost_left = boosts[left]
         boost_right = boosts[right]
@@ -422,35 +272,24 @@ class BlockingGraph:
 
     def weight(self, a: Any, b: Any) -> float:
         """Edge weight of pair ``(a, b)`` under the configured scheme."""
-        if self.packed:
-            ia = self._index_of.get(a)
-            ib = self._index_of.get(b)
-            if ia is None or ib is None:
-                return 0.0
-            if ia > ib:
-                ia, ib = ib, ia
-            position = self._positions().get(ia * self._n + ib)
-            if position is None:
-                return 0.0
-            stat = self._edge_stats[position]
-            if self.scheme is WeightingScheme.ARCS:
-                return float(stat)
-            common = int(stat)
-            return self._scheme_weight(
-                common, self._block_counts[ia], self._block_counts[ib], 0.0
-            )
-        pair = ordered_pair(a, b)
-        common = self._shared_blocks.get(pair, 0)
-        if common == 0:
+        ia = self._index_of.get(a)
+        ib = self._index_of.get(b)
+        if ia is None or ib is None:
             return 0.0
+        if ia > ib:
+            ia, ib = ib, ia
+        position = self._positions().get(ia * self._n + ib)
+        if position is None:
+            return 0.0
+        stat = self._edge_stats[position]
+        if self.scheme is WeightingScheme.ARCS:
+            return float(stat)
         return self._scheme_weight(
-            common,
-            self._entity_blocks[pair[0]],
-            self._entity_blocks[pair[1]],
-            self._shared_arcs.get(pair, 0.0),
+            int(stat), self._block_counts[ia], self._block_counts[ib]
         )
 
-    def _scheme_weight(self, common: int, blocks_a: int, blocks_b: int, arcs: float) -> float:
+    def _scheme_weight(self, common: int, blocks_a: int, blocks_b: int) -> float:
+        """One edge's CBS / ECBS / JS weight from its integer statistics."""
         if self.scheme is WeightingScheme.CBS:
             return float(common)
         if self.scheme is WeightingScheme.ECBS:
@@ -464,111 +303,41 @@ class BlockingGraph:
         if self.scheme is WeightingScheme.JS:
             union = blocks_a + blocks_b - common
             return common / union if union else 0.0
-        if self.scheme is WeightingScheme.ARCS:
-            return arcs
         raise AssertionError(f"unhandled scheme {self.scheme!r}")
 
-    def _unpack(self, key: int) -> Tuple[Any, Any]:
-        left, right = divmod(key, self._n)
-        universe = self._universe
-        return universe[left], universe[right]
-
     def edges(self) -> Iterator[Tuple[Any, Any, float]]:
-        """Iterate ``(a, b, weight)`` over all edges.
-
-        Weights come from the bulk per-scheme computation in edge
-        (first-visit) order; the unpacked graph keeps the original
-        per-pair paths.
-        """
-        if self.packed:
-            universe = self._universe
-            n = self._n
-            weights = self._packed_weights().tolist()
-            for key, weight in zip(self._edge_keys.tolist(), weights):
-                left, right = divmod(key, n)
-                yield universe[left], universe[right], float(weight)
-            return
-        if self.scheme is WeightingScheme.ARCS:
-            for (a, b), w in self._shared_arcs.items():
-                yield a, b, w
-            return
-        if self.scheme is WeightingScheme.CBS:
-            for (a, b), common in self._shared_blocks.items():
-                yield a, b, float(common)
-            return
-        for (a, b) in self._shared_blocks:
-            yield a, b, self.weight(a, b)
+        """Iterate ``(a, b, weight)`` over all edges, in edge order."""
+        universe = self._universe
+        n = self._n
+        weights = self._weights().tolist()
+        for key, weight in zip(self._edge_keys.tolist(), weights):
+            left, right = divmod(key, n)
+            yield universe[left], universe[right], float(weight)
 
     def average_weight(self) -> float:
         """Mean edge weight — WEP's global pruning criterion.
 
-        Summation runs left-to-right over edges in first-visit order on
-        both the packed and unpacked paths, so the threshold is the same
-        float either way.
+        Summed left to right over the edges in edge order (``cumsum``,
+        never ``np.sum``, whose pairwise summation rounds differently).
         """
         edge_count = len(self)
         if not edge_count:
             return 0.0
-        if self.packed:
-            # Sequential left-to-right summation in C (cumsum, never
-            # np.sum): bit-identical to the baseline's Python sum over
-            # the same edge order — pairwise summation would round
-            # differently.
-            return float(np.cumsum(self._packed_weights())[-1]) / edge_count
-        if self.scheme is WeightingScheme.ARCS:
-            return sum(self._shared_arcs.values()) / edge_count
-        if self.scheme is WeightingScheme.CBS:
-            return sum(self._shared_blocks.values()) / edge_count
-        return sum(w for _, _, w in self.edges()) / edge_count
+        return float(np.cumsum(self._weights())[-1]) / edge_count
 
     def retained_key_array(self, threshold: float) -> Any:
         """Packed keys whose weight is at or above *threshold* (bulk).
 
-        The columnar pipeline consumes this directly — the keys keep
-        their edge order (ascending under the sorted-key reduction), so
-        the caller can unpack to id pairs without set materialization.
-        Packed graphs only.
+        The keys keep their edge order, so the caller can unpack them to
+        id pairs without set materialization.
         """
-        return self._edge_keys[self._packed_weights() >= threshold]
+        return self._edge_keys[self._weights() >= threshold]
 
     def retained_pairs(self, threshold: float) -> Set[Tuple[Any, Any]]:
-        """Canonical pairs whose weight is at or above *threshold*.
-
-        The packed path filters the weight array in bulk and only
-        unpacks the survivors; equivalent to filtering :meth:`edges`.
-        """
-        if self.packed:
-            unpack = self._unpack
-            return {unpack(key) for key in self.retained_key_array(threshold).tolist()}
-        return {(a, b) for a, b, w in self.edges() if w >= threshold}
-
-
-def edge_pruning(
-    collection: BlockCollection,
-    scheme: WeightingScheme = WeightingScheme.ARCS,
-    focus: Optional[Set[Any]] = None,
-    packed: bool = True,
-) -> Set[Tuple[Any, Any]]:
-    """Weighted Edge Pruning: return the retained comparison pairs.
-
-    Pairs whose edge weight is **at or above** the average survive.  The
-    result is a set of canonical unordered pairs; unlike BP/BF the output
-    is a pair set rather than a block collection, matching the graph-level
-    granularity of comparison-refinement methods.  With *focus*, the
-    graph (and therefore the average-weight threshold) is restricted to
-    focus-incident edges — the only edges the caller will execute.
-    """
-    graph = BlockingGraph(collection, scheme=scheme, focus=focus, packed=packed)
-    return graph.retained_pairs(graph.average_weight())
-
-
-def pairs_to_blocks(pairs: Iterable[Tuple[Any, Any]]) -> BlockCollection:
-    """Wrap retained pairs as 2-entity blocks (one block per pair).
-
-    Lets the Comparison-Execution stage keep a single block-oriented code
-    path regardless of whether Edge Pruning ran.
-    """
-    collection = BlockCollection()
-    for index, (a, b) in enumerate(sorted(pairs, key=repr)):
-        collection.put(Block(f"pair:{index}", (a, b)))
-    return collection
+        """Canonical pairs whose weight is at or above *threshold*."""
+        universe = self._universe
+        n = self._n
+        return {
+            (universe[key // n], universe[key % n])
+            for key in self.retained_key_array(threshold).tolist()
+        }

@@ -354,10 +354,10 @@ class ProfileMatcher:
     cache_capacity:
         Entry bound of the (value, value) → similarity memo, an LRU
         cache so sustained query traffic cannot grow it without limit.
-    fast_path:
-        Enable the signature cascade in :meth:`match_signatures`.  With
-        False every signature comparison takes the exact slow path —
-        used by the equivalence tests and the perf-regression baseline.
+
+    The signature cascade runs when *similarity* is the default
+    Jaro-Winkler (``fast_path``); any other similarity takes the exact
+    attribute path pair by pair.
     """
 
     def __init__(
@@ -366,7 +366,6 @@ class ProfileMatcher:
         threshold: float = DEFAULT_THRESHOLD,
         exclude: Iterable[str] = (),
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        fast_path: bool = True,
     ):
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be within [0, 1]")
@@ -378,10 +377,10 @@ class ProfileMatcher:
         self._pair_cache = LRUCache(cache_capacity)
         # The cascade's upper bound is only valid for the default
         # Jaro-Winkler (its prefix parameters are baked into the bound).
-        self.fast_path = fast_path and similarity is jaro_winkler
+        self.fast_path = similarity is jaro_winkler
         # Undecided cascade pairs use the long-string-optimized (but
-        # bit-identical) Jaro-Winkler; the slow path keeps the original
-        # so disabling the fast path reproduces pre-fast-path behavior.
+        # bit-identical) Jaro-Winkler; the attribute path keeps the
+        # caller's function.
         self._exact_similarity = (
             jaro_winkler_fast if similarity is jaro_winkler else similarity
         )
@@ -749,7 +748,7 @@ class ProfileMatcher:
         return matched
 
     def reset_cascade_stats(self) -> None:
-        """Zero the cascade counters (the perf harness reads them)."""
+        """Zero the cascade counters (benchmarks read them per run)."""
         for key in self.cascade_stats:
             self.cascade_stats[key] = 0
 

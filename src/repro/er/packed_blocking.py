@@ -1,32 +1,23 @@
-"""The columnar blocking pipeline: QBI → Block-Join → BP → BF → EP on arrays.
+"""Candidate derivation: QBI → Block-Join → BP → BF → EP on arrays.
 
-The Deduplicate operator's dict path re-materializes string-keyed
-:class:`~repro.er.blocking.Block` sets entity-by-entity for every query
-before the packed blocking graph can even start.  This module is the
-packed twin of that whole pre-comparison pipeline (paper §6.1(i)–(iii)):
-it derives the candidate-pair list straight from a table's
-:class:`~repro.er.blocking.TokenPostings` — the QBI is a token-id array
-gathered from the forward CSR, Block-Join is the observation that an
-EQBI block *is* the table block (QE ⊆ E, and TBI and QBI share the
-blocking function), Block Purging and Block Filtering run vectorized on
-cardinality arrays, and Edge Pruning consumes postings spans directly
-through :func:`~repro.er.edge_pruning.generate_span_segments`.  The
-BP/BF stage, :func:`purge_and_filter`, is also what the planner's
-§7.2.1 comparison estimate runs.
+The Deduplicate operator's stages (i)–(iii) (paper §6.1) and the Batch
+Approach's blocking both derive their candidate-pair list here,
+straight from a table's :class:`~repro.er.blocking.TokenPostings`: the
+QBI is a token-id array gathered from the forward CSR, Block-Join is the
+observation that an EQBI block *is* the table block (QE ⊆ E, and TBI
+and QBI share the blocking function), Block Purging and Block Filtering
+run vectorized on cardinality arrays, and Edge Pruning consumes
+postings spans directly through
+:func:`~repro.er.edge_pruning.generate_span_segments`.  The BP/BF stage,
+:func:`purge_and_filter`, is also what the planner's §7.2.1 comparison
+estimate runs.
 
-Equivalence contract (checked by the packed-blocking property suite):
-the packed pipeline produces the *same purge threshold* (exact integer,
-shared scalar walk) and the *same retained per-entity keys* (same
-``(|b|, key)`` order, same ceil arithmetic) as the dict path — both
-bit-exact.  For Edge Pruning, blocks are visited in canonical
-ascending-token-id order rather than the dict path's insertion order,
-so a pair's ARCS weight (and the average-weight threshold) may
-associate float additions differently; both paths sum sequentially, so
-weights are equal up to float association and the retained pair set —
-and therefore the match decisions — coincide unless an edge's weight
-sits within rounding distance of the pruning threshold *and* its
-contributions genuinely reassociate (the harness identity gate and the
-property suite observe full agreement on every workload).
+Blocks are visited in ascending token-id order, members in ascending
+entity-id order within a block.  That order is the summation spec: a
+pair's ARCS weight adds its blocks' reciprocals left to right in block
+order, and the average weight adds the edges left to right in
+ascending ``(left, right)`` order, so every weight — and therefore the
+pruning threshold and the retained pair set — is one exact float.
 """
 
 from __future__ import annotations
@@ -56,12 +47,11 @@ def _no_timing(stage: str) -> ContextManager:
 
 @dataclass
 class PackedCandidates:
-    """One packed derivation's output: the pair list plus stage stats.
+    """One derivation's output: the pair list plus stage stats.
 
-    The stats mirror what the dict path's :class:`DedupStats` fields
-    record for the same frontier (block counts, ||EQBI|| before and
-    after meta-blocking), so the operator fills its instrumentation
-    identically on either path.
+    The stats are what the operator's :class:`DedupStats` records for
+    the frontier: QBI and EQBI block counts, and ||EQBI|| before and
+    after meta-blocking.
     """
 
     pairs: List[Tuple[Any, Any]]
@@ -81,13 +71,12 @@ def purge_and_filter(
     """Block Purging and Block Filtering over the table blocks of *tokens*.
 
     *sizes* are the blocks' full posting lengths.  Singleton blocks go
-    first (the dict path's ``non_singleton`` precondition), then blocks
-    above the purge threshold of the rest (skipped when *smoothing* is
-    None), then each entity keeps its first ``ceil(filter_ratio · n)``
-    blocks in ascending ``(|b|, key)`` order and blocks reduced below two
-    members are dropped (skipped when *filter_ratio* is None).  The one
-    BP/BF implementation: candidate derivation and the planner's
-    comparison estimate both call it.
+    first, then blocks above the purge threshold of the rest (skipped
+    when *smoothing* is None), then each entity keeps its first
+    ``ceil(filter_ratio · n)`` blocks in ascending ``(|b|, key)`` order
+    and blocks reduced below two members are dropped (skipped when
+    *filter_ratio* is None).  The one BP/BF implementation: candidate
+    derivation and the planner's comparison estimate both call it.
 
     Returns the surviving blocks as a CSR ``(sizes, indptr, members)``:
     block ``i`` keeps the dense postings ids
@@ -108,7 +97,7 @@ def purge_and_filter(
     indptr, members = postings.members_of(tokens)
 
     # Block Filtering — per-entity top-k retention over flat assignment
-    # arrays, with the dict path's (|b|, key) tie-break.
+    # arrays, ties broken by (|b|, key string).
     if filter_ratio is not None and len(tokens):
         counts = np.diff(indptr)
         block_of = np.repeat(np.arange(len(tokens), dtype=np.int64), counts)
@@ -122,8 +111,7 @@ def purge_and_filter(
         members = members[mask]
         block_of = block_of[mask]
         new_counts = np.bincount(block_of, minlength=len(tokens)).astype(np.int64)
-        # Blocks reduced below two entities are dropped
-        # (``non_singleton`` after restructuring).
+        # Blocks reduced below two entities are dropped.
         survives = new_counts >= 2
         members = members[survives[block_of]]
         sizes = new_counts[survives]
@@ -131,18 +119,6 @@ def purge_and_filter(
             (np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64))
         )
     return sizes, indptr, members
-
-
-def packed_blocking_supported(config: Any) -> bool:
-    """Whether the columnar pipeline can serve *config*.
-
-    Requires the ``packed_blocking`` flag and — when Edge Pruning is
-    enabled — the packed graph build (the array pipeline has no unpacked
-    graph to hand its spans to).
-    """
-    if not getattr(config, "packed_blocking", False):
-        return False
-    return not config.pruning or config.packed_graph
 
 
 def derive_candidates(
@@ -154,15 +130,16 @@ def derive_candidates(
 ) -> PackedCandidates:
     """Candidate pairs of *frontier* under *config*, fully array-derived.
 
-    *timed* is the operator's ``ExecutionContext.timed`` hook; stages
-    are attributed exactly as the dict path attributes them
-    (``block-join`` for QBI + Block-Join, ``meta-blocking`` for
-    BP/BF/EP, ``resolution`` for pair materialization).  *executor* is
+    *timed* is the caller's ``ExecutionContext.timed`` hook; stages are
+    attributed as ``block-join`` (QBI + Block-Join), ``meta-blocking``
+    (BP/BF/EP) and ``resolution`` (pair materialization).  *executor* is
     the optional parallel handle: large graph builds shard their
-    postings spans across its resident shard workers.
+    postings spans across its resident shard workers.  A failure here
+    (an injected ``packed.derive`` fault included) propagates: there is
+    no other derivation to fall back to.
     """
     timed = timed or _no_timing
-    inject("packed.derive")  # packed-path failure → operator falls back to dict
+    inject("packed.derive")
 
     # (i) Query Blocking + (ii) Block-Join.  The EQBI block of a QBI key
     # is the key's full table posting (frontier entities already carry
@@ -188,7 +165,7 @@ def derive_candidates(
             return PackedCandidates([], qbi_blocks, eqbi_blocks, comparisons_before, 0)
 
         # Dense postings ids → the graph's canonical universe (sorted
-        # actual entity ids, exactly prepare_packed_universe's order).
+        # actual entity ids).
         unique_dense = np.unique(members)
         dense_ids = postings.entity_ids_of(unique_dense)
         universe = safe_sorted(dense_ids)
@@ -250,7 +227,7 @@ def _span_graph(
         members_u, indptr, 0, block_count, len(universe), in_focus, need_arcs
     )
     edge_keys, edge_stats = reduce_span_segments(keys, values, need_arcs)
-    return BlockingGraph.from_arrays(
+    return BlockingGraph(
         scheme, block_count, universe, index_of, block_counts.tolist(),
         edge_keys, edge_stats,
     )
@@ -264,9 +241,7 @@ def _enumerate_pair_keys(
 ) -> Any:
     """Frontier-incident packed pair keys when Edge Pruning is disabled.
 
-    Deduplicated in ascending-key order — the same pair *set* the dict
-    path enumerates from its refined collection (its visit order
-    differs; order never affects results).
+    Deduplicated in ascending-key order.
     """
     keys, _, _ = generate_span_segments(
         members_u, indptr, 0, len(indptr) - 1, n, in_focus, need_arcs=False

@@ -1,9 +1,7 @@
 """Small shared helpers for the ER layer.
 
-Hosts the canonical-ordering utilities that several modules used to
-re-define privately (``er.blocking._safe_sorted`` and
-``er.edge_pruning._ordered``) plus the bounded LRU cache backing the
-matcher memos.
+Hosts the canonical-ordering utilities the ER modules share plus the
+bounded LRU cache backing the matcher memos.
 """
 
 from __future__ import annotations

@@ -185,7 +185,7 @@ class ParallelComparisonExecutor:
         edge_keys, edge_stats, block_counts = DeterministicMerger.merge_span_segments(
             results, n, need_arcs
         )
-        return BlockingGraph.from_arrays(
+        return BlockingGraph(
             scheme, len(indptr) - 1, universe, index_of, block_counts,
             edge_keys, edge_stats,
         )

@@ -180,12 +180,16 @@ def meta_blocking_state(config: Any) -> Dict[str, Any]:
         "smoothing_factor": config.smoothing_factor,
         "filter_ratio": config.filter_ratio,
         "weighting": config.weighting.value,
-        "packed_graph": config.packed_graph,
-        "packed_blocking": config.packed_blocking,
     }
 
 
 def meta_blocking_from_state(state: Dict[str, Any]) -> Any:
+    """The configuration :func:`meta_blocking_state` wrote.
+
+    Older manifests also carry two boolean keys that once selected
+    between two derivations of the same candidates; any key this
+    function does not read is ignored.
+    """
     from repro.er.meta_blocking import MetaBlockingConfig, WeightingScheme
 
     return MetaBlockingConfig(
@@ -195,8 +199,6 @@ def meta_blocking_from_state(state: Dict[str, Any]) -> Any:
         smoothing_factor=state["smoothing_factor"],
         filter_ratio=state["filter_ratio"],
         weighting=WeightingScheme(state["weighting"]),
-        packed_graph=state["packed_graph"],
-        packed_blocking=state["packed_blocking"],
     )
 
 

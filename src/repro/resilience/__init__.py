@@ -10,16 +10,17 @@ Two halves, used together by the chaos property suite and the CI
   --faults``) decides deterministically which calls raise or hang.
 
 * :mod:`repro.resilience.degradation` — the **degradation log**: every
-  graceful fallback (shard serial re-run, shard respawn, packed→dict
-  blocking fallback, DML rollback, serving 500) is recorded in the
+  graceful fallback (shard serial re-run, shard respawn, DML rollback,
+  serving 500) is recorded in the
   process-wide :data:`DEGRADATION` log, which ``GET /metrics`` and
   ``GET /healthz`` surface.
 
 The recovery policies themselves live in the layers they protect:
 ``ShardRuntime`` (serial re-run of a failed shard's work, task timeouts),
-``IndexMaintainer.append`` (transactional rollback), the Deduplicate
-operator (packed→dict fallback), and ``EngineService`` (errors never
-leak admission slots or the engine gate).
+``IndexMaintainer.append`` (transactional rollback) and
+``EngineService`` (errors never leak admission slots or the engine
+gate).  The Deduplicate operator has no fallback: a failed candidate
+derivation fails the query and leaves the Link Index untouched.
 """
 
 from repro.resilience.degradation import DEGRADATION, DegradationEvent, DegradationLog

@@ -2,9 +2,8 @@
 
 Graceful degradation that nobody can observe is indistinguishable from
 silent data loss.  Whenever a layer survives a failure by doing *less*
-— a shard's work re-run serially in the parent, the packed blocking
-pipeline falling back to the dict path, an ``INSERT INTO`` rolled back,
-a serving handler answering 500 instead of results — it records the
+— a shard's work re-run serially in the parent, an ``INSERT INTO``
+rolled back, a serving handler answering 500 instead of results — it records the
 event here, and the serving layer surfaces the log under
 ``GET /metrics`` (full snapshot) and ``GET /healthz``
 (``degraded: true`` plus per-layer counts).

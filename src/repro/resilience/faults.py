@@ -22,7 +22,7 @@ site                      where it fires
 ``dml.after_append``      between storage append and TBI/ITBI amendment
 ``dml.index_delta``       per-entity inside ``TableIndex.add_records``
 ``dml.before_commit``     after index amendment, before the epoch advances
-``packed.derive``         entry of the packed blocking pipeline
+``packed.derive``         entry of candidate derivation (a failure fails the query)
 ``serving.handler``       inside the serving gate, before engine execution
 ``serving.slow``          inside the serving gate (``hang`` kind)
 ``persist.write``         before a snapshot file's temp write starts

@@ -5,10 +5,12 @@ fault plan drawn over the engine's fault sites, a DEDUP query either
 
 * answers **bit-identically** to the fault-free baseline (recovery was
   transparent: shard buckets re-run serially, hung shards killed and
-  respawned, packed→dict degradation), or
+  respawned), or
 * raises a **typed** error (:class:`TaskExecutionError`,
-  :class:`IngestError` — never a half-written result, never a raw
-  internal traceback from a partially mutated engine),
+  :class:`IngestError`, or the :class:`FaultError` of a ``packed.derive``
+  fault — candidate derivation has no fallback, so a failed derive fails
+  the query; never a half-written result, never a raw internal
+  traceback from a partially mutated engine),
 
 and in *both* cases the engine keeps serving exact answers once the
 plan is disarmed — faults must not corrupt any state that outlives
@@ -33,7 +35,9 @@ from repro.storage.table import Table
 
 #: Errors the contract allows a faulted operation to surface.  A raw
 #: FaultError is legal only from sites whose stage is atomic on its own
-#: (storage staging); recovery layers otherwise wrap or absorb it.
+#: (storage staging, candidate derivation — the Deduplicate operator
+#: touches the Link Index only after every round succeeded); recovery
+#: layers otherwise wrap or absorb it.
 TYPED_ERRORS = (TaskExecutionError, IngestError, FaultError)
 
 #: The sites chaos draws from, with the kind each one must use.

@@ -1,23 +1,28 @@
-"""Fast-path equivalence: DEDUP with every fast path on ≡ all off.
+"""Engine ≡ reference: DEDUP through the product path ≡ the naive one.
 
-The Comparison-Execution fast path (packed blocking graph, interned-token
-signatures, similarity short-circuit cascade) promises *exact* results —
-not approximate ones.  These properties run the full Deduplicate operator
-twice on randomized tables, once with all fast paths enabled (the
-shipped defaults) and once with all of them disabled (packed graphs off,
-matcher cascade off), and require identical matches, clusters and
-linksets.
+Columnar candidate derivation, the array-built blocking graph, interned
+token signatures and the batched match cascade promise *exact* results
+— not approximate ones.  These properties run the Deduplicate operator
+on randomized tables twice, once as shipped and once as the dict
+reference (dict blocking, dict-accumulated graph, scalar
+``match_signatures`` loop), and require identical matches, clusters and
+linksets; the array-built graph must equal the dict graph edge for edge.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference.dict_pipeline import (
+    ReferenceGraph,
+    block_object_graph,
+    edge_pruning,
+    reference_operator,
+)
 
 from repro.core.dedup_operator import DeduplicateOperator
 from repro.core.indices import TableIndex
 from repro.datagen import generate_people
 from repro.er.blocking import BlockCollection
-from repro.er.edge_pruning import BlockingGraph, WeightingScheme, edge_pruning
-from repro.er.matching import ProfileMatcher
+from repro.er.edge_pruning import WeightingScheme
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -25,12 +30,11 @@ from repro.storage.table import Table
 
 def dedup(table, query_ids, fast: bool, meta_all: bool = True):
     index = TableIndex(table)
-    matcher = ProfileMatcher(exclude=(table.schema.id_column,), fast_path=fast)
-    if meta_all:
-        config = MetaBlockingConfig(packed_graph=fast)
+    config = MetaBlockingConfig.all() if meta_all else MetaBlockingConfig.none()
+    if fast:
+        operator = DeduplicateOperator(index, meta_blocking=config)
     else:
-        config = MetaBlockingConfig.none()
-    operator = DeduplicateOperator(index, matcher=matcher, meta_blocking=config)
+        operator = reference_operator(index, config)
     return operator.deduplicate(query_ids)
 
 
@@ -103,7 +107,7 @@ _assignments = st.lists(
 
 
 class TestPackedGraph:
-    """Packed (array-based) blocking graph ≡ the unpacked baseline."""
+    """The array-built blocking graph ≡ the dict-accumulated reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(pairs=_assignments, scheme=st.sampled_from(list(WeightingScheme)), focused=st.booleans())
@@ -112,17 +116,17 @@ class TestPackedGraph:
         for key, entity in pairs:
             collection.add(f"k{key}", f"e{entity}")
         focus = {f"e{i}" for i in range(0, 41, 3)} if focused else None
-        packed = BlockingGraph(collection, scheme=scheme, focus=focus, packed=True)
-        unpacked = BlockingGraph(collection, scheme=scheme, focus=focus, packed=False)
-        assert len(packed) == len(unpacked)
-        assert packed.nodes() == unpacked.nodes()
+        packed = block_object_graph(collection, scheme=scheme, focus=focus)
+        reference = ReferenceGraph(collection, scheme=scheme, focus=focus)
+        assert len(packed) == len(reference)
+        assert packed.nodes() == reference.nodes()
         packed_edges = list(packed.edges())
-        unpacked_edges = list(unpacked.edges())
-        assert packed_edges == unpacked_edges  # same order, bit-identical weights
-        assert packed.average_weight() == unpacked.average_weight()
-        for a, b, w in unpacked_edges[:20]:
+        reference_edges = list(reference.edges())
+        assert packed_edges == reference_edges  # same order, bit-identical weights
+        assert packed.average_weight() == reference.average_weight()
+        for a, b, w in reference_edges[:20]:
             assert packed.weight(a, b) == w
             assert packed.weight(b, a) == w
-        assert edge_pruning(collection, scheme=scheme, focus=focus, packed=True) == (
-            edge_pruning(collection, scheme=scheme, focus=focus, packed=False)
+        assert packed.retained_pairs(packed.average_weight()) == (
+            edge_pruning(collection, scheme=scheme, focus=focus)
         )

@@ -1,12 +1,20 @@
-"""Property-based tests for blocking and meta-blocking invariants."""
+"""Property-based tests for blocking and meta-blocking invariants.
+
+The meta-blocking stages are the dict reference's; the columnar
+derivation is diffed against it in the packed-blocking suite.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.dict_pipeline import (
+    apply_meta_blocking,
+    block_filtering,
+    block_purging,
+    purge_threshold,
+)
 
-from repro.er.block_filtering import block_filtering
-from repro.er.block_purging import block_purging, purge_threshold
 from repro.er.blocking import BlockCollection, TokenBlocking
-from repro.er.meta_blocking import MetaBlockingConfig, apply_meta_blocking
+from repro.er.meta_blocking import MetaBlockingConfig
 
 # Random block collections: key index → subset of a small entity universe.
 assignments = st.lists(

