@@ -163,7 +163,7 @@ class QueryEREngine:
 
     # -- registration -----------------------------------------------------
     def register(self, table: Table, replace: bool = False) -> TableIndex:
-        """Register *table*, building its TBI/ITBI/LI.
+        """Register *table*, building its token postings (TBI/ITBI) and LI.
 
         No statistic is computed here: :meth:`statistics_of` and
         :meth:`join_percentage` compute theirs on first read.  With
@@ -195,7 +195,7 @@ class QueryEREngine:
     def unregister(self, name: str) -> bool:
         """Remove a table and *every* engine artefact derived from it.
 
-        Purges the catalog entry, the TBI/ITBI/LI bundle, the matcher,
+        Purges the catalog entry, the postings/LI bundle, the matcher,
         cached statistics and every join percentage involving the table
         — leaving any of them would hand later queries (or the planner)
         state of a dead index.  The epoch entry is removed from

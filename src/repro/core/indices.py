@@ -1,11 +1,13 @@
 """QueryER's per-table in-memory indices (paper §3, §6.1).
 
-* **Table Block Index (TBI)** — block key → record ids over the whole
-  collection; built once at registration.
-* **Inverse Table Block Index (ITBI)** — record id → its block keys,
-  sorted ascending by block size (what Block Filtering needs).
+* **Table Block Index (TBI)** and **Inverse Table Block Index (ITBI)** —
+  block key → record ids and record id → block keys over the whole
+  collection, held together as the table's CSR
+  :class:`~repro.er.blocking.TokenPostings` (the inverted and the
+  forward side); built once at registration and amended in place by
+  ``INSERT`` batches.
 * **Query Block Index (QBI)** — the blocks of the entities a query
-  evaluates, gathered on the fly from the table's CSR token postings by
+  evaluates, gathered on the fly from the postings by
   :func:`~repro.er.packed_blocking.derive_candidates`.
 * **Link Index (LI)** — record id → resolved duplicates, amended with
   every query's findings; the engine of progressive cleaning (Fig 11).
@@ -13,11 +15,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.entity import EntityCollection
-from repro.er.blocking import BlockCollection, TokenBlocking, TokenPostings
+from repro.er.blocking import TokenBlocking, TokenPostings
 from repro.er.linkset import LinkSet
 from repro.er.matching import ProfileSignature, build_signature
 from repro.er.tokenizer import TokenVocabulary
@@ -27,7 +32,7 @@ from repro.storage.table import Table
 
 @dataclass(frozen=True)
 class IndexDelta:
-    """What one incremental TBI/ITBI amendment changed.
+    """What one incremental postings amendment changed.
 
     ``touched_keys`` are the blocking keys that gained at least one new
     record; ``affected_ids`` are the *pre-existing* entities co-occurring
@@ -122,21 +127,42 @@ class SignatureView:
         return self._signature_of(entity_id)
 
 
-class TableIndex:
-    """TBI + ITBI + LI bundle for one registered entity collection.
+def _size_ordered(key_sets: List[Set[str]], sizes: Counter) -> List[List[str]]:
+    """Each key set sorted by ``(block size, key)``, sizes counted on top of *sizes*.
 
-    All three are built (or initialized empty, for LI) once-off when the
-    table is registered and live in memory (§3).  The same
+    The interning rule: postings intern a row's keys in list order, so
+    this total order makes every token id a function of the rows alone —
+    not of the hash seed that orders a ``set``.
+    """
+    for keys in key_sets:
+        sizes.update(keys)
+    return [sorted(keys, key=lambda key: (sizes[key], key)) for keys in key_sets]
+
+
+class TableIndex:
+    """Token postings (TBI + ITBI) + LI for one registered entity collection.
+
+    The postings are built (and the LI initialized empty) once-off when
+    the table is registered and live in memory (§3); ``INSERT`` batches
+    amend them in place.  The same
     :class:`~repro.er.blocking.TokenBlocking` instance serves the TBI and
     every QBI so their keys stay join-compatible.
+
+    Two invariants the persistence and shard codecs rely on:
+
+    * an entity's dense postings id is its table row position;
+    * token ids are a function of the rows alone.  Registration interns
+      each row's keys in ascending ``(table block size, key)`` order,
+      rows in table order, and an ``INSERT`` batch interns its rows' new
+      keys by the same rule over the block sizes after the batch.  Token
+      ids fix Edge Pruning's summation order and are persisted, so they
+      depend neither on the hash seed nor on which queries ran first.
     """
 
     def __init__(self, table: Table, blocking: Optional[TokenBlocking] = None):
         self.table = table
         self.entities = EntityCollection(table)
         self.blocking = blocking or TokenBlocking(exclude_attributes=(table.schema.id_column,))
-        self.tbi: BlockCollection = self.blocking.build(self.entities.items())
-        self.itbi: Dict[Any, List[str]] = self.tbi.inverted()
         self.link_index = LinkIndex()
         # Comparison-Execution fast-path state: one token vocabulary per
         # table, and per-entity profile signatures memoized on first use
@@ -145,33 +171,32 @@ class TableIndex:
         self.vocabulary = TokenVocabulary()
         self._signatures: Dict[Any, ProfileSignature] = {}
         self._signature_exclude = frozenset({table.schema.id_column.lower()})
-        # Candidate-derivation state: the CSR token postings are the
-        # TBI/ITBI's array form, built lazily from the dict indices on
-        # first query and amended delta-wise on appends.
-        self._postings: Optional[TokenPostings] = None
+        keys_for = self.blocking.keys_for
+        key_sets = [keys_for(attributes) for _, attributes in self.entities.items()]
+        self.postings = TokenPostings.build(
+            zip(table.ids, _size_ordered(key_sets, Counter())), self.vocabulary
+        )
 
     # -- (de)hydration ----------------------------------------------------
-    def to_arrays(self) -> Dict[str, Any]:
-        """Dehydrate the blocking state as a forward CSR over token ids.
+    def to_arrays(self, start: int = 0, stop: Optional[int] = None) -> Dict[str, Any]:
+        """The blocking keys of table rows ``[start:stop)`` as a forward CSR.
 
-        Returns ``itbi_indptr`` / ``itbi_tokens`` — each row's blocking
-        keys (in table row order) interned into the table's
-        :class:`~repro.er.tokenizer.TokenVocabulary`.  Interning is
-        append-only and idempotent, so reading the arrays may grow the
-        vocabulary (keys of tables that never materialized postings)
-        but never perturbs existing ids.  Together with the vocabulary's
-        token list this is everything :meth:`from_arrays` needs to
-        rebuild the TBI, ITBI and postings without re-tokenizing a
-        single attribute value.
+        Returns ``itbi_indptr`` (rebased to start at 0) and
+        ``itbi_tokens``, token ids of the table's
+        :class:`~repro.er.tokenizer.TokenVocabulary` — a slice of the
+        postings, so reading it interns nothing.  Together with the
+        vocabulary's token list this is everything :meth:`from_arrays`
+        needs to rebuild the postings without re-tokenizing a single
+        attribute value.
         """
-        intern = self.vocabulary.intern
-        indptr: List[int] = [0]
-        tokens: List[int] = []
-        for row in self.table:
-            for key in self.itbi.get(row.id, ()):
-                tokens.append(intern(key))
-            indptr.append(len(tokens))
-        return {"itbi_indptr": indptr, "itbi_tokens": tokens}
+        stop = len(self.table) if stop is None else stop
+        csr = self.postings.to_arrays(start, stop)
+        table = self.table
+        if csr["entity_ids"] != [table[position].id for position in range(start, stop)]:
+            raise RuntimeError(
+                f"postings of {table.name!r} are out of step with its rows"
+            )
+        return {"itbi_indptr": csr["indptr"], "itbi_tokens": csr["tokens"]}
 
     def signature_ids(self) -> Tuple[Any, ...]:
         """Ids of the entities whose profile signatures are cached."""
@@ -191,14 +216,12 @@ class TableIndex:
     ) -> "TableIndex":
         """Rehydrate a :class:`TableIndex` from persisted arrays.
 
-        The inverse of :meth:`to_arrays`: the TBI falls out of inverting
-        the per-row key lists, ITBI ordering is re-derived from the
-        restored block sizes ((|b|, key) is a pure function of the TBI,
-        exactly what the DML undo path relies on), postings rebuild
-        lazily from the re-sorted ITBI, and recorded signatures are
-        rebuilt against the restored vocabulary — every token they
-        intern is already present, so their ids are bit-identical to the
-        saved engine's.  No attribute value is ever re-tokenized.
+        The inverse of :meth:`to_arrays`: row ``i`` of the CSR becomes
+        dense postings id ``i`` and the inverted side is one counting
+        sort away, and recorded signatures are rebuilt against the
+        restored vocabulary — every token they intern is already
+        present, so their ids are bit-identical to the saved engine's.
+        No attribute value is ever re-tokenized.
         """
         index = cls.__new__(cls)
         index.table = table
@@ -207,61 +230,17 @@ class TableIndex:
             exclude_attributes=(table.schema.id_column,)
         )
         index.vocabulary = vocabulary
-        index.tbi = BlockCollection()
-        index.itbi = {}
-        token_of = vocabulary.token_of
-        for position, row in enumerate(table):
-            start, stop = int(itbi_indptr[position]), int(itbi_indptr[position + 1])
-            keys = [token_of(int(t)) for t in itbi_tokens[start:stop]]
-            for key in keys:
-                index.tbi.add(key, row.id)
-            # Token-less rows get no ITBI entry, matching inverted().
-            if keys:
-                index.itbi[row.id] = keys
-
-        def size_order(key: str):
-            return (index.tbi.get(key).size, key)
-
-        for keys in index.itbi.values():
-            keys.sort(key=size_order)
+        index.postings = TokenPostings.from_arrays(
+            table.ids, itbi_indptr, itbi_tokens, vocabulary
+        )
         index.link_index = LinkIndex()
         index.link_index.add_links(link_pairs)
         index.link_index.mark_resolved(resolved)
         index._signatures = {}
         index._signature_exclude = frozenset({table.schema.id_column.lower()})
-        # Postings stay lazy: the persisted CSR freezes each row's key
-        # order as of its segment's write, but Block Filtering
-        # needs ascending-by-*current*-block-size order.  Building from
-        # the freshly re-sorted ITBI on first use (the exact lazy path a
-        # fresh registration takes) guarantees that — at counting-sort
-        # cost, with zero re-tokenization.
-        index._postings = None
         for entity_id in signature_ids:
             index.signature_of(entity_id)
         return index
-
-    # -- columnar postings ------------------------------------------------
-    @property
-    def postings(self) -> TokenPostings:
-        """The table's CSR :class:`~repro.er.blocking.TokenPostings`.
-
-        Built lazily from the ITBI (entities in table order, so dense
-        ids are registration-ordered), then kept in lockstep with the
-        dict TBI by :meth:`add_records`, so candidate derivation always
-        sees the TBI's assignments.
-        """
-        if self._postings is None:
-            itbi = self.itbi
-            self._postings = TokenPostings.build(
-                ((row.id, itbi.get(row.id, ())) for row in self.table),
-                self.vocabulary,
-            )
-        return self._postings
-
-    @property
-    def postings_built(self) -> bool:
-        """Whether the postings have been materialized yet."""
-        return self._postings is not None
 
     # -- profile signatures ----------------------------------------------
     def signature_of(self, entity_id: Any) -> ProfileSignature:
@@ -299,7 +278,7 @@ class TableIndex:
         entity_ids: Iterable[Any],
         keys_of: Optional[Dict[Any, Set[str]]] = None,
     ) -> "IndexDelta":
-        """Amend the TBI/ITBI with rows already appended to the table.
+        """Amend the postings with rows already appended to the table.
 
         *keys_of*, when given, supplies precomputed blocking keys per
         entity id instead of re-running ``blocking.keys_for`` — the
@@ -307,161 +286,80 @@ class TableIndex:
         ships the parent's already-computed keys so a worker applies a
         batch without re-tokenizing; the mapping must equal what
         ``keys_for`` would return, which the hand-off codec guarantees
-        by construction (it reads the parent's ITBI).
+        by construction (it reads the parent's postings).
 
-        No rebuild: each new record's tokens are inserted into the TBI,
-        the record gets its own ITBI entry, and — because ITBI key lists
-        are ordered ascending by block size (§3) and the touched blocks
-        just grew — only the key lists of entities co-occurring in a
-        touched block are re-sorted.  The resulting TBI/ITBI are
-        element-for-element identical to a from-scratch rebuild over the
-        grown table (asserted by the incremental-maintenance tests).
+        No rebuild: each new record is appended to the postings, its new
+        keys interned in ascending ``(block size after the batch, key)``
+        order.  The postings then hold the same blocks as a registration
+        of the grown table (asserted by the incremental-maintenance
+        tests).
 
         **Atomic.**  A failure mid-batch (tokenization error, injected
-        ``dml.index_delta`` fault) undoes every partial mutation — TBI
-        entries, ITBI entries and re-sorts, postings, signatures —
-        before re-raising, so the index is either fully amended or
-        exactly as it was.  Tokens the batch interned into the
-        vocabulary may remain; interning is append-only and an
-        unreferenced token is unobservable through any query path.
+        ``dml.index_delta`` fault) truncates the postings back to the
+        pre-batch entity count and drops the batch's signatures before
+        re-raising.  Tokens the batch interned stay in the vocabulary,
+        with empty postings; interning is append-only.
         """
         new_ids = list(entity_ids)
-        new_keys: Dict[Any, Set[str]] = {}
-        applied: List[Any] = []
-        itbi_added: List[Any] = []
-        resorted: Set[Any] = set()
-        signatures_added: List[Any] = []
-        postings_touched = False
-        touched: Set[str] = set()
-        affected: Set[Any] = set()
-
-        def size_order(key: str):
-            return (self.tbi.get(key).size, key)
-
+        keys_of = keys_of or {}
+        postings = self.postings
+        vocabulary = self.vocabulary
+        before = postings.entity_count
         try:
-            for entity_id in new_ids:
+            key_sets = [
+                set(keys_of[entity_id])
+                if entity_id in keys_of
+                else self.blocking.keys_for(self.entities.attributes(entity_id))
+                for entity_id in new_ids
+            ]
+            touched = set().union(*key_sets)
+            known = [key for key in touched if key in vocabulary]
+            sizes = postings.sizes_of([vocabulary.id_of(key) for key in known])
+            ordered = _size_ordered(key_sets, Counter(dict(zip(known, sizes.tolist()))))
+            for entity_id, keys in zip(new_ids, ordered):
                 inject("dml.index_delta")  # the mid-batch crash the rollback suite drives
-                if keys_of is not None and entity_id in keys_of:
-                    keys = set(keys_of[entity_id])
-                else:
-                    keys = self.blocking.keys_for(self.entities.attributes(entity_id))
-                new_keys[entity_id] = keys
-                for key in keys:
-                    self.tbi.add(key, entity_id)
-                applied.append(entity_id)
-                touched |= keys
-
-            for key in touched:
-                affected |= self.tbi.get(key).entities
-            affected -= set(new_ids)
-
-            for entity_id in new_ids:
-                # Token-less records (all-NULL attributes) get no ITBI entry,
-                # matching BlockCollection.inverted() on a rebuild.
-                if new_keys[entity_id]:
-                    self.itbi[entity_id] = sorted(new_keys[entity_id], key=size_order)
-                    itbi_added.append(entity_id)
-            for entity_id in affected:
-                keys_of = self.itbi.get(entity_id)
-                if keys_of:
-                    keys_of.sort(key=size_order)
-                    resorted.add(entity_id)
-            # Postings delta: extend the forward CSR and pending inverted
-            # postings with exactly the batch's assignments — no rebuild
-            # (unbuilt postings will simply include the rows when first
-            # materialized from the grown ITBI).
-            if self._postings is not None:
-                postings_touched = True
-                for entity_id in new_ids:
-                    self._postings.add_entity(entity_id, new_keys[entity_id])
+                postings.add_entity(entity_id, keys)
+            _, members = postings.members_of([vocabulary.id_of(key) for key in touched])
+            affected = set(postings.entity_ids_of(np.unique(members))).difference(new_ids)
             # Pre-build the batch's profile signatures so the vocabulary grows
             # incrementally with the delta and the first post-append query
             # pays no signature cost for the new rows.
             for entity_id in new_ids:
-                if entity_id not in self._signatures:
-                    signatures_added.append(entity_id)
                 self.signature_of(entity_id)
         except BaseException:
-            self._undo_delta(
-                applied, new_keys, itbi_added, resorted, signatures_added,
-                postings_touched,
-            )
+            self._truncate(before)
             raise
         return IndexDelta(tuple(new_ids), frozenset(touched), frozenset(affected))
-
-    def _undo_delta(
-        self,
-        applied: List[Any],
-        new_keys: Dict[Any, Set[str]],
-        itbi_added: List[Any],
-        resorted: Set[Any],
-        signatures_added: List[Any],
-        postings_touched: bool,
-    ) -> None:
-        """Surgically revert a partial :meth:`add_records` application.
-
-        TBI entries come out block-by-block (emptied blocks disappear
-        with them), the batch's ITBI entries are dropped, and every
-        pre-existing key list that was re-sorted against the grown block
-        sizes is re-sorted against the restored ones — ``(|b|, key)``
-        order is a pure function of the TBI, so restoring the TBI
-        restores the order.  Touched postings are discarded wholesale:
-        they are a derived cache, rebuilt lazily from the (now restored)
-        dict indices, which is cheaper to prove correct than a partial
-        CSR rewind across a possible mid-batch compaction.
-        """
-        for entity_id in itbi_added:
-            self.itbi.pop(entity_id, None)
-        for entity_id in applied:
-            for key in new_keys.get(entity_id, ()):
-                self.tbi.discard(key, entity_id)
-
-        def size_order(key: str):
-            block = self.tbi.get(key)
-            return (block.size if block is not None else 0, key)
-
-        for entity_id in resorted:
-            keys_of = self.itbi.get(entity_id)
-            if keys_of:
-                keys_of.sort(key=size_order)
-        for entity_id in signatures_added:
-            self._signatures.pop(entity_id, None)
-        if postings_touched:
-            self._postings = None
 
     def remove_records(self, delta: "IndexDelta") -> None:
         """Revert a fully-applied :meth:`add_records` delta (rollback path).
 
         Used by the :class:`~repro.incremental.IndexMaintainer` when a
         step *after* index amendment fails and the whole insert must
-        unwind.  The batch's per-entity keys are recovered from its own
-        ITBI entries (exactly what :meth:`add_records` stored).
+        unwind.  The batch must be the postings' tail.
         """
-        keys_by_id = {
-            entity_id: set(self.itbi.get(entity_id, ()))
-            for entity_id in delta.new_ids
-        }
-        self._undo_delta(
-            list(delta.new_ids),
-            keys_by_id,
-            list(delta.new_ids),
-            set(delta.affected_ids),
-            list(delta.new_ids),
-            self._postings is not None,
-        )
+        count = self.postings.entity_count
+        start = count - len(delta.new_ids)
+        tail = self.postings.entity_ids_of(np.arange(max(start, 0), count))
+        if tail != list(delta.new_ids):
+            raise ValueError("delta to remove is not the last batch added")
+        self._truncate(start)
+
+    def _truncate(self, entity_count: int) -> None:
+        """Cut the postings back to *entity_count* entities, with their signatures."""
+        postings = self.postings
+        for entity_id in postings.entity_ids_of(np.arange(entity_count, postings.entity_count)):
+            self._signatures.pop(entity_id, None)
+        postings.truncate(entity_count)
 
     # -- stats -----------------------------------------------------------------
     @property
     def block_count(self) -> int:
         """|TBI| as reported in the paper's Table 7."""
-        return len(self.tbi)
-
-    def blocks_of(self, entity_id: Any) -> List[str]:
-        """ITBI lookup: the entity's block keys, ascending by block size."""
-        return list(self.itbi.get(entity_id, ()))
+        return self.postings.block_count
 
     def __repr__(self) -> str:
         return (
             f"TableIndex({self.table.name!r}, |E|={len(self.table)}, "
-            f"|TBI|={len(self.tbi)}, LI={self.link_index!r})"
+            f"|TBI|={self.block_count}, LI={self.link_index!r})"
         )

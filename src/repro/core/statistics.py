@@ -103,18 +103,23 @@ class ComparisonEstimator:
         return union
 
     def _entities_of_literal(self, literal: str) -> Set[Any]:
-        """Entities in the TBI blocks of the literal's tokens (W_B)."""
+        """Entities in the TBI blocks of the literal's tokens (W_B).
+
+        Looks tokens up without interning: a token the vocabulary does
+        not know, or one whose posting is empty, selects nothing.
+        """
         tokens = tokenize_value(literal)
-        if not tokens:
+        vocabulary = self.index.vocabulary
+        if not tokens or not all(token in vocabulary for token in tokens):
             return set()
-        result: Optional[Set[Any]] = None
-        for token in tokens:
-            block = self.index.tbi.get(token)
-            members = set(block.entities) if block is not None else set()
-            result = members if result is None else (result & members)
-            if not result:
-                return set()
-        return result or set()
+        postings = self.index.postings
+        indptr, members = postings.members_of([vocabulary.id_of(t) for t in tokens])
+        common = members[indptr[0] : indptr[1]]
+        for i in range(1, len(tokens)):
+            if not len(common):
+                break
+            common = np.intersect1d(common, members[indptr[i] : indptr[i + 1]])
+        return set(postings.entity_ids_of(common))
 
     # -- comparisons ---------------------------------------------------------
     def estimate(self, where: Optional[ast.Expr]) -> int:

@@ -7,7 +7,7 @@ similarity functions and match clustering used by Comparison-Execution.
 
 from repro.er.tokenizer import TokenVocabulary, tokenize_value, tokenize_entity
 from repro.er.util import LRUCache, ordered_pair, safe_sorted
-from repro.er.blocking import Block, BlockCollection, NGramBlocking, TokenBlocking
+from repro.er.blocking import NGramBlocking, TokenBlocking
 from repro.er.edge_pruning import BlockingGraph, WeightingScheme
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.er.similarity import (
@@ -37,8 +37,6 @@ __all__ = [
     "LRUCache",
     "ordered_pair",
     "safe_sorted",
-    "Block",
-    "BlockCollection",
     "NGramBlocking",
     "TokenBlocking",
     "BlockingGraph",

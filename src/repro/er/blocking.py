@@ -1,180 +1,18 @@
-"""Blocks, block collections and schema-agnostic Token Blocking.
+"""Schema-agnostic Token Blocking and the table's CSR token postings.
 
 A *block* groups entities sharing a blocking key (a token); ER then
 compares only entities that co-occur in at least one block (paper §4).
+:class:`TokenPostings` holds a table's blocks as arrays — it is the
+table's TBI and ITBI.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.er.tokenizer import MIN_TOKEN_LENGTH, TokenVocabulary, tokenize_entity
-from repro.er.util import safe_sorted
-
-#: Backwards-compatible alias; the implementation lives in
-#: :mod:`repro.er.util` now so every ER module shares one definition.
-_safe_sorted = safe_sorted
-
-
-class Block:
-    """A blocking key plus the set of entity ids sharing it.
-
-    ``size`` is the paper's |b| (number of entities) and ``cardinality``
-    its ||b|| (number of pairwise comparisons |b|·(|b|−1)/2).
-    """
-
-    __slots__ = ("key", "entities")
-
-    def __init__(self, key: str, entities: Iterable[Any] = ()):
-        self.key = key
-        self.entities: Set[Any] = set(entities)
-
-    @property
-    def size(self) -> int:
-        return len(self.entities)
-
-    @property
-    def cardinality(self) -> int:
-        n = len(self.entities)
-        return n * (n - 1) // 2
-
-    def add(self, entity_id: Any) -> None:
-        self.entities.add(entity_id)
-
-    def copy(self) -> "Block":
-        """An independent copy sharing no mutable state with this block.
-
-        ``set.copy()`` is a straight memcpy-style clone — measurably
-        cheaper than re-hashing every element through ``set(iterable)``,
-        which is what ``Block(key, entities)`` would do.
-        """
-        clone = Block.__new__(Block)
-        clone.key = self.key
-        clone.entities = self.entities.copy()
-        return clone
-
-    def __contains__(self, entity_id: Any) -> bool:
-        return entity_id in self.entities
-
-    def __len__(self) -> int:
-        return len(self.entities)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.entities)
-
-    def __repr__(self) -> str:
-        return f"Block({self.key!r}, size={self.size})"
-
-
-class BlockCollection:
-    """An ordered mapping of blocking key → :class:`Block`.
-
-    This is the in-memory structure behind the paper's ``TBI``, ``QBI``
-    and ``EQBI`` indices.  ``|B|`` is :func:`len`; ``||B||`` is
-    :attr:`cardinality`.
-    """
-
-    def __init__(self, blocks: Optional[Mapping[str, Block]] = None):
-        self._blocks: Dict[str, Block] = dict(blocks) if blocks else {}
-
-    # -- construction -------------------------------------------------
-    def add(self, key: str, entity_id: Any) -> None:
-        """Insert *entity_id* into the block keyed by *key*."""
-        block = self._blocks.get(key)
-        if block is None:
-            block = Block(key)
-            self._blocks[key] = block
-        block.add(entity_id)
-
-    def put(self, block: Block) -> None:
-        """Insert (or replace) a whole block."""
-        self._blocks[block.key] = block
-
-    def discard(self, key: str, entity_id: Any) -> None:
-        """Remove *entity_id* from the block keyed by *key*, if present.
-
-        An emptied block is deleted outright — a built TBI never holds
-        zero-entity blocks, so the undo of an :meth:`add` sequence (the
-        DML rollback path) restores the collection element-for-element.
-        """
-        block = self._blocks.get(key)
-        if block is None:
-            return
-        block.entities.discard(entity_id)
-        if not block.entities:
-            del self._blocks[key]
-
-    # -- access --------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def __iter__(self) -> Iterator[Block]:
-        return iter(self._blocks.values())
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._blocks
-
-    def get(self, key: str) -> Optional[Block]:
-        return self._blocks.get(key)
-
-    def keys(self) -> List[str]:
-        return list(self._blocks)
-
-    @property
-    def cardinality(self) -> int:
-        """Total comparisons ||B|| = Σ ||b||."""
-        return sum(b.cardinality for b in self._blocks.values())
-
-    @property
-    def total_assignments(self) -> int:
-        """Σ |b| — entity-to-block assignments (block index footprint)."""
-        return sum(b.size for b in self._blocks.values())
-
-    def entity_ids(self) -> Set[Any]:
-        """All entity ids appearing in any block."""
-        ids: Set[Any] = set()
-        for block in self._blocks.values():
-            ids.update(block.entities)
-        return ids
-
-    def non_singleton(self) -> "BlockCollection":
-        """Copy keeping only blocks with ≥ 2 entities (comparisons > 0)."""
-        return BlockCollection(
-            {k: Block(k, b.entities) for k, b in self._blocks.items() if b.size >= 2}
-        )
-
-    def copy(self) -> "BlockCollection":
-        return BlockCollection({k: Block(k, b.entities) for k, b in self._blocks.items()})
-
-    def inverted(self) -> Dict[Any, List[str]]:
-        """Entity id → blocking keys, keys sorted ascending by block size.
-
-        This is the paper's Inverse Table Block Index (ITBI) ordering:
-        "sorted in ascending order by their block size" (§3), which Block
-        Filtering exploits directly.
-        """
-        index: Dict[Any, List[str]] = {}
-        for block in self._blocks.values():
-            for entity_id in block.entities:
-                index.setdefault(entity_id, []).append(block.key)
-        for entity_id, keys in index.items():
-            keys.sort(key=lambda k: (self._blocks[k].size, k))
-        return index
-
-    def comparison_pairs(self) -> Set[Tuple[Any, Any]]:
-        """Distinct unordered entity pairs co-occurring in some block."""
-        pairs: Set[Tuple[Any, Any]] = set()
-        for block in self._blocks.values():
-            members = _safe_sorted(block.entities)
-            for i, left in enumerate(members):
-                for right in members[i + 1 :]:
-                    pairs.add((left, right))
-        return pairs
-
-    def __repr__(self) -> str:
-        return f"BlockCollection(|B|={len(self)}, ||B||={self.cardinality})"
 
 
 class _GrowableIntArray:
@@ -187,13 +25,9 @@ class _GrowableIntArray:
 
     __slots__ = ("_data", "_size")
 
-    def __init__(self, initial: Optional[Iterable[int]] = None, capacity: int = 16):
-        if initial is not None:
-            self._data = np.array(list(initial), dtype=np.int64)
-            self._size = len(self._data)
-        else:
-            self._data = np.empty(max(capacity, 1), dtype=np.int64)
-            self._size = 0
+    def __init__(self, initial: Any = ()):
+        self._data = np.array(initial, dtype=np.int64)
+        self._size = len(self._data)
 
     def __len__(self) -> int:
         return self._size
@@ -231,6 +65,10 @@ class _GrowableIntArray:
             self._data[self._size : size] = 0
             self._size = size
 
+    def truncate(self, size: int) -> None:
+        """Drop every entry from position *size* on."""
+        self._size = min(self._size, size)
+
 
 def _gather_ranges(source: Any, starts: Any, counts: Any) -> Any:
     """Concatenate ``source[starts[i] : starts[i]+counts[i]]`` segments.
@@ -251,24 +89,25 @@ def _gather_ranges(source: Any, starts: Any, counts: Any) -> Any:
 
 
 class TokenPostings:
-    """CSR-style columnar form of the TBI/ITBI (candidate derivation's input).
+    """A table's blocking index: the TBI and ITBI as CSR arrays.
 
-    Two contiguous-array indices over the same assignments the dict TBI
-    holds:
+    Two contiguous-array indices over the same entity-to-block
+    assignments:
 
-    * **forward** — entity → token ids: ``_ent_indptr`` / ``_ent_tokens``
-      (the ITBI, minus the per-entity size ordering, which Block
-      Filtering re-derives vectorized per query);
-    * **inverted** — token id → entity dense ids: a compacted base CSR
-      (``_tok_indptr`` / ``_tok_members``) plus a small per-token pending
-      delta that ``INSERT INTO`` batches append to.
+    * **forward** (the ITBI) — entity → token ids: ``_ent_indptr`` /
+      ``_ent_tokens``.  Block Filtering orders each entity's blocks by
+      ascending size per query, vectorized, so no order is maintained;
+    * **inverted** (the TBI) — token id → entity dense ids: a compacted
+      base CSR (``_tok_indptr`` / ``_tok_members``) plus a small
+      per-token pending delta that ``INSERT INTO`` batches append to.
 
     Token ids come from the table's shared
     :class:`~repro.er.tokenizer.TokenVocabulary`; entities get dense ids
-    in registration order.  Appends never rebuild: the forward CSR is
+    in append order.  Appends never rebuild: the forward CSR is
     append-only and inverted deltas are folded into the base only when
     the pending volume reaches the base volume (amortized O(1) per
-    posting).
+    posting).  A rollback cuts the forward CSR back
+    (:meth:`truncate`).
     """
 
     def __init__(self, vocabulary: TokenVocabulary):
@@ -313,9 +152,6 @@ class TokenPostings:
             indptr.append(len(tokens))
         postings._ent_indptr = _GrowableIntArray(indptr)
         postings._ent_tokens = _GrowableIntArray(tokens)
-        postings._sizes.pad_to(len(vocabulary))
-        if tokens:
-            np.add.at(postings._sizes.view(), postings._ent_tokens.view(), 1)
         postings.compact()
         return postings
 
@@ -338,30 +174,31 @@ class TokenPostings:
         postings = cls(vocabulary)
         postings._entity_ids = list(entity_ids)
         postings._entity_index = {e: i for i, e in enumerate(postings._entity_ids)}
-        postings._ent_indptr = _GrowableIntArray(np.asarray(indptr, dtype=np.int64))
-        postings._ent_tokens = _GrowableIntArray(np.asarray(tokens, dtype=np.int64))
+        postings._ent_indptr = _GrowableIntArray(indptr)
+        postings._ent_tokens = _GrowableIntArray(tokens)
         if len(postings._ent_indptr) != len(postings._entity_ids) + 1:
             raise ValueError(
                 f"indptr has {len(postings._ent_indptr)} entries for "
                 f"{len(postings._entity_ids)} entities"
             )
-        postings._sizes.pad_to(len(vocabulary))
-        if len(postings._ent_tokens):
-            np.add.at(postings._sizes.view(), postings._ent_tokens.view(), 1)
         postings.compact()
         return postings
 
-    def to_arrays(self) -> Dict[str, Any]:
-        """Dehydrate the forward CSR (entity order + indptr + token ids).
+    def to_arrays(self, start: int = 0, stop: Optional[int] = None) -> Dict[str, Any]:
+        """Dehydrate the forward CSR of dense ids ``[start:stop)``.
 
-        The inverted side is derived state (one counting sort away), so
-        only the forward arrays need persisting; :meth:`from_arrays`
+        Returns the slice's ``entity_ids``, its ``indptr`` rebased to
+        start at 0 and its ``tokens``.  The inverted side is derived
+        state (one counting sort away), so only forward arrays need
+        persisting; :meth:`from_arrays` over the concatenated slices
         restores both.
         """
+        stop = self.entity_count if stop is None else stop
+        indptr = self._ent_indptr.view()[start : stop + 1]
         return {
-            "entity_ids": list(self._entity_ids),
-            "indptr": self._ent_indptr.view().copy(),
-            "tokens": self._ent_tokens.view().copy(),
+            "entity_ids": self._entity_ids[start:stop],
+            "indptr": indptr - indptr[0],
+            "tokens": self._ent_tokens.view()[indptr[0] : indptr[-1]].copy(),
         }
 
     def add_entity(self, entity_id: Any, keys: Iterable[str]) -> int:
@@ -392,20 +229,40 @@ class TokenPostings:
         self._pending_count += len(token_ids)
         return dense
 
+    def truncate(self, entity_count: int) -> None:
+        """Drop every entity from dense id *entity_count* on (rollback).
+
+        The forward CSR is cut back and :meth:`compact` recounts the
+        sizes and rebuilds the inverted CSR — O(assignments), which only
+        a rolled-back ``INSERT`` pays.  Tokens the dropped entities
+        interned stay in the vocabulary, with empty postings.
+        """
+        if not 0 <= entity_count <= self.entity_count:
+            raise ValueError(
+                f"cannot truncate {self.entity_count} entities to {entity_count}"
+            )
+        for entity_id in self._entity_ids[entity_count:]:
+            del self._entity_index[entity_id]
+        del self._entity_ids[entity_count:]
+        self._ent_indptr.truncate(entity_count + 1)
+        self._ent_tokens.truncate(int(self._ent_indptr.view()[-1]))
+        self.compact()
+
     def compact(self) -> None:
         """Fold pending deltas into the inverted base CSR.
 
-        A stable counting sort over the forward arrays: O(assignments),
-        fully vectorized.  Triggered automatically only when the pending
-        volume has caught up with the base volume, so append-heavy
-        workloads pay amortized O(1) per posting.
+        A stable counting sort over the forward arrays, which also
+        recounts every posting size: O(assignments), fully vectorized.
+        Triggered automatically only when the pending volume has caught
+        up with the base volume, so append-heavy workloads pay amortized
+        O(1) per posting.
         """
         tokens = self._ent_tokens.view()
         indptr = self._ent_indptr.view()
         counts = np.diff(indptr)
         entities = np.repeat(np.arange(len(self._entity_ids), dtype=np.int64), counts)
-        self._sizes.pad_to(len(self.vocabulary))
-        token_counts = np.bincount(tokens, minlength=len(self._sizes))
+        token_counts = np.bincount(tokens, minlength=len(self.vocabulary))
+        self._sizes = _GrowableIntArray(token_counts)
         self._tok_indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(token_counts, dtype=np.int64))
         )
@@ -430,11 +287,10 @@ class TokenPostings:
         """Σ |b| — total entity-to-block assignments."""
         return len(self._ent_tokens)
 
-    def __contains__(self, entity_id: Any) -> bool:
-        return entity_id in self._entity_index
-
-    def entity_id_of(self, dense: int) -> Any:
-        return self._entity_ids[dense]
+    @property
+    def block_count(self) -> int:
+        """|TBI| — how many tokens have a non-empty posting."""
+        return int(np.count_nonzero(self._sizes.view()))
 
     def entity_ids_of(self, dense: Any) -> List[Any]:
         ids = self._entity_ids
@@ -540,14 +396,6 @@ class TokenBlocking:
             min_length=self.min_token_length,
             numeric_min_length=self.numeric_min_length,
         )
-
-    def build(self, entities: Iterable[Tuple[Any, Mapping[str, Any]]]) -> BlockCollection:
-        """Build a block collection from ``(entity_id, attributes)`` pairs."""
-        collection = BlockCollection()
-        for entity_id, attributes in entities:
-            for key in self.keys_for(attributes):
-                collection.add(key, entity_id)
-        return collection
 
 
 class NGramBlocking(TokenBlocking):

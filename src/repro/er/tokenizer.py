@@ -19,7 +19,7 @@ _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
 #: Tokens shorter than this carry almost no discriminating power
 #: ("a", "of", initials) and would only inflate the oversized blocks that
-#: Block Purging removes anyway; dropping them here keeps the TBI small.
+#: Block Purging removes anyway; dropping them here keeps the postings small.
 MIN_TOKEN_LENGTH = 2
 
 
@@ -101,8 +101,9 @@ class TokenVocabulary:
     Every distinct token is assigned a dense integer id exactly once;
     profile signatures and the blocking-graph fast path then work on
     int arrays instead of repeated string hashing.  Grown incrementally —
-    registration interns a table's tokens lazily and ``INSERT`` batches
-    intern only what their rows introduce.
+    registration interns a table's blocking keys, signatures intern
+    their tokens on first use and ``INSERT`` batches intern only what
+    their rows introduce.
     """
 
     __slots__ = ("_ids", "_tokens")

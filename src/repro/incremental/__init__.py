@@ -1,7 +1,8 @@
 """Incremental ingestion: DML over registered tables without index rebuilds.
 
 The paper's engine registers a frozen entity collection, builds the
-Table Block Index (TBI), its inverse (ITBI) and an empty Link Index (LI)
+Table Block Index (TBI), its inverse (ITBI) — here one CSR
+:class:`~repro.er.blocking.TokenPostings` — and an empty Link Index (LI)
 once, and then answers ``SELECT DEDUP`` queries against that snapshot.
 This package makes registered tables *mutable* — ``INSERT INTO`` (SQL or
 :meth:`repro.core.engine.QueryEREngine.insert`) appends records while
@@ -12,9 +13,9 @@ Three coordinated maintenance steps per batch (:class:`IndexMaintainer`):
 
 1. **Storage append** — rows are validated and appended atomically via
    :meth:`repro.storage.table.Table.append_rows`.
-2. **Delta-aware index maintenance** — the new records' tokens are
-   inserted into the TBI and only the ITBI key lists of entities
-   co-occurring in a grown block are re-sorted
+2. **Delta-aware index maintenance** — the new records are appended to
+   the token postings, their new keys interned in ascending
+   (block size, key) order
    (:meth:`repro.core.indices.TableIndex.add_records`); no rebuild.
 3. **Link-Index invalidation** — see below.
 4. **Statistics refresh** — the table's duplication-factor sample is

@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine ↔ increment
 class IngestError(RuntimeError):
     """An ingest batch failed after partial application and was rolled back.
 
-    By the time this surfaces, the table's rows, TBI/ITBI, postings,
+    By the time this surfaces, the table's rows, token postings,
     signatures, statistics, join-percentage caches and epoch all equal
     the pre-insert snapshot again (the rollback property suite checks
     this against a never-inserted engine).  The original failure is
@@ -81,7 +81,7 @@ class IngestResult:
 class IndexMaintainer:
     """Applies one append batch to a registered table end-to-end.
 
-    Orchestrates the four maintenance steps (storage append, TBI/ITBI
+    Orchestrates the four maintenance steps (storage append, postings
     amendment, LI invalidation, statistics refresh) so the engine's view
     of the table is indistinguishable from a fresh registration of the
     grown table — at a cost proportional to the batch, not the table.

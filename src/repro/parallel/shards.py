@@ -7,8 +7,9 @@ way long-lived parallel query engines do — nothing is forked per query:
 * :class:`ShardRuntime` forks ``N`` worker processes **once** per engine
   (lazily, on the first eligible query).  Each worker inherits the full
   engine state by copy-on-write — every table's :class:`TableIndex`
-  (TBI/ITBI, CSR :class:`~repro.er.blocking.TokenPostings`, profile
-  signatures, vocabulary) and matcher stay **resident** across queries,
+  (the CSR :class:`~repro.er.blocking.TokenPostings` that are its
+  TBI/ITBI, profile signatures, vocabulary) and matcher stay
+  **resident** across queries,
   so no per-query payload ever crosses the IPC boundary again.
 * Entity ids are hash-partitioned over the shards by :func:`owner_of`;
   Comparison-Execution routes each pair of the cascade's undecided
@@ -32,9 +33,12 @@ changes nothing about any individual result; matched positions are
 re-sorted ascending (the serial visit order) and span segments recombine
 through the :class:`~repro.parallel.merger.DeterministicMerger` — shard
 output is bit-identical to serial, including across deltas.
-Token ids *inside* a shard may diverge from the parent's (each process
-interns lazily in its own order), which is harmless: interned-token
-Jaccard is invariant under any per-process consistent relabeling.
+A delta's new blocking keys are interned by the same rule in every
+process, but token ids *inside* a shard may still diverge from the
+parent's (signatures are interned lazily, in each process's own
+order), which is harmless: span segments carry no token ids, and
+interned-token Jaccard is invariant under any per-process consistent
+relabeling.
 
 **Recovery** is one policy at shard granularity.  A task failure
 reported by a live worker falls back to a serial parent computation of

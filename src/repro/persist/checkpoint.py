@@ -187,15 +187,14 @@ class CheckpointManager:
         vocab_from = self._captured_vocab_len[key]
         if start == len(table):
             return None  # nothing new (count == 0 commit)
-        indptr: List[int] = [0]
-        tokens: List[int] = []
-        intern = index.vocabulary.intern
-        for row in list(table)[start:]:
-            for blocking_key in index.itbi.get(row.id, ()):
-                tokens.append(intern(blocking_key))
-            indptr.append(len(tokens))
+        csr = index.to_arrays(start)
         arrays = snap.segment_arrays(
-            table, start, len(table), indptr, tokens, index.vocabulary.tokens(vocab_from)
+            table,
+            start,
+            len(table),
+            csr["itbi_indptr"],
+            csr["itbi_tokens"],
+            index.vocabulary.tokens(vocab_from),
         )
         payload = _Payload(
             kind="delta",

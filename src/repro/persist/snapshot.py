@@ -32,9 +32,10 @@ the next successful write.
 
 **Loading** rebuilds a :class:`~repro.core.engine.QueryEREngine` whose
 observable behaviour is bit-identical to the saved one — same rows,
-same TBI/ITBI (re-inverted, never re-tokenized), same postings, same
-Link-Index links and resolved set, same statistics and epochs — which
-the snapshot round-trip property suite gates query-for-query.
+same token postings (the persisted forward CSR plus one counting sort,
+never re-tokenized), same Link-Index links and resolved set, same
+statistics and epochs — which the snapshot round-trip property suite
+gates query-for-query.
 """
 
 from __future__ import annotations
@@ -237,35 +238,23 @@ def delta_segment_arrays(index: Any, start: int, stop: int) -> Dict[str, np.ndar
     ``vocab.data``/``vocab.offsets`` table instead of the engine's
     global vocabulary.  Checkpoint segments may assume the reader
     replays the exact global id assignment (manifest order), but a
-    long-lived shard's vocabulary diverges from its parent's the moment
-    either process lazily interns a signature the other has not — so the
-    hand-off segment carries every key string it references and the
-    worker re-interns them under its own ids.  Applying it never
-    re-tokenizes an attribute value.
+    long-lived shard's vocabulary may diverge from its parent's — a
+    signature token one process interned and the other did not, a token
+    a rolled-back batch left behind — so the hand-off segment carries
+    every key string it references and the worker re-interns them under
+    its own ids.  Applying it never re-tokenizes an attribute value.
     """
-    from repro.persist.columnar import encode_strings
-
-    table = index.table
-    itbi = index.itbi
-    local_ids: Dict[str, int] = {}
-    local_tokens: List[str] = []
-    indptr: List[int] = [0]
-    tokens: List[int] = []
-    for position in range(start, stop):
-        for key in itbi.get(table[position].id, ()):
-            local = local_ids.get(key)
-            if local is None:
-                local = local_ids[key] = len(local_tokens)
-                local_tokens.append(key)
-            tokens.append(local)
-        indptr.append(len(tokens))
-    arrays = columns_to_arrays(table.schema.columns, table.column_values(start, stop))
-    arrays["itbi.indptr"] = np.asarray(indptr, dtype=np.int64)
-    arrays["itbi.tokens"] = np.asarray(tokens, dtype=np.int64)
-    vocab = encode_strings(local_tokens)
-    arrays["vocab.data"] = vocab["data"]
-    arrays["vocab.offsets"] = vocab["offsets"]
-    return arrays
+    csr = index.to_arrays(start, stop)
+    global_ids, local_ids = np.unique(csr["itbi_tokens"], return_inverse=True)
+    token_of = index.vocabulary.token_of
+    return segment_arrays(
+        index.table,
+        start,
+        stop,
+        csr["itbi_indptr"],
+        local_ids.reshape(-1),
+        [token_of(t) for t in global_ids.tolist()],
+    )
 
 
 def decode_delta_segment(
@@ -384,7 +373,7 @@ def save_engine(engine: "QueryEREngine", directory: Union[str, Path]) -> Dict[st
         key = table.name.lower()
         index = engine.index_of(key)
         epoch = engine.epoch_of(key)
-        csr = index.to_arrays()  # interns any not-yet-interned blocking keys
+        csr = index.to_arrays()
         arrays = segment_arrays(
             table,
             0,

@@ -12,6 +12,7 @@ linksets; the array-built graph must equal the dict graph edge for edge.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference.dict_pipeline import (
+    BlockCollection,
     ReferenceGraph,
     block_object_graph,
     edge_pruning,
@@ -21,7 +22,6 @@ from reference.dict_pipeline import (
 from repro.core.dedup_operator import DeduplicateOperator
 from repro.core.indices import TableIndex
 from repro.datagen import generate_people
-from repro.er.blocking import BlockCollection
 from repro.er.edge_pruning import WeightingScheme
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.storage.schema import Schema

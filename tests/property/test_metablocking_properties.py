@@ -7,13 +7,15 @@ derivation is diffed against it in the packed-blocking suite.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.dict_pipeline import (
+    BlockCollection,
     apply_meta_blocking,
     block_filtering,
     block_purging,
+    build_blocks,
     purge_threshold,
 )
 
-from repro.er.blocking import BlockCollection, TokenBlocking
+from repro.er.blocking import TokenBlocking
 from repro.er.meta_blocking import MetaBlockingConfig
 
 # Random block collections: key index → subset of a small entity universe.
@@ -90,8 +92,8 @@ class TestTokenBlockingProperties:
     @given(profiles)
     def test_co_occurrence_requires_shared_token(self, texts):
         blocking = TokenBlocking()
-        collection = blocking.build(
-            (f"e{i}", {"v": text}) for i, text in enumerate(texts)
+        collection = build_blocks(
+            blocking, ((f"e{i}", {"v": text}) for i, text in enumerate(texts))
         )
         token_sets = {
             f"e{i}": blocking.keys_for({"v": text}) for i, text in enumerate(texts)
@@ -102,6 +104,6 @@ class TestTokenBlockingProperties:
     @given(profiles)
     def test_deterministic(self, texts):
         blocking = TokenBlocking()
-        first = blocking.build((f"e{i}", {"v": t}) for i, t in enumerate(texts))
-        second = blocking.build((f"e{i}", {"v": t}) for i, t in enumerate(texts))
+        first = build_blocks(blocking, ((f"e{i}", {"v": t}) for i, t in enumerate(texts)))
+        second = build_blocks(blocking, ((f"e{i}", {"v": t}) for i, t in enumerate(texts)))
         assert {b.key: b.entities for b in first} == {b.key: b.entities for b in second}

@@ -19,9 +19,8 @@ from typing import Any, List, Optional
 
 import numpy as np
 import pytest
-from reference.dict_pipeline import ReferenceGraph, block_object_graph
+from reference.dict_pipeline import BlockCollection, ReferenceGraph, block_object_graph
 
-from repro.er.blocking import BlockCollection
 from repro.er.edge_pruning import (
     WeightingScheme,
     generate_span_segments,

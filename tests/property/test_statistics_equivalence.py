@@ -8,7 +8,11 @@
   matcher, vocabulary and signatures untouched.
 * The comparison estimate runs candidate derivation's BP/BF stage; it
   must equal, integer for integer, the string-keyed ``BlockCollection``
-  estimator below, built on the dict reference's BP/BF.
+  estimator below, built on the dict reference's BP/BF over a TBI
+  re-tokenized from the table's rows.  Its selected set S_E — literal
+  tokens looked up in the postings — must equal the same TBI's block
+  intersection, for unknown tokens and for tokens only a rolled-back
+  ``INSERT`` interned too.
 * ``EXPLAIN`` over a fixed set of single-table and join statements must
   render byte-identically to ``explain_golden.json``.  That file was
   written by running this module as a script against the engine as it
@@ -27,7 +31,13 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from reference.dict_pipeline import purge_threshold, retained_keys
+from reference.dict_pipeline import (
+    Block,
+    BlockCollection,
+    purge_threshold,
+    reference_tbi,
+    retained_keys,
+)
 
 from repro import QueryEREngine
 from repro.core import statistics
@@ -39,9 +49,11 @@ from repro.datagen import (
     generate_projects,
 )
 from repro.datagen.corruptor import Corruptor
-from repro.er.blocking import Block, BlockCollection
 from repro.er.matching import ProfileMatcher
+from repro.er.tokenizer import tokenize_value
+from repro.incremental import IngestError
 from repro.er.meta_blocking import MetaBlockingConfig
+from repro.resilience import FaultPlan, clear_plan, install_plan
 from repro.sql.parser import parse
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -152,12 +164,13 @@ def dict_estimate(index, selected, smoothing=1.025, ratio=0.8):
     pending = {e for e in selected if not index.link_index.is_resolved(e)}
     if not pending:
         return 0
+    tbi = reference_tbi(index)
+    itbi = tbi.inverted()
     sb = BlockCollection()
     for entity_id in pending:
-        for key in index.itbi.get(entity_id, ()):
-            table_block = index.tbi.get(key)
-            if table_block is not None and key not in sb:
-                sb.put(Block(key, table_block.entities))
+        for key in itbi.get(entity_id, ()):
+            if key not in sb:
+                sb.put(Block(key, tbi.get(key).entities))
     threshold = purge_threshold(sb, smoothing=smoothing)
     purged = BlockCollection({b.key: b for b in sb if 0 < b.cardinality <= threshold})
     kept = retained_keys(purged, ratio=ratio) if len(purged) else {}
@@ -171,6 +184,17 @@ def dict_estimate(index, selected, smoothing=1.025, ratio=0.8):
         if q_b:
             total += q_b * (block.size - (q_b + 1) / 2.0)
     return max(0, int(math.ceil(total)))
+
+
+def reference_selected(index, literal):
+    """Entities in every reference-TBI block of the literal's tokens."""
+    tbi = reference_tbi(index)
+    selected = None
+    for token in tokenize_value(literal):
+        block = tbi.get(token)
+        members = set(block.entities) if block is not None else set()
+        selected = members if selected is None else selected & members
+    return selected or set()
 
 
 def engine_with(table, threshold=0.75):
@@ -310,6 +334,64 @@ class TestComparisonEstimate:
         assert_estimates_match(index)
         engine.insert(table.name, copies(table, 15))
         assert_estimates_match(index)
+
+
+def literals(table):
+    """Multi-token values of the table's first attribute, plus unknown tokens."""
+    values = [row.values[1] for row in table]
+    known = [v for v in values[:: max(1, len(values) // 8)] if isinstance(v, str)]
+    return known + ["zzznope", f"{known[-1]} zzznope", "!!", ""]
+
+
+def where_of(table, condition):
+    return parse(f"SELECT id FROM {table.name} WHERE {condition}").where
+
+
+@pytest.mark.parametrize("dataset", ESTIMATED)
+class TestSelectedEntities:
+    def test_literals_equal_reference_intersection(self, dataset):
+        table = DATASETS[dataset]()
+        index = TableIndex(table)
+        estimator = statistics.ComparisonEstimator(index)
+        column = table.schema.names[1]
+        for literal in literals(table):
+            quoted = literal.replace("'", "''")
+            expected = reference_selected(index, literal)
+            for condition in (f"{column} = '{quoted}'", f"{column} LIKE '%{quoted}%'"):
+                assert estimator.selected_entities(where_of(table, condition)) == expected
+
+    def test_tokens_of_a_rolled_back_insert_select_nothing(self, dataset):
+        table = DATASETS[dataset]()
+        engine = engine_with(table)
+        index = engine.index_of(table.name)
+        row = list(copies(table, 1)[0])
+        row[1] = "zqxalpha zqxbeta"
+        install_plan(FaultPlan().add("dml.before_commit"))
+        try:
+            with pytest.raises(IngestError):
+                engine.insert(table.name, [tuple(row)])
+        finally:
+            clear_plan()
+        assert "zqxalpha" in index.vocabulary
+        assert index.block_count == len(reference_tbi(index))
+        estimator = statistics.ComparisonEstimator(index)
+        column = table.schema.names[1]
+        for literal in ("zqxalpha", "zqxalpha zqxbeta"):
+            where = where_of(table, f"{column} = '{literal}'")
+            assert estimator.selected_entities(where) == set() == reference_selected(index, literal)
+
+    def test_after_insert(self, dataset):
+        table = DATASETS[dataset]()
+        engine = engine_with(table)
+        engine.insert(table.name, copies(table, 10))
+        index = engine.index_of(table.name)
+        assert index.block_count == len(reference_tbi(index))
+        estimator = statistics.ComparisonEstimator(index)
+        column = table.schema.names[1]
+        for literal in literals(table):
+            quoted = literal.replace("'", "''")
+            where = where_of(table, f"{column} = '{quoted}'")
+            assert estimator.selected_entities(where) == reference_selected(index, literal)
 
 
 # -- EXPLAIN golden -----------------------------------------------------------

@@ -5,10 +5,14 @@ CSR token postings (:func:`repro.er.packed_blocking.derive_candidates`)
 — and matches them through the batched cascade
 (:meth:`~repro.er.matching.ProfileMatcher.match_pair_indices`).  This
 module spells the same specification the obvious way, over string-keyed
-:class:`~repro.er.blocking.BlockCollection` objects and Python dicts,
-so every equivalence suite has one oracle to diff against:
+:class:`BlockCollection` objects and Python dicts, so every equivalence
+suite has one oracle to diff against:
 
-* Query Blocking and Block-Join over the dict TBI/ITBI;
+* the dict TBI (:func:`reference_tbi`), re-tokenized from the table's
+  rows with its blocking function — never read from the postings it is
+  diffed against (:func:`postings_blocks` reads those back as key →
+  member-id sets);
+* Query Blocking and Block-Join over that TBI;
 * Block Purging, Block Filtering and Edge Pruning over block
   collections, the blocking graph accumulated pair by pair in dicts
   (:class:`ReferenceGraph`);
@@ -33,7 +37,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -41,7 +57,6 @@ from repro.core.dedup_operator import DeduplicateOperator
 from repro.core.engine import QueryEREngine
 from repro.er.block_filtering import DEFAULT_RATIO
 from repro.er.block_purging import SMOOTHING_FACTOR
-from repro.er.blocking import Block, BlockCollection
 from repro.er.edge_pruning import (
     BlockingGraph,
     WeightingScheme,
@@ -57,21 +72,218 @@ from repro.er.util import safe_sorted
 Pair = Tuple[Any, Any]
 
 
+# -- blocks and the dict TBI ----------------------------------------------------
+class Block:
+    """A blocking key plus the set of entity ids sharing it.
+
+    ``size`` is the paper's |b| (number of entities) and ``cardinality``
+    its ||b|| (number of pairwise comparisons |b|·(|b|−1)/2).
+    """
+
+    __slots__ = ("key", "entities")
+
+    def __init__(self, key: str, entities: Iterable[Any] = ()):
+        self.key = key
+        self.entities: Set[Any] = set(entities)
+
+    @property
+    def size(self) -> int:
+        return len(self.entities)
+
+    @property
+    def cardinality(self) -> int:
+        n = len(self.entities)
+        return n * (n - 1) // 2
+
+    def add(self, entity_id: Any) -> None:
+        self.entities.add(entity_id)
+
+    def copy(self) -> "Block":
+        """An independent copy sharing no mutable state with this block.
+
+        ``set.copy()`` is a straight memcpy-style clone — measurably
+        cheaper than re-hashing every element through ``set(iterable)``,
+        which is what ``Block(key, entities)`` would do.
+        """
+        clone = Block.__new__(Block)
+        clone.key = self.key
+        clone.entities = self.entities.copy()
+        return clone
+
+    def __contains__(self, entity_id: Any) -> bool:
+        return entity_id in self.entities
+
+    def __len__(self) -> int:
+        return len(self.entities)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.entities)
+
+    def __repr__(self) -> str:
+        return f"Block({self.key!r}, size={self.size})"
+
+
+class BlockCollection:
+    """An ordered mapping of blocking key → :class:`Block`.
+
+    This is the in-memory structure behind the paper's ``TBI``, ``QBI``
+    and ``EQBI`` indices.  ``|B|`` is :func:`len`; ``||B||`` is
+    :attr:`cardinality`.
+    """
+
+    def __init__(self, blocks: Optional[Mapping[str, Block]] = None):
+        self._blocks: Dict[str, Block] = dict(blocks) if blocks else {}
+
+    # -- construction -------------------------------------------------
+    def add(self, key: str, entity_id: Any) -> None:
+        """Insert *entity_id* into the block keyed by *key*."""
+        block = self._blocks.get(key)
+        if block is None:
+            block = Block(key)
+            self._blocks[key] = block
+        block.add(entity_id)
+
+    def put(self, block: Block) -> None:
+        """Insert (or replace) a whole block."""
+        self._blocks[block.key] = block
+
+    def discard(self, key: str, entity_id: Any) -> None:
+        """Remove *entity_id* from the block keyed by *key*, if present.
+
+        An emptied block is deleted outright — a built TBI never holds
+        zero-entity blocks, so the undo of an :meth:`add` sequence (the
+        DML rollback path) restores the collection element-for-element.
+        """
+        block = self._blocks.get(key)
+        if block is None:
+            return
+        block.entities.discard(entity_id)
+        if not block.entities:
+            del self._blocks[key]
+
+    # -- access --------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __iter__(self) -> Iterator[Block]:
+        return iter(self._blocks.values())
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._blocks
+
+    def get(self, key: str) -> Optional[Block]:
+        return self._blocks.get(key)
+
+    def keys(self) -> List[str]:
+        return list(self._blocks)
+
+    @property
+    def cardinality(self) -> int:
+        """Total comparisons ||B|| = Σ ||b||."""
+        return sum(b.cardinality for b in self._blocks.values())
+
+    @property
+    def total_assignments(self) -> int:
+        """Σ |b| — entity-to-block assignments (block index footprint)."""
+        return sum(b.size for b in self._blocks.values())
+
+    def entity_ids(self) -> Set[Any]:
+        """All entity ids appearing in any block."""
+        ids: Set[Any] = set()
+        for block in self._blocks.values():
+            ids.update(block.entities)
+        return ids
+
+    def non_singleton(self) -> "BlockCollection":
+        """Copy keeping only blocks with ≥ 2 entities (comparisons > 0)."""
+        return BlockCollection(
+            {k: Block(k, b.entities) for k, b in self._blocks.items() if b.size >= 2}
+        )
+
+    def copy(self) -> "BlockCollection":
+        return BlockCollection({k: Block(k, b.entities) for k, b in self._blocks.items()})
+
+    def inverted(self) -> Dict[Any, List[str]]:
+        """Entity id → blocking keys, keys sorted ascending by block size.
+
+        This is the paper's Inverse Table Block Index (ITBI) ordering:
+        "sorted in ascending order by their block size" (§3), which Block
+        Filtering exploits directly.
+        """
+        index: Dict[Any, List[str]] = {}
+        for block in self._blocks.values():
+            for entity_id in block.entities:
+                index.setdefault(entity_id, []).append(block.key)
+        for entity_id, keys in index.items():
+            keys.sort(key=lambda k: (self._blocks[k].size, k))
+        return index
+
+    def comparison_pairs(self) -> Set[Tuple[Any, Any]]:
+        """Distinct unordered entity pairs co-occurring in some block."""
+        pairs: Set[Tuple[Any, Any]] = set()
+        for block in self._blocks.values():
+            members = safe_sorted(block.entities)
+            for i, left in enumerate(members):
+                for right in members[i + 1 :]:
+                    pairs.add((left, right))
+        return pairs
+
+    def __repr__(self) -> str:
+        return f"BlockCollection(|B|={len(self)}, ||B||={self.cardinality})"
+
+
+def build_blocks(blocking, entities: Iterable[Tuple[Any, Mapping[str, Any]]]) -> BlockCollection:
+    """The blocks of ``(entity_id, attributes)`` pairs under *blocking*'s keys."""
+    collection = BlockCollection()
+    for entity_id, attributes in entities:
+        for key in sorted(blocking.keys_for(attributes)):
+            collection.add(key, entity_id)
+    return collection
+
+
+def reference_tbi(index) -> BlockCollection:
+    """The table's TBI, re-tokenized from its rows with ``index.blocking``."""
+    return build_blocks(index.blocking, index.entities.items())
+
+
+def block_sets(collection: BlockCollection) -> Dict[str, FrozenSet[Any]]:
+    """Key → member ids of every block of *collection*."""
+    return {block.key: frozenset(block.entities) for block in collection}
+
+
+def postings_blocks(index) -> Dict[str, FrozenSet[Any]]:
+    """Key → member ids of every non-empty posting, read from the postings.
+
+    Checks on the way that each posting holds as many distinct members
+    as its recorded size.
+    """
+    postings = index.postings
+    vocabulary = index.vocabulary
+    tokens = np.arange(len(vocabulary), dtype=np.int64)
+    tokens = tokens[postings.sizes_of(tokens) > 0]
+    indptr, members = postings.members_of(tokens)
+    ids = postings.entity_ids_of(members)
+    blocks = {}
+    for i, token in enumerate(tokens.tolist()):
+        block = frozenset(ids[indptr[i] : indptr[i + 1]])
+        assert len(block) == indptr[i + 1] - indptr[i]
+        blocks[vocabulary.token_of(token)] = block
+    return blocks
+
+
 # -- (i) Query Blocking and (ii) Block-Join ------------------------------------
 def query_block_index(index, entity_ids: Iterable[Any]) -> BlockCollection:
-    """The QBI of *entity_ids*, read from the ITBI (same blocking function)."""
-    qbi = BlockCollection()
-    for entity_id in entity_ids:
-        for key in index.itbi.get(entity_id, ()):
-            qbi.add(key, entity_id)
-    return qbi
+    """The QBI of *entity_ids* (the table's blocking function; unknown ids skipped)."""
+    known = [e for e in entity_ids if e in index.table]
+    return build_blocks(index.blocking, ((e, index.entities.attributes(e)) for e in known))
 
 
 def block_join(index, qbi: BlockCollection) -> BlockCollection:
     """The EQBI: every QBI block enriched with its table block's members."""
+    tbi = reference_tbi(index)
     eqbi = BlockCollection()
     for block in qbi:
-        table_block = index.tbi.get(block.key)
+        table_block = tbi.get(block.key)
         if table_block is not None:
             eqbi.put(Block(block.key, block.entities | table_block.entities))
     return eqbi
@@ -315,12 +527,7 @@ def block_object_graph(
 
 # -- the Deduplicate operator's stages (i)–(iii) and the Batch Approach --------
 def token_order(index) -> Callable[[str], int]:
-    """Block key → token id in the table's vocabulary.
-
-    Builds the postings first, so every TBI key is interned in the order
-    the engine interns it.
-    """
-    index.postings
+    """Block key → token id in the table's vocabulary (every TBI key is interned)."""
     return index.vocabulary.id_of
 
 
@@ -376,7 +583,7 @@ def candidate_pairs(
 
 def batch_pairs(index, config: Optional[MetaBlockingConfig] = None) -> List[Pair]:
     """The Batch Approach's candidates: meta-blocking over the whole TBI."""
-    refined = apply_meta_blocking(index.tbi, config, order=token_order(index))
+    refined = apply_meta_blocking(reference_tbi(index), config, order=token_order(index))
     return _enumerate_pairs(refined, None)
 
 

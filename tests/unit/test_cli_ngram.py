@@ -93,11 +93,11 @@ class TestNGramBlocking:
             NGramBlocking(n=1)
 
     def test_typo_tolerance_beats_token_blocking(self):
-        entities = [("e1", {"name": "smith"}), ("e2", {"name": "smithe"})]
-        token_pairs = TokenBlocking().build(entities).comparison_pairs()
-        ngram_pairs = NGramBlocking(n=3).build(entities).comparison_pairs()
-        assert ("e1", "e2") not in token_pairs  # different tokens → no block
-        assert ("e1", "e2") in ngram_pairs  # shared n-grams → co-occur
+        left, right = {"name": "smith"}, {"name": "smithe"}
+        token = TokenBlocking()
+        ngram = NGramBlocking(n=3)
+        assert not token.keys_for(left) & token.keys_for(right)  # no shared block
+        assert ngram.keys_for(left) & ngram.keys_for(right)  # shared n-grams co-occur
 
     def test_exclusion_still_applies(self):
         blocking = NGramBlocking(n=3, exclude_attributes=("id",))

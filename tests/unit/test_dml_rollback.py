@@ -4,12 +4,15 @@ Faults are injected at each stage of the ingest pipeline — per-row
 storage staging (``table.append_row``), index amendment
 (``dml.after_append``, ``dml.index_delta``) and pre-epoch commit
 (``dml.before_commit``) — and every test asserts the engine's observable
-state (rows, TBI, ITBI, postings, epoch, signatures) equals the
-pre-insert snapshot, exactly as if the INSERT had never been issued.
+state (rows, postings arrays, vocabulary, epoch, signature ids) equals
+the pre-insert snapshot, exactly as if the INSERT had never been issued
+— except that tokens the failed batch interned stay in the vocabulary,
+with empty postings.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.engine import QueryEREngine
@@ -44,16 +47,44 @@ def fresh_engine(rows) -> QueryEREngine:
     return engine
 
 
+def index_state(index: TableIndex) -> dict:
+    """The postings arrays, vocabulary and signature ids of one index."""
+    postings = index.postings
+    csr = postings.to_arrays()
+    tokens = np.arange(len(index.vocabulary), dtype=np.int64)
+    used = tokens[postings.sizes_of(tokens) > 0]
+    indptr, members = postings.members_of(used)
+    return {
+        "forward": (
+            tuple(csr["entity_ids"]),
+            tuple(csr["indptr"].tolist()),
+            tuple(csr["tokens"].tolist()),
+        ),
+        "inverted": (tuple(used.tolist()), tuple(indptr.tolist()), tuple(members.tolist())),
+        "vocabulary": tuple(index.vocabulary.tokens()),
+        "signatures": index.signature_ids(),
+    }
+
+
 def state_of(engine: QueryEREngine, name: str = "PPL") -> dict:
     """Every piece of observable per-table state a rollback must restore."""
     index = engine.index_of(name)
     return {
         "rows": [tuple(row.values) for row in index.table],
-        "tbi": {block.key: frozenset(block.entities) for block in index.tbi},
-        "itbi": {k: tuple(v) for k, v in index.itbi.items()},
         "epoch": engine.epoch_of(name),
-        "signatures": index.signature_count,
+        **index_state(index),
     }
+
+
+def assert_restored(after: dict, before: dict) -> None:
+    """*after* equals *before*, except that interning is append-only.
+
+    Tokens a rolled-back batch interned stay in the vocabulary, after
+    every token the snapshot held, with empty postings.
+    """
+    vocabulary = before["vocabulary"]
+    assert after["vocabulary"][: len(vocabulary)] == vocabulary
+    assert {**after, "vocabulary": vocabulary} == before
 
 
 SQL = "SELECT DEDUP id, surname FROM PPL WHERE state = 'nsw'"
@@ -82,7 +113,7 @@ class TestRollbackRestoresState:
         assert excinfo.value.stage == stage
         assert excinfo.value.rolled_back
         assert isinstance(excinfo.value.__cause__, FaultError)
-        assert state_of(engine) == before
+        assert_restored(state_of(engine), before)
         assert any(e.site == "rollback" for e in DEGRADATION.events())
 
     def test_mid_batch_index_fault_undoes_partial_amendment(self, people_split):
@@ -94,7 +125,7 @@ class TestRollbackRestoresState:
         install_plan(FaultPlan().add("dml.index_delta", after=2))
         with pytest.raises(IngestError):
             engine.insert("PPL", extra)
-        assert state_of(engine) == before
+        assert_restored(state_of(engine), before)
 
     def test_storage_staging_fault_mutates_nothing(self, people_split):
         # table.append_row fires inside Table.append_rows' staging loop,
@@ -108,15 +139,15 @@ class TestRollbackRestoresState:
             engine.insert("PPL", extra)
         assert state_of(engine) == before
 
-    def test_rollback_discards_then_rebuilds_postings(self, people_split):
+    def test_rollback_truncates_postings(self, people_split):
         base, extra = people_split
         engine = fresh_engine(base)
         index = engine.index_of("PPL")
-        assert index.postings.entity_count == len(base)  # materialize CSR
         install_plan(FaultPlan().add("dml.before_commit"))
         with pytest.raises(IngestError):
             engine.insert("PPL", extra)
         assert index.postings.entity_count == len(base)
+        assert index.to_arrays()["itbi_indptr"].shape == (len(base) + 1,)
 
     def test_sql_insert_path_rolls_back_too(self, people_split):
         base, _ = people_split
@@ -127,7 +158,7 @@ class TestRollbackRestoresState:
             engine.execute(
                 "INSERT INTO PPL (id, given_name) VALUES (999999, 'ghost')"
             )
-        assert state_of(engine) == before
+        assert_restored(state_of(engine), before)
 
 
 class TestRollbackEquivalence:
@@ -152,30 +183,53 @@ class TestRollbackEquivalence:
         assert faulted.epoch_of("PPL") == 2  # register + one committed batch
         assert answer(faulted) == answer(fresh_engine(base + extra))
 
+    @pytest.mark.parametrize(
+        "fault", [("dml.index_delta", 2), ("dml.before_commit", 0)]
+    )
+    def test_retry_arrays_equal_never_failed_engine(self, people_split, fault):
+        """Rollback + re-insert leaves the very arrays, token ids included,
+        of an engine whose insert never failed."""
+        base, extra = people_split
+        site, after = fault
+        faulted = fresh_engine(base)
+        install_plan(FaultPlan().add(site, after=after))
+        with pytest.raises(IngestError):
+            faulted.insert("PPL", extra)
+        clear_plan()
+        faulted.insert("PPL", extra)
+        never_failed = fresh_engine(base)
+        never_failed.insert("PPL", extra)
+        assert state_of(faulted) == state_of(never_failed)
+
 
 class TestIndexDeltaAtomicity:
     def test_add_records_failure_leaves_index_untouched(self, people_split):
         base, extra = people_split
         table = Table("PPL", people_schema(), base)
         index = TableIndex(table)
-        tbi_before = {b.key: frozenset(b.entities) for b in index.tbi}
-        itbi_before = {k: tuple(v) for k, v in index.itbi.items()}
+        before = index_state(index)
         appended = table.append_rows(extra)
         install_plan(FaultPlan().add("dml.index_delta", after=2))
         with pytest.raises(FaultError):
             index.add_records([row.id for row in appended])
-        assert {b.key: frozenset(b.entities) for b in index.tbi} == tbi_before
-        assert {k: tuple(v) for k, v in index.itbi.items()} == itbi_before
+        assert_restored(index_state(index), before)
 
     def test_remove_records_reverses_add_records(self, people_split):
         base, extra = people_split
         table = Table("PPL", people_schema(), base)
         index = TableIndex(table)
-        tbi_before = {b.key: frozenset(b.entities) for b in index.tbi}
-        itbi_before = {k: tuple(v) for k, v in index.itbi.items()}
+        before = index_state(index)
         appended = table.append_rows(extra)
         delta = index.add_records([row.id for row in appended])
         assert delta.affected_ids  # the batch really amended something
         index.remove_records(delta)
-        assert {b.key: frozenset(b.entities) for b in index.tbi} == tbi_before
-        assert {k: tuple(v) for k, v in index.itbi.items()} == itbi_before
+        assert_restored(index_state(index), before)
+
+    def test_remove_records_rejects_a_delta_that_is_not_the_tail(self, people_split):
+        base, extra = people_split
+        table = Table("PPL", people_schema(), base)
+        index = TableIndex(table)
+        first = index.add_records([row.id for row in table.append_rows(extra[:3])])
+        index.add_records([row.id for row in table.append_rows(extra[3:])])
+        with pytest.raises(ValueError):
+            index.remove_records(first)

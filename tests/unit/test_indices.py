@@ -1,6 +1,7 @@
-"""Unit tests for the TBI/ITBI/QBI/LI indices."""
+"""Unit tests for the token postings (TBI/ITBI), the QBI and the LI."""
 
-from reference.dict_pipeline import block_join, query_block_index
+import numpy as np
+from reference.dict_pipeline import block_join, postings_blocks, query_block_index, reference_tbi
 
 from repro.core.indices import LinkIndex, TableIndex
 from repro.storage.schema import Schema
@@ -22,25 +23,29 @@ def small_table():
 
 class TestTableIndex:
     def test_tbi_built_from_all_tokens(self):
-        index = TableIndex(small_table())
-        assert index.tbi.get("beta").entities == {"e1", "e2"}
-        assert index.tbi.get("omega").entities == {"e4"}
+        blocks = postings_blocks(TableIndex(small_table()))
+        assert blocks["beta"] == {"e1", "e2"}
+        assert blocks["omega"] == {"e4"}
 
     def test_id_column_excluded_from_blocking(self):
         index = TableIndex(small_table())
-        assert index.tbi.get("e1") is None
+        assert "e1" not in index.vocabulary
 
-    def test_itbi_lists_keys_ascending_by_block_size(self):
+    def test_keys_interned_ascending_by_block_size(self):
+        # Rows in table order, each row's new keys by (|b|, key):
+        # e1 alpha(1) beta(2), e2 gamma(2), e3 delta(1), e4 omega(1).
         index = TableIndex(small_table())
-        keys = index.blocks_of("e1")
-        assert set(keys) == {"alpha", "beta"}
-        sizes = [index.tbi.get(k).size for k in keys]
-        assert sizes == sorted(sizes)
+        assert index.vocabulary.tokens() == ["alpha", "beta", "gamma", "delta", "omega"]
+
+    def test_dense_ids_follow_row_positions(self):
+        index = TableIndex(small_table())
+        postings = index.postings
+        assert postings.entity_ids_of(np.arange(postings.entity_count)) == index.table.ids
 
     def test_qbi_subset_of_tbi(self):
         index = TableIndex(small_table())
         qbi = query_block_index(index, ["e1"])
-        assert set(qbi.keys()) <= set(index.tbi.keys())
+        assert set(qbi.keys()) <= set(reference_tbi(index).keys())
         assert qbi.get("alpha").entities == {"e1"}
 
     def test_block_join_enriches_with_cooccurring_entities(self):
@@ -58,11 +63,11 @@ class TestTableIndex:
 
     def test_block_count_matches_tbi(self):
         index = TableIndex(small_table())
-        assert index.block_count == len(index.tbi)
+        assert index.block_count == len(reference_tbi(index)) == 5
 
     def test_unknown_entity_has_no_blocks(self):
         index = TableIndex(small_table())
-        assert index.blocks_of("zz") == []
+        assert len(index.postings.dense_frontier(["zz"])) == 0
         assert len(query_block_index(index, ["zz"])) == 0
 
 

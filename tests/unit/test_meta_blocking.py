@@ -7,6 +7,7 @@ built over the same collections.
 
 import pytest
 from reference.dict_pipeline import (
+    BlockCollection,
     apply_meta_blocking,
     block_filtering,
     block_object_graph,
@@ -17,7 +18,6 @@ from reference.dict_pipeline import (
     retained_keys,
 )
 
-from repro.er.blocking import BlockCollection
 from repro.er.edge_pruning import WeightingScheme
 from repro.er.meta_blocking import MetaBlockingConfig
 

@@ -1,19 +1,19 @@
 """Unit tests for columnar candidate derivation and its satellites:
 CSR token postings, vectorized purge/filter, the candidate pipeline,
-the tokenizer's optional numeric filter, cheap block copies and the CLI
-``--profile`` breakdown."""
+the tokenizer's optional numeric filter and the CLI ``--profile``
+breakdown."""
 
 import io
 
 import numpy as np
 import pytest
-from reference.dict_pipeline import block_join, block_purging, purge_threshold, query_block_index
+from reference.dict_pipeline import block_join, purge_threshold, query_block_index, reference_tbi
 
 from repro.cli import run
 from repro.core.indices import TableIndex
 from repro.datagen import generate_dsd
 from repro.er.block_purging import purge_threshold_from_sizes
-from repro.er.blocking import Block, BlockCollection, NGramBlocking, TokenBlocking, TokenPostings
+from repro.er.blocking import NGramBlocking, TokenBlocking, TokenPostings
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.er.packed_blocking import derive_candidates
 from repro.er.tokenizer import TokenVocabulary, tokenize_entity, tokenize_value
@@ -64,30 +64,6 @@ class TestTokenizerNumericFilter:
         assert "198" not in ngram.keys_for(attributes)
 
 
-class TestBlockCopy:
-    def test_copy_shares_no_mutable_state(self):
-        block = Block("k", ("a", "b"))
-        clone = block.copy()
-        clone.add("c")
-        assert block.entities == {"a", "b"}
-        assert clone.entities == {"a", "b", "c"}
-
-    def test_purging_result_does_not_alias_input(self):
-        """Mutating the purged copy (or the input) never leaks through
-        to the other collection."""
-        collection = BlockCollection()
-        for key, entity in [("x", 1), ("x", 2), ("y", 2), ("y", 3)]:
-            collection.add(key, entity)
-        purged = block_purging(collection)
-        assert len(purged) > 0
-        for block in purged:
-            block.add(999)
-        for block in collection:
-            assert 999 not in block.entities
-        collection.get("x").add(777)
-        assert 777 not in purged.get("x").entities
-
-
 class TestTokenPostings:
     def build(self, table):
         index = TableIndex(table)
@@ -95,13 +71,15 @@ class TestTokenPostings:
 
     def test_postings_mirror_tbi(self):
         index, postings = self.build(small_table())
+        tbi = reference_tbi(index)
         assert postings.entity_count == 4
-        assert postings.assignment_count == index.tbi.total_assignments
-        for key in index.tbi.keys():
+        assert postings.assignment_count == tbi.total_assignments
+        assert postings.block_count == len(tbi)
+        for key in tbi.keys():
             token_id = index.vocabulary.id_of(key)
             _, members = postings.members_of(np.array([token_id]))
             ids = set(postings.entity_ids_of(members))
-            assert ids == index.tbi.get(key).entities
+            assert ids == tbi.get(key).entities
             assert int(postings.sizes_of(np.array([token_id]))[0]) == len(ids)
 
     def test_dense_frontier_skips_unknown_ids(self):

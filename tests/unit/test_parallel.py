@@ -100,7 +100,8 @@ class TestPartitionPlanner:
     def test_block_partitions_balance_cardinality(self):
         table, _ = generate_people(300, seed=9)
         index = TableIndex(table)
-        costs = [b.cardinality for b in index.tbi.non_singleton()]
+        sizes = index.postings.sizes_of(np.arange(len(index.vocabulary))).tolist()
+        costs = [size * (size - 1) // 2 for size in sizes if size >= 2]
         planner = PartitionPlanner(workers=4, partitions_per_worker=1)
         partitions = planner.partition_costs(costs)
         assert partitions[0].start == 0

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from reference.dict_pipeline import postings_blocks
 
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
@@ -85,10 +86,11 @@ class TestSaveLoad:
         engine.save(tmp_path)
         warm = QueryEREngine.load(tmp_path)
         live_index, warm_index = engine.index_of("ppl"), warm.index_of("ppl")
-        assert set(warm_index.tbi.keys()) == set(live_index.tbi.keys())
-        for key in live_index.tbi.keys():
-            assert warm_index.tbi.get(key).entities == live_index.tbi.get(key).entities
-        assert warm_index.itbi == live_index.itbi
+        assert warm_index.vocabulary.tokens() == live_index.vocabulary.tokens()
+        warm_csr, live_csr = warm_index.to_arrays(), live_index.to_arrays()
+        assert warm_csr["itbi_indptr"].tolist() == live_csr["itbi_indptr"].tolist()
+        assert warm_csr["itbi_tokens"].tolist() == live_csr["itbi_tokens"].tolist()
+        assert postings_blocks(warm_index) == postings_blocks(live_index)
         assert warm_index.link_index.resolved_count == live_index.link_index.resolved_count
         assert len(warm_index.link_index) == len(live_index.link_index)
         assert warm_index.signature_count == live_index.signature_count

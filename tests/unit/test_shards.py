@@ -104,8 +104,8 @@ class TestDeltaCodec:
             table[i].values for i in range(start, len(table))
         ]
         for offset, row_keys in enumerate(keys):
-            entity = table[start + offset].id
-            assert set(row_keys) == set(index.itbi.get(entity, ()))
+            attributes = index.entities.attributes_of_row(table[start + offset])
+            assert set(row_keys) == index.blocking.keys_for(attributes)
 
     def test_segment_vocab_is_self_contained(self):
         """Token ids index the delta's own vocab, not the parent's."""

@@ -1,8 +1,11 @@
 """Unit tests for tokenization and Token Blocking."""
 
-from repro.er.blocking import Block, BlockCollection, TokenBlocking
+from repro.core.indices import TableIndex
+from repro.er.blocking import TokenBlocking
 from repro.er.matching import ProfileMatcher, build_signature
 from repro.er.tokenizer import TokenVocabulary, normalize_value, tokenize_entity, tokenize_value
+from repro.storage.schema import Schema
+from repro.storage.table import Table
 
 
 class TestNormalizeValue:
@@ -78,81 +81,23 @@ class TestTokenizeEntity:
         assert tokenize_entity({"a": "data", "b": "data"}) == {"data"}
 
 
-class TestBlock:
-    def test_size_and_cardinality(self):
-        block = Block("k", ["a", "b", "c"])
-        assert block.size == 3
-        assert block.cardinality == 3
-
-    def test_singleton_has_zero_cardinality(self):
-        assert Block("k", ["a"]).cardinality == 0
-
-    def test_membership(self):
-        assert "a" in Block("k", ["a"])
-
-
-class TestBlockCollection:
-    def test_add_groups_by_key(self):
-        bc = BlockCollection()
-        bc.add("tok", "e1")
-        bc.add("tok", "e2")
-        bc.add("other", "e1")
-        assert len(bc) == 2
-        assert bc.get("tok").entities == {"e1", "e2"}
-
-    def test_cardinality_sums_blocks(self):
-        bc = BlockCollection()
-        for e in "abc":
-            bc.add("k1", e)
-        bc.add("k2", "a")
-        bc.add("k2", "b")
-        assert bc.cardinality == 3 + 1
-
-    def test_non_singleton_filters(self):
-        bc = BlockCollection()
-        bc.add("k1", "a")
-        bc.add("k2", "a")
-        bc.add("k2", "b")
-        assert bc.non_singleton().keys() == ["k2"]
-
-    def test_inverted_sorted_ascending_by_size(self):
-        bc = BlockCollection()
-        for e in "abc":
-            bc.add("big", e)
-        bc.add("small", "a")
-        bc.add("small", "b")
-        assert bc.inverted()["a"] == ["small", "big"]
-
-    def test_comparison_pairs_unique(self):
-        bc = BlockCollection()
-        bc.add("k1", "a")
-        bc.add("k1", "b")
-        bc.add("k2", "a")
-        bc.add("k2", "b")
-        assert bc.comparison_pairs() == {("a", "b")}
-
-    def test_entity_ids(self):
-        bc = BlockCollection()
-        bc.add("k", "a")
-        bc.add("j", "b")
-        assert bc.entity_ids() == {"a", "b"}
-
-
 class TestTokenBlocking:
-    def test_build_from_entities(self):
+    def test_keys_from_attributes(self):
         tb = TokenBlocking()
-        bc = tb.build([("e1", {"t": "big data"}), ("e2", {"t": "big ideas"})])
-        assert bc.get("big").entities == {"e1", "e2"}
-        assert bc.get("data").entities == {"e1"}
+        assert tb.keys_for({"t": "big data"}) == {"big", "data"}
+        assert tb.keys_for({"t": "big ideas", "u": "big"}) == {"big", "ideas"}
 
     def test_excluded_attributes_do_not_block(self):
         tb = TokenBlocking(exclude_attributes=("id",))
-        bc = tb.build([("e1", {"id": "shared", "t": "x1y2"})])
-        assert bc.get("shared") is None
+        assert tb.keys_for({"id": "shared", "t": "x1y2"}) == {"x1y2"}
 
     def test_same_function_for_tbi_and_qbi(self):
-        tb = TokenBlocking()
-        entities = [("e1", {"t": "alpha beta"}), ("e2", {"t": "beta gamma"})]
-        tbi = tb.build(entities)
-        qbi = tb.build(entities[:1])
-        assert set(qbi.keys()) <= set(tbi.keys())
+        table = Table(
+            "T", Schema.of("id", "t"), [("e1", "alpha beta"), ("e2", "beta gamma")]
+        )
+        index = TableIndex(table)
+        postings = index.postings
+        for row in table:
+            dense = postings.dense_frontier([row.id])
+            keys = {index.vocabulary.token_of(t) for t in postings.tokens_of_entities(dense).tolist()}
+            assert keys == index.blocking.keys_for(index.entities.attributes(row.id))
