@@ -48,9 +48,8 @@ def fresh_engine(
     ``execution`` defaults to strictly serial, whatever ``REPRO_WORKERS``
     says: the paper-reproduction benchmarks assert stage shares and
     relative timings of the serial pipeline, which shard scheduling
-    would distort (shards have their own harness,
-    :mod:`repro.bench.shard_scaling`); results are bit-identical either
-    way.
+    would distort (``tests/property/test_shard_equivalence.py`` covers
+    shards); results are bit-identical either way.
     """
     engine_kwargs.setdefault("execution", ExecutionConfig.serial())
     engine = QueryEREngine(**engine_kwargs)

@@ -1,60 +1,19 @@
-"""Unit tests for the batch baseline and the bench substrate."""
+"""Unit tests for the benchmark substrate: workload, datasets, harness."""
 
 import pytest
 
-from repro.bench.datasets import BASE_SIZES, DatasetRegistry
-from repro.bench.harness import Measurement, fresh_engine, run_query
-from repro.bench.reporting import format_table
-from repro.bench.workload import (
+from repro.sql.parser import parse
+
+from _support.datasets import BASE_SIZES, DatasetRegistry
+from _support.harness import Measurement, fresh_engine, run_query, run_series
+from _support.workload import (
     SELECTIVITIES,
+    WorkloadQuery,
     join_query,
     q9_query,
     range_queries,
     sp_queries,
 )
-from repro.core.batch import batch_deduplicate
-from repro.core.indices import TableIndex
-from repro.er.meta_blocking import MetaBlockingConfig
-from repro.sql.parser import parse
-from repro.sql.physical import ExecutionContext
-from repro.storage.schema import Schema
-from repro.storage.table import Table
-
-
-def dirty_table():
-    return Table(
-        "T",
-        Schema.of("id", "name", "city"),
-        [
-            ("r1", "jonathan smith", "berlin"),
-            ("r2", "jonathan smyth", "berlin"),
-            ("r3", "maria garcia", "athens"),
-            ("r4", "ulrich zimmer", "oslo"),
-        ],
-    )
-
-
-class TestBatchDeduplicate:
-    def test_finds_all_duplicates(self):
-        result = batch_deduplicate(
-            TableIndex(dirty_table()), meta_blocking=MetaBlockingConfig.none()
-        )
-        assert ("r1", "r2") in result.links
-        assert result.query_ids == set(dirty_table().ids)
-
-    def test_counts_comparisons(self):
-        context = ExecutionContext()
-        batch_deduplicate(
-            TableIndex(dirty_table()),
-            meta_blocking=MetaBlockingConfig.none(),
-            context=context,
-        )
-        assert context.comparisons > 0
-
-    def test_stage_times_recorded(self):
-        context = ExecutionContext()
-        batch_deduplicate(TableIndex(dirty_table()), context=context)
-        assert "resolution" in context.stage_times
 
 
 class TestWorkload:
@@ -132,7 +91,6 @@ class TestHarness:
     def test_run_query_measures(self):
         registry = DatasetRegistry(scale=0.1)
         engine = fresh_engine([registry.get("OAO")])
-        q = sp_queries("PPL")[0]  # reuse clause shape; run simple SQL instead
         measurement = run_query(
             engine, "Q1", "OAO", "SELECT DEDUP id, name FROM OAO", "aes"
         )
@@ -145,24 +103,8 @@ class TestHarness:
         assert sum(m.breakdown_percentages().values()) == pytest.approx(100.0)
 
 
-class TestReporting:
-    def test_format_table_alignment(self):
-        text = format_table(["name", "value"], [["a", 1.5], ["bbbb", 22]], title="T")
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert "name" in lines[1]
-        assert len(lines) == 5
-
-    def test_none_renders_dash(self):
-        text = format_table(["x"], [[None]])
-        assert "-" in text.splitlines()[-1]
-
-
 class TestRunSeries:
     def test_query_mode_sweep(self):
-        from repro.bench.harness import run_series
-        from repro.bench.workload import WorkloadQuery
-
         registry = DatasetRegistry(scale=0.1)
         engine = fresh_engine([registry.get("OAO")])
         queries = [

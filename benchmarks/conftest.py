@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from repro.bench.datasets import DatasetRegistry
+from _support.datasets import DatasetRegistry
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

@@ -9,8 +9,7 @@ comparisons, recall and time.
 
 import time
 
-from repro.bench.reporting import format_table
-from repro.bench.workload import sp_queries
+from repro.cli import format_table
 from repro.core.dedup_operator import DedupStats, DeduplicateOperator
 from repro.core.indices import TableIndex
 from repro.er.blocking import NGramBlocking, TokenBlocking
@@ -19,6 +18,8 @@ from repro.er.matching import ProfileMatcher
 from repro.sql.expressions import compile_predicate
 from repro.sql.logical import Field, PlanSchema
 from repro.sql.parser import parse
+
+from _support.workload import sp_queries
 
 DATASET = "PPL1M"
 

@@ -8,8 +8,7 @@ meta-blocking literature [27].
 
 import time
 
-from repro.bench.reporting import format_table
-from repro.bench.workload import sp_queries
+from repro.cli import format_table
 from repro.core.dedup_operator import DedupStats, DeduplicateOperator
 from repro.core.indices import TableIndex
 from repro.er.evaluation import pair_completeness
@@ -18,6 +17,8 @@ from repro.er.meta_blocking import MetaBlockingConfig
 from repro.sql.expressions import compile_predicate
 from repro.sql.logical import Field, PlanSchema
 from repro.sql.parser import parse
+
+from _support.workload import sp_queries
 
 DATASET = "PPL1M"
 RATIOS = (0.2, 0.4, 0.6, 0.8, 1.0)

@@ -10,9 +10,10 @@ range is additionally capped at the smallest variant's size.
 
 import pytest
 
-from repro.bench.datasets import OAGP_KEYS, PPL_KEYS
-from repro.bench.harness import fresh_engine, run_query
-from repro.bench.reporting import format_table
+from repro.cli import format_table
+
+from _support.datasets import OAGP_KEYS, PPL_KEYS
+from _support.harness import fresh_engine, run_query
 
 FAMILIES = [("PPL", PPL_KEYS), ("OAGP", OAGP_KEYS)]
 

@@ -11,10 +11,11 @@ configurations:
 * **BA** — re-cleans the whole table per query: roughly constant.
 """
 
-from repro.bench.datasets import registry as _registry  # noqa: F401 (doc pointer)
-from repro.bench.harness import fresh_engine, run_query
-from repro.bench.reporting import format_table
-from repro.bench.workload import range_queries
+from repro.cli import format_table
+
+from _support.datasets import registry as _registry  # noqa: F401 (doc pointer)
+from _support.harness import fresh_engine, run_query
+from _support.workload import range_queries
 
 DATASET = "OAGP2M"
 

@@ -8,9 +8,10 @@ comparisons, with the NES/BA gap shrinking at high selectivity.
 
 import pytest
 
-from repro.bench.harness import fresh_engine, run_query
-from repro.bench.reporting import format_table
-from repro.bench.workload import join_query
+from repro.cli import format_table
+
+from _support.harness import fresh_engine, run_query
+from _support.workload import join_query
 
 PANELS = [
     ("a", "PPL-OAO", ["PPL2M", "OAO"]),

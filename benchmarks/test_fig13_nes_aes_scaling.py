@@ -9,10 +9,11 @@ grows 10×.
 
 import pytest
 
-from repro.bench.datasets import OAGP_KEYS, PPL_KEYS
-from repro.bench.harness import fresh_engine, run_query
-from repro.bench.reporting import format_table
-from repro.bench.workload import join_query
+from repro.cli import format_table
+
+from _support.datasets import OAGP_KEYS, PPL_KEYS
+from _support.harness import fresh_engine, run_query
+from _support.workload import join_query
 
 PANELS = [
     ("Q8a", "PPL-OAO", PPL_KEYS, "OAO"),

@@ -9,9 +9,10 @@ dataset).
 
 import pytest
 
-from repro.bench.harness import fresh_engine, run_query
-from repro.bench.reporting import format_table
-from repro.bench.workload import sp_queries
+from repro.cli import format_table
+
+from _support.harness import fresh_engine, run_query
+from _support.workload import sp_queries
 
 PANELS = [("DSD", "DSD"), ("OAP", "OAP"), ("OAGP2M", "OAGP")]
 

@@ -19,11 +19,12 @@ tracks the batch, not the table.
 
 import time
 
-from repro.bench.datasets import SCALE
-from repro.bench.harness import fresh_engine, run_query
-from repro.bench.reporting import format_table
+from repro.cli import format_table
 from repro.datagen import generate_people
 from repro.storage.table import Table
+
+from _support.datasets import SCALE
+from _support.harness import fresh_engine, run_query
 
 RATIOS = (0.01, 0.05, 0.10, 0.25)
 QUERY = "SELECT DEDUP id, surname, state FROM PPL"

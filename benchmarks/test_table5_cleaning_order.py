@@ -9,7 +9,7 @@ the AES planner's choice is the cheaper one.
 
 import pytest
 
-from repro.bench.reporting import format_table
+from repro.cli import format_table
 from repro.core.engine import QueryEREngine
 from repro.core.planner import ExecutionMode
 from repro.storage.schema import Schema

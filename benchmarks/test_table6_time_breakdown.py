@@ -5,9 +5,10 @@ total time spent in Block-Join / Meta-blocking / Resolution / Group /
 Other, with Resolution (Comparison-Execution) dominating (82–83%).
 """
 
-from repro.bench.harness import fresh_engine, run_query
-from repro.bench.reporting import format_table
-from repro.bench.workload import sp_queries
+from repro.cli import format_table
+
+from _support.harness import fresh_engine, run_query
+from _support.workload import sp_queries
 
 STAGES = ["block-join", "meta-blocking", "resolution", "group", "other"]
 

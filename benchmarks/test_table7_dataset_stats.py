@@ -6,9 +6,10 @@ count and Table Block Index size.  The attribute counts must match the
 paper exactly; sizes and |L_E| scale with ``REPRO_SCALE``.
 """
 
-from repro.bench.datasets import BASE_SIZES
-from repro.bench.reporting import format_table
+from repro.cli import format_table
 from repro.core.indices import TableIndex
+
+from _support.datasets import BASE_SIZES
 
 #: |A| per dataset family as reported in the paper's Table 7.
 PAPER_ATTRIBUTE_COUNTS = {

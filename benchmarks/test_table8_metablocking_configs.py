@@ -12,8 +12,7 @@ import time
 
 import pytest
 
-from repro.bench.reporting import format_table
-from repro.bench.workload import sp_queries
+from repro.cli import format_table
 from repro.core.dedup_operator import DeduplicateOperator
 from repro.core.indices import TableIndex
 from repro.er.evaluation import pair_completeness
@@ -22,6 +21,8 @@ from repro.er.meta_blocking import MetaBlockingConfig
 from repro.sql.expressions import compile_predicate
 from repro.sql.logical import Field, PlanSchema
 from repro.sql.parser import parse
+
+from _support.workload import sp_queries
 
 DATASETS = [("PPL1M", "PPL"), ("OAGP1M", "OAGP")]
 

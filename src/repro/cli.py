@@ -40,9 +40,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
-from repro.bench.reporting import format_table
 from repro.core.engine import QueryEREngine
 from repro.core.planner import ExecutionMode
 from repro.storage.csv_io import read_csv
@@ -576,6 +575,47 @@ def _json_result(result) -> str:
         },
         default=str,
     )
+
+
+def format_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[Any]],
+    title: str = "",
+) -> str:
+    """Render rows as an aligned text table (numbers right-aligned)."""
+    rendered: List[List[str]] = [[_cell(v) for v in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in rendered:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines: List[str] = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
+    lines.append("  ".join("-" * w for w in widths))
+    for raw, row in zip(rows, rendered):
+        cells = []
+        for i, (value, cell) in enumerate(zip(raw, row)):
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                cells.append(cell.rjust(widths[i]))
+            else:
+                cells.append(cell.ljust(widths[i]))
+        lines.append("  ".join(cells))
+    return "\n".join(lines)
+
+
+def _cell(value: Any) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 100:
+            return f"{value:.0f}"
+        if abs(value) >= 1:
+            return f"{value:.2f}"
+        return f"{value:.4f}"
+    return str(value)
 
 
 def _profile_table(result) -> str:

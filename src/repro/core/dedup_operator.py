@@ -70,8 +70,7 @@ class DeduplicateOperator:
         Optional :class:`~repro.parallel.executor.ParallelComparisonExecutor`:
         blocking-graph construction and pair matching above its
         configured thresholds run on its resident shard workers, with
-        results bit-identical to serial.  It also serves/stores cached
-        candidate plans for repeated frontiers.
+        results bit-identical to serial.
     """
 
     def __init__(
@@ -201,42 +200,25 @@ class DeduplicateOperator:
 
         Stages (i)–(iii) of the pipeline, derived from the table's CSR
         token postings by :func:`~repro.er.packed_blocking.derive_candidates`.
-        The pre-``compared`` plan — a pure function of (table version,
-        frontier, meta-blocking configuration) — is served from the
-        executor's candidate-plan cache when the same frontier repeats;
-        the engine invalidates that cache on every append, so a plan can
-        never miss pairs involving freshly ingested rows.  On a cache hit
-        the block-join and meta-blocking stages are skipped entirely
-        (their stats counters then record only the plan-building pass).
         A derivation failure propagates and fails the query; the Link
         Index is untouched until every round has succeeded.
         """
-        executor = self.executor
-        table_name = self.index.table.name
-        raw: Optional[List[Tuple[Any, Any]]] = None
-        if executor is not None:
-            raw = executor.cached_candidates(table_name, frontier, self.meta_blocking)
-        if raw is None:
-            derived = derive_candidates(
-                self.index.postings,
-                frontier,
-                self.meta_blocking,
-                timed=context.timed,
-                executor=executor,
-            )
-            stats.qbi_blocks = max(stats.qbi_blocks, derived.qbi_blocks)
-            stats.eqbi_blocks = max(stats.eqbi_blocks, derived.eqbi_blocks)
-            stats.eqbi_comparisons_before += derived.comparisons_before
-            stats.eqbi_comparisons_after += derived.comparisons_after
-            raw = derived.pairs
-            if executor is not None:
-                executor.store_candidates(table_name, frontier, self.meta_blocking, raw)
+        derived = derive_candidates(
+            self.index.postings,
+            frontier,
+            self.meta_blocking,
+            timed=context.timed,
+            executor=self.executor,
+        )
+        stats.qbi_blocks = max(stats.qbi_blocks, derived.qbi_blocks)
+        stats.eqbi_blocks = max(stats.eqbi_blocks, derived.eqbi_blocks)
+        stats.eqbi_comparisons_before += derived.comparisons_before
+        stats.eqbi_comparisons_after += derived.comparisons_after
 
         with context.timed("resolution"):
+            pairs = derived.pairs
             if compared:
-                pairs = [pair for pair in raw if pair not in compared]
-            else:
-                pairs = list(raw)  # never alias the cached plan
+                pairs = [pair for pair in pairs if pair not in compared]
             compared.update(pairs)
         return pairs
 

@@ -92,13 +92,11 @@ class QueryEREngine:
     reads of the same table at the same epoch are reads of identical
     data, and any result computed at epoch map *E* stays correct for as
     long as :meth:`table_epochs` still equals *E*.  Consumers key every
-    derived artefact on the epoch: the parallel executor's
-    candidate-plan cache keys plans on ``(table, epoch, ...)`` (a bump
-    retires stale plans without enumerating them), and the serving
-    layer (:mod:`repro.serving`) stamps each response with the epoch
-    map it executed under and keys its result cache on
-    ``(normalized SQL, epochs)`` — epoch-stamped snapshot reads over
-    the append-only tables.
+    derived artefact on the epoch: the plan cache keys plans on the
+    epoch map, and the serving layer (:mod:`repro.serving`) stamps each
+    response with the epoch map it executed under and keys its result
+    cache on ``(normalized SQL, epochs)`` — epoch-stamped snapshot reads
+    over the append-only tables.
     """
 
     def __init__(
@@ -118,8 +116,8 @@ class QueryEREngine:
             execution = ExecutionConfig(workers=execution)
         self.execution = execution or ExecutionConfig()
         # No executor on single-worker configurations: the operator then
-        # runs the exact pre-subsystem serial path, with zero scheduling
-        # or caching layered on top.  The shard state source hands the
+        # runs the exact pre-subsystem serial path, with no scheduling
+        # layered on top.  The shard state source hands the
         # shard runtime everything a freshly forked worker keeps
         # resident.
         self._parallel: Optional[ParallelComparisonExecutor] = (
@@ -415,11 +413,9 @@ class QueryEREngine:
 
         Called by the :class:`~repro.incremental.IndexMaintainer` as the
         statistics-refresh step: the table's epoch advances (which
-        retires every epoch-keyed artefact at once — the parallel
-        executor's candidate-plan cache and the serving layer's result
-        cache both key on it; a stale plan would make a parallel DEDUP
-        after ``INSERT INTO`` silently skip comparisons involving the
-        new rows), the duplication-factor sample is flagged stale
+        retires every epoch-keyed artefact at once — the plan cache and
+        the serving layer's result cache both key on it), the
+        duplication-factor sample is flagged stale
         (recomputed lazily by :meth:`statistics_of`), and cached join
         percentages involving the table are dropped (recomputed lazily
         by :meth:`join_percentage`).
@@ -490,17 +486,14 @@ class QueryEREngine:
             index.link_index.clear()
 
     def clear_caches(self) -> None:
-        """Reset LIs, matcher memoization *and* parallel partition state.
+        """Reset LIs and matcher memoization.
 
         Benchmarks call this between measurements so no run inherits a
-        warm similarity cache — or a cached candidate-partition plan —
-        from a previous one.
+        warm Link Index or similarity cache from a previous one.
         """
         self.reset_link_indexes()
         for matcher in self._matchers.values():
             matcher.clear_cache()
-        if self._parallel is not None:
-            self._parallel.invalidate()
 
     # -- ingestion -------------------------------------------------------------
     def insert(

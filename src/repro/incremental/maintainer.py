@@ -112,7 +112,7 @@ class IndexMaintainer:
         ``dml.*`` fault sites) rolls the table and every derived index
         back to the pre-insert snapshot and surfaces as a typed
         :class:`IngestError`.  The epoch advances only on the commit
-        path, so epoch-keyed caches (candidate plans, served results)
+        path, so epoch-keyed caches (optimizer plans, served results)
         correctly keep serving the pre-insert state after a rollback.
         """
         start = time.perf_counter()

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.planner import JoinStep
 from repro.er.meta_blocking import MetaBlockingConfig
@@ -115,10 +115,6 @@ class RelationalOrder:
     query: ast.SelectQuery
     bindings: Tuple[str, ...]
     edges: Tuple[JoinEdge, ...]
-
-    @property
-    def is_original(self) -> bool:
-        return self.bindings == tuple(b.lower() for b in self.query.bindings())
 
 
 def join_edges(query: ast.SelectQuery) -> Optional[List[JoinEdge]]:

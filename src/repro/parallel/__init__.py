@@ -18,8 +18,8 @@ to serial:
   serial visit order — so edge weights, pruning decisions and match sets
   carry the same bits as a single-core run;
 * :class:`~repro.parallel.executor.ParallelComparisonExecutor`
-  orchestrates the above and owns the candidate-plan cache the engine
-  invalidates on ingestion.
+  orchestrates the above, falling back to serial when the runtime
+  cannot serve.
 
 Configuration enters through
 :class:`~repro.parallel.config.ExecutionConfig` (``workers=N``; the

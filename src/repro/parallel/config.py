@@ -107,10 +107,6 @@ class ExecutionConfig:
     min_parallel_comparisons:
         Comparison cardinality of the post-BP/BF blocks below which the
         blocking graph is built serially.
-    candidate_cache_size:
-        Entries of the per-engine candidate-pair plan cache (repeated
-        frontiers skip re-deriving their comparison list); ``0``
-        disables it.
     task_timeout_s:
         Per-dispatch wall-clock bound in seconds (hang containment): a
         shard not answering within it is terminated and its bucket
@@ -121,7 +117,6 @@ class ExecutionConfig:
     workers: int = field(default_factory=env_workers)
     min_parallel_pairs: int = 4096
     min_parallel_comparisons: int = 131072
-    candidate_cache_size: int = 128
     task_timeout_s: Optional[float] = 300.0
 
     def __post_init__(self) -> None:

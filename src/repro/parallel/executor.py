@@ -16,29 +16,14 @@ engine talks to on a multi-worker engine.  Per invocation it
    runtime cannot serve (:class:`~repro.parallel.shards.ShardUnavailable`):
    matching resolves here, and a graph build returns ``None`` so the
    caller runs its own serial span build.
-
-It also owns the *candidate-plan cache*: the deterministic candidate-pair
-list derived for a (table, frontier, meta-blocking) triple, reused when
-the same frontier is re-resolved (sustained query traffic repeats
-frontiers; without the Link Index every repeat would re-derive the
-identical plan).  Cached plans describe a table *version*: each plan is
-keyed on the table's epoch, so advancing the epoch retires stale plans
-— which would silently miss pairs involving freshly ingested rows —
-without enumerating them.  When the executor serves an engine, the
-engine's per-table epoch counter (``QueryEREngine.epoch_of``, bumped on
-``register`` and every insert) is that version, passed in as
-``epoch_source``; a standalone executor falls back to a private counter
-advanced by :meth:`invalidate_table`.  :meth:`invalidate` drops the
-whole cache when benchmark runs demand cold state.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.er.edge_pruning import BlockingGraph, WeightingScheme
 from repro.er.matching import PendingPairs, ProfileMatcher
-from repro.er.util import LRUCache
 from repro.parallel.config import ExecutionConfig, fork_available
 from repro.parallel.merger import DeterministicMerger
 from repro.parallel.planner import PartitionPlanner
@@ -55,13 +40,11 @@ class ParallelComparisonExecutor:
     runtime exists only when *shard_state_source* is given (the engine's
     registered index/matcher map — what a freshly forked worker keeps
     resident) and the platform can fork; without one, every invocation
-    runs serially here and the executor is just the candidate-plan cache.
+    runs serially here.
 
-    *epoch_source* maps a lower-cased table name to its current epoch
-    and is consulted on every plan-cache access; an engine passes its
-    ``epoch_of`` so the engine's counter is the single source of truth.
-    Without one (standalone executors, as in unit tests) a private
-    fallback counter is kept, advanced by :meth:`invalidate_table`.
+    *epoch_source* maps a lower-cased table name to its current epoch;
+    an engine passes its ``epoch_of``, which the shard runtime stamps on
+    spawns and deltas.
     """
 
     def __init__(
@@ -73,18 +56,11 @@ class ParallelComparisonExecutor:
         self.config = config or ExecutionConfig()
         self.workers = self.config.resolved_workers()
         self.planner = PartitionPlanner(self.workers)
-        self._candidate_cache: Optional[LRUCache] = (
-            LRUCache(self.config.candidate_cache_size)
-            if self.config.candidate_cache_size > 0
-            else None
-        )
-        self._epoch_source = epoch_source
-        self._fallback_epochs: Dict[str, int] = {}
         self._shards: Optional[ShardRuntime] = (
             ShardRuntime(
                 self.workers,
                 shard_state_source,
-                epoch_source=self.epoch_of,
+                epoch_source=epoch_source,
                 task_timeout=self.config.task_timeout_s,
             )
             if shard_state_source is not None and self.workers > 1 and fork_available()
@@ -95,8 +71,6 @@ class ParallelComparisonExecutor:
             "parallel_match_runs": 0,
             "serial_match_runs": 0,
             "parallel_graph_builds": 0,
-            "candidate_cache_hits": 0,
-            "candidate_cache_misses": 0,
         }
 
     # -- scheduling decisions -------------------------------------------
@@ -189,66 +163,6 @@ class ParallelComparisonExecutor:
             scheme, len(indptr) - 1, universe, index_of, block_counts,
             edge_keys, edge_stats,
         )
-
-    # -- candidate-plan cache -------------------------------------------
-    def cached_candidates(
-        self, table_name: str, frontier: Set[Any], fingerprint: Any
-    ) -> Optional[List[Tuple[Any, Any]]]:
-        """The cached candidate-pair plan of a frontier, if still valid."""
-        if self._candidate_cache is None:
-            return None
-        key = self._plan_key(table_name, frontier, fingerprint)
-        plan = self._candidate_cache.get(key)
-        if plan is None:
-            self.stats["candidate_cache_misses"] += 1
-        else:
-            self.stats["candidate_cache_hits"] += 1
-        return plan
-
-    def store_candidates(
-        self,
-        table_name: str,
-        frontier: Set[Any],
-        fingerprint: Any,
-        pairs: List[Tuple[Any, Any]],
-    ) -> None:
-        if self._candidate_cache is None:
-            return
-        self._candidate_cache.put(
-            self._plan_key(table_name, frontier, fingerprint), pairs
-        )
-
-    def epoch_of(self, table_name: str) -> int:
-        """The epoch a plan for *table_name* would be keyed on right now."""
-        key = table_name.lower()
-        if self._epoch_source is not None:
-            return self._epoch_source(key)
-        return self._fallback_epochs.get(key, 0)
-
-    def _plan_key(self, table_name: str, frontier: Set[Any], fingerprint: Any):
-        key = table_name.lower()
-        # The frozen frontier participates directly (no digests): a plan
-        # must never be served for a merely hash-equal frontier.
-        return (key, self.epoch_of(key), fingerprint, frozenset(frontier))
-
-    def invalidate_table(self, table_name: str) -> None:
-        """Revoke every cached plan describing *table_name*.
-
-        With an engine-provided ``epoch_source`` this is a no-op: the
-        engine's epoch counter advances on register/insert, which
-        retires stale plans — ones that would miss pairs involving the
-        new records — by construction.  Standalone executors advance the
-        private fallback counter instead.
-        """
-        if self._epoch_source is not None:
-            return
-        key = table_name.lower()
-        self._fallback_epochs[key] = self._fallback_epochs.get(key, 0) + 1
-
-    def invalidate(self) -> None:
-        """Drop all cached plans (cold-start contract)."""
-        if self._candidate_cache is not None:
-            self._candidate_cache.clear()
 
     # -- shard runtime lifecycle -----------------------------------------
     @property

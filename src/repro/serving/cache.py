@@ -1,8 +1,6 @@
 """Epoch-keyed result cache: the serving layer's snapshot-read memory.
 
-Generalizes the parallel executor's candidate-plan LRU one level up:
-where that cache memoizes the *plan* of one table's frontier, this one
-memoizes a whole query's *answer*.  The key is
+Memoizes a whole query's *answer*.  The key is
 
     (normalized SQL, execution mode, frozenset of (table, epoch) pairs)
 

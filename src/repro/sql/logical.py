@@ -64,10 +64,6 @@ class PlanSchema:
             raise SchemaResolutionError(f"ambiguous column {name!r}; qualify it")
         return matches[0]
 
-    def positions_for(self, qualifier: str) -> List[int]:
-        """Positions of all fields belonging to *qualifier*."""
-        return [i for i, f in enumerate(self.fields) if f.qualifier.lower() == qualifier.lower()]
-
     def __repr__(self) -> str:
         return f"PlanSchema({[str(f) for f in self.fields]})"
 

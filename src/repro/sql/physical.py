@@ -328,18 +328,3 @@ class DistinctOp(PhysicalOperator):
             if row not in seen:
                 seen.add(row)
                 yield row
-
-
-class MaterializedOp(PhysicalOperator):
-    """Wrap pre-computed rows as an operator (used by ER rewrites)."""
-
-    def __init__(self, schema: PlanSchema, rows: Sequence[tuple], description: str = "materialized"):
-        super().__init__(schema)
-        self.rows = list(rows)
-        self.description = description
-
-    def execute(self, context: ExecutionContext) -> Iterator[tuple]:
-        yield from self.rows
-
-    def label(self) -> str:
-        return f"Materialized[{self.description}, {len(self.rows)} rows]"

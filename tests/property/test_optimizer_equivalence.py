@@ -120,3 +120,66 @@ def test_default_meta_blocking_falls_back_to_heuristic_identically():
     ).execute(sql)
     assert canonical(gated.rows) == canonical(heuristic.rows)
     assert gated.comparisons == heuristic.comparisons
+
+
+# A low join percentage on people (half of them work at an organisation
+# outside OAO) is the regime where join order and placement pay (§9.4).
+@pytest.fixture(scope="module")
+def planner_tables():
+    orgs, _ = generate_organizations(100, seed=31)
+    names = [row["name"] for row in orgs]
+    unlisted = [f"unlisted employer {i}" for i in range(100)]
+    people, _ = generate_people(400, organisations=names[:50] + unlisted, seed=32)
+    projects, _ = generate_projects(
+        200, organisations=names, join_fraction=0.7, seed=33
+    )
+    return people, orgs, projects
+
+
+PLANNER_QUERIES = {
+    # The big unfiltered table first, the selective filter on the last
+    # join: a FROM-order planner cleans all of PPL's frontier.
+    "q-bad-order": (
+        "SELECT DEDUP P.given_name, P.surname, O.name, J.title "
+        "FROM PPL P "
+        "JOIN OAO O ON P.organisation = O.name "
+        "JOIN OAP J ON J.organisation = O.name "
+        "WHERE J.programme = 'fp7'",
+        46969, 42730, 67,
+    ),
+    # The same join graph written selectively-first.
+    "q-good-order": (
+        "SELECT DEDUP P.given_name, P.surname, O.name, J.title "
+        "FROM OAP J "
+        "JOIN OAO O ON J.organisation = O.name "
+        "JOIN PPL P ON P.organisation = O.name "
+        "WHERE J.programme = 'fp7'",
+        42750, 42730, 67,
+    ),
+    # Placement only: which branch cleans first.
+    "q-two-way": (
+        "SELECT DEDUP P.given_name, O.name "
+        "FROM PPL P JOIN OAO O ON P.organisation = O.name "
+        "WHERE P.state IN ('nt', 'act')",
+        11397, 11397, 14,
+    ),
+}
+
+
+@pytest.mark.parametrize("qid", sorted(PLANNER_QUERIES))
+def test_optimizer_executes_fewer_comparisons_with_identical_rows(planner_tables, qid):
+    """Exact executed comparisons, heuristic → optimized, same bytes out."""
+    sql, heuristic_cmps, optimized_cmps, rows = PLANNER_QUERIES[qid]
+    heuristic_engine = _engine(planner_tables, optimizer=False, workers=1)
+    optimized_engine = _engine(planner_tables, optimizer=True, workers=1)
+    heuristic = heuristic_engine.execute(sql)
+    optimized = optimized_engine.execute(sql)
+    assert (heuristic.comparisons, optimized.comparisons) == (
+        heuristic_cmps,
+        optimized_cmps,
+    )
+    assert len(optimized) == rows
+    assert canonical(optimized.rows) == canonical(heuristic.rows)
+
+    optimized_engine.execute(sql)
+    assert optimized_engine.plan_cache.snapshot()["hits"] == 1

@@ -5,8 +5,8 @@ Comparison-Execution — blocking-graph construction and pair matching on
 resident shard workers — produces *bit-identical* output to the serial
 fast path: the same match sets, the same link sets, the same edge
 weights, the same result rows.  These tests check that contract across
-workers ∈ {1, 2, 4} and — because a stale candidate plan is the
-subsystem's one way to go quietly wrong — across ``INSERT INTO``
+workers ∈ {1, 2, 4} and — because a shard missing a committed delta
+is the subsystem's one way to go quietly wrong — across ``INSERT INTO``
 boundaries.
 """
 
@@ -101,10 +101,10 @@ def test_parallel_dedup_after_insert_equals_serial(size, seed, batch):
 
     Each worker width replays the *identical* engine history (register,
     prime, append, re-query), so any divergence is the parallel
-    subsystem's — in particular a stale candidate plan surviving the
+    subsystem's — in particular resident shard state that missed the
     append.  The appended rows are generated from a different seed, so
     some land in blocks shared with pre-existing entities: exactly the
-    pairs a stale plan would drop.
+    pairs stale state would drop.
     """
     table, _ = generate_people(size, seed=seed)
     extra, _ = generate_people(batch, seed=seed + 1)
@@ -121,7 +121,7 @@ def test_parallel_dedup_after_insert_equals_serial(size, seed, batch):
         with fresh_engine(
             Table(table.name, table.schema, list(base_rows)), workers
         ) as engine:
-            primed = engine.execute(sql)  # prime caches and candidate plans
+            primed = engine.execute(sql)  # prime caches and spawn the shards
             engine.insert("PPL", extra_rows)
             result = engine.execute(sql)
             links = engine.index_of("PPL").link_index.links

@@ -1,11 +1,13 @@
-"""Unit tests for ``--format {table,json}`` and the ``serve`` entry point."""
+"""Unit tests for ``--format {table,json}``, the ``serve`` entry point and
+:func:`repro.cli.format_table`."""
 
+import importlib.util
 import io
 import json
 
 import pytest
 
-from repro.cli import build_serve_parser, run
+from repro.cli import build_serve_parser, format_table, run
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_dsd
 from repro.storage.csv_io import write_csv
@@ -100,3 +102,20 @@ class TestServeParser:
 
     def test_serve_requires_csv(self):
         assert run(["serve"], output=io.StringIO()) == 2
+
+
+class TestFormatTable:
+    def test_format_table_alignment(self):
+        text = format_table(["name", "value"], [["a", 1.5], ["bbbb", 22]], title="T")
+        lines = text.splitlines()
+        assert lines[0] == "T"
+        assert "name" in lines[1]
+        assert len(lines) == 5
+
+    def test_none_renders_dash(self):
+        text = format_table(["x"], [[None]])
+        assert "-" in text.splitlines()[-1]
+
+    def test_the_package_ships_no_benchmark_code(self):
+        """The CLI owns the one ``format_table``; benchmarks import it."""
+        assert importlib.util.find_spec("repro.bench") is None

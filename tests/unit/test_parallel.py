@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import multiprocessing
 import resource
@@ -78,6 +79,16 @@ class TestExecutionConfig:
 
     def test_serial_shorthand(self):
         assert not ExecutionConfig.serial().parallel
+
+    def test_fields_are_the_four_scheduling_knobs(self):
+        assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
+            "workers",
+            "min_parallel_pairs",
+            "min_parallel_comparisons",
+            "task_timeout_s",
+        ]
+        with pytest.raises(TypeError):
+            ExecutionConfig(workers=2, candidate_cache_size=8)
 
 
 class TestPartitionPlanner:
@@ -158,43 +169,25 @@ class TestLRUCacheThreadSafety:
         assert len(cache) <= 64
 
 
-class TestCandidatePlanCache:
-    def test_store_hit_and_invalidate(self):
-        executor = ParallelComparisonExecutor(parallel_config())
-        frontier = {1, 2, 3}
-        executor.store_candidates("P", frontier, "fp", [(1, 2)])
-        assert executor.cached_candidates("P", frontier, "fp") == [(1, 2)]
-        assert executor.cached_candidates("P", {1, 2}, "fp") is None
-        assert executor.cached_candidates("P", frontier, "other-fp") is None
-        executor.invalidate_table("p")
-        assert executor.cached_candidates("P", frontier, "fp") is None
-
-    def test_invalidate_clears_everything(self):
-        executor = ParallelComparisonExecutor(parallel_config())
-        executor.store_candidates("P", {1}, "fp", [])
-        executor.invalidate()
-        assert executor.cached_candidates("P", {1}, "fp") is None
-
-
 class TestEngineInvalidation:
-    """INSERT INTO followed by a parallel DEDUP never reads stale plans."""
+    """INSERT INTO followed by a parallel DEDUP sees the new rows."""
 
     SQL = "SELECT DEDUP id, title, author, venue FROM P WHERE venue = 'EDBT'"
 
     @staticmethod
-    def _engine(publications):
+    def _engine(publications, use_link_index=False):
         from repro.er.meta_blocking import MetaBlockingConfig
         from repro.storage.table import Table
 
         # use_link_index=False keeps the frontier identical across
-        # repeats — the exact regime where a stale cached plan would be
-        # served after an append.  Meta-blocking stays off so block
+        # repeats, so only the appended rows can change the candidate
+        # pairs.  Meta-blocking stays off so block
         # co-occurrence alone decides candidacy (the purging/pruning
         # heuristics are unstable on a 9-row table and beside the
         # point here).  The session fixture is copied because these
         # tests INSERT into the table.
         engine = QueryEREngine(
-            use_link_index=False,
+            use_link_index=use_link_index,
             meta_blocking=MetaBlockingConfig.none(),
             execution=parallel_config(),
         )
@@ -210,12 +203,9 @@ class TestEngineInvalidation:
         with self._engine(publications) as engine:
             first = engine.execute(self.SQL)
             assert not any("P9" in str(row[0]) for row in first.rows)
-            # Prime the candidate-plan cache, then append a near-duplicate
-            # of P1 under a *different* venue: it can only be found
-            # through Block-Join (it never enters the frontier), so
-            # without plan invalidation the cached plan would silently
-            # miss it.
-            assert engine.parallel_executor.stats["candidate_cache_misses"] >= 1
+            # Append a near-duplicate of P1 under a *different* venue:
+            # it can only be found through Block-Join (it never enters
+            # the frontier).
             engine.execute(
                 "INSERT INTO P (id, title, venue, year) VALUES "
                 "('P9', 'Collective Entity Resolution', 'VLDB', '2008')"
@@ -223,18 +213,23 @@ class TestEngineInvalidation:
             second = engine.execute(self.SQL)
             assert any("P9" in str(row[0]) for row in second.rows)
 
-    def test_repeated_frontier_hits_plan_cache(self, publications):
+    def test_repeated_frontier_rederives_identically(self, publications):
+        """Every query derives its candidates afresh: same pairs, same work."""
         with self._engine(publications) as engine:
-            engine.execute(self.SQL)
-            engine.execute(self.SQL)
-            assert engine.parallel_executor.stats["candidate_cache_hits"] >= 1
+            first = engine.execute(self.SQL)
+            second = engine.execute(self.SQL)
+        assert second.sorted_rows() == first.sorted_rows()
+        assert second.comparisons == first.comparisons > 0
 
-    def test_clear_caches_drops_plans(self, publications):
-        with self._engine(publications) as engine:
-            engine.execute(self.SQL)
+    def test_clear_caches_restores_cold_behaviour(self, publications):
+        with self._engine(publications, use_link_index=True) as engine:
+            cold = engine.execute(self.SQL)
+            warm = engine.execute(self.SQL)
             engine.clear_caches()
-            engine.execute(self.SQL)
-            assert engine.parallel_executor.stats["candidate_cache_hits"] == 0
+            again = engine.execute(self.SQL)
+        assert warm.comparisons < cold.comparisons
+        assert again.comparisons == cold.comparisons
+        assert again.sorted_rows() == warm.sorted_rows() == cold.sorted_rows()
 
 
 class TestBatchParallel:

@@ -13,7 +13,7 @@ import pytest
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
 from repro.er.meta_blocking import MetaBlockingConfig
-from repro.parallel import ExecutionConfig, ParallelComparisonExecutor
+from repro.parallel import ExecutionConfig
 from repro.serving import (
     CachedResult,
     CoalesceTimeout,
@@ -69,57 +69,54 @@ class TestEngineEpochs:
 
 
 class TestExecutorEpochSource:
-    """The candidate-plan cache consumes the engine's epoch counter."""
+    """A parallel engine follows its epochs: candidates are re-derived per
+    query, so after an insert or a replacing registration it answers as a
+    fresh serial engine over the same final rows."""
 
-    def _engine(self):
-        table, _ = generate_people(60, seed=13, name="P")
+    SQL = "SELECT DEDUP id, given_name, surname, state FROM P WHERE state IN ('nsw', 'vic')"
+
+    @staticmethod
+    def _engine(table, workers):
+        # Link Index off: the frontier alone decides which rows are
+        # cleaned, the regime where stale candidates would show.
         engine = QueryEREngine(
             meta_blocking=MetaBlockingConfig.none(),
             use_link_index=False,
             execution=ExecutionConfig(
-                workers=2, min_parallel_pairs=0, min_parallel_comparisons=0,
+                workers=workers, min_parallel_pairs=0, min_parallel_comparisons=0,
             ),
         )
         engine.register(table)
         return engine
 
-    def test_executor_reads_engine_epoch(self):
-        engine = self._engine()
-        executor = engine.parallel_executor
-        assert executor.epoch_of("P") == engine.epoch_of("P") == 1
+    @staticmethod
+    def _table(rows, schema):
+        return Table("P", schema, rows, coerce=False)
 
-    def test_plan_cache_invalidated_by_insert(self):
-        engine = self._engine()
-        executor = engine.parallel_executor
-        frontier = {1, 2, 3}
-        executor.store_candidates("P", frontier, "fp", [(1, 2)])
-        assert executor.cached_candidates("P", frontier, "fp") == [(1, 2)]
-        engine.insert("P", [(9001, "Ann", "Li", "1", "x", "y", "2000", "nsw",
-                             "1990-01-01", 34, "1", "a@b.c", "Acme")])
-        assert executor.cached_candidates("P", frontier, "fp") is None
+    def test_parallel_dedup_after_insert_equals_fresh_engine(self):
+        people, _ = generate_people(90, seed=13, name="P")
+        rows = [tuple(row.values) for row in people]
+        with self._engine(self._table(rows[:60], people.schema), 2) as engine:
+            before = engine.execute(self.SQL).sorted_rows()
+            engine.insert("P", rows[60:])
+            assert engine.epoch_of("P") == 2
+            after = engine.execute(self.SQL).sorted_rows()
+        with self._engine(self._table(rows, people.schema), 1) as fresh:
+            assert after == fresh.execute(self.SQL).sorted_rows()
+        assert after != before
 
-    def test_plan_cache_invalidated_by_replace_registration(self):
-        engine = self._engine()
-        executor = engine.parallel_executor
-        frontier = {1, 2}
-        executor.store_candidates("P", frontier, "fp", [(1, 2)])
-        table, _ = generate_people(30, seed=14, name="P")
-        engine.register(table, replace=True)
-        assert executor.cached_candidates("P", frontier, "fp") is None
-
-    def test_standalone_executor_keeps_fallback_counter(self):
-        executor = ParallelComparisonExecutor(ExecutionConfig(workers=2))
-        executor.store_candidates("T", {1}, "fp", [])
-        assert executor.cached_candidates("T", {1}, "fp") == []
-        executor.invalidate_table("T")
-        assert executor.cached_candidates("T", {1}, "fp") is None
-
-    def test_engine_backed_invalidate_table_is_noop(self):
-        engine = self._engine()
-        executor = engine.parallel_executor
-        executor.store_candidates("P", {1}, "fp", [])
-        executor.invalidate_table("P")  # engine epochs are authoritative
-        assert executor.cached_candidates("P", {1}, "fp") == []
+    def test_parallel_dedup_after_replace_registration_equals_fresh_engine(self):
+        first, _ = generate_people(60, seed=13, name="P")
+        second, _ = generate_people(60, seed=14, name="P")
+        rows = [tuple(row.values) for row in second]
+        with self._engine(first, 2) as engine:
+            before = engine.execute(self.SQL).sorted_rows()
+            engine.register(self._table(rows, second.schema), replace=True)
+            assert engine.epoch_of("P") == 2
+            after = engine.execute(self.SQL).sorted_rows()
+        with self._engine(self._table(rows, second.schema), 1) as fresh:
+            assert after == fresh.execute(self.SQL).sorted_rows()
+        assert after != before
 
 
 # -- metrics ----------------------------------------------------------------
