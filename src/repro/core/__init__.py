@@ -17,7 +17,7 @@ from repro.core.dedup_join import (
     JoinedDedupResult,
     JoinType,
 )
-from repro.core.group_entities import ClusterResolver, group_single
+from repro.core.group_entities import group_single
 from repro.core.indices import LinkIndex, TableIndex
 from repro.core.result import DedupResult, GroupedEntity, group_cluster, merge_values
 from repro.core.statistics import ComparisonEstimator, TableStatistics, join_percentage
@@ -35,7 +35,6 @@ __all__ = [
     "DeduplicateJoinOperator",
     "JoinedDedupResult",
     "JoinType",
-    "ClusterResolver",
     "group_single",
     "LinkIndex",
     "TableIndex",

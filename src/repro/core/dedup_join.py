@@ -194,16 +194,17 @@ class DeduplicateJoinOperator:
             e_left = {left_id} | (left_dr.links.cluster_of(left_id) & left_id_set)
             visited.update(e_left)
             # Collect joining right entities, expanded to their clusters.
-            e_right: Set[Any] = set()
+            matched: Set[Any] = set()
             for member in e_left:
                 value = left_rows[member][self.left_column]
                 if value is None:
                     continue
-                for right_row in right_by_value.get(_join_value(value), ()):
-                    cluster = right_dr.links.cluster_of(right_row.id) & right_id_set
-                    e_right |= {right_row.id} | cluster
-            if not e_right:
+                matched.update(
+                    right_row.id for right_row in right_by_value.get(_join_value(value), ())
+                )
+            if not matched:
                 continue
+            e_right = matched | (right_dr.links.closure(matched) & right_id_set)
             for l_id in sorted(e_left, key=repr):
                 for r_id in sorted(e_right, key=repr):
                     joined.append((left_rows[l_id], right_lookup[r_id]))

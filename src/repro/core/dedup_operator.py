@@ -110,9 +110,7 @@ class DeduplicateOperator:
             resolved = link_index.resolved_subset(query_set)
             stats.skipped_resolved = len(resolved)
             for entity_id in resolved:
-                for dup in link_index.cluster_of(entity_id):
-                    if dup != entity_id:
-                        links.add(entity_id, dup)
+                self._add_cluster(links, entity_id)
         else:
             resolved = set()
 
@@ -135,9 +133,7 @@ class DeduplicateOperator:
                 if entity_id in processed:
                     continue
                 if self.use_link_index and link_index.is_resolved(entity_id):
-                    for dup in link_index.cluster_of(entity_id):
-                        if dup != entity_id:
-                            links.add(entity_id, dup)
+                    self._add_cluster(links, entity_id)
                     processed.add(entity_id)
                     continue
                 next_frontier.add(entity_id)
@@ -150,7 +146,7 @@ class DeduplicateOperator:
             link_index.mark_resolved(processed - resolved)
             link_index.add_links(links)
 
-        duplicate_ids = (links.entities() | self._closure(links, query_set)) - query_set
+        duplicate_ids = (links.entities() | links.closure(query_set)) - query_set
         return DedupResult(self.index.table, query_set, duplicate_ids, links)
 
     # -- pipeline stages ------------------------------------------------------
@@ -222,10 +218,7 @@ class DeduplicateOperator:
             compared.update(pairs)
         return pairs
 
-    @staticmethod
-    def _closure(links: LinkSet, query_set: Set[Any]) -> Set[Any]:
-        """All entities reachable from QE through L_E."""
-        reached: Set[Any] = set()
-        for entity_id in query_set:
-            reached |= links.cluster_of(entity_id)
-        return reached
+    def _add_cluster(self, links: LinkSet, entity_id: Any) -> None:
+        """Copy a resolved entity's Link Index cluster into *links*, as
+        pairs from *entity_id* to every other member."""
+        links.add_all(entity_id, self.index.link_index.cluster_of(entity_id))

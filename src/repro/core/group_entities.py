@@ -9,41 +9,17 @@ Two shapes of input exist:
 * **single-table** (SP queries): one :class:`~repro.core.result.DedupResult`;
   each duplicate cluster becomes one grouped row.
 * **joined** (SPJ queries): rows that concatenate fields of several
-  bindings; the group key is the tuple of cluster representatives, one
-  per deduplicated binding, so a left-cluster × right-cluster
-  combination fuses into exactly one output row.
+  bindings; the group key is the tuple of cluster representatives
+  (:meth:`~repro.er.linkset.LinkSet.representative`), one per binding,
+  so a left-cluster × right-cluster combination fuses into exactly one
+  output row (``DedupQueryExecutor._group`` in :mod:`repro.core.planner`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.result import DedupResult, merge_values
-from repro.er.clustering import UnionFind
-from repro.er.linkset import LinkSet
-from repro.storage.table import Row, Table
-
-
-class ClusterResolver:
-    """Maps entity ids to canonical cluster representatives."""
-
-    def __init__(self, links: LinkSet, universe: Iterable[Any]):
-        forest = UnionFind(universe)
-        for a, b in links:
-            forest.union(a, b)
-        self._forest = forest
-        # Canonical representative: lexicographically smallest member, so
-        # the mapping is independent of union order.
-        members: Dict[Any, List[Any]] = {}
-        for group in forest.groups():
-            representative = min(group, key=repr)
-            for member in group:
-                members[member] = representative
-        self._representative = members
-
-    def representative(self, entity_id: Any) -> Any:
-        """Canonical representative of the entity's cluster."""
-        return self._representative.get(entity_id, entity_id)
 
 
 def group_single(result: DedupResult) -> List[Dict[str, Any]]:
@@ -63,44 +39,3 @@ def group_single(result: DedupResult) -> List[Dict[str, Any]]:
         grouped.append((min(cluster, key=repr), fused))
     grouped.sort(key=lambda pair: repr(pair[0]))
     return [fused for _, fused in grouped]
-
-
-def group_joined_rows(
-    rows: Sequence[tuple],
-    id_positions: Sequence[int],
-    resolvers: Sequence[Optional[ClusterResolver]],
-    column_count: int,
-) -> List[tuple]:
-    """Group joined value tuples by their per-binding cluster keys.
-
-    Parameters
-    ----------
-    rows:
-        Joined tuples (concatenated binding fields).
-    id_positions:
-        For each deduplicated binding, the position of its id column in
-        the tuple; a position of ``-1`` (with resolver None) marks a
-        binding that was not deduplicated and groups by identity.
-    resolvers:
-        Parallel to *id_positions*: cluster resolver per binding.
-    column_count:
-        Width of the tuples (= output width).
-    """
-    buckets: Dict[tuple, List[tuple]] = {}
-    for row in rows:
-        key_parts = []
-        for position, resolver in zip(id_positions, resolvers):
-            if position < 0 or resolver is None:
-                key_parts.append(("*", repr(row)))
-                continue
-            key_parts.append(("c", repr(resolver.representative(row[position]))))
-        buckets.setdefault(tuple(key_parts), []).append(row)
-
-    grouped: List[tuple] = []
-    for key in sorted(buckets, key=repr):
-        members = buckets[key]
-        fused = tuple(
-            merge_values([member[i] for member in members]) for i in range(column_count)
-        )
-        grouped.append(fused)
-    return grouped

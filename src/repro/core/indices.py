@@ -9,8 +9,10 @@
 * **Query Block Index (QBI)** — the blocks of the entities a query
   evaluates, gathered on the fly from the postings by
   :func:`~repro.er.packed_blocking.derive_candidates`.
-* **Link Index (LI)** — record id → resolved duplicates, amended with
-  every query's findings; the engine of progressive cleaning (Fig 11).
+* **Link Index (LI)** — record id → resolved duplicate cluster, amended
+  with every query's findings; the engine of progressive cleaning
+  (Fig 11).  Its :class:`~repro.er.linkset.LinkSet` keeps a union-find
+  member index, so a cluster read is a lookup.
 """
 
 from __future__ import annotations
@@ -86,11 +88,7 @@ class LinkIndex:
         return before - len(self._resolved)
 
     def add_links(self, links: Iterable[tuple]) -> None:
-        for a, b in links:
-            self._links.add(a, b)
-
-    def duplicates_of(self, entity_id: Any) -> Set[Any]:
-        return self._links.duplicates_of(entity_id)
+        self._links.update(links)
 
     def cluster_of(self, entity_id: Any) -> Set[Any]:
         return self._links.cluster_of(entity_id)

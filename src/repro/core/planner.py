@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.batch import batch_deduplicate
 from repro.core.dedup_join import JoinType, _join_value
-from repro.core.group_entities import ClusterResolver
 from repro.core.indices import TableIndex
 from repro.core.result import DedupResult, merge_values
 from repro.core.statistics import ComparisonEstimator
@@ -319,6 +318,19 @@ class DedupQueryPlanner:
 # ===========================================================================
 
 
+def _key_parts(rows: Sequence[Row], representative: Callable[[Any], Any]) -> List[str]:
+    """Per row, the ``repr`` of its cluster representative — computed once
+    per distinct row (rows by identity: a table holds one Row per entity)."""
+    memo: Dict[int, str] = {}
+    parts: List[str] = []
+    for row in rows:
+        part = memo.get(id(row))
+        if part is None:
+            part = memo[id(row)] = repr(representative(row.id))
+        parts.append(part)
+    return parts
+
+
 class JoinState:
     """Accumulated joined rows: one base-table Row per bound binding."""
 
@@ -429,9 +441,7 @@ class DedupQueryExecutor:
         satisfying members are QE, the dragged-in ones QE̅.
         """
         qe = {row.id for row in info.qe_rows()}
-        duplicates: Set[Any] = set()
-        for entity_id in qe:
-            duplicates |= full.links.cluster_of(entity_id)
+        duplicates = full.links.closure(qe)
         return DedupResult(info.index.table, qe, duplicates - qe, full.links)
 
     # -- SPJ path -------------------------------------------------------------
@@ -584,27 +594,25 @@ class DedupQueryExecutor:
                 right_by_value.setdefault(_join_value(value), []).append(row)
 
             # Group accumulated combos by the left binding's cluster.
-            resolver = ClusterResolver(
-                left_result.links, (combo[position].id for combo in state.rows)
-            )
+            representative = left_result.links.representative
             groups: Dict[Any, List[Tuple[Row, ...]]] = {}
             for combo in state.rows:
-                groups.setdefault(resolver.representative(combo[position].id), []).append(combo)
+                groups.setdefault(representative(combo[position].id), []).append(combo)
 
             joined: List[Tuple[Row, ...]] = []
-            for representative in sorted(groups, key=repr):
-                members = groups[representative]
-                e_right: Set[Any] = set()
+            for key in sorted(groups, key=repr):
+                members = groups[key]
+                matched: Set[Any] = set()
                 for combo in members:
                     value = combo[position][step.left_column]
                     if value is None:
                         continue
-                    for right_row in right_by_value.get(_join_value(value), ()):
-                        e_right |= {right_row.id} | (
-                            right_dr.links.cluster_of(right_row.id) & right_id_set
-                        )
-                if not e_right:
+                    matched.update(
+                        right_row.id for right_row in right_by_value.get(_join_value(value), ())
+                    )
+                if not matched:
                     continue
+                e_right = matched | (right_dr.links.closure(matched) & right_id_set)
                 for combo in members:
                     for right_id in sorted(e_right, key=repr):
                         joined.append(combo + (right_lookup[right_id],))
@@ -615,29 +623,35 @@ class DedupQueryExecutor:
 
     # -- grouping + projection -------------------------------------------------
     def _group(self, state: JoinState) -> List[tuple]:
-        """Group-Entities: one fused tuple per cross-binding cluster key."""
-        resolvers = [
-            ClusterResolver(
-                state.results[binding].links,
-                (combo[i].id for combo in state.rows),
+        """Group-Entities: one fused tuple per cross-binding cluster key.
+
+        The key is the ``repr`` of each binding's cluster representative.
+        Each binding's distinct rows of a bucket are fused in first-seen
+        order, which equals fusing every combo because
+        :func:`merge_values` keeps a value's first occurrence.
+        """
+        keys = zip(
+            *(
+                _key_parts(rows, state.results[binding].links.representative)
+                for binding, rows in zip(state.bindings, zip(*state.rows))
             )
-            for i, binding in enumerate(state.bindings)
-        ]
-        buckets: Dict[tuple, List[tuple]] = {}
-        for combo in state.rows:
-            key = tuple(
-                repr(resolvers[i].representative(combo[i].id))
-                for i in range(len(state.bindings))
-            )
-            values = sum((row.values for row in combo), ())
-            buckets.setdefault(key, []).append(values)
+        )
+        buckets: Dict[tuple, List[Tuple[Row, ...]]] = {}
+        for key, combo in zip(keys, state.rows):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [combo]
+            else:
+                bucket.append(combo)
         grouped: List[tuple] = []
-        width = len(state.schema())
         for key in sorted(buckets):
-            members = buckets[key]
-            grouped.append(
-                tuple(merge_values([m[i] for m in members]) for i in range(width))
-            )
+            combos = buckets[key]
+            fused: List[Any] = []
+            for i in range(len(state.bindings)):
+                # Rows by identity: combos hold the table's own Row objects.
+                rows = {id(combo[i]): combo[i] for combo in combos}.values()
+                fused.extend(merge_values(column) for column in zip(*(r.values for r in rows)))
+            grouped.append(tuple(fused))
         return grouped
 
     def _aggregate_grouped(

@@ -52,12 +52,7 @@ class DedupResult:
 
     def rows(self) -> List[Row]:
         """Materialize all DR_E rows from the base table, in table order."""
-        wanted = self.entity_ids
-        return [row for row in self.table if row.id in wanted]
-
-    def duplicates_of(self, entity_id: Any) -> Set[Any]:
-        """Duplicates of one entity according to L_E."""
-        return self.links.duplicates_of(entity_id)
+        return self.table.rows_of(self.entity_ids)
 
     def clusters(self) -> List[Set[Any]]:
         """Duplicate clusters over DR_E, singletons included.
@@ -83,7 +78,7 @@ class DedupResult:
         )
 
 
-def merge_values(values: Sequence[Any]) -> Any:
+def merge_values(values: Iterable[Any]) -> Any:
     """Fuse attribute values of one cluster into a grouped value.
 
     Distinct non-null values are concatenated with :data:`GROUP_SEPARATOR`
@@ -93,22 +88,17 @@ def merge_values(values: Sequence[Any]) -> Any:
     clusters stay null (paper §6.3: nulls map to the empty value,
     replaced by existing ones when available).
     """
-    seen: List[str] = []
-    originals: List[Any] = []
+    first: Dict[str, Any] = {}  # distinct text → its first original value
     for value in values:
-        if value is None:
-            continue
-        text = str(value)
-        if text not in seen:
-            seen.append(text)
-            originals.append(value)
-    if not seen:
+        if value is not None:
+            first.setdefault(str(value), value)
+    if not first:
         return None
-    if len(seen) == 1:
+    if len(first) == 1:
         # A single distinct value keeps its original type — only genuine
         # contradictions are rendered as concatenated text.
-        return originals[0]
-    return GROUP_SEPARATOR.join(sorted(seen))
+        return next(iter(first.values()))
+    return GROUP_SEPARATOR.join(sorted(first))
 
 
 class GroupedEntity:

@@ -135,10 +135,11 @@ class Table:
         except KeyError:
             raise KeyError(f"table {self._name!r} has no row with id {entity_id!r}") from None
 
-    def get_by_id(self, entity_id: Any) -> Optional[Row]:
-        """Like :meth:`by_id` but returns ``None`` when absent."""
-        pos = self._by_id.get(entity_id)
-        return None if pos is None else self._rows[pos]
+    def rows_of(self, entity_ids: Iterable[Any]) -> List[Row]:
+        """The rows of those *entity_ids* the table holds, in table order."""
+        by_id = self._by_id
+        rows = self._rows
+        return [rows[p] for p in sorted(by_id[e] for e in entity_ids if e in by_id)]
 
     def column_values(self, start: int = 0, stop: Optional[int] = None) -> List[List[Any]]:
         """Columnar view of rows ``[start:stop)``: one value list per column.

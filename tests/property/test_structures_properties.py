@@ -62,11 +62,11 @@ class TestUnionFindProperties:
 
 class TestLinkSetProperties:
     @given(pairs)
-    def test_adjacency_is_symmetric(self, edge_list):
+    def test_pair_membership_is_symmetric(self, edge_list):
         links = LinkSet(p for p in edge_list if p[0] != p[1])
-        for entity in links.entities():
-            for dup in links.duplicates_of(entity):
-                assert entity in links.duplicates_of(dup)
+        for a, b in links:
+            assert (b, a) in links
+            assert b in links.cluster_of(a) and a in links.cluster_of(b)
 
     @given(pairs)
     def test_cluster_of_is_idempotent(self, edge_list):

@@ -71,10 +71,11 @@ class TestLinkSet:
         ls = LinkSet([("a", "b")])
         assert not ls.add("b", "a")
 
-    def test_duplicates_of(self):
+    def test_pairs_are_recorded_links_only(self):
         ls = LinkSet([("a", "b"), ("a", "c")])
-        assert ls.duplicates_of("a") == {"b", "c"}
-        assert ls.duplicates_of("zz") == set()
+        assert ("b", "a") in ls and ("c", "a") in ls
+        assert ("b", "c") not in ls
+        assert ls.cluster_of("zz") == {"zz"}
 
     def test_cluster_of_is_transitive(self):
         ls = LinkSet([("a", "b"), ("b", "c")])

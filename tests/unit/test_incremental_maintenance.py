@@ -131,7 +131,8 @@ class TestLinkIndexInvalidation:
         assert li.is_resolved("p3")
         assert outcome.invalidated == 2
         # Recorded links are kept — they are still true.
-        assert li.duplicates_of("p1") == {"p2"}
+        assert ("p1", "p2") in li.links
+        assert li.cluster_of("p1") == {"p1", "p2"}
 
     def test_cluster_closure_reaches_entities_without_touched_blocks(self):
         engine = QueryEREngine()
@@ -148,7 +149,7 @@ class TestLinkIndexInvalidation:
         )
         engine.execute("SELECT DEDUP id, title FROM P")
         li = engine.index_of("P").link_index
-        assert li.duplicates_of("p2") == {"p1"}
+        assert li.cluster_of("p2") == {"p1", "p2"}
         # Shares a block only with p2 ("citrus" is p2-only among tokens).
         engine.insert("P", [("p4", "citrus grove")])
         assert not li.is_resolved("p2")

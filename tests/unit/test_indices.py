@@ -86,14 +86,15 @@ class TestLinkIndex:
     def test_add_links_and_lookup(self):
         li = LinkIndex()
         li.add_links([("a", "b"), ("b", "c")])
-        assert li.duplicates_of("b") == {"a", "c"}
+        assert ("b", "a") in li.links and ("c", "b") in li.links
+        assert ("a", "c") not in li.links
         assert li.cluster_of("a") == {"a", "b", "c"}
 
     def test_resolved_without_links_means_no_duplicates(self):
         li = LinkIndex()
         li.mark_resolved(["solo"])
         assert li.is_resolved("solo")
-        assert li.duplicates_of("solo") == set()
+        assert li.cluster_of("solo") == {"solo"}
 
     def test_clear(self):
         li = LinkIndex()

@@ -1,6 +1,6 @@
 """Unit tests for DedupResult, value merging and Group-Entities."""
 
-from repro.core.group_entities import ClusterResolver, group_joined_rows, group_single
+from repro.core.group_entities import group_single
 from repro.core.result import DedupResult, GROUP_SEPARATOR, group_cluster, merge_values
 from repro.er.linkset import LinkSet
 from repro.storage.schema import Schema
@@ -91,28 +91,11 @@ class TestGroupSingle:
         assert group["year"] == "2008"
 
 
-class TestClusterResolver:
+class TestRepresentative:
     def test_representative_is_canonical(self):
         links = LinkSet([("b", "a"), ("b", "c")])
-        resolver = ClusterResolver(links, ["a", "b", "c", "x"])
-        assert resolver.representative("c") == resolver.representative("a")
-        assert resolver.representative("x") == "x"
+        assert links.representative("c") == links.representative("a") == "a"
+        assert links.representative("x") == "x"
 
     def test_unknown_entity_maps_to_itself(self):
-        resolver = ClusterResolver(LinkSet(), [])
-        assert resolver.representative("q") == "q"
-
-
-class TestGroupJoinedRows:
-    def test_groups_by_cluster_key(self):
-        links = LinkSet([("a", "b")])
-        resolver = ClusterResolver(links, ["a", "b"])
-        rows = [("a", "x1"), ("b", "x2")]
-        grouped = group_joined_rows(rows, [0], [resolver], 2)
-        assert len(grouped) == 1
-        assert grouped[0][1] == "x1" + GROUP_SEPARATOR + "x2"
-
-    def test_identity_grouping_without_resolver(self):
-        rows = [("a", "x"), ("b", "y")]
-        grouped = group_joined_rows(rows, [-1], [None], 2)
-        assert len(grouped) == 2
+        assert LinkSet().representative("q") == "q"

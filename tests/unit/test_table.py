@@ -57,8 +57,8 @@ class TestTable:
         with pytest.raises(KeyError):
             table.by_id("99")
 
-    def test_get_by_id_returns_none(self, table):
-        assert table.get_by_id("99") is None
+    def test_rows_of_keeps_table_order_and_skips_absent_ids(self, table):
+        assert [r.id for r in table.rows_of(["3", "99", "1"])] == ["1", "3"]
 
     def test_contains(self, table):
         assert "1" in table
