@@ -18,7 +18,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["numpy"],
+    install_requires=["numpy>=2.0"],  # np.bitwise_count
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
     extras_require={"test": ["pytest", "hypothesis", "pytest-benchmark"]},
     classifiers=[

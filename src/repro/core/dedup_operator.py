@@ -163,7 +163,7 @@ class DeduplicateOperator:
 
         # (iv) Comparison-Execution — QE-side pairs only, each pair once.
         # The whole list goes through the matcher's batched cascade
-        # (cached profile signatures; decisions bit-identical to the raw
+        # (the table's signature columns; decisions bit-identical to the raw
         # attribute path).  With an executor, it alone decides whether
         # the cascade's undecided remainder is worth its workers, and
         # counts the run either way.

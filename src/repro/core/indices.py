@@ -9,6 +9,10 @@
 * **Query Block Index (QBI)** — the blocks of the entities a query
   evaluates, gathered on the fly from the postings by
   :func:`~repro.er.packed_blocking.derive_candidates`.
+* **Signature columns** — per-row token ids, value shapes and character
+  elements, what Comparison-Execution screens pairs with
+  (:class:`~repro.er.matching.SignatureColumns`); built at
+  registration, appended per ``INSERT`` batch.
 * **Link Index (LI)** — record id → resolved duplicate cluster, amended
   with every query's findings; the engine of progressive cleaning
   (Fig 11).  Its :class:`~repro.er.linkset.LinkSet` keeps a union-find
@@ -26,8 +30,8 @@ import numpy as np
 from repro.core.entity import EntityCollection
 from repro.er.blocking import TokenBlocking, TokenPostings
 from repro.er.linkset import LinkSet
-from repro.er.matching import ProfileSignature, build_signature
-from repro.er.tokenizer import TokenVocabulary
+from repro.er.matching import SignatureColumns, SignatureRow
+from repro.er.tokenizer import MIN_TOKEN_LENGTH, TokenVocabulary
 from repro.resilience import inject
 from repro.storage.table import Table
 
@@ -109,22 +113,6 @@ class LinkIndex:
         return f"LinkIndex({len(self._resolved)} resolved, {len(self._links)} links)"
 
 
-class SignatureView:
-    """Read-only mapping view: entity id → its (lazily built) signature.
-
-    What :meth:`ProfileMatcher.match_pair_indices` takes as its
-    ``signatures`` — no dict of signatures is materialized per call.
-    """
-
-    __slots__ = ("_signature_of",)
-
-    def __init__(self, index: "TableIndex"):
-        self._signature_of = index.signature_of
-
-    def __getitem__(self, entity_id: Any) -> ProfileSignature:
-        return self._signature_of(entity_id)
-
-
 def _size_ordered(key_sets: List[Set[str]], sizes: Counter) -> List[List[str]]:
     """Each key set sorted by ``(block size, key)``, sizes counted on top of *sizes*.
 
@@ -138,17 +126,19 @@ def _size_ordered(key_sets: List[Set[str]], sizes: Counter) -> List[List[str]]:
 
 
 class TableIndex:
-    """Token postings (TBI + ITBI) + LI for one registered entity collection.
+    """Token postings (TBI + ITBI), signature columns and LI of one table.
 
-    The postings are built (and the LI initialized empty) once-off when
-    the table is registered and live in memory (§3); ``INSERT`` batches
-    amend them in place.  The same
+    The postings and the Comparison-Execution
+    :class:`~repro.er.matching.SignatureColumns` are built (and the LI
+    initialized empty) once-off when the table is registered and live
+    in memory (§3); ``INSERT`` batches amend both in place.  The same
     :class:`~repro.er.blocking.TokenBlocking` instance serves the TBI and
     every QBI so their keys stay join-compatible.
 
     Two invariants the persistence and shard codecs rely on:
 
-    * an entity's dense postings id is its table row position;
+    * an entity's dense postings id is its table row position, and its
+      row of the signature columns;
     * token ids are a function of the rows alone.  Registration interns
       each row's keys in ascending ``(table block size, key)`` order,
       rows in table order, and an ``INSERT`` batch interns its rows' new
@@ -162,18 +152,13 @@ class TableIndex:
         self.entities = EntityCollection(table)
         self.blocking = blocking or TokenBlocking(exclude_attributes=(table.schema.id_column,))
         self.link_index = LinkIndex()
-        # Comparison-Execution fast-path state: one token vocabulary per
-        # table, and per-entity profile signatures memoized on first use
-        # (rows are immutable, so a signature never goes stale; appends
-        # only add ids that simply are not cached yet).
         self.vocabulary = TokenVocabulary()
-        self._signatures: Dict[Any, ProfileSignature] = {}
-        self._signature_exclude = frozenset({table.schema.id_column.lower()})
         keys_for = self.blocking.keys_for
         key_sets = [keys_for(attributes) for _, attributes in self.entities.items()]
         self.postings = TokenPostings.build(
             zip(table.ids, _size_ordered(key_sets, Counter())), self.vocabulary
         )
+        self.signatures = self._signature_columns()
 
     # -- (de)hydration ----------------------------------------------------
     def to_arrays(self, start: int = 0, stop: Optional[int] = None) -> Dict[str, Any]:
@@ -196,10 +181,6 @@ class TableIndex:
             )
         return {"itbi_indptr": csr["indptr"], "itbi_tokens": csr["tokens"]}
 
-    def signature_ids(self) -> Tuple[Any, ...]:
-        """Ids of the entities whose profile signatures are cached."""
-        return tuple(self._signatures)
-
     @classmethod
     def from_arrays(
         cls,
@@ -210,16 +191,14 @@ class TableIndex:
         blocking: Optional[TokenBlocking] = None,
         link_pairs: Iterable[Tuple[Any, Any]] = (),
         resolved: Iterable[Any] = (),
-        signature_ids: Iterable[Any] = (),
     ) -> "TableIndex":
         """Rehydrate a :class:`TableIndex` from persisted arrays.
 
         The inverse of :meth:`to_arrays`: row ``i`` of the CSR becomes
         dense postings id ``i`` and the inverted side is one counting
-        sort away, and recorded signatures are rebuilt against the
-        restored vocabulary — every token they intern is already
-        present, so their ids are bit-identical to the saved engine's.
-        No attribute value is ever re-tokenized.
+        sort away.  The signature columns are rebuilt in bulk; under
+        the default blocking their token ids are read off the restored
+        CSR, equal to the saved engine's.
         """
         index = cls.__new__(cls)
         index.table = table
@@ -234,41 +213,61 @@ class TableIndex:
         index.link_index = LinkIndex()
         index.link_index.add_links(link_pairs)
         index.link_index.mark_resolved(resolved)
-        index._signatures = {}
-        index._signature_exclude = frozenset({table.schema.id_column.lower()})
-        for entity_id in signature_ids:
-            index.signature_of(entity_id)
+        index.signatures = index._signature_columns()
         return index
 
     # -- profile signatures ----------------------------------------------
-    def signature_of(self, entity_id: Any) -> ProfileSignature:
-        """The entity's cached :class:`ProfileSignature` (built lazily).
+    def _signature_columns(self) -> SignatureColumns:
+        """The table's :class:`SignatureColumns`, built over every row.
 
-        Laziness keeps registration cost unchanged; a signature is paid
-        for exactly once, the first time Comparison-Execution touches the
-        entity, and the incremental maintainer pre-builds them for
-        ingested batches.
+        The matcher compares every non-id attribute, tokenized at the
+        default minimum length.  When the blocking function produces
+        exactly those tokens — the default :class:`TokenBlocking` — each
+        row's token ids are its postings row, read without interning;
+        any other blocking function leaves the columns a private
+        vocabulary of their own.
         """
-        signature = self._signatures.get(entity_id)
-        if signature is None:
-            signature = build_signature(
-                entity_id,
-                self.entities.attributes(entity_id),
-                self.vocabulary,
-                self._signature_exclude,
-            )
-            self._signatures[entity_id] = signature
-        return signature
+        table = self.table
+        id_column = table.schema.id_column
+        exclude = frozenset({id_column.lower()})
+        blocking = self.blocking
+        keys_are_tokens = (
+            type(blocking) is TokenBlocking
+            and blocking.min_token_length == MIN_TOKEN_LENGTH
+            and blocking.numeric_min_length is None
+            and frozenset(name.lower() for name in blocking.exclude_attributes) == exclude
+        )
+        id_position = table.schema.id_position
 
-    @property
-    def signatures(self) -> SignatureView:
-        """Mapping view over :meth:`signature_of` (see :class:`SignatureView`)."""
-        return SignatureView(self)
+        def values_of(row: int) -> Tuple[Any, ...]:
+            values = self.table[row].values
+            return values[:id_position] + values[id_position + 1 :]
 
-    @property
-    def signature_count(self) -> int:
-        """How many entities currently hold a cached signature."""
-        return len(self._signatures)
+        columns = SignatureColumns(
+            [name for name in table.schema.names if name != id_column],
+            exclude,
+            self.postings.dense_ids,
+            values_of,
+            vocabulary=self.vocabulary if keys_are_tokens else None,
+        )
+        self._append_signatures(columns, 0, len(table))
+        return columns
+
+    def _append_signatures(self, columns: SignatureColumns, start: int, stop: int) -> None:
+        """Append table rows ``[start:stop)`` — postings rows too — to *columns*."""
+        table = self.table
+        values = table.column_values(start, stop)
+        id_position = table.schema.id_position
+        values = [column for position, column in enumerate(values) if position != id_position]
+        tokens = None
+        if columns.vocabulary is self.vocabulary:
+            csr = self.postings.to_arrays(start, stop)
+            tokens = (csr["indptr"], csr["tokens"])
+        columns.append(stop - start, values, tokens)
+
+    def signature_of(self, entity_id: Any) -> SignatureRow:
+        """The entity's row of :attr:`signatures`."""
+        return self.signatures[entity_id]
 
     # -- incremental maintenance ----------------------------------------------
     def add_records(
@@ -292,9 +291,12 @@ class TableIndex:
         of the grown table (asserted by the incremental-maintenance
         tests).
 
+        The batch's rows are appended to the signature columns too, in
+        bulk.
+
         **Atomic.**  A failure mid-batch (tokenization error, injected
-        ``dml.index_delta`` fault) truncates the postings back to the
-        pre-batch entity count and drops the batch's signatures before
+        ``dml.index_delta`` fault) truncates the postings and the
+        signature columns back to the pre-batch entity count before
         re-raising.  Tokens the batch interned stay in the vocabulary,
         with empty postings; interning is append-only.
         """
@@ -319,11 +321,7 @@ class TableIndex:
                 postings.add_entity(entity_id, keys)
             _, members = postings.members_of([vocabulary.id_of(key) for key in touched])
             affected = set(postings.entity_ids_of(np.unique(members))).difference(new_ids)
-            # Pre-build the batch's profile signatures so the vocabulary grows
-            # incrementally with the delta and the first post-append query
-            # pays no signature cost for the new rows.
-            for entity_id in new_ids:
-                self.signature_of(entity_id)
+            self._append_signatures(self.signatures, before, postings.entity_count)
         except BaseException:
             self._truncate(before)
             raise
@@ -344,11 +342,9 @@ class TableIndex:
         self._truncate(start)
 
     def _truncate(self, entity_count: int) -> None:
-        """Cut the postings back to *entity_count* entities, with their signatures."""
-        postings = self.postings
-        for entity_id in postings.entity_ids_of(np.arange(entity_count, postings.entity_count)):
-            self._signatures.pop(entity_id, None)
-        postings.truncate(entity_count)
+        """Cut the postings and signature columns back to *entity_count* rows."""
+        self.signatures.truncate(entity_count)
+        self.postings.truncate(entity_count)
 
     # -- stats -----------------------------------------------------------------
     @property

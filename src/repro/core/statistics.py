@@ -33,9 +33,9 @@ from repro.core.dedup_join import _join_value
 from repro.core.indices import TableIndex
 from repro.er.block_filtering import DEFAULT_RATIO
 from repro.er.block_purging import SMOOTHING_FACTOR
-from repro.er.matching import ProfileMatcher, build_signature
+from repro.er.matching import ProfileMatcher
 from repro.er.packed_blocking import purge_and_filter
-from repro.er.tokenizer import TokenVocabulary, tokenize_value
+from repro.er.tokenizer import tokenize_value
 from repro.sql import ast
 from repro.sql.expressions import string_literals
 from repro.storage.table import Row, Table
@@ -161,13 +161,10 @@ class TableStatistics:
     bounded) to estimate df = |duplicates| / |sample| (§7.2.1).  The
     pairs go through the batched Comparison-Execution entry point,
     :meth:`~repro.er.matching.ProfileMatcher.match_pair_indices`, on a
-    private matcher configured like *matcher* and over signatures
-    interned into a private vocabulary — so neither the table matcher's
-    counters and memo nor the table index's vocabulary and signatures
-    change.  (Token ids are assigned in first-intern order, and
-    Edge Pruning visits blocks in token-id order; sample tokens
-    interned into the table vocabulary first would reorder that.)  The
-    decisions equal ``matcher.matches`` on every pair.
+    private matcher configured like *matcher* and over the table's own
+    signature columns — so neither the table matcher's counters and memo
+    nor the table index change.  The decisions equal ``matcher.matches``
+    on every pair.
     """
 
     def __init__(
@@ -250,14 +247,8 @@ def _count_duplicates(index: TableIndex, matcher: ProfileMatcher, rows: List[Row
         threshold=matcher.threshold,
         exclude=matcher.exclude,
     )
-    vocabulary = TokenVocabulary()
-    attributes = index.entities.attributes_of_row
-    signatures = {
-        row.id: build_signature(row.id, attributes(row), vocabulary, private.exclude)
-        for row in rows
-    }
-    pairs = list(combinations(signatures, 2))
-    return len(private.match_pair_indices(pairs, signatures))
+    pairs = list(combinations([row.id for row in rows], 2))
+    return len(private.match_pair_indices(pairs, index.signatures))
 
 
 def join_percentage(

@@ -25,7 +25,7 @@ from repro.er.similarity import (
     overlap_coefficient,
     token_jaccard,
 )
-from repro.er.matching import ProfileMatcher, ProfileSignature, build_signature
+from repro.er.matching import ProfileMatcher, SignatureColumns, SignatureRow
 from repro.er.clustering import UnionFind, connected_components
 from repro.er.linkset import LinkSet
 from repro.er.evaluation import pair_completeness, pairs_quality, f_measure
@@ -56,8 +56,8 @@ __all__ = [
     "overlap_coefficient",
     "token_jaccard",
     "ProfileMatcher",
-    "ProfileSignature",
-    "build_signature",
+    "SignatureColumns",
+    "SignatureRow",
     "UnionFind",
     "connected_components",
     "LinkSet",

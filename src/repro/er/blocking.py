@@ -13,79 +13,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.er.tokenizer import MIN_TOKEN_LENGTH, TokenVocabulary, tokenize_entity
-
-
-class _GrowableIntArray:
-    """A contiguous int64 NumPy array with amortized O(1) appends.
-
-    Capacity doubles on overflow, so the postings arrays stay contiguous
-    (CSR consumers slice them directly) while ``INSERT`` batches extend
-    them at cost proportional to the batch.
-    """
-
-    __slots__ = ("_data", "_size")
-
-    def __init__(self, initial: Any = ()):
-        self._data = np.array(initial, dtype=np.int64)
-        self._size = len(self._data)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def view(self) -> Any:
-        """The live contents as a zero-copy array view."""
-        return self._data[: self._size]
-
-    def _reserve(self, extra: int) -> None:
-        needed = self._size + extra
-        if needed <= len(self._data):
-            return
-        capacity = max(len(self._data), 1)
-        while capacity < needed:
-            capacity *= 2
-        grown = np.empty(capacity, dtype=np.int64)
-        grown[: self._size] = self._data[: self._size]
-        self._data = grown
-
-    def append(self, value: int) -> None:
-        self._reserve(1)
-        self._data[self._size] = value
-        self._size += 1
-
-    def extend(self, values: Any) -> None:
-        values = np.asarray(values, dtype=np.int64)
-        self._reserve(len(values))
-        self._data[self._size : self._size + len(values)] = values
-        self._size += len(values)
-
-    def pad_to(self, size: int) -> None:
-        """Zero-extend to at least *size* entries."""
-        if size > self._size:
-            self._reserve(size - self._size)
-            self._data[self._size : size] = 0
-            self._size = size
-
-    def truncate(self, size: int) -> None:
-        """Drop every entry from position *size* on."""
-        self._size = min(self._size, size)
-
-
-def _gather_ranges(source: Any, starts: Any, counts: Any) -> Any:
-    """Concatenate ``source[starts[i] : starts[i]+counts[i]]`` segments.
-
-    The standard vectorized multi-slice gather: one ``arange`` over the
-    total output size, shifted per segment.
-    """
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=source.dtype)
-    ends = np.cumsum(counts)
-    positions = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(ends - counts, counts)
-        + np.repeat(starts, counts)
-    )
-    return source[positions]
+from repro.er.util import GrowableArray, gather_ranges
 
 
 class TokenPostings:
@@ -114,8 +42,8 @@ class TokenPostings:
         self.vocabulary = vocabulary
         self._entity_ids: List[Any] = []
         self._entity_index: Dict[Any, int] = {}
-        self._ent_indptr = _GrowableIntArray([0])
-        self._ent_tokens = _GrowableIntArray()
+        self._ent_indptr = GrowableArray([0])
+        self._ent_tokens = GrowableArray()
         # Inverted base CSR (rebuilt only by compaction) + pending delta.
         self._tok_indptr = np.zeros(1, dtype=np.int64)
         self._tok_members = np.empty(0, dtype=np.int64)
@@ -123,7 +51,7 @@ class TokenPostings:
         self._pending_count = 0
         # Total posting length per token id (base + pending), maintained
         # incrementally — the purge/filter stages read it in bulk.
-        self._sizes = _GrowableIntArray()
+        self._sizes = GrowableArray()
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -150,8 +78,8 @@ class TokenPostings:
             for key in keys:
                 tokens.append(intern(key))
             indptr.append(len(tokens))
-        postings._ent_indptr = _GrowableIntArray(indptr)
-        postings._ent_tokens = _GrowableIntArray(tokens)
+        postings._ent_indptr = GrowableArray(indptr)
+        postings._ent_tokens = GrowableArray(tokens)
         postings.compact()
         return postings
 
@@ -174,8 +102,8 @@ class TokenPostings:
         postings = cls(vocabulary)
         postings._entity_ids = list(entity_ids)
         postings._entity_index = {e: i for i, e in enumerate(postings._entity_ids)}
-        postings._ent_indptr = _GrowableIntArray(indptr)
-        postings._ent_tokens = _GrowableIntArray(tokens)
+        postings._ent_indptr = GrowableArray(indptr)
+        postings._ent_tokens = GrowableArray(tokens)
         if len(postings._ent_indptr) != len(postings._entity_ids) + 1:
             raise ValueError(
                 f"indptr has {len(postings._ent_indptr)} entries for "
@@ -262,7 +190,7 @@ class TokenPostings:
         counts = np.diff(indptr)
         entities = np.repeat(np.arange(len(self._entity_ids), dtype=np.int64), counts)
         token_counts = np.bincount(tokens, minlength=len(self.vocabulary))
-        self._sizes = _GrowableIntArray(token_counts)
+        self._sizes = GrowableArray(token_counts)
         self._tok_indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(token_counts, dtype=np.int64))
         )
@@ -292,6 +220,11 @@ class TokenPostings:
         """|TBI| — how many tokens have a non-empty posting."""
         return int(np.count_nonzero(self._sizes.view()))
 
+    @property
+    def dense_ids(self) -> Mapping[Any, int]:
+        """Entity id → dense id, live (read-only to callers)."""
+        return self._entity_index
+
     def entity_ids_of(self, dense: Any) -> List[Any]:
         ids = self._entity_ids
         return [ids[i] for i in dense.tolist()]
@@ -311,7 +244,7 @@ class TokenPostings:
         indptr = self._ent_indptr.view()
         starts = indptr[dense]
         counts = indptr[dense + 1] - starts
-        gathered = _gather_ranges(self._ent_tokens.view(), starts, counts)
+        gathered = gather_ranges(self._ent_tokens.view(), starts, counts)
         return np.unique(gathered)
 
     # -- inverted postings ----------------------------------------------
@@ -351,7 +284,7 @@ class TokenPostings:
                 - np.repeat(np.cumsum(base_counts) - base_counts, base_counts)
                 + np.repeat(out_indptr[:-1], base_counts)
             )
-            src = _gather_ranges(self._tok_members, starts, base_counts)
+            src = gather_ranges(self._tok_members, starts, base_counts)
             members[out_positions] = src
         if self._pending:
             pending = self._pending

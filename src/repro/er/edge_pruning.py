@@ -332,12 +332,3 @@ class BlockingGraph:
         id pairs without set materialization.
         """
         return self._edge_keys[self._weights() >= threshold]
-
-    def retained_pairs(self, threshold: float) -> Set[Tuple[Any, Any]]:
-        """Canonical pairs whose weight is at or above *threshold*."""
-        universe = self._universe
-        n = self._n
-        return {
-            (universe[key // n], universe[key % n])
-            for key in self.retained_key_array(threshold).tolist()
-        }

@@ -13,16 +13,16 @@ so both aligned typo-level variation and cross-attribute value shuffling
 ``description`` on another) are caught.  A pair matches when that
 similarity reaches the threshold.
 
-The matcher additionally understands precomputed
-:class:`ProfileSignature` objects (built per table by
-:class:`~repro.core.indices.TableIndex`) and runs a cheap-to-expensive
-cascade over them:
+The matcher additionally understands a table's
+:class:`SignatureColumns` (built by :class:`~repro.core.indices.TableIndex`
+at registration and amended per ``INSERT`` batch) and runs a
+cheap-to-expensive cascade over them:
 
-1. interned-token Jaccard (one merge over two sorted int arrays) — can
-   *accept* on its own, since the profile similarity is a max;
-2. per-attribute Jaro-Winkler upper bounds from precomputed character
-   counts, lengths and prefixes — can *reject* on its own when even the
-   bounded mean cannot reach the threshold;
+1. interned-token Jaccard — can *accept* on its own, since the profile
+   similarity is a max;
+2. per-attribute Jaro-Winkler upper bounds from character counts,
+   lengths and prefixes — can *reject* on its own when even the bounded
+   mean cannot reach the threshold;
 3. the exact aligned mean, attribute by attribute, stopping as soon as
    the partial mean already proves the decision either way.
 
@@ -34,19 +34,22 @@ threshold so float rounding cannot flip a borderline pair, and undecided
 pairs complete the identical slow-path computation.
 
 :meth:`ProfileMatcher.match_pair_indices` is the batched entry point
-every product path goes through: stages 1 and 2 run array-at-a-time
-over the whole candidate list (``similarity.jaccard_sorted_ids_batch``,
-``similarity.jaro_winkler_char_bound_batch`` over columns each signature
-carries), and only the undecided remainder reaches the scalar stage 3 —
-with the batch's per-attribute bounds, which equal the scalar bounds bit
-for bit.  :meth:`ProfileMatcher.match_signatures` is the single-pair
-form of the same cascade and the reference the batch is tested against.
+every product path goes through: stages 1 and 2 run as popcount kernels
+over per-chunk bitsets gathered from the columns — a token intersection
+is ``popcount(tokens_a & tokens_b)``, a slot's character intersection
+``popcount(elements_a & elements_b)`` — feeding
+``similarity.jaro_winkler_char_bound_batch``; only the undecided
+remainder reaches the scalar stage 3, with the batch's per-attribute
+bounds, which equal the scalar bounds bit for bit.
+:meth:`ProfileMatcher.match_signatures` is the single-pair form of the
+same cascade over :class:`SignatureRow` views, and the reference the
+batch is tested against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, compress
 from typing import (
     Any,
     Callable,
@@ -65,7 +68,6 @@ import numpy as np
 from repro.er.similarity import (
     jaccard,
     jaccard_sorted_ids,
-    jaccard_sorted_ids_batch,
     jaro_winkler,
     jaro_winkler_char_bound,
     jaro_winkler_char_bound_batch,
@@ -77,7 +79,7 @@ from repro.er.tokenizer import (
     tokenize_entity,
     tokenize_value,
 )
-from repro.er.util import LRUCache
+from repro.er.util import GrowableArray, LRUCache, gather_ranges
 
 #: Default match-decision threshold on the mean attribute similarity.
 DEFAULT_THRESHOLD = 0.75
@@ -99,135 +101,371 @@ _PREFIX_LENGTH = 4
 #: Bits of a Unicode code point (the largest is 0x10FFFF).
 _CODE_POINT_BITS = 21
 
-#: Candidate pairs whose unique entities are stacked together: bounds
-#: the stacked count matrix (entities x characters) however long the
-#: candidate list is.
+#: Candidate pairs whose unique rows share one set of bitsets: bounds
+#: the bitset matrices (rows x words) however long the candidate list
+#: is.
 _SCREEN_CHUNK = 1 << 16
 
+#: Code points per block of a signature-column build: bounds its
+#: temporaries (a few int64 arrays per code point) on a big registration.
+_BUILD_BLOCK = 1 << 15
+
 #: Pairs per NumPy pass within a chunk: the gathered temporaries
-#: (pairs x characters) stay cache-sized and are reused slice to slice.
+#: (pairs x words) stay cache-sized and are reused slice to slice.
 _SCREEN_ROWS = 1 << 11
 
 SimilarityFn = Callable[[str, str], float]
 
 
-class ProfileSignature:
-    """Precomputed per-entity comparison state for the fast cascade.
+class SignatureColumns:
+    """A table's profile signatures as columns over its row positions.
 
-    * ``token_ids`` — sorted array of interned whole-profile token ids
-      (the exact token set :meth:`ProfileMatcher._token_similarity` would
-      derive, one integer per distinct token).
-    * ``norms`` — attribute name → lowercase string of each non-null,
-      non-excluded value (what the aligned signal compares), in the
-      attribute mapping's iteration order so partial sums accumulate in
-      the same order as the slow path's.
-    * ``attributes`` — the original attribute mapping, kept so
-      incompatible matchers can fall back to the raw slow path.  Its key
-      order numbers the attribute *slots* of the two column arrays.
-    * ``exclude`` — the lowered attribute names excluded when the
-      signature was built; a matcher only trusts a signature whose
-      exclusions equal its own.
-    * ``shape_columns`` — ``(1 + 4, slots)`` int32: row 0 the
-      normalized values' lengths, rows 1–4 their first four code
-      points; ``-1`` where the slot holds no comparable value (and past
-      the end of a shorter value).
-    * ``char_columns`` — ``(2, n)``: one column per (slot, distinct
-      character), row 0 the key ``slot << 21 | code point``, row 1 the
-      character's count in that slot's value.  Code points are their own
-      alphabet, so a character first seen in a later ``INSERT`` needs no
-      shared state to grow.
-    * ``char_counts`` — attribute name → character→count map of the
-      normalized value, what the scalar cascade's upper bound reads;
-      derived from ``norms`` on first use, so the batched path never
-      holds it.
+    Everything stages 1–2 of the cascade read, built in bulk by
+    :meth:`append` — over the whole table at registration (or load),
+    over its rows per ``INSERT`` batch — and cut back by
+    :meth:`truncate`:
 
-    The two column arrays are what the batched cascade stacks; they are
-    built once here, so a batch pays per unique entity only for the
-    stacking.
+    * **tokens** — a CSR of each row's sorted, de-duplicated token ids:
+      the whole-profile token set the slow path's Jaccard compares, in
+      :attr:`vocabulary`'s id space;
+    * **shapes** — ``(rows, 1 + 4, slots)`` int32: per attribute slot
+      the normalized value's length, then its first four code points;
+      ``-1`` where the slot holds no comparable value (and past the end
+      of a shorter value);
+    * **elements** — each row's character *elements* as a bitset: a
+      slot whose normalized value holds character ``c`` ``n`` times
+      owns the elements ``(slot, c, 1) … (slot, c, n)``, so a slot's
+      multiset intersection ``Σ_c min(count_a(c), count_b(c))`` is the
+      number of elements two rows share there — a popcount.  Elements
+      are interned per table onto bit positions, append-only like token
+      ids; each 64-bit word holds the elements of one slot only.  A row
+      stores the words it sets as a CSR of ``(word, bits)``.
+
+    Attribute slots number the table's non-id columns in schema order.
+    Normalized strings are not stored: stage 3 normalizes the raw
+    values of each pair it scores, which gives the same strings, so the
+    same floats.  ``columns[entity_id]`` is the entity's
+    :class:`SignatureRow`, what the scalar cascade reads.
     """
-
-    __slots__ = (
-        "entity_id",
-        "attributes",
-        "norms",
-        "token_ids",
-        "exclude",
-        "shape_columns",
-        "char_columns",
-        "_char_counts",
-    )
 
     def __init__(
         self,
-        entity_id: Any,
-        attributes: Mapping[str, Any],
-        norms: Mapping[str, str],
-        token_ids: Tuple[int, ...],
+        names: Sequence[str],
         exclude: FrozenSet[str],
+        positions: Mapping[Any, int],
+        values_of: Callable[[int], Sequence[Any]],
+        vocabulary: Optional[TokenVocabulary] = None,
     ):
-        self.entity_id = entity_id
-        self.attributes = attributes
-        self.norms = norms
-        self.token_ids = token_ids
-        self.exclude = exclude
-        self._char_counts: Optional[Dict[str, Counter]] = None
-        lengths = [-1] * len(attributes)
-        heads = [[-1] * len(attributes) for _ in range(_PREFIX_LENGTH)]
-        keys: List[int] = []
-        counts: List[int] = []
-        for slot, name in enumerate(attributes):
-            norm = norms.get(name)
-            if norm is None:
-                continue
-            lengths[slot] = len(norm)
-            for place, char in enumerate(norm[:_PREFIX_LENGTH]):
-                heads[place][slot] = ord(char)
-            base = slot << _CODE_POINT_BITS
-            for char, count in Counter(norm).items():
-                keys.append(base | ord(char))
-                counts.append(count)
-        self.shape_columns = np.array([lengths] + heads, dtype=np.int32)
-        # int32 holds the keys of the first 1024 slots; wider tables widen.
-        self.char_columns = np.array(
-            [keys, counts],
-            dtype=np.int32 if len(attributes) <= 1 << (31 - _CODE_POINT_BITS) else np.int64,
+        """*positions* maps an entity id to its row, *values_of* a row
+        to its raw value per slot.  With *vocabulary*, every
+        :meth:`append` supplies the rows' token ids in it; without, rows
+        are tokenized here into a private vocabulary."""
+        self.names = tuple(names)
+        self.exclude = frozenset(exclude)
+        self.compared = tuple(name.lower() not in self.exclude for name in self.names)
+        self.vocabulary = TokenVocabulary() if vocabulary is None else vocabulary
+        self._tokenize = vocabulary is None
+        self._positions = positions
+        self._values_of = values_of
+        self._token_indptr = GrowableArray([0])
+        self._tokens = GrowableArray()
+        self._shapes = GrowableArray(
+            np.empty((0, 1 + _PREFIX_LENGTH, len(self.names))), np.int32
+        )
+        self._word_indptr = GrowableArray([0])
+        self._words = GrowableArray((), np.int32)
+        self._bits = GrowableArray((), np.uint64)
+        # Interned elements: the packed ``slot | code point | k - 1`` →
+        # bit position ``word << 6 | bit``; each word's slot.  The slot
+        # takes the top bits a table of this width needs, ``k - 1`` the
+        # rest of an int64.
+        self._copy_bits = 63 - _CODE_POINT_BITS - max(1, (len(self.names) - 1).bit_length())
+        self._element_position: Dict[int, int] = {}
+        self._word_slot = GrowableArray()
+        self._open_word: Dict[int, Tuple[int, int]] = {}
+
+    def __len__(self) -> int:
+        return len(self._shapes)
+
+    def __getitem__(self, entity_id: Any) -> "SignatureRow":
+        return SignatureRow(self, self._positions[entity_id])
+
+    def rows_of(self, entity_ids: Iterable[Any], count: int) -> Any:
+        """The rows of *count* entity ids, as an int64 array."""
+        return np.fromiter(
+            map(self._positions.__getitem__, entity_ids), dtype=np.int64, count=count
         )
 
-    @property
-    def char_counts(self) -> Mapping[str, Mapping[str, int]]:
-        if self._char_counts is None:
-            self._char_counts = {name: Counter(norm) for name, norm in self.norms.items()}
-        return self._char_counts
+    # -- building ----------------------------------------------------------
+    def append(
+        self,
+        count: int,
+        values: Sequence[Sequence[Any]],
+        tokens: Optional[Tuple[Any, Any]] = None,
+    ) -> None:
+        """Append *count* rows, ``values[slot][i]`` the raw value of row ``i``.
+
+        *tokens* is ``(indptr, ids)``, the rows' token ids in
+        :attr:`vocabulary` — each row's distinct ids, in any order — and
+        is required exactly when the columns were given a vocabulary.
+        """
+        if self._tokenize:
+            rows = [set() for _ in range(count)]
+            for column, compared in zip(values, self.compared):
+                if compared:
+                    for row, value in zip(rows, column):
+                        row.update(tokenize_value(value))
+            intern_all = self.vocabulary.intern_all
+            rows = [intern_all(sorted(row)) for row in rows]
+            sizes = np.fromiter(map(len, rows), dtype=np.int64, count=count)
+            ids = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(sizes.sum()))
+        else:
+            indptr, ids = tokens
+            sizes = np.diff(indptr)
+            # Sort within rows: offsetting row i by i * (max id + 1)
+            # keeps the rows apart.
+            row_base = np.arange(count, dtype=np.int64) * (int(ids.max(initial=0)) + 1)
+            keys = np.repeat(row_base, sizes)
+            keys += ids
+            keys.sort()
+            ids = keys
+            ids -= np.repeat(row_base, sizes)
+        self._token_indptr.extend(len(self._tokens) + np.cumsum(sizes))
+        self._tokens.extend(ids)
+        del ids
+
+        shapes = self._shapes.grow(count)
+        shapes.fill(-1)
+        parts = [
+            self._value_words(texts, owners, shapes)
+            for texts, owners in self._value_blocks(values)
+        ]
+        if parts:
+            rows, words, bits = (np.concatenate(column) for column in zip(*parts))
+        else:
+            rows = words = bits = np.empty(0, dtype=np.int64)
+        # Row-major: each row's words, slot by slot.
+        order = np.argsort(rows, kind="stable")
+        self._word_indptr.extend(
+            len(self._words) + np.cumsum(np.bincount(rows, minlength=count))
+        )
+        self._words.extend(words[order])
+        self._bits.extend(bits[order])
+
+    def _value_blocks(self, values: Sequence[Sequence[Any]]):
+        """The batch's comparable values, normalized, slot by slot, in
+        blocks of at most :data:`_BUILD_BLOCK` code points (a longer
+        value makes a block of its own): ``(texts, owners)``, each
+        value's owner ``row * slots + slot``.  Blocks bound the build's
+        temporaries whatever the batch size."""
+        slots = len(self.names)
+        texts: List[str] = []
+        owners: List[int] = []
+        size = 0
+        for slot, (column, compared) in enumerate(zip(values, self.compared)):
+            if not compared:
+                continue
+            present = [value is not None for value in column]
+            slot_texts = list(map(normalize_value, compress(column, present)))
+            slot_owners = [row * slots + slot for row in compress(range(len(column)), present)]
+            slot_size = sum(map(len, slot_texts))
+            if size + slot_size <= _BUILD_BLOCK:
+                texts += slot_texts
+                owners += slot_owners
+                size += slot_size
+                continue
+            for text, owner in zip(slot_texts, slot_owners):
+                if size + len(text) > _BUILD_BLOCK and texts:
+                    yield texts, np.array(owners, dtype=np.int64)
+                    texts, owners, size = [], [], 0
+                texts.append(text)
+                owners.append(owner)
+                size += len(text)
+        if texts:
+            yield texts, np.array(owners, dtype=np.int64)
+
+    def _value_words(self, texts: List[str], owners: Any, shapes: Any):
+        """Fill *shapes* for the *texts* values; their element words as
+        ``(rows, words, bits)``, one entry per word a value sets."""
+        slots = len(self.names)
+        value_row, value_slot = np.divmod(owners, slots)
+        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        # shapes[row, place, slot] lives at row * 5 * slots + place * slots + slot.
+        flat = shapes.reshape(-1)
+        at = owners + value_row * (_PREFIX_LENGTH * slots)
+        flat[at] = lengths
+        starts = np.cumsum(lengths) - lengths
+        for place in range(1, 1 + _PREFIX_LENGTH):
+            longer = lengths >= place
+            flat[at[longer] + place * slots] = codes[starts[longer] + place - 1]
+
+        # Sort each value's code points: the k-th copy of a character is
+        # its offset from the first of its run.
+        keys = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        keys <<= _CODE_POINT_BITS
+        keys |= codes
+        del codes
+        keys.sort()
+        copy = np.arange(len(keys), dtype=np.int64)
+        copy[1:][keys[1:] == keys[:-1]] = 0
+        np.maximum.accumulate(copy, out=copy)
+        np.subtract(np.arange(len(keys), dtype=np.int64), copy, out=copy)
+        value_of = keys >> _CODE_POINT_BITS
+        keys &= (1 << _CODE_POINT_BITS) - 1
+        # One int64 per element (slot, code point, k - 1).
+        copy_bits = self._copy_bits
+        if lengths.max(initial=0) > 1 << copy_bits:
+            raise ValueError("a value too long for the signature columns of so wide a table")
+        keys <<= copy_bits
+        keys |= copy
+        keys |= value_slot[value_of] << (_CODE_POINT_BITS + copy_bits)
+        del copy
+        distinct = np.sort(keys)
+        distinct = distinct[np.flatnonzero(np.diff(distinct, prepend=-1))]
+        positions = self._intern(distinct)[np.searchsorted(distinct, keys)]
+        del keys
+        # OR each (value, word) cell's bits with one sorted reduceat; a
+        # value's words ascend unless a later batch interned some of them.
+        width = len(self._word_slot)
+        cells = value_of * width + (positions >> 6)
+        if np.any(cells[1:] < cells[:-1]):
+            order = np.argsort(cells, kind="stable")
+            cells, positions = cells[order], positions[order]
+        cells, bits = _fold_bits(cells, positions)
+        value, word = np.divmod(cells, width)
+        return value_row[value].astype(np.int32), word.astype(np.int32), bits
+
+    def _intern(self, keys: Any) -> Any:
+        """Bit positions of the packed ``slot | code point | k - 1`` *keys*.
+
+        An element seen first gets the next bit of its slot's open word,
+        or opens a new word; positions are ``word << 6 | bit``.
+        """
+        keys = keys.tolist()
+        lookup = self._element_position
+        positions = list(map(lookup.get, keys))
+        for i, position in enumerate(positions):
+            if position is None:
+                slot = keys[i] >> (_CODE_POINT_BITS + self._copy_bits)
+                word, used = self._open_word.get(slot, (0, 64))
+                if used == 64:  # the slot's words are full: open one
+                    word, used = len(self._word_slot), 0
+                    self._word_slot.append(slot)
+                positions[i] = lookup[keys[i]] = word << 6 | used
+                self._open_word[slot] = (word, used + 1)
+        return np.array(positions, dtype=np.int64)
+
+    def truncate(self, count: int) -> None:
+        """Drop every row from position *count* on (rollback).  Interned
+        tokens and elements stay, unused."""
+        if count >= len(self):
+            return
+        self._shapes.truncate(count)
+        self._token_indptr.truncate(count + 1)
+        self._tokens.truncate(int(self._token_indptr.view()[-1]))
+        self._word_indptr.truncate(count + 1)
+        self._words.truncate(int(self._word_indptr.view()[-1]))
+        self._bits.truncate(int(self._word_indptr.view()[-1]))
+
+    # -- reading -----------------------------------------------------------
+    def token_ids_of(self, row: int) -> Tuple[int, ...]:
+        """Row *row*'s sorted token ids."""
+        indptr = self._token_indptr.view()
+        return tuple(self._tokens.view()[indptr[row] : indptr[row + 1]].tolist())
+
+    def shape_of(self, row: int) -> Any:
+        """Row *row*'s ``(1 + 4, slots)`` lengths and leading code points."""
+        return self._shapes.view()[row]
+
+    def elements_of(self, row: int) -> List[Tuple[int, int, int]]:
+        """Row *row*'s elements as sorted ``(slot, code point, k)`` triples."""
+        element_at = {
+            position: key for key, position in self._element_position.items()
+        }
+        indptr = self._word_indptr.view()
+        span = slice(indptr[row], indptr[row + 1])
+        elements = []
+        copy_bits = self._copy_bits
+        for word, bits in zip(self._words.view()[span].tolist(), self._bits.view()[span].tolist()):
+            for bit in range(64):
+                if bits >> bit & 1:
+                    key = element_at[word << 6 | bit]
+                    elements.append(
+                        (
+                            key >> (_CODE_POINT_BITS + copy_bits),
+                            key >> copy_bits & ((1 << _CODE_POINT_BITS) - 1),
+                            (key & ((1 << copy_bits) - 1)) + 1,
+                        )
+                    )
+        return sorted(elements)
+
+    def attributes_of(self, row: int) -> Dict[str, Any]:
+        """Row *row*'s attribute mapping, slot by slot."""
+        return dict(zip(self.names, self._values_of(row)))
+
+    def normalized_of(self, row: int) -> Tuple[Optional[str], ...]:
+        """Row *row*'s normalized value per slot, ``None`` where the slot
+        holds no comparable value."""
+        return tuple(
+            normalize_value(value) if compared and value is not None else None
+            for value, compared in zip(self._values_of(row), self.compared)
+        )
 
     def __repr__(self) -> str:
         return (
-            f"ProfileSignature({self.entity_id!r}, "
-            f"{len(self.norms)} attrs, {len(self.token_ids)} tokens)"
+            f"SignatureColumns({len(self)} rows, {len(self.names)} slots, "
+            f"{len(self._tokens)} tokens, {len(self._element_position)} elements)"
         )
 
 
-def build_signature(
-    entity_id: Any,
-    attributes: Mapping[str, Any],
-    vocabulary: TokenVocabulary,
-    exclude: FrozenSet[str] = frozenset(),
-) -> ProfileSignature:
-    """Intern *attributes* into a :class:`ProfileSignature`.
+class SignatureRow:
+    """One row of :class:`SignatureColumns`: the scalar cascade's view.
 
-    Uses the matcher's tokenization (``tokenize_value`` at its default
-    minimum length) so the signature's Jaccard is bit-identical to the
-    slow path's, regardless of what blocking function the table uses.
+    Exposes what :meth:`ProfileMatcher.match_signatures` reads —
+    ``token_ids``, ``norms``, ``char_counts``, ``attributes`` and
+    ``exclude`` — derived from the columns and the table row on each
+    read; the batched cascade only reads :attr:`columns` and
+    :attr:`row`.
     """
-    norms: Dict[str, str] = {}
-    tokens = []
-    for name, value in attributes.items():
-        if value is None or name.lower() in exclude:
-            continue
-        norms[name] = normalize_value(value)
-        tokens.extend(tokenize_value(value))
-    return ProfileSignature(
-        entity_id, attributes, norms, vocabulary.intern_all(tokens), exclude
-    )
+
+    __slots__ = ("columns", "row")
+
+    def __init__(self, columns: SignatureColumns, row: int):
+        self.columns = columns
+        self.row = row
+
+    @property
+    def exclude(self) -> FrozenSet[str]:
+        return self.columns.exclude
+
+    @property
+    def attributes(self) -> Mapping[str, Any]:
+        return self.columns.attributes_of(self.row)
+
+    @property
+    def normalized(self) -> Tuple[Optional[str], ...]:
+        return self.columns.normalized_of(self.row)
+
+    @property
+    def token_ids(self) -> Tuple[int, ...]:
+        return self.columns.token_ids_of(self.row)
+
+    @property
+    def norms(self) -> Dict[str, str]:
+        """Attribute name → normalized value of each comparable slot."""
+        return {
+            name: norm
+            for name, norm in zip(self.columns.names, self.normalized)
+            if norm is not None
+        }
+
+    @property
+    def char_counts(self) -> Dict[str, Counter]:
+        return {name: Counter(norm) for name, norm in self.norms.items()}
+
+    def __repr__(self) -> str:
+        return f"SignatureRow(row {self.row} of {self.columns!r})"
 
 
 class PendingPairs:
@@ -269,69 +507,103 @@ class PendingPairs:
         )
 
 
-class _StackedColumns:
-    """Signature columns of a chunk's unique entities, one row each.
+def _fold_bits(cells: Any, positions: Any) -> "Tuple[Any, Any]":
+    """Per run of equal *cells* — each cell's entries contiguous — the
+    cell and the OR of its entries' bits ``1 << (position & 63)``: one
+    sorted ``bitwise_or.reduceat``."""
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    bits = np.left_shift(np.uint64(1), (positions & 63).astype(np.uint64))
+    return cells[starts], np.bitwise_or.reduceat(bits, starts)
 
-    Stacking is the per-entity cost of a batch; :meth:`token_jaccard`
-    and :meth:`attribute_bounds` then cost NumPy work per pair only,
-    *left* / *right* naming each pair's two rows.
+
+def _bitsets(owner: Any, positions: Any, count: int, words: int) -> Any:
+    """``(count, words)`` uint64 bitsets, row ``owner[i]`` holding bit
+    ``positions[i]``; *owner* ascends, and *positions* within a row."""
+    cells, bits = _fold_bits(owner * words + (positions >> 6), positions)
+    out = np.zeros(count * words, dtype=np.uint64)
+    out[cells] = bits
+    return out.reshape(count, words)
+
+
+def _gather_rows(indptr: Any, rows: Any, *values: Any) -> "Tuple[Any, ...]":
+    """CSR rows *rows* of each of *values*, with each entry's owner (its
+    index in *rows*) and the rows' sizes: ``(sizes, owner, *gathered)``."""
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows), dtype=np.int64), sizes)
+    return (sizes, owner) + tuple(gather_ranges(column, starts, sizes) for column in values)
+
+
+class _ChunkBitsets:
+    """Stages 1–2 over one chunk's rows, as popcount kernels.
+
+    Each row gets a token bitset — one bit per token at least two of
+    the chunk's rows hold (a token only one row holds is in no pair's
+    intersection), set with a sorted ``bitwise_or.reduceat`` — and its
+    element words, the ones at least two rows set, columns grouped by
+    slot.  A slot's character intersection is then the popcount of the
+    two rows' ``&`` summed over that slot's columns, one ``reduceat``.
+    :meth:`token_jaccard` and :meth:`attribute_bounds` cost NumPy work
+    per pair only, *left* / *right* naming each pair's two chunk rows.
     """
 
-    def __init__(self, profiles: "Sequence[ProfileSignature]", slots: int):
-        count = len(profiles)
-        # Stage 1: a CSR of the signatures' sorted token ids.
-        self.sizes = np.array([len(p.token_ids) for p in profiles], dtype=np.int64)
-        self.indptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(self.sizes, out=self.indptr[1:])
-        self.tokens = np.fromiter(
-            chain.from_iterable(p.token_ids for p in profiles),
-            dtype=np.int64,
-            count=int(self.indptr[-1]),
+    def __init__(self, columns: SignatureColumns, rows: Any):
+        count = len(rows)
+        self.sizes, owner, tokens = _gather_rows(
+            columns._token_indptr.view(), rows, columns._tokens.view()
         )
-        # Stage 2: lengths and heads per (entity, slot), and one count
-        # column per (slot, character) that occurs, grouped by slot, so
-        # a slot's character intersection is one segment sum of the
-        # element-wise minimum of two rows.
-        shapes = np.concatenate([p.shape_columns for p in profiles]).reshape(
-            count, 1 + _PREFIX_LENGTH, slots
+        shared = np.bincount(tokens) >= 2
+        bit_of = np.cumsum(shared) - 1
+        keep = shared[tokens]
+        self.tokens = _bitsets(
+            owner[keep], bit_of[tokens[keep]], count, (int(shared.sum()) + 63) >> 6
         )
-        self.lengths = shapes[:, 0]
-        self.heads = [shapes[:, 1 + place] for place in range(_PREFIX_LENGTH)]
-        chars = np.concatenate([p.char_columns for p in profiles], axis=1)
-        owner = np.repeat(np.arange(count), [p.char_columns.shape[1] for p in profiles])
-        keys, column = np.unique(chars[0], return_inverse=True)
-        self.counts = np.zeros(
-            (count, len(keys)),
-            dtype=np.int16 if chars[1].max(initial=0) < 1 << 15 else np.int32,
+
+        _, owner, words, bits = _gather_rows(
+            columns._word_indptr.view(), rows, columns._words.view(), columns._bits.view()
         )
-        self.counts[owner, column] = chars[1]
-        self.occupied, self.starts = np.unique(keys >> _CODE_POINT_BITS, return_index=True)
+        shared = np.bincount(words) >= 2
+        present = np.flatnonzero(shared)
+        slot = columns._word_slot.view()[present]
+        order = np.argsort(slot, kind="stable")
+        present, slot = present[order], slot[order]
+        column_of = np.zeros(len(shared), dtype=np.int64)
+        column_of[present] = np.arange(len(present))
+        keep = shared[words]
+        self.elements = np.zeros((count, len(present)), dtype=np.uint64)
+        self.elements[owner[keep], column_of[words[keep]]] = bits[keep]
+        self.word_starts = np.flatnonzero(np.diff(slot, prepend=-1))
+        self.occupied = slot[self.word_starts]
+        self.shapes = columns._shapes.view()[rows]
 
     def token_jaccard(self, left, right):
         """Whole-profile token Jaccard per pair; token-less sides score 0
         (not the two-empty-sets 1), as in the scalar cascade."""
-        sims = jaccard_sorted_ids_batch(self.indptr, self.tokens, left, right)
-        sims[(self.sizes[left] == 0) | (self.sizes[right] == 0)] = 0.0
+        common = np.bitwise_count(self.tokens[left] & self.tokens[right])
+        intersection = common.sum(axis=1, dtype=np.int64)
+        size_left, size_right = self.sizes[left], self.sizes[right]
+        union = size_left + size_right - intersection
+        sims = intersection / np.maximum(union, 1)
+        sims[(size_left == 0) | (size_right == 0)] = 0.0
         return sims
 
     def attribute_bounds(self, left, right):
         """``(bounds, comparable)``, both pairs x slots: each slot's
         Jaro-Winkler upper bound (0.0 where not comparable) and whether
         both sides hold a value there."""
-        len_a, len_b = self.lengths[left], self.lengths[right]
+        shape_a, shape_b = self.shapes[left], self.shapes[right]
+        len_a, len_b = shape_a[:, 0], shape_b[:, 0]
         matches = np.zeros(len_a.shape, dtype=np.int32)
-        if len(self.starts):
-            common = self.counts[left]
-            np.minimum(common, self.counts[right], out=common)
-            # A common-character count never exceeds a length: int32 holds it.
+        if len(self.occupied):
+            common = np.bitwise_count(self.elements[left] & self.elements[right])
             matches[:, self.occupied] = np.add.reduceat(
-                common, self.starts, axis=1, dtype=np.int32
+                common, self.word_starts, axis=1, dtype=np.int32
             )
         prefix = np.zeros(len_a.shape, dtype=np.int8)
         same = True
-        for head in self.heads:
-            head_a = head[left]
-            same = same & (head_a == head[right]) & (head_a >= 0)
+        for place in range(1, 1 + _PREFIX_LENGTH):
+            head_a = shape_a[:, place]
+            same = same & (head_a == shape_b[:, place]) & (head_a >= 0)
             prefix += same
         bounds = jaro_winkler_char_bound_batch(matches, len_a, len_b, prefix)
         comparable = (len_a >= 0) & (len_b >= 0)
@@ -451,7 +723,7 @@ class ProfileMatcher:
         return jaccard(left_tokens, right_tokens)
 
     # -- signature fast path ------------------------------------------------
-    def match_signatures(self, left: ProfileSignature, right: ProfileSignature) -> bool:
+    def match_signatures(self, left: "SignatureRow", right: "SignatureRow") -> bool:
         """Match decision over precomputed signatures, via the cascade.
 
         Decision-identical to ``matches(left.attributes,
@@ -564,7 +836,7 @@ class ProfileMatcher:
     def match_pair_indices(
         self,
         pairs: "Sequence[Tuple[Any, Any]]",
-        signatures: Mapping[Any, ProfileSignature],
+        signatures: "Mapping[Any, SignatureRow]",
         start: int = 0,
         stop: Optional[int] = None,
         resolve: "Optional[Callable[[PendingPairs], List[int]]]" = None,
@@ -580,27 +852,29 @@ class ProfileMatcher:
         decision and every ``cascade_stats`` counter equals what a loop
         of :meth:`match_signatures` over the span would produce.
 
-        *signatures* only needs ``__getitem__``.  Pairs the batch cannot
-        take — a matcher without the fast path, a signature built under
-        other exclusions or another attribute layout than the span's
-        first — go through :meth:`match_signatures` one by one.
+        *signatures* only needs ``__getitem__`` — a table's
+        :class:`SignatureColumns`, or any mapping to its rows.  Pairs
+        the batch cannot take — a matcher without the fast path, columns
+        built under other exclusions, a signature that is not a row of
+        the span's first signature's columns — go through
+        :meth:`match_signatures` one by one.
         """
         stop = len(pairs) if stop is None else stop
         if stop <= start:
             return []
-        if not self.fast_path:
+        columns = getattr(signatures[pairs[start][0]], "columns", None)
+        if not self.fast_path or columns is None or columns.exclude != self.exclude:
             return self._match_each(pairs, range(start, stop), signatures)
-        names = tuple(signatures[pairs[start][0]].attributes)
         matched: List[int] = []
         remainders: List[PendingPairs] = []
         for low in range(start, stop, _SCREEN_CHUNK):
             accepted, pending = self._screen(
-                pairs, low, min(stop, low + _SCREEN_CHUNK), signatures, names
+                pairs, low, min(stop, low + _SCREEN_CHUNK), signatures, columns
             )
             matched.extend(accepted)
             if pending is not None:
                 remainders.append(pending)
-        pending = PendingPairs.concat(remainders, len(names))
+        pending = PendingPairs.concat(remainders, len(columns.names))
         if resolve is None:
             resolved = self.resolve_pending(pairs, signatures, pending)
         else:
@@ -614,7 +888,7 @@ class ProfileMatcher:
         self,
         pairs: "Sequence[Tuple[Any, Any]]",
         positions: Iterable[int],
-        signatures: Mapping[Any, ProfileSignature],
+        signatures: "Mapping[Any, SignatureRow]",
     ) -> "List[int]":
         """The scalar cascade, pair by pair, over *positions*."""
         matched: List[int] = []
@@ -629,46 +903,51 @@ class ProfileMatcher:
         pairs: "Sequence[Tuple[Any, Any]]",
         low: int,
         high: int,
-        signatures: Mapping[Any, ProfileSignature],
-        names: Tuple[str, ...],
+        signatures: "Mapping[Any, SignatureRow]",
+        columns: SignatureColumns,
     ) -> "Tuple[List[int], Optional[PendingPairs]]":
         """Stages 1–2 over ``pairs[low:high]``: accepted positions, remainder."""
         chunk = pairs[low:high]
         positions = np.arange(low, high)
-        entities = list(dict.fromkeys(chain.from_iterable(chunk)))
-        profiles = [signatures[entity] for entity in entities]
-        exclude = self.exclude
-        usable = [
-            profile.exclude == exclude and tuple(profile.attributes) == names
-            for profile in profiles
-        ]
         matched: List[int] = []
-        if not all(usable):
-            # Rare: mixed layouts or exclusions.  Those pairs take the
-            # scalar cascade; the rest are screened as their own chunk.
-            unusable = {entity for entity, ok in zip(entities, usable) if not ok}
-            keep = [
-                offset
-                for offset, (left, right) in enumerate(chunk)
-                if left not in unusable and right not in unusable
-            ]
-            kept = set(keep)
-            matched = self._match_each(
-                pairs, (low + o for o in range(len(chunk)) if o not in kept), signatures
-            )
-            chunk = [chunk[offset] for offset in keep]
-            positions = positions[keep]
+        if signatures is columns:
+            # The columns themselves: every pair is theirs, rows in bulk.
+            table_rows = columns.rows_of(chain.from_iterable(chunk), 2 * len(chunk))
+        else:
             entities = list(dict.fromkeys(chain.from_iterable(chunk)))
-            profiles = [signatures[entity] for entity in entities]
-        if not chunk:
-            return matched, None
-        row_of = {entity: row for row, entity in enumerate(entities)}
-        rows = np.fromiter(
-            map(row_of.__getitem__, chain.from_iterable(chunk)),
-            dtype=np.intp,
-            count=2 * len(chunk),
-        )
-        columns = _StackedColumns(profiles, len(names))
+            handles = [signatures[entity] for entity in entities]
+            usable = [getattr(handle, "columns", None) is columns for handle in handles]
+            if not all(usable):
+                # Rare: signatures of other columns.  Those pairs take the
+                # scalar cascade; the rest are screened as their own chunk.
+                unusable = {entity for entity, ok in zip(entities, usable) if not ok}
+                keep = [
+                    offset
+                    for offset, (left, right) in enumerate(chunk)
+                    if left not in unusable and right not in unusable
+                ]
+                kept = set(keep)
+                matched = self._match_each(
+                    pairs, (low + o for o in range(len(chunk)) if o not in kept), signatures
+                )
+                chunk = [chunk[offset] for offset in keep]
+                positions = positions[keep]
+                if not chunk:
+                    return matched, None
+            row_of = {
+                entity: handle.row for entity, handle, ok in zip(entities, handles, usable) if ok
+            }
+            table_rows = np.fromiter(
+                map(row_of.__getitem__, chain.from_iterable(chunk)),
+                dtype=np.int64,
+                count=2 * len(chunk),
+            )
+        # The chunk's rows, ascending, and each pair side's index among them.
+        seen = np.zeros(len(columns), dtype=bool)
+        seen[table_rows] = True
+        rows = np.flatnonzero(seen)
+        sides = (np.cumsum(seen) - 1)[table_rows]
+        kernels = _ChunkBitsets(columns, rows)
         threshold = self.threshold
         accepted = []
         undecided = []
@@ -676,15 +955,15 @@ class ProfileMatcher:
         undecided_bounds = []
         for lower in range(0, len(chunk), _SCREEN_ROWS):
             upper = min(lower + _SCREEN_ROWS, len(chunk))
-            left, right = rows[2 * lower : 2 * upper : 2], rows[2 * lower + 1 : 2 * upper : 2]
+            left, right = sides[2 * lower : 2 * upper : 2], sides[2 * lower + 1 : 2 * upper : 2]
             # Stage 1 accepts on the token signal alone.
-            accept = columns.token_jaccard(left, right) >= threshold
+            accept = kernels.token_jaccard(left, right) >= threshold
             # Stage 2 sums the per-slot bounds slot by slot — the scalar
             # accumulation order, which a pairwise ``sum(axis=1)`` would
             # not keep.  No comparable attribute: the aligned signal is
             # exactly 0.0 and the token signal already failed — provably
             # no match, counted with the bound rejects as in the scalar.
-            bounds, comparable = columns.attribute_bounds(left, right)
+            bounds, comparable = kernels.attribute_bounds(left, right)
             totals = np.zeros(len(left))
             for slot in range(bounds.shape[1]):
                 totals += bounds[:, slot]
@@ -704,7 +983,8 @@ class ProfileMatcher:
         stats["jaccard_accepts"] += len(accepted)
         stats["bound_rejects"] += len(chunk) - len(accepted) - len(undecided)
         stats["exact_fallbacks"] += len(undecided)
-        matched.extend(accepted.tolist())
+        # Positions the scalar cascade decided interleave with these.
+        matched = sorted(matched + accepted.tolist()) if matched else accepted.tolist()
         if not len(undecided):
             return matched, None
         return matched, PendingPairs(
@@ -714,17 +994,25 @@ class ProfileMatcher:
     def resolve_pending(
         self,
         pairs: "Sequence[Tuple[Any, Any]]",
-        signatures: Mapping[Any, ProfileSignature],
+        signatures: "Mapping[Any, SignatureRow]",
         pending: PendingPairs,
     ) -> "List[int]":
         """Stage 3 over *pending*: the matching positions.
 
-        Each decision is a pure function of the two signatures and the
+        Each decision is a pure function of the two rows and the
         remainder's row, so any partition of a remainder resolves to
-        the same matches as one serial pass.
+        the same matches as one serial pass.  Each row's values are
+        normalized here, once per call.
         """
         matched: List[int] = []
-        slot_of: Dict[str, int] = {}
+        normalized: Dict[Any, Tuple[Optional[str], ...]] = {}
+
+        def normalized_of(entity: Any) -> Tuple[Optional[str], ...]:
+            norms = normalized.get(entity)
+            if norms is None:
+                norms = normalized[entity] = signatures[entity].normalized
+            return norms
+
         rows = zip(
             pending.positions.tolist(),
             pending.total_bounds.tolist(),
@@ -732,17 +1020,13 @@ class ProfileMatcher:
         )
         for position, total_bound, slot_bounds in rows:
             left, right = pairs[position]
-            left, right = signatures[left], signatures[right]
-            if not slot_of:
-                slot_of = {name: slot for slot, name in enumerate(left.attributes)}
-            right_norms = right.norms
             values = []
             bounds = []
-            for name, lv in left.norms.items():
-                rv = right_norms.get(name)
-                if rv is not None:
+            sides = zip(normalized_of(left), normalized_of(right), slot_bounds)
+            for lv, rv, bound in sides:
+                if lv is not None and rv is not None:
                     values.append((lv, rv))
-                    bounds.append(slot_bounds[slot_of[name]])
+                    bounds.append(bound)
             if self._exact_decision(values, bounds, total_bound):
                 matched.append(position)
         return matched

@@ -223,72 +223,6 @@ def jaccard_sorted_ids(a, b) -> float:
     return intersection / (len_a + len_b - intersection)
 
 
-def jaccard_sorted_ids_batch(indptr, tokens, left, right):
-    """:func:`jaccard_sorted_ids` for many pairs at once.
-
-    *indptr* / *tokens* are a CSR over entity rows — row ``u``'s sorted,
-    de-duplicated token ids are ``tokens[indptr[u]:indptr[u + 1]]`` —
-    and *left* / *right* name one row per pair.  Rows ascend and tokens
-    ascend within a row, so ``row * span + token`` is globally sorted:
-    each pair's smaller side is gathered, re-keyed onto the other
-    side's row and located with one ``searchsorted``; the hits per pair
-    are the intersection cardinality.  Cardinalities are the same
-    integers the merge pass counts and are divided once, so every float
-    equals the scalar function's bit for bit.
-    """
-    sizes = np.diff(indptr)
-    size_left, size_right = sizes[left], sizes[right]
-    # Intersection is symmetric: walk the side with fewer tokens.
-    swap = size_right < size_left
-    probe = np.where(swap, right, left)
-    target = np.where(swap, left, right)
-    probe_sizes = sizes[probe]
-    pair_of = np.repeat(np.arange(len(probe)), probe_sizes)
-    within = np.arange(len(pair_of)) - np.repeat(
-        np.cumsum(probe_sizes) - probe_sizes, probe_sizes
-    )
-    gathered = tokens[indptr[probe][pair_of] + within]
-    span = int(tokens.max()) + 1 if len(tokens) else 1
-    # A trailing sentinel no probe equals absorbs past-the-end searches.
-    keys = np.append(np.repeat(np.arange(len(sizes)), sizes) * span + tokens, -1)
-    wanted = target[pair_of] * span + gathered
-    hits = keys[np.searchsorted(keys[:-1], wanted)] == wanted
-    intersection = np.bincount(pair_of[hits], minlength=len(probe))
-    union = size_left + size_right - intersection
-    return np.where(union > 0, intersection / np.maximum(union, 1), 1.0)
-
-
-def jaro_winkler_bound(a: str, b: str, prefix_scale: float = 0.1, max_prefix: int = 4) -> float:
-    """Cheap upper bound on ``jaro_winkler(a, b)`` from lengths + prefix.
-
-    Jaro's match count *m* is at most ``min(len_a, len_b)``, so with
-    ``s = min``, ``l = max``::
-
-        jaro ≤ (m/len_a + m/len_b + (m - t)/m) / 3 ≤ (1 + s/l + 1) / 3
-
-    and Jaro-Winkler is monotone in both the Jaro base and the actual
-    common-prefix length, giving the bound below.  This is the simple
-    length-only reference bound; the matcher's cascade uses the tighter
-    :func:`jaro_winkler_char_bound` (which incorporates this cap).
-    Callers must compare against their threshold with a small slack
-    (the cascade uses 1e-9) so float rounding can never flip a
-    borderline decision.
-    """
-    len_a, len_b = len(a), len(b)
-    if len_a == 0 or len_b == 0:
-        # Exact values, not bounds: jaro() returns 1.0 for two empty
-        # strings and 0.0 when exactly one side is empty.
-        return 1.0 if len_a == len_b else 0.0
-    shorter, longer = (len_a, len_b) if len_a <= len_b else (len_b, len_a)
-    jaro_ub = (2.0 + shorter / longer) / 3.0
-    prefix = 0
-    for ca, cb in zip(a[:max_prefix], b[:max_prefix]):
-        if ca != cb:
-            break
-        prefix += 1
-    return jaro_ub + prefix * prefix_scale * (1.0 - jaro_ub)
-
-
 def jaro_winkler_char_bound(
     a: str,
     b: str,
@@ -307,10 +241,9 @@ def jaro_winkler_char_bound(
     zero common characters the bound is the *exact* value 0.0 (no
     matches also forces a zero Winkler prefix).
 
-    *counts_a* / *counts_b* are the strings' character→count maps,
-    precomputed once per profile signature so the per-pair cost is one
-    pass over the smaller map instead of Jaro's O(len_a·len_b) window
-    scan.
+    *counts_a* / *counts_b* are the strings' character→count maps, so
+    the per-pair cost is one pass over the smaller map instead of
+    Jaro's O(len_a·len_b) window scan.
     """
     len_a, len_b = len(a), len(b)
     if len_a == 0 or len_b == 0:

@@ -99,11 +99,10 @@ class TokenVocabulary:
     """Bijective token-string ↔ integer-id interning table.
 
     Every distinct token is assigned a dense integer id exactly once;
-    profile signatures and the blocking-graph fast path then work on
+    signature columns and the blocking-graph fast path then work on
     int arrays instead of repeated string hashing.  Grown incrementally —
-    registration interns a table's blocking keys, signatures intern
-    their tokens on first use and ``INSERT`` batches intern only what
-    their rows introduce.
+    registration interns a table's blocking keys and ``INSERT`` batches
+    intern only what their rows introduce; a query interns nothing.
     """
 
     __slots__ = ("_ids", "_tokens")
@@ -122,7 +121,7 @@ class TokenVocabulary:
         return token_id
 
     def intern_all(self, tokens: Iterable[str]) -> Tuple[int, ...]:
-        """Sorted, de-duplicated ids of *tokens* (a signature's array)."""
+        """Sorted, de-duplicated ids of *tokens* (a signature row's ids)."""
         intern = self.intern
         return tuple(sorted({intern(token) for token in tokens}))
 

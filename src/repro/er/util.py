@@ -1,13 +1,16 @@
 """Small shared helpers for the ER layer.
 
-Hosts the canonical-ordering utilities the ER modules share plus the
-bounded LRU cache backing the matcher memos.
+Hosts the canonical-ordering utilities the ER modules share, the
+bounded LRU cache backing the matcher memos, and the growable arrays
+and range gather the table's CSR columns are built on.
 """
 
 from __future__ import annotations
 
 import threading
 from typing import Any, Dict, Hashable, Tuple
+
+import numpy as np
 
 
 def safe_sorted(items) -> list:
@@ -84,3 +87,82 @@ class LRUCache:
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
+
+
+class GrowableArray:
+    """A contiguous NumPy array with amortized O(1) appends along axis 0.
+
+    Capacity doubles on overflow, so the postings and signature columns
+    stay contiguous (CSR consumers slice them directly) while ``INSERT``
+    batches extend them at cost proportional to the batch.  *initial*
+    fixes the dtype and the shape of one entry: ``np.empty((0, 5, 3))``
+    starts an empty array of 5 x 3 entries.
+    """
+
+    __slots__ = ("_data", "_size")
+
+    def __init__(self, initial: Any = (), dtype: Any = np.int64):
+        self._data = np.array(initial, dtype=dtype)
+        self._size = len(self._data)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def view(self) -> Any:
+        """The live contents as a zero-copy array view."""
+        return self._data[: self._size]
+
+    def _reserve(self, extra: int) -> None:
+        needed = self._size + extra
+        if needed <= len(self._data):
+            return
+        capacity = max(needed, 2 * len(self._data))
+        grown = np.empty((capacity,) + self._data.shape[1:], dtype=self._data.dtype)
+        grown[: self._size] = self._data[: self._size]
+        self._data = grown
+
+    def grow(self, count: int) -> Any:
+        """Append *count* uninitialized entries; a writable view of them."""
+        self._reserve(count)
+        self._size += count
+        return self._data[self._size - count : self._size]
+
+    def append(self, value: Any) -> None:
+        self._reserve(1)
+        self._data[self._size] = value
+        self._size += 1
+
+    def extend(self, values: Any) -> None:
+        values = np.asarray(values, dtype=self._data.dtype)
+        self._reserve(len(values))
+        self._data[self._size : self._size + len(values)] = values
+        self._size += len(values)
+
+    def pad_to(self, size: int) -> None:
+        """Zero-extend to at least *size* entries."""
+        if size > self._size:
+            self._reserve(size - self._size)
+            self._data[self._size : size] = 0
+            self._size = size
+
+    def truncate(self, size: int) -> None:
+        """Drop every entry from position *size* on."""
+        self._size = min(self._size, size)
+
+
+def gather_ranges(source: Any, starts: Any, counts: Any) -> Any:
+    """Concatenate ``source[starts[i] : starts[i]+counts[i]]`` segments.
+
+    The standard vectorized multi-slice gather: one ``arange`` over the
+    total output size, shifted per segment.
+    """
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=source.dtype)
+    ends = np.cumsum(counts)
+    positions = (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(ends - counts, counts)
+        + np.repeat(starts, counts)
+    )
+    return source[positions]

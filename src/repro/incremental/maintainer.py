@@ -28,7 +28,7 @@ class IngestError(RuntimeError):
     """An ingest batch failed after partial application and was rolled back.
 
     By the time this surfaces, the table's rows, token postings,
-    signatures, statistics, join-percentage caches and epoch all equal
+    signature columns, statistics, join-percentage caches and epoch all equal
     the pre-insert snapshot again (the rollback property suite checks
     this against a never-inserted engine).  The original failure is
     chained as ``__cause__``.

@@ -8,7 +8,7 @@ way long-lived parallel query engines do — nothing is forked per query:
   (lazily, on the first eligible query).  Each worker inherits the full
   engine state by copy-on-write — every table's :class:`TableIndex`
   (the CSR :class:`~repro.er.blocking.TokenPostings` that are its
-  TBI/ITBI, profile signatures, vocabulary) and matcher stay
+  TBI/ITBI, signature columns, vocabulary) and matcher stay
   **resident** across queries,
   so no per-query payload ever crosses the IPC boundary again.
 * Entity ids are hash-partitioned over the shards by :func:`owner_of`;
@@ -27,16 +27,16 @@ way long-lived parallel query engines do — nothing is forked per query:
   precomputed blocking keys), so shard-resident state tracks the engine
   without re-tokenizing a single value.
 
-**Determinism.**  Match decisions are pure functions of two signatures
-and span segments are pure functions of the packed arrays, so routing
+**Determinism.**  Match decisions are pure functions of two signature
+rows and span segments are pure functions of the packed arrays, so routing
 changes nothing about any individual result; matched positions are
 re-sorted ascending (the serial visit order) and span segments recombine
 through the :class:`~repro.parallel.merger.DeterministicMerger` — shard
 output is bit-identical to serial, including across deltas.
 A delta's new blocking keys are interned by the same rule in every
 process, but token ids *inside* a shard may still diverge from the
-parent's (signatures are interned lazily, in each process's own
-order), which is harmless: span segments carry no token ids, and
+parent's (a rolled-back batch's tokens stay interned in the process
+that ran it), which is harmless: span segments carry no token ids, and
 interned-token Jaccard is invariant under any per-process consistent
 relabeling.
 

@@ -8,7 +8,7 @@ segments::
       tables/<key>/
         base-<epoch>.npz                # columnar rows + ITBI CSR + vocab delta
         delta-<epoch>.npz               # one committed INSERT batch (same shape)
-        state-<epoch>.json              # Link Index + resolved set + signature ids
+        state-<epoch>.json              # Link Index + resolved set
 
 Every ``.npz`` segment carries, for its row range: one array family per
 column (:mod:`repro.persist.columnar`), the rows' blocking keys as a
@@ -239,8 +239,8 @@ def delta_segment_arrays(index: Any, start: int, stop: int) -> Dict[str, np.ndar
     global vocabulary.  Checkpoint segments may assume the reader
     replays the exact global id assignment (manifest order), but a
     long-lived shard's vocabulary may diverge from its parent's — a
-    signature token one process interned and the other did not, a token
-    a rolled-back batch left behind — so the hand-off segment carries
+    token a rolled-back batch left behind in one process only — so the
+    hand-off segment carries
     every key string it references and the worker re-interns them under
     its own ids.  Applying it never re-tokenizes an attribute value.
     """
@@ -297,7 +297,6 @@ def link_state_payload(index: Any) -> Dict[str, Any]:
         "resolved": safe_sorted(
             e for e in index.table.ids if link_index.is_resolved(e)
         ),
-        "signatures": safe_sorted(index.signature_ids()),
     }
 
 
@@ -518,6 +517,9 @@ def load_engine(
     )
     for key, entry in manifest["tables"].items():
         table, vocabulary, indptr, tokens = _load_table_entry(directory, entry)
+        # Older state files also list ``signatures`` (ids whose lazily
+        # built signatures existed); the columns are rebuilt whole, so
+        # that key selects nothing and is ignored.
         state = read_json(directory / entry["state"]["file"], entry["state"]["sha256"])
         index = TableIndex.from_arrays(
             table,
@@ -527,7 +529,6 @@ def load_engine(
             blocking=blocking_from_state(entry["blocking"]),
             link_pairs=[tuple(pair) for pair in state["links"]],
             resolved=state["resolved"],
-            signature_ids=state["signatures"],
         )
         statistics = (
             TableStatistics.from_state(entry["statistics"])

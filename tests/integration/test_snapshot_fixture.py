@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 from reference.dict_pipeline import block_sets, postings_blocks, reference_tbi
+from reference.signature_oracle import column_state
 
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
@@ -61,6 +62,16 @@ def test_loaded_postings_equal_the_rows_blocks(loaded):
     ]
     assert postings_blocks(index) == postings_blocks(fresh)
     assert postings_blocks(index) == block_sets(reference_tbi(index))
+
+
+def test_loaded_signature_columns_equal_a_fresh_engines(loaded):
+    """The state file still lists lazily built signatures; the loader
+    ignores that key and builds the columns whole."""
+    state = next((FIXTURE / "tables" / "ppl").glob("state-*.json")).read_text()
+    assert '"signatures"' in state
+    index = loaded.index_of("PPL")
+    assert len(index.signatures) == len(index.table)
+    assert column_state(index) == column_state(fresh_engine().index_of("PPL"))
 
 
 @pytest.mark.parametrize("sql", QUERIES)

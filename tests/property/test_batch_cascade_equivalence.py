@@ -16,6 +16,7 @@ import unicodedata
 from itertools import combinations
 
 import pytest
+from reference.signature_oracle import build_signature, column_state
 
 from repro import QueryEREngine
 from repro.core.indices import TableIndex
@@ -200,8 +201,7 @@ class TestWorkers:
 
 class TestMixedSignatures:
     def test_foreign_exclusions_and_layouts_take_the_scalar_cascade(self):
-        """Signatures the batch cannot stack still decide identically."""
-        from repro.er.matching import build_signature
+        """Signatures that are no rows of the span's columns still decide identically."""
         from repro.er.tokenizer import TokenVocabulary
 
         vocabulary = TokenVocabulary()
@@ -225,12 +225,51 @@ class TestMixedSignatures:
         assert matcher.cascade_stats == reference.cascade_stats
         assert matcher.cascade_stats["incompatible"] == 3  # every pair with "d"
 
+    def test_rows_of_other_columns_take_the_scalar_cascade(self):
+        """A mapping mixing two indices' rows: the foreign ones go pair by pair."""
+        table = people()
+        first, second = TableIndex(table), TableIndex(table)
+        ids = table.ids[:30]
+        foreign = set(ids[1::4])
+
+        class Mixed:
+            def __getitem__(self, entity_id):
+                index = second if entity_id in foreign else first
+                return index.signature_of(entity_id)
+
+        pairs = list(combinations(ids, 2))
+        for threshold in THRESHOLDS:
+            reference = ProfileMatcher(exclude=("id",), threshold=threshold)
+            expected = [
+                position
+                for position, (left, right) in enumerate(pairs)
+                if reference.match_signatures(Mixed()[left], Mixed()[right])
+            ]
+            matcher = ProfileMatcher(exclude=("id",), threshold=threshold)
+            assert matcher.match_pair_indices(pairs, Mixed()) == expected
+            assert matcher.cascade_stats == reference.cascade_stats
+
+    def test_columns_of_other_exclusions_take_the_scalar_cascade(self):
+        table = people()
+        index = TableIndex(table)
+        pairs = all_pairs(table)[:300]
+        reference = ProfileMatcher(exclude=("id", "surname"))
+        expected = [
+            position
+            for position, (left, right) in enumerate(pairs)
+            if reference.match_signatures(index.signature_of(left), index.signature_of(right))
+        ]
+        matcher = ProfileMatcher(exclude=("id", "surname"))
+        assert matcher.match_pair_indices(pairs, index.signatures) == expected
+        assert matcher.cascade_stats == reference.cascade_stats
+        assert matcher.cascade_stats["incompatible"] == len(pairs)
+
 
 class TestEngineLifecycle:
     SQL = "SELECT DEDUP id, street, city FROM GR"
 
     def test_character_first_seen_in_an_insert(self):
-        """The count columns have no alphabet to outgrow."""
+        """The element bitsets have no alphabet to outgrow."""
         with QueryEREngine(execution=1) as engine:
             engine.register(greek())
             index = engine.index_of("GR")
@@ -241,12 +280,12 @@ class TestEngineLifecycle:
                 "(901, 'улица ленина ѣ', 'ψυχικό'), (902, 'улица ленина', 'ψυχικο'), "
                 "(903, 'οδός αθηνάς 12 ☃', 'θεσσαλονίκη')"
             )
-            assert index.signature_count == len(index.table)  # old and new rows mix
+            assert len(index.signatures) == len(index.table)  # old and new rows mix
             assert_batch_equals_scalar(index, all_pairs(index.table), 0.75)
             clusters = engine.execute(self.SQL).column("id")
             assert any("903" in str(cluster).split(" | ") for cluster in clusters)
 
-    def test_signatures_rebuilt_after_load(self, tmp_path):
+    def test_columns_rebuilt_after_load(self, tmp_path):
         with QueryEREngine(execution=1) as engine:
             engine.register(people())
             engine.execute("SELECT DEDUP id, surname FROM PPL")
@@ -256,7 +295,7 @@ class TestEngineLifecycle:
             engine.save(tmp_path / "snapshot")
         with QueryEREngine.load(tmp_path / "snapshot") as loaded:
             index = loaded.index_of("PPL")
-            assert index.signature_count > 0  # rebuilt against the restored vocabulary
+            assert column_state(index) == column_state(live)  # rebuilt whole at load
             matcher = ProfileMatcher(exclude=("id",))
             assert matcher.match_pair_indices(pairs, index.signatures) == expected
             assert matcher.cascade_stats == expected_stats

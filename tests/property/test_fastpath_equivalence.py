@@ -17,6 +17,7 @@ from reference.dict_pipeline import (
     block_object_graph,
     edge_pruning,
     reference_operator,
+    retained_pairs,
 )
 
 from repro.core.dedup_operator import DeduplicateOperator
@@ -127,6 +128,6 @@ class TestPackedGraph:
         for a, b, w in reference_edges[:20]:
             assert packed.weight(a, b) == w
             assert packed.weight(b, a) == w
-        assert packed.retained_pairs(packed.average_weight()) == (
+        assert retained_pairs(packed, packed.average_weight()) == (
             edge_pruning(collection, scheme=scheme, focus=focus)
         )

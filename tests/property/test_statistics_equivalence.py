@@ -5,7 +5,7 @@
   count exactly the duplicates an all-pairs ``ProfileMatcher.matches``
   loop counts on the same sampled rows — fresh, after ``INSERT INTO``
   made it stale, and after a snapshot reload — and leave the table's own
-  matcher, vocabulary and signatures untouched.
+  matcher, vocabulary and signature columns untouched.
 * The comparison estimate runs candidate derivation's BP/BF stage; it
   must equal, integer for integer, the string-keyed ``BlockCollection``
   estimator below, built on the dict reference's BP/BF over a TBI
@@ -38,6 +38,7 @@ from reference.dict_pipeline import (
     reference_tbi,
     retained_keys,
 )
+from reference.signature_oracle import column_state
 
 from repro import QueryEREngine
 from repro.core import statistics
@@ -262,7 +263,7 @@ class TestPrivateMatcher:
             dict(matcher.cascade_stats),
             len(matcher._pair_cache),
             len(index.vocabulary),
-            index.signature_count,
+            column_state(index),
         )
         stats = statistics.TableStatistics(index, matcher, sample_fraction=1.0)
         assert stats.sample_duplicates > 0
@@ -271,7 +272,7 @@ class TestPrivateMatcher:
             dict(matcher.cascade_stats),
             len(matcher._pair_cache),
             len(index.vocabulary),
-            index.signature_count,
+            column_state(index),
         )
         assert after == before
 

@@ -436,8 +436,13 @@ class ReferenceGraph:
             total += weight
         return total / len(self.shared_blocks)
 
-    def retained_pairs(self, threshold: float) -> Set[Pair]:
-        return {(a, b) for a, b, weight in self.edges() if weight >= threshold}
+
+
+def retained_pairs(graph: Any, threshold: float) -> Set[Pair]:
+    """The pairs of *graph* — a :class:`ReferenceGraph` or the engine's
+    :class:`~repro.er.edge_pruning.BlockingGraph` — whose weight is at
+    or above *threshold*."""
+    return {(a, b) for a, b, weight in graph.edges() if weight >= threshold}
 
 
 def edge_pruning(
@@ -448,7 +453,7 @@ def edge_pruning(
 ) -> Set[Pair]:
     """Weighted Edge Pruning: the pairs at or above the average weight."""
     graph = ReferenceGraph(collection, scheme=scheme, focus=focus, order=order)
-    return graph.retained_pairs(graph.average_weight())
+    return retained_pairs(graph, graph.average_weight())
 
 
 def pairs_to_blocks(pairs: Iterable[Pair]) -> BlockCollection:

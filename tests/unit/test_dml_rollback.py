@@ -4,7 +4,7 @@ Faults are injected at each stage of the ingest pipeline — per-row
 storage staging (``table.append_row``), index amendment
 (``dml.after_append``, ``dml.index_delta``) and pre-epoch commit
 (``dml.before_commit``) — and every test asserts the engine's observable
-state (rows, postings arrays, vocabulary, epoch, signature ids) equals
+state (rows, postings arrays, vocabulary, epoch, signature columns) equals
 the pre-insert snapshot, exactly as if the INSERT had never been issued
 — except that tokens the failed batch interned stay in the vocabulary,
 with empty postings.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference.signature_oracle import column_state
 
 from repro.core.engine import QueryEREngine
 from repro.core.indices import TableIndex
@@ -48,7 +49,7 @@ def fresh_engine(rows) -> QueryEREngine:
 
 
 def index_state(index: TableIndex) -> dict:
-    """The postings arrays, vocabulary and signature ids of one index."""
+    """The postings arrays, vocabulary and signature columns of one index."""
     postings = index.postings
     csr = postings.to_arrays()
     tokens = np.arange(len(index.vocabulary), dtype=np.int64)
@@ -62,7 +63,7 @@ def index_state(index: TableIndex) -> dict:
         ),
         "inverted": (tuple(used.tolist()), tuple(indptr.tolist()), tuple(members.tolist())),
         "vocabulary": tuple(index.vocabulary.tokens()),
-        "signatures": index.signature_ids(),
+        "signatures": (len(index.signatures), column_state(index)),
     }
 
 

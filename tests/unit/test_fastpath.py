@@ -1,8 +1,8 @@
 """Unit tests for the Comparison-Execution fast path.
 
 Covers the shared ER utilities (LRU cache, canonical ordering), token
-interning, profile signatures, the similarity bounds and the matcher's
-short-circuit cascade.
+interning, the signature columns and their popcount kernels, the
+similarity bounds and the matcher's short-circuit cascade.
 """
 
 from collections import Counter
@@ -10,17 +10,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from reference.signature_oracle import jaro_winkler_bound
 
 from repro.core.indices import TableIndex
-from repro.er.matching import ProfileMatcher, _StackedColumns, build_signature
+from repro.er.matching import ProfileMatcher, SignatureColumns, _ChunkBitsets
 from repro.er.similarity import (
     jaccard,
     jaccard_sorted_ids,
-    jaccard_sorted_ids_batch,
     jaro,
     jaro_fast,
     jaro_winkler,
-    jaro_winkler_bound,
     jaro_winkler_char_bound,
 )
 from repro.er.tokenizer import TokenVocabulary
@@ -143,7 +142,7 @@ class TestSimilarityBoundsAndFastJaro:
 
 
 class TestBatchKernelsBitEqualScalar:
-    """The array stages must reproduce the scalar floats, not approximate them."""
+    """The popcount kernels must reproduce the scalar floats, not approximate them."""
 
     values = [
         "martha", "marhta", "dixon", "dicksonx", "acme corporation", "acme corp",
@@ -153,24 +152,27 @@ class TestBatchKernelsBitEqualScalar:
         "naïve café", "nai\u0308ve cafe\u0301", None,
     ]
 
-    def signatures(self):
-        vocabulary = TokenVocabulary()
-        return [
-            build_signature(i, {"first": a, "second": b}, vocabulary)
-            for i, (a, b) in enumerate(zip(self.values, reversed(self.values)))
+    def index(self):
+        rows = [
+            (i, a, b) for i, (a, b) in enumerate(zip(self.values, reversed(self.values)))
         ]
+        return TableIndex(Table("K", Schema.of("id", "first", "second"), rows))
+
+    def kernels(self, index):
+        rows = np.arange(len(index.table), dtype=np.int64)
+        return _ChunkBitsets(index.signatures, rows)
 
     def test_per_attribute_bounds(self):
-        signatures = self.signatures()
-        columns = _StackedColumns(signatures, 2)
-        rows = np.array(list(combinations(range(len(signatures)), 2)))
-        bounds, comparable = columns.attribute_bounds(rows[:, 0], rows[:, 1])
+        index = self.index()
+        kernels = self.kernels(index)
+        rows = np.array(list(combinations(range(len(index.table)), 2)))
+        bounds, comparable = kernels.attribute_bounds(rows[:, 0], rows[:, 1])
         for (i, j), pair_bounds, pair_comparable in zip(
             rows.tolist(), bounds.tolist(), comparable.tolist()
         ):
-            left, right = signatures[i], signatures[j]
+            left, right = (index.signature_of(index.table[k].id).norms for k in (i, j))
             for slot, name in enumerate(("first", "second")):
-                a, b = left.norms.get(name), right.norms.get(name)
+                a, b = left.get(name), right.get(name)
                 assert pair_comparable[slot] == (a is not None and b is not None)
                 if a is None or b is None:
                     assert pair_bounds[slot] == 0.0
@@ -179,20 +181,24 @@ class TestBatchKernelsBitEqualScalar:
                 assert pair_bounds[slot] == expected  # ==, not approx
                 assert jaro_winkler(a, b) <= pair_bounds[slot] + 1e-9
 
-    def test_counts_past_int16_widen_the_matrix(self):
-        columns = _StackedColumns(self.signatures(), 2)
-        assert columns.counts.dtype == np.int32  # "a" * 40000
-        narrow = [s for s in self.signatures() if "a" * 40000 not in s.norms.values()]
-        assert _StackedColumns(narrow, 2).counts.dtype == np.int16
+    def test_a_character_run_spans_many_words(self):
+        index = self.index()
+        row = self.values.index("a" * 40000)
+        elements = index.signatures.elements_of(row)
+        assert elements[:40000] == [(0, ord("a"), k) for k in range(1, 40001)]
+        words = index.signatures._word_indptr.view()
+        assert words[row + 1] - words[row] > 40000 // 64
 
     def test_token_jaccard(self):
-        sets = [(), (3,), (1, 2, 3), (2, 3, 9), (0, 1, 2, 3, 4, 5, 6, 7), (9,), (100, 200)]
-        indptr = np.cumsum([0] + [len(s) for s in sets])
-        tokens = np.array([t for s in sets for t in s], dtype=np.int64)
-        rows = np.array([(i, j) for i in range(len(sets)) for j in range(len(sets))])
-        sims = jaccard_sorted_ids_batch(indptr, tokens, rows[:, 0], rows[:, 1])
-        for (i, j), sim in zip(rows.tolist(), sims.tolist()):
-            assert sim == jaccard_sorted_ids(sets[i], sets[j])
+        texts = ["", "x", "alpha", "alpha beta gamma", "beta gamma omega", "!!", "omega"]
+        rows = [(i, text) for i, text in enumerate(texts)]
+        index = TableIndex(Table("J", Schema.of("id", "text"), rows))
+        kernels = self.kernels(index)
+        pairs = np.array([(i, j) for i in range(len(texts)) for j in range(len(texts))])
+        sims = kernels.token_jaccard(pairs[:, 0], pairs[:, 1])
+        for (i, j), sim in zip(pairs.tolist(), sims.tolist()):
+            a, b = (index.signature_of(index.table[k].id).token_ids for k in (i, j))
+            assert sim == (jaccard_sorted_ids(a, b) if a and b else 0.0)
 
     def test_pending_rows_carry_the_scalar_bounds(self):
         """What stage 3 receives from the batch is what the scalar computes."""
@@ -241,38 +247,42 @@ def people_table():
     )
 
 
-class TestProfileSignatures:
-    def test_signature_tokens_match_matcher_tokens(self):
-        vocabulary = TokenVocabulary()
-        attributes = {"name": "john smith", "city": "melbourne"}
-        signature = build_signature("e1", attributes, vocabulary)
-        tokens = {vocabulary.token_of(token_id) for token_id in signature.token_ids}
+class TestSignatureColumns:
+    def test_row_tokens_are_the_matcher_tokens(self):
+        index = TableIndex(people_table())
+        assert index.signatures.vocabulary is index.vocabulary  # blocking keys reused
+        row = index.signature_of("p1")
+        tokens = {index.vocabulary.token_of(token_id) for token_id in row.token_ids}
         assert tokens == {"john", "smith", "melbourne"}
 
-    def test_signature_respects_exclude_and_nulls(self):
-        vocabulary = TokenVocabulary()
-        attributes = {"name": "john", "secret": "classified", "empty": None}
-        signature = build_signature(
-            "e1", attributes, vocabulary, exclude=frozenset({"secret"})
+    def test_rows_respect_exclude_and_nulls(self):
+        values = {"name": "john", "secret": "classified", "empty": None}
+        columns = SignatureColumns(
+            list(values),
+            frozenset({"secret"}),
+            positions={"e1": 0},
+            values_of=lambda row: tuple(values.values()),
         )
-        assert set(signature.norms) == {"name"}
-        assert {vocabulary.token_of(t) for t in signature.token_ids} == {"john"}
+        columns.append(1, [[value] for value in values.values()])
+        row = columns["e1"]
+        assert row.norms == {"name": "john"}
+        assert {columns.vocabulary.token_of(t) for t in row.token_ids} == {"john"}
+        assert columns.shape_of(0)[0].tolist() == [4, -1, -1]
 
-    def test_table_index_builds_signatures_lazily(self):
+    def test_every_row_has_columns_at_registration(self):
         index = TableIndex(people_table())
-        assert index.signature_count == 0
-        signature = index.signature_of("p1")
-        assert index.signature_count == 1
-        assert index.signature_of("p1") is signature  # memoized
+        assert len(index.signatures) == len(index.table)
+        assert [index.signature_of(e).row for e in ("p1", "p4")] == [0, 3]
 
-    def test_add_records_prebuilds_signatures_and_interns(self):
+    def test_add_records_appends_rows_and_interns(self):
         index = TableIndex(people_table())
-        index.signature_of("p1")
         vocabulary_before = len(index.vocabulary)
         index.table.append_rows([("p5", "zanzibar quux", "hobart")])
         index.add_records(["p5"])
-        assert index.signature_count == 2  # id 1 (lazy) + id 5 (eager)
+        assert len(index.signatures) == 5
         assert len(index.vocabulary) > vocabulary_before
+        tokens = {index.vocabulary.token_of(t) for t in index.signature_of("p5").token_ids}
+        assert tokens == {"zanzibar", "quux", "hobart"}
 
 
 class TestMatchSignatureCascade:

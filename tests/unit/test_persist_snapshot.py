@@ -4,6 +4,7 @@ import json
 
 import pytest
 from reference.dict_pipeline import postings_blocks
+from reference.signature_oracle import column_state
 
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
@@ -82,7 +83,7 @@ class TestSaveLoad:
 
     def test_load_restores_indices_without_rebuild(self, tmp_path):
         engine = make_engine()
-        engine.execute(QUERY)  # populate LI + signatures
+        engine.execute(QUERY)  # populate the LI
         engine.save(tmp_path)
         warm = QueryEREngine.load(tmp_path)
         live_index, warm_index = engine.index_of("ppl"), warm.index_of("ppl")
@@ -93,13 +94,22 @@ class TestSaveLoad:
         assert postings_blocks(warm_index) == postings_blocks(live_index)
         assert warm_index.link_index.resolved_count == live_index.link_index.resolved_count
         assert len(warm_index.link_index) == len(live_index.link_index)
-        assert warm_index.signature_count == live_index.signature_count
-        # Restored signatures use the identical token-id assignment.
-        some_id = next(iter(live_index.table.ids))
-        assert (
-            warm_index.signature_of(some_id).token_ids
-            == live_index.signature_of(some_id).token_ids
-        )
+        # The signature columns are rebuilt whole, over the identical
+        # token-id assignment.
+        assert column_state(warm_index) == column_state(live_index)
+        for some_id in live_index.table.ids:
+            assert (
+                warm_index.signature_of(some_id).token_ids
+                == live_index.signature_of(some_id).token_ids
+            )
+
+    def test_state_files_list_links_and_resolved_only(self, tmp_path):
+        engine = make_engine()
+        engine.execute(QUERY)
+        engine.save(tmp_path)
+        entry = json.loads((tmp_path / MANIFEST_NAME).read_text())["tables"]["ppl"]
+        state = json.loads((tmp_path / entry["state"]["file"]).read_text())
+        assert set(state) == {"links", "resolved"}
 
     def test_statistics_survive_without_resampling(self, tmp_path):
         engine = make_engine()

@@ -2,8 +2,8 @@
 
 from repro.core.indices import TableIndex
 from repro.er.blocking import TokenBlocking
-from repro.er.matching import ProfileMatcher, build_signature
-from repro.er.tokenizer import TokenVocabulary, normalize_value, tokenize_entity, tokenize_value
+from repro.er.matching import ProfileMatcher
+from repro.er.tokenizer import normalize_value, tokenize_entity, tokenize_value
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -25,8 +25,9 @@ class TestNormalizeValue:
         # Callers skip NULLs; stringified it would be the word "none".
         assert normalize_value(None) == "none"
         assert tokenize_value(None) == []
-        signature = build_signature("e", {"name": None}, TokenVocabulary())
-        assert dict(signature.norms) == {}
+        index = TableIndex(Table("N", Schema.of("id", "name"), [("e", None)]))
+        assert index.signature_of("e").norms == {}
+        assert index.signatures.shape_of(0)[0].tolist() == [-1]
 
     def test_greek_lowering_knows_the_final_sigma(self):
         assert normalize_value("ΟΔΟΣ") == "οδος"
@@ -41,8 +42,9 @@ class TestNormalizeValue:
 
     def test_every_consumer_sees_the_same_string(self):
         value = "ΟΔΟΣ Ermou 12"
-        signature = build_signature("e", {"street": value}, TokenVocabulary())
-        assert signature.norms["street"] == normalize_value(value)
+        index = TableIndex(Table("S", Schema.of("id", "street"), [("e", value)]))
+        assert index.signature_of("e").norms["street"] == normalize_value(value)
+        assert index.signatures.shape_of(0)[0].tolist() == [len(normalize_value(value))]
         assert tokenize_value(value) == ["ermou", "12"]
         matcher = ProfileMatcher()
         assert matcher._aligned_similarity({"street": value}, {"street": value.lower()}) == 1.0
