@@ -15,7 +15,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.core.engine import QueryEREngine
 from repro.core.planner import ExecutionMode
 from repro.datagen.ground_truth import GroundTruth
-from repro.parallel import ExecutionConfig
 from repro.storage.table import Table
 
 
@@ -43,15 +42,7 @@ def fresh_engine(
     tables: Iterable[Union[Table, Tuple[Table, GroundTruth]]],
     **engine_kwargs,
 ) -> QueryEREngine:
-    """A new engine with *tables* registered.
-
-    ``execution`` defaults to strictly serial, whatever ``REPRO_WORKERS``
-    says: the paper-reproduction benchmarks assert stage shares and
-    relative timings of the serial pipeline, which shard scheduling
-    would distort (``tests/property/test_shard_equivalence.py`` covers
-    shards); results are bit-identical either way.
-    """
-    engine_kwargs.setdefault("execution", ExecutionConfig.serial())
+    """A new engine with *tables* registered."""
     engine = QueryEREngine(**engine_kwargs)
     for item in tables:
         table = item[0] if isinstance(item, tuple) else item

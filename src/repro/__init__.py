@@ -38,7 +38,6 @@ from repro.core import (
 )
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.incremental import IngestResult, InvalidationPolicy
-from repro.parallel import ExecutionConfig
 from repro.storage import Catalog, Schema, Table, read_csv, write_csv
 
 __version__ = "1.2.0"
@@ -46,7 +45,6 @@ __version__ = "1.2.0"
 __all__ = [
     "QueryEREngine",
     "ExecutionMode",
-    "ExecutionConfig",
     "MetaBlockingConfig",
     "IngestResult",
     "InvalidationPolicy",

@@ -80,15 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="schema-agnostic match threshold in [0, 1] (default: 0.75)",
     )
     parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="Comparison-Execution workers: 1 is serial, N > 1 keeps N "
-        "resident shard workers (default: REPRO_WORKERS, else 1; results "
-        "are identical either way)",
-    )
-    parser.add_argument(
         "--format",
         choices=["table", "json"],
         default="table",
@@ -144,14 +135,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.75,
         help="schema-agnostic match threshold in [0, 1] (default: 0.75)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="Comparison-Execution workers: 1 is serial, N > 1 keeps N "
-        "resident shard workers (default: REPRO_WORKERS, else 1)",
     )
     parser.add_argument(
         "--max-inflight",
@@ -241,7 +224,6 @@ def run_serve(argv: Sequence[str], output=None) -> int:
         if manifest is not None:
             engine = QueryEREngine.load(
                 args.data_dir,
-                execution=args.workers,
                 optimizer=not args.no_optimizer,
             )
             for name in sorted(engine.table_epochs()):
@@ -254,7 +236,6 @@ def run_serve(argv: Sequence[str], output=None) -> int:
     if engine is None:
         engine = QueryEREngine(
             match_threshold=args.threshold,
-            execution=args.workers,
             optimizer=not args.no_optimizer,
         )
     for spec in args.csv:
@@ -320,14 +301,6 @@ def build_save_parser() -> argparse.ArgumentParser:
         default=0.75,
         help="schema-agnostic match threshold in [0, 1] (default: 0.75)",
     )
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="Comparison-Execution workers: 1 is serial, N > 1 keeps N "
-        "resident shard workers (default: REPRO_WORKERS, else 1)",
-    )
     return parser
 
 
@@ -359,14 +332,6 @@ def build_load_parser() -> argparse.ArgumentParser:
         choices=["table", "json"],
         default="table",
         help="result rendering (default: table)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="Comparison-Execution workers: 1 is serial, N > 1 keeps N "
-        "resident shard workers (default: REPRO_WORKERS, else 1)",
     )
     return parser
 
@@ -404,14 +369,6 @@ def build_explain_parser() -> argparse.ArgumentParser:
         help="schema-agnostic match threshold in [0, 1] (default: 0.75)",
     )
     parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="Comparison-Execution workers: 1 is serial, N > 1 keeps N "
-        "resident shard workers (default: REPRO_WORKERS, else 1)",
-    )
-    parser.add_argument(
         "--no-optimizer",
         action="store_true",
         help="disable cost-based plan selection; show the heuristic plan",
@@ -428,7 +385,6 @@ def run_explain(argv: Sequence[str], output=None) -> int:
         return 2
     engine = QueryEREngine(
         match_threshold=args.threshold,
-        execution=args.workers,
         optimizer=not args.no_optimizer,
     )
     for spec in args.csv:
@@ -457,7 +413,7 @@ def run_save(argv: Sequence[str], output=None) -> int:
     if not args.csv:
         print("error: at least one --csv table is required", file=sys.stderr)
         return 2
-    engine = QueryEREngine(match_threshold=args.threshold, execution=args.workers)
+    engine = QueryEREngine(match_threshold=args.threshold)
     for spec in args.csv:
         name, _, path = spec.rpartition("=")
         table = read_csv(path or spec, name=name or None)
@@ -482,7 +438,7 @@ def run_load(argv: Sequence[str], output=None) -> int:
     output = output if output is not None else sys.stdout
     args = build_load_parser().parse_args(argv)
     try:
-        engine = QueryEREngine.load(args.data_dir, execution=args.workers)
+        engine = QueryEREngine.load(args.data_dir)
     except Exception as error:
         print(f"error: cannot load snapshot from {args.data_dir}: {error}", file=sys.stderr)
         return 1
@@ -527,7 +483,6 @@ def run(argv: Optional[Sequence[str]] = None, output=None) -> int:
 
     engine = QueryEREngine(
         match_threshold=args.threshold,
-        execution=args.workers,
         optimizer=not args.no_optimizer,
     )
     for spec in args.csv:

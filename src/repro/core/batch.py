@@ -9,7 +9,7 @@ defined against it: a Dedupe Query must return the same grouped entities
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.core.indices import TableIndex
 from repro.core.result import DedupResult
@@ -19,16 +19,12 @@ from repro.er.meta_blocking import MetaBlockingConfig
 from repro.er.packed_blocking import derive_candidates
 from repro.sql.physical import ExecutionContext
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.parallel.executor import ParallelComparisonExecutor
-
 
 def batch_deduplicate(
     index: TableIndex,
     matcher: Optional[ProfileMatcher] = None,
     meta_blocking: Optional[MetaBlockingConfig] = None,
     context: Optional[ExecutionContext] = None,
-    executor: Optional["ParallelComparisonExecutor"] = None,
 ) -> DedupResult:
     """Full offline ER over the whole collection behind *index*.
 
@@ -36,9 +32,7 @@ def batch_deduplicate(
     does, with the whole table as the frontier, then executes every
     surviving comparison once, counting them in *context* so BA's cost
     is measured with the same meter as QueryER's.  Returns a DR_E whose
-    QE is the entire table.  With *executor*, the matcher's undecided
-    remainder may shard onto its workers; the linkset stays
-    bit-identical to a serial run.
+    QE is the entire table.
     """
     context = context or ExecutionContext()
     matcher = matcher or ProfileMatcher(exclude=(index.table.schema.id_column,))
@@ -49,10 +43,7 @@ def batch_deduplicate(
     links = LinkSet()
     with context.timed("resolution"):
         context.comparisons += len(pairs)
-        if executor is not None:
-            matched = executor.match_pairs(index, matcher, pairs)
-        else:
-            matched = matcher.match_pair_indices(pairs, index.signatures)
+        matched = matcher.match_pair_indices(pairs, index.signatures)
         for position in matched:
             links.add(*pairs[position])
 

@@ -19,7 +19,7 @@ Two refinements beyond the pseudocode, both paper-faithful:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Set, Tuple
+from typing import Any, Iterable, List, Optional, Set, Tuple
 
 from repro.core.indices import TableIndex
 from repro.core.result import DedupResult
@@ -28,9 +28,6 @@ from repro.er.matching import ProfileMatcher
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.er.packed_blocking import derive_candidates
 from repro.sql.physical import ExecutionContext
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.parallel.executor import ParallelComparisonExecutor
 
 
 @dataclass
@@ -66,11 +63,6 @@ class DeduplicateOperator:
     transitive:
         Feed newly found duplicates back as a new frontier (see module
         docstring).
-    executor:
-        Optional :class:`~repro.parallel.executor.ParallelComparisonExecutor`:
-        blocking-graph construction and pair matching above its
-        configured thresholds run on its resident shard workers, with
-        results bit-identical to serial.
     """
 
     def __init__(
@@ -81,7 +73,6 @@ class DeduplicateOperator:
         use_link_index: bool = True,
         transitive: bool = True,
         collect_candidates: bool = False,
-        executor: Optional["ParallelComparisonExecutor"] = None,
     ):
         self.index = index
         self.matcher = matcher or ProfileMatcher(exclude=(index.table.schema.id_column,))
@@ -89,7 +80,6 @@ class DeduplicateOperator:
         self.use_link_index = use_link_index
         self.transitive = transitive
         self.collect_candidates = collect_candidates
-        self.executor = executor
 
     # -- public API ------------------------------------------------------
     def deduplicate(
@@ -163,20 +153,15 @@ class DeduplicateOperator:
 
         # (iv) Comparison-Execution — QE-side pairs only, each pair once.
         # The whole list goes through the matcher's batched cascade
-        # (the table's signature columns; decisions bit-identical to the raw
-        # attribute path).  With an executor, it alone decides whether
-        # the cascade's undecided remainder is worth its workers, and
-        # counts the run either way.
+        # (the table's signature columns; decisions bit-identical to the
+        # raw attribute path).
         newly_found: Set[Any] = set()
         with context.timed("resolution"):
             if self.collect_candidates:
                 stats.candidate_pairs.extend(pairs)
             context.comparisons += len(pairs)
             stats.executed_comparisons += len(pairs)
-            if self.executor is not None:
-                matched = self.executor.match_pairs(self.index, self.matcher, pairs)
-            else:
-                matched = self.matcher.match_pair_indices(pairs, self.index.signatures)
+            matched = self.matcher.match_pair_indices(pairs, self.index.signatures)
             for position in matched:
                 left, right = pairs[position]
                 links.add(left, right)
@@ -204,7 +189,6 @@ class DeduplicateOperator:
             frontier,
             self.meta_blocking,
             timed=context.timed,
-            executor=self.executor,
         )
         stats.qbi_blocks = max(stats.qbi_blocks, derived.qbi_blocks)
         stats.eqbi_blocks = max(stats.eqbi_blocks, derived.eqbi_blocks)

@@ -32,13 +32,7 @@ from repro.er.matching import DEFAULT_THRESHOLD, ProfileMatcher
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.incremental import DmlExecutor, IndexMaintainer, IngestResult, InvalidationPolicy
 from repro.optimizer import PlanCache, QueryOptimizer, plan_key
-from repro.optimizer.explain import (
-    analyze_lines,
-    dedup_plan_lines,
-    relational_plan_lines,
-    scheduling_lines,
-)
-from repro.parallel import ExecutionConfig, ParallelComparisonExecutor
+from repro.optimizer.explain import analyze_lines, dedup_plan_lines, relational_plan_lines
 from repro.sql import ast, normalize_sql
 from repro.sql.executor import QueryResult, execute_plan
 from repro.sql.parser import parse
@@ -67,15 +61,6 @@ class QueryEREngine:
         How ``INSERT INTO`` revokes progressive-cleaning state: the
         targeted per-cluster policy (default) or a full LI reset — see
         :mod:`repro.incremental`.
-    execution:
-        Parallel-execution configuration
-        (:class:`~repro.parallel.ExecutionConfig`), or a plain int as
-        shorthand for ``ExecutionConfig(workers=N)``.  The default is
-        serial (``REPRO_WORKERS`` if set, else one worker).  With
-        ``N > 1`` the engine keeps ``N`` resident shard workers, forked
-        on the first query above the configured work thresholds and
-        sent every committed insert; DEDUP results are bit-identical to
-        serial either way.
 
     **Statistics.**  Registration builds indices only.  The §7.2.1
     duplication-factor sample runs on the first :meth:`statistics_of`
@@ -106,29 +91,11 @@ class QueryEREngine:
         use_link_index: bool = True,
         transitive: bool = True,
         invalidation_policy: Union[InvalidationPolicy, str] = InvalidationPolicy.TARGETED,
-        execution: Union[ExecutionConfig, int, None] = None,
         optimizer: bool = True,
         plan_cache_size: int = 128,
     ):
         self.catalog = Catalog()
         self.meta_blocking = meta_blocking or MetaBlockingConfig.all()
-        if isinstance(execution, int):
-            execution = ExecutionConfig(workers=execution)
-        self.execution = execution or ExecutionConfig()
-        # No executor on single-worker configurations: the operator then
-        # runs the exact pre-subsystem serial path, with no scheduling
-        # layered on top.  The shard state source hands the
-        # shard runtime everything a freshly forked worker keeps
-        # resident.
-        self._parallel: Optional[ParallelComparisonExecutor] = (
-            ParallelComparisonExecutor(
-                self.execution,
-                epoch_source=self.epoch_of,
-                shard_state_source=self._shard_state,
-            )
-            if self.execution.parallel
-            else None
-        )
         self.match_threshold = match_threshold
         self.use_link_index = use_link_index
         self.transitive = transitive
@@ -187,7 +154,6 @@ class QueryEREngine:
             exclude=(table.schema.id_column,),
         )
         self._invalidate_plans()
-        self._reset_shards()
         return index
 
     def unregister(self, name: str) -> bool:
@@ -213,7 +179,6 @@ class QueryEREngine:
         if epoch is not None:
             self._retired_epochs[key] = max(epoch, self._retired_epochs.get(key, 0))
         self._invalidate_plans()
-        self._reset_shards()
         return known
 
     def adopt(
@@ -244,7 +209,6 @@ class QueryEREngine:
         if statistics is not None:
             self._statistics[key] = statistics
         self._invalidate_plans()
-        self._reset_shards()
 
     # -- persistence ------------------------------------------------------
     def save(self, directory) -> Dict[str, Any]:
@@ -259,7 +223,7 @@ class QueryEREngine:
 
         Answers every query bit-identically to the engine that was
         saved — no tokenization, blocking build or statistics sampling
-        re-runs.  Keyword *overrides* (``execution=``, ``meta_blocking=``,
+        re-runs.  Keyword *overrides* (``meta_blocking=``,
         ``match_threshold=``, …) take precedence over the manifest's
         recorded configuration.
         """
@@ -301,52 +265,23 @@ class QueryEREngine:
         return self._checkpointer
 
     def _notify_committed(self, name: str, count: int) -> None:
-        """Post-commit hook from the maintainer: fan the batch out.
+        """Post-commit hook from the maintainer: checkpoint the batch.
 
         Runs strictly after the epoch advanced, i.e. only for batches
         that actually committed — a rolled-back insert never reaches
-        this point, so it can never reach disk *or* a resident shard.
-        Resident shard workers receive the batch as an epoch-tagged
-        delta segment first (synchronous, so the next query's routing
-        sees current state), then the checkpointer persists it.
+        this point, so it can never reach disk.
         """
-        if self._parallel is not None:
-            key = name.lower()
-            self._parallel.note_committed(
-                key, self.epoch_of(key), self.index_of(key), count
-            )
         if self._checkpointer is not None:
             self._checkpointer.on_commit(name, count)
-
-    # -- shard/worker lifecycle ------------------------------------------
-    def _shard_state(self) -> Dict[str, Tuple[TableIndex, ProfileMatcher]]:
-        """What a freshly forked shard worker keeps resident."""
-        return {
-            key: (index, self._matchers[key])
-            for key, index in self._indices.items()
-        }
-
-    def _reset_shards(self) -> None:
-        """Retire resident workers when the set of tables changes.
-
-        Deltas keep shards current across *appends*; registration-shape
-        changes (register/unregister/adopt) need a fresh fork of the new
-        state, which the retired slots take lazily on the next query.
-        """
-        if self._parallel is not None:
-            self._parallel.reset_shards()
 
     def close(self) -> None:
         """Release every long-lived resource this engine holds.
 
-        Joins the resident shard workers (and their pipe fds) and
-        drains/stops the checkpointer's background writer.  Idempotent;
+        Drains/stops the checkpointer's background writer.  Idempotent;
         also runs when the engine is used as a context manager.  An
-        engine without shards or checkpointing holds no such resources
-        and close() is a no-op.
+        engine without checkpointing holds no such resources and
+        close() is a no-op.
         """
-        if self._parallel is not None:
-            self._parallel.close()
         if self._checkpointer is not None:
             self._checkpointer.close()
 
@@ -472,13 +407,7 @@ class QueryEREngine:
             meta_blocking=self.meta_blocking,
             use_link_index=self.use_link_index,
             transitive=self.transitive,
-            executor=self._parallel,
         )
-
-    @property
-    def parallel_executor(self) -> Optional[ParallelComparisonExecutor]:
-        """The engine's parallel executor (None on serial configurations)."""
-        return self._parallel
 
     def reset_link_indexes(self) -> None:
         """Forget all progressive-cleaning state (fresh-engine behaviour)."""
@@ -639,7 +568,6 @@ class QueryEREngine:
                     elapsed_s=run_elapsed,
                     stage_times=dict(context.stage_times),
                 )
-                lines.extend(scheduling_lines(self._parallel))
         elapsed = time.perf_counter() - start
         text = "\n".join(lines)
         return QueryResult(["plan"], [(line,) for line in lines], elapsed, None, text)

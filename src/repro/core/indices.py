@@ -135,7 +135,7 @@ class TableIndex:
     :class:`~repro.er.blocking.TokenBlocking` instance serves the TBI and
     every QBI so their keys stay join-compatible.
 
-    Two invariants the persistence and shard codecs rely on:
+    Two invariants the persistence codec relies on:
 
     * an entity's dense postings id is its table row position, and its
       row of the signature columns;
@@ -273,17 +273,8 @@ class TableIndex:
     def add_records(
         self,
         entity_ids: Iterable[Any],
-        keys_of: Optional[Dict[Any, Set[str]]] = None,
     ) -> "IndexDelta":
         """Amend the postings with rows already appended to the table.
-
-        *keys_of*, when given, supplies precomputed blocking keys per
-        entity id instead of re-running ``blocking.keys_for`` — the
-        shard delta-application path (:mod:`repro.parallel.shards`)
-        ships the parent's already-computed keys so a worker applies a
-        batch without re-tokenizing; the mapping must equal what
-        ``keys_for`` would return, which the hand-off codec guarantees
-        by construction (it reads the parent's postings).
 
         No rebuild: each new record is appended to the postings, its new
         keys interned in ascending ``(block size after the batch, key)``
@@ -301,15 +292,12 @@ class TableIndex:
         with empty postings; interning is append-only.
         """
         new_ids = list(entity_ids)
-        keys_of = keys_of or {}
         postings = self.postings
         vocabulary = self.vocabulary
         before = postings.entity_count
         try:
             key_sets = [
-                set(keys_of[entity_id])
-                if entity_id in keys_of
-                else self.blocking.keys_for(self.entities.attributes(entity_id))
+                self.blocking.keys_for(self.entities.attributes(entity_id))
                 for entity_id in new_ids
             ]
             touched = set().union(*key_sets)

@@ -420,7 +420,6 @@ class DedupQueryExecutor:
                 matcher=self.engine.matcher_for(info.index),
                 meta_blocking=self.engine.meta_blocking,
                 context=context,
-                executor=self.engine.parallel_executor,
             )
             result = self._dedup_aware_filter(info, full)
         elif mode is ExecutionMode.NAIVE_SCAN:
@@ -512,7 +511,6 @@ class DedupQueryExecutor:
                 matcher=self.engine.matcher_for(info.index),
                 meta_blocking=self.engine.meta_blocking,
                 context=context,
-                executor=self.engine.parallel_executor,
             )
         else:
             full = self.engine.dedup_operator(info.index).deduplicate(

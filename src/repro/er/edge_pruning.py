@@ -54,11 +54,7 @@ class WeightingScheme(enum.Enum):
 # sorting, pair enumeration, focus filtering, key packing) and
 # *reduction* (per-pair weight-stat accumulation).  Generation is
 # independent per contiguous block span; reduction is a single in-order
-# pass.  The serial span build and the shard runtime
-# (:mod:`repro.parallel`) both generate through
-# :func:`generate_span_segments`, so a sharded build concatenating
-# per-span results in block order is *the same computation* as the
-# serial one — bit for bit.
+# pass.
 
 
 def generate_span_segments(
@@ -157,9 +153,7 @@ def reduce_span_segments(keys: Any, values: Any, need_arcs: bool) -> Tuple[Any, 
     visit order; ARCS sums then accumulate them strictly left to right
     (``np.add.at`` is unbuffered and applies its operands in order,
     where a segmented reduction may reassociate them), and CBS counts
-    are the group lengths.  A sharded build concatenating span results in
-    partition order therefore reduces bit-identically to the serial
-    span build.
+    are the group lengths.
     """
     empty_stats = np.empty(0, dtype=np.float64 if need_arcs else np.int64)
     if not len(keys):
@@ -200,8 +194,7 @@ class BlockingGraph:
         its inverse), *block_counts* each entity's block count,
         *edge_keys* the packed pairs and *edge_stats* their
         :func:`reduce_span_segments` statistic (ARCS sums, else shared
-        block counts).  The serial span build and the sharded one both
-        end here, so they are indistinguishable.
+        block counts).
         """
         self.scheme = scheme
         self._block_count = max(block_count, 1)

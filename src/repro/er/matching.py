@@ -474,8 +474,6 @@ class PendingPairs:
     Row ``i`` describes the pair at ``positions[i]`` of the candidate
     list: its per-slot Jaro-Winkler upper bounds (0.0 in slots not
     comparable for the pair) and their in-order sum.
-    Plain arrays, so a remainder can be split into per-shard buckets
-    and pickled to a resident shard.
     """
 
     __slots__ = ("positions", "total_bounds", "bounds")
@@ -487,14 +485,6 @@ class PendingPairs:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def take(self, rows) -> "PendingPairs":
-        """The sub-remainder at *rows*, in that order."""
-        return PendingPairs(
-            self.positions[rows],
-            self.total_bounds[rows],
-            self.bounds[rows],
-        )
 
     @classmethod
     def concat(cls, parts: "Sequence[PendingPairs]", slots: int) -> "PendingPairs":
@@ -839,18 +829,15 @@ class ProfileMatcher:
         signatures: "Mapping[Any, SignatureRow]",
         start: int = 0,
         stop: Optional[int] = None,
-        resolve: "Optional[Callable[[PendingPairs], List[int]]]" = None,
     ) -> "List[int]":
         """Positions in ``pairs[start:stop]`` whose signatures match.
 
         The one entry point of Comparison-Execution.  Stages 1 and 2 of
         the cascade run array-at-a-time over the span (in chunks of
         :data:`_SCREEN_CHUNK` pairs); the undecided remainder goes to
-        *resolve* — by default :meth:`resolve_pending`, the scalar stage
-        3, here and now; the parallel executor passes a function that
-        may spread a large remainder over its shard workers instead.  Every
-        decision and every ``cascade_stats`` counter equals what a loop
-        of :meth:`match_signatures` over the span would produce.
+        :meth:`resolve_pending`, the scalar stage 3.  Every decision and
+        every ``cascade_stats`` counter equals what a loop of
+        :meth:`match_signatures` over the span would produce.
 
         *signatures* only needs ``__getitem__`` — a table's
         :class:`SignatureColumns`, or any mapping to its rows.  Pairs
@@ -875,10 +862,7 @@ class ProfileMatcher:
             if pending is not None:
                 remainders.append(pending)
         pending = PendingPairs.concat(remainders, len(columns.names))
-        if resolve is None:
-            resolved = self.resolve_pending(pairs, signatures, pending)
-        else:
-            resolved = resolve(pending)
+        resolved = self.resolve_pending(pairs, signatures, pending)
         if resolved:
             matched.extend(resolved)
             matched.sort()
@@ -1000,9 +984,8 @@ class ProfileMatcher:
         """Stage 3 over *pending*: the matching positions.
 
         Each decision is a pure function of the two rows and the
-        remainder's row, so any partition of a remainder resolves to
-        the same matches as one serial pass.  Each row's values are
-        normalized here, once per call.
+        remainder's row.  Each row's values are normalized here, once
+        per call.
         """
         matched: List[int] = []
         normalized: Dict[Any, Tuple[Optional[str], ...]] = {}

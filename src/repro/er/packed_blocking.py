@@ -126,15 +126,12 @@ def derive_candidates(
     frontier: Set[Any],
     config: Any,
     timed: Optional[Callable[[str], ContextManager]] = None,
-    executor: Optional[Any] = None,
 ) -> PackedCandidates:
     """Candidate pairs of *frontier* under *config*, fully array-derived.
 
     *timed* is the caller's ``ExecutionContext.timed`` hook; stages are
     attributed as ``block-join`` (QBI + Block-Join), ``meta-blocking``
-    (BP/BF/EP) and ``resolution`` (pair materialization).  *executor* is
-    the optional parallel handle: large graph builds shard their
-    postings spans across its resident shard workers.  A failure here
+    (BP/BF/EP) and ``resolution`` (pair materialization).  A failure here
     (an injected ``packed.derive`` fault included) propagates: there is
     no other derivation to fall back to.
     """
@@ -186,8 +183,8 @@ def derive_candidates(
         # (iii)c Edge Pruning — the packed graph fed by postings spans.
         if config.pruning:
             graph = _span_graph(
-                members_u, indptr, sizes, universe, index_of, config.weighting,
-                in_focus, block_count, executor,
+                members_u, indptr, universe, index_of, config.weighting,
+                in_focus, block_count,
             )
             retained_keys = graph.retained_key_array(graph.average_weight())
             comparisons_after = len(retained_keys)
@@ -205,23 +202,13 @@ def derive_candidates(
 def _span_graph(
     members_u: Any,
     indptr: Any,
-    sizes: Any,
     universe: List[Any],
     index_of: dict,
     scheme: Any,
     in_focus: bytearray,
     block_count: int,
-    executor: Optional[Any],
 ) -> BlockingGraph:
-    """Blocking graph over postings spans: sharded when the executor
-    wants and can serve the build, serial here otherwise."""
-    total_comparisons = int((sizes * (sizes - 1) // 2).sum())
-    if executor is not None and executor.wants_parallel_spans(total_comparisons):
-        graph = executor.build_span_graph(
-            members_u, indptr, sizes, universe, index_of, scheme, in_focus
-        )
-        if graph is not None:
-            return graph
+    """Blocking graph over postings spans."""
     need_arcs = scheme is WeightingScheme.ARCS
     keys, values, block_counts = generate_span_segments(
         members_u, indptr, 0, block_count, len(universe), in_focus, need_arcs

@@ -3,10 +3,8 @@
 See the package docstring for the invalidation policy rationale.
 
 Once a batch commits (the epoch advances), the engine's
-``_notify_committed`` fans the new rows out as an epoch-tagged columnar
-delta segment to every live worker in the persistent shard runtime
-(:mod:`repro.parallel.shards`) and to the checkpointer — strictly
-post-commit, so a rolled-back insert never reaches a shard or disk.
+``_notify_committed`` hands it to the checkpointer — strictly
+post-commit, so a rolled-back insert never reaches disk.
 """
 
 from __future__ import annotations

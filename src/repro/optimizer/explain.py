@@ -214,40 +214,3 @@ def analyze_lines(
         share = f" ({100.0 * seconds / total:.1f}%)" if total > 0 else ""
         lines.append(f"stage {stage}: actual={seconds:.6f}s{share}")
     return lines
-
-
-def scheduling_lines(executor) -> List[str]:
-    """``EXPLAIN ANALYZE``'s scheduling block: how the run was executed.
-
-    Reads the engine's :class:`ParallelComparisonExecutor` counters and
-    the shard runtime's per-shard task/delta/respawn status.  Serial
-    engines (no executor) contribute nothing, keeping seed
-    ``EXPLAIN ANALYZE`` output unchanged.
-    """
-    if executor is None:
-        return []
-    stats = executor.stats
-    lines = [
-        f"scheduling: workers={executor.workers}",
-        "scheduling: parallel_match_runs={0} serial_match_runs={1} "
-        "parallel_graph_builds={2}".format(
-            stats.get("parallel_match_runs", 0),
-            stats.get("serial_match_runs", 0),
-            stats.get("parallel_graph_builds", 0),
-        ),
-    ]
-    status = executor.shard_status()
-    if status is not None:
-        lines.append(
-            "scheduling: shards alive={0}/{1} respawns={2} "
-            "serial_fallbacks={3} deltas_published={4}".format(
-                status["alive"], status["workers"], status["respawns"],
-                status["serial_fallbacks"], status["deltas_published"],
-            )
-        )
-        for shard in status["shards"]:
-            lines.append(
-                "scheduling: shard {id}: alive={alive} tasks={tasks} "
-                "deltas={deltas} delta_lag={delta_lag}".format(**shard)
-            )
-    return lines

@@ -228,60 +228,6 @@ def segment_arrays(
     return arrays
 
 
-def delta_segment_arrays(index: Any, start: int, stop: int) -> Dict[str, np.ndarray]:
-    """A *self-contained* delta segment over table rows ``[start:stop)``.
-
-    The shard hand-off format of :mod:`repro.parallel.shards`: same
-    columnar layout as checkpoint segments (column array families, the
-    rows' blocking keys as a CSR, a token table), with one deliberate
-    difference — the CSR's token ids index the segment's **own**
-    ``vocab.data``/``vocab.offsets`` table instead of the engine's
-    global vocabulary.  Checkpoint segments may assume the reader
-    replays the exact global id assignment (manifest order), but a
-    long-lived shard's vocabulary may diverge from its parent's — a
-    token a rolled-back batch left behind in one process only — so the
-    hand-off segment carries
-    every key string it references and the worker re-interns them under
-    its own ids.  Applying it never re-tokenizes an attribute value.
-    """
-    csr = index.to_arrays(start, stop)
-    global_ids, local_ids = np.unique(csr["itbi_tokens"], return_inverse=True)
-    token_of = index.vocabulary.token_of
-    return segment_arrays(
-        index.table,
-        start,
-        stop,
-        csr["itbi_indptr"],
-        local_ids.reshape(-1),
-        [token_of(t) for t in global_ids.tolist()],
-    )
-
-
-def decode_delta_segment(
-    schema: Schema, arrays: Dict[str, np.ndarray]
-) -> Tuple[List[Tuple[Any, ...]], List[List[str]]]:
-    """Invert :func:`delta_segment_arrays`: ``(rows, per-row key lists)``.
-
-    Rows come back as exact Python value tuples (ready for
-    ``Table.append_rows(..., coerce=False)``); each row's blocking keys
-    decode through the segment-local token table, in the CSR's recorded
-    order.
-    """
-    from repro.persist.columnar import decode_strings
-
-    columns = columns_from_arrays(schema.columns, arrays)
-    count = len(columns[0]) if columns else 0
-    rows = [tuple(column[i] for column in columns) for i in range(count)]
-    token_table = decode_strings(arrays["vocab.data"], arrays["vocab.offsets"])
-    indptr = arrays["itbi.indptr"]
-    tokens = arrays["itbi.tokens"]
-    keys = [
-        [token_table[int(t)] for t in tokens[int(indptr[i]) : int(indptr[i + 1])]]
-        for i in range(count)
-    ]
-    return rows, keys
-
-
 def link_state_payload(index: Any) -> Dict[str, Any]:
     """The JSON-serializable soft state of one table's index.
 
@@ -474,17 +420,29 @@ def _load_table_entry(
     return table, vocabulary, np.asarray(indptr, dtype=np.int64), all_tokens
 
 
+#: The engine settings :func:`load_engine` reads from the manifest, and
+#: so the keyword overrides it accepts.
+_ENGINE_SETTINGS = frozenset({
+    "match_threshold",
+    "use_link_index",
+    "transitive",
+    "invalidation_policy",
+    "optimizer",
+    "plan_cache_size",
+})
+
+
 def load_engine(
     directory: Union[str, Path],
-    execution: Any = None,
     meta_blocking: Any = None,
     **overrides: Any,
 ) -> "QueryEREngine":
     """Reconstruct a warm :class:`QueryEREngine` from a snapshot.
 
     Engine configuration defaults to what the manifest recorded;
-    *execution*, *meta_blocking* and keyword *overrides* (e.g.
-    ``match_threshold=``) take precedence.  No tokenization, blocking
+    *meta_blocking* and keyword *overrides* (e.g.
+    ``match_threshold=``) take precedence; an override that names no
+    engine setting raises :class:`TypeError`.  No tokenization, blocking
     build, or statistics sampling runs — the identity contract is that
     every DEDUP answer equals both the saved engine's and a fresh
     engine's over the same rows.
@@ -493,6 +451,9 @@ def load_engine(
     from repro.core.indices import TableIndex
     from repro.core.statistics import TableStatistics
 
+    unknown = sorted(set(overrides) - _ENGINE_SETTINGS)
+    if unknown:
+        raise TypeError(f"load_engine() got unknown engine settings {unknown}")
     directory = Path(directory)
     manifest = read_manifest(directory)
     if manifest is None:
@@ -509,7 +470,6 @@ def load_engine(
         use_link_index=config["use_link_index"],
         transitive=config["transitive"],
         invalidation_policy=config["invalidation_policy"],
-        execution=execution,
         # Pre-optimizer manifests lack these keys; default to the
         # engine's own defaults rather than failing the warm start.
         optimizer=config.get("optimizer", True),

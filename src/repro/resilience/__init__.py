@@ -4,22 +4,22 @@ Two halves, used together by the chaos property suite and the CI
 ``chaos-smoke`` job:
 
 * :mod:`repro.resilience.faults` — a seedable **fault-injection
-  registry**.  Named sites threaded through the shard runtime, the DML
-  path and the serving layer call :func:`inject`; a :class:`FaultPlan`
-  (armed programmatically, via ``REPRO_FAULTS``, or ``repro serve
-  --faults``) decides deterministically which calls raise or hang.
+  registry**.  Named sites threaded through the DML path, candidate
+  derivation, the checkpointer and the serving layer call
+  :func:`inject`; a :class:`FaultPlan` (armed programmatically, via
+  ``REPRO_FAULTS``, or ``repro serve --faults``) decides
+  deterministically which calls raise or hang.
 
 * :mod:`repro.resilience.degradation` — the **degradation log**: every
-  graceful fallback (shard serial re-run, shard respawn, DML rollback,
-  serving 500) is recorded in the
-  process-wide :data:`DEGRADATION` log, which ``GET /metrics`` and
-  ``GET /healthz`` surface.
+  graceful fallback (DML rollback, failed checkpoint, serving 500) is
+  recorded in the process-wide :data:`DEGRADATION` log, which
+  ``GET /metrics`` and ``GET /healthz`` surface.
 
 The recovery policies themselves live in the layers they protect:
-``ShardRuntime`` (serial re-run of a failed shard's work, task timeouts),
-``IndexMaintainer.append`` (transactional rollback) and
-``EngineService`` (errors never leak admission slots or the engine
-gate).  The Deduplicate operator has no fallback: a failed candidate
+``IndexMaintainer.append`` (transactional rollback),
+``CheckpointManager`` (a failed checkpoint leaves the previous
+snapshot loadable) and ``EngineService`` (errors never leak admission
+slots or the engine gate).  The Deduplicate operator has no fallback: a failed candidate
 derivation fails the query and leaves the Link Index untouched.
 """
 

@@ -2,17 +2,16 @@
 
 Graceful degradation that nobody can observe is indistinguishable from
 silent data loss.  Whenever a layer survives a failure by doing *less*
-— a shard's work re-run serially in the parent, an ``INSERT INTO``
-rolled back, a serving handler answering 500 instead of results — it records the
-event here, and the serving layer surfaces the log under
-``GET /metrics`` (full snapshot) and ``GET /healthz``
+— an ``INSERT INTO`` rolled back, a checkpoint that failed and left the
+previous snapshot in place, a serving handler answering 500 instead of
+results — it records the event here, and the serving layer surfaces the
+log under ``GET /metrics`` (full snapshot) and ``GET /healthz``
 (``degraded: true`` plus per-layer counts).
 
 One process-wide :data:`DEGRADATION` instance exists because
 degradations happen far below any object the caller holds (deep inside
-a shard recovery there is no service to report to).  Events from forked
-shard *workers* are invisible by design — recovery itself always runs
-in the parent, which is where the recording happens.
+an index rollback or a background checkpoint write there is no service
+to report to).
 """
 
 from __future__ import annotations

@@ -14,10 +14,6 @@ table):
 ========================  ==================================================
 site                      where it fires
 ========================  ==================================================
-``shard.spawn``           persistent shard fork in ``ShardRuntime._spawn``
-``shard.task``            shard task dispatch (parent) and execution (child)
-``shard.delta``           before a commit delta ships to a live shard
-
 ``table.append_row``      per-row while staging a ``Table.append_rows`` batch
 ``dml.after_append``      between storage append and TBI/ITBI amendment
 ``dml.index_delta``       per-entity inside ``TableIndex.add_records``
@@ -45,7 +41,7 @@ Plan syntax (``REPRO_FAULTS`` / ``--faults``)::
                  delay=SECONDS      sleep length of a ``hang`` (default 0.05)
     seed=N    (as a whole spec)     seeds the plan's RNG
 
-Example: ``REPRO_FAULTS="seed=7,shard.task:times=2,serving.slow:hang:delay=0.3"``.
+Example: ``REPRO_FAULTS="seed=7,dml.index_delta:times=2,serving.slow:hang:delay=0.3"``.
 """
 
 from __future__ import annotations
@@ -67,7 +63,7 @@ class FaultError(RuntimeError):
     """The exception an armed ``raise``-kind fault site throws.
 
     Subclasses :class:`RuntimeError` so generic runtime-failure handling
-    (shard-spawn fallback, serving's 500 path) treats an injected fault
+    (DML rollback, serving's 500 path) treats an injected fault
     exactly like the organic failure it stands in for.
     """
 
@@ -75,12 +71,6 @@ class FaultError(RuntimeError):
         super().__init__(f"injected fault at site {site!r} (occurrence {occurrence})")
         self.site = site
         self.occurrence = occurrence
-
-    def __reduce__(self):
-        # Default exception pickling replays ``args`` (the formatted
-        # message) into ``__init__`` — which takes two fields.  Faults
-        # cross the shard pipe boundary, so make them round-trip.
-        return (FaultError, (self.site, self.occurrence))
 
 
 class FaultSpec:
@@ -251,7 +241,7 @@ _PLAN_LOCK = threading.Lock()
 
 
 def install_plan(plan: FaultPlan) -> FaultPlan:
-    """Arm *plan* process-wide (fork children inherit it copy-on-write)."""
+    """Arm *plan* process-wide."""
     global _PLAN
     with _PLAN_LOCK:
         _PLAN = plan

@@ -50,7 +50,7 @@ class ResultCache:
 
     ``capacity <= 0`` disables caching (every ``get`` misses, ``put`` is
     a no-op) so the service's cold-path behaviour can be measured and
-    tested without a parallel code path.
+    tested without a second code path.
     """
 
     def __init__(self, capacity: int = 256):

@@ -24,9 +24,8 @@ requests are 400 (``bad_request``), unknown paths 404 (``not_found``),
 overload 503 (``overload``, with a ``Retry-After`` header — the service
 sheds load instead of queueing into collapse), expired per-request
 timeouts 504 (``timeout``), a rolled-back insert 500
-(``ingest_failed`` with ``rolled_back: true``), an exhausted parallel
-recovery 500 (``task_failed``), an injected fault 500
-(``injected_fault``), and anything else 500 (``internal``).  No
+(``ingest_failed`` with ``rolled_back: true``), an injected fault
+500 (``injected_fault``), and anything else 500 (``internal``).  No
 exception path ever wedges the service: handler errors release the
 admission slot and engine gate on the way out (see
 ``EngineService``), the per-connection thread answers JSON instead of
@@ -41,7 +40,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.incremental import IngestError
-from repro.parallel import TaskExecutionError
 from repro.resilience import FaultError
 from repro.serving.service import EngineService, OverloadError, RequestTimeout
 from repro.sql.lexer import LexError
@@ -147,8 +145,6 @@ class ServingHandler(BaseHTTPRequestHandler):
                 500,
                 {"error": str(error), "error_kind": "ingest_failed", "rolled_back": True},
             )
-        except TaskExecutionError as error:
-            self._send(500, {"error": str(error), "error_kind": "task_failed"})
         except FaultError as error:
             self._send(500, {"error": str(error), "error_kind": "injected_fault"})
         except (ValueError, KeyError, TypeError, ParseError, LexError, SchemaError) as error:

@@ -317,22 +317,7 @@ class EngineService:
         persist = self._persist_status()
         if persist is not None:
             snapshot["persist"] = persist
-        shards = self._shard_status()
-        if shards is not None:
-            snapshot["shards"] = shards
         return snapshot
-
-    def _shard_status(self) -> Optional[Dict[str, Any]]:
-        """The persistent shard runtime's block, when one serves the engine.
-
-        Per-shard task counts, applied-delta lag against the engine's
-        epochs, and respawn totals — the serving-level view of whether
-        warm queries are actually hitting resident workers.
-        """
-        executor = getattr(self.engine, "parallel_executor", None)
-        if executor is None:
-            return None
-        return executor.shard_status()
 
     def _persist_status(self) -> Optional[Dict[str, Any]]:
         """The checkpointer's health block, when one is attached.

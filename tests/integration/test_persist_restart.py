@@ -61,7 +61,7 @@ def _spawn(args, faults=None):
     if faults:
         env["REPRO_FAULTS"] = faults
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", *args, "--port", "0", "--workers", "1"],
+        [sys.executable, "-m", "repro", "serve", *args, "--port", "0"],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -210,7 +210,7 @@ def test_restart_after_crash_is_healthy_and_identical(journey, dataset):
 
     status, answer = journey["gen2_query"]
     assert status == 200
-    engine = QueryEREngine(execution=1)
+    engine = QueryEREngine()
     engine.register(read_csv(dataset["csv"], name="PPL"))
     assert _canonical(answer["rows"]) == _canonical(engine.execute(SQL).rows)
 
@@ -228,5 +228,5 @@ def test_committed_delta_survives_graceful_restart(journey, dataset):
 
     status, answer = journey["gen3_query"]
     assert status == 200
-    warm = QueryEREngine.load(dataset["dir"], execution=1)
+    warm = QueryEREngine.load(dataset["dir"])
     assert _canonical(answer["rows"]) == _canonical(warm.execute(SQL).rows)

@@ -69,8 +69,6 @@ def server(csv_path):
             f"PPL={csv_path}",
             "--port",
             "0",
-            "--workers",
-            "1",
             "--quiet",
         ],
         env=env,
@@ -171,7 +169,7 @@ def test_retrying_client_recovers_the_exact_answer(traffic, csv_path):
     assert status == 200
     assert traffic["query_attempts"] == 2  # handler fault #2, then success
 
-    engine = QueryEREngine(execution=1)
+    engine = QueryEREngine()
     engine.register(read_csv(csv_path, name="PPL"))
     assert _canonical(payload["rows"]) == _canonical(engine.execute(SQL).rows)
 

@@ -59,8 +59,6 @@ def server(csv_path):
             f"PPL={csv_path}",
             "--port",
             "0",
-            "--workers",
-            "1",
             "--quiet",
         ],
         env=env,
@@ -117,7 +115,7 @@ def test_served_answers_match_library_mode_under_concurrency(server, csv_path):
     assert health["status"] == "ok"
     assert health["epochs"] == {"ppl": 1}
 
-    engine = QueryEREngine(execution=1)
+    engine = QueryEREngine()
     engine.register(read_csv(csv_path, name="PPL"))
     expected = _canonical(engine.execute(SQL).rows)
     assert expected  # the smoke data must actually produce an answer

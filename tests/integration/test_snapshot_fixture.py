@@ -37,12 +37,12 @@ QUERIES = (
 def loaded(tmp_path):
     directory = tmp_path / "snapshot"
     shutil.copytree(FIXTURE, directory)
-    return QueryEREngine.load(directory, execution=1)
+    return QueryEREngine.load(directory)
 
 
 def fresh_engine():
     table, _ = generate_people(108, seed=25)
-    engine = QueryEREngine(execution=1)
+    engine = QueryEREngine()
     engine.register(table)
     return engine
 

@@ -5,8 +5,7 @@ array-at-a-time; ``ProfileMatcher.match_signatures`` is the single-pair
 form of the same cascade and the reference here.  For every dataset,
 threshold and execution mode the batched entry point must return the
 positions a scalar loop returns **and** leave every ``cascade_stats``
-counter at the value the loop leaves — serial and through resident
-shards.
+counter at the value the loop leaves.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.core.indices import TableIndex
 from repro.datagen import generate_oagp, generate_organizations, generate_people
 from repro.datagen.corruptor import Corruptor
 from repro.er.matching import ProfileMatcher
-from repro.parallel import ExecutionConfig, ParallelComparisonExecutor
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -118,14 +116,11 @@ def scalar_reference(index, pairs, threshold):
     return matched, matcher.cascade_stats
 
 
-def assert_batch_equals_scalar(index, pairs, threshold, run=None):
-    """*run(matcher)* → matched positions; default: the batched entry point."""
+def assert_batch_equals_scalar(index, pairs, threshold):
+    """The batched entry point's positions and counters equal the scalar loop's."""
     expected, expected_stats = scalar_reference(index, pairs, threshold)
     matcher = ProfileMatcher(exclude=(index.table.schema.id_column,), threshold=threshold)
-    if run is None:
-        matched = matcher.match_pair_indices(pairs, index.signatures)
-    else:
-        matched = run(matcher)
+    matched = matcher.match_pair_indices(pairs, index.signatures)
     assert matched == expected
     assert matcher.cascade_stats == expected_stats
 
@@ -162,41 +157,46 @@ class TestSerial:
 
 @pytest.mark.parametrize("threshold", THRESHOLDS)
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
-class TestWorkers:
-    """workers=2 with the dispatch threshold at the floor: any undecided
-    remainder is shipped to the resident shards."""
+class TestEngineColumns:
+    """The engine's own matcher over the engine's own signature columns:
+    as registered, as amended row by row by ``INSERT``, and as rebuilt
+    whole when a snapshot loads."""
 
-    def test_standalone_executor(self, dataset, threshold):
-        """No resident state to ship to: one serial run, same bits."""
-        table = DATASETS[dataset]()
-        index = TableIndex(table)
-        pairs = all_pairs(table)
-        executor = ParallelComparisonExecutor(
-            ExecutionConfig(workers=2, min_parallel_pairs=1)
-        )
-        assert_batch_equals_scalar(
-            index, pairs, threshold, lambda matcher: executor.match_pairs(index, matcher, pairs)
-        )
-        assert executor.stats["serial_match_runs"] == 1
-
-    def test_shards(self, dataset, threshold):
+    def test_registered(self, dataset, threshold):
         table = DATASETS[dataset]()
         pairs = all_pairs(table)
-        with QueryEREngine(
-            match_threshold=threshold,
-            execution=ExecutionConfig(workers=2, min_parallel_pairs=1),
-        ) as engine:
+        with QueryEREngine(match_threshold=threshold) as engine:
             engine.register(table)
             index = engine.index_of(table.name)
-            executor = engine.parallel_executor
-            assert executor.shard_runtime is not None
-            matcher = engine.matcher_for(index)
             expected, expected_stats = scalar_reference(index, pairs, threshold)
+            matcher = engine.matcher_for(index)
             matcher.reset_cascade_stats()
-            assert executor.match_pairs(index, matcher, pairs) == expected
+            assert matcher.match_pair_indices(pairs, index.signatures) == expected
             assert matcher.cascade_stats == expected_stats
-            if expected_stats["exact_fallbacks"]:
-                assert executor.stats["parallel_match_runs"] == 1
+
+    def test_amended_by_insert(self, dataset, threshold):
+        table = DATASETS[dataset]()
+        rows = [row.values for row in table]
+        base = len(rows) * 2 // 3
+        with QueryEREngine(match_threshold=threshold) as engine:
+            engine.register(Table(table.name, table.schema, rows[:base]))
+            index = engine.index_of(table.name)
+            engine.insert(table.name, rows[base:])
+            assert len(index.signatures) == len(rows)
+            assert column_state(index) == column_state(TableIndex(table))
+            assert_batch_equals_scalar(index, all_pairs(index.table), threshold)
+
+    def test_rebuilt_at_load(self, dataset, threshold, tmp_path):
+        table = DATASETS[dataset]()
+        with QueryEREngine(match_threshold=threshold) as engine:
+            engine.register(table)
+            live = engine.index_of(table.name)
+            engine.save(tmp_path / "snapshot")
+        with QueryEREngine.load(tmp_path / "snapshot") as loaded:
+            index = loaded.index_of(table.name)
+            assert column_state(index) == column_state(live)
+            assert loaded.matcher_for(index).threshold == threshold
+            assert_batch_equals_scalar(index, all_pairs(table), threshold)
 
 
 class TestMixedSignatures:
@@ -270,7 +270,7 @@ class TestEngineLifecycle:
 
     def test_character_first_seen_in_an_insert(self):
         """The element bitsets have no alphabet to outgrow."""
-        with QueryEREngine(execution=1) as engine:
+        with QueryEREngine() as engine:
             engine.register(greek())
             index = engine.index_of("GR")
             # Every original row's signature exists before the new characters arrive.
@@ -286,7 +286,7 @@ class TestEngineLifecycle:
             assert any("903" in str(cluster).split(" | ") for cluster in clusters)
 
     def test_columns_rebuilt_after_load(self, tmp_path):
-        with QueryEREngine(execution=1) as engine:
+        with QueryEREngine() as engine:
             engine.register(people())
             engine.execute("SELECT DEDUP id, surname FROM PPL")
             live = engine.index_of("PPL")

@@ -54,7 +54,7 @@ def test_batch_links_equal_reference(dataset, config, scheme):
     rows = [row.values for row in table]
     base = len(rows) * 3 // 4
     meta_blocking = replace(CONFIGS[config], weighting=scheme)
-    with QueryEREngine(execution=1, meta_blocking=meta_blocking) as engine:
+    with QueryEREngine(meta_blocking=meta_blocking) as engine:
         engine.register(type(table)(table.name, table.schema, rows[:base]))
         index = engine.index_of(table.name)
         assert_batch_equals_reference(index, meta_blocking)

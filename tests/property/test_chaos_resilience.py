@@ -3,14 +3,13 @@
 The resilience contract, stated as a property: under ANY deterministic
 fault plan drawn over the engine's fault sites, a DEDUP query either
 
-* answers **bit-identically** to the fault-free baseline (recovery was
-  transparent: shard buckets re-run serially, hung shards killed and
-  respawned), or
-* raises a **typed** error (:class:`TaskExecutionError`,
-  :class:`IngestError`, or the :class:`FaultError` of a ``packed.derive``
-  fault — candidate derivation has no fallback, so a failed derive fails
-  the query; never a half-written result, never a raw internal
-  traceback from a partially mutated engine),
+* answers **bit-identically** to the fault-free baseline (the fault
+  never reached the query, or its stage recovered transparently), or
+* raises a **typed** error (:class:`IngestError`, or the
+  :class:`FaultError` of a ``packed.derive`` fault — candidate
+  derivation has no fallback, so a failed derive fails the query;
+  never a half-written result, never a raw internal traceback from a
+  partially mutated engine),
 
 and in *both* cases the engine keeps serving exact answers once the
 plan is disarmed — faults must not corrupt any state that outlives
@@ -29,7 +28,6 @@ from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
 from repro.datagen.people import people_schema
 from repro.incremental import IngestError
-from repro.parallel import ExecutionConfig, TaskExecutionError
 from repro.resilience import DEGRADATION, FaultError, FaultPlan, clear_plan, install_plan
 from repro.storage.table import Table
 
@@ -38,12 +36,10 @@ from repro.storage.table import Table
 #: (storage staging, candidate derivation — the Deduplicate operator
 #: touches the Link Index only after every round succeeded); recovery
 #: layers otherwise wrap or absorb it.
-TYPED_ERRORS = (TaskExecutionError, IngestError, FaultError)
+TYPED_ERRORS = (IngestError, FaultError)
 
 #: The sites chaos draws from, with the kind each one must use.
 CHAOS_SITES = [
-    ("shard.task", "raise"),
-    ("shard.task", "hang"),
     ("packed.derive", "raise"),
     ("dml.after_append", "raise"),
     ("dml.index_delta", "raise"),
@@ -58,21 +54,8 @@ SQL = "SELECT DEDUP id, surname, state FROM PPL WHERE state IN ('nsw', 'vic')"
 SEED_OFFSET = 100 * int(os.environ.get("REPRO_CHAOS_SEED_OFFSET", "0") or 0)
 
 
-def chaos_config() -> ExecutionConfig:
-    """Thresholds forced to the floor so tiny data still engages the
-    shards; a tight task timeout so injected hangs exercise containment.
-    Without fork there are no shards: the engine runs serially, the
-    ``shard.task`` draws never fire, and the other sites still do."""
-    return ExecutionConfig(
-        workers=2,
-        min_parallel_pairs=1,
-        min_parallel_comparisons=1,
-        task_timeout_s=0.15,
-    )
-
-
 def build_engine(rows) -> QueryEREngine:
-    engine = QueryEREngine(execution=chaos_config())
+    engine = QueryEREngine()
     engine.register(Table("PPL", people_schema(), rows))
     return engine
 
@@ -93,7 +76,6 @@ def random_plan(seed: int) -> FaultPlan:
             times=rng.choice([1, 2, 3, None]),
             after=rng.randint(0, 2),
             probability=rng.choice([1.0, 1.0, 0.5]),
-            delay=0.4,  # hang kind: comfortably past the task timeout
         )
     return plan
 
@@ -128,7 +110,6 @@ def baselines(chaos_rows):
 @pytest.mark.parametrize("seed", [SEED_OFFSET + i for i in range(10)])
 def test_chaos_plan_yields_exact_answer_or_typed_error(seed, chaos_rows, baselines):
     base, extra = chaos_rows
-    # Armed before the engine's shards fork, so workers inherit it too.
     plan = random_plan(seed)
     install_plan(plan)
     with build_engine(base) as engine:
@@ -154,18 +135,77 @@ def test_chaos_plan_yields_exact_answer_or_typed_error(seed, chaos_rows, baselin
         assert answer(engine) == expected
 
 
+@pytest.mark.parametrize("times", [1, None], ids=["once", "always"])
+@pytest.mark.parametrize(
+    "site, kind", CHAOS_SITES, ids=[site for site, _ in CHAOS_SITES]
+)
+def test_each_site_alone_fails_its_stage_typed(site, kind, times, chaos_rows, baselines):
+    """One site armed alone, on every call or only the first: it fires,
+    the stage it sits in — the query for ``packed.derive``, the insert
+    for the ``dml.*`` sites — fails typed without touching the table,
+    and the disarmed engine answers from the state that survived."""
+    base, extra = chaos_rows
+    plan = FaultPlan(seed=0).add(site, kind=kind, times=times)
+    install_plan(plan)
+    query_site = site == "packed.derive"
+    with build_engine(base) as engine:
+        if query_site:
+            with pytest.raises(FaultError):
+                answer(engine)
+            engine.insert("PPL", extra)
+            expected = baselines["grown"]
+        else:
+            assert answer(engine) == baselines["base"]
+            with pytest.raises(IngestError):
+                engine.insert("PPL", extra)
+            assert len(engine.index_of("PPL").table) == len(base)
+            expected = baselines["base"]
+        assert plan.fired_count(site) == 1
+        clear_plan()
+        assert answer(engine) == expected
+
+
+#: The per-row sites and what a fault at each surfaces as: storage
+#: staging is atomic on its own and raises raw; index amendment is
+#: rolled back and wrapped.
+PER_ROW_SITES = {"table.append_row": FaultError, "dml.index_delta": IngestError}
+
+
+@pytest.mark.parametrize("after", [1, 5, 9])
+@pytest.mark.parametrize("site", sorted(PER_ROW_SITES))
+def test_mid_batch_fault_rolls_back_the_whole_batch(site, after, chaos_rows, baselines):
+    """A per-row site fails the batch after *after* rows were already
+    staged or indexed: those rows are undone too, and the engine answers
+    from the pre-insert table, then takes the same batch cleanly."""
+    base, extra = chaos_rows
+    plan = FaultPlan(seed=0).add(site, after=after)
+    with build_engine(base) as engine:
+        install_plan(plan)  # armed after registration, which stages rows too
+        epoch = engine.epoch_of("PPL")
+        with pytest.raises(PER_ROW_SITES[site]):
+            engine.insert("PPL", extra)
+        assert plan.fired_count(site) == 1
+        assert len(engine.index_of("PPL").table) == len(base)
+        assert engine.index_of("PPL").postings.entity_count == len(base)
+        assert engine.epoch_of("PPL") == epoch
+        clear_plan()
+        assert answer(engine) == baselines["base"]
+        assert engine.insert("PPL", extra).inserted == len(extra)
+        assert answer(engine) == baselines["grown"]
+
+
 @pytest.mark.parametrize("seed", [3, 11])
 def test_chaos_recoveries_are_observable(seed, chaos_rows):
-    """Whenever a plan actually fired mid-pipeline, either the result
-    raised typed or some layer logged a degradation — recoveries are
-    never silent *and* invisible."""
-    base, _ = chaos_rows
-    plan = FaultPlan(seed=seed).add("shard.task", times=2)
+    """Whenever a plan actually fired mid-ingest, the insert raised typed
+    and the rollback was logged as a degradation — recoveries are never
+    silent *and* invisible."""
+    base, extra = chaos_rows
+    plan = FaultPlan(seed=seed).add("dml.index_delta", times=2)
     install_plan(plan)
     with build_engine(base) as engine:
         try:
-            engine.execute(SQL)
+            engine.insert("PPL", extra)
         except TYPED_ERRORS:
             pass
     if plan.fired_count():
-        assert DEGRADATION.count("parallel") > 0
+        assert DEGRADATION.count("dml") > 0

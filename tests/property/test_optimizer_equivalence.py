@@ -7,9 +7,8 @@ plan returns bit-identical rows to the seed heuristic plan, and with
 the gate failing (the default meta-blocking configuration) the
 heuristic plan runs unchanged.  These tests pin that contract across a
 fixed matrix of datasets × query shapes (2-way, 3-way, deliberately
-bad FROM order) × workers ∈ {1, 2}, including across an ``INSERT
-INTO`` boundary — the one place a stale cached plan could go quietly
-wrong.
+bad FROM order), including across an ``INSERT INTO`` boundary — the
+one place a stale cached plan could go quietly wrong.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ import pytest
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_organizations, generate_people, generate_projects
 from repro.er.meta_blocking import MetaBlockingConfig
-
-WORKER_COUNTS = (1, 2)
 
 QUERIES = {
     "two-way": (
@@ -63,11 +60,10 @@ def _tables(spec):
     return people, orgs, projects
 
 
-def _engine(tables, optimizer, workers, meta_blocking=None):
+def _engine(tables, optimizer, meta_blocking=None):
     engine = QueryEREngine(
         meta_blocking=meta_blocking or MetaBlockingConfig.none(),
         optimizer=optimizer,
-        execution=workers,
     )
     for table in tables:
         engine.register(table)
@@ -80,12 +76,29 @@ def canonical(rows):
 
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 @pytest.mark.parametrize("qid", sorted(QUERIES))
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_optimizer_preserves_answers(dataset, qid, workers):
+def test_optimizer_preserves_answers(dataset, qid):
     tables = _tables(DATASETS[dataset])
     sql = QUERIES[qid]
-    heuristic = _engine(tables, optimizer=False, workers=workers).execute(sql)
-    optimized = _engine(tables, optimizer=True, workers=workers).execute(sql)
+    heuristic = _engine(tables, optimizer=False).execute(sql)
+    optimized = _engine(tables, optimizer=True).execute(sql)
+    assert canonical(optimized.rows) == canonical(heuristic.rows)
+    assert optimized.columns == heuristic.columns
+
+
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+@pytest.mark.parametrize("qid", sorted(QUERIES))
+def test_optimizer_preserves_answers_after_load(dataset, qid, tmp_path):
+    """A warm-restarted engine prices plans with the statistics and join
+    percentages its snapshot carried, not freshly sampled ones."""
+    tables = _tables(DATASETS[dataset])
+    sql = QUERIES[qid]
+    heuristic = _engine(tables, optimizer=False).execute(sql)
+    saved = _engine(tables, optimizer=True)
+    saved.execute("EXPLAIN " + sql)  # read the estimates, so the snapshot keeps them
+    saved.save(tmp_path / "snapshot")
+    with QueryEREngine.load(tmp_path / "snapshot") as loaded:
+        assert loaded.optimizer_enabled
+        optimized = loaded.execute(sql)
     assert canonical(optimized.rows) == canonical(heuristic.rows)
     assert optimized.columns == heuristic.columns
 
@@ -99,7 +112,7 @@ def test_optimizer_preserves_answers_across_insert(qid):
         "(88002, 'Nova', 'Quentin', 'nt', 'fresh employer one')"
     )
     engines = [
-        _engine(_tables(DATASETS["small"]), optimizer=flag, workers=1)
+        _engine(_tables(DATASETS["small"]), optimizer=flag)
         for flag in (False, True)
     ]
     for engine in engines:
@@ -113,10 +126,10 @@ def test_default_meta_blocking_falls_back_to_heuristic_identically():
     tables = _tables(DATASETS["small"])
     sql = QUERIES["bad-order"]
     heuristic = _engine(
-        tables, optimizer=False, workers=1, meta_blocking=MetaBlockingConfig.all()
+        tables, optimizer=False, meta_blocking=MetaBlockingConfig.all()
     ).execute(sql)
     gated = _engine(
-        tables, optimizer=True, workers=1, meta_blocking=MetaBlockingConfig.all()
+        tables, optimizer=True, meta_blocking=MetaBlockingConfig.all()
     ).execute(sql)
     assert canonical(gated.rows) == canonical(heuristic.rows)
     assert gated.comparisons == heuristic.comparisons
@@ -170,8 +183,8 @@ PLANNER_QUERIES = {
 def test_optimizer_executes_fewer_comparisons_with_identical_rows(planner_tables, qid):
     """Exact executed comparisons, heuristic → optimized, same bytes out."""
     sql, heuristic_cmps, optimized_cmps, rows = PLANNER_QUERIES[qid]
-    heuristic_engine = _engine(planner_tables, optimizer=False, workers=1)
-    optimized_engine = _engine(planner_tables, optimizer=True, workers=1)
+    heuristic_engine = _engine(planner_tables, optimizer=False)
+    optimized_engine = _engine(planner_tables, optimizer=True)
     heuristic = heuristic_engine.execute(sql)
     optimized = optimized_engine.execute(sql)
     assert (heuristic.comparisons, optimized.comparisons) == (

@@ -7,7 +7,7 @@ candidate-pair set*, the *same Edge-Pruning weights* (compared with
 ``==``: both sides sum in ascending token-id block order) and therefore
 the *same DEDUP result* as the dict reference in
 ``tests/reference/dict_pipeline.py`` — including after ``INSERT INTO``
-postings deltas (no index rebuild) and at every worker width.
+postings deltas (no index rebuild).
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from repro.er.block_filtering import retained_assignment_mask
 from repro.er.block_purging import purge_threshold_from_sizes
 from repro.er.edge_pruning import WeightingScheme
 from repro.er.meta_blocking import MetaBlockingConfig
-from repro.parallel import ExecutionConfig
-from repro.parallel.config import fork_available
 
 CONFIGS = (
     MetaBlockingConfig.all(),
@@ -78,27 +76,18 @@ def build_collection(pairs) -> BlockCollection:
     return collection
 
 
-def execution_for(workers: int) -> ExecutionConfig:
-    """Serial, or *workers* shards with every threshold at the floor."""
-    if workers == 1:
-        return ExecutionConfig.serial()
-    return ExecutionConfig(workers=workers, min_parallel_pairs=0, min_parallel_comparisons=0)
-
-
 def observed(engine: QueryEREngine, sql: str):
-    """(sorted rows, sorted links, comparisons) of a last execution;
-    closes the engine (its shard workers, when it has any)."""
-    with engine:
-        result = engine.execute(sql)
-        links = engine.index_of("PPL").link_index.links
-        return (
-            sorted(result.rows, key=repr),
-            sorted(links, key=repr),
-            result.comparisons,
-        )
+    """(sorted rows, sorted links, comparisons) of a last execution."""
+    result = engine.execute(sql)
+    links = engine.index_of("PPL").link_index.links
+    return (
+        sorted(result.rows, key=repr),
+        sorted(links, key=repr),
+        result.comparisons,
+    )
 
 
-def derive_with_graph(index, frontier, config, executor=None):
+def derive_with_graph(index, frontier, config):
     """``derive_candidates`` plus the Edge-Pruning graph it weighed."""
     graphs = []
     span_graph = packed_blocking._span_graph
@@ -108,14 +97,12 @@ def derive_with_graph(index, frontier, config, executor=None):
         return graphs[-1]
 
     with mock.patch.object(packed_blocking, "_span_graph", spy):
-        derived = packed_blocking.derive_candidates(
-            index.postings, frontier, config, executor=executor
-        )
+        derived = packed_blocking.derive_candidates(index.postings, frontier, config)
     return derived, graphs[0] if graphs else None
 
 
-def assert_derivation_equals_reference(index, frontier, config, executor=None):
-    derived, graph = derive_with_graph(index, frontier, config, executor)
+def assert_derivation_equals_reference(index, frontier, config):
+    derived, graph = derive_with_graph(index, frontier, config)
     expected = candidate_pairs(index, frontier, config)
     assert set(derived.pairs) == set(expected.pairs)
     assert len(derived.pairs) == len(expected.pairs)
@@ -185,32 +172,49 @@ class TestStageEquivalence:
             retained_keys(BlockCollection(), ratio=0.0)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("inserted", [False, True], ids=["registered", "inserted"])
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
-def test_pairs_and_weights_equal_reference(dataset, inserted, workers):
-    """Datasets × configurations × weightings × inserts × workers: the
-    same pairs and stage counts, and graph weights equal under ``==``."""
-    if workers > 1 and not fork_available():
-        pytest.skip("shard workers need fork")
+def test_pairs_and_weights_equal_reference(dataset, inserted):
+    """Datasets × configurations × weightings × inserts: the same pairs
+    and stage counts, and graph weights equal under ``==``."""
     table, _ = DATASETS[dataset](150, seed=5)
     rows = [row.values for row in table]
     base = len(rows) if not inserted else len(rows) * 4 // 5
-    with QueryEREngine(execution=execution_for(workers)) as engine:
+    engine = QueryEREngine()
+    engine.register(type(table)(table.name, table.schema, rows[:base]))
+    index = engine.index_of(table.name)
+    if inserted:
+        index.postings  # built before the insert: the rows arrive as a delta
+        engine.insert(table.name, rows[base:])
+    ids = list(index.table.ids)
+    frontiers = (set(ids[::3]), set(ids))
+    for config in WEIGHTED_CONFIGS:
+        for frontier in frontiers:
+            assert_derivation_equals_reference(index, frontier, config)
+
+
+@pytest.mark.parametrize("inserted", [False, True], ids=["registered", "inserted"])
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_pairs_and_weights_equal_reference_after_load(dataset, inserted, tmp_path):
+    """The same over postings a snapshot restored: the base segment
+    alone, or the base plus a replayed checkpoint delta."""
+    table, _ = DATASETS[dataset](150, seed=5)
+    rows = [row.values for row in table]
+    base = len(rows) if not inserted else len(rows) * 4 // 5
+    directory = tmp_path / "snapshot"
+    with QueryEREngine() as engine:
         engine.register(type(table)(table.name, table.schema, rows[:base]))
-        index = engine.index_of(table.name)
+        engine.enable_checkpointing(directory)
         if inserted:
-            index.postings  # built before the insert: the rows arrive as a delta
             engine.insert(table.name, rows[base:])
+    with QueryEREngine.load(directory) as loaded:
+        index = loaded.index_of(table.name)
+        assert index.postings.entity_count == len(rows)
         ids = list(index.table.ids)
         frontiers = (set(ids[::3]), set(ids))
         for config in WEIGHTED_CONFIGS:
             for frontier in frontiers:
-                assert_derivation_equals_reference(
-                    index, frontier, config, engine.parallel_executor
-                )
-        if workers > 1:
-            assert engine.parallel_executor.stats["parallel_graph_builds"] > 0
+                assert_derivation_equals_reference(index, frontier, config)
 
 
 class TestOperatorEquivalence:
@@ -254,6 +258,34 @@ class TestOperatorEquivalence:
 
 
 class TestEngineEquivalence:
+    @pytest.mark.parametrize("selective", [False, True], ids=["whole", "third"])
+    @pytest.mark.parametrize("config", CONFIGS, ids=["all", "bp_bf", "bp_ep", "none"])
+    @pytest.mark.parametrize("dataset", sorted(DATASETS))
+    def test_engine_equals_dict_per_dataset_and_config(self, dataset, config, selective):
+        """Rows, links and comparisons of a cold DEDUP, over the whole
+        table or a third of it as the frontier."""
+        table, _ = DATASETS[dataset](120, seed=11)
+        sql = f"SELECT DEDUP * FROM {table.name}" + (
+            " WHERE MOD(id, 3) = 0" if selective else ""
+        )
+        outcomes = []
+        for engine in (
+            QueryEREngine(meta_blocking=config),
+            reference_engine(meta_blocking=config),
+        ):
+            engine.register(table)
+            result = engine.execute(sql)
+            links = engine.index_of(table.name).link_index.links
+            outcomes.append(
+                (
+                    sorted(result.rows, key=repr),
+                    sorted(links, key=repr),
+                    result.comparisons,
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0]
+
     @settings(
         max_examples=6,
         deadline=None,
@@ -262,12 +294,11 @@ class TestEngineEquivalence:
     @given(
         size=st.integers(min_value=40, max_value=120),
         seed=st.integers(min_value=0, max_value=2**16),
-        workers=st.sampled_from([1, 2]),
     )
-    def test_packed_engine_equals_dict(self, size, seed, workers):
+    def test_packed_engine_equals_dict(self, size, seed):
         table, _ = generate_people(size, seed=seed)
         sql = "SELECT DEDUP id, given_name, surname, state FROM PPL"
-        engine = QueryEREngine(execution=execution_for(workers))
+        engine = QueryEREngine()
         engine.register(table)
         reference = reference_engine()
         reference.register(table)
@@ -282,9 +313,8 @@ class TestEngineEquivalence:
         size=st.integers(min_value=40, max_value=100),
         seed=st.integers(min_value=0, max_value=2**16),
         batch=st.integers(min_value=1, max_value=8),
-        workers=st.sampled_from([1, 2]),
     )
-    def test_insert_delta_equals_dict_and_fresh(self, size, seed, batch, workers):
+    def test_insert_delta_equals_dict_and_fresh(self, size, seed, batch):
         """register → query → INSERT → query with postings deltas.
 
         The engine must match (a) the reference engine replaying the
@@ -309,9 +339,9 @@ class TestEngineEquivalence:
             assert index.postings.entity_count == size + batch
             return observed(engine, sql)
 
-        engine_history = history(QueryEREngine(execution=execution_for(workers)))
+        engine_history = history(QueryEREngine())
         assert engine_history == history(reference_engine())
-        fresh = QueryEREngine(execution=execution_for(workers))
+        fresh = QueryEREngine()
         fresh.register(Table(table.name, table.schema, list(base_rows) + extra_rows))
         fresh_rows, _, _ = observed(fresh, sql)
         assert engine_history[0] == fresh_rows

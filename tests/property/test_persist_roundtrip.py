@@ -7,8 +7,7 @@ every ``SELECT DEDUP`` answer is bit-identical to both the live engine
 it was saved from and a fresh engine registered with the final rows.
 Meta-blocking is off so equality is provable (identical indices ⇒
 identical candidate pairs, and the matcher is deterministic) — the same
-convention as ``test_incremental_equivalence``.  Worker counts 1 and 2
-cover the serial and parallel executors on the warm side.
+convention as ``test_incremental_equivalence``.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -21,11 +20,8 @@ from repro.sql.ast import Literal
 from repro.storage.table import Table
 
 
-def engine_for(table, workers=None):
-    engine = QueryEREngine(
-        meta_blocking=MetaBlockingConfig.none(),
-        execution=workers,
-    )
+def engine_for(table):
+    engine = QueryEREngine(meta_blocking=MetaBlockingConfig.none())
     engine.register(table)
     return engine
 
@@ -52,7 +48,6 @@ def scenarios(draw):
     size = draw(st.integers(min_value=40, max_value=80))
     base_fraction = draw(st.floats(min_value=0.5, max_value=0.9))
     batches = draw(st.integers(min_value=0, max_value=2))
-    workers = draw(st.sampled_from([1, 2]))
 
     def where():
         template = draw(st.sampled_from(WHERE_TEMPLATES))
@@ -62,7 +57,7 @@ def scenarios(draw):
             prefix=draw(st.sampled_from("abcdgjmsw")),
         )
 
-    return seed, size, base_fraction, batches, workers, where()
+    return seed, size, base_fraction, batches, where()
 
 
 @settings(
@@ -72,7 +67,7 @@ def scenarios(draw):
 )
 @given(scenario=scenarios())
 def test_snapshot_roundtrip_equals_live_and_fresh(tmp_path_factory, scenario):
-    seed, size, base_fraction, batches, workers, final = scenario
+    seed, size, base_fraction, batches, final = scenario
     directory = tmp_path_factory.mktemp("snap")
     table, _ = generate_people(size, seed=seed)
     rows = [tuple(r.values) for r in table]
@@ -86,7 +81,7 @@ def test_snapshot_roundtrip_equals_live_and_fresh(tmp_path_factory, scenario):
     for start in range(0, len(pending), per_batch):
         live.execute(insert_sql(pending[start : start + per_batch]))
 
-    warm = QueryEREngine.load(directory, execution=workers)
+    warm = QueryEREngine.load(directory)
     fresh = engine_for(Table("PPL", table.schema, rows, coerce=False))
 
     assert warm.table_epochs() == live.table_epochs()

@@ -24,7 +24,6 @@ from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
 from repro.datagen.people import people_schema
 from repro.er.meta_blocking import MetaBlockingConfig
-from repro.parallel import ExecutionConfig
 from repro.serving import EngineService
 from repro.storage.table import Table
 
@@ -38,10 +37,7 @@ QUERIES = [
 
 
 def _engine(rows):
-    engine = QueryEREngine(
-        meta_blocking=MetaBlockingConfig.none(),
-        execution=ExecutionConfig.serial(),
-    )
+    engine = QueryEREngine(meta_blocking=MetaBlockingConfig.none())
     engine.register(Table("PPL", people_schema(), rows))
     return engine
 

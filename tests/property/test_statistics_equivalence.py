@@ -199,7 +199,7 @@ def reference_selected(index, literal):
 
 
 def engine_with(table, threshold=0.75):
-    engine = QueryEREngine(match_threshold=threshold, execution=1)
+    engine = QueryEREngine(match_threshold=threshold)
     engine.register(table)
     return engine
 
@@ -244,7 +244,7 @@ class TestDuplicationSample:
         expected = engine.statistics_of(table.name).to_state()
         engine.save(tmp_path / "read")
         for snapshot in ("unread", "read"):
-            loaded = QueryEREngine.load(tmp_path / snapshot, execution=1)
+            loaded = QueryEREngine.load(tmp_path / snapshot)
             assert loaded.statistics_of(table.name).to_state() == expected
             loaded.insert(table.name, copies(table, 5))
             index = loaded.index_of(table.name)
@@ -437,7 +437,7 @@ def explain_texts():
         people_table, _ = generate_people(1200, organisations=names[:75], seed=72)
         projects_table, _ = generate_projects(200, organisations=names, seed=73)
         meta_blocking = getattr(MetaBlockingConfig, config)()
-        engine = QueryEREngine(meta_blocking=meta_blocking, execution=1)
+        engine = QueryEREngine(meta_blocking=meta_blocking)
         for table in (people_table, organisations_table, projects_table):
             engine.register(table)
         for phase in ("fresh", "answered", "inserted"):

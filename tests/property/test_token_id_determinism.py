@@ -31,7 +31,7 @@ import json
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
 
-engine = QueryEREngine(execution=1)
+engine = QueryEREngine()
 engine.register(generate_people(80, seed=4)[0])
 engine.execute({sql!r})
 engine.insert("PPL", [{row!r}])
@@ -61,7 +61,7 @@ def test_token_ids_do_not_depend_on_the_hash_seed():
     source = str(Path(repro.__file__).resolve().parents[1])
     outputs = []
     for seed in ("1", "2", "3"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, REPRO_WORKERS="1")
+        env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join(
             part for part in (source, env.get("PYTHONPATH")) if part
         )
@@ -84,7 +84,7 @@ def test_token_ids_do_not_depend_on_query_history():
     rows = [tuple(row.values) for row in table]
     engines = []
     for query_first in (False, True):
-        engine = QueryEREngine(execution=1)
+        engine = QueryEREngine()
         engine.register(type(table)("PPL", table.schema, rows, coerce=False))
         if query_first:
             engine.execute(SQL)

@@ -596,7 +596,7 @@ def batch_pairs(index, config: Optional[MetaBlockingConfig] = None) -> List[Pair
 class ScalarMatcher(ProfileMatcher):
     """A matcher whose batched entry point is a ``match_signatures`` loop."""
 
-    def match_pair_indices(self, pairs, signatures, start=0, stop=None, resolve=None):
+    def match_pair_indices(self, pairs, signatures, start=0, stop=None):
         stop = len(pairs) if stop is None else stop
         return [
             position
@@ -640,7 +640,7 @@ class ReferenceOperator(DeduplicateOperator):
 
 
 def reference_operator(index, config=None, threshold: float = 0.75, **kwargs):
-    """A serial :class:`ReferenceOperator` with a :class:`ScalarMatcher`."""
+    """A :class:`ReferenceOperator` with a :class:`ScalarMatcher`."""
     return ReferenceOperator(
         index,
         matcher=scalar_matcher(index, threshold),
@@ -661,6 +661,5 @@ class _ReferenceEngine(QueryEREngine):
 
 
 def reference_engine(**kwargs) -> QueryEREngine:
-    """A serial engine whose every DEDUP runs the reference operator."""
-    kwargs.setdefault("execution", 1)
+    """An engine whose every DEDUP runs the reference operator."""
     return _ReferenceEngine(**kwargs)

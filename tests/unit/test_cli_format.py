@@ -7,7 +7,15 @@ import json
 
 import pytest
 
-from repro.cli import build_serve_parser, format_table, run
+from repro.cli import (
+    build_explain_parser,
+    build_load_parser,
+    build_parser,
+    build_save_parser,
+    build_serve_parser,
+    format_table,
+    run,
+)
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_dsd
 from repro.storage.csv_io import write_csv
@@ -67,8 +75,6 @@ class TestJsonFormat:
                 str(csv_path),
                 "--format",
                 "json",
-                "--workers",
-                "1",
             ],
             output=out,
         )
@@ -76,7 +82,7 @@ class TestJsonFormat:
 
         from repro.storage.csv_io import read_csv
 
-        engine = QueryEREngine(execution=1)
+        engine = QueryEREngine()
         engine.register(read_csv(csv_path, name="papers"))
         expected = engine.execute("SELECT DEDUP id, venue FROM papers WHERE venue = 'edbt'")
         assert sorted(map(tuple, payload["rows"])) == sorted(
@@ -102,6 +108,31 @@ class TestServeParser:
 
     def test_serve_requires_csv(self):
         assert run(["serve"], output=io.StringIO()) == 2
+
+
+#: Every subcommand parser, with the least argv it accepts.
+PARSERS = {
+    "query": (build_parser, ["SELECT id FROM papers"]),
+    "serve": (build_serve_parser, ["--csv", "x.csv"]),
+    "save": (build_save_parser, ["--data-dir", "snapshot"]),
+    "load": (build_load_parser, ["--data-dir", "snapshot"]),
+    "explain": (build_explain_parser, ["SELECT id FROM papers"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSERS))
+def test_workers_flag_is_refused(command, capsys):
+    """Comparison-Execution is serial only: no subcommand takes
+    ``--workers`` or advertises it, so a stale script fails loudly
+    instead of silently running serially."""
+    builder, argv = PARSERS[command]
+    parser = builder()
+    parser.parse_args(argv)
+    assert "--workers" not in parser.format_help()
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(argv + ["--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 class TestFormatTable:

@@ -5,6 +5,7 @@ interning, the signature columns and their popcount kernels, the
 similarity bounds and the matcher's short-circuit cascade.
 """
 
+import threading
 from collections import Counter
 from itertools import combinations
 
@@ -70,6 +71,30 @@ class TestLRUCache:
         cache.put("a", 1)
         cache.clear()
         assert len(cache) == 0
+
+
+class TestLRUCacheThreadSafety:
+    def test_concurrent_hammer_preserves_capacity_invariant(self):
+        cache = LRUCache(64)
+        errors = []
+
+        def hammer(seed: int) -> None:
+            try:
+                for i in range(3000):
+                    key = (seed * 31 + i) % 200
+                    cache.put(key, i)
+                    cache.get(key)
+                    assert len(cache) <= 64
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert len(cache) <= 64
 
 
 class TestSharedHelpers:
@@ -205,15 +230,9 @@ class TestBatchKernelsBitEqualScalar:
         index = TableIndex(people_table())
         matcher = ProfileMatcher(exclude=("id",), threshold=0.75)
         pairs = [("p1", "p2"), ("p1", "p3"), ("p2", "p3"), ("p3", "p4")]
-        shipped = []
-
-        def resolve(pending):
-            shipped.append(pending)
-            return matcher.resolve_pending(pairs, index.signatures, pending)
-
-        matcher.match_pair_indices(pairs, index.signatures, resolve=resolve)
-        (pending,) = shipped
-        assert len(pending) >= 1
+        columns = index.signatures
+        _, pending = matcher._screen(pairs, 0, len(pairs), columns, columns)
+        assert pending is not None and len(pending) >= 1
         for position, total, row in zip(
             pending.positions.tolist(), pending.total_bounds.tolist(), pending.bounds.tolist()
         ):

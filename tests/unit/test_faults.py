@@ -119,12 +119,12 @@ class TestProbabilisticFiring:
 class TestPlanParsing:
     def test_parse_full_syntax(self):
         plan = FaultPlan.parse(
-            "seed=9,shard.task:times=2,serving.slow:hang:delay=0.3,"
+            "seed=9,table.append_row:times=2,serving.slow:hang:delay=0.3,"
             "dml.index_delta:p=0.25:after=1:times=inf"
         )
         assert plan.seed == 9
-        assert plan.sites == ["dml.index_delta", "serving.slow", "shard.task"]
-        assert plan.spec("shard.task").times == 2
+        assert plan.sites == ["dml.index_delta", "serving.slow", "table.append_row"]
+        assert plan.spec("table.append_row").times == 2
         slow = plan.spec("serving.slow")
         assert slow.kind == "hang" and slow.delay == 0.3
         dml = plan.spec("dml.index_delta")
@@ -143,11 +143,11 @@ class TestPlanParsing:
         assert FaultPlan.parse("x, ,").sites == ["x"]
 
     def test_env_plan(self):
-        environ = {"REPRO_FAULTS": "shard.task:times=3", "REPRO_FAULTS_SEED": "11"}
+        environ = {"REPRO_FAULTS": "table.append_row:times=3", "REPRO_FAULTS_SEED": "11"}
         plan = plan_from_env(environ)
         assert plan is not None
         assert plan.seed == 11
-        assert plan.spec("shard.task").times == 3
+        assert plan.spec("table.append_row").times == 3
         assert plan_from_env({}) is None
         assert plan_from_env({"REPRO_FAULTS": ""}) is None
 

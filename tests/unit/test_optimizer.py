@@ -27,7 +27,7 @@ def _three_table_engine(**overrides):
     names = [row["name"] for row in orgs]
     people, _ = generate_people(120, organisations=names[:30], seed=52)
     projects, _ = generate_projects(80, organisations=names, seed=53)
-    defaults = dict(meta_blocking=MetaBlockingConfig.none(), execution=1)
+    defaults = dict(meta_blocking=MetaBlockingConfig.none())
     defaults.update(overrides)
     engine = QueryEREngine(**defaults)
     for table in (people, orgs, projects):

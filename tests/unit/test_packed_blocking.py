@@ -17,7 +17,6 @@ from repro.er.blocking import NGramBlocking, TokenBlocking, TokenPostings
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.er.packed_blocking import derive_candidates
 from repro.er.tokenizer import TokenVocabulary, tokenize_entity, tokenize_value
-from repro.parallel.planner import PartitionPlanner
 from repro.storage.csv_io import write_csv
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -155,11 +154,6 @@ class TestPackedPipeline:
         eqbi = block_join(index, query_block_index(index, frontier)).non_singleton()
         sizes = np.array([b.size for b in eqbi], dtype=np.int64)
         assert purge_threshold_from_sizes(sizes) == purge_threshold(eqbi)
-
-
-class TestPartitionCosts:
-    def test_empty_costs(self):
-        assert PartitionPlanner(workers=2).partition_costs([]) == []
 
 
 class TestCliProfile:

@@ -188,6 +188,12 @@ class TestSaveLoad:
         warm = QueryEREngine.load(tmp_path, match_threshold=0.9)
         assert warm.match_threshold == 0.9
 
+    def test_unknown_override_is_refused(self, tmp_path):
+        engine = make_engine()
+        engine.save(tmp_path)
+        with pytest.raises(TypeError, match="execution"):
+            QueryEREngine.load(tmp_path, execution=2)
+
     def test_multi_table_snapshot(self, tmp_path):
         engine = make_engine()
         other, _ = generate_people(40, seed=5, name="OTH")
@@ -253,6 +259,16 @@ class TestCheckpoints:
         assert warm.table_epochs() == engine.table_epochs()
         assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
         manager.close()
+
+    def test_engine_close_drains_the_background_writer(self, tmp_path):
+        with make_engine() as engine:
+            engine.enable_checkpointing(tmp_path, background=True)
+            engine.insert("PPL", [extra_row(0)])
+            engine.insert("PPL", [extra_row(1)])
+        engine.close()  # idempotent
+        warm = QueryEREngine.load(tmp_path)
+        assert warm.table_epochs() == engine.table_epochs()
+        assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
 
     def test_status_exposes_snapshot_health(self, tmp_path):
         engine = make_engine()

@@ -13,7 +13,6 @@ import pytest
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
 from repro.er.meta_blocking import MetaBlockingConfig
-from repro.parallel import ExecutionConfig
 from repro.serving import (
     CachedResult,
     CoalesceTimeout,
@@ -35,7 +34,7 @@ class TestEngineEpochs:
     @pytest.fixture
     def engine(self):
         table, _ = generate_people(60, seed=11, name="PPL")
-        engine = QueryEREngine(execution=ExecutionConfig.serial())
+        engine = QueryEREngine()
         engine.register(table)
         return engine
 
@@ -68,23 +67,20 @@ class TestEngineEpochs:
         assert engine.table_epochs() == {"ppl": 2}
 
 
-class TestExecutorEpochSource:
-    """A parallel engine follows its epochs: candidates are re-derived per
-    query, so after an insert or a replacing registration it answers as a
-    fresh serial engine over the same final rows."""
+class TestDedupFollowsEpochs:
+    """An engine follows its epochs: candidates are re-derived per query,
+    so after an insert or a replacing registration it answers as a fresh
+    engine over the same final rows."""
 
     SQL = "SELECT DEDUP id, given_name, surname, state FROM P WHERE state IN ('nsw', 'vic')"
 
     @staticmethod
-    def _engine(table, workers):
+    def _engine(table):
         # Link Index off: the frontier alone decides which rows are
         # cleaned, the regime where stale candidates would show.
         engine = QueryEREngine(
             meta_blocking=MetaBlockingConfig.none(),
             use_link_index=False,
-            execution=ExecutionConfig(
-                workers=workers, min_parallel_pairs=0, min_parallel_comparisons=0,
-            ),
         )
         engine.register(table)
         return engine
@@ -93,28 +89,28 @@ class TestExecutorEpochSource:
     def _table(rows, schema):
         return Table("P", schema, rows, coerce=False)
 
-    def test_parallel_dedup_after_insert_equals_fresh_engine(self):
+    def test_dedup_after_insert_equals_fresh_engine(self):
         people, _ = generate_people(90, seed=13, name="P")
         rows = [tuple(row.values) for row in people]
-        with self._engine(self._table(rows[:60], people.schema), 2) as engine:
+        with self._engine(self._table(rows[:60], people.schema)) as engine:
             before = engine.execute(self.SQL).sorted_rows()
             engine.insert("P", rows[60:])
             assert engine.epoch_of("P") == 2
             after = engine.execute(self.SQL).sorted_rows()
-        with self._engine(self._table(rows, people.schema), 1) as fresh:
+        with self._engine(self._table(rows, people.schema)) as fresh:
             assert after == fresh.execute(self.SQL).sorted_rows()
         assert after != before
 
-    def test_parallel_dedup_after_replace_registration_equals_fresh_engine(self):
+    def test_dedup_after_replace_registration_equals_fresh_engine(self):
         first, _ = generate_people(60, seed=13, name="P")
         second, _ = generate_people(60, seed=14, name="P")
         rows = [tuple(row.values) for row in second]
-        with self._engine(first, 2) as engine:
+        with self._engine(first) as engine:
             before = engine.execute(self.SQL).sorted_rows()
             engine.register(self._table(rows, second.schema), replace=True)
             assert engine.epoch_of("P") == 2
             after = engine.execute(self.SQL).sorted_rows()
-        with self._engine(self._table(rows, second.schema), 1) as fresh:
+        with self._engine(self._table(rows, second.schema)) as fresh:
             assert after == fresh.execute(self.SQL).sorted_rows()
         assert after != before
 
@@ -148,6 +144,40 @@ class TestServiceMetrics:
         assert snapshot["counters"]["queries_total"] == 3
         assert snapshot["latency"]["total"]["count"] == 1
         assert snapshot["latency"]["block-join"]["p50_ms"] == pytest.approx(200.0)
+
+
+class TestResourceBlocks:
+    """``/metrics`` and ``/healthz`` report a block per long-lived engine
+    resource; a plain engine has none to report."""
+
+    BASE_BLOCKS = {
+        "counters", "latency", "cache", "plan_cache", "coalescer",
+        "inflight", "max_inflight", "epochs", "degradation", "uptime_s",
+    }
+
+    @staticmethod
+    def _service():
+        table, _ = generate_people(40, seed=17, name="PPL")
+        engine = QueryEREngine()
+        engine.register(table)
+        return EngineService(engine)
+
+    def test_plain_engine_reports_only_the_base_blocks(self):
+        service = self._service()
+        service.query("SELECT DEDUP id, surname FROM PPL")
+        assert set(service.metrics_snapshot()) == self.BASE_BLOCKS
+        assert "persist" not in service.healthz()
+
+    def test_checkpointing_engine_adds_the_persist_block(self, tmp_path):
+        service = self._service()
+        with service.engine:
+            service.engine.enable_checkpointing(tmp_path)
+            template = service.engine.index_of("PPL").table[0].values
+            service.insert_rows("PPL", [(9001,) + tuple(template[1:])])
+            metrics = service.metrics_snapshot()
+            assert set(metrics) == self.BASE_BLOCKS | {"persist"}
+            assert metrics["persist"]["snapshot_epoch_map"] == metrics["epochs"]
+            assert service.healthz()["persist"]["delta_segments"] == 1
 
 
 # -- result cache -----------------------------------------------------------
@@ -269,7 +299,7 @@ class TestSingleFlight:
 @pytest.fixture(scope="module")
 def served():
     table, _ = generate_people(150, seed=21, name="PPL")
-    engine = QueryEREngine(execution=ExecutionConfig.serial())
+    engine = QueryEREngine()
     engine.register(table)
     service = EngineService(engine, max_inflight=8, cache_size=64)
     server = make_server(service)
@@ -385,7 +415,7 @@ def _jsonify(value):
 class TestAdmissionAndTimeouts:
     def _service(self, **kwargs):
         table, _ = generate_people(60, seed=31, name="PPL")
-        engine = QueryEREngine(execution=ExecutionConfig.serial())
+        engine = QueryEREngine()
         engine.register(table)
         return EngineService(engine, **kwargs)
 

@@ -22,7 +22,6 @@ import pytest
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
 from repro.datagen.people import people_schema
-from repro.parallel import ExecutionConfig
 from repro.resilience import DEGRADATION, FaultError, FaultPlan, clear_plan, install_plan
 from repro.serving import (
     EngineService,
@@ -55,7 +54,7 @@ def rows():
 @pytest.fixture()
 def service(rows):
     base, _ = rows
-    engine = QueryEREngine(execution=ExecutionConfig.serial())
+    engine = QueryEREngine()
     engine.register(Table("PPL", people_schema(), base))
     return EngineService(engine, max_inflight=4, cache_size=64)
 

@@ -161,7 +161,7 @@ class TestLargeTableSample:
 
         schema = Schema([Column("id", ColumnType.INTEGER), Column("a"), Column("b")])
         rows = [(i, word(), word()) for i in range(6000)]
-        engine = QueryEREngine(execution=1)
+        engine = QueryEREngine()
         engine.register(Table("BIG", schema, rows))
         sampled = [row.id for row in sample_rows(engine.index_of("BIG").table)]
         assert len(sampled) == 200
@@ -182,7 +182,7 @@ class TestLazyRegistration:
         monkeypatch.setattr(TableStatistics, "__init__", forbidden)
         for method in ("matches", "match_signatures", "match_pair_indices"):
             monkeypatch.setattr(ProfileMatcher, method, forbidden)
-        engine = QueryEREngine(execution=1)
+        engine = QueryEREngine()
         engine.register(table())
         engine.register(table(), replace=True)
         assert engine._statistics == {}

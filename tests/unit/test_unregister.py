@@ -68,7 +68,7 @@ class TestUnregister:
         engine.unregister("PPL")
         assert "ppl" not in engine.table_epochs()
         # Re-registration must open a strictly larger epoch: epoch-keyed
-        # caches (parallel plans, served results) would otherwise alias
+        # caches (cached plans, served results) would otherwise alias
         # artefacts of the dead table.
         engine.register(Table("PPL", people_schema(), people_rows(10, seed=6)))
         assert engine.epoch_of("PPL") > retired
