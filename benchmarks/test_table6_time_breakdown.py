@@ -3,7 +3,13 @@
 The paper reports, for the highest-selectivity SP query, the share of
 total time spent in Block-Join / Meta-blocking / Resolution / Group /
 Other, with Resolution (Comparison-Execution) dominating (82–83%).
+
+Each stage is timed as the best of :data:`RUNS` cold runs of Q5, each on
+a fresh engine, so one slow spell of the machine during one stage cannot
+move that stage's share.
 """
+
+from dataclasses import replace
 
 from repro.cli import format_table
 
@@ -12,11 +18,26 @@ from _support.workload import sp_queries
 
 STAGES = ["block-join", "meta-blocking", "resolution", "group", "other"]
 
+#: Fresh runs of Q5 per dataset; every stage keeps its fastest time.
+RUNS = 5
+
 
 def measure(registry, dataset_key: str, family: str):
-    engine = fresh_engine([registry.get(dataset_key)])
     q5 = sp_queries(family)[4]
-    return run_query(engine, "Q5", dataset_key, q5.sql, "aes")
+    runs = [
+        run_query(fresh_engine([registry.get(dataset_key)]), "Q5", dataset_key, q5.sql, "aes")
+        for _ in range(RUNS)
+    ]
+    assert len({(m.comparisons, m.rows) for m in runs}) == 1  # the same work each run
+    stage_times = {
+        stage: min(m.stage_times.get(stage, 0.0) for m in runs)
+        for stage in set().union(*(m.stage_times for m in runs))
+    }
+    return replace(
+        runs[0],
+        total_time=min(m.total_time for m in runs),
+        stage_times=stage_times,
+    )
 
 
 def test_table6_time_breakdown(benchmark, registry, report):
@@ -46,7 +67,7 @@ def test_table6_time_breakdown(benchmark, registry, report):
         # the paper (82–83%).  In pure Python the meta-blocking stage is
         # relatively pricier than in the authors' Java stack, so we
         # assert the robust core of the claim: resolution is a dominant
-        # stage (≥ 35%) and, together with meta-blocking, the two
+        # stage (≥ 25%) and, together with meta-blocking, the two
         # comparison-centric stages account for the bulk of TT.
         resolution = shares.get("resolution", 0.0)
         assert resolution >= 25.0

@@ -25,10 +25,10 @@ every committed insert back into it:
     python -m repro load --data-dir snap/ "SELECT DEDUP * FROM publications"
     python -m repro serve --data-dir snap/ --port 7531
 
-``repro explain`` prints the chosen plan with the optimizer's cost
-annotations instead of result rows (``--analyze`` also executes and
-appends estimated-vs-actual per-stage figures; see
-:mod:`repro.optimizer`):
+``repro explain`` prints the §7.2.1 planner's plan with its row and
+comparison estimates instead of result rows (``--analyze`` also
+executes and appends estimated-vs-actual per-stage figures; see
+:mod:`repro.optimizer.explain`):
 
     python -m repro explain --csv publications.csv --csv venues.csv \\
         "SELECT DEDUP P.title FROM publications P \\
@@ -90,12 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain",
         action="store_true",
         help="print the chosen plan instead of executing",
-    )
-    parser.add_argument(
-        "--no-optimizer",
-        action="store_true",
-        help="disable cost-based plan selection and the plan cache; "
-        "always run the seed heuristic plan",
     )
     parser.add_argument(
         "--stats",
@@ -175,12 +169,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "(default: 8; only meaningful with --data-dir)",
     )
     parser.add_argument(
-        "--no-optimizer",
-        action="store_true",
-        help="disable cost-based plan selection and the plan cache; "
-        "always run the seed heuristic plan",
-    )
-    parser.add_argument(
         "--quiet",
         action="store_true",
         help="suppress the structured per-request JSON log lines on stderr",
@@ -222,10 +210,7 @@ def run_serve(argv: Sequence[str], output=None) -> int:
             print(f"error: unreadable snapshot in {args.data_dir}: {error}", file=sys.stderr)
             return 2
         if manifest is not None:
-            engine = QueryEREngine.load(
-                args.data_dir,
-                optimizer=not args.no_optimizer,
-            )
+            engine = QueryEREngine.load(args.data_dir)
             for name in sorted(engine.table_epochs()):
                 table = engine.catalog.get(name)
                 print(
@@ -234,10 +219,7 @@ def run_serve(argv: Sequence[str], output=None) -> int:
                     file=output,
                 )
     if engine is None:
-        engine = QueryEREngine(
-            match_threshold=args.threshold,
-            optimizer=not args.no_optimizer,
-        )
+        engine = QueryEREngine(match_threshold=args.threshold)
     for spec in args.csv:
         name, _, path = spec.rpartition("=")
         if (name or None) and name.lower() in engine.catalog:
@@ -339,8 +321,8 @@ def build_load_parser() -> argparse.ArgumentParser:
 def build_explain_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro explain",
-        description="print the optimizer's chosen plan with cost annotations "
-        "(EXPLAIN); --analyze also executes and appends actuals",
+        description="print the planner's plan with row and comparison "
+        "estimates (EXPLAIN); --analyze also executes and appends actuals",
     )
     parser.add_argument("query", help="SQL query to plan (SELECT or SELECT DEDUP)")
     parser.add_argument(
@@ -368,11 +350,6 @@ def build_explain_parser() -> argparse.ArgumentParser:
         default=0.75,
         help="schema-agnostic match threshold in [0, 1] (default: 0.75)",
     )
-    parser.add_argument(
-        "--no-optimizer",
-        action="store_true",
-        help="disable cost-based plan selection; show the heuristic plan",
-    )
     return parser
 
 
@@ -383,10 +360,7 @@ def run_explain(argv: Sequence[str], output=None) -> int:
     if not args.csv:
         print("error: at least one --csv table is required", file=sys.stderr)
         return 2
-    engine = QueryEREngine(
-        match_threshold=args.threshold,
-        optimizer=not args.no_optimizer,
-    )
+    engine = QueryEREngine(match_threshold=args.threshold)
     for spec in args.csv:
         name, _, path = spec.rpartition("=")
         table = read_csv(path or spec, name=name or None)
@@ -481,10 +455,7 @@ def run(argv: Optional[Sequence[str]] = None, output=None) -> int:
         print("error: at least one --csv table is required", file=sys.stderr)
         return 2
 
-    engine = QueryEREngine(
-        match_threshold=args.threshold,
-        optimizer=not args.no_optimizer,
-    )
+    engine = QueryEREngine(match_threshold=args.threshold)
     for spec in args.csv:
         name, _, path = spec.rpartition("=")
         table = read_csv(path or spec, name=name or None)

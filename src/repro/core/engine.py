@@ -20,6 +20,7 @@ import time
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.core.dedup_operator import DeduplicateOperator
+from repro.core.epoch_cache import EpochCache, epoch_key
 from repro.core.indices import TableIndex
 from repro.core.planner import (
     DedupQueryExecutor,
@@ -31,15 +32,18 @@ from repro.core.statistics import TableStatistics, join_percentage
 from repro.er.matching import DEFAULT_THRESHOLD, ProfileMatcher
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.incremental import DmlExecutor, IndexMaintainer, IngestResult, InvalidationPolicy
-from repro.optimizer import PlanCache, QueryOptimizer, plan_key
-from repro.optimizer.explain import analyze_lines, dedup_plan_lines, relational_plan_lines
+from repro.optimizer.explain import analyze_lines, explain_dedup, relational_plan_lines
 from repro.sql import ast, normalize_sql
 from repro.sql.executor import QueryResult, execute_plan
+from repro.sql.logical import LogicalPlan
 from repro.sql.parser import parse
 from repro.sql.physical import ExecutionContext
 from repro.sql.planner import RelationalPlanner
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
+
+#: Capacity of the engine's plan cache, in plans.
+PLAN_CACHE_SIZE = 128
 
 
 class QueryEREngine:
@@ -64,10 +68,17 @@ class QueryEREngine:
 
     **Statistics.**  Registration builds indices only.  The §7.2.1
     duplication-factor sample runs on the first :meth:`statistics_of`
-    (a join plan being priced, or ``EXPLAIN``) and again on the first
-    read after an insert; join percentages are likewise computed on
-    first read and dropped on insert.  Single-table DEDUPs never read
-    either.
+    (an ``EXPLAIN``) and again on the first read after an insert; join
+    percentages are likewise computed on first read and dropped on
+    insert.  Queries never read either: the planner's clean-first choice
+    needs only comparison estimates.
+
+    **Plans.**  :class:`~repro.core.planner.DedupQueryPlanner` plans
+    every DEDUP query (§7.2.1: clean the cheaper side of the first join
+    first) and :class:`~repro.sql.planner.RelationalPlanner` every other
+    SELECT.  Both kinds of plan are cached in :attr:`plan_cache`, keyed
+    on ``(normalized SQL, mode, epochs)`` and dropped whole on every
+    register, unregister, adopt and committed insert.
 
     **Epoch/snapshot contract.**  The engine is the single source of
     truth for per-table *epochs*: :meth:`register` and every ingested
@@ -91,8 +102,6 @@ class QueryEREngine:
         use_link_index: bool = True,
         transitive: bool = True,
         invalidation_policy: Union[InvalidationPolicy, str] = InvalidationPolicy.TARGETED,
-        optimizer: bool = True,
-        plan_cache_size: int = 128,
     ):
         self.catalog = Catalog()
         self.meta_blocking = meta_blocking or MetaBlockingConfig.all()
@@ -112,15 +121,7 @@ class QueryEREngine:
         self._join_percentages: Dict[Tuple[str, str, str, str], Tuple[float, float]] = {}
         self._relational = RelationalPlanner(self.catalog)
         self._executor = DedupQueryExecutor(self)
-        #: Cost-based plan selection (:mod:`repro.optimizer`); when off,
-        #: every query runs the seed heuristic plan unconditionally.
-        self.optimizer_enabled = optimizer
-        self._optimizer = QueryOptimizer(self)
-        self._plan_cache = PlanCache(plan_cache_size)
-        # Bumped whenever any estimate input changes (registration,
-        # adoption, committed inserts); part of every plan-cache key so
-        # a plan priced against dead statistics is unreachable.
-        self._statistics_version = 0
+        self._plan_cache = EpochCache(PLAN_CACHE_SIZE)
         if isinstance(invalidation_policy, str):
             invalidation_policy = InvalidationPolicy(invalidation_policy)
         self._maintainer = IndexMaintainer(self, policy=invalidation_policy)
@@ -321,27 +322,15 @@ class QueryEREngine:
         self._statistics.pop(key, None)
         self._drop_join_percentages(key)
 
-    # -- optimizer state --------------------------------------------------
-    def statistics_version(self) -> int:
-        """Monotonic counter over every estimate-input change.
-
-        Part of the plan-cache key: epochs already make plans for
-        *mutated* tables unreachable, but a lazily *recomputed*
-        statistic (same epoch) could still re-rank candidates — the
-        version covers both.
-        """
-        return self._statistics_version
-
+    # -- plan cache -------------------------------------------------------
     @property
-    def plan_cache(self) -> PlanCache:
-        """The optimized-plan LRU (stats surfaced by serving /metrics)."""
+    def plan_cache(self) -> EpochCache:
+        """The plan LRU (stats surfaced by serving /metrics)."""
         return self._plan_cache
 
     def _invalidate_plans(self) -> None:
         """Register/unregister/adopt/insert hook: retire every plan."""
-        self._statistics_version += 1
         self._plan_cache.invalidate()
-        self._optimizer.invalidate()
 
     def note_appended(self, name: str, count: int) -> None:
         """Invalidate estimates after *count* rows were ingested into *name*.
@@ -454,52 +443,41 @@ class QueryEREngine:
         if isinstance(query, ast.InsertStatement):
             return self._dml.execute(query)
         if not query.dedup:
-            logical = self._relational_logical(query).plan
-            physical = self._relational.physical_plan(logical)
+            physical = self._relational.physical_plan(self._relational_plan(query))
             return execute_plan(physical)
 
         context = ExecutionContext()
         start = time.perf_counter()
         plan = self._dedup_plan(query, mode)
-        columns, rows, plan = self._executor.execute(query, mode, context, plan=plan)
+        columns, rows = self._executor.execute(query, mode, context, plan)
         elapsed = time.perf_counter() - start
         result = QueryResult(columns, rows, elapsed, context, plan.pretty())
         return result
 
     # -- plan selection ---------------------------------------------------
-    def _dedup_plan(self, query: ast.SelectQuery, mode: ExecutionMode):
-        """The (possibly cached) optimizer plan, or None when disabled."""
-        if not self.optimizer_enabled:
-            return None
-        key = plan_key(
-            normalize_sql(str(query)),
-            mode.value,
-            self.table_epochs(),
-            self._statistics_version,
-        )
+    def _dedup_plan(self, query: ast.SelectQuery, mode: ExecutionMode) -> DedupQueryPlan:
+        """The §7.2.1 plan of a DEDUP query, from the plan cache if there.
+
+        The key holds the table epochs only.  The planner's comparison
+        estimate skips Link-Index-resolved entities, so a cached join
+        plan keeps the clean-first choice made before earlier queries
+        filled the Link Index.
+        """
+        key = epoch_key(normalize_sql(str(query)), mode.value, self.table_epochs())
         plan = self._plan_cache.get(key)
         if plan is None:
-            plan = self._optimizer.optimize_dedup(query, mode)
+            plan = DedupQueryPlanner(self).plan(query, mode)
             self._plan_cache.put(key, plan)
         return plan
 
-    def _relational_logical(self, query: ast.SelectQuery):
-        """Optimized (or heuristic) relational plan with annotations."""
-        from repro.optimizer.optimizer import RelationalChoice
-
-        if not self.optimizer_enabled:
-            return RelationalChoice(self._relational.logical_plan(query))
-        key = plan_key(
-            normalize_sql(str(query)),
-            "relational",
-            self.table_epochs(),
-            self._statistics_version,
-        )
-        choice = self._plan_cache.get(key)
-        if choice is None:
-            choice = self._optimizer.optimize_relational(query)
-            self._plan_cache.put(key, choice)
-        return choice
+    def _relational_plan(self, query: ast.SelectQuery) -> LogicalPlan:
+        """The logical plan of a plain SELECT, from the plan cache if there."""
+        key = epoch_key(normalize_sql(str(query)), "relational", self.table_epochs())
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            plan = self._relational.logical_plan(query)
+            self._plan_cache.put(key, plan)
+        return plan
 
     def _explain_statement(
         self, statement: ast.ExplainStatement, mode: ExecutionMode
@@ -515,11 +493,11 @@ class QueryEREngine:
                 )
             lines = DmlExecutor.describe(inner).splitlines()
         elif not inner.dedup:
-            choice = self._relational_logical(inner)
-            lines = relational_plan_lines(choice)
+            logical = self._relational_plan(inner)
+            lines = relational_plan_lines(logical)
             if statement.analyze:
                 context = ExecutionContext()
-                result = execute_plan(self._relational.physical_plan(choice.plan), context)
+                result = execute_plan(self._relational.physical_plan(logical), context)
                 lines = analyze_lines(
                     lines,
                     estimated_comparisons=None,
@@ -530,35 +508,13 @@ class QueryEREngine:
                     stage_times=result.stage_times,
                 )
         else:
-            plan = self._dedup_plan(inner, mode) or DedupQueryPlanner(self).plan(inner, mode)
-            lines = dedup_plan_lines(self, inner, mode, plan)
+            plan = self._dedup_plan(inner, mode)
+            lines, estimated = explain_dedup(self, inner, mode, plan)
             if statement.analyze:
                 context = ExecutionContext()
                 run_start = time.perf_counter()
-                columns, rows, plan = self._executor.execute(inner, mode, context, plan=plan)
+                columns, rows = self._executor.execute(inner, mode, context, plan)
                 run_elapsed = time.perf_counter() - run_start
-                # Whole-plan estimate: every binding's comparisons under
-                # this order/placement, not just the first join's two.
-                estimated: Optional[float]
-                try:
-                    infos, steps, _residual = DedupQueryPlanner(self).analyze(inner)
-                    model = self._optimizer.cost_model
-                    order_steps = plan.join_steps or steps
-                    if order_steps and mode is ExecutionMode.AES:
-                        order = model.dedup_order_cost(
-                            infos,
-                            order_steps,
-                            plan.clean_first or order_steps[0].left_binding,
-                        )
-                        estimated = float(sum(order.comparisons.values()))
-                    else:
-                        estimated = float(
-                            sum(model.binding_estimate(i).comparisons for i in infos)
-                        )
-                except Exception:
-                    estimated = (
-                        float(sum(plan.estimates.values())) if plan.estimates else None
-                    )
                 lines = analyze_lines(
                     lines,
                     estimated_comparisons=estimated,
@@ -585,9 +541,9 @@ class QueryEREngine:
         if isinstance(query, ast.InsertStatement):
             return DmlExecutor.describe(query)
         if not query.dedup:
-            return "\n".join(relational_plan_lines(self._relational_logical(query)))
-        plan = self._dedup_plan(query, mode) or DedupQueryPlanner(self).plan(query, mode)
-        return "\n".join(dedup_plan_lines(self, query, mode, plan))
+            return "\n".join(relational_plan_lines(self._relational_plan(query)))
+        lines, _ = explain_dedup(self, query, mode, self._dedup_plan(query, mode))
+        return "\n".join(lines)
 
     def plan_for(
         self,

@@ -161,8 +161,8 @@ class TableIndex:
         self.signatures = self._signature_columns()
 
     # -- (de)hydration ----------------------------------------------------
-    def to_arrays(self, start: int = 0, stop: Optional[int] = None) -> Dict[str, Any]:
-        """The blocking keys of table rows ``[start:stop)`` as a forward CSR.
+    def to_arrays(self, start: int = 0) -> Dict[str, Any]:
+        """The blocking keys of table rows ``[start:]`` as a forward CSR.
 
         Returns ``itbi_indptr`` (rebased to start at 0) and
         ``itbi_tokens``, token ids of the table's
@@ -172,10 +172,9 @@ class TableIndex:
         needs to rebuild the postings without re-tokenizing a single
         attribute value.
         """
-        stop = len(self.table) if stop is None else stop
-        csr = self.postings.to_arrays(start, stop)
+        csr = self.postings.to_arrays(start)
         table = self.table
-        if csr["entity_ids"] != [table[position].id for position in range(start, stop)]:
+        if csr["entity_ids"] != [table[position].id for position in range(start, len(table))]:
             raise RuntimeError(
                 f"postings of {table.name!r} are out of step with its rows"
             )
@@ -250,18 +249,19 @@ class TableIndex:
             values_of,
             vocabulary=self.vocabulary if keys_are_tokens else None,
         )
-        self._append_signatures(columns, 0, len(table))
+        self._append_signatures(columns, 0)
         return columns
 
-    def _append_signatures(self, columns: SignatureColumns, start: int, stop: int) -> None:
-        """Append table rows ``[start:stop)`` — postings rows too — to *columns*."""
+    def _append_signatures(self, columns: SignatureColumns, start: int) -> None:
+        """Append postings rows ``[start:]`` — table rows too — to *columns*."""
         table = self.table
+        stop = self.postings.entity_count
         values = table.column_values(start, stop)
         id_position = table.schema.id_position
         values = [column for position, column in enumerate(values) if position != id_position]
         tokens = None
         if columns.vocabulary is self.vocabulary:
-            csr = self.postings.to_arrays(start, stop)
+            csr = self.postings.to_arrays(start)
             tokens = (csr["indptr"], csr["tokens"])
         columns.append(stop - start, values, tokens)
 
@@ -309,7 +309,7 @@ class TableIndex:
                 postings.add_entity(entity_id, keys)
             _, members = postings.members_of([vocabulary.id_of(key) for key in touched])
             affected = set(postings.entity_ids_of(np.unique(members))).difference(new_ids)
-            self._append_signatures(self.signatures, before, postings.entity_count)
+            self._append_signatures(self.signatures, before)
         except BaseException:
             self._truncate(before)
             raise

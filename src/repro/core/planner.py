@@ -97,15 +97,6 @@ class DedupQueryPlan:
     clean_first: Optional[str] = None
     join_steps: List[JoinStep] = field(default_factory=list)
     description: str = ""
-    #: Provenance: "heuristic" (the seed planner) or "optimized" (the
-    #: cost-based enumerator in :mod:`repro.optimizer` picked it).
-    source: str = "heuristic"
-    #: Estimated cost of this plan / of the heuristic baseline, when the
-    #: optimizer priced them (None outside the optimizer path).
-    cost: Optional[float] = None
-    heuristic_cost: Optional[float] = None
-    #: Why the optimizer kept the heuristic plan (identity gate, mode…).
-    reason: str = ""
 
     def pretty(self) -> str:
         return self.description
@@ -373,17 +364,11 @@ class DedupQueryExecutor:
         query: ast.SelectQuery,
         mode: ExecutionMode,
         context: ExecutionContext,
-        plan: Optional[DedupQueryPlan] = None,
-    ) -> Tuple[List[str], List[tuple], DedupQueryPlan]:
-        """Run *query*; an optimizer-provided *plan* overrides the seed
-        heuristic's join order and DEDUP placement (its steps are the
-        same edges :meth:`DedupQueryPlanner.analyze` derives, possibly
-        permuted/flipped — see :mod:`repro.optimizer.rules`)."""
+        plan: DedupQueryPlan,
+    ) -> Tuple[List[str], List[tuple]]:
+        """Run *query* under *plan* (:meth:`DedupQueryPlanner.plan`'s
+        output for the same query and mode, possibly cached)."""
         infos, steps, residual = self.planner.analyze(query)
-        if plan is None:
-            plan = self.planner.plan(query, mode)
-        elif plan.join_steps:
-            steps = plan.join_steps
 
         if not steps:
             state = self._execute_single(infos[0], mode, context)
@@ -408,7 +393,7 @@ class DedupQueryExecutor:
         else:
             columns, rows = self._project(query, state, grouped)
         rows = self._order_and_limit(query, columns, rows)
-        return columns, rows, plan
+        return columns, rows
 
     # -- single-table (SP) path ------------------------------------------------
     def _execute_single(

@@ -112,8 +112,8 @@ class TokenPostings:
         postings.compact()
         return postings
 
-    def to_arrays(self, start: int = 0, stop: Optional[int] = None) -> Dict[str, Any]:
-        """Dehydrate the forward CSR of dense ids ``[start:stop)``.
+    def to_arrays(self, start: int = 0) -> Dict[str, Any]:
+        """Dehydrate the forward CSR of dense ids ``[start:]``.
 
         Returns the slice's ``entity_ids``, its ``indptr`` rebased to
         start at 0 and its ``tokens``.  The inverted side is derived
@@ -121,10 +121,9 @@ class TokenPostings:
         persisting; :meth:`from_arrays` over the concatenated slices
         restores both.
         """
-        stop = self.entity_count if stop is None else stop
-        indptr = self._ent_indptr.view()[start : stop + 1]
+        indptr = self._ent_indptr.view()[start:]
         return {
-            "entity_ids": self._entity_ids[start:stop],
+            "entity_ids": self._entity_ids[start:],
             "indptr": indptr - indptr[0],
             "tokens": self._ent_tokens.view()[indptr[0] : indptr[-1]].copy(),
         }

@@ -52,25 +52,21 @@ class WeightingScheme(enum.Enum):
 #
 # A build is split into *segment generation* (per-block work: dense-index
 # sorting, pair enumeration, focus filtering, key packing) and
-# *reduction* (per-pair weight-stat accumulation).  Generation is
-# independent per contiguous block span; reduction is a single in-order
-# pass.
+# *reduction* (per-pair weight-stat accumulation), a single in-order pass.
 
 
 def generate_span_segments(
     members: Any,
     indptr: Any,
-    start: int,
-    stop: int,
     n: int,
     in_focus: Optional[bytearray],
     need_arcs: bool,
 ) -> Tuple[Any, Any, Any]:
-    """Every focus-incident pair of block span ``[start, stop)``.
+    """Every focus-incident pair of the blocks *indptr* delimits.
 
     *members* holds dense entity indices grouped by block (block ``b``
     spans ``members[indptr[b] : indptr[b+1]]``), in any order within a
-    block.  The whole span is handled by array operations, with no
+    block.  All blocks are handled by array operations, with no
     per-block loop: one ``lexsort`` orders the members within each
     block, each focus row pairs with every later member of its block,
     each non-focus row with every later *focus* member, and each pair
@@ -82,17 +78,17 @@ def generate_span_segments(
 
     Returns ``(keys, values, block_counts)``: packed pair keys, their
     reciprocals (``None`` unless *need_arcs*), and an int64 array of
-    length *n* counting each entity's blocks in the span.
+    length *n* counting each entity's blocks.
     """
-    base = int(indptr[start])
-    span = members[base : int(indptr[stop])]
+    base = int(indptr[0])
+    span = members[base : int(indptr[-1])]
     block_counts = np.bincount(span, minlength=n).astype(np.int64)
-    sizes = np.diff(indptr[start : stop + 1]).astype(np.int64)
+    sizes = np.diff(indptr).astype(np.int64)
     block_of = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     rows = span[np.lexsort((span, block_of))]
     position = np.arange(len(rows), dtype=np.int64)
-    # Span-local exclusive end of each row's block.
-    ends = np.repeat(indptr[start + 1 : stop + 1] - base, sizes)
+    # Exclusive end of each row's block, relative to the first block.
+    ends = np.repeat(indptr[1:] - base, sizes)
     if in_focus is None:
         focus_row = None
         counts = ends - position - 1

@@ -827,34 +827,32 @@ class ProfileMatcher:
         self,
         pairs: "Sequence[Tuple[Any, Any]]",
         signatures: "Mapping[Any, SignatureRow]",
-        start: int = 0,
-        stop: Optional[int] = None,
     ) -> "List[int]":
-        """Positions in ``pairs[start:stop]`` whose signatures match.
+        """Positions in *pairs* whose signatures match.
 
         The one entry point of Comparison-Execution.  Stages 1 and 2 of
-        the cascade run array-at-a-time over the span (in chunks of
+        the cascade run array-at-a-time over the pairs (in chunks of
         :data:`_SCREEN_CHUNK` pairs); the undecided remainder goes to
         :meth:`resolve_pending`, the scalar stage 3.  Every decision and
         every ``cascade_stats`` counter equals what a loop of
-        :meth:`match_signatures` over the span would produce.
+        :meth:`match_signatures` over the pairs would produce.
 
         *signatures* only needs ``__getitem__`` — a table's
         :class:`SignatureColumns`, or any mapping to its rows.  Pairs
         the batch cannot take — a matcher without the fast path, columns
         built under other exclusions, a signature that is not a row of
-        the span's first signature's columns — go through
+        the first pair's signature columns — go through
         :meth:`match_signatures` one by one.
         """
-        stop = len(pairs) if stop is None else stop
-        if stop <= start:
+        stop = len(pairs)
+        if not stop:
             return []
-        columns = getattr(signatures[pairs[start][0]], "columns", None)
+        columns = getattr(signatures[pairs[0][0]], "columns", None)
         if not self.fast_path or columns is None or columns.exclude != self.exclude:
-            return self._match_each(pairs, range(start, stop), signatures)
+            return self._match_each(pairs, range(stop), signatures)
         matched: List[int] = []
         remainders: List[PendingPairs] = []
-        for low in range(start, stop, _SCREEN_CHUNK):
+        for low in range(0, stop, _SCREEN_CHUNK):
             accepted, pending = self._screen(
                 pairs, low, min(stop, low + _SCREEN_CHUNK), signatures, columns
             )

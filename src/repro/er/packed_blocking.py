@@ -211,7 +211,7 @@ def _span_graph(
     """Blocking graph over postings spans."""
     need_arcs = scheme is WeightingScheme.ARCS
     keys, values, block_counts = generate_span_segments(
-        members_u, indptr, 0, block_count, len(universe), in_focus, need_arcs
+        members_u, indptr, len(universe), in_focus, need_arcs
     )
     edge_keys, edge_stats = reduce_span_segments(keys, values, need_arcs)
     return BlockingGraph(
@@ -230,9 +230,7 @@ def _enumerate_pair_keys(
 
     Deduplicated in ascending-key order.
     """
-    keys, _, _ = generate_span_segments(
-        members_u, indptr, 0, len(indptr) - 1, n, in_focus, need_arcs=False
-    )
+    keys, _, _ = generate_span_segments(members_u, indptr, n, in_focus, need_arcs=False)
     return np.unique(keys)
 
 

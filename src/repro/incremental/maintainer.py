@@ -110,7 +110,7 @@ class IndexMaintainer:
         ``dml.*`` fault sites) rolls the table and every derived index
         back to the pre-insert snapshot and surfaces as a typed
         :class:`IngestError`.  The epoch advances only on the commit
-        path, so epoch-keyed caches (optimizer plans, served results)
+        path, so epoch-keyed caches (cached plans, served results)
         correctly keep serving the pre-insert state after a rollback.
         """
         start = time.perf_counter()

@@ -1,70 +1,28 @@
-"""Cost-based query optimization (paper §7.2.1, generalized).
+"""``EXPLAIN`` support for the §7.2.1 planner.
 
-The subsystem that finally *consumes* the statistics machinery the core
-layer has carried since the seed: :mod:`repro.optimizer.cost` prices
-scans, filters, joins and DEDUP placements from
-:class:`~repro.core.statistics.TableStatistics`, comparison estimates
-and join percentages; :mod:`repro.optimizer.rules` enumerates the legal
-rewrites (star pre-expansion, left-deep join reordering, DEDUP
-order/placement — the latter hard-gated by
-:func:`~repro.optimizer.rules.identity_safe`); and
-:mod:`repro.optimizer.optimizer` picks the min-cost candidate with the
-seed heuristic plan kept as both fallback and equivalence baseline.
-:mod:`repro.optimizer.plan_cache` memoizes the decisions per engine
-snapshot, and :mod:`repro.optimizer.explain` renders ``EXPLAIN`` /
-``EXPLAIN ANALYZE``.
+:class:`~repro.core.planner.DedupQueryPlanner` picks which side of a
+DEDUP query's first join to clean first from its comparison estimates,
+and the engine caches its plans in an
+:class:`~repro.core.epoch_cache.EpochCache`.  This package renders those
+plans: :mod:`repro.optimizer.cost` extends the planner's estimates to
+every binding of a join sequence, and :mod:`repro.optimizer.explain`
+renders ``EXPLAIN`` / ``EXPLAIN ANALYZE`` from them.
 """
 
 from repro.optimizer.cost import (
-    COMPARISON_WEIGHT,
     DEFAULT_SELECTIVITY,
-    ROW_WEIGHT,
     BindingEstimate,
     CostModel,
     DedupOrderCost,
 )
-from repro.optimizer.explain import (
-    analyze_lines,
-    dedup_plan_lines,
-    relational_plan_lines,
-)
-from repro.optimizer.optimizer import QueryOptimizer, RelationalChoice
-from repro.optimizer.plan_cache import PlanCache, plan_key
-from repro.optimizer.rules import (
-    MAX_DEDUP_STEPS,
-    MAX_RELATIONAL_TABLES,
-    JoinEdge,
-    RelationalOrder,
-    dedup_placements,
-    enumerate_dedup_orders,
-    enumerate_relational_orders,
-    expand_stars,
-    identity_safe,
-    join_edges,
-)
+from repro.optimizer.explain import analyze_lines, explain_dedup, relational_plan_lines
 
 __all__ = [
-    "COMPARISON_WEIGHT",
     "DEFAULT_SELECTIVITY",
-    "ROW_WEIGHT",
     "BindingEstimate",
     "CostModel",
     "DedupOrderCost",
-    "JoinEdge",
-    "MAX_DEDUP_STEPS",
-    "MAX_RELATIONAL_TABLES",
-    "PlanCache",
-    "QueryOptimizer",
-    "RelationalChoice",
-    "RelationalOrder",
     "analyze_lines",
-    "dedup_placements",
-    "dedup_plan_lines",
-    "enumerate_dedup_orders",
-    "enumerate_relational_orders",
-    "expand_stars",
-    "identity_safe",
-    "join_edges",
-    "plan_key",
+    "explain_dedup",
     "relational_plan_lines",
 ]

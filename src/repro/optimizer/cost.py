@@ -1,40 +1,30 @@
-"""Cardinality and cost estimation for the plan enumerator.
+"""Per-statement row and comparison estimates for ``EXPLAIN``.
 
-Generalizes the paper's §7.2.1 cost model — sample-based duplication
-factors (:class:`~repro.core.statistics.TableStatistics`), WHERE-literal
+Extends the paper's §7.2.1 estimates — sample-based duplication factors
+(:class:`~repro.core.statistics.TableStatistics`), WHERE-literal
 comparison estimation (:class:`~repro.core.statistics.ComparisonEstimator`)
-and pre-computed join percentages — from "which of the first join's two
-branches is cheaper to clean" to pricing *whole orders*: any left-deep
-join sequence with any legal DEDUP placement, plus plain relational
-join orders.
-
-Everything here is a *ranking* model, not a latency predictor: the
-optimizer only ever compares candidate costs against each other (and
-against the seed heuristic plan), so the units are abstract.  One
-pairwise profile comparison is weighted :data:`COMPARISON_WEIGHT` times
-a plain row touch — matching dominates end-to-end time in every
-experiment of the paper, which is exactly why placement matters.
+and pre-computed join percentages — from the first join's two branches,
+which is all :class:`~repro.core.planner.DedupQueryPlanner` needs to
+pick the side to clean first, to every binding of a left-deep AES join
+sequence, so ``EXPLAIN`` can annotate each Deduplicate with the
+comparisons and rows it is expected to see.  ``EXPLAIN`` builds one
+:class:`CostModel` per statement; nothing here is cached across
+statements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.planner import BindingInfo, JoinStep
 from repro.core.statistics import ComparisonEstimator
 
-#: Cost of one executed profile comparison relative to touching one row.
-COMPARISON_WEIGHT = 25.0
-
-#: Cost of scanning / hashing / emitting one row.
-ROW_WEIGHT = 1.0
-
 #: Selectivity assumed for predicates the literal-based estimator cannot
 #: bound (numeric ranges, ``MOD``, ``IS NULL`` …).  The estimator itself
 #: stays a superset (paper: "possibly containing false-positives but not
-#: the opposite"); this constant only breaks cost ties in the planner's
-#: favour when a filter exists but cannot be priced.
+#: the opposite"); this constant keeps such a filter from being estimated
+#: as a full scan.
 DEFAULT_SELECTIVITY = 0.33
 
 
@@ -51,21 +41,12 @@ class BindingEstimate:
     comparisons: int
     #: Estimated |DR_E| = |QE| x (1 + duplication factor).
     dr_rows: int
-    #: Whether the literal-based estimator actually bounded the frontier.
-    bounded: bool = True
-
-    @property
-    def selectivity(self) -> float:
-        return self.qe_rows / self.table_rows if self.table_rows else 1.0
 
 
 @dataclass
 class DedupOrderCost:
-    """Priced candidate: one join order with one DEDUP placement."""
+    """Estimates for one AES join order under one DEDUP placement."""
 
-    steps: List[JoinStep]
-    clean_first: str
-    total: float
     #: Estimated comparisons actually executed per binding under this
     #: placement (the clean side pays its full frontier; every side
     #: entering dirty pays its semi-join-reduced share).
@@ -75,17 +56,11 @@ class DedupOrderCost:
 
 
 class CostModel:
-    """Prices DEDUP and relational plan candidates against engine stats."""
+    """Estimates one statement's bindings against engine statistics."""
 
     def __init__(self, engine):
         self.engine = engine
         self._binding_cache: Dict[Tuple[str, str], BindingEstimate] = {}
-        self._distinct_cache: Dict[Tuple[str, str], int] = {}
-
-    def invalidate(self) -> None:
-        """Drop memoized estimates (table set or contents changed)."""
-        self._binding_cache.clear()
-        self._distinct_cache.clear()
 
     # -- per-binding estimation -----------------------------------------
     def binding_estimate(self, info: BindingInfo) -> BindingEstimate:
@@ -97,9 +72,8 @@ class CostModel:
         estimator = ComparisonEstimator(info.index)
         selected = estimator.selected_entities(info.condition)
         table_rows = len(info.index.table)
-        bounded = info.condition is None or len(selected) < table_rows
         qe_rows = len(selected)
-        if info.condition is not None and not bounded:
+        if info.condition is not None and qe_rows >= table_rows:
             # A filter exists but carries no usable literal: assume the
             # default selectivity rather than pricing it as a full scan.
             qe_rows = max(1, int(round(table_rows * DEFAULT_SELECTIVITY)))
@@ -111,7 +85,6 @@ class CostModel:
             qe_rows=qe_rows,
             comparisons=estimator.estimate_for_entities(selected),
             dr_rows=statistics.estimated_dr_size(qe_rows),
-            bounded=bounded,
         )
         self._binding_cache[key] = estimate
         return estimate
@@ -143,14 +116,13 @@ class CostModel:
         steps: Sequence[JoinStep],
         clean_first: str,
     ) -> DedupOrderCost:
-        """Price one AES join order under one DEDUP placement.
+        """Estimate one AES join order under one DEDUP placement.
 
         The clean-first side deduplicates its full post-WHERE frontier;
         the other side of the first join — and every later-entering
         table — is semi-join reduced before its Deduplicate runs, so its
         comparisons scale (linearly, a deliberate simplification) with
-        the surviving fraction of its frontier.  Scans, hash builds and
-        probes are priced per row.
+        the surviving fraction of its frontier.
         """
         by_binding = {i.binding.lower(): self.binding_estimate(i) for i in infos}
         first = steps[0]
@@ -159,14 +131,11 @@ class CostModel:
 
         comparisons: Dict[str, float] = {}
         rows: Dict[str, float] = {}
-        total = 0.0
 
         # Clean side: full-frontier Deduplicate above its Filter.
         clean_est = by_binding[clean]
         comparisons[clean] = float(clean_est.comparisons)
         rows[clean] = float(min(clean_est.dr_rows, clean_est.table_rows))
-        total += ROW_WEIGHT * clean_est.table_rows  # scan
-        total += COMPARISON_WEIGHT * comparisons[clean]
 
         # Dirty side of the first join: reduced by the clean DR's values.
         dirty_est = by_binding[dirty]
@@ -175,9 +144,6 @@ class CostModel:
         fraction = self.join_fraction(dirty_est, dirty_column, clean_est, clean_column)
         comparisons[dirty] = dirty_est.comparisons * fraction
         rows[dirty] = min(dirty_est.dr_rows * fraction, float(dirty_est.table_rows))
-        total += ROW_WEIGHT * dirty_est.table_rows
-        total += COMPARISON_WEIGHT * comparisons[dirty]
-        total += ROW_WEIGHT * (rows[clean] + rows[dirty])  # first join
 
         # Later steps: every entering table is reduced against the
         # already-bound partner, then deduplicated, then cluster-joined.
@@ -197,60 +163,5 @@ class CostModel:
                 )
             comparisons[entering] = entering_est.comparisons * fraction
             rows[entering] = min(entering_est.dr_rows * fraction, float(entering_est.table_rows))
-            total += ROW_WEIGHT * entering_est.table_rows
-            total += COMPARISON_WEIGHT * comparisons[entering]
-            total += ROW_WEIGHT * (partner_rows + rows[entering])
 
-        return DedupOrderCost(
-            steps=list(steps), clean_first=clean, total=total,
-            comparisons=comparisons, rows=rows,
-        )
-
-    # -- relational plans -------------------------------------------------
-    def distinct_values(self, table: str, column: str) -> int:
-        """Distinct non-NULL join values of one column (memoized)."""
-        key = (table.lower(), column.lower())
-        cached = self._distinct_cache.get(key)
-        if cached is not None:
-            return cached
-        index = self.engine.index_of(table)
-        position = index.table.schema.position(column)
-        values = set()
-        for row in index.table:
-            value = row.values[position]
-            if value is None:
-                continue
-            values.add(value.lower() if isinstance(value, str) else value)
-        count = max(1, len(values))
-        self._distinct_cache[key] = count
-        return count
-
-    def relational_order_cost(self, cards: Dict[str, float], order) -> float:
-        """Price one left-deep relational join order.
-
-        ``cards`` maps binding -> filtered cardinality; *order* is a
-        :class:`repro.optimizer.rules.RelationalOrder` carrying the
-        binding sequence and the join-graph edges.  The classic textbook
-        estimate applies: hash join cost is build + probe, output is the
-        cardinality product over the larger distinct-key count of every
-        edge the step closes.
-        """
-        bindings = order.bindings
-        bound_card = cards[bindings[0]]
-        total = sum(ROW_WEIGHT * cards[b] for b in bindings)  # scans
-        for position, binding in enumerate(bindings[1:], start=1):
-            entering = cards[binding]
-            total += ROW_WEIGHT * (bound_card + entering)  # build + probe
-            out = bound_card * entering
-            for edge in order.edges:
-                involved = {edge.left_binding, edge.right_binding}
-                if binding not in involved or not involved <= set(bindings[: position + 1]):
-                    continue
-                distinct = max(
-                    self.distinct_values(edge.left_table, edge.left_column),
-                    self.distinct_values(edge.right_table, edge.right_column),
-                )
-                out /= distinct
-            bound_card = max(1.0, out)
-            total += ROW_WEIGHT * bound_card  # emit
-        return total
+        return DedupOrderCost(comparisons=comparisons, rows=rows)

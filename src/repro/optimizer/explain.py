@@ -1,51 +1,46 @@
 """``EXPLAIN`` / ``EXPLAIN ANALYZE`` rendering.
 
 Renders the plan the engine would execute as an indented operator tree
-annotated with the cost model's estimates (rows, comparisons), plus —
-for ``ANALYZE`` — the actual per-stage seconds the ``--profile``
-plumbing captures and the actual row/comparison counts next to their
-estimates.
+annotated with per-statement estimates (rows, comparisons; see
+:mod:`repro.optimizer.cost`), plus — for ``ANALYZE`` — the actual
+per-stage seconds the ``--profile`` plumbing captures and the actual
+row/comparison counts next to their estimates.
 
 The operator labels are the executor's vocabulary (``TableScan``,
 ``Filter``, ``Deduplicate``, ``BatchDeduplicate``, ``GroupEntities``,
 ``DirtyLeftJoin`` / ``DirtyRightJoin`` / ``DeduplicateJoin``,
-``Project``), unchanged from the seed planner's ``_describe`` — tools
-and tests that grep for them keep working.  Unlike the seed renderer,
-*every* join step is shown (the seed collapsed plans to their first
-join), in execution order, which for optimized plans is the order the
-cost model picked.
+``Project``), unchanged from the planner's ``_describe`` — tools and
+tests that grep for them keep working.  Unlike ``_describe``, *every*
+join step is shown, in execution order.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.planner import (
-    BindingInfo,
-    DedupQueryPlan,
-    DedupQueryPlanner,
-    ExecutionMode,
-    JoinStep,
-)
+from repro.core.planner import DedupQueryPlan, DedupQueryPlanner, ExecutionMode
 from repro.optimizer.cost import CostModel, DedupOrderCost
 from repro.sql import ast
+from repro.sql.logical import LogicalPlan
 
 
 def _fmt(value: float) -> str:
     return str(int(round(value)))
 
 
-def dedup_plan_lines(
+def explain_dedup(
     engine,
     query: ast.SelectQuery,
     mode: ExecutionMode,
     plan: DedupQueryPlan,
-) -> List[str]:
-    """The annotated operator tree of a planned DEDUP query."""
-    planner = DedupQueryPlanner(engine)
-    infos, steps, residual = planner.analyze(query)
-    if plan.join_steps:
-        steps = plan.join_steps
+) -> Tuple[List[str], float]:
+    """The annotated operator tree of a planned DEDUP query.
+
+    Returns the tree's lines and the whole-plan comparison estimate
+    (every binding's comparisons under this placement), which
+    ``EXPLAIN ANALYZE`` reports next to the actual count.
+    """
+    infos, steps, residual = DedupQueryPlanner(engine).analyze(query)
     info_by = {i.binding.lower(): i for i in infos}
 
     model = CostModel(engine)
@@ -57,16 +52,7 @@ def dedup_plan_lines(
         except Exception:
             order_cost = None
 
-    lines = [f"-- plan: {plan.source} (mode={mode.value})"]
-    if plan.cost is not None:
-        baseline = (
-            f", heuristic cost={plan.heuristic_cost:.0f}"
-            if plan.heuristic_cost is not None and plan.source == "optimized"
-            else ""
-        )
-        lines.append(f"-- estimated cost: {plan.cost:.0f}{baseline}")
-    if plan.reason:
-        lines.append(f"-- {plan.reason}")
+    lines = [f"-- plan: dedup (mode={mode.value})"]
 
     def est_comparisons(binding: str) -> float:
         if order_cost is not None and binding in order_cost.comparisons:
@@ -163,32 +149,13 @@ def dedup_plan_lines(
         for step in steps[1:]:
             clean_here = plan.mode is not ExecutionMode.AES
             tree.extend(branch(step.right_binding, clean_here, depth))
-    return lines + tree
+    total = sum(est_comparisons(binding) for binding in estimates)
+    return lines + tree, total
 
 
-def relational_plan_lines(choice) -> List[str]:
-    """Annotated logical tree of a relational plan.
-
-    *choice* is a :class:`repro.optimizer.optimizer.RelationalChoice`.
-    """
-    lines = [f"-- plan: {choice.source}"]
-    if choice.cost is not None:
-        baseline = (
-            f", heuristic cost={choice.heuristic_cost:.0f}"
-            if choice.heuristic_cost is not None and choice.source == "optimized"
-            else ""
-        )
-        lines.append(f"-- estimated cost: {choice.cost:.0f}{baseline}")
-    if choice.order:
-        lines.append(f"-- join order: {' -> '.join(choice.order)}")
-    if choice.cardinalities:
-        rendered = ", ".join(
-            f"{binding}={_fmt(card)}" for binding, card in sorted(choice.cardinalities.items())
-        )
-        lines.append(f"-- estimated cardinalities: {rendered}")
-    if choice.reason:
-        lines.append(f"-- {choice.reason}")
-    return lines + choice.plan.pretty().splitlines()
+def relational_plan_lines(plan: LogicalPlan) -> List[str]:
+    """The logical tree of a relational plan."""
+    return ["-- plan: relational"] + plan.pretty().splitlines()
 
 
 def analyze_lines(

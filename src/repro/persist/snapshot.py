@@ -361,8 +361,6 @@ def save_engine(engine: "QueryEREngine", directory: Union[str, Path]) -> Dict[st
             "use_link_index": engine.use_link_index,
             "transitive": engine.transitive,
             "invalidation_policy": engine._maintainer.policy.value,
-            "optimizer": engine.optimizer_enabled,
-            "plan_cache_size": engine.plan_cache.capacity,
         },
         "epochs": engine.table_epochs(),
         "join_percentages": [
@@ -427,8 +425,6 @@ _ENGINE_SETTINGS = frozenset({
     "use_link_index",
     "transitive",
     "invalidation_policy",
-    "optimizer",
-    "plan_cache_size",
 })
 
 
@@ -458,8 +454,10 @@ def load_engine(
     manifest = read_manifest(directory)
     if manifest is None:
         raise SnapshotError(f"no snapshot manifest in {directory}")
-    # Older manifests also carry ``sample_stats``; statistics are sampled
-    # on first read now, so that key selects nothing and is ignored.
+    # Older manifests also carry ``sample_stats``, ``optimizer`` and
+    # ``plan_cache_size``.  Statistics are sampled on first read now, the
+    # §7.2.1 planner is the only plan source and the plan cache has a
+    # fixed size, so those keys select nothing and are ignored.
     config = dict(manifest["engine"])
     config.update(overrides)
     if meta_blocking is None:
@@ -470,10 +468,6 @@ def load_engine(
         use_link_index=config["use_link_index"],
         transitive=config["transitive"],
         invalidation_policy=config["invalidation_policy"],
-        # Pre-optimizer manifests lack these keys; default to the
-        # engine's own defaults rather than failing the warm start.
-        optimizer=config.get("optimizer", True),
-        plan_cache_size=config.get("plan_cache_size", 128),
     )
     for key, entry in manifest["tables"].items():
         table, vocabulary, indptr, tokens = _load_table_entry(directory, entry)

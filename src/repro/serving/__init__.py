@@ -21,12 +21,12 @@ Start one programmatically::
 or from the CLI: ``repro serve --csv people.csv --port 7531``.
 """
 
-from repro.serving.cache import CachedResult, ResultCache, result_key
 from repro.serving.client import GaveUp, RetryingClient
 from repro.serving.coalescer import CoalesceTimeout, SingleFlight
 from repro.serving.http import ServingHTTPServer, make_server
 from repro.serving.metrics import LatencyRecorder, ServiceMetrics
 from repro.serving.service import (
+    CachedResult,
     EngineService,
     OverloadError,
     RequestTimeout,
@@ -35,8 +35,6 @@ from repro.serving.service import (
 
 __all__ = [
     "CachedResult",
-    "ResultCache",
-    "result_key",
     "GaveUp",
     "RetryingClient",
     "CoalesceTimeout",

@@ -13,9 +13,9 @@ mutates shared state (the progressive-cleaning Link Index, matcher
 memos, lazily refreshed statistics), so raw engine calls are serialized
 behind one *engine gate*.  Concurrency is won **above** the gate:
 
-* **result cache** — epoch-keyed snapshot answers
-  (:mod:`repro.serving.cache`) are served without touching the engine
-  or its gate at all;
+* **result cache** — epoch-keyed snapshot answers (an
+  :class:`~repro.core.epoch_cache.EpochCache`) are served without
+  touching the engine or its gate at all;
 * **single-flight coalescing** — concurrent identical queries share
   one gated execution (:mod:`repro.serving.coalescer`);
 * **admission control** — at most ``max_inflight`` requests may hold
@@ -43,13 +43,27 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, IO, Optional, Tuple, Union
 
 from repro.core.engine import QueryEREngine
+from repro.core.epoch_cache import EpochCache, epoch_key
 from repro.core.planner import ExecutionMode
 from repro.resilience import DEGRADATION, inject
-from repro.serving.cache import CachedResult, ResultCache, result_key
 from repro.serving.coalescer import CoalesceTimeout, SingleFlight
 from repro.serving.metrics import ServiceMetrics
 from repro.sql import ast, normalize_sql
 from repro.sql.parser import parse
+
+
+@dataclass(frozen=True)
+class CachedResult:
+    """One served query's immutable answer plus its execution stamp."""
+
+    columns: Tuple[str, ...]
+    rows: Tuple[Tuple[Any, ...], ...]
+    comparisons: int
+    stage_times: Dict[str, float] = field(default_factory=dict)
+    #: The epoch map the answer was computed under — the snapshot stamp.
+    epochs: Dict[str, int] = field(default_factory=dict)
+    elapsed_s: float = 0.0
+    plan_description: str = ""
 
 
 class OverloadError(Exception):
@@ -130,7 +144,7 @@ class EngineService:
         self.max_inflight = max_inflight
         self.default_timeout = default_timeout
         self.metrics = ServiceMetrics()
-        self.cache = ResultCache(cache_size)
+        self.cache = EpochCache(cache_size)
         self.flights = SingleFlight()
         #: The process-wide degradation log (per-layer graceful
         #: fallbacks), surfaced by /healthz and /metrics.
@@ -172,7 +186,7 @@ class EngineService:
         # admission, no gate and no engine.  The unlocked epoch read is
         # safe: whatever map we observe, the entry it keys was computed
         # at exactly those epochs (the answer is stamped to prove it).
-        entry = self.cache.get(result_key(normalized, mode_name, self.engine.table_epochs()))
+        entry = self.cache.get(epoch_key(normalized, mode_name, self.engine.table_epochs()))
         if entry is not None:
             served = self._served(entry, "hit", normalized, started)
             self._record(served)
@@ -303,12 +317,10 @@ class EngineService:
     def metrics_snapshot(self) -> Dict[str, Any]:
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = self.cache.snapshot()
-        # The engine's optimized-plan LRU (hits/misses/evictions/
-        # invalidations) — plans are reused across requests, so their
-        # churn is a serving-level signal like the result cache's.
-        plan_cache = getattr(self.engine, "plan_cache", None)
-        if plan_cache is not None:
-            snapshot["plan_cache"] = plan_cache.snapshot()
+        # The engine's plan LRU (hits/misses/evictions/invalidations) —
+        # plans are reused across requests, so their churn is a
+        # serving-level signal like the result cache's.
+        snapshot["plan_cache"] = self.engine.plan_cache.snapshot()
         snapshot["coalescer"] = dict(self.flights.stats)
         snapshot["inflight"] = self._inflight
         snapshot["max_inflight"] = self.max_inflight
@@ -343,7 +355,7 @@ class EngineService:
         self._acquire_gate(timeout)
         try:
             epochs = self.engine.table_epochs()
-            key = result_key(normalized, mode_name, epochs)
+            key = epoch_key(normalized, mode_name, epochs)
             entry = self.cache.get(key)
             if entry is not None:
                 return entry, False

@@ -276,9 +276,9 @@ class ExplainStatement:
     """``EXPLAIN [ANALYZE] <statement>``.
 
     Wraps a query or DML statement.  Plain ``EXPLAIN`` renders the plan
-    the optimizer would run (with estimated rows/cost) without executing
-    it; ``EXPLAIN ANALYZE`` also executes the statement and annotates
-    the plan with the actual per-stage timings and row counts.
+    the engine would run (with estimated rows and comparisons) without
+    executing it; ``EXPLAIN ANALYZE`` also executes the statement and
+    annotates the plan with the actual per-stage timings and row counts.
     ``dedup`` is always False so engine dispatch can treat statements
     uniformly.
     """

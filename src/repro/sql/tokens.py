@@ -21,7 +21,7 @@ class TokenType(enum.Enum):
 
 #: Reserved words (case-insensitive).  ``DEDUP`` is QueryER's extension;
 #: ``INSERT``/``INTO``/``VALUES`` belong to the incremental-ingestion DML;
-#: ``EXPLAIN``/``ANALYZE`` front the optimizer's plan-inspection statement.
+#: ``EXPLAIN``/``ANALYZE`` front the plan-inspection statement.
 KEYWORDS = frozenset(
     {
         "SELECT",

@@ -1,15 +1,15 @@
 """Property: the whole-span pair generator ≡ the per-block reference.
 
 :func:`~repro.er.edge_pruning.generate_span_segments` enumerates every
-focus-incident pair of a CSR block span with whole-span array
-operations, in bounded passes of rows, for every graph build.  The reference below is the per-block
-generator it replaced (scalar loop under 16 members, an upper triangle
-up to 256, row-at-a-time above), kept here as the oracle.  Both must
-produce the same keys in the same order, the same ARCS reciprocals and the same
-block counts — and therefore bit-identical ``reduce_span_segments``
-output — over random spans with block sizes 0–600, sub-spans, every
-focus shape and both weightings that read the generator (ARCS sums and
-CBS counts).
+focus-incident pair of a CSR block collection with whole-span array
+operations, in bounded passes of rows, for every graph build.  The
+reference below is the per-block generator it replaced (scalar loop
+under 16 members, an upper triangle up to 256, row-at-a-time above),
+kept here as the oracle.  Both must produce the same keys in the same
+order, the same ARCS reciprocals and the same block counts — and
+therefore bit-identical ``reduce_span_segments`` output — over random
+collections with block sizes 0–600, every focus shape and both
+weightings that read the generator (ARCS sums and CBS counts).
 """
 
 from __future__ import annotations
@@ -85,8 +85,6 @@ def _emit_vector_block(members_arr, n, focus_mask, need_arcs, reciprocal,
 def reference_span_segments(
     members: Any,
     indptr: Any,
-    start: int,
-    stop: int,
     n: int,
     in_focus: Optional[bytearray],
     need_arcs: bool,
@@ -97,7 +95,7 @@ def reference_span_segments(
         if in_focus is None
         else np.frombuffer(in_focus, dtype=np.uint8).view(np.bool_)
     )
-    span = members[indptr[start] : indptr[stop]]
+    span = members[indptr[0] : indptr[-1]]
     block_counts = np.bincount(span, minlength=n).astype(np.int64)
     key_segments: List[Any] = []
     value_segments: List[Any] = []
@@ -112,7 +110,7 @@ def reference_span_segments(
                 pending_recips.clear()
             pending_keys.clear()
 
-    for block in range(start, stop):
+    for block in range(len(indptr) - 1):
         lo = int(indptr[block])
         hi = int(indptr[block + 1])
         size = hi - lo
@@ -190,24 +188,25 @@ def test_whole_span_equals_per_block_reference(seed, focus, need_arcs):
     n = int(rng.integers(1, 900))
     members, indptr = random_csr(rng, n, int(rng.integers(0, 40)))
     in_focus = focus_mask(rng, n, focus)
-    blocks = len(indptr) - 1
-    spans = [(0, blocks)]
-    if blocks:
-        start = int(rng.integers(0, blocks))
-        spans.append((start, int(rng.integers(start, blocks + 1))))
-        spans.append((blocks, blocks))
-    for start, stop in spans:
-        got = generate_span_segments(members, indptr, start, stop, n, in_focus, need_arcs)
-        want = reference_span_segments(
-            members, indptr, start, stop, n, in_focus, need_arcs
-        )
-        assert_same(got, want)
-        # Reduced edges: ARCS sums and CBS counts, bit for bit.
-        edges = reduce_span_segments(got[0], got[1], need_arcs)
-        ref_edges = reduce_span_segments(want[0], want[1], need_arcs)
-        assert np.array_equal(edges[0], ref_edges[0])
-        assert edges[1].dtype == ref_edges[1].dtype
-        assert np.array_equal(edges[1], ref_edges[1])
+    got = generate_span_segments(members, indptr, n, in_focus, need_arcs)
+    want = reference_span_segments(members, indptr, n, in_focus, need_arcs)
+    assert_same(got, want)
+    # Reduced edges: ARCS sums and CBS counts, bit for bit.
+    edges = reduce_span_segments(got[0], got[1], need_arcs)
+    ref_edges = reduce_span_segments(want[0], want[1], need_arcs)
+    assert np.array_equal(edges[0], ref_edges[0])
+    assert edges[1].dtype == ref_edges[1].dtype
+    assert np.array_equal(edges[1], ref_edges[1])
+
+
+@pytest.mark.parametrize("need_arcs", [True, False], ids=["arcs", "cbs"])
+def test_no_blocks_yields_no_pairs(need_arcs):
+    members = np.empty(0, dtype=np.int64)
+    indptr = np.zeros(1, dtype=np.int64)
+    in_focus = bytearray(b"\x01" * 5)
+    got = generate_span_segments(members, indptr, 5, in_focus, need_arcs)
+    assert_same(got, reference_span_segments(members, indptr, 5, in_focus, need_arcs))
+    assert not len(got[0]) and not got[2].any()
 
 
 @pytest.mark.parametrize("size", EDGE_SIZES)
@@ -219,49 +218,26 @@ def test_single_block_of_every_tier(size):
     for shape in ("none", "empty", "partial", "full"):
         in_focus = focus_mask(rng, n, shape)
         assert_same(
-            generate_span_segments(members, indptr, 0, 1, n, in_focus, True),
-            reference_span_segments(members, indptr, 0, 1, n, in_focus, True),
+            generate_span_segments(members, indptr, n, in_focus, True),
+            reference_span_segments(members, indptr, n, in_focus, True),
         )
 
 
 @pytest.mark.parametrize("pass_pairs", [1, 7, 300])
 @pytest.mark.parametrize("focus", ["none", "partial"])
 def test_multi_pass_generation_equals_reference(monkeypatch, pass_pairs, focus):
-    """Spans larger than one pass are cut into row passes; the output
-    must not depend on where the cuts fall."""
+    """Collections larger than one pass are cut into row passes; the
+    output must not depend on where the cuts fall."""
     monkeypatch.setattr(EDGE_PRUNING, "_PAIRS_PER_PASS", pass_pairs)
     rng = np.random.default_rng(pass_pairs)
     n = 700
     members, indptr = random_csr(rng, n, 30)
     in_focus = focus_mask(rng, n, focus)
-    blocks = len(indptr) - 1
-    for start, stop in ((0, blocks), (blocks // 3, blocks)):
-        for need_arcs in (True, False):
-            assert_same(
-                generate_span_segments(members, indptr, start, stop, n, in_focus, need_arcs),
-                reference_span_segments(members, indptr, start, stop, n, in_focus, need_arcs),
-            )
-
-
-def test_sharded_spans_reduce_like_the_whole_span():
-    """Contiguous sub-spans concatenated in order reduce to the whole."""
-    rng = np.random.default_rng(99)
-    n = 500
-    members, indptr = random_csr(rng, n, 60)
-    in_focus = focus_mask(rng, n, "partial")
-    blocks = len(indptr) - 1
-    cuts = sorted(set(rng.integers(0, blocks, size=5).tolist()) | {0, blocks})
-    parts = [
-        generate_span_segments(members, indptr, a, b, n, in_focus, True)
-        for a, b in zip(cuts, cuts[1:])
-    ]
-    keys = np.concatenate([p[0] for p in parts])
-    values = np.concatenate([p[1] for p in parts])
-    whole = generate_span_segments(members, indptr, 0, blocks, n, in_focus, True)
-    merged = reduce_span_segments(keys, values, True)
-    serial = reduce_span_segments(whole[0], whole[1], True)
-    assert np.array_equal(merged[0], serial[0])
-    assert np.array_equal(merged[1], serial[1])
+    for need_arcs in (True, False):
+        assert_same(
+            generate_span_segments(members, indptr, n, in_focus, need_arcs),
+            reference_span_segments(members, indptr, n, in_focus, need_arcs),
+        )
 
 
 @pytest.mark.parametrize("scheme", list(WeightingScheme))

@@ -14,11 +14,12 @@
   intersection, for unknown tokens and for tokens only a rolled-back
   ``INSERT`` interned too.
 * ``EXPLAIN`` over a fixed set of single-table and join statements must
-  render byte-identically to ``explain_golden.json``.  That file was
-  written by running this module as a script against the engine as it
-  was before both changes (statistics sampled eagerly at registration,
-  dict BP/BF in the estimator); every table there holds at most 4 000
-  rows, so the sampled rows are the first 200 picks either way.
+  render byte-identically to ``explain_golden.json``, written by
+  running this module as a script.  Its estimates were first rendered
+  against the engine as it was before both changes (statistics sampled
+  eagerly at registration, dict BP/BF in the estimator); every table
+  there holds at most 4 000 rows, so the sampled rows are the first
+  200 picks either way.
 """
 
 from __future__ import annotations

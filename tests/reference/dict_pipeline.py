@@ -521,7 +521,7 @@ def block_object_graph(
     members, indptr = collection_span(collection, index_of)
     need_arcs = scheme is WeightingScheme.ARCS
     keys, values, block_counts = generate_span_segments(
-        members, indptr, 0, len(indptr) - 1, len(universe), in_focus, need_arcs
+        members, indptr, len(universe), in_focus, need_arcs
     )
     edge_keys, edge_stats = reduce_span_segments(keys, values, need_arcs)
     return BlockingGraph(
@@ -596,11 +596,10 @@ def batch_pairs(index, config: Optional[MetaBlockingConfig] = None) -> List[Pair
 class ScalarMatcher(ProfileMatcher):
     """A matcher whose batched entry point is a ``match_signatures`` loop."""
 
-    def match_pair_indices(self, pairs, signatures, start=0, stop=None):
-        stop = len(pairs) if stop is None else stop
+    def match_pair_indices(self, pairs, signatures):
         return [
             position
-            for position in range(start, stop)
+            for position in range(len(pairs))
             if self.match_signatures(
                 signatures[pairs[position][0]], signatures[pairs[position][1]]
             )

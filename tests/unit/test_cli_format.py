@@ -135,6 +135,19 @@ def test_workers_flag_is_refused(command, capsys):
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["explain", "query", "serve"])
+def test_no_optimizer_flag_is_refused(command, capsys):
+    """The §7.2.1 planner is the only plan source: the subcommands that
+    took ``--no-optimizer`` refuse it, so a stale script fails loudly."""
+    builder, argv = PARSERS[command]
+    parser = builder()
+    assert "--no-optimizer" not in parser.format_help()
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(argv + ["--no-optimizer"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --no-optimizer" in capsys.readouterr().err
+
+
 class TestFormatTable:
     def test_format_table_alignment(self):
         text = format_table(["name", "value"], [["a", 1.5], ["bbbb", 22]], title="T")

@@ -1,0 +1,252 @@
+"""Unit tests for the plan cache, the per-statement estimates and EXPLAIN."""
+
+import pytest
+
+from repro.core.engine import PLAN_CACHE_SIZE, QueryEREngine
+from repro.core.epoch_cache import EpochCache, epoch_key
+from repro.core.planner import DedupQueryPlanner, ExecutionMode
+from repro.datagen import generate_organizations, generate_people, generate_projects
+from repro.er.meta_blocking import MetaBlockingConfig
+from repro.optimizer import CostModel
+from repro.sql.parser import parse
+from repro.storage.schema import Schema
+from repro.storage.table import Table
+
+
+def _three_table_engine(**overrides):
+    orgs, _ = generate_organizations(60, seed=51)
+    names = [row["name"] for row in orgs]
+    people, _ = generate_people(120, organisations=names[:30], seed=52)
+    projects, _ = generate_projects(80, organisations=names, seed=53)
+    defaults = dict(meta_blocking=MetaBlockingConfig.none())
+    defaults.update(overrides)
+    engine = QueryEREngine(**defaults)
+    for table in (people, orgs, projects):
+        engine.register(table)
+    return engine
+
+
+@pytest.fixture(scope="module")
+def mb_none_engine():
+    return _three_table_engine()
+
+
+THREE_WAY = (
+    "SELECT DEDUP PPL.surname, OAO.name, OAP.title "
+    "FROM PPL "
+    "JOIN OAO ON PPL.organisation = OAO.name "
+    "JOIN OAP ON OAP.organisation = OAO.name "
+    "WHERE OAP.programme = 'fp7'"
+)
+TWO_WAY = (
+    "SELECT DEDUP PPL.surname, OAO.name "
+    "FROM PPL JOIN OAO ON PPL.organisation = OAO.name "
+    "WHERE PPL.state = 'nsw'"
+)
+
+
+# -- removed configuration ---------------------------------------------------
+
+
+class TestRemovedKnobs:
+    """The §7.2.1 planner is the only plan source and the plan cache has a
+    fixed size: the keywords that selected between plan sources are gone."""
+
+    @pytest.mark.parametrize(
+        "keyword", [{"optimizer": True}, {"optimizer": False}, {"plan_cache_size": 0}]
+    )
+    def test_engine_refuses_the_keyword(self, keyword):
+        with pytest.raises(TypeError):
+            QueryEREngine(**keyword)
+
+    def test_plan_cache_has_the_fixed_capacity(self):
+        assert QueryEREngine().plan_cache.capacity == PLAN_CACHE_SIZE == 128
+
+
+# -- plan cache --------------------------------------------------------------
+
+
+class TestPlanCache:
+    def test_key_separates_sql_mode_epochs(self):
+        base = epoch_key("select 1", "aes", {"t": 1})
+        assert epoch_key("select 1", "aes", {"t": 1}) == base
+        assert epoch_key("select 2", "aes", {"t": 1}) != base
+        assert epoch_key("select 1", "nes", {"t": 1}) != base
+        assert epoch_key("select 1", "aes", {"t": 2}) != base
+
+    def test_lru_eviction_and_stats(self):
+        cache = EpochCache(capacity=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1  # refreshes a
+        cache.put("c", 3)  # evicts b (least recent)
+        assert cache.get("b") is None
+        assert cache.get("c") == 3
+        snapshot = cache.snapshot()
+        assert snapshot["evictions"] == 1
+        assert snapshot["hits"] == 2
+        assert snapshot["misses"] == 1
+
+    def test_invalidate_counts_dropped_entries(self):
+        cache = EpochCache(capacity=8)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.invalidate() == 2
+        assert len(cache) == 0
+        assert cache.snapshot()["invalidations"] == 2
+
+    def test_zero_capacity_disables(self):
+        cache = EpochCache(capacity=0)
+        cache.put("a", 1)
+        assert cache.get("a") is None
+        assert len(cache) == 0
+
+    def test_repeated_query_hits_engine_cache(self, mb_none_engine):
+        engine = mb_none_engine
+        before = engine.plan_cache.snapshot()["hits"]
+        engine.execute(TWO_WAY)
+        engine.execute(TWO_WAY)
+        assert engine.plan_cache.snapshot()["hits"] > before
+
+    def test_join_issued_twice_plans_once(self, monkeypatch):
+        """The second issue of a join reuses the first's plan: the
+        planner runs once and the cache scores exactly one hit."""
+        engine = _three_table_engine(meta_blocking=MetaBlockingConfig.all())
+        calls = []
+        plan = DedupQueryPlanner.plan
+
+        def counting(self, query, mode):
+            calls.append(str(query))
+            return plan(self, query, mode)
+
+        monkeypatch.setattr(DedupQueryPlanner, "plan", counting)
+        first = engine.execute(TWO_WAY)
+        before = engine.plan_cache.snapshot()
+        second = engine.execute(TWO_WAY)
+        after = engine.plan_cache.snapshot()
+        assert len(calls) == 1
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] == before["misses"]
+        assert second.plan_description == first.plan_description
+
+    def test_relational_plans_share_the_cache(self, mb_none_engine):
+        sql = "SELECT PPL.surname FROM PPL WHERE PPL.state = 'vic'"
+        mb_none_engine.execute(sql)
+        before = mb_none_engine.plan_cache.snapshot()["hits"]
+        mb_none_engine.execute(sql)
+        assert mb_none_engine.plan_cache.snapshot()["hits"] == before + 1
+
+    def test_insert_invalidates_plans(self):
+        engine = _three_table_engine()
+        engine.execute(TWO_WAY)
+        assert len(engine.plan_cache) > 0
+        engine.execute(
+            "INSERT INTO OAO (id, name) VALUES (90001, 'fresh org ltd')"
+        )
+        assert len(engine.plan_cache) == 0
+
+    def test_register_invalidates_plans(self):
+        engine = _three_table_engine()
+        engine.execute(TWO_WAY)
+        assert len(engine.plan_cache) > 0
+        engine.register(Table("T", Schema.of("id", "x"), [("t1", "a")]))
+        assert len(engine.plan_cache) == 0
+
+
+# -- per-statement estimates -------------------------------------------------
+
+
+class TestCostModel:
+    def test_binding_estimates_are_memoized_per_model(self, mb_none_engine):
+        model = CostModel(mb_none_engine)
+        planner = DedupQueryPlanner(mb_none_engine)
+        infos, _, _ = planner.analyze(parse(TWO_WAY))
+        first = model.binding_estimate(infos[0])
+        assert model.binding_estimate(infos[0]) is first
+        fresh = CostModel(mb_none_engine).binding_estimate(infos[0])
+        assert fresh is not first and fresh == first
+
+    def test_filtered_binding_is_more_selective(self, mb_none_engine):
+        model = CostModel(mb_none_engine)
+        planner = DedupQueryPlanner(mb_none_engine)
+        infos, _, _ = planner.analyze(parse(TWO_WAY))
+        by_binding = {i.binding.lower(): model.binding_estimate(i) for i in infos}
+        assert by_binding["ppl"].qe_rows < by_binding["ppl"].table_rows  # state filter
+        assert by_binding["oao"].qe_rows == by_binding["oao"].table_rows
+
+    def test_dedup_order_cost_estimates_every_binding(self, mb_none_engine):
+        model = CostModel(mb_none_engine)
+        planner = DedupQueryPlanner(mb_none_engine)
+        infos, steps, _ = planner.analyze(parse(THREE_WAY))
+        cost = model.dedup_order_cost(infos, steps, steps[0].left_binding)
+        bindings = {i.binding.lower() for i in infos}
+        assert set(cost.comparisons) == set(cost.rows) == bindings
+        assert all(value >= 0 for value in cost.comparisons.values())
+
+    def test_placement_changes_the_estimate(self):
+        engine = _three_table_engine()  # an empty Link Index
+        model = CostModel(engine)
+        planner = DedupQueryPlanner(engine)
+        infos, steps, _ = planner.analyze(parse(TWO_WAY))
+        left = model.dedup_order_cost(infos, steps, steps[0].left_binding)
+        right = model.dedup_order_cost(infos, steps, steps[0].right_binding)
+        assert left.comparisons != right.comparisons
+
+
+# -- EXPLAIN -----------------------------------------------------------------
+
+
+class TestExplainStatement:
+    def test_explain_dedup_returns_plan_rows(self, mb_none_engine):
+        result = mb_none_engine.execute("EXPLAIN " + THREE_WAY)
+        assert result.columns == ["plan"]
+        text = result.plan_description
+        assert text.startswith("-- plan: dedup (mode=aes)")
+        assert "TableScan" in text and "Deduplicate" in text
+        assert "est comparisons=" in text
+
+    def test_explain_shows_the_planners_clean_first_choice(self, mb_none_engine):
+        plan = mb_none_engine.plan_for(THREE_WAY, ExecutionMode.AES)
+        text = mb_none_engine.explain(THREE_WAY)
+        dirty = "DirtyLeftJoin" if plan.clean_first == "OAO" else "DirtyRightJoin"
+        assert f"{dirty}[ppl.organisation = oao.name]" in text
+
+    def test_explain_analyze_reports_estimated_vs_actual(self, mb_none_engine):
+        text = mb_none_engine.execute("EXPLAIN ANALYZE " + TWO_WAY).plan_description
+        assert "-- analyze --" in text
+        assert "rows: estimated=" in text and "actual=" in text
+        assert "comparisons: estimated=" in text
+        assert "comparisons: estimated=n/a" not in text
+        assert "stage " in text  # per-stage actual timings
+
+    def test_explain_relational_shows_the_logical_plan(self, mb_none_engine):
+        text = mb_none_engine.execute(
+            "EXPLAIN SELECT PPL.surname, OAO.name FROM PPL "
+            "JOIN OAO ON PPL.organisation = OAO.name"
+        ).plan_description
+        assert text.startswith("-- plan: relational")
+        assert "Join" in text and "TableScan" in text
+
+    def test_explain_insert_describes_without_mutating(self, mb_none_engine):
+        epoch = mb_none_engine.epoch_of("OAO")
+        result = mb_none_engine.execute(
+            "EXPLAIN INSERT INTO OAO (id, name) VALUES (91001, 'probe org')"
+        )
+        assert result.columns == ["plan"]
+        assert mb_none_engine.epoch_of("OAO") == epoch  # nothing written
+
+    def test_explain_analyze_insert_is_refused(self, mb_none_engine):
+        with pytest.raises(ValueError):
+            mb_none_engine.execute(
+                "EXPLAIN ANALYZE INSERT INTO OAO (id, name) VALUES (91002, 'x')"
+            )
+
+    def test_explain_method_accepts_explain_prefix(self, mb_none_engine):
+        assert mb_none_engine.explain("EXPLAIN " + TWO_WAY) == mb_none_engine.explain(
+            TWO_WAY
+        )
+
+    def test_plan_for_is_the_first_join_shape(self, mb_none_engine):
+        plan = mb_none_engine.plan_for(TWO_WAY, ExecutionMode.AES)
+        assert set(plan.estimates) == {"PPL", "OAO"}
+        assert plan.clean_first in plan.estimates

@@ -140,6 +140,22 @@ class TestSaveLoad:
         assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
         assert warm.statistics_of("ppl").to_state() == engine.statistics_of("ppl").to_state()
 
+    def test_manifest_with_legacy_optimizer_keys_loads(self, tmp_path):
+        """Manifests written while a plan enumerator existed carry
+        ``optimizer`` and ``plan_cache_size``; both keys are ignored."""
+        engine = make_engine()
+        manifest = engine.save(tmp_path)
+        assert "optimizer" not in manifest["engine"]
+        assert "plan_cache_size" not in manifest["engine"]
+        manifest["engine"]["optimizer"] = False
+        manifest["engine"]["plan_cache_size"] = 0
+        write_manifest(tmp_path, manifest)
+        warm = QueryEREngine.load(tmp_path)
+        fresh = make_engine()
+        for sql in (QUERY, "SELECT DEDUP id, surname FROM PPL WHERE state = 'vic'"):
+            assert warm.execute(sql).sorted_rows() == fresh.execute(sql).sorted_rows()
+        assert warm.plan_cache.snapshot()["size"] == 2
+
     def test_manifest_with_legacy_packed_flags_loads(self, tmp_path):
         """Manifests written while two candidate derivations existed carry
         ``packed_graph``/``packed_blocking``; both keys are ignored."""
@@ -193,6 +209,13 @@ class TestSaveLoad:
         engine.save(tmp_path)
         with pytest.raises(TypeError, match="execution"):
             QueryEREngine.load(tmp_path, execution=2)
+
+    @pytest.mark.parametrize("override", ["optimizer", "plan_cache_size"])
+    def test_removed_plan_setting_is_refused(self, tmp_path, override):
+        engine = make_engine()
+        engine.save(tmp_path)
+        with pytest.raises(TypeError, match=override):
+            QueryEREngine.load(tmp_path, **{override: 0})
 
     def test_multi_table_snapshot(self, tmp_path):
         engine = make_engine()

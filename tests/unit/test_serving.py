@@ -11,6 +11,7 @@ import urllib.request
 import pytest
 
 from repro.core.engine import QueryEREngine
+from repro.core.epoch_cache import EpochCache, epoch_key
 from repro.datagen import generate_people
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.serving import (
@@ -20,11 +21,9 @@ from repro.serving import (
     LatencyRecorder,
     OverloadError,
     RequestTimeout,
-    ResultCache,
     ServiceMetrics,
     SingleFlight,
     make_server,
-    result_key,
 )
 from repro.storage.table import Table
 
@@ -186,15 +185,17 @@ def _entry(epochs):
 
 
 class TestResultCache:
+    """The serving result cache is an :class:`EpochCache`."""
+
     def test_epoch_in_key_separates_snapshots(self):
-        cache = ResultCache(8)
-        cache.put(result_key("q", "aes", {"t": 1}), _entry({"t": 1}))
-        assert cache.get(result_key("q", "aes", {"t": 1})) is not None
-        assert cache.get(result_key("q", "aes", {"t": 2})) is None
-        assert cache.get(result_key("q", "nes", {"t": 1})) is None
+        cache = EpochCache(8)
+        cache.put(epoch_key("q", "aes", {"t": 1}), _entry({"t": 1}))
+        assert cache.get(epoch_key("q", "aes", {"t": 1})) is not None
+        assert cache.get(epoch_key("q", "aes", {"t": 2})) is None
+        assert cache.get(epoch_key("q", "nes", {"t": 1})) is None
 
     def test_lru_eviction(self):
-        cache = ResultCache(2)
+        cache = EpochCache(2)
         for i in range(3):
             cache.put(("q%d" % i, "aes", frozenset()), _entry({}))
         assert cache.get(("q0", "aes", frozenset())) is None
@@ -202,17 +203,17 @@ class TestResultCache:
         assert cache.stats["evictions"] == 1
 
     def test_evict_stale_drops_old_epochs_only(self):
-        cache = ResultCache(8)
-        cache.put(result_key("q1", "aes", {"t": 1}), _entry({"t": 1}))
-        cache.put(result_key("q2", "aes", {"t": 2, "u": 1}), _entry({"t": 2, "u": 1}))
+        cache = EpochCache(8)
+        cache.put(epoch_key("q1", "aes", {"t": 1}), _entry({"t": 1}))
+        cache.put(epoch_key("q2", "aes", {"t": 2, "u": 1}), _entry({"t": 2, "u": 1}))
         dropped = cache.evict_stale({"t": 2, "u": 1})
         assert dropped == 1
         assert len(cache) == 1
         assert cache.stats["invalidations"] == 1
-        assert cache.get(result_key("q2", "aes", {"t": 2, "u": 1})) is not None
+        assert cache.get(epoch_key("q2", "aes", {"t": 2, "u": 1})) is not None
 
     def test_zero_capacity_disables(self):
-        cache = ResultCache(0)
+        cache = EpochCache(0)
         cache.put(("q", "aes", frozenset()), _entry({}))
         assert cache.get(("q", "aes", frozenset())) is None
 
@@ -492,7 +493,7 @@ class TestPlanCacheInMetrics:
         probe = SQL + " LIMIT 7"  # unique spelling: bypass the result cache
         _post(url, "/query", {"sql": probe})
         before = engine.plan_cache.snapshot()["hits"]
-        service.cache.clear()  # force re-execution, not a cached answer
+        service.cache.invalidate()  # force re-execution, not a cached answer
         _post(url, "/query", {"sql": probe})
         assert engine.plan_cache.snapshot()["hits"] > before
 
