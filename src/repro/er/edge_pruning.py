@@ -89,15 +89,21 @@ def generate_span_segments(
     position = np.arange(len(rows), dtype=np.int64)
     # Exclusive end of each row's block, relative to the first block.
     ends = np.repeat(indptr[1:] - base, sizes)
+    # Row r's j-th partner is partners[first[r] + j]: a focus row pairs
+    # with every later row of its block, a non-focus row with every
+    # later focus row, read from a second table holding the focus rows
+    # alone.
     if in_focus is None:
-        focus_row = None
-        counts = ends - position - 1
+        partners = rows
+        first = position + 1
+        counts = ends - first
     else:
         focus_row = np.frombuffer(in_focus, dtype=np.uint8).view(np.bool_)[rows]
-        focus_positions = np.flatnonzero(focus_row)
         # focus_before[x]: focus rows among span positions < x.
         focus_before = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(focus_row, out=focus_before[1:])
+        partners = np.concatenate((rows, rows[focus_row]))
+        first = np.where(focus_row, position + 1, len(rows) + focus_before[position + 1])
         counts = np.where(
             focus_row,
             ends - position - 1,
@@ -112,6 +118,7 @@ def generate_span_segments(
         cardinality = sizes * (sizes - 1) // 2
         reciprocal = np.zeros(len(sizes), dtype=np.float64)
         np.divide(1.0, cardinality, out=reciprocal, where=cardinality > 0)
+        row_reciprocal = reciprocal[block_of]
         values = np.empty(total, dtype=np.float64)
     # Each pass ends at the last row finishing within the next multiple
     # of _PAIRS_PER_PASS pairs (a pass holds at most one more row).
@@ -119,56 +126,61 @@ def generate_span_segments(
         pair_end, np.arange(_PAIRS_PER_PASS, total, _PAIRS_PER_PASS), side="right"
     ).tolist()
     for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
-        if lo == hi:
+        start = int(pair_end[lo - 1]) if lo else 0
+        stop = int(pair_end[hi - 1]) if hi else 0
+        if start == stop:
             continue
         row_counts = counts[lo:hi]
-        row_starts = pair_end[lo:hi] - row_counts
-        out = slice(int(row_starts[0]), int(pair_end[hi - 1]))
-        left = np.repeat(position[lo:hi], row_counts)
-        # Rank of each pair among its row's pairs.
-        offset = np.arange(out.start, out.stop, dtype=np.int64) - np.repeat(
-            row_starts, row_counts
-        )
-        right = left + 1 + offset
-        if focus_row is not None:
-            # A non-focus row's partners are the focus rows after it.
-            others = ~np.repeat(focus_row[lo:hi], row_counts)
-            first_later_focus = np.repeat(focus_before[lo + 1 : hi + 1], row_counts)
-            right[others] = focus_positions[first_later_focus[others] + offset[others]]
-        np.multiply(rows[left], n, out=keys[out])
-        keys[out] += rows[right]
+        # Each pair's partner index: its row's first partner plus the
+        # pair's rank among the row's pairs.
+        index = np.repeat(first[lo:hi] - (pair_end[lo:hi] - row_counts), row_counts)
+        index += np.arange(start, stop, dtype=np.int64)
+        out = keys[start:stop]
+        np.multiply(np.repeat(rows[lo:hi], row_counts), n, out=out)
+        out += partners[index]
         if need_arcs:
-            values[out] = reciprocal[block_of[left]]
+            values[start:stop] = np.repeat(row_reciprocal[lo:hi], row_counts)
     return keys, values, block_counts
 
 
 def reduce_span_segments(keys: Any, values: Any, need_arcs: bool) -> Tuple[Any, Any]:
     """Generated pairs → ``(edge_keys, edge_stats)``, edges by ascending key.
 
-    One stable argsort groups each key's contributions in global block
-    visit order; ARCS sums then accumulate them strictly left to right
-    (``np.add.at`` is unbuffered and applies its operands in order,
-    where a segmented reduction may reassociate them), and CBS counts
-    are the group lengths.
+    CBS counts are the run lengths of the sorted keys.  ARCS sums need
+    each key's contributions in global block visit order, so the keys
+    are sorted stably: as one plain sort of ``key * m + position``
+    composites where that cannot overflow int64 (a stable argsort
+    otherwise).  ``np.bincount`` then adds each edge's reciprocals
+    strictly left to right in that order, where a segmented reduction
+    may reassociate them.
     """
-    empty_stats = np.empty(0, dtype=np.float64 if need_arcs else np.int64)
-    if not len(keys):
-        return np.empty(0, dtype=np.int64), empty_stats
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.nonzero(np.diff(sorted_keys))[0] + 1
-    starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
-    unique_keys = sorted_keys[starts]
-    if need_arcs:
-        edge_of = np.zeros(len(sorted_keys), dtype=np.int64)
-        edge_of[boundaries] = 1
-        np.cumsum(edge_of, out=edge_of)
-        sums = np.zeros(len(unique_keys), dtype=np.float64)
-        np.add.at(sums, edge_of, values[order])
+    m = len(keys)
+    if not m:
+        return np.empty(0, dtype=np.int64), np.empty(
+            0, dtype=np.float64 if need_arcs else np.int64
+        )
+    if not need_arcs:
+        sorted_keys = np.sort(keys)
+    elif (int(keys.max()) + 1) * m <= np.iinfo(np.int64).max:
+        composite = keys * m
+        composite += np.arange(m, dtype=np.int64)
+        composite.sort()
+        sorted_keys = composite // m
+        order = composite
+        order -= sorted_keys * m
     else:
-        stops = np.concatenate((boundaries, np.array([len(sorted_keys)], dtype=np.int64)))
-        sums = stops - starts
-    return unique_keys, sums
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+    first = np.empty(m, dtype=np.bool_)
+    first[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    unique_keys = sorted_keys[starts]
+    if not need_arcs:
+        return unique_keys, np.diff(starts, append=m)
+    edge_of = np.cumsum(first)
+    edge_of -= 1
+    return unique_keys, np.bincount(edge_of, weights=values[order], minlength=len(starts))
 
 
 class BlockingGraph:

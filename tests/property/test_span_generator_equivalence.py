@@ -9,7 +9,9 @@ kept here as the oracle.  Both must produce the same keys in the same
 order, the same ARCS reciprocals and the same block counts — and
 therefore bit-identical ``reduce_span_segments`` output — over random
 collections with block sizes 0–600, every focus shape and both
-weightings that read the generator (ARCS sums and CBS counts).
+weightings that read the generator (ARCS sums and CBS counts).  The
+reduction itself is checked against a stable-argsort, ``np.add.at``
+reference that accumulates each edge's contributions in input order.
 """
 
 from __future__ import annotations
@@ -138,6 +140,26 @@ def reference_span_segments(
     return keys, values, block_counts
 
 
+def reference_reduce(keys: Any, values: Any, need_arcs: bool):
+    """Edges by ascending key; ARCS sums accumulated in input order by an
+    unbuffered ``np.add.at`` over a stable argsort, CBS counts by
+    ``np.unique``."""
+    if not need_arcs:
+        return np.unique(keys, return_counts=True)
+    order = np.argsort(keys, kind="stable")
+    unique_keys, edge_of = np.unique(keys[order], return_inverse=True)
+    sums = np.zeros(len(unique_keys), dtype=np.float64)
+    np.add.at(sums, edge_of, values[order])
+    return unique_keys, sums
+
+
+def assert_same_edges(got, want) -> None:
+    assert got[0].dtype == np.int64
+    assert np.array_equal(got[0], want[0])
+    assert got[1].dtype == want[1].dtype
+    assert got[1].tobytes() == want[1].tobytes()
+
+
 #: Block sizes that straddle every tier boundary of the reference.
 EDGE_SIZES = (0, 1, 2, 3, 15, 16, 17, 255, 256, 257, 600)
 
@@ -192,11 +214,10 @@ def test_whole_span_equals_per_block_reference(seed, focus, need_arcs):
     want = reference_span_segments(members, indptr, n, in_focus, need_arcs)
     assert_same(got, want)
     # Reduced edges: ARCS sums and CBS counts, bit for bit.
-    edges = reduce_span_segments(got[0], got[1], need_arcs)
-    ref_edges = reduce_span_segments(want[0], want[1], need_arcs)
-    assert np.array_equal(edges[0], ref_edges[0])
-    assert edges[1].dtype == ref_edges[1].dtype
-    assert np.array_equal(edges[1], ref_edges[1])
+    assert_same_edges(
+        reduce_span_segments(got[0], got[1], need_arcs),
+        reference_reduce(want[0], want[1], need_arcs),
+    )
 
 
 @pytest.mark.parametrize("need_arcs", [True, False], ids=["arcs", "cbs"])
@@ -207,6 +228,32 @@ def test_no_blocks_yields_no_pairs(need_arcs):
     got = generate_span_segments(members, indptr, 5, in_focus, need_arcs)
     assert_same(got, reference_span_segments(members, indptr, 5, in_focus, need_arcs))
     assert not len(got[0]) and not got[2].any()
+
+
+@pytest.mark.parametrize("need_arcs", [True, False], ids=["arcs", "cbs"])
+@pytest.mark.parametrize("top", [50, 2**40, 2**62], ids=["dense", "wide", "overflowing"])
+def test_reduce_sums_repeated_keys_in_input_order(need_arcs, top):
+    """Keys repeated many times, with contributions whose sum depends on
+    the order they are added in.  Keys near 2**62 times the key count
+    overflow the sort composites and take the stable-argsort path."""
+    rng = np.random.default_rng(top % 1000)
+    distinct = rng.choice(top, size=40, replace=False).astype(np.int64)
+    keys = distinct[rng.integers(0, len(distinct), size=3000)]
+    values = rng.random(len(keys)) * rng.choice([1e-8, 1.0, 1e8], size=len(keys))
+    assert_same_edges(
+        reduce_span_segments(keys, values if need_arcs else None, need_arcs),
+        reference_reduce(keys, values, need_arcs),
+    )
+
+
+@pytest.mark.parametrize("need_arcs", [True, False], ids=["arcs", "cbs"])
+def test_reduce_of_no_pairs_is_empty(need_arcs):
+    edge_keys, edge_stats = reduce_span_segments(
+        np.empty(0, dtype=np.int64), np.empty(0) if need_arcs else None, need_arcs
+    )
+    assert edge_keys.dtype == np.int64 and not len(edge_keys)
+    assert edge_stats.dtype == (np.float64 if need_arcs else np.int64)
+    assert not len(edge_stats)
 
 
 @pytest.mark.parametrize("size", EDGE_SIZES)
