@@ -146,31 +146,19 @@ def generate_span_segments(
 def reduce_span_segments(keys: Any, values: Any, need_arcs: bool) -> Tuple[Any, Any]:
     """Generated pairs → ``(edge_keys, edge_stats)``, edges by ascending key.
 
-    CBS counts are the run lengths of the sorted keys.  ARCS sums need
-    each key's contributions in global block visit order, so the keys
-    are sorted stably: as one plain sort of ``key * m + position``
-    composites where that cannot overflow int64 (a stable argsort
-    otherwise).  ``np.bincount`` then adds each edge's reciprocals
-    strictly left to right in that order, where a segmented reduction
-    may reassociate them.
+    One stable argsort groups each key's contributions in global block
+    visit order.  CBS counts are the group lengths; ARCS sums add each
+    edge's reciprocals with ``np.bincount``, which accumulates strictly
+    left to right in that order, where a segmented reduction may
+    reassociate them.
     """
     m = len(keys)
     if not m:
         return np.empty(0, dtype=np.int64), np.empty(
             0, dtype=np.float64 if need_arcs else np.int64
         )
-    if not need_arcs:
-        sorted_keys = np.sort(keys)
-    elif (int(keys.max()) + 1) * m <= np.iinfo(np.int64).max:
-        composite = keys * m
-        composite += np.arange(m, dtype=np.int64)
-        composite.sort()
-        sorted_keys = composite // m
-        order = composite
-        order -= sorted_keys * m
-    else:
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
     first = np.empty(m, dtype=np.bool_)
     first[0] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])

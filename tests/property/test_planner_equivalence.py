@@ -2,8 +2,8 @@
 
 :class:`~repro.core.planner.DedupQueryPlanner` picks which side of a
 DEDUP query's first join is cleaned first.  Whichever side it picks, and
-wherever the plan comes from — a fresh planning, the plan cache, or the
-statistics a warm-restarted engine read from its snapshot — the rows
+wherever the plan comes from — a fresh planning, the plan cache, or an
+engine warm-restarted from a snapshot — the rows
 equal those of NES (both branches cleaned independently, Fig. 6) and of
 BATCH (every table cleaned before the query, §5).  Meta-blocking is off
 so equality is provable (the same convention as
@@ -95,13 +95,12 @@ def test_clean_first_plan_answers_like_the_reference_modes(mode, dataset, qid):
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 @pytest.mark.parametrize("qid", sorted(QUERIES))
 def test_answers_survive_a_warm_restart(dataset, qid, tmp_path):
-    """A warm-restarted engine plans with the statistics and join
-    percentages its snapshot carried, not freshly sampled ones."""
+    """An engine loaded from a snapshot plans from its restored blocking
+    indices and Link Index and answers like a fresh engine."""
     tables = _tables(DATASETS[dataset])
     sql = QUERIES[qid]
     fresh = _engine(tables).execute(sql)
     saved = _engine(tables)
-    saved.execute("EXPLAIN " + sql)  # read the estimates, so the snapshot keeps them
     saved.save(tmp_path / "snapshot")
     with QueryEREngine.load(tmp_path / "snapshot") as loaded:
         restarted = loaded.execute(sql)
