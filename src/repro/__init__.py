@@ -29,10 +29,8 @@ delta-aware index maintenance instead of a rebuild (see
 
 from repro.core import (
     DedupResult,
-    DeduplicateJoinOperator,
     DeduplicateOperator,
     ExecutionMode,
-    JoinType,
     QueryEREngine,
     batch_deduplicate,
 )
@@ -49,8 +47,6 @@ __all__ = [
     "IngestResult",
     "InvalidationPolicy",
     "DeduplicateOperator",
-    "DeduplicateJoinOperator",
-    "JoinType",
     "DedupResult",
     "batch_deduplicate",
     "Table",

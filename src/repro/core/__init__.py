@@ -1,7 +1,9 @@
 """QueryER core: the analysis-aware deduplication framework.
 
 The public surface of the paper's contribution: the engine facade, the
-three ER operators, the per-table indices and the cost-based planner.
+Deduplicate operator, Group-Entities, the per-table indices and the
+cost-based planner, whose executor runs the Deduplicate-Join
+(Algs. 1–2) over its join state.
 """
 
 from repro.core.engine import QueryEREngine
@@ -12,11 +14,6 @@ from repro.core.planner import (
     ExecutionMode,
 )
 from repro.core.dedup_operator import DeduplicateOperator, DedupStats
-from repro.core.dedup_join import (
-    DeduplicateJoinOperator,
-    JoinedDedupResult,
-    JoinType,
-)
 from repro.core.group_entities import group_single
 from repro.core.indices import LinkIndex, TableIndex
 from repro.core.result import DedupResult, GroupedEntity, group_cluster, merge_values
@@ -32,9 +29,6 @@ __all__ = [
     "DedupPlanningError",
     "DeduplicateOperator",
     "DedupStats",
-    "DeduplicateJoinOperator",
-    "JoinedDedupResult",
-    "JoinType",
     "group_single",
     "LinkIndex",
     "TableIndex",

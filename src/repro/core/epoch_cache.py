@@ -22,8 +22,9 @@ layer calls it on every epoch advance).
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Tuple
+
+from repro.er.util import LRUCache
 
 
 def epoch_key(
@@ -33,52 +34,13 @@ def epoch_key(
     return (normalized_sql, mode, frozenset(epochs.items()))
 
 
-class EpochCache:
-    """Lock-guarded LRU over :func:`epoch_key`-keyed entries.
-
-    ``capacity <= 0`` disables caching (every ``get`` misses, ``put`` is
-    a no-op), so a cold path can be measured and tested without a second
-    code path.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._data: Dict[Hashable, Any] = {}
-        self.stats = {"hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def get(self, key: Hashable) -> Optional[Any]:
-        with self._lock:
-            if key not in self._data:
-                self.stats["misses"] += 1
-                return None
-            entry = self._data.pop(key)
-            self._data[key] = entry  # re-insert: most recently used
-            self.stats["hits"] += 1
-            return entry
-
-    def put(self, key: Hashable, entry: Any) -> None:
-        if self.capacity <= 0:
-            return
-        with self._lock:
-            if key in self._data:
-                del self._data[key]
-            elif len(self._data) >= self.capacity:
-                del self._data[next(iter(self._data))]
-                self.stats["evictions"] += 1
-            self._data[key] = entry
+class EpochCache(LRUCache):
+    """The lock-guarded :class:`~repro.er.util.LRUCache` over
+    :func:`epoch_key`-keyed entries, plus the two epoch-aware drops."""
 
     def invalidate(self) -> int:
         """Drop every entry; returns the number dropped."""
-        with self._lock:
-            dropped = len(self._data)
-            self._data.clear()
-            self.stats["invalidations"] += dropped
-            return dropped
+        return self.clear()
 
     def evict_stale(self, current_epochs: Dict[str, int]) -> int:
         """Drop entries whose snapshot disagrees with *current_epochs*.

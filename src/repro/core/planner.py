@@ -25,15 +25,13 @@ DQ-Correctness requirement.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.batch import batch_deduplicate
-from repro.core.dedup_join import JoinType, _join_value
 from repro.core.indices import TableIndex
 from repro.core.result import DedupResult, merge_values
-from repro.core.statistics import ComparisonEstimator
+from repro.core.statistics import ComparisonEstimator, join_value
 from repro.sql import ast
 from repro.sql.expressions import (
     compile_predicate,
@@ -515,14 +513,14 @@ class DedupQueryExecutor:
         """Alg. 1 line 4/9 against a clean DR (values of all duplicates)."""
         with context.timed("other"):
             clean_values = {
-                _join_value(row[clean_column])
+                join_value(row[clean_column])
                 for row in clean_dr.rows()
                 if row[clean_column] is not None
             }
             kept: Set[Any] = set()
             for row in dirty_info.qe_rows():
                 value = row[dirty_column]
-                if value is not None and _join_value(value) in clean_values:
+                if value is not None and join_value(value) in clean_values:
                     kept.add(row.id)
         return kept
 
@@ -539,7 +537,7 @@ class DedupQueryExecutor:
         left_column = step.left_column
         with context.timed("other"):
             accumulated_values = {
-                _join_value(combo[position][left_column])
+                join_value(combo[position][left_column])
                 for combo in state.rows
                 if combo[position][left_column] is not None
             }
@@ -547,7 +545,7 @@ class DedupQueryExecutor:
                 row.id
                 for row in right_info.qe_rows()
                 if row[step.right_column] is not None
-                and _join_value(row[step.right_column]) in accumulated_values
+                and join_value(row[step.right_column]) in accumulated_values
             }
         right_dr = self.engine.dedup_operator(right_info.index).deduplicate(reduced, context)
         return self._join_clean(state, step, right_dr, right_info.binding, context)
@@ -574,7 +572,7 @@ class DedupQueryExecutor:
                 value = row[step.right_column]
                 if value is None:
                     continue
-                right_by_value.setdefault(_join_value(value), []).append(row)
+                right_by_value.setdefault(join_value(value), []).append(row)
 
             # Group accumulated combos by the left binding's cluster.
             representative = left_result.links.representative
@@ -591,7 +589,7 @@ class DedupQueryExecutor:
                     if value is None:
                         continue
                     matched.update(
-                        right_row.id for right_row in right_by_value.get(_join_value(value), ())
+                        right_row.id for right_row in right_by_value.get(join_value(value), ())
                     )
                 if not matched:
                     continue

@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.dedup_join import _join_value
 from repro.core.indices import TableIndex
 from repro.er.block_filtering import DEFAULT_RATIO
 from repro.er.block_purging import SMOOTHING_FACTOR
@@ -242,11 +241,7 @@ def _count_duplicates(index: TableIndex, matcher: ProfileMatcher, rows: List[Row
     """Matching pairs among *rows*, all pairs in one batched call."""
     if len(rows) < 2:
         return 0
-    private = ProfileMatcher(
-        similarity=matcher.similarity,
-        threshold=matcher.threshold,
-        exclude=matcher.exclude,
-    )
+    private = ProfileMatcher(threshold=matcher.threshold, exclude=matcher.exclude)
     pairs = list(combinations([row.id for row in rows], 2))
     return len(private.match_pair_indices(pairs, index.signatures))
 
@@ -262,7 +257,8 @@ def join_percentage(
     The paper pre-computes it per table pair (§7.2.1: "we pre-compute
     for every table pair the percentage of entities that join"); the
     engine computes it on first read and caches it until an insert.
-    Join values are folded exactly as the Deduplicate-Join folds them.
+    Join values are folded by :func:`join_value`, as the Deduplicate-Join
+    folds them.
     """
     left_values = _join_value_counts(left.table, left_column)
     right_values = _join_value_counts(right.table, right_column)
@@ -273,6 +269,13 @@ def join_percentage(
     return left_joining / left_total, right_joining / right_total
 
 
+def join_value(value: Any) -> Any:
+    """Case-folded join key so dirty string variants still hash-join."""
+    if isinstance(value, str):
+        return value.lower()
+    return value
+
+
 def _join_value_counts(table: Table, column: str) -> Counter:
     values = table.column_values()[table.schema.position(column)]
-    return Counter(_join_value(value) for value in values if value is not None)
+    return Counter(join_value(value) for value in values if value is not None)

@@ -1,8 +1,9 @@
 """Entity-Resolution toolkit: blocking, meta-blocking, matching, metrics.
 
 Implements the batch-ER machinery the paper builds on (Papadakis et al.'s
-schema-agnostic Token Blocking and Meta-Blocking) plus the string
-similarity functions and match clustering used by Comparison-Execution.
+schema-agnostic Token Blocking and Meta-Blocking) plus the Jaro-Winkler
+kernels, the profile matcher and the match clustering used by
+Comparison-Execution.
 """
 
 from repro.er.tokenizer import TokenVocabulary, tokenize_value, tokenize_entity
@@ -10,21 +11,7 @@ from repro.er.util import LRUCache, ordered_pair, safe_sorted
 from repro.er.blocking import NGramBlocking, TokenBlocking
 from repro.er.edge_pruning import BlockingGraph, WeightingScheme
 from repro.er.meta_blocking import MetaBlockingConfig
-from repro.er.similarity import (
-    dice,
-    jaccard,
-    jaccard_sorted_ids,
-    jaro,
-    jaro_fast,
-    jaro_winkler,
-    jaro_winkler_char_bound,
-    jaro_winkler_fast,
-    levenshtein,
-    monge_elkan,
-    normalized_levenshtein,
-    overlap_coefficient,
-    token_jaccard,
-)
+from repro.er.similarity import jaro, jaro_fast, jaro_winkler_fast
 from repro.er.matching import ProfileMatcher, SignatureColumns, SignatureRow
 from repro.er.clustering import UnionFind, connected_components
 from repro.er.linkset import LinkSet
@@ -42,19 +29,9 @@ __all__ = [
     "BlockingGraph",
     "WeightingScheme",
     "MetaBlockingConfig",
-    "dice",
-    "jaccard",
-    "jaccard_sorted_ids",
     "jaro",
     "jaro_fast",
-    "jaro_winkler",
-    "jaro_winkler_char_bound",
     "jaro_winkler_fast",
-    "levenshtein",
-    "monge_elkan",
-    "normalized_levenshtein",
-    "overlap_coefficient",
-    "token_jaccard",
     "ProfileMatcher",
     "SignatureColumns",
     "SignatureRow",

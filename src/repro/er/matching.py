@@ -13,10 +13,10 @@ so both aligned typo-level variation and cross-attribute value shuffling
 ``description`` on another) are caught.  A pair matches when that
 similarity reaches the threshold.
 
-The matcher additionally understands a table's
+:meth:`ProfileMatcher.match_pair_indices` decides it over a table's
 :class:`SignatureColumns` (built by :class:`~repro.core.indices.TableIndex`
-at registration and amended per ``INSERT`` batch) and runs a
-cheap-to-expensive cascade over them:
+at registration and amended per ``INSERT`` batch) with a
+cheap-to-expensive cascade:
 
 1. interned-token Jaccard — can *accept* on its own, since the profile
    similarity is a max;
@@ -31,24 +31,21 @@ monotonicity argument (adding non-negative attribute scores never
 lowers a partial mean below the threshold it already reached), every
 reject by a sound upper bound kept ``BOUND_SLACK`` clear of the
 threshold so float rounding cannot flip a borderline pair, and undecided
-pairs complete the identical slow-path computation.
+pairs complete the exact computation.
 
-:meth:`ProfileMatcher.match_pair_indices` is the batched entry point
-every product path goes through: stages 1 and 2 run as popcount kernels
-over per-chunk bitsets gathered from the columns — a token intersection
-is ``popcount(tokens_a & tokens_b)``, a slot's character intersection
-``popcount(elements_a & elements_b)`` — feeding
-``similarity.jaro_winkler_char_bound_batch``; only the undecided
-remainder reaches the scalar stage 3, with the batch's per-attribute
-bounds, which equal the scalar bounds bit for bit.
-:meth:`ProfileMatcher.match_signatures` is the single-pair form of the
-same cascade over :class:`SignatureRow` views, and the reference the
-batch is tested against.
+Stages 1 and 2 run as popcount kernels over per-chunk bitsets gathered
+from the columns — a token intersection is ``popcount(tokens_a &
+tokens_b)``, a slot's character intersection ``popcount(elements_a &
+elements_b)`` — feeding ``similarity.jaro_winkler_char_bound_batch``;
+only the undecided remainder reaches the scalar stage 3, with the
+batch's per-attribute bounds.  The scalar form of the cascade and the
+profile similarity it decides live in the test suite's reference
+oracle (``tests/reference/signature_oracle.py``), which the batch is
+tested against decision for decision and counter for counter.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain, compress
 from typing import (
     Any,
@@ -65,29 +62,17 @@ from typing import (
 
 import numpy as np
 
-from repro.er.similarity import (
-    jaccard,
-    jaccard_sorted_ids,
-    jaro_winkler,
-    jaro_winkler_char_bound,
-    jaro_winkler_char_bound_batch,
-    jaro_winkler_fast,
-)
-from repro.er.tokenizer import (
-    TokenVocabulary,
-    normalize_value,
-    tokenize_entity,
-    tokenize_value,
-)
+from repro.er.similarity import jaro_winkler_char_bound_batch, jaro_winkler_fast
+from repro.er.tokenizer import TokenVocabulary, normalize_value, tokenize_value
 from repro.er.util import GrowableArray, LRUCache, gather_ranges
 
 #: Default match-decision threshold on the mean attribute similarity.
 DEFAULT_THRESHOLD = 0.75
 
-#: Default entry bound of the matcher's pair-score memo.
-#: Sized for sustained traffic: large enough that one query's working set
-#: fits comfortably, bounded so a year of queries cannot grow it further.
-DEFAULT_CACHE_CAPACITY = 1 << 18
+#: Entry bound of the matcher's pair-score memo: large enough that one
+#: query's working set fits comfortably, bounded so a year of queries
+#: cannot grow it further.
+_MEMO_CAPACITY = 1 << 18
 
 #: Slack used when an upper bound argues a pair *cannot* reach the
 #: threshold: rejection requires ``bound < threshold - BOUND_SLACK`` so
@@ -113,9 +98,6 @@ _BUILD_BLOCK = 1 << 15
 #: Pairs per NumPy pass within a chunk: the gathered temporaries
 #: (pairs x words) stay cache-sized and are reused slice to slice.
 _SCREEN_ROWS = 1 << 11
-
-SimilarityFn = Callable[[str, str], float]
-
 
 class SignatureColumns:
     """A table's profile signatures as columns over its row positions.
@@ -145,7 +127,7 @@ class SignatureColumns:
     Normalized strings are not stored: stage 3 normalizes the raw
     values of each pair it scores, which gives the same strings, so the
     same floats.  ``columns[entity_id]`` is the entity's
-    :class:`SignatureRow`, what the scalar cascade reads.
+    :class:`SignatureRow`.
     """
 
     def __init__(
@@ -420,49 +402,14 @@ class SignatureColumns:
 
 
 class SignatureRow:
-    """One row of :class:`SignatureColumns`: the scalar cascade's view.
-
-    Exposes what :meth:`ProfileMatcher.match_signatures` reads —
-    ``token_ids``, ``norms``, ``char_counts``, ``attributes`` and
-    ``exclude`` — derived from the columns and the table row on each
-    read; the batched cascade only reads :attr:`columns` and
-    :attr:`row`.
-    """
+    """One row of :class:`SignatureColumns`: the handle
+    ``columns[entity_id]`` returns, naming the columns and the row."""
 
     __slots__ = ("columns", "row")
 
     def __init__(self, columns: SignatureColumns, row: int):
         self.columns = columns
         self.row = row
-
-    @property
-    def exclude(self) -> FrozenSet[str]:
-        return self.columns.exclude
-
-    @property
-    def attributes(self) -> Mapping[str, Any]:
-        return self.columns.attributes_of(self.row)
-
-    @property
-    def normalized(self) -> Tuple[Optional[str], ...]:
-        return self.columns.normalized_of(self.row)
-
-    @property
-    def token_ids(self) -> Tuple[int, ...]:
-        return self.columns.token_ids_of(self.row)
-
-    @property
-    def norms(self) -> Dict[str, str]:
-        """Attribute name → normalized value of each comparable slot."""
-        return {
-            name: norm
-            for name, norm in zip(self.columns.names, self.normalized)
-            if norm is not None
-        }
-
-    @property
-    def char_counts(self) -> Dict[str, Counter]:
-        return {name: Counter(norm) for name, norm in self.norms.items()}
 
     def __repr__(self) -> str:
         return f"SignatureRow(row {self.row} of {self.columns!r})"
@@ -472,14 +419,15 @@ class PendingPairs:
     """What a screened candidate list leaves for the scalar stage 3.
 
     Row ``i`` describes the pair at ``positions[i]`` of the candidate
-    list: its per-slot Jaro-Winkler upper bounds (0.0 in slots not
-    comparable for the pair) and their in-order sum.
+    list: its two table rows, its per-slot Jaro-Winkler upper bounds
+    (0.0 in slots not comparable for the pair) and their in-order sum.
     """
 
-    __slots__ = ("positions", "total_bounds", "bounds")
+    __slots__ = ("positions", "rows", "total_bounds", "bounds")
 
-    def __init__(self, positions, total_bounds, bounds):
+    def __init__(self, positions, rows, total_bounds, bounds):
         self.positions = positions
+        self.rows = rows
         self.total_bounds = total_bounds
         self.bounds = bounds
 
@@ -489,9 +437,15 @@ class PendingPairs:
     @classmethod
     def concat(cls, parts: "Sequence[PendingPairs]", slots: int) -> "PendingPairs":
         if not parts:
-            return cls(np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, slots)))
+            return cls(
+                np.empty(0, dtype=np.int64),
+                np.empty((0, 2), dtype=np.int64),
+                np.empty(0),
+                np.empty((0, slots)),
+            )
         return cls(
             np.concatenate([part.positions for part in parts]),
+            np.concatenate([part.rows for part in parts]),
             np.concatenate([part.total_bounds for part in parts]),
             np.concatenate([part.bounds for part in parts]),
         )
@@ -602,181 +556,34 @@ class _ChunkBitsets:
 
 
 class ProfileMatcher:
-    """Compares two entity profiles attribute-by-attribute.
+    """Decides which candidate pairs of one table are duplicates.
 
     Parameters
     ----------
-    similarity:
-        Pairwise string similarity in [0, 1]; Jaro-Winkler by default.
     threshold:
-        Minimum mean similarity for :meth:`matches` to return True.
+        Minimum profile similarity for a pair to match.
     exclude:
         Attribute names ignored during comparison (the identifier column
-        must not vote — its values differ between duplicates by design).
-    cache_capacity:
-        Entry bound of the (value, value) → similarity memo, an LRU
-        cache so sustained query traffic cannot grow it without limit.
-
-    The signature cascade runs when *similarity* is the default
-    Jaro-Winkler (``fast_path``); any other similarity takes the exact
-    attribute path pair by pair.
+        must not vote — its values differ between duplicates by design);
+        they must be the exclusions the table's signature columns were
+        built under.
     """
 
-    def __init__(
-        self,
-        similarity: SimilarityFn = jaro_winkler,
-        threshold: float = DEFAULT_THRESHOLD,
-        exclude: Iterable[str] = (),
-        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-    ):
+    def __init__(self, threshold: float = DEFAULT_THRESHOLD, exclude: Iterable[str] = ()):
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be within [0, 1]")
-        self.similarity = similarity
         self.threshold = threshold
         self.exclude = frozenset(name.lower() for name in exclude)
-        # (value, value) → similarity memo: categorical attributes make
-        # the same string pair recur across thousands of comparisons.
-        self._pair_cache = LRUCache(cache_capacity)
-        # The cascade's upper bound is only valid for the default
-        # Jaro-Winkler (its prefix parameters are baked into the bound).
-        self.fast_path = similarity is jaro_winkler
-        # Undecided cascade pairs use the long-string-optimized (but
-        # bit-identical) Jaro-Winkler; the attribute path keeps the
-        # caller's function.
-        self._exact_similarity = (
-            jaro_winkler_fast if similarity is jaro_winkler else similarity
-        )
+        # (value, value) → Jaro-Winkler memo of stage 3: categorical
+        # attributes make the same string pair recur across comparisons.
+        self._pair_cache = LRUCache(_MEMO_CAPACITY)
         self.cascade_stats = {
             "pairs": 0,
             "jaccard_accepts": 0,
             "bound_rejects": 0,
             "exact_fallbacks": 0,
             "early_exits": 0,
-            "incompatible": 0,
         }
-
-    def profile_similarity(
-        self, left: Mapping[str, Any], right: Mapping[str, Any]
-    ) -> float:
-        """max(aligned-attribute mean, whole-profile token Jaccard).
-
-        An attribute is comparable when present and non-null on both
-        sides; with no comparable attribute the aligned signal is 0 (we
-        refuse to call two entirely-unknown entities duplicates on that
-        signal alone).
-        """
-        return max(
-            self._aligned_similarity(left, right),
-            self._token_similarity(left, right),
-        )
-
-    def _aligned_similarity(
-        self, left: Mapping[str, Any], right: Mapping[str, Any]
-    ) -> float:
-        # Only attributes present in *both* mappings can be comparable,
-        # so iterating the left mapping covers every candidate; its
-        # (insertion-ordered) iteration also fixes the float accumulation
-        # order the signature cascade reproduces exactly.
-        cache = self._pair_cache
-        similarity = self.similarity
-        right_get = right.get
-        total = 0.0
-        counted = 0
-        for name, lv in left.items():
-            if name.lower() in self.exclude:
-                continue
-            if lv is None:
-                continue
-            rv = right_get(name)
-            if rv is None:
-                continue
-            score = cache.get((lv, rv))
-            if score is None:
-                score = similarity(normalize_value(lv), normalize_value(rv))
-                # Store both orientations: similarity is symmetric and
-                # skipping the ordering step is cheaper than one repr().
-                cache[(lv, rv)] = score
-                cache[(rv, lv)] = score
-            total += score
-            counted += 1
-        if counted == 0:
-            return 0.0
-        return total / counted
-
-    def _token_similarity(
-        self, left: Mapping[str, Any], right: Mapping[str, Any]
-    ) -> float:
-        left_tokens = tokenize_entity(left, self.exclude)
-        right_tokens = tokenize_entity(right, self.exclude)
-        if not left_tokens or not right_tokens:
-            return 0.0
-        return jaccard(left_tokens, right_tokens)
-
-    # -- signature fast path ------------------------------------------------
-    def match_signatures(self, left: "SignatureRow", right: "SignatureRow") -> bool:
-        """Match decision over precomputed signatures, via the cascade.
-
-        Decision-identical to ``matches(left.attributes,
-        right.attributes)``: the cascade only short-circuits on proofs
-        (see module docstring) and otherwise completes the same exact
-        computation.  Signatures built under different exclusions than
-        this matcher's — or a matcher with a non-default similarity —
-        fall back entirely.
-        """
-        if (
-            not self.fast_path
-            or left.exclude != self.exclude
-            or right.exclude != self.exclude
-        ):
-            self.cascade_stats["incompatible"] += 1
-            return self.matches(left.attributes, right.attributes)
-        stats = self.cascade_stats
-        stats["pairs"] += 1
-        ids_a = left.token_ids
-        ids_b = right.token_ids
-        # The slow path scores token-less sides 0, not the two-empty-sets
-        # Jaccard of 1 — replicate exactly.
-        token_sim = jaccard_sorted_ids(ids_a, ids_b) if ids_a and ids_b else 0.0
-        threshold = self.threshold
-        if token_sim >= threshold:
-            stats["jaccard_accepts"] += 1
-            return True
-
-        # Stage 2: per-attribute upper bounds over the comparable
-        # attributes, visited in the same order the exact path uses.
-        right_norms = right.norms
-        right_counts = right.char_counts
-        left_counts = left.char_counts
-        values = []
-        bounds = []
-        total_bound = 0.0
-        for name, lv in left.norms.items():
-            rv = right_norms.get(name)
-            if rv is None:
-                continue
-            if lv == rv:
-                bound = 1.0
-            else:
-                bound = jaro_winkler_char_bound(
-                    lv, rv, left_counts[name], right_counts[name]
-                )
-            values.append((lv, rv))
-            bounds.append(bound)
-            total_bound += bound
-        counted = len(values)
-        if counted == 0:
-            # The aligned signal is exactly 0.0 and the token signal
-            # already failed the threshold (a zero threshold accepts at
-            # the Jaccard step above) — provably no match.
-            stats["bound_rejects"] += 1
-            return False
-        reject_below = threshold - BOUND_SLACK
-        if total_bound / counted < reject_below:
-            stats["bound_rejects"] += 1
-            return False
-
-        stats["exact_fallbacks"] += 1
-        return self._exact_decision(values, bounds, total_bound)
 
     def _exact_decision(
         self,
@@ -798,7 +605,6 @@ class ProfileMatcher:
         threshold = self.threshold
         reject_below = threshold - BOUND_SLACK
         cache = self._pair_cache
-        similarity = self._exact_similarity
         counted = len(values)
         total = 0.0
         remaining = total_bound
@@ -810,9 +616,9 @@ class ProfileMatcher:
             else:
                 score = cache.get((lv, rv))
                 if score is None:
-                    score = similarity(lv, rv)
-                    cache[(lv, rv)] = score
-                    cache[(rv, lv)] = score
+                    score = jaro_winkler_fast(lv, rv)
+                    cache.put((lv, rv), score)
+                    cache.put((rv, lv), score)
             total += score
             if (total + remaining) / counted < reject_below:
                 stats["early_exits"] += 1
@@ -822,7 +628,6 @@ class ProfileMatcher:
                 return True
         return total / counted >= threshold
 
-    # -- batched cascade -------------------------------------------------
     def match_pair_indices(
         self,
         pairs: "Sequence[Tuple[Any, Any]]",
@@ -833,23 +638,25 @@ class ProfileMatcher:
         The one entry point of Comparison-Execution.  Stages 1 and 2 of
         the cascade run array-at-a-time over the pairs (in chunks of
         :data:`_SCREEN_CHUNK` pairs); the undecided remainder goes to
-        :meth:`resolve_pending`, the scalar stage 3.  Every decision and
-        every ``cascade_stats`` counter equals what a loop of
-        :meth:`match_signatures` over the pairs would produce.
+        :meth:`resolve_pending`, the scalar stage 3.
 
-        *signatures* only needs ``__getitem__`` — a table's
-        :class:`SignatureColumns`, or any mapping to its rows.  Pairs
-        the batch cannot take — a matcher without the fast path, columns
-        built under other exclusions, a signature that is not a row of
-        the first pair's signature columns — go through
-        :meth:`match_signatures` one by one.
+        *signatures* is a table's :class:`SignatureColumns`, or any
+        mapping from the pairs' entity ids to rows of one such columns
+        object.  Columns built under other exclusions than the matcher's
+        raise :class:`ValueError`.
         """
         stop = len(pairs)
         if not stop:
             return []
-        columns = getattr(signatures[pairs[0][0]], "columns", None)
-        if not self.fast_path or columns is None or columns.exclude != self.exclude:
-            return self._match_each(pairs, range(stop), signatures)
+        if isinstance(signatures, SignatureColumns):
+            columns = signatures
+        else:
+            columns = signatures[pairs[0][0]].columns
+        if columns.exclude != self.exclude:
+            raise ValueError(
+                f"signature columns exclude {sorted(columns.exclude)}, "
+                f"the matcher {sorted(self.exclude)}"
+            )
         matched: List[int] = []
         remainders: List[PendingPairs] = []
         for low in range(0, stop, _SCREEN_CHUNK):
@@ -860,24 +667,10 @@ class ProfileMatcher:
             if pending is not None:
                 remainders.append(pending)
         pending = PendingPairs.concat(remainders, len(columns.names))
-        resolved = self.resolve_pending(pairs, signatures, pending)
+        resolved = self.resolve_pending(columns, pending)
         if resolved:
             matched.extend(resolved)
             matched.sort()
-        return matched
-
-    def _match_each(
-        self,
-        pairs: "Sequence[Tuple[Any, Any]]",
-        positions: Iterable[int],
-        signatures: "Mapping[Any, SignatureRow]",
-    ) -> "List[int]":
-        """The scalar cascade, pair by pair, over *positions*."""
-        matched: List[int] = []
-        for position in positions:
-            left, right = pairs[position]
-            if self.match_signatures(signatures[left], signatures[right]):
-                matched.append(position)
         return matched
 
     def _screen(
@@ -890,35 +683,16 @@ class ProfileMatcher:
     ) -> "Tuple[List[int], Optional[PendingPairs]]":
         """Stages 1–2 over ``pairs[low:high]``: accepted positions, remainder."""
         chunk = pairs[low:high]
-        positions = np.arange(low, high)
-        matched: List[int] = []
+        entities = chain.from_iterable(chunk)
         if signatures is columns:
-            # The columns themselves: every pair is theirs, rows in bulk.
-            table_rows = columns.rows_of(chain.from_iterable(chunk), 2 * len(chunk))
+            table_rows = columns.rows_of(entities, 2 * len(chunk))
         else:
-            entities = list(dict.fromkeys(chain.from_iterable(chunk)))
-            handles = [signatures[entity] for entity in entities]
-            usable = [getattr(handle, "columns", None) is columns for handle in handles]
-            if not all(usable):
-                # Rare: signatures of other columns.  Those pairs take the
-                # scalar cascade; the rest are screened as their own chunk.
-                unusable = {entity for entity, ok in zip(entities, usable) if not ok}
-                keep = [
-                    offset
-                    for offset, (left, right) in enumerate(chunk)
-                    if left not in unusable and right not in unusable
-                ]
-                kept = set(keep)
-                matched = self._match_each(
-                    pairs, (low + o for o in range(len(chunk)) if o not in kept), signatures
-                )
-                chunk = [chunk[offset] for offset in keep]
-                positions = positions[keep]
-                if not chunk:
-                    return matched, None
-            row_of = {
-                entity: handle.row for entity, handle, ok in zip(entities, handles, usable) if ok
-            }
+            row_of = {}
+            for entity in dict.fromkeys(entities):
+                handle = signatures[entity]
+                if handle.columns is not columns:
+                    raise ValueError("the pairs' signatures are rows of different columns")
+                row_of[entity] = handle.row
             table_rows = np.fromiter(
                 map(row_of.__getitem__, chain.from_iterable(chunk)),
                 dtype=np.int64,
@@ -944,7 +718,7 @@ class ProfileMatcher:
             # accumulation order, which a pairwise ``sum(axis=1)`` would
             # not keep.  No comparable attribute: the aligned signal is
             # exactly 0.0 and the token signal already failed — provably
-            # no match, counted with the bound rejects as in the scalar.
+            # no match, counted with the bound rejects.
             bounds, comparable = kernels.attribute_bounds(left, right)
             totals = np.zeros(len(left))
             for slot in range(bounds.shape[1]):
@@ -958,49 +732,48 @@ class ProfileMatcher:
             undecided.append(lower + open_rows)
             undecided_totals.append(totals[open_rows])
             undecided_bounds.append(bounds[open_rows])
-        accepted = positions[np.concatenate(accepted)]
-        undecided = positions[np.concatenate(undecided)]
+        accepted = np.concatenate(accepted)
+        undecided = np.concatenate(undecided)
         stats = self.cascade_stats
         stats["pairs"] += len(chunk)
         stats["jaccard_accepts"] += len(accepted)
         stats["bound_rejects"] += len(chunk) - len(accepted) - len(undecided)
         stats["exact_fallbacks"] += len(undecided)
-        # Positions the scalar cascade decided interleave with these.
-        matched = sorted(matched + accepted.tolist()) if matched else accepted.tolist()
+        matched = (low + accepted).tolist()
         if not len(undecided):
             return matched, None
         return matched, PendingPairs(
-            undecided, np.concatenate(undecided_totals), np.concatenate(undecided_bounds)
+            low + undecided,
+            table_rows.reshape(-1, 2)[undecided],
+            np.concatenate(undecided_totals),
+            np.concatenate(undecided_bounds),
         )
 
-    def resolve_pending(
-        self,
-        pairs: "Sequence[Tuple[Any, Any]]",
-        signatures: "Mapping[Any, SignatureRow]",
-        pending: PendingPairs,
-    ) -> "List[int]":
-        """Stage 3 over *pending*: the matching positions.
+    def resolve_pending(self, columns: SignatureColumns, pending: PendingPairs) -> "List[int]":
+        """Stage 3 over *pending*, pairs of rows of *columns*: the
+        matching positions.
 
         Each decision is a pure function of the two rows and the
         remainder's row.  Each row's values are normalized here, once
         per call.
         """
         matched: List[int] = []
-        normalized: Dict[Any, Tuple[Optional[str], ...]] = {}
+        normalized: Dict[int, Tuple[Optional[str], ...]] = {}
 
-        def normalized_of(entity: Any) -> Tuple[Optional[str], ...]:
-            norms = normalized.get(entity)
+        def normalized_of(row: int) -> Tuple[Optional[str], ...]:
+            norms = normalized.get(row)
             if norms is None:
-                norms = normalized[entity] = signatures[entity].normalized
+                norms = normalized[row] = columns.normalized_of(row)
             return norms
 
         rows = zip(
             pending.positions.tolist(),
+            pending.rows[:, 0].tolist(),
+            pending.rows[:, 1].tolist(),
             pending.total_bounds.tolist(),
             pending.bounds.tolist(),
         )
-        for position, total_bound, slot_bounds in rows:
-            left, right = pairs[position]
+        for position, left, right, total_bound, slot_bounds in rows:
             values = []
             bounds = []
             sides = zip(normalized_of(left), normalized_of(right), slot_bounds)
@@ -1024,7 +797,3 @@ class ProfileMatcher:
         measurements so no run inherits a warm similarity cache.
         """
         self._pair_cache.clear()
-
-    def matches(self, left: Mapping[str, Any], right: Mapping[str, Any]) -> bool:
-        """Whether the two profiles are duplicates under the threshold."""
-        return self.profile_similarity(left, right) >= self.threshold

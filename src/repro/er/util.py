@@ -1,7 +1,8 @@
 """Small shared helpers for the ER layer.
 
 Hosts the canonical-ordering utilities the ER modules share, the
-bounded LRU cache backing the matcher memos, and the growable arrays
+bounded LRU cache behind the matcher's pair memo and the engine's plan
+and result caches, and the growable arrays
 and range gather the table's CSR columns are built on.
 """
 
@@ -35,26 +36,27 @@ def ordered_pair(a: Any, b: Any) -> Tuple[Any, Any]:
 
 
 class LRUCache:
-    """A dict-backed least-recently-used cache with a hard capacity.
+    """A lock-guarded, dict-backed least-recently-used cache.
 
     Python dicts preserve insertion order, so re-inserting a key on
     every hit keeps the first key the least recently used one; eviction
-    pops it.  All operations are O(1).
+    pops it.  All operations are O(1).  ``capacity <= 0`` disables
+    caching (every ``get`` misses, ``put`` is a no-op), so a cold path
+    can be measured and tested without a second code path.
 
-    Every mutating operation is guarded by a lock: one engine may be
-    reached from several threads (serving handlers, for one), and the
-    hit path is a non-atomic pop-then-reinsert that would corrupt LRU
-    order (or drop entries) under concurrent access.
+    Reads and writes hold the lock: one engine may be reached from
+    several threads (serving handlers, for one), and the hit path is a
+    non-atomic pop-then-reinsert that would corrupt LRU order (or drop
+    entries) under concurrent access.  :attr:`stats` counts hits,
+    misses, evictions and the entries :meth:`clear` drops
+    (``invalidations``).
     """
 
-    __slots__ = ("capacity", "_data", "_lock")
-
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("LRU capacity must be at least 1")
         self.capacity = capacity
         self._data: Dict[Hashable, Any] = {}
         self._lock = threading.Lock()
+        self.stats = {"hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         with self._lock:
@@ -62,17 +64,22 @@ class LRUCache:
             try:
                 value = data.pop(key)
             except KeyError:
+                self.stats["misses"] += 1
                 return default
-            data[key] = value
+            data[key] = value  # re-insert: most recently used
+            self.stats["hits"] += 1
             return value
 
     def put(self, key: Hashable, value: Any) -> None:
+        if self.capacity <= 0:
+            return
         with self._lock:
             data = self._data
             if key in data:
                 del data[key]
             elif len(data) >= self.capacity:
                 del data[next(iter(data))]
+                self.stats["evictions"] += 1
             data[key] = value
 
     def __setitem__(self, key: Hashable, value: Any) -> None:
@@ -82,11 +89,16 @@ class LRUCache:
         return key in self._data
 
     def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
         with self._lock:
+            return len(self._data)
+
+    def clear(self) -> int:
+        """Drop every entry; returns the number dropped."""
+        with self._lock:
+            dropped = len(self._data)
             self._data.clear()
+            self.stats["invalidations"] += dropped
+            return dropped
 
 
 class GrowableArray:

@@ -61,7 +61,7 @@ from repro.storage.table import Table
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine ↔ persist)
     from repro.core.engine import QueryEREngine
 
-#: Snapshot format tag; bumped on any incompatible layout change.
+#: Snapshot format tag; bumped on any layout change older readers cannot read.
 FORMAT = "repro/persist/v1"
 MANIFEST_NAME = "manifest.json"
 

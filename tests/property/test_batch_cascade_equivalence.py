@@ -1,8 +1,9 @@
 """Batched cascade ≡ scalar cascade, decisions and counters alike.
 
 ``ProfileMatcher.match_pair_indices`` decides most candidate pairs
-array-at-a-time; ``ProfileMatcher.match_signatures`` is the single-pair
-form of the same cascade and the reference here.  For every dataset,
+array-at-a-time; the oracle's ``ReferenceMatcher.match_signatures``
+(``tests/reference/signature_oracle.py``) is the single-pair form of
+the same cascade and the reference here.  For every dataset,
 threshold and execution mode the batched entry point must return the
 positions a scalar loop returns **and** leave every ``cascade_stats``
 counter at the value the loop leaves.
@@ -15,7 +16,7 @@ import unicodedata
 from itertools import combinations
 
 import pytest
-from reference.signature_oracle import build_signature, column_state
+from reference.signature_oracle import ReferenceMatcher, column_state, match_loop
 
 from repro import QueryEREngine
 from repro.core.indices import TableIndex
@@ -107,13 +108,8 @@ def all_pairs(table):
 
 def scalar_reference(index, pairs, threshold):
     """Matched positions and counters of the scalar loop, fresh matcher."""
-    matcher = ProfileMatcher(exclude=(index.table.schema.id_column,), threshold=threshold)
-    matched = [
-        position
-        for position, (left, right) in enumerate(pairs)
-        if matcher.match_signatures(index.signature_of(left), index.signature_of(right))
-    ]
-    return matched, matcher.cascade_stats
+    matcher = ReferenceMatcher(exclude=(index.table.schema.id_column,), threshold=threshold)
+    return match_loop(matcher, pairs, index.signatures), matcher.cascade_stats
 
 
 def assert_batch_equals_scalar(index, pairs, threshold):
@@ -143,6 +139,23 @@ class TestSerial:
             assert matcher.match_pair_indices(pairs[start:stop], index.signatures) == [
                 position - start for position in expected if start <= position < stop
             ]
+
+    def test_warm_pair_memo_changes_nothing(self, dataset, threshold):
+        """Stage 3's memo only saves work: a matcher that already scored
+        every pair (both orientations memoized) decides as a fresh one."""
+        table = DATASETS[dataset]()
+        index = TableIndex(table)
+        pairs = all_pairs(table)
+        matcher = ProfileMatcher(exclude=(table.schema.id_column,), threshold=threshold)
+        cold = matcher.match_pair_indices(pairs, index.signatures)
+        cold_stats = dict(matcher.cascade_stats)
+        memo = matcher._pair_cache.stats
+        misses = memo["misses"]
+        matcher.reset_cascade_stats()
+        flipped = [(right, left) for left, right in pairs]
+        assert matcher.match_pair_indices(flipped, index.signatures) == cold
+        assert matcher.cascade_stats == cold_stats
+        assert memo["misses"] == misses  # every stage-3 score came from the memo
 
     def test_slices_and_chunks_change_nothing(self, dataset, threshold, monkeypatch):
         """Chunk boundaries are an implementation detail of the screen."""
@@ -198,70 +211,27 @@ class TestEngineColumns:
             assert_batch_equals_scalar(index, all_pairs(table), threshold)
 
 
-class TestMixedSignatures:
-    def test_foreign_exclusions_and_layouts_take_the_scalar_cascade(self):
-        """Signatures that are no rows of the span's columns still decide identically."""
-        from repro.er.tokenizer import TokenVocabulary
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_mapping_view_of_rows_equals_the_columns(dataset, threshold):
+    """A mapping from ids to the table's rows (``signature_of``) decides
+    exactly as the columns themselves do."""
 
-        vocabulary = TokenVocabulary()
-        own = frozenset({"id"})
-        profiles = {
-            "a": build_signature("a", {"name": "john smith", "city": "perth"}, vocabulary, own),
-            "b": build_signature("b", {"name": "jon smith", "city": "perth"}, vocabulary, own),
-            # another attribute order, and another exclusion set
-            "c": build_signature("c", {"city": "perth", "name": "john smith"}, vocabulary, own),
-            "d": build_signature("d", {"name": "john smith", "city": "perth"}, vocabulary),
-        }
-        pairs = list(combinations(sorted(profiles), 2))
-        reference = ProfileMatcher(exclude=("id",))
-        expected = [
-            position
-            for position, (left, right) in enumerate(pairs)
-            if reference.match_signatures(profiles[left], profiles[right])
-        ]
-        matcher = ProfileMatcher(exclude=("id",))
-        assert matcher.match_pair_indices(pairs, profiles) == expected
-        assert matcher.cascade_stats == reference.cascade_stats
-        assert matcher.cascade_stats["incompatible"] == 3  # every pair with "d"
+    class Rows:
+        def __init__(self, index):
+            self._signature_of = index.signature_of
 
-    def test_rows_of_other_columns_take_the_scalar_cascade(self):
-        """A mapping mixing two indices' rows: the foreign ones go pair by pair."""
-        table = people()
-        first, second = TableIndex(table), TableIndex(table)
-        ids = table.ids[:30]
-        foreign = set(ids[1::4])
+        def __getitem__(self, entity_id):
+            return self._signature_of(entity_id)
 
-        class Mixed:
-            def __getitem__(self, entity_id):
-                index = second if entity_id in foreign else first
-                return index.signature_of(entity_id)
-
-        pairs = list(combinations(ids, 2))
-        for threshold in THRESHOLDS:
-            reference = ProfileMatcher(exclude=("id",), threshold=threshold)
-            expected = [
-                position
-                for position, (left, right) in enumerate(pairs)
-                if reference.match_signatures(Mixed()[left], Mixed()[right])
-            ]
-            matcher = ProfileMatcher(exclude=("id",), threshold=threshold)
-            assert matcher.match_pair_indices(pairs, Mixed()) == expected
-            assert matcher.cascade_stats == reference.cascade_stats
-
-    def test_columns_of_other_exclusions_take_the_scalar_cascade(self):
-        table = people()
-        index = TableIndex(table)
-        pairs = all_pairs(table)[:300]
-        reference = ProfileMatcher(exclude=("id", "surname"))
-        expected = [
-            position
-            for position, (left, right) in enumerate(pairs)
-            if reference.match_signatures(index.signature_of(left), index.signature_of(right))
-        ]
-        matcher = ProfileMatcher(exclude=("id", "surname"))
-        assert matcher.match_pair_indices(pairs, index.signatures) == expected
-        assert matcher.cascade_stats == reference.cascade_stats
-        assert matcher.cascade_stats["incompatible"] == len(pairs)
+    table = DATASETS[dataset]()
+    index = TableIndex(table)
+    pairs = all_pairs(table)
+    over_columns = ProfileMatcher(exclude=(table.schema.id_column,), threshold=threshold)
+    over_rows = ProfileMatcher(exclude=(table.schema.id_column,), threshold=threshold)
+    expected = over_columns.match_pair_indices(pairs, index.signatures)
+    assert over_rows.match_pair_indices(pairs, Rows(index)) == expected
+    assert over_rows.cascade_stats == over_columns.cascade_stats
 
 
 class TestEngineLifecycle:

@@ -7,9 +7,9 @@ rows' element words, an element being a ``(slot, character, k)`` copy.
 For every pair of rows those integers must be the ones the scalar
 functions count, so every float downstream is bit-identical:
 
-* :func:`~repro.er.similarity.jaccard_sorted_ids` over the rows' token
-  ids (0.0 when a side has none, as the cascade scores it);
-* :func:`~repro.er.similarity.jaro_winkler_char_bound` over the slot's
+* the oracle's ``jaccard_sorted_ids`` over the rows' token ids (0.0
+  when a side has none, as the cascade scores it);
+* the oracle's ``jaro_winkler_char_bound`` over the slot's
   normalized values and their character counts, 0.0 where a side holds
   no value.
 
@@ -29,12 +29,18 @@ from itertools import combinations
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference.signature_oracle import build_signature
+from reference.signature_oracle import (
+    ReferenceMatcher,
+    build_signature,
+    jaccard_sorted_ids,
+    jaro_winkler_char_bound,
+    match_loop,
+    profile_of,
+)
 
 from repro.core.indices import TableIndex
 from repro.er.blocking import TokenBlocking
 from repro.er.matching import ProfileMatcher, _ChunkBitsets
-from repro.er.similarity import jaccard_sorted_ids, jaro_winkler_char_bound
 from repro.er.tokenizer import TokenVocabulary
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -81,7 +87,7 @@ def assert_kernels_equal_scalar(index):
     rows = np.arange(len(columns), dtype=np.int64)
     kernels = _ChunkBitsets(columns, rows)
     pairs = np.array(list(combinations(range(len(rows)), 2)), dtype=np.int64)
-    handles = [index.signature_of(index.table[row].id) for row in range(len(rows))]
+    handles = [profile_of(index.signature_of(index.table[row].id)) for row in range(len(rows))]
     sims = kernels.token_jaccard(pairs[:, 0], pairs[:, 1])
     bounds, comparable = kernels.attribute_bounds(pairs[:, 0], pairs[:, 1])
     for (i, j), sim, pair_bounds, pair_comparable in zip(
@@ -110,12 +116,8 @@ def assert_cascade_equals_scalar(index, threshold):
         entity: build_signature(entity, index.entities.attributes(entity), vocabulary, exclude)
         for entity in index.table.ids
     }
-    scalar = ProfileMatcher(exclude=("id",), threshold=threshold)
-    expected = [
-        position
-        for position, (left, right) in enumerate(pairs)
-        if scalar.match_signatures(reference[left], reference[right])
-    ]
+    scalar = ReferenceMatcher(exclude=("id",), threshold=threshold)
+    expected = match_loop(scalar, pairs, reference)
     batched = ProfileMatcher(exclude=("id",), threshold=threshold)
     assert batched.match_pair_indices(pairs, index.signatures) == expected
     assert batched.cascade_stats == scalar.cascade_stats

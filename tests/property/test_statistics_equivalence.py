@@ -2,7 +2,7 @@
 
 * The duplication-factor sample runs its pairs through the batched
   ``ProfileMatcher.match_pair_indices`` on a private matcher; it must
-  count exactly the duplicates an all-pairs ``ProfileMatcher.matches``
+  count exactly the duplicates an all-pairs ``ReferenceMatcher.matches``
   loop counts on the same sampled rows — fresh, after ``INSERT INTO``
   made it stale, and after a snapshot reload — and leave the table's own
   matcher, vocabulary and signature columns untouched.
@@ -39,7 +39,7 @@ from reference.dict_pipeline import (
     reference_tbi,
     retained_keys,
 )
-from reference.signature_oracle import column_state
+from reference.signature_oracle import ReferenceMatcher, column_state
 
 from repro import QueryEREngine
 from repro.core import statistics
@@ -144,7 +144,7 @@ def copies(table, count):
 # -- references ---------------------------------------------------------------
 def scalar_duplicates(index, matcher, rows):
     """All-pairs ``matches`` over *rows* on a fresh, identically configured matcher."""
-    reference = ProfileMatcher(threshold=matcher.threshold, exclude=matcher.exclude)
+    reference = ReferenceMatcher(threshold=matcher.threshold, exclude=matcher.exclude)
     attributes = index.entities.attributes_of_row
     return sum(
         1

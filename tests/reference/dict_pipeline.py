@@ -52,6 +52,7 @@ from typing import (
 )
 
 import numpy as np
+from reference.signature_oracle import ReferenceMatcher, match_loop
 
 from repro.core.dedup_operator import DeduplicateOperator
 from repro.core.engine import QueryEREngine
@@ -64,7 +65,6 @@ from repro.er.edge_pruning import (
     reduce_span_segments,
 )
 from repro.er.linkset import LinkSet, canonical_pair
-from repro.er.matching import ProfileMatcher
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.er.packed_blocking import PackedCandidates
 from repro.er.util import safe_sorted
@@ -593,17 +593,11 @@ def batch_pairs(index, config: Optional[MetaBlockingConfig] = None) -> List[Pair
 
 
 # -- matching -----------------------------------------------------------------
-class ScalarMatcher(ProfileMatcher):
-    """A matcher whose batched entry point is a ``match_signatures`` loop."""
+class ScalarMatcher(ReferenceMatcher):
+    """A matcher whose batched entry point is the oracle's scalar loop."""
 
     def match_pair_indices(self, pairs, signatures):
-        return [
-            position
-            for position in range(len(pairs))
-            if self.match_signatures(
-                signatures[pairs[position][0]], signatures[pairs[position][1]]
-            )
-        ]
+        return match_loop(self, pairs, signatures)
 
 
 def scalar_matcher(index, threshold: float = 0.75) -> ScalarMatcher:

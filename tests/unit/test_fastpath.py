@@ -5,24 +5,26 @@ interning, the signature columns and their popcount kernels, the
 similarity bounds and the matcher's short-circuit cascade.
 """
 
+import sys
 import threading
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
-from reference.signature_oracle import jaro_winkler_bound
+from reference.signature_oracle import (
+    ReferenceMatcher,
+    jaccard,
+    jaccard_sorted_ids,
+    jaro_winkler,
+    jaro_winkler_bound,
+    jaro_winkler_char_bound,
+    profile_of,
+)
 
 from repro.core.indices import TableIndex
 from repro.er.matching import ProfileMatcher, SignatureColumns, _ChunkBitsets
-from repro.er.similarity import (
-    jaccard,
-    jaccard_sorted_ids,
-    jaro,
-    jaro_fast,
-    jaro_winkler,
-    jaro_winkler_char_bound,
-)
+from repro.er.similarity import jaro, jaro_fast
 from repro.er.tokenizer import TokenVocabulary
 from repro.er.util import LRUCache, ordered_pair, safe_sorted
 from repro.storage.schema import Schema
@@ -62,15 +64,27 @@ class TestLRUCache:
         assert cache.get("a") == 10
         assert cache.get("b") == 2
 
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            LRUCache(0)
+    def test_zero_capacity_caches_nothing(self):
+        cache = LRUCache(0)
+        cache.put("a", 1)
+        assert len(cache) == 0
+        assert cache.get("a") is None
 
     def test_clear(self):
         cache = LRUCache(4)
         cache.put("a", 1)
-        cache.clear()
+        assert cache.clear() == 1
         assert len(cache) == 0
+
+    def test_stats_count_hits_misses_evictions_and_drops(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.get("a")
+        cache.get("b")
+        cache.put("b", 2)
+        cache.put("c", 3)
+        cache.clear()
+        assert cache.stats == {"hits": 1, "misses": 1, "evictions": 1, "invalidations": 2}
 
 
 class TestLRUCacheThreadSafety:
@@ -88,13 +102,21 @@ class TestLRUCacheThreadSafety:
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
-        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         assert not errors
         assert len(cache) <= 64
+        # No counter update is lost: every get is a hit or a miss.
+        assert cache.stats["hits"] + cache.stats["misses"] == 8 * 3000
 
 
 class TestSharedHelpers:
@@ -195,7 +217,9 @@ class TestBatchKernelsBitEqualScalar:
         for (i, j), pair_bounds, pair_comparable in zip(
             rows.tolist(), bounds.tolist(), comparable.tolist()
         ):
-            left, right = (index.signature_of(index.table[k].id).norms for k in (i, j))
+            left, right = (
+                profile_of(index.signature_of(index.table[k].id)).norms for k in (i, j)
+            )
             for slot, name in enumerate(("first", "second")):
                 a, b = left.get(name), right.get(name)
                 assert pair_comparable[slot] == (a is not None and b is not None)
@@ -222,7 +246,7 @@ class TestBatchKernelsBitEqualScalar:
         pairs = np.array([(i, j) for i in range(len(texts)) for j in range(len(texts))])
         sims = kernels.token_jaccard(pairs[:, 0], pairs[:, 1])
         for (i, j), sim in zip(pairs.tolist(), sims.tolist()):
-            a, b = (index.signature_of(index.table[k].id).token_ids for k in (i, j))
+            a, b = (profile_of(index.signature_of(index.table[k].id)).token_ids for k in (i, j))
             assert sim == (jaccard_sorted_ids(a, b) if a and b else 0.0)
 
     def test_pending_rows_carry_the_scalar_bounds(self):
@@ -236,7 +260,7 @@ class TestBatchKernelsBitEqualScalar:
         for position, total, row in zip(
             pending.positions.tolist(), pending.total_bounds.tolist(), pending.bounds.tolist()
         ):
-            left, right = (index.signature_of(e) for e in pairs[position])
+            left, right = (profile_of(index.signature_of(e)) for e in pairs[position])
             expected = [
                 0.0
                 if name not in left.norms or name not in right.norms
@@ -270,7 +294,7 @@ class TestSignatureColumns:
     def test_row_tokens_are_the_matcher_tokens(self):
         index = TableIndex(people_table())
         assert index.signatures.vocabulary is index.vocabulary  # blocking keys reused
-        row = index.signature_of("p1")
+        row = profile_of(index.signature_of("p1"))
         tokens = {index.vocabulary.token_of(token_id) for token_id in row.token_ids}
         assert tokens == {"john", "smith", "melbourne"}
 
@@ -283,7 +307,7 @@ class TestSignatureColumns:
             values_of=lambda row: tuple(values.values()),
         )
         columns.append(1, [[value] for value in values.values()])
-        row = columns["e1"]
+        row = profile_of(columns["e1"])
         assert row.norms == {"name": "john"}
         assert {columns.vocabulary.token_of(t) for t in row.token_ids} == {"john"}
         assert columns.shape_of(0)[0].tolist() == [4, -1, -1]
@@ -300,7 +324,9 @@ class TestSignatureColumns:
         index.add_records(["p5"])
         assert len(index.signatures) == 5
         assert len(index.vocabulary) > vocabulary_before
-        tokens = {index.vocabulary.token_of(t) for t in index.signature_of("p5").token_ids}
+        tokens = {
+            index.vocabulary.token_of(t) for t in profile_of(index.signature_of("p5")).token_ids
+        }
         assert tokens == {"zanzibar", "quux", "hobart"}
 
 
@@ -318,8 +344,8 @@ class TestMatchSignatureCascade:
     def test_cascade_decisions_equal_slow_path(self):
         table = people_table()
         index = TableIndex(table)
-        fast = ProfileMatcher(exclude=("id",))
-        slow = ProfileMatcher(exclude=("id",))
+        fast = ReferenceMatcher(exclude=("id",))
+        slow = ReferenceMatcher(exclude=("id",))
         ids = ["p1", "p2", "p3", "p4"]
         fast_decisions = self.decisions(fast, index, ids)
         slow_decisions = [
@@ -331,35 +357,53 @@ class TestMatchSignatureCascade:
         assert fast_decisions == slow_decisions
         assert fast.cascade_stats["pairs"] == len(fast_decisions)
 
-    def test_incompatible_exclude_falls_back(self):
-        index = TableIndex(people_table())
-        matcher = ProfileMatcher(exclude=("id", "city"))
-        matcher.match_signatures(index.signature_of("p1"), index.signature_of("p2"))
-        assert matcher.cascade_stats["incompatible"] == 1
-        assert matcher.cascade_stats["pairs"] == 0
-
-    def test_custom_similarity_disables_cascade(self):
-        index = TableIndex(people_table())
-        matcher = ProfileMatcher(similarity=lambda a, b: 1.0, exclude=("id",))
-        assert not matcher.fast_path
-        # "p1"/"p3" share a comparable attribute, which the constant-1
-        # custom similarity scores as a certain match via the slow path.
-        assert matcher.match_signatures(index.signature_of("p1"), index.signature_of("p3")) is True
-        assert matcher.cascade_stats["incompatible"] == 1
-
-    def test_caches_stay_bounded(self):
-        matcher = ProfileMatcher(exclude=("id",), cache_capacity=8)
-        for i in range(100):
-            left = {"name": f"value number {i}", "city": f"city {i}"}
-            right = {"name": f"value number {i + 1}", "city": f"city {i + 1}"}
-            matcher.matches(left, right)
-        assert len(matcher._pair_cache) <= 8
-
     def test_clear_cache_and_stats(self):
         index = TableIndex(people_table())
         matcher = ProfileMatcher(exclude=("id",))
-        matcher.match_signatures(index.signature_of("p1"), index.signature_of("p2"))
+        matcher.match_pair_indices([("p1", "p2")], index.signatures)
+        assert len(matcher._pair_cache) > 0
         matcher.clear_cache()
         assert len(matcher._pair_cache) == 0
         matcher.reset_cascade_stats()
         assert all(count == 0 for count in matcher.cascade_stats.values())
+
+
+class TestOnePath:
+    """The matcher has one configuration (threshold, exclusions) and one
+    entry point, over the columns its table was built with."""
+
+    @pytest.mark.parametrize("option", ["similarity", "cache_capacity"])
+    def test_removed_options_are_refused(self, option):
+        with pytest.raises(TypeError):
+            ProfileMatcher(exclude=("id",), **{option: None})
+
+    def test_only_the_batched_entry_point_is_left(self):
+        for name in ("match_signatures", "matches", "profile_similarity", "fast_path"):
+            assert not hasattr(ProfileMatcher(), name)
+
+    def test_other_exclusions_than_the_columns_are_refused(self):
+        index = TableIndex(people_table())
+        matcher = ProfileMatcher(exclude=("id", "city"))
+        with pytest.raises(ValueError):
+            matcher.match_pair_indices([("p1", "p2")], index.signatures)
+        rows = {entity: index.signature_of(entity) for entity in ("p1", "p2")}
+        with pytest.raises(ValueError):
+            matcher.match_pair_indices([("p1", "p2")], rows)
+
+    def test_rows_of_two_columns_are_refused(self):
+        first, second = TableIndex(people_table()), TableIndex(people_table())
+        rows = {"p1": first.signature_of("p1"), "p2": second.signature_of("p2")}
+        with pytest.raises(ValueError):
+            ProfileMatcher(exclude=("id",)).match_pair_indices([("p1", "p2")], rows)
+
+    def test_pair_memo_counts_hits_and_misses(self):
+        index = TableIndex(people_table())
+        matcher = ProfileMatcher(exclude=("id",))
+        pairs = [("p1", "p2")]
+        matcher.match_pair_indices(pairs, index.signatures)
+        misses = matcher._pair_cache.stats["misses"]
+        assert misses > 0 and matcher._pair_cache.stats["hits"] == 0
+        matcher.match_pair_indices(pairs, index.signatures)
+        assert matcher._pair_cache.stats == {
+            "hits": misses, "misses": misses, "evictions": 0, "invalidations": 0,
+        }

@@ -4,7 +4,7 @@ import json
 
 import pytest
 from reference.dict_pipeline import postings_blocks
-from reference.signature_oracle import column_state
+from reference.signature_oracle import column_state, profile_of
 
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
@@ -99,8 +99,8 @@ class TestSaveLoad:
         assert column_state(warm_index) == column_state(live_index)
         for some_id in live_index.table.ids:
             assert (
-                warm_index.signature_of(some_id).token_ids
-                == live_index.signature_of(some_id).token_ids
+                profile_of(warm_index.signature_of(some_id)).token_ids
+                == profile_of(live_index.signature_of(some_id)).token_ids
             )
 
     def test_state_files_list_links_and_resolved_only(self, tmp_path):

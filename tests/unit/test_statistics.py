@@ -180,7 +180,7 @@ class TestLazyRegistration:
             raise AssertionError("registration must not sample or match")
 
         monkeypatch.setattr(TableStatistics, "__init__", forbidden)
-        for method in ("matches", "match_signatures", "match_pair_indices"):
+        for method in ("match_pair_indices", "resolve_pending"):
             monkeypatch.setattr(ProfileMatcher, method, forbidden)
         engine = QueryEREngine()
         engine.register(table())

