@@ -35,7 +35,7 @@ from repro.core import (
     batch_deduplicate,
 )
 from repro.er.meta_blocking import MetaBlockingConfig
-from repro.incremental import IngestResult, InvalidationPolicy
+from repro.incremental import IngestResult
 from repro.storage import Catalog, Schema, Table, read_csv, write_csv
 
 __version__ = "1.2.0"
@@ -45,7 +45,6 @@ __all__ = [
     "ExecutionMode",
     "MetaBlockingConfig",
     "IngestResult",
-    "InvalidationPolicy",
     "DeduplicateOperator",
     "DedupResult",
     "batch_deduplicate",

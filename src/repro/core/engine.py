@@ -4,7 +4,8 @@ Registers dirty entity collections, builds the per-table indices once
 (TBI, ITBI, LI), parses incoming SQL, routes ``SELECT DEDUP`` queries
 through the ER planner/executor, ``INSERT INTO`` through the incremental
 ingestion subsystem, and everything else through the plain relational
-path.  The planner's §7.2.1 statistics are computed when first read.
+path.  The planner's §7.2.1 statistics are computed when first read and
+cached, like plans, in the engine's one epoch-keyed cache.
 
 >>> engine = QueryEREngine()
 >>> engine.register(publications)
@@ -17,7 +18,7 @@ path.  The planner's §7.2.1 statistics are computed when first read.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.core.dedup_operator import DeduplicateOperator
 from repro.core.epoch_cache import EpochCache, epoch_key
@@ -31,7 +32,7 @@ from repro.core.planner import (
 from repro.core.statistics import TableStatistics, join_percentage
 from repro.er.matching import DEFAULT_THRESHOLD, ProfileMatcher
 from repro.er.meta_blocking import MetaBlockingConfig
-from repro.incremental import DmlExecutor, IndexMaintainer, IngestResult, InvalidationPolicy
+from repro.incremental import DmlExecutor, IndexMaintainer, IngestResult
 from repro.optimizer.explain import analyze_lines, explain_dedup, relational_plan_lines
 from repro.sql import ast, normalize_sql
 from repro.sql.executor import QueryResult, execute_plan
@@ -42,7 +43,7 @@ from repro.sql.planner import RelationalPlanner
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
-#: Capacity of the engine's plan cache, in plans.
+#: Capacity of the engine's plan cache, in entries (plans and statistics).
 PLAN_CACHE_SIZE = 128
 
 
@@ -61,24 +62,23 @@ class QueryEREngine:
     transitive:
         Expand newly found duplicates until fixpoint so DR_G matches the
         Batch Approach exactly (DQ Correctness, §5).
-    invalidation_policy:
-        How ``INSERT INTO`` revokes progressive-cleaning state: the
-        targeted per-cluster policy (default) or a full LI reset — see
-        :mod:`repro.incremental`.
 
-    **Statistics.**  Registration builds indices only.  The §7.2.1
-    duplication-factor sample runs on the first :meth:`statistics_of`
-    (an ``EXPLAIN``) and again on the first read after an insert; join
-    percentages are likewise computed on first read and dropped on
-    insert.  Queries never read either: the planner's clean-first choice
-    needs only comparison estimates.
-
-    **Plans.**  :class:`~repro.core.planner.DedupQueryPlanner` plans
-    every DEDUP query (§7.2.1: clean the cheaper side of the first join
-    first) and :class:`~repro.sql.planner.RelationalPlanner` every other
-    SELECT.  Both kinds of plan are cached in :attr:`plan_cache`, keyed
-    on ``(normalized SQL, mode, epochs)`` and dropped whole on every
-    register, unregister, adopt and committed insert.
+    **Plans and statistics.**
+    :class:`~repro.core.planner.DedupQueryPlanner` plans every DEDUP
+    query (§7.2.1: clean the cheaper side of the first join first) and
+    :class:`~repro.sql.planner.RelationalPlanner` every other SELECT.
+    Registration builds indices only: the §7.2.1 duplication-factor
+    sample (:meth:`statistics_of`) and join percentages
+    (:meth:`join_percentage`) are computed on first read, which only
+    ``EXPLAIN`` does — the planner's clean-first choice needs comparison
+    estimates alone.  Plans and both statistics are entries of
+    :attr:`plan_cache`, keyed ``(kind, key, epochs)``: a plan (kind =
+    mode, or ``"relational"``) on the epochs of every table, a statistic
+    (kind ``"statistics"`` or ``"join_percentage"``) on the epochs of
+    the tables it reads.  Every register, unregister and adopt drops the
+    whole cache; a committed insert drops the entries that read the
+    grown table, which is every plan, while other tables' statistics
+    stay.
 
     **Epoch/snapshot contract.**  The engine is the single source of
     truth for per-table *epochs*: :meth:`register` and every ingested
@@ -88,11 +88,11 @@ class QueryEREngine:
     reads of the same table at the same epoch are reads of identical
     data, and any result computed at epoch map *E* stays correct for as
     long as :meth:`table_epochs` still equals *E*.  Consumers key every
-    derived artefact on the epoch: the plan cache keys plans on the
-    epoch map, and the serving layer (:mod:`repro.serving`) stamps each
-    response with the epoch map it executed under and keys its result
-    cache on ``(normalized SQL, epochs)`` — epoch-stamped snapshot reads
-    over the append-only tables.
+    derived artefact on the epoch: the plan cache keys each entry on
+    the epochs it read, and the serving layer (:mod:`repro.serving`)
+    stamps each response with the epoch map it executed under and keys
+    its result cache on ``(mode, normalized SQL, epochs)`` —
+    epoch-stamped snapshot reads over the append-only tables.
     """
 
     def __init__(
@@ -101,7 +101,6 @@ class QueryEREngine:
         meta_blocking: Optional[MetaBlockingConfig] = None,
         use_link_index: bool = True,
         transitive: bool = True,
-        invalidation_policy: Union[InvalidationPolicy, str] = InvalidationPolicy.TARGETED,
     ):
         self.catalog = Catalog()
         self.meta_blocking = meta_blocking or MetaBlockingConfig.all()
@@ -116,15 +115,11 @@ class QueryEREngine:
         # (serving-layer result caches key on the epoch map).
         self._retired_epochs: Dict[str, int] = {}
         self._checkpointer = None
-        self._statistics: Dict[str, TableStatistics] = {}
         self._matchers: Dict[str, ProfileMatcher] = {}
-        self._join_percentages: Dict[Tuple[str, str, str, str], Tuple[float, float]] = {}
         self._relational = RelationalPlanner(self.catalog)
         self._executor = DedupQueryExecutor(self)
         self._plan_cache = EpochCache(PLAN_CACHE_SIZE)
-        if isinstance(invalidation_policy, str):
-            invalidation_policy = InvalidationPolicy(invalidation_policy)
-        self._maintainer = IndexMaintainer(self, policy=invalidation_policy)
+        self._maintainer = IndexMaintainer(self)
         self._dml = DmlExecutor(self)
 
     # -- registration -----------------------------------------------------
@@ -132,16 +127,13 @@ class QueryEREngine:
         """Register *table*, building its token postings (TBI/ITBI) and LI.
 
         No statistic is computed here: :meth:`statistics_of` and
-        :meth:`join_percentage` compute theirs on first read.  With
-        ``replace=True`` every per-table cached artefact of the previous
-        registration — statistics and join percentages — is purged;
-        leaving them would hand the planner estimates computed against
-        the dead index.
+        :meth:`join_percentage` compute theirs on first read.  The new
+        epoch makes every cached plan and statistic of a replaced
+        registration unreachable, and the cache is emptied.
         """
         self.catalog.register(table, replace=replace)
         index = TableIndex(table)
         key = table.name.lower()
-        self._purge_cached_state(key)
         # Registration (fresh or replacing) opens a new epoch: any
         # artefact keyed on a previous epoch of this name is now
         # unservable by construction.  Resuming past a retired epoch
@@ -154,17 +146,17 @@ class QueryEREngine:
             threshold=self.match_threshold,
             exclude=(table.schema.id_column,),
         )
-        self._invalidate_plans()
+        self._plan_cache.invalidate()
         return index
 
     def unregister(self, name: str) -> bool:
         """Remove a table and *every* engine artefact derived from it.
 
-        Purges the catalog entry, the postings/LI bundle, the matcher,
-        cached statistics and every join percentage involving the table
-        — leaving any of them would hand later queries (or the planner)
-        state of a dead index.  The epoch entry is removed from
-        :meth:`table_epochs` but its value is *retired*, so a later
+        Purges the catalog entry, the postings/LI bundle, the matcher and
+        every cached plan and statistic — leaving any of them would hand
+        later queries (or the planner) state of a dead index.  The epoch
+        entry is removed from :meth:`table_epochs` but its value is
+        *retired*, so a later
         re-registration under the same name opens a strictly larger
         epoch instead of restarting at 1 (epoch-keyed caches — candidate
         plans, served results — would otherwise alias the old table's
@@ -175,41 +167,31 @@ class QueryEREngine:
         self.catalog.unregister(key)
         self._indices.pop(key, None)
         self._matchers.pop(key, None)
-        self._purge_cached_state(key)
         epoch = self._epochs.pop(key, None)
         if epoch is not None:
             self._retired_epochs[key] = max(epoch, self._retired_epochs.get(key, 0))
-        self._invalidate_plans()
+        self._plan_cache.invalidate()
         return known
 
-    def adopt(
-        self,
-        index: TableIndex,
-        epoch: int,
-        statistics: Optional[TableStatistics] = None,
-    ) -> None:
+    def adopt(self, index: TableIndex, epoch: int) -> None:
         """Install a pre-built :class:`TableIndex` at a given epoch.
 
         The warm-restart hook of :func:`repro.persist.load_engine`:
-        unlike :meth:`register` nothing is rebuilt — the index, its
-        vocabulary/postings/LI and (when given) the persisted statistics
-        are adopted as-is, and the epoch counter is set to the snapshot's
-        recorded value so epoch-keyed artefacts computed against the
-        saved engine stay addressable.
+        unlike :meth:`register` nothing is rebuilt — the index and its
+        vocabulary/postings/LI are adopted as-is, and the epoch counter
+        is set to the snapshot's recorded value so epoch-keyed artefacts
+        computed against the saved engine stay addressable.
         """
         table = index.table
         key = table.name.lower()
         self.catalog.register(table, replace=True)
-        self._purge_cached_state(key)
         self._indices[key] = index
         self._matchers[key] = ProfileMatcher(
             threshold=self.match_threshold,
             exclude=(table.schema.id_column,),
         )
         self._epochs[key] = max(int(epoch), self._retired_epochs.pop(key, 0) + 1)
-        if statistics is not None:
-            self._statistics[key] = statistics
-        self._invalidate_plans()
+        self._plan_cache.invalidate()
 
     # -- persistence ------------------------------------------------------
     def save(self, directory) -> Dict[str, Any]:
@@ -223,10 +205,11 @@ class QueryEREngine:
         """Reconstruct a warm engine from a snapshot directory.
 
         Answers every query bit-identically to the engine that was
-        saved — no tokenization, blocking build or statistics sampling
-        re-runs.  Keyword *overrides* (``meta_blocking=``,
-        ``match_threshold=``, …) take precedence over the manifest's
-        recorded configuration.
+        saved — no tokenization or blocking build re-runs; the §7.2.1
+        statistics are not persisted and are sampled, under the loaded
+        engine's own settings, on the first ``EXPLAIN``.  Keyword
+        *overrides* (``meta_blocking=``, ``match_threshold=``, …) take
+        precedence over the manifest's recorded configuration.
         """
         from repro.persist.snapshot import load_engine
 
@@ -310,49 +293,38 @@ class QueryEREngine:
         """
         return dict(self._epochs)
 
-    def _drop_join_percentages(self, key: str) -> None:
-        self._join_percentages = {
-            pair_key: value
-            for pair_key, value in self._join_percentages.items()
-            if key not in (pair_key[0], pair_key[1])
-        }
-
-    def _purge_cached_state(self, key: str) -> None:
-        """Drop every cached per-table artefact derived from *key*'s index."""
-        self._statistics.pop(key, None)
-        self._drop_join_percentages(key)
-
     # -- plan cache -------------------------------------------------------
     @property
     def plan_cache(self) -> EpochCache:
-        """The plan LRU (stats surfaced by serving /metrics)."""
+        """The LRU of plans and statistics (stats surfaced by serving /metrics)."""
         return self._plan_cache
 
-    def _invalidate_plans(self) -> None:
-        """Register/unregister/adopt/insert hook: retire every plan."""
-        self._plan_cache.invalidate()
+    def _cached(
+        self, kind: str, key: Any, epochs: Dict[str, int], compute: Callable[[], Any]
+    ) -> Any:
+        """The :attr:`plan_cache` entry ``(kind, key, epochs)``, computed on a miss."""
+        cache_key = epoch_key(kind, key, epochs)
+        value = self._plan_cache.get(cache_key)
+        if value is None:
+            value = compute()
+            self._plan_cache.put(cache_key, value)
+        return value
 
     def note_appended(self, name: str, count: int) -> None:
-        """Invalidate estimates after *count* rows were ingested into *name*.
+        """Advance *name*'s epoch after *count* rows were ingested into it.
 
-        Called by the :class:`~repro.incremental.IndexMaintainer` as the
-        statistics-refresh step: the table's epoch advances (which
-        retires every epoch-keyed artefact at once — the plan cache and
-        the serving layer's result cache both key on it), the
-        duplication-factor sample is flagged stale
-        (recomputed lazily by :meth:`statistics_of`), and cached join
-        percentages involving the table are dropped (recomputed lazily
-        by :meth:`join_percentage`).
+        Called by the :class:`~repro.incremental.IndexMaintainer` on
+        commit.  The new epoch makes every artefact keyed on the old one
+        unreachable — the plan cache and the serving layer's result
+        cache both key on it — and the plan cache drops those entries:
+        every plan, and the statistics that read *name*.  The others'
+        statistics stay.
         """
         if count <= 0:
             return
         key = name.lower()
         self._epochs[key] = self._epochs.get(key, 0) + 1
-        statistics = self._statistics.get(key)
-        if statistics is not None:
-            statistics.mark_appended(count)
-        self._drop_join_percentages(key)
-        self._invalidate_plans()
+        self._plan_cache.evict_stale(self._epochs)
 
     def index_of(self, name: str) -> TableIndex:
         """The :class:`TableIndex` of a registered table."""
@@ -364,26 +336,30 @@ class QueryEREngine:
     def statistics_of(self, name: str) -> TableStatistics:
         """Duplication-factor statistics of a registered table.
 
-        Sampled on the first read, kept until an insert makes them
-        stale, then re-sampled on the next read.
+        Sampled on the first read at each epoch of the table.
         """
         key = name.lower()
-        statistics = self._statistics.get(key)
-        if statistics is None or statistics.stale:
-            statistics = TableStatistics(self.index_of(key), self._matchers[key])
-            self._statistics[key] = statistics
-        return statistics
+        index = self.index_of(key)
+        return self._cached(
+            "statistics",
+            key,
+            {key: self._epochs[key]},
+            lambda: TableStatistics(index, self._matchers[key]),
+        )
 
     def join_percentage(
         self, left: str, right: str, left_column: str, right_column: str
     ) -> Tuple[float, float]:
-        """Pre-computed join percentage of a table pair (§7.2.1), cached."""
+        """Join percentage of a table pair (§7.2.1), computed on the
+        first read at each pair of the two tables' epochs."""
         key = (left.lower(), right.lower(), left_column.lower(), right_column.lower())
-        if key not in self._join_percentages:
-            self._join_percentages[key] = join_percentage(
-                self.index_of(left), self.index_of(right), left_column, right_column
-            )
-        return self._join_percentages[key]
+        left_index, right_index = self.index_of(left), self.index_of(right)
+        return self._cached(
+            "join_percentage",
+            key,
+            {table: self._epochs[table] for table in key[:2]},
+            lambda: join_percentage(left_index, right_index, left_column, right_column),
+        )
 
     def matcher_for(self, index: TableIndex) -> ProfileMatcher:
         return self._matchers[index.table.name.lower()]
@@ -423,8 +399,8 @@ class QueryEREngine:
         """Append *rows* to a registered table with full index maintenance.
 
         Programmatic twin of ``INSERT INTO``: storage append, delta TBI/
-        ITBI amendment, Link-Index invalidation and statistics refresh in
-        one atomic batch (see :mod:`repro.incremental`).
+        ITBI amendment, Link-Index invalidation and epoch advance in one
+        atomic batch (see :mod:`repro.incremental`).
         """
         return self._maintainer.append(table_name, rows, columns=columns)
 
@@ -463,21 +439,21 @@ class QueryEREngine:
         plan keeps the clean-first choice made before earlier queries
         filled the Link Index.
         """
-        key = epoch_key(normalize_sql(str(query)), mode.value, self.table_epochs())
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = DedupQueryPlanner(self).plan(query, mode)
-            self._plan_cache.put(key, plan)
-        return plan
+        return self._cached(
+            mode.value,
+            normalize_sql(str(query)),
+            self.table_epochs(),
+            lambda: DedupQueryPlanner(self).plan(query, mode),
+        )
 
     def _relational_plan(self, query: ast.SelectQuery) -> LogicalPlan:
         """The logical plan of a plain SELECT, from the plan cache if there."""
-        key = epoch_key(normalize_sql(str(query)), "relational", self.table_epochs())
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = self._relational.logical_plan(query)
-            self._plan_cache.put(key, plan)
-        return plan
+        return self._cached(
+            "relational",
+            normalize_sql(str(query)),
+            self.table_epochs(),
+            lambda: self._relational.logical_plan(query),
+        )
 
     def _explain_statement(
         self, statement: ast.ExplainStatement, mode: ExecutionMode

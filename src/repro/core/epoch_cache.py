@@ -1,23 +1,39 @@
 """The epoch-keyed LRU behind the engine's plan cache and the serving
 layer's result cache.
 
-Both memoize something derived from one engine snapshot — a plan, or a
-whole answer — under the key
+Both memoize something derived from one engine snapshot under the key
 
-    (normalized SQL, execution mode, frozenset of (table, epoch) pairs)
+    (kind, key, frozenset of (table, epoch) pairs)
 
-with the epochs taken from :meth:`QueryEREngine.table_epochs`.  Tables
-are append-only and every mutation advances the table's epoch, so an
-entry can never describe anything but the exact snapshot it was computed
-against: after an ``INSERT INTO``, lookups key on the new epoch and
-miss — the stale entry is unreachable by construction.
+with the epochs taken from :meth:`QueryEREngine.table_epochs`.  The
+serving result cache holds whole answers (kind = execution mode, key =
+normalized SQL, the epochs of every table).  The engine's cache holds
+four kinds of entry:
+
+* a DEDUP plan (kind = execution mode) and a plain SELECT's logical
+  plan (kind ``"relational"``), keyed on normalized SQL and the epochs
+  of every table;
+* a §7.2.1 duplication-factor sample (kind ``"statistics"``), keyed on
+  the table name and that table's epoch;
+* a §7.2.1 join percentage (kind ``"join_percentage"``), keyed on
+  ``(left, right, left column, right column)`` and the two tables'
+  epochs.
+
+The statistics are read only by ``EXPLAIN``'s estimates, so the
+``plan_cache`` hit/miss counters on the serving ``/metrics`` payload
+count those reads beside plan lookups.
+
+Tables are append-only and every mutation advances the table's epoch,
+so an entry can never describe anything but the exact snapshot it was
+computed against: after an ``INSERT INTO``, lookups key on the new
+epoch and miss — the stale entry is unreachable by construction.
 
 Unreachable is not free, though: dead entries would squat in the LRU
 until capacity pressure ages them out.  :meth:`EpochCache.invalidate`
-drops everything (the engine calls it on every register, unregister,
-adopt and committed insert) and :meth:`EpochCache.evict_stale` drops
-only the entries whose epochs disagree with the live ones (the serving
-layer calls it on every epoch advance).
+drops everything (the engine calls it on every register, unregister
+and adopt) and :meth:`EpochCache.evict_stale` drops only the entries
+whose epochs disagree with the live ones (the engine calls it on every
+committed insert, the serving layer on every epoch advance).
 """
 
 from __future__ import annotations
@@ -28,10 +44,10 @@ from repro.er.util import LRUCache
 
 
 def epoch_key(
-    normalized_sql: str, mode: str, epochs: Dict[str, int]
-) -> Tuple[str, str, FrozenSet[Tuple[str, int]]]:
-    """The cache key of *normalized_sql* under *mode* at snapshot *epochs*."""
-    return (normalized_sql, mode, frozenset(epochs.items()))
+    kind: str, key: Hashable, epochs: Dict[str, int]
+) -> Tuple[str, Hashable, FrozenSet[Tuple[str, int]]]:
+    """The cache key of *key*, an entry of *kind*, at snapshot *epochs*."""
+    return (kind, key, frozenset(epochs.items()))
 
 
 class EpochCache(LRUCache):

@@ -42,8 +42,8 @@ class IndexDelta:
 
     ``touched_keys`` are the blocking keys that gained at least one new
     record; ``affected_ids`` are the *pre-existing* entities co-occurring
-    in a touched block — exactly the candidates the Link-Index
-    invalidation policy must consider.
+    in a touched block — exactly the candidates Link-Index
+    invalidation must consider.
     """
 
     new_ids: Tuple[Any, ...]

@@ -13,19 +13,24 @@ Three estimators:
   table's postings.
 * **Duplication factor** — a sample of each table is cleaned with an
   all-pairs comparison; df = duplicates found / sample size, used to
-  estimate |DR_E| from |QE|.  The sample runs the first time the
-  planner reads the statistic (and again after an insert makes it
-  stale), never at registration or load time.
+  estimate |DR_E| from |QE|.
 * **Join percentage** — for every table pair, the fraction of rows whose
   join value appears on the other side, used to estimate how much a join
   shrinks each DR_E.
+
+Only ``EXPLAIN``'s per-binding estimates read the last two.  They are
+derived state, never persisted: ``QueryEREngine.statistics_of`` and
+``QueryEREngine.join_percentage`` compute them on the first read at each
+epoch of the tables they read, and cache them in the engine's
+epoch-keyed plan cache (:mod:`repro.core.epoch_cache`) — never at
+registration or load time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -181,48 +186,6 @@ class TableStatistics:
         self.sample_duplicates = duplicates
         self.duplication_factor = duplicates / len(rows) if rows else 0.0
         self.base_rows = len(table)
-        self.appended_rows = 0
-
-    def mark_appended(self, count: int) -> None:
-        """Record that *count* rows were ingested since this sample ran."""
-        self.appended_rows += count
-
-    # -- (de)hydration ---------------------------------------------------
-    def to_state(self) -> Dict[str, Any]:
-        """The statistic's full state as plain JSON-serializable fields."""
-        return {
-            "sample_size": self.sample_size,
-            "sample_duplicates": self.sample_duplicates,
-            "duplication_factor": self.duplication_factor,
-            "base_rows": self.base_rows,
-            "appended_rows": self.appended_rows,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "TableStatistics":
-        """Rehydrate a persisted statistic without re-running the sample.
-
-        A statistic restored with ``appended_rows > 0`` reports itself
-        :attr:`stale` exactly like the live one did, so the engine's
-        lazy-recompute path behaves identically after a reload.
-        """
-        statistics = cls.__new__(cls)
-        statistics.sample_size = int(state["sample_size"])
-        statistics.sample_duplicates = int(state["sample_duplicates"])
-        statistics.duplication_factor = float(state["duplication_factor"])
-        statistics.base_rows = int(state["base_rows"])
-        statistics.appended_rows = int(state["appended_rows"])
-        return statistics
-
-    @property
-    def stale(self) -> bool:
-        """Whether appends since sampling invalidate the duplication factor.
-
-        The cleaned sample no longer represents the collection once it
-        has grown; ``QueryEREngine.statistics_of`` recomputes a stale
-        statistic on its next read.
-        """
-        return self.appended_rows > 0
 
     def estimated_dr_size(self, qe_size: int) -> int:
         """Estimated |DR_E| for a query evaluating *qe_size* entities."""
@@ -256,7 +219,8 @@ def join_percentage(
 
     The paper pre-computes it per table pair (§7.2.1: "we pre-compute
     for every table pair the percentage of entities that join"); the
-    engine computes it on first read and caches it until an insert.
+    engine computes it on first read and caches it at the two tables'
+    epochs.
     Join values are folded by :func:`join_value`, as the Deduplicate-Join
     folds them.
     """

@@ -9,7 +9,7 @@ This package makes registered tables *mutable* — ``INSERT INTO`` (SQL or
 keeping every subsequent query result identical to what a fresh engine
 registered with the final table state would return.
 
-Three coordinated maintenance steps per batch (:class:`IndexMaintainer`):
+Four coordinated maintenance steps per batch (:class:`IndexMaintainer`):
 
 1. **Storage append** — rows are validated and appended atomically via
    :meth:`repro.storage.table.Table.append_rows`.
@@ -18,37 +18,31 @@ Three coordinated maintenance steps per batch (:class:`IndexMaintainer`):
    (block size, key) order
    (:meth:`repro.core.indices.TableIndex.add_records`); no rebuild.
 3. **Link-Index invalidation** — see below.
-4. **Statistics refresh** — the table's duplication-factor sample is
-   marked stale and the engine's cached join percentages involving the
-   table are dropped; both recompute lazily on next use.
+4. **Epoch advance** — ``QueryEREngine.note_appended`` advances the
+   table's epoch.  Every plan and §7.2.1 statistic that read the table
+   is keyed on the old epoch, so it is unreachable, and the engine's
+   plan cache evicts it; a statistic recomputes on its next read.
 
-Link-Index invalidation policy
-------------------------------
+Link-Index invalidation
+-----------------------
 
 Progressive cleaning (paper §6.1, Fig. 11) records in the LI which
 entities are *resolved*: their duplicates have been computed and future
 queries trust the recorded link-sets instead of re-resolving.  A newly
 inserted record can be a duplicate of an entity already marked resolved,
-which would silently freeze an incomplete cluster.  Two policies keep
-this sound:
+which would silently freeze an incomplete cluster.
 
-``targeted`` (default, :attr:`InvalidationPolicy.TARGETED`)
-    A new record can only ever be linked to an existing entity it shares
-    at least one block with (a pair that never co-occurs in a block is
-    never compared, by construction of the ER pipeline).  So the policy
-    un-resolves exactly (a) the resolved entities sharing a block with
-    any inserted record, expanded to (b) the full LI clusters of those
-    entities.  Step (b) matters: if E ≡ A is recorded and a new record X
-    shares a block with A only, then E's true cluster now potentially
-    contains X too, so E must also be re-resolved or a query evaluating
-    only E would trust its stale cluster.  Recorded links are *kept* —
-    the matcher is deterministic over immutable attributes, so links are
-    facts; only resolved-ness is revoked.
-
-``full_reset`` (:attr:`InvalidationPolicy.FULL_RESET`)
-    Clear the whole LI.  Maximally conservative fallback — always sound,
-    forfeits all progressive-cleaning state.  Useful as a debugging
-    baseline and for bulk loads that touch most blocks anyway.
+A new record can only ever be linked to an existing entity it shares at
+least one block with (a pair that never co-occurs in a block is never
+compared, by construction of the ER pipeline).  So the maintainer
+un-resolves exactly (a) the resolved entities sharing a block with any
+inserted record, expanded to (b) the full LI clusters of those entities.
+Step (b) matters: if E ≡ A is recorded and a new record X shares a
+block with A only, then E's true cluster now potentially contains X
+too, so E must also be re-resolved or a query evaluating only E would
+trust its stale cluster.  Recorded links are *kept* — the matcher is
+deterministic over immutable attributes, so links are facts; only
+resolved-ness is revoked.
 
 Everything here is exercised by ``tests/unit/test_incremental_maintenance.py``
 (index-equivalence and invalidation units) and
@@ -61,7 +55,6 @@ from repro.incremental.maintainer import (
     IndexMaintainer,
     IngestError,
     IngestResult,
-    InvalidationPolicy,
 )
 
 __all__ = [
@@ -69,5 +62,4 @@ __all__ = [
     "IndexMaintainer",
     "IngestError",
     "IngestResult",
-    "InvalidationPolicy",
 ]

@@ -1,6 +1,6 @@
 """Delta-aware maintenance of one table's storage, indices and LI.
 
-See the package docstring for the invalidation policy rationale.
+See the package docstring for the Link-Index invalidation rationale.
 
 Once a batch commits (the epoch advances), the engine's
 ``_notify_committed`` hands it to the checkpointer — strictly
@@ -9,7 +9,6 @@ post-commit, so a rolled-back insert never reaches disk.
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence, Tuple
@@ -26,10 +25,9 @@ class IngestError(RuntimeError):
     """An ingest batch failed after partial application and was rolled back.
 
     By the time this surfaces, the table's rows, token postings,
-    signature columns, statistics, join-percentage caches and epoch all equal
-    the pre-insert snapshot again (the rollback property suite checks
-    this against a never-inserted engine).  The original failure is
-    chained as ``__cause__``.
+    signature columns and epoch all equal the pre-insert snapshot again
+    (the rollback property suite checks this against a never-inserted
+    engine).  The original failure is chained as ``__cause__``.
     """
 
     def __init__(self, table: str, stage: str, cause: BaseException):
@@ -41,16 +39,6 @@ class IngestError(RuntimeError):
         self.rolled_back = True
 
 
-class InvalidationPolicy(enum.Enum):
-    """How the Link Index reacts to appended records."""
-
-    #: Un-resolve only the LI clusters of entities sharing a block with a
-    #: new record (sound and minimal; see package docstring).
-    TARGETED = "targeted"
-    #: Clear the whole Link Index on every append.
-    FULL_RESET = "full_reset"
-
-
 @dataclass(frozen=True)
 class IngestResult:
     """Outcome of one ingested batch, for callers and benchmarks."""
@@ -60,7 +48,6 @@ class IngestResult:
     touched_blocks: int
     affected_entities: int
     invalidated: int
-    policy: InvalidationPolicy
     elapsed: float
     #: How many tokens this batch added to the table's interned
     #: vocabulary (the Comparison-Execution fast path's dictionary) —
@@ -80,18 +67,13 @@ class IndexMaintainer:
     """Applies one append batch to a registered table end-to-end.
 
     Orchestrates the four maintenance steps (storage append, postings
-    amendment, LI invalidation, statistics refresh) so the engine's view
+    amendment, LI invalidation, epoch advance) so the engine's view
     of the table is indistinguishable from a fresh registration of the
     grown table — at a cost proportional to the batch, not the table.
     """
 
-    def __init__(
-        self,
-        engine: "QueryEREngine",
-        policy: InvalidationPolicy = InvalidationPolicy.TARGETED,
-    ):
+    def __init__(self, engine: "QueryEREngine"):
         self.engine = engine
-        self.policy = policy
 
     def append(
         self,
@@ -155,7 +137,6 @@ class IndexMaintainer:
             touched_blocks=len(delta.touched_keys),
             affected_entities=len(delta.affected_ids),
             invalidated=invalidated,
-            policy=self.policy,
             elapsed=time.perf_counter() - start,
             interned_tokens=len(index.vocabulary) - vocabulary_before,
         )
@@ -185,7 +166,8 @@ class IndexMaintainer:
         return projected
 
     def _invalidate_link_index(self, index, delta) -> int:
-        """Revoke resolved-ness made stale by the appended records.
+        """Un-resolve the LI clusters of resolved entities that share a
+        block with an appended record (see the package docstring).
 
         Not undone on rollback: un-resolving is conservative (an entity
         re-resolves at its next evaluation, at re-computation cost, not
@@ -194,10 +176,6 @@ class IndexMaintainer:
         pre-insert engine.
         """
         link_index = index.link_index
-        if self.policy is InvalidationPolicy.FULL_RESET:
-            invalidated = link_index.resolved_count
-            link_index.clear()
-            return invalidated
         directly_hit = link_index.resolved_subset(delta.affected_ids)
         if not directly_hit:
             return 0

@@ -17,6 +17,13 @@ on-disk snapshot (:mod:`repro.persist.snapshot`) in step with it:
   segments, they are **compacted** disk-side (decode → concatenate →
   re-encode; the live engine is never touched) into a new base.
 
+Capture, entry writing and segment reading are the snapshot module's
+own (:func:`~repro.persist.snapshot.capture_table`,
+:func:`~repro.persist.snapshot.write_table_entry`,
+:func:`~repro.persist.snapshot.read_table_entry`), so a checkpointed
+table is written exactly as :func:`~repro.persist.snapshot.save_engine`
+writes it, and compaction checks the segments as a load does.
+
 Checkpointing is best-effort by design: a failed write — out of disk,
 or an injected ``persist.write`` / ``persist.rename`` fault — records a
 ``persist`` degradation and marks the table for a full base re-capture
@@ -29,14 +36,10 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from repro.persist import snapshot as snap
-from repro.persist.columnar import columns_from_arrays, columns_to_arrays, encode_strings
 from repro.resilience import DEGRADATION
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine ↔ persist)
@@ -44,28 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine ↔ persist)
 
 #: Compact a table once it holds more than this many delta segments.
 DEFAULT_DELTA_THRESHOLD = 8
-
-
-@dataclass
-class _Payload:
-    """One captured checkpoint, immutable once enqueued.
-
-    ``start_row`` / ``base_vocab_len`` pin the capture to an absolute
-    position in the table; the writer verifies them against the on-disk
-    manifest so a dropped or failed predecessor can never splice a gap
-    (or an overlap) into the segment chain.
-    """
-
-    kind: str  # "base" | "delta"
-    key: str
-    epoch: int
-    start_row: int
-    rows: int
-    base_vocab_len: int
-    arrays: Dict[str, np.ndarray] = field(default_factory=dict)
-    state: Dict[str, Any] = field(default_factory=dict)
-    entry_header: Dict[str, Any] = field(default_factory=dict)
-    statistics: Optional[Dict[str, Any]] = None
 
 
 class CheckpointManager:
@@ -95,7 +76,7 @@ class CheckpointManager:
         self.checkpoint_failures = 0
         self.compactions = 0
         self.last_checkpoint_unix: Optional[float] = None
-        self._queue: "queue.Queue[Optional[_Payload]]" = queue.Queue()
+        self._queue: "queue.Queue[Optional[snap.TableCapture]]" = queue.Queue()
         self._writer: Optional[threading.Thread] = None
         if background:
             self._writer = threading.Thread(
@@ -154,7 +135,7 @@ class CheckpointManager:
     def on_commit(self, table_name: str, count: int) -> None:
         """Checkpoint one committed batch.  Never raises into the insert."""
         try:
-            payload = self._capture(table_name, count)
+            capture = self._capture(table_name)
         except Exception as error:  # capture bug must not poison DML
             self.checkpoint_failures += 1
             DEGRADATION.record(
@@ -164,243 +145,106 @@ class CheckpointManager:
             )
             self._needs_base[table_name.lower()] = True
             return
-        if payload is None:
+        if capture is None:
             return
         if self.background:
-            self._queue.put(payload)
+            self._queue.put(capture)
         else:
-            self._write_payload(payload)
+            self._write_capture(capture)
 
-    def _capture(self, table_name: str, count: int) -> Optional[_Payload]:
+    def _capture(self, table_name: str) -> Optional[snap.TableCapture]:
+        """The table's rows past its last capture, or all of it as a base.
+
+        A base is captured for a table never captured, one flagged after
+        a failure, or one shorter than its last capture.
+        """
         key = table_name.lower()
         index = self.engine.index_of(key)
-        table = index.table
-        epoch = self.engine.epoch_of(key)
-        known = (
-            key in self._captured_rows
-            and not self._needs_base.get(key)
-            and self._captured_rows[key] <= len(table)
-        )
-        if not known:
-            return self._capture_base(key, index, epoch)
-        start = self._captured_rows[key]
-        vocab_from = self._captured_vocab_len[key]
-        if start == len(table):
-            return None  # nothing new (count == 0 commit)
-        csr = index.to_arrays(start)
-        arrays = snap.segment_arrays(
-            table,
-            start,
-            len(table),
-            csr["itbi_indptr"],
-            csr["itbi_tokens"],
-            index.vocabulary.tokens(vocab_from),
-        )
-        payload = _Payload(
-            kind="delta",
-            key=key,
-            epoch=epoch,
-            start_row=start,
-            rows=len(table) - start,
-            base_vocab_len=vocab_from,
-            arrays=arrays,
-            state=snap.link_state_payload(index),
-            entry_header=self._entry_header(index, epoch),
-            statistics=self._statistics_state(key),
-        )
-        self._captured_rows[key] = len(table)
-        self._captured_vocab_len[key] = len(index.vocabulary)
-        return payload
-
-    def _capture_base(self, key: str, index: Any, epoch: int) -> _Payload:
-        table = index.table
-        csr = index.to_arrays()
-        arrays = snap.segment_arrays(
-            table,
-            0,
-            len(table),
-            csr["itbi_indptr"],
-            csr["itbi_tokens"],
-            index.vocabulary.tokens(0),
-        )
-        payload = _Payload(
-            kind="base",
-            key=key,
-            epoch=epoch,
-            start_row=0,
-            rows=len(table),
-            base_vocab_len=0,
-            arrays=arrays,
-            state=snap.link_state_payload(index),
-            entry_header=self._entry_header(index, epoch),
-            statistics=self._statistics_state(key),
-        )
-        self._captured_rows[key] = len(table)
-        self._captured_vocab_len[key] = len(index.vocabulary)
-        self._needs_base[key] = False
-        return payload
-
-    def _entry_header(self, index: Any, epoch: int) -> Dict[str, Any]:
-        return {
-            "name": index.table.name,
-            "epoch": epoch,
-            "schema": snap.schema_state(index.table.schema),
-            "blocking": snap.blocking_state(index.blocking),
-            "vocab_len": len(index.vocabulary),
-        }
-
-    def _statistics_state(self, key: str) -> Optional[Dict[str, Any]]:
-        statistics = self.engine._statistics.get(key)
-        return statistics.to_state() if statistics is not None else None
+        rows = len(index.table)
+        start = vocab_from = 0
+        known = key in self._captured_rows and not self._needs_base.get(key)
+        if known and self._captured_rows[key] <= rows:
+            start, vocab_from = self._captured_rows[key], self._captured_vocab_len[key]
+            if start == rows:
+                return None  # nothing new (count == 0 commit)
+        capture = snap.capture_table(index, self.engine.epoch_of(key), start, vocab_from)
+        self._captured_rows[key] = rows
+        self._captured_vocab_len[key] = capture.header["vocab_len"]
+        if capture.kind == "base":
+            self._needs_base[key] = False
+        return capture
 
     # -- write (disk side) -------------------------------------------------
     def _writer_loop(self) -> None:
         while True:
-            payload = self._queue.get()
+            capture = self._queue.get()
             try:
-                if payload is None:
+                if capture is None:
                     return
-                self._write_payload(payload)
+                self._write_capture(capture)
             finally:
                 self._queue.task_done()
 
-    def _write_payload(self, payload: _Payload) -> None:
+    def _write_capture(self, capture: snap.TableCapture) -> None:
         with self._lock:
             try:
-                self._write_payload_locked(payload)
+                self._write_capture_locked(capture)
                 self.checkpoints_written += 1
                 self.last_checkpoint_unix = time.time()
             except Exception as error:
                 self.checkpoint_failures += 1
-                self._needs_base[payload.key] = True
+                self._needs_base[capture.key] = True
                 DEGRADATION.record(
                     "persist",
                     "checkpoint",
-                    f"{payload.kind} checkpoint of {payload.key!r} "
-                    f"(epoch {payload.epoch}) failed: {error!r}; "
+                    f"{capture.kind} checkpoint of {capture.key!r} "
+                    f"(epoch {capture.epoch}) failed: {error!r}; "
                     "previous snapshot remains loadable",
                 )
 
-    def _write_payload_locked(self, payload: _Payload) -> None:
-        if self._manifest is None:
-            self._manifest = snap.read_manifest(self.directory) or {
-                "format": snap.FORMAT,
-                "saved_unix": int(time.time()),
-                "engine": {},
-                "epochs": {},
-                "join_percentages": [],
-                "tables": {},
-            }
-        tables = self._manifest.setdefault("tables", {})
-        entry = tables.get(payload.key)
-        if payload.kind == "delta":
-            if entry is None or entry["rows"] != payload.start_row:
-                # A predecessor failed or was dropped: this delta no
-                # longer splices onto the on-disk chain.  Skip it; the
-                # table is flagged for a base re-capture already.
-                self._needs_base[payload.key] = True
-                raise snap.SnapshotError(
-                    f"delta for {payload.key!r} starts at row {payload.start_row}, "
-                    f"snapshot holds {entry['rows'] if entry else 'no'} rows"
-                )
-            segment_file = snap.table_file(payload.key, "delta", payload.epoch)
-        else:
-            segment_file = snap.table_file(payload.key, "base", payload.epoch)
-        sha, nbytes = snap.write_npz(self.directory / segment_file, payload.arrays)
-        state_file = snap.table_file(payload.key, "state", payload.epoch)
-        state_sha = snap.write_json(self.directory / state_file, payload.state)
-        segment = {
-            "kind": payload.kind,
-            "file": segment_file,
-            "rows": payload.rows,
-            "epoch": payload.epoch,
-            "sha256": sha,
-            "bytes": nbytes,
-        }
-        if payload.kind == "delta":
-            new_entry = dict(entry)
-            new_entry["segments"] = entry["segments"] + [segment]
-            new_entry["rows"] = entry["rows"] + payload.rows
-        else:
-            new_entry = {"segments": [segment], "rows": payload.rows}
-        new_entry.update(payload.entry_header)
-        new_entry["state"] = {"file": state_file, "sha256": state_sha}
-        new_entry["statistics"] = payload.statistics
-        tables[payload.key] = new_entry
-        self._manifest["epochs"] = {k: e["epoch"] for k, e in tables.items()}
-        self._manifest["saved_unix"] = int(time.time())
-        self._refresh_engine_config()
-        if self._delta_count(new_entry) > self.delta_threshold:
-            self._compact_locked(payload.key)
-        snap.write_manifest(self.directory, self._manifest)
-        snap.sweep_unreferenced(self.directory, self._manifest)
+    def _write_capture_locked(self, capture: snap.TableCapture) -> None:
+        """Write *capture*, compact if due, then the manifest.
 
-    def _refresh_engine_config(self) -> None:
-        engine = self.engine
-        self._manifest["engine"] = {
-            "match_threshold": engine.match_threshold,
-            "meta_blocking": snap.meta_blocking_state(engine.meta_blocking),
-            "use_link_index": engine.use_link_index,
-            "transitive": engine.transitive,
-            "invalidation_policy": engine._maintainer.policy.value,
-        }
-        self._manifest["join_percentages"] = [
-            [*pair_key, *value] for pair_key, value in engine._join_percentages.items()
-        ]
+        The in-memory manifest is replaced only once the new one is on
+        disk, so a failed write or compaction leaves it describing the
+        on-disk snapshot.
+        """
+        if self._manifest is None:
+            self._manifest = snap.read_manifest(self.directory) or {"tables": {}}
+        entry = self._manifest["tables"].get(capture.key)
+        end = (entry["rows"], entry["vocab_len"]) if entry else None
+        if capture.kind == "delta" and end != (capture.start, capture.vocab_from):
+            # A predecessor failed or was dropped: this delta no longer
+            # splices onto the on-disk chain.  Skip it; the table is
+            # flagged for a base re-capture already.
+            raise snap.SnapshotError(
+                f"delta for {capture.key!r} starts at (row, token) "
+                f"{(capture.start, capture.vocab_from)}, snapshot ends at {end}"
+            )
+        entry = snap.write_table_entry(self.directory, capture, entry)
+        if self._delta_count(entry) > self.delta_threshold:
+            self._compact(capture.key, entry)
+        manifest = {**self._manifest, "tables": {**self._manifest["tables"], capture.key: entry}}
+        snap.write_manifest(self.directory, snap.stamp_manifest(manifest, self.engine))
+        self._manifest = manifest
+        snap.sweep_unreferenced(self.directory, manifest)
 
     @staticmethod
     def _delta_count(entry: Dict[str, Any]) -> int:
         return sum(1 for s in entry["segments"] if s["kind"] == "delta")
 
     # -- compaction (pure disk side) ---------------------------------------
-    def _compact_locked(self, key: str) -> None:
-        """Merge a table's base + deltas into one fresh base segment.
+    def _compact(self, key: str, entry: Dict[str, Any]) -> None:
+        """Merge *entry*'s base + deltas into one fresh base segment.
 
-        Operates only on already-written files plus the in-memory
-        manifest — the live engine is never read, so compaction is safe
-        on the background writer no matter what queries run meanwhile.
+        Reads only already-written files, through the loader's checked
+        reader — the live engine is never read, so compaction is safe on
+        the background writer no matter what queries run meanwhile.
         """
-        entry = self._manifest["tables"][key]
-        schema = snap.schema_from_state(entry["schema"])
-        columns: List[List[Any]] = [[] for _ in schema.columns]
-        indptr: List[int] = [0]
-        token_chunks: List[np.ndarray] = []
-        vocab_tokens: List[str] = []
-        from repro.persist.columnar import decode_strings
-
-        for segment in entry["segments"]:
-            arrays = snap.read_npz(self.directory / segment["file"], segment["sha256"])
-            for accumulator, values in zip(
-                columns, columns_from_arrays(schema.columns, arrays)
-            ):
-                accumulator.extend(values)
-            offset = indptr[-1]
-            indptr.extend(int(p) + offset for p in arrays["itbi.indptr"][1:])
-            token_chunks.append(arrays["itbi.tokens"])
-            vocab_tokens.extend(
-                decode_strings(arrays["vocab.data"], arrays["vocab.offsets"])
-            )
-        merged = columns_to_arrays(schema.columns, columns)
-        merged["itbi.indptr"] = np.asarray(indptr, dtype=np.int64)
-        merged["itbi.tokens"] = (
-            np.concatenate(token_chunks)
-            if token_chunks
-            else np.empty(0, dtype=np.int64)
-        )
-        vocab = encode_strings(vocab_tokens)
-        merged["vocab.data"] = vocab["data"]
-        merged["vocab.offsets"] = vocab["offsets"]
-        segment_file = snap.table_file(key, "base", entry["epoch"])
-        sha, nbytes = snap.write_npz(self.directory / segment_file, merged)
+        table, vocabulary, indptr, tokens = snap.read_table_entry(self.directory, entry)
+        arrays = snap.segment_arrays(table, 0, indptr, tokens, vocabulary.tokens(0))
         entry["segments"] = [
-            {
-                "kind": "base",
-                "file": segment_file,
-                "rows": entry["rows"],
-                "epoch": entry["epoch"],
-                "sha256": sha,
-                "bytes": nbytes,
-            }
+            snap.write_segment(self.directory, key, "base", entry["epoch"], len(table), arrays)
         ]
         self.compactions += 1
 

@@ -18,7 +18,12 @@ the token strings this segment introduced into the table's
 is append-only, so concatenating the segments' vocab deltas in manifest
 order reproduces the exact id assignment).  The manifest records the
 schema, blocking configuration, per-file SHA-256 checksums, row counts,
-per-table statistics and the engine epoch map.
+the engine settings and the engine epoch map.
+
+:func:`save_engine` and the checkpointer (:mod:`repro.persist.checkpoint`)
+write tables through one path — :func:`capture_table`, then
+:func:`write_table_entry` — and :func:`load_engine` and compaction read
+them through one checked reader, :func:`read_table_entry`.
 
 **Crash safety.**  Every file is written to a temp name and atomically
 renamed into place (fsynced first), and the manifest is always written
@@ -34,8 +39,11 @@ the next successful write.
 observable behaviour is bit-identical to the saved one — same rows,
 same token postings (the persisted forward CSR plus one counting sort,
 never re-tokenized), same Link-Index links and resolved set, same
-statistics and epochs — which the snapshot round-trip property suite
-gates query-for-query.
+epochs — which the snapshot round-trip property suite gates
+query-for-query.  The §7.2.1 planner statistics are not persisted: they
+are derived from the rows under the engine's settings, so a loaded
+engine samples them on its first ``EXPLAIN``, under its own (possibly
+overridden) match threshold.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ import io
 import json
 import os
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
@@ -53,7 +62,12 @@ import numpy as np
 from repro.er.blocking import NGramBlocking, TokenBlocking
 from repro.er.tokenizer import TokenVocabulary
 from repro.er.util import safe_sorted
-from repro.persist.columnar import columns_from_arrays, columns_to_arrays
+from repro.persist.columnar import (
+    columns_from_arrays,
+    columns_to_arrays,
+    decode_strings,
+    encode_strings,
+)
 from repro.resilience import inject
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
@@ -62,7 +76,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine ↔ persist)
     from repro.core.engine import QueryEREngine
 
 #: Snapshot format tag; bumped on any layout change older readers cannot read.
-FORMAT = "repro/persist/v1"
+#: v2 dropped v1's per-table ``statistics``, ``join_percentages`` and
+#: ``engine.invalidation_policy``, which v1 readers require.
+FORMAT = "repro/persist/v2"
+#: Every format this build reads; v1's dropped keys are ignored.
+READABLE_FORMATS = (FORMAT, "repro/persist/v1")
 MANIFEST_NAME = "manifest.json"
 
 
@@ -203,23 +221,20 @@ def meta_blocking_from_state(state: Dict[str, Any]) -> Any:
     )
 
 
-# -- segment assembly --------------------------------------------------------
+# -- capture and table entries ---------------------------------------------
 def segment_arrays(
     table: Table,
     start: int,
-    stop: int,
     itbi_indptr: Any,
     itbi_tokens: Any,
     new_tokens: List[str],
 ) -> Dict[str, np.ndarray]:
-    """Arrays of one segment covering table rows ``[start:stop)``.
+    """Arrays of one segment covering table rows ``[start:)``.
 
     ``itbi_indptr`` must be local to the segment (``indptr[0] == 0``);
     ``new_tokens`` are the vocabulary entries this segment introduces.
     """
-    from repro.persist.columnar import encode_strings
-
-    arrays = columns_to_arrays(table.schema.columns, table.column_values(start, stop))
+    arrays = columns_to_arrays(table.schema.columns, table.column_values(start))
     arrays["itbi.indptr"] = np.asarray(itbi_indptr, dtype=np.int64)
     arrays["itbi.tokens"] = np.asarray(itbi_tokens, dtype=np.int64)
     vocab = encode_strings(new_tokens)
@@ -246,6 +261,129 @@ def link_state_payload(index: Any) -> Dict[str, Any]:
     }
 
 
+@dataclass(frozen=True)
+class TableCapture:
+    """Table rows ``[start:)`` of one index at *epoch*, ready to write.
+
+    Holds copies only — the segment arrays (rows, their blocking-key
+    CSR, the vocabulary tokens from position ``vocab_from`` on), the
+    Link-Index state and the manifest header — so it can be written
+    later, on the checkpointer's background thread, while the engine
+    moves on.  ``start`` / ``vocab_from`` pin it to an absolute position
+    in the table; a delta is only written onto an entry that ends
+    exactly there.
+    """
+
+    key: str
+    epoch: int
+    start: int
+    rows: int
+    vocab_from: int
+    arrays: Dict[str, np.ndarray]
+    state: Dict[str, Any]
+    header: Dict[str, Any]
+
+    @property
+    def kind(self) -> str:
+        """``"base"`` when the capture holds the whole table, else ``"delta"``."""
+        return "delta" if self.start or self.vocab_from else "base"
+
+
+def capture_table(index: Any, epoch: int, start: int = 0, vocab_from: int = 0) -> TableCapture:
+    """Capture *index*'s table rows ``[start:)`` and vocabulary ``[vocab_from:)``."""
+    table = index.table
+    csr = index.to_arrays(start)
+    return TableCapture(
+        key=table.name.lower(),
+        epoch=epoch,
+        start=start,
+        rows=len(table) - start,
+        vocab_from=vocab_from,
+        arrays=segment_arrays(
+            table,
+            start,
+            csr["itbi_indptr"],
+            csr["itbi_tokens"],
+            index.vocabulary.tokens(vocab_from),
+        ),
+        state=link_state_payload(index),
+        header={
+            "name": table.name,
+            "schema": schema_state(table.schema),
+            "blocking": blocking_state(index.blocking),
+            "vocab_len": len(index.vocabulary),
+        },
+    )
+
+
+def write_segment(
+    directory: Path, key: str, kind: str, epoch: int, rows: int, arrays: Dict[str, np.ndarray]
+) -> Dict[str, Any]:
+    """Write one ``.npz`` segment of *rows* table rows; returns its manifest record."""
+    segment_file = table_file(key, kind, epoch)
+    sha, nbytes = write_npz(directory / segment_file, arrays)
+    return {
+        "kind": kind,
+        "file": segment_file,
+        "rows": rows,
+        "epoch": epoch,
+        "sha256": sha,
+        "bytes": nbytes,
+    }
+
+
+def write_table_entry(
+    directory: Path, capture: TableCapture, previous: Optional[Dict[str, Any]] = None
+) -> Dict[str, Any]:
+    """Write *capture*'s segment and state files; returns its manifest entry.
+
+    A base capture starts a new segment chain; a delta capture extends
+    *previous*, the table's current entry, which must end at
+    ``capture.start``.
+    """
+    segment = write_segment(
+        directory, capture.key, capture.kind, capture.epoch, capture.rows, capture.arrays
+    )
+    state_file = table_file(capture.key, "state", capture.epoch)
+    state_sha = write_json(directory / state_file, capture.state)
+    chain = previous["segments"] if capture.kind == "delta" else []
+    return {
+        **capture.header,
+        "epoch": capture.epoch,
+        "rows": capture.start + capture.rows,
+        "segments": chain + [segment],
+        "state": {"file": state_file, "sha256": state_sha},
+    }
+
+
+def engine_state(engine: "QueryEREngine") -> Dict[str, Any]:
+    """The engine settings a manifest records and :func:`load_engine` reads."""
+    return {
+        "match_threshold": engine.match_threshold,
+        "meta_blocking": meta_blocking_state(engine.meta_blocking),
+        "use_link_index": engine.use_link_index,
+        "transitive": engine.transitive,
+    }
+
+
+def stamp_manifest(manifest: Dict[str, Any], engine: "QueryEREngine") -> Dict[str, Any]:
+    """Set *manifest*'s engine-wide fields from its tables and *engine*.
+
+    The format tag becomes the current one (a v1 manifest the
+    checkpointer rewrites is v2 from then on, its v1-only
+    ``join_percentages`` dropped), and the epoch map is read off the
+    table entries.
+    """
+    manifest.pop("join_percentages", None)
+    manifest.update(
+        format=FORMAT,
+        saved_unix=int(time.time()),
+        engine=engine_state(engine),
+        epochs={key: entry["epoch"] for key, entry in manifest["tables"].items()},
+    )
+    return manifest
+
+
 # -- manifest ----------------------------------------------------------------
 def manifest_path(directory: Union[str, Path]) -> Path:
     return Path(directory) / MANIFEST_NAME
@@ -257,10 +395,10 @@ def read_manifest(directory: Union[str, Path]) -> Optional[Dict[str, Any]]:
     if not path.exists():
         return None
     manifest = read_json(path)
-    if manifest.get("format") != FORMAT:
+    if manifest.get("format") not in READABLE_FORMATS:
         raise SnapshotError(
             f"{path}: unsupported snapshot format {manifest.get('format')!r} "
-            f"(this build reads {FORMAT})"
+            f"(this build reads {', '.join(READABLE_FORMATS)})"
         )
     return manifest
 
@@ -316,70 +454,24 @@ def save_engine(engine: "QueryEREngine", directory: Union[str, Path]) -> Dict[st
     tables: Dict[str, Any] = {}
     for table in engine.catalog:
         key = table.name.lower()
-        index = engine.index_of(key)
-        epoch = engine.epoch_of(key)
-        csr = index.to_arrays()
-        arrays = segment_arrays(
-            table,
-            0,
-            len(table),
-            csr["itbi_indptr"],
-            csr["itbi_tokens"],
-            index.vocabulary.tokens(0),
-        )
-        segment_file = table_file(key, "base", epoch)
-        sha, nbytes = write_npz(directory / segment_file, arrays)
-        state_file = table_file(key, "state", epoch)
-        state_sha = write_json(directory / state_file, link_state_payload(index))
-        statistics = engine._statistics.get(key)
-        tables[key] = {
-            "name": table.name,
-            "epoch": epoch,
-            "rows": len(table),
-            "vocab_len": len(index.vocabulary),
-            "schema": schema_state(table.schema),
-            "blocking": blocking_state(index.blocking),
-            "segments": [
-                {
-                    "kind": "base",
-                    "file": segment_file,
-                    "rows": len(table),
-                    "epoch": epoch,
-                    "sha256": sha,
-                    "bytes": nbytes,
-                }
-            ],
-            "state": {"file": state_file, "sha256": state_sha},
-            "statistics": statistics.to_state() if statistics is not None else None,
-        }
-    manifest = {
-        "format": FORMAT,
-        "saved_unix": int(time.time()),
-        "engine": {
-            "match_threshold": engine.match_threshold,
-            "meta_blocking": meta_blocking_state(engine.meta_blocking),
-            "use_link_index": engine.use_link_index,
-            "transitive": engine.transitive,
-            "invalidation_policy": engine._maintainer.policy.value,
-        },
-        "epochs": engine.table_epochs(),
-        "join_percentages": [
-            [*pair_key, *value] for pair_key, value in engine._join_percentages.items()
-        ],
-        "tables": tables,
-    }
+        capture = capture_table(engine.index_of(key), engine.epoch_of(key))
+        tables[key] = write_table_entry(directory, capture)
+    manifest = stamp_manifest({"tables": tables}, engine)
     write_manifest(directory, manifest)
     sweep_unreferenced(directory, manifest)
     return manifest
 
 
 # -- load --------------------------------------------------------------------
-def _load_table_entry(
+def read_table_entry(
     directory: Path, entry: Dict[str, Any]
 ) -> Tuple[Table, TokenVocabulary, np.ndarray, np.ndarray]:
-    """Concatenate a table's segments back into rows + CSR + vocabulary."""
-    from repro.persist.columnar import decode_strings
+    """Concatenate a table's segments back into rows + CSR + vocabulary.
 
+    Raises :class:`SnapshotError` unless every segment's checksum and
+    CSR length, the reassembled vocabulary length and the decoded row
+    count agree with *entry*.
+    """
     schema = schema_from_state(entry["schema"])
     vocabulary = TokenVocabulary()
     columns: List[List[Any]] = [[] for _ in schema.columns]
@@ -420,12 +512,7 @@ def _load_table_entry(
 
 #: The engine settings :func:`load_engine` reads from the manifest, and
 #: so the keyword overrides it accepts.
-_ENGINE_SETTINGS = frozenset({
-    "match_threshold",
-    "use_link_index",
-    "transitive",
-    "invalidation_policy",
-})
+_ENGINE_SETTINGS = frozenset({"match_threshold", "use_link_index", "transitive"})
 
 
 def load_engine(
@@ -438,14 +525,13 @@ def load_engine(
     Engine configuration defaults to what the manifest recorded;
     *meta_blocking* and keyword *overrides* (e.g.
     ``match_threshold=``) take precedence; an override that names no
-    engine setting raises :class:`TypeError`.  No tokenization, blocking
-    build, or statistics sampling runs — the identity contract is that
-    every DEDUP answer equals both the saved engine's and a fresh
-    engine's over the same rows.
+    engine setting raises :class:`TypeError`.  No tokenization or
+    blocking build runs — the identity contract is that every DEDUP
+    answer equals both the saved engine's and a fresh engine's over the
+    same rows.
     """
     from repro.core.engine import QueryEREngine
     from repro.core.indices import TableIndex
-    from repro.core.statistics import TableStatistics
 
     unknown = sorted(set(overrides) - _ENGINE_SETTINGS)
     if unknown:
@@ -454,23 +540,21 @@ def load_engine(
     manifest = read_manifest(directory)
     if manifest is None:
         raise SnapshotError(f"no snapshot manifest in {directory}")
-    # Older manifests also carry ``sample_stats``, ``optimizer`` and
-    # ``plan_cache_size``.  Statistics are sampled on first read now, the
-    # §7.2.1 planner is the only plan source and the plan cache has a
-    # fixed size, so those keys select nothing and are ignored.
-    config = dict(manifest["engine"])
-    config.update(overrides)
+    # Older manifests also carry ``sample_stats``, ``optimizer``,
+    # ``plan_cache_size`` and ``invalidation_policy`` under ``engine``,
+    # and v1 manifests per-table ``statistics`` and a top-level
+    # ``join_percentages``.  Statistics are derived on first read, the
+    # §7.2.1 planner is the only plan source, the plan cache has a fixed
+    # size and the targeted Link-Index invalidation is the only one, so
+    # those keys select nothing and are ignored.
+    config = {**manifest["engine"], **overrides}
     if meta_blocking is None:
         meta_blocking = meta_blocking_from_state(config["meta_blocking"])
     engine = QueryEREngine(
-        match_threshold=config["match_threshold"],
-        meta_blocking=meta_blocking,
-        use_link_index=config["use_link_index"],
-        transitive=config["transitive"],
-        invalidation_policy=config["invalidation_policy"],
+        meta_blocking=meta_blocking, **{name: config[name] for name in _ENGINE_SETTINGS}
     )
-    for key, entry in manifest["tables"].items():
-        table, vocabulary, indptr, tokens = _load_table_entry(directory, entry)
+    for entry in manifest["tables"].values():
+        table, vocabulary, indptr, tokens = read_table_entry(directory, entry)
         # Older state files also list ``signatures`` (ids whose lazily
         # built signatures existed); the columns are rebuilt whole, so
         # that key selects nothing and is ignored.
@@ -484,16 +568,7 @@ def load_engine(
             link_pairs=[tuple(pair) for pair in state["links"]],
             resolved=state["resolved"],
         )
-        statistics = (
-            TableStatistics.from_state(entry["statistics"])
-            if entry["statistics"] is not None
-            else None
-        )
-        engine.adopt(index, epoch=entry["epoch"], statistics=statistics)
-    for left, right, left_column, right_column, lp, rp in manifest.get(
-        "join_percentages", []
-    ):
-        engine._join_percentages[(left, right, left_column, right_column)] = (lp, rp)
+        engine.adopt(index, epoch=entry["epoch"])
     return engine
 
 

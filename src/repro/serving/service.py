@@ -186,7 +186,7 @@ class EngineService:
         # admission, no gate and no engine.  The unlocked epoch read is
         # safe: whatever map we observe, the entry it keys was computed
         # at exactly those epochs (the answer is stamped to prove it).
-        entry = self.cache.get(epoch_key(normalized, mode_name, self.engine.table_epochs()))
+        entry = self.cache.get(epoch_key(mode_name, normalized, self.engine.table_epochs()))
         if entry is not None:
             served = self._served(entry, "hit", normalized, started)
             self._record(served)
@@ -317,9 +317,10 @@ class EngineService:
     def metrics_snapshot(self) -> Dict[str, Any]:
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = self.cache.snapshot()
-        # The engine's plan LRU (hits/misses/evictions/invalidations) —
-        # plans are reused across requests, so their churn is a
-        # serving-level signal like the result cache's.
+        # The engine's plan LRU (hits/misses/evictions/invalidations of
+        # plans and of EXPLAIN's statistics reads) — plans are reused
+        # across requests, so their churn is a serving-level signal like
+        # the result cache's.
         snapshot["plan_cache"] = self.engine.plan_cache.snapshot()
         snapshot["coalescer"] = dict(self.flights.stats)
         snapshot["inflight"] = self._inflight
@@ -355,7 +356,7 @@ class EngineService:
         self._acquire_gate(timeout)
         try:
             epochs = self.engine.table_epochs()
-            key = epoch_key(normalized, mode_name, epochs)
+            key = epoch_key(mode_name, normalized, epochs)
             entry = self.cache.get(key)
             if entry is not None:
                 return entry, False

@@ -248,8 +248,8 @@ class Table:
         first *limit* picks would all come from a fixed prefix.
 
         Used by the planner to clean a sample for the duplication-factor
-        statistic (paper §7.2.1) the first time that statistic is read —
-        not at registration or load time.
+        statistic (paper §7.2.1) the first time that statistic is read at
+        the table's epoch — not at registration or load time.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")

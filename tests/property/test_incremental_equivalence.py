@@ -7,7 +7,7 @@ Meta-blocking is off so equality is provable (identical indices ⇒
 identical candidate pairs, and the matcher is deterministic) — the same
 convention as ``test_dq_equivalence``.  Queries run *between* batches so
 resolved entities and recorded links actually exist when the Link-Index
-invalidation policy runs.
+invalidation runs.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -20,11 +20,8 @@ from repro.sql.ast import Literal
 from repro.storage.table import Table
 
 
-def engine_for(table, policy="targeted"):
-    engine = QueryEREngine(
-        meta_blocking=MetaBlockingConfig.none(),
-        invalidation_policy=policy,
-    )
+def engine_for(table):
+    engine = QueryEREngine(meta_blocking=MetaBlockingConfig.none())
     engine.register(table)
     return engine
 
@@ -51,7 +48,6 @@ def scenarios(draw):
     size = draw(st.integers(min_value=40, max_value=90))
     base_fraction = draw(st.floats(min_value=0.5, max_value=0.9))
     batches = draw(st.integers(min_value=1, max_value=3))
-    policy = draw(st.sampled_from(["targeted", "full_reset"]))
 
     def where():
         template = draw(st.sampled_from(WHERE_TEMPLATES))
@@ -63,7 +59,7 @@ def scenarios(draw):
 
     interleaved = [where() for _ in range(batches)]
     final = where()
-    return seed, size, base_fraction, batches, policy, interleaved, final
+    return seed, size, base_fraction, batches, interleaved, final
 
 
 @settings(
@@ -73,11 +69,11 @@ def scenarios(draw):
 )
 @given(scenarios())
 def test_insert_then_dedup_equals_fresh_engine(scenario):
-    seed, size, base_fraction, batches, policy, interleaved, final = scenario
+    seed, size, base_fraction, batches, interleaved, final = scenario
     table, _ = generate_people(size, seed=seed)
     rows = [tuple(r.values) for r in table]
     split = max(1, int(size * base_fraction))
-    engine = engine_for(Table("PPL", table.schema, rows[:split], coerce=False), policy)
+    engine = engine_for(Table("PPL", table.schema, rows[:split], coerce=False))
 
     pending = rows[split:]
     per_batch = max(1, len(pending) // batches)

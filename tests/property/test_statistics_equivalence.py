@@ -232,9 +232,8 @@ class TestDuplicationSample:
         index = engine.index_of(table.name)
         before = engine.statistics_of(table.name)
         engine.insert(table.name, copies(table, 20))
-        assert before.stale
         after = engine.statistics_of(table.name)
-        assert after is not before and not after.stale
+        assert after is not before
         assert after.base_rows == before.base_rows + min(20, before.base_rows)
         assert_sample_matches_reference(index, engine.matcher_for(index), after)
 
@@ -242,11 +241,11 @@ class TestDuplicationSample:
         table = DATASETS[dataset]()
         engine = engine_with(table, threshold)
         engine.save(tmp_path / "unread")
-        expected = engine.statistics_of(table.name).to_state()
+        expected = vars(engine.statistics_of(table.name))
         engine.save(tmp_path / "read")
         for snapshot in ("unread", "read"):
             loaded = QueryEREngine.load(tmp_path / snapshot)
-            assert loaded.statistics_of(table.name).to_state() == expected
+            assert vars(loaded.statistics_of(table.name)) == expected
             loaded.insert(table.name, copies(table, 5))
             index = loaded.index_of(table.name)
             stale = loaded.statistics_of(table.name)
@@ -428,26 +427,37 @@ EXPLAINED = {
 ANSWERED = ("single-filter", "single-whole", "two-way")
 
 
+def explained_engine(config):
+    """The engine the golden texts are rendered on, and a step function
+    moving it to the next phase: ``"answered"`` answers some statements,
+    ``"inserted"`` then inserts into PPL and OAO."""
+    # Fresh tables per engine: inserts append to the registered table.
+    organisations_table, _ = generate_organizations(150, seed=71)
+    names = [row["name"] for row in organisations_table]
+    people_table, _ = generate_people(1200, organisations=names[:75], seed=72)
+    projects_table, _ = generate_projects(200, organisations=names, seed=73)
+    engine = QueryEREngine(meta_blocking=getattr(MetaBlockingConfig, config)())
+    for table in (people_table, organisations_table, projects_table):
+        engine.register(table)
+
+    def step(phase):
+        if phase == "answered":
+            for name in ANSWERED:
+                engine.execute(EXPLAINED[name])
+        elif phase == "inserted":
+            engine.insert("PPL", copies(people_table, 40))
+            engine.insert("OAO", copies(organisations_table, 10))
+
+    return engine, step
+
+
 def explain_texts():
     """``EXPLAIN`` of every statement: fresh, after answering some, after an insert."""
     texts = {}
     for config in ("all", "none"):
-        # Fresh tables per engine: inserts append to the registered table.
-        organisations_table, _ = generate_organizations(150, seed=71)
-        names = [row["name"] for row in organisations_table]
-        people_table, _ = generate_people(1200, organisations=names[:75], seed=72)
-        projects_table, _ = generate_projects(200, organisations=names, seed=73)
-        meta_blocking = getattr(MetaBlockingConfig, config)()
-        engine = QueryEREngine(meta_blocking=meta_blocking)
-        for table in (people_table, organisations_table, projects_table):
-            engine.register(table)
+        engine, step = explained_engine(config)
         for phase in ("fresh", "answered", "inserted"):
-            if phase == "answered":
-                for name in ANSWERED:
-                    engine.execute(EXPLAINED[name])
-            elif phase == "inserted":
-                engine.insert("PPL", copies(people_table, 40))
-                engine.insert("OAO", copies(organisations_table, 10))
+            step(phase)
             for name, sql in EXPLAINED.items():
                 texts[f"{config}/{phase}/{name}"] = engine.explain(sql)
     return texts
@@ -456,6 +466,29 @@ def explain_texts():
 def test_explain_is_byte_identical_to_golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert explain_texts() == golden
+
+
+@pytest.mark.parametrize("config", ["all", "none"])
+def test_loaded_engine_explains_like_the_golden(config, tmp_path):
+    """Statistics are not persisted: an engine loaded, with no override,
+    from a snapshot samples them again and renders the golden text.
+
+    The "answered" phase is left out: there the golden engine renders
+    the plans it cached in the "fresh" phase (a cached join plan keeps
+    its clean-first choice after the Link Index fills), while a loaded
+    engine starts with no plan cached.  Inserts into PPL and OAO retire
+    every plan, so the "inserted" phase is planned afresh on both.
+    """
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    engine, step = explained_engine(config)
+    for phase in ("fresh", "answered", "inserted"):
+        step(phase)
+        if phase == "answered":
+            continue
+        engine.save(tmp_path / phase)
+        loaded = QueryEREngine.load(tmp_path / phase)
+        for name, sql in EXPLAINED.items():
+            assert loaded.explain(sql) == golden[f"{config}/{phase}/{name}"], name
 
 
 if __name__ == "__main__":

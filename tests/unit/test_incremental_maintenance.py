@@ -2,8 +2,8 @@
 
 Covers the three maintenance steps individually — storage append,
 delta postings amendment (append-then-amend ≡ registration of the grown table),
-Link-Index invalidation (targeted and full-reset) — plus the DML parse/
-execute path and the statistics refresh.
+Link-Index invalidation — plus the DML parse/execute path and the
+statistics refresh.
 """
 
 import pytest
@@ -12,7 +12,6 @@ from reference.dict_pipeline import block_sets, postings_blocks, reference_tbi
 from repro.core.engine import QueryEREngine
 from repro.core.indices import TableIndex
 from repro.datagen import generate_people
-from repro.incremental import InvalidationPolicy
 from repro.sql import ast
 from repro.sql.parser import ParseError, parse
 from repro.storage.schema import Schema, SchemaError
@@ -103,8 +102,8 @@ class TestDeltaIndexMaintenance:
 
 
 class TestLinkIndexInvalidation:
-    def engine_with_resolved_pair(self, policy=InvalidationPolicy.TARGETED):
-        engine = QueryEREngine(invalidation_policy=policy)
+    def engine_with_resolved_pair(self):
+        engine = QueryEREngine()
         engine.register(
             Table(
                 "P",
@@ -161,14 +160,6 @@ class TestLinkIndexInvalidation:
         outcome = engine.insert("P", [("p9", "zzz qqq www")])
         assert outcome.invalidated == 0
         assert engine.index_of("P").link_index.is_resolved("p1")
-
-    def test_full_reset_policy_clears_link_index(self):
-        engine = self.engine_with_resolved_pair(policy="full_reset")
-        li = engine.index_of("P").link_index
-        outcome = engine.insert("P", [("p9", "zzz qqq www")])
-        assert outcome.policy is InvalidationPolicy.FULL_RESET
-        assert outcome.invalidated == 3
-        assert li.resolved_count == 0 and len(li) == 0
 
     def test_query_after_insert_matches_fresh_engine(self):
         engine = self.engine_with_resolved_pair()
@@ -248,17 +239,35 @@ class TestInsertSql:
 
 
 class TestStatisticsRefresh:
-    def test_duplication_sample_marked_stale_and_recomputed(self):
+    def test_duplication_sample_recomputed_after_insert(self):
         engine = QueryEREngine()
         table, _ = generate_people(60, seed=3)
         engine.register(table)
         before = engine.statistics_of("PPL")
-        assert before.base_rows == 60 and not before.stale
+        assert before.base_rows == 60
+        assert engine.statistics_of("PPL") is before
         engine.insert("PPL", [(9001, "zz", "yy")], columns=["id", "given_name", "surname"])
-        assert before.stale
         after = engine.statistics_of("PPL")
         assert after is not before
-        assert after.base_rows == 61 and not after.stale
+        assert after.base_rows == 61
+        assert engine.statistics_of("PPL") is after
+
+    def test_insert_resamples_only_the_grown_table(self):
+        """An insert into R retires R's sample and every join percentage
+        reading R; L's sample stays the very same object."""
+        engine = QueryEREngine()
+        engine.register(Table("L", Schema.of("id", "ref"), [("l1", "k1"), ("l2", "k2")]))
+        engine.register(Table("R", Schema.of("id", "key"), [("r1", "k1")]))
+        left, right = engine.statistics_of("L"), engine.statistics_of("R")
+        engine.join_percentage("L", "R", "ref", "key")
+        engine.execute("SELECT DEDUP id, ref FROM L")  # a plan reading L only
+        engine.insert("R", [("r2", "k2")])
+        assert engine.statistics_of("L") is left
+        assert engine.statistics_of("R") is not right
+        assert engine.statistics_of("R").base_rows == 2
+        # L's sample is the only entry that survived: the plan's key holds
+        # every table's epoch, the join percentage's R's.
+        assert len(engine.plan_cache) == 2
 
     def test_join_percentages_recomputed_after_insert(self):
         engine = QueryEREngine()

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from reference.dict_pipeline import postings_blocks
 from reference.signature_oracle import column_state, profile_of
@@ -9,14 +10,18 @@ from reference.signature_oracle import column_state, profile_of
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
 from repro.er.meta_blocking import MetaBlockingConfig
+from repro.incremental import IngestError
 from repro.persist import (
+    FORMAT,
+    CheckpointManager,
     SnapshotError,
     column_from_arrays,
     column_to_arrays,
     read_manifest,
     save_engine,
 )
-from repro.persist.snapshot import MANIFEST_NAME, write_manifest
+from repro.persist import snapshot as snap
+from repro.persist.snapshot import MANIFEST_NAME, read_npz, write_manifest
 from repro.resilience import DEGRADATION, FaultPlan, clear_plan, install_plan
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
@@ -111,22 +116,51 @@ class TestSaveLoad:
         state = json.loads((tmp_path / entry["state"]["file"]).read_text())
         assert set(state) == {"links", "resolved"}
 
-    def test_statistics_survive_without_resampling(self, tmp_path):
+    def test_statistics_after_load_equal_the_live_engines(self, tmp_path):
         engine = make_engine()
         live = engine.statistics_of("ppl")
         engine.save(tmp_path)
         warm = QueryEREngine.load(tmp_path)
         restored = warm.statistics_of("ppl")
+        assert restored is not live  # sampled again, not restored
+        assert vars(restored) == vars(live)
         assert restored.duplication_factor == live.duplication_factor
         assert restored.sample_size == live.sample_size
 
-    def test_statistics_are_not_persisted_before_first_read(self, tmp_path):
+    def test_manifest_carries_no_statistics(self, tmp_path):
         engine = make_engine()
+        other, _ = generate_people(40, seed=5, name="OTH")
+        engine.register(other)
+        engine.statistics_of("ppl")
+        engine.join_percentage("PPL", "OTH", "surname", "surname")
         manifest = engine.save(tmp_path)
-        assert manifest["tables"]["ppl"]["statistics"] is None
-        assert "sample_stats" not in manifest["engine"]
-        warm = QueryEREngine.load(tmp_path)
-        assert warm.statistics_of("ppl").to_state() == engine.statistics_of("ppl").to_state()
+        assert manifest["format"] == FORMAT == "repro/persist/v2"
+        assert "join_percentages" not in manifest
+        assert "statistics" not in manifest["tables"]["ppl"]
+        assert set(manifest["engine"]) == {
+            "match_threshold", "meta_blocking", "use_link_index", "transitive",
+        }
+
+    def test_explain_after_load_with_a_threshold_override_equals_a_fresh_engines(
+        self, tmp_path
+    ):
+        """Regression: the loaded engine once kept the duplication factor
+        sampled at the saved threshold (0.75: df 0.017, est rows=16), where
+        a fresh 0.55 engine samples df 2.72 (est rows=60)."""
+        sql = "EXPLAIN SELECT DEDUP * FROM PPL WHERE surname = 'smith'"
+        table, _ = generate_people(1000, seed=7)
+        engine = QueryEREngine()
+        engine.register(table)
+        saved = engine.execute(sql).plan_description  # samples at 0.75
+        assert "Deduplicate {est comparisons=23, est rows=16}" in saved
+        engine.save(tmp_path)
+        warm = QueryEREngine.load(tmp_path, match_threshold=0.55)
+        fresh = QueryEREngine(match_threshold=0.55)
+        fresh.register(generate_people(1000, seed=7)[0])
+        expected = fresh.execute(sql).plan_description
+        assert "Deduplicate {est comparisons=23, est rows=60}" in expected
+        assert warm.execute(sql).plan_description == expected
+        assert vars(warm.statistics_of("PPL")) == vars(fresh.statistics_of("PPL"))
 
     def test_manifest_with_legacy_sample_stats_key_loads(self, tmp_path):
         """Manifests written while statistics were sampled at registration
@@ -138,7 +172,31 @@ class TestSaveLoad:
         write_manifest(tmp_path, manifest)
         warm = QueryEREngine.load(tmp_path)
         assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
-        assert warm.statistics_of("ppl").to_state() == engine.statistics_of("ppl").to_state()
+        assert vars(warm.statistics_of("ppl")) == vars(engine.statistics_of("ppl"))
+
+    def test_v1_manifest_with_statistics_loads_and_resamples(self, tmp_path):
+        """A v1 manifest's ``statistics``, ``join_percentages`` and
+        ``invalidation_policy`` are ignored: the loaded engine samples its
+        own statistics, so the stale values written here never surface."""
+        engine = make_engine()
+        other, _ = generate_people(40, seed=5, name="OTH")
+        engine.register(other)
+        manifest = engine.save(tmp_path)
+        manifest["format"] = "repro/persist/v1"
+        manifest["engine"]["invalidation_policy"] = "full_reset"
+        manifest["join_percentages"] = [["ppl", "oth", "surname", "surname", 0.0, 0.0]]
+        for entry in manifest["tables"].values():
+            entry["statistics"] = {
+                "sample_size": 1, "sample_duplicates": 99, "duplication_factor": 99.0,
+                "base_rows": 1, "appended_rows": 0,
+            }
+        write_manifest(tmp_path, manifest)
+        warm = QueryEREngine.load(tmp_path)
+        assert vars(warm.statistics_of("ppl")) == vars(engine.statistics_of("ppl"))
+        assert warm.join_percentage("PPL", "OTH", "surname", "surname") == (
+            engine.join_percentage("PPL", "OTH", "surname", "surname")
+        )
+        assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
 
     def test_manifest_with_legacy_optimizer_keys_loads(self, tmp_path):
         """Manifests written while a plan enumerator existed carry
@@ -216,6 +274,15 @@ class TestSaveLoad:
         engine.save(tmp_path)
         with pytest.raises(TypeError, match=override):
             QueryEREngine.load(tmp_path, **{override: 0})
+
+    def test_removed_invalidation_policy_is_refused(self, tmp_path):
+        """Targeted Link-Index invalidation is the only one left."""
+        engine = make_engine()
+        engine.save(tmp_path)
+        with pytest.raises(TypeError, match="invalidation_policy"):
+            QueryEREngine.load(tmp_path, invalidation_policy="full_reset")
+        with pytest.raises(TypeError, match="invalidation_policy"):
+            QueryEREngine(invalidation_policy="targeted")
 
     def test_multi_table_snapshot(self, tmp_path):
         engine = make_engine()
@@ -320,6 +387,25 @@ class TestCrashSafety:
         assert warm.table_epochs()["ppl"] == engine.table_epochs()["ppl"] - 1
         assert warm.execute(QUERY).sorted_rows() == pre_insert
 
+    def test_failed_manifest_write_leaves_status_describing_the_disk(self, tmp_path):
+        """The segment and state files of a delta are written, then its
+        manifest write fails: the manager still reports the snapshot on
+        disk, and the next commit repairs it with a base."""
+        engine = make_engine()
+        manager = engine.enable_checkpointing(tmp_path)
+        install_plan(FaultPlan.parse("persist.write:after=2:times=1"))
+        engine.insert("PPL", [extra_row(0)])
+        clear_plan()
+        assert manager.checkpoint_failures == 1
+        on_disk = read_manifest(tmp_path)
+        assert [s["kind"] for s in on_disk["tables"]["ppl"]["segments"]] == ["base"]
+        assert manager.status()["snapshot_epoch_map"] == on_disk["epochs"]
+        assert manager.status()["delta_segments"] == 0
+        engine.insert("PPL", [extra_row(1)])
+        warm = QueryEREngine.load(tmp_path)
+        assert warm.table_epochs() == engine.table_epochs()
+        assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
+
     def test_next_commit_repairs_with_full_base(self, tmp_path):
         engine = make_engine()
         engine.enable_checkpointing(tmp_path)
@@ -342,6 +428,113 @@ class TestCrashSafety:
         assert not stray.exists()
 
 
+def decoded(directory, entry):
+    """Every segment of a manifest entry, decoded to its named arrays."""
+    return [read_npz(directory / segment["file"]) for segment in entry["segments"]]
+
+
+def assert_same_arrays(left, right):
+    assert len(left) == len(right)
+    for one, other in zip(left, right):
+        assert list(one) == list(other)
+        for name in one:
+            assert one[name].dtype == other[name].dtype, name
+            assert np.array_equal(one[name], other[name]), name
+
+
+def without_checksums(entry):
+    """*entry* minus the segment checksums: an ``.npz`` is a zip whose
+    member headers carry the write time, so equal arrays written at
+    different moments may hash differently."""
+    return {
+        **entry,
+        "segments": [
+            {k: v for k, v in segment.items() if k != "sha256"}
+            for segment in entry["segments"]
+        ],
+    }
+
+
+class TestWriterIdentity:
+    """``save_engine``, the checkpointer and compaction write one format."""
+
+    def test_base_capture_writes_what_save_engine_writes(self, tmp_path):
+        engine = make_engine()
+        engine.execute(QUERY)  # Link Index state to write
+        engine.insert("PPL", [extra_row(0)])
+        saved = save_engine(engine, tmp_path / "saved")
+        manager = CheckpointManager(engine, tmp_path / "checkpoint")
+        capture = manager._capture("PPL")  # never captured: a base
+        assert capture.kind == "base"
+        manager._write_capture(capture)
+        assert manager.checkpoints_written == 1
+        checkpointed = read_manifest(tmp_path / "checkpoint")
+        for field in ("format", "engine", "epochs"):
+            assert checkpointed[field] == saved[field], field
+        entry, saved_entry = checkpointed["tables"]["ppl"], saved["tables"]["ppl"]
+        assert without_checksums(entry) == without_checksums(saved_entry)
+        assert entry["state"] == saved_entry["state"]
+        assert_same_arrays(
+            decoded(tmp_path / "checkpoint", entry), decoded(tmp_path / "saved", saved_entry)
+        )
+
+    def test_compacted_base_decodes_to_what_save_engine_writes(self, tmp_path):
+        engine = make_engine()
+        manager = engine.enable_checkpointing(tmp_path / "checkpoint", delta_threshold=2)
+        engine.execute(QUERY)
+        install_plan(FaultPlan.parse("dml.before_commit:times=1"))
+        with pytest.raises(IngestError):
+            engine.insert("PPL", [extra_row(9)])  # rolled back: its tokens stay
+        clear_plan()
+        for i in range(3):
+            engine.insert("PPL", [extra_row(i)])
+        assert manager.compactions == 1
+        entry = read_manifest(tmp_path / "checkpoint")["tables"]["ppl"]
+        assert [s["kind"] for s in entry["segments"]] == ["base"]
+        saved_entry = save_engine(engine, tmp_path / "saved")["tables"]["ppl"]
+        assert without_checksums(entry) == without_checksums(saved_entry)
+        assert_same_arrays(
+            decoded(tmp_path / "checkpoint", entry), decoded(tmp_path / "saved", saved_entry)
+        )
+
+    def test_corrupt_delta_fails_compaction_and_keeps_the_prior_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        """A delta whose blocking-key CSR disagrees with its row count is
+        refused by compaction, as a load would refuse it: the failure is a
+        ``persist`` degradation and the manifest on disk stays the last
+        good one, which loads."""
+        engine = make_engine()
+        manager = engine.enable_checkpointing(tmp_path, delta_threshold=2)
+        for i in range(2):
+            engine.insert("PPL", [extra_row(i)])
+        before = read_manifest(tmp_path)
+        pre_insert = engine.execute(QUERY).sorted_rows()
+        capture_table = snap.capture_table
+
+        def corrupt(*args, **kwargs):
+            capture = capture_table(*args, **kwargs)
+            capture.arrays["itbi.indptr"] = capture.arrays["itbi.indptr"][:-1]
+            return capture
+
+        monkeypatch.setattr(snap, "capture_table", corrupt)
+        engine.insert("PPL", [extra_row(2)])  # third delta: compaction is due
+        monkeypatch.undo()
+        assert manager.compactions == 0
+        assert manager.checkpoint_failures == 1
+        assert DEGRADATION.layer_counts().get("persist") == 1
+        assert read_manifest(tmp_path) == before
+        warm = QueryEREngine.load(tmp_path)
+        assert warm.table_epochs()["ppl"] == engine.epoch_of("ppl") - 1
+        assert warm.execute(QUERY).sorted_rows() == pre_insert
+        engine.insert("PPL", [extra_row(3)])  # the next commit re-captures a base
+        entry = read_manifest(tmp_path)["tables"]["ppl"]
+        assert [s["kind"] for s in entry["segments"]] == ["base"]
+        warm = QueryEREngine.load(tmp_path)
+        assert warm.table_epochs() == engine.table_epochs()
+        assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
+
+
 class TestEngineHooks:
     def test_save_engine_function_matches_method(self, tmp_path):
         engine = make_engine()
@@ -354,14 +547,17 @@ class TestEngineHooks:
         engine.save(tmp_path)
         assert QueryEREngine.load(tmp_path).table_epochs() == engine.table_epochs()
 
-    def test_join_percentages_restored(self, tmp_path):
+    def test_join_percentage_after_load_equals_the_live_engines(self, tmp_path):
         engine = make_engine()
         other, _ = generate_people(40, seed=5, name="OTH")
         engine.register(other)
         live = engine.join_percentage("PPL", "OTH", "surname", "surname")
         engine.save(tmp_path)
         warm = QueryEREngine.load(tmp_path)
-        assert warm._join_percentages[("ppl", "oth", "surname", "surname")] == live
+        assert warm.join_percentage("PPL", "OTH", "surname", "surname") == live
+        assert warm.join_percentage("OTH", "PPL", "surname", "surname") == (
+            engine.join_percentage("OTH", "PPL", "surname", "surname")
+        )
 
     def test_unsnapshotable_blocking_is_refused(self, tmp_path):
         from repro.core.indices import TableIndex

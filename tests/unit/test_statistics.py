@@ -185,7 +185,9 @@ class TestLazyRegistration:
         engine = QueryEREngine()
         engine.register(table())
         engine.register(table(), replace=True)
-        assert engine._statistics == {}
+        assert len(engine.plan_cache) == 0
         monkeypatch.undo()
-        assert engine.statistics_of("T").base_rows == len(table())
-        assert set(engine._statistics) == {"t"}
+        statistics = engine.statistics_of("T")
+        assert statistics.base_rows == len(table())
+        assert len(engine.plan_cache) == 1
+        assert engine.statistics_of("T") is statistics

@@ -2,7 +2,7 @@
 
 Regression suite for the stale-state bug: ``Catalog.unregister`` used to
 remove only the catalog entry, leaving the TBI/ITBI bundle, matcher,
-cached statistics, join-percentage cache and epoch entry behind — a
+cached statistics, join percentages and epoch entry behind — a
 re-registered table under the same name could then serve another
 table's blocking index or alias its epoch-keyed caches.
 """
@@ -49,17 +49,32 @@ class TestUnregister:
             engine.index_of("PPL")
 
     def test_purges_statistics(self, engine):
-        engine.statistics_of("PPL")  # populate the cache
-        assert "ppl" in engine._statistics
+        before = engine.statistics_of("PPL")  # populate the cache
+        assert len(engine.plan_cache) == 1
         engine.unregister("PPL")
-        assert "ppl" not in engine._statistics
+        assert len(engine.plan_cache) == 0
+        with pytest.raises(KeyError):
+            engine.statistics_of("PPL")
+        engine.register(Table("PPL", people_schema(), people_rows(30, seed=4)))
+        after = engine.statistics_of("PPL")
+        assert after is not before and after.base_rows == 30
 
     def test_purges_join_percentages(self, engine):
         engine.register(Table("OTHER", people_schema(), people_rows(40, seed=9)))
-        engine._join_percentages[("ppl", "other", "id", "id")] = (1.0, 1.0)
-        engine._join_percentages[("other", "ppl", "id", "id")] = (1.0, 1.0)
+        before = engine.join_percentage("PPL", "OTHER", "surname", "surname")
+        engine.join_percentage("OTHER", "PPL", "surname", "surname")
+        assert len(engine.plan_cache) == 2
         engine.unregister("PPL")
-        assert not any("ppl" in key for key in engine._join_percentages)
+        assert len(engine.plan_cache) == 0
+        with pytest.raises(KeyError):
+            engine.join_percentage("PPL", "OTHER", "surname", "surname")
+        other = engine.catalog.get("OTHER")
+        engine.register(Table("PPL", people_schema(), [tuple(r.values) for r in other]))
+        # PPL now holds OTHER's rows: both sides join exactly like OTHER
+        # joins itself, which the dropped PPL did not.
+        itself = engine.join_percentage("OTHER", "OTHER", "surname", "surname")
+        assert engine.join_percentage("PPL", "OTHER", "surname", "surname") == itself
+        assert before != itself
 
     def test_epoch_entry_removed_but_retired(self, engine):
         engine.insert("PPL", [people_rows(81, seed=5)[-1]])
