@@ -65,18 +65,15 @@ def engine_with_tables():
 
 def measure_order(clean_first: str) -> dict:
     """Run the SPJ with a forced cleaning order; return comparison counts."""
-    from repro.core.planner import DedupQueryExecutor
+    from repro.core.planner import DedupQueryExecutor, DedupQueryPlanner
     from repro.sql.parser import parse
     from repro.sql.physical import ExecutionContext
 
     engine = engine_with_tables()
-    executor = DedupQueryExecutor(engine)
-    query = parse(SQL)
-    infos, steps, _ = executor.planner.analyze(query)
-    plan = executor.planner.plan(query, ExecutionMode.AES)
+    plan = DedupQueryPlanner(engine).plan(parse(SQL), ExecutionMode.AES)
     plan.clean_first = clean_first  # force the order under study
     context = ExecutionContext()
-    executor._execute_joins(infos, steps, plan, ExecutionMode.AES, context)
+    DedupQueryExecutor(engine)._execute_joins(plan, context)
     return {"clean_first": clean_first, "total": context.comparisons}
 
 

@@ -72,13 +72,14 @@ class QueryEREngine:
     (:meth:`join_percentage`) are computed on first read, which only
     ``EXPLAIN`` does — the planner's clean-first choice needs comparison
     estimates alone.  Plans and both statistics are entries of
-    :attr:`plan_cache`, keyed ``(kind, key, epochs)``: a plan (kind =
-    mode, or ``"relational"``) on the epochs of every table, a statistic
-    (kind ``"statistics"`` or ``"join_percentage"``) on the epochs of
-    the tables it reads.  Every register, unregister and adopt drops the
-    whole cache; a committed insert drops the entries that read the
-    grown table, which is every plan, while other tables' statistics
-    stay.
+    :attr:`plan_cache`, keyed ``(kind, key, epochs)`` on the epochs of
+    the tables the entry reads: a plan (kind = mode, or
+    ``"relational"``; key = normalized SQL) on the tables its statement
+    names, a statistic (kind ``"statistics"`` or ``"join_percentage"``)
+    on the tables it samples.  Every register, unregister and adopt
+    drops the whole cache; a committed insert drops only the entries
+    that read the grown table — the plans of statements over other
+    tables, and those tables' statistics, stay.
 
     **Epoch/snapshot contract.**  The engine is the single source of
     truth for per-table *epochs*: :meth:`register` and every ingested
@@ -317,8 +318,7 @@ class QueryEREngine:
         commit.  The new epoch makes every artefact keyed on the old one
         unreachable — the plan cache and the serving layer's result
         cache both key on it — and the plan cache drops those entries:
-        every plan, and the statistics that read *name*.  The others'
-        statistics stay.
+        the plans and statistics that read *name*.  The others stay.
         """
         if count <= 0:
             return
@@ -425,24 +425,32 @@ class QueryEREngine:
         context = ExecutionContext()
         start = time.perf_counter()
         plan = self._dedup_plan(query, mode)
-        columns, rows = self._executor.execute(query, mode, context, plan)
+        columns, rows = self._executor.execute(plan, context)
         elapsed = time.perf_counter() - start
-        result = QueryResult(columns, rows, elapsed, context, plan.pretty())
-        return result
+        return QueryResult(columns, rows, elapsed, context, plan.pretty())
 
     # -- plan selection ---------------------------------------------------
+    def _statement_epochs(self, query: ast.SelectQuery) -> Dict[str, int]:
+        """The epochs of the tables *query* names — its plan's cache key.
+
+        An unknown name keys at epoch 0; planning it raises, so nothing
+        is cached under it.
+        """
+        refs = (query.table, *(j.table for j in query.joins))
+        return {ref.name.lower(): self.epoch_of(ref.name) for ref in refs}
+
     def _dedup_plan(self, query: ast.SelectQuery, mode: ExecutionMode) -> DedupQueryPlan:
         """The §7.2.1 plan of a DEDUP query, from the plan cache if there.
 
-        The key holds the table epochs only.  The planner's comparison
-        estimate skips Link-Index-resolved entities, so a cached join
-        plan keeps the clean-first choice made before earlier queries
-        filled the Link Index.
+        The key holds the epochs of the tables the query reads only.  The
+        planner's comparison estimate skips Link-Index-resolved entities,
+        so a cached join plan keeps the clean-first choice made before
+        earlier queries filled the Link Index.
         """
         return self._cached(
             mode.value,
             normalize_sql(str(query)),
-            self.table_epochs(),
+            self._statement_epochs(query),
             lambda: DedupQueryPlanner(self).plan(query, mode),
         )
 
@@ -451,7 +459,7 @@ class QueryEREngine:
         return self._cached(
             "relational",
             normalize_sql(str(query)),
-            self.table_epochs(),
+            self._statement_epochs(query),
             lambda: self._relational.logical_plan(query),
         )
 
@@ -485,11 +493,11 @@ class QueryEREngine:
                 )
         else:
             plan = self._dedup_plan(inner, mode)
-            lines, estimated = explain_dedup(self, inner, mode, plan)
+            lines, estimated = explain_dedup(self, plan)
             if statement.analyze:
                 context = ExecutionContext()
                 run_start = time.perf_counter()
-                columns, rows = self._executor.execute(inner, mode, context, plan)
+                columns, rows = self._executor.execute(plan, context)
                 run_elapsed = time.perf_counter() - run_start
                 lines = analyze_lines(
                     lines,
@@ -518,7 +526,7 @@ class QueryEREngine:
             return DmlExecutor.describe(query)
         if not query.dedup:
             return "\n".join(relational_plan_lines(self._relational_plan(query)))
-        lines, _ = explain_dedup(self, query, mode, self._dedup_plan(query, mode))
+        lines, _ = explain_dedup(self, self._dedup_plan(query, mode))
         return "\n".join(lines)
 
     def plan_for(

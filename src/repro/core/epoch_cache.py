@@ -12,7 +12,7 @@ four kinds of entry:
 
 * a DEDUP plan (kind = execution mode) and a plain SELECT's logical
   plan (kind ``"relational"``), keyed on normalized SQL and the epochs
-  of every table;
+  of the tables the statement names;
 * a §7.2.1 duplication-factor sample (kind ``"statistics"``), keyed on
   the table name and that table's epoch;
 * a §7.2.1 join percentage (kind ``"join_percentage"``), keyed on

@@ -17,9 +17,17 @@ experimental configurations:
 * **BATCH** — the BA baseline (§5): full offline ER on every involved
   table, then the query over the grouped result.
 
-All strategies funnel into the same Group-Entities + Project tail, so
+All strategies funnel into Group-Entities and then the relational tail
+(:meth:`~repro.sql.planner.RelationalPlanner.tail`: Aggregate or
+Project, Distinct, Sort, Limit — the one every plain SELECT ends in), so
 their outputs are directly comparable — which is precisely the paper's
 DQ-Correctness requirement.
+
+A statement is analysed once, by :meth:`DedupQueryPlanner.plan`: the
+bindings (checked by the relational planner's
+:func:`~repro.sql.planner.resolve_bindings`), their compiled filters,
+the join steps and the residual live on the :class:`DedupQueryPlan`,
+which the executor runs and ``EXPLAIN`` prints (:meth:`DedupQueryPlan.tree`).
 """
 
 from __future__ import annotations
@@ -33,14 +41,10 @@ from repro.core.indices import TableIndex
 from repro.core.result import DedupResult, merge_values
 from repro.core.statistics import ComparisonEstimator, join_value
 from repro.sql import ast
-from repro.sql.expressions import (
-    compile_predicate,
-    conjoin,
-    conjuncts,
-    referenced_bindings,
-)
-from repro.sql.logical import Field, PlanSchema
+from repro.sql.expressions import compile_predicate, conjoin
+from repro.sql.logical import LogicalValues, PlanSchema, schema_for_table
 from repro.sql.physical import ExecutionContext
+from repro.sql.planner import PlanningError, RelationalPlanner, equi_join_keys, resolve_bindings
 from repro.storage.table import Row
 
 
@@ -53,8 +57,8 @@ class ExecutionMode(enum.Enum):
     BATCH = "batch"
 
 
-class DedupPlanningError(ValueError):
-    """Raised when a DEDUP query cannot be planned."""
+#: The relational planner's error; DEDUP statements raise the same class.
+DedupPlanningError = PlanningError
 
 
 @dataclass
@@ -87,21 +91,90 @@ class JoinStep:
 
 @dataclass
 class DedupQueryPlan:
-    """Planner output: placements, estimates and a printable plan tree."""
+    """Planner output: the analysed statement, its placements and estimates.
+
+    ``infos`` (one per FROM binding, with the compiled per-binding
+    predicate), ``join_steps`` and ``residual`` are the statement's one
+    analysis; the executor and ``EXPLAIN`` read them from here.
+    """
 
     mode: ExecutionMode
-    bindings: List[str]
+    query: ast.SelectQuery
+    infos: List[BindingInfo]
+    join_steps: List[JoinStep]
+    residual: Optional[ast.Expr]
     estimates: Dict[str, int] = field(default_factory=dict)
     clean_first: Optional[str] = None
-    join_steps: List[JoinStep] = field(default_factory=list)
-    description: str = ""
 
     def pretty(self) -> str:
-        return self.description
+        return "\n".join(self.tree())
+
+    def tree(self, note: Callable[[str, str], str] = lambda kind, binding: "") -> List[str]:
+        """The operator tree, one line per operator, joins nested
+        left-deep in execution order.
+
+        ``note(kind, binding)`` is appended to each ``Deduplicate``
+        (kind ``"dedup"``), ``Filter`` (``"filter"``) and ``TableScan``
+        (``"scan"``) line of a binding — ``EXPLAIN``'s estimates.
+        """
+        info_by = {i.binding.lower(): i for i in self.infos}
+        dedup_label = "BatchDeduplicate" if self.mode is ExecutionMode.BATCH else "Deduplicate"
+
+        def branch(binding: str, clean_here: bool, depth: int) -> List[str]:
+            info = info_by[binding]
+            dedup = [dedup_label + note("dedup", binding)]
+            filters = (
+                [f"Filter[{info.condition}]" + note("filter", binding)]
+                if info.condition is not None
+                else []
+            )
+            scan = f"TableScan[{info.index.table.name} AS {info.binding}]" + note("scan", binding)
+            if clean_here and self.mode not in (ExecutionMode.NAIVE_SCAN, ExecutionMode.BATCH):
+                parts = dedup + filters
+            else:
+                parts = filters + (dedup if clean_here else [])
+            parts.append(scan)
+            return ["  " * (depth + extra) + label for extra, label in enumerate(parts)]
+
+        def join_line(label: str, step: JoinStep, depth: int) -> str:
+            return (
+                "  " * depth + f"{label}[{step.left_binding}.{step.left_column} = "
+                f"{step.right_binding}.{step.right_column}]"
+            )
+
+        tree = [f"Project[{', '.join(str(i) for i in self.query.items)}]", "  GroupEntities"]
+        depth = 2
+        if self.residual is not None:
+            tree.append("  " * depth + f"Filter[{self.residual}]")
+            depth += 1
+        steps = self.join_steps
+        if not steps:
+            return tree + branch(self.infos[0].binding.lower(), True, depth)
+        aes = self.mode is ExecutionMode.AES
+        # The last step is the outermost node, the first the innermost.
+        for step in reversed(steps[1:]):
+            tree.append(join_line("DirtyRightJoin" if aes else "DeduplicateJoin", step, depth))
+            depth += 1
+        first = steps[0]
+        clean = (self.clean_first or first.left_binding).lower()
+        if not aes:
+            label = "DeduplicateJoin"
+        elif clean == first.left_binding:
+            label = "DirtyRightJoin"
+        else:
+            label = "DirtyLeftJoin"
+        tree.append(join_line(label, first, depth))
+        depth += 1
+        for binding in (first.left_binding, first.right_binding):
+            tree.extend(branch(binding, not aes or binding == clean, depth))
+        # Tables entering at later steps (dirty in AES, cleaned otherwise).
+        for step in steps[1:]:
+            tree.extend(branch(step.right_binding, not aes, depth))
+        return tree
 
 
 class DedupQueryPlanner:
-    """Builds and executes plans for ``SELECT DEDUP`` queries."""
+    """Builds plans for ``SELECT DEDUP`` queries."""
 
     def __init__(self, engine: "QueryEREngine"):  # noqa: F821 (facade type)
         self.engine = engine
@@ -113,133 +186,53 @@ class DedupQueryPlanner:
         self, query: ast.SelectQuery
     ) -> Tuple[List[BindingInfo], List[JoinStep], Optional[ast.Expr]]:
         """Split the query into per-binding filters, join edges, residual."""
-        bindings: Dict[str, BindingInfo] = {}
-        order: List[str] = []
-        for ref in (query.table, *(j.table for j in query.joins)):
-            key = ref.binding.lower()
-            if key in bindings:
-                raise DedupPlanningError(f"duplicate table binding {ref.binding!r}")
-            index = self.engine.index_of(ref.name)
-            bindings[key] = BindingInfo(ref.binding, index, None, lambda row: True)
-            order.append(key)
-
-        per_binding: Dict[str, List[ast.Expr]] = {b: [] for b in order}
-        residual: List[ast.Expr] = []
-        for conjunct in conjuncts(query.where):
-            owners = self._owners(conjunct, bindings, order)
-            if len(owners) == 1:
-                per_binding[next(iter(owners))].append(conjunct)
-            else:
-                residual.append(conjunct)
-
+        refs = (query.table, *(j.table for j in query.joins))
+        indices = [self.engine.index_of(ref.name) for ref in refs]
+        resolution = resolve_bindings(
+            query, [[c.name for c in index.table.schema] for index in indices]
+        )
         infos: List[BindingInfo] = []
-        for key in order:
-            info = bindings[key]
-            condition = conjoin(per_binding[key])
-            schema = PlanSchema(
-                [Field(info.binding, c.name) for c in info.index.table.schema]
-            )
-            info.condition = condition
-            info.predicate = compile_predicate(condition, schema)
-            infos.append(info)
-
-        steps = [self._join_step(j, infos) for j in query.joins]
-        # A join condition may only reference bindings joined so far:
-        # _ref_owner resolves against *all* bindings, so without this
-        # check a condition naming a later FROM entry would plan fine
-        # and then blow up (or mis-join) deep inside the executor.
-        bound = {order[0]}
-        for step, join in zip(steps, query.joins):
-            if step.left_binding not in bound:
-                raise DedupPlanningError(
-                    f"join condition {join.condition} references "
-                    f"{step.left_binding!r} before it is joined"
-                )
-            bound.add(step.right_binding)
-        return infos, steps, conjoin(residual)
-
-    def _owners(
-        self, conjunct: ast.Expr, bindings: Dict[str, BindingInfo], order: List[str]
-    ) -> Set[str]:
-        owners: Set[str] = set()
-        for qualifier in referenced_bindings(conjunct):
-            if qualifier == "":
-                owners.update(self._owners_unqualified(conjunct, bindings, order))
-            elif qualifier in bindings:
-                owners.add(qualifier)
-            else:
-                raise DedupPlanningError(f"unknown alias {qualifier!r} in WHERE")
-        return owners
+        for ref, index, exprs in zip(refs, indices, resolution.filters):
+            condition = conjoin(exprs)
+            predicate = compile_predicate(condition, schema_for_table(index.table, ref.binding))
+            infos.append(BindingInfo(ref.binding, index, condition, predicate))
+        steps = [
+            self._join_step(join, owners)
+            for join, owners in zip(query.joins, resolution.join_owners)
+        ]
+        return infos, steps, conjoin(resolution.residual)
 
     @staticmethod
-    def _owners_unqualified(
-        conjunct: ast.Expr, bindings: Dict[str, BindingInfo], order: List[str]
-    ) -> Set[str]:
-        from repro.sql.planner import _unqualified_names
-
-        owners: Set[str] = set()
-        for name in _unqualified_names(conjunct):
-            candidates = [
-                key
-                for key in order
-                if name.lower() in {c.name.lower() for c in bindings[key].index.table.schema}
-            ]
-            if not candidates:
-                raise DedupPlanningError(f"unknown column {name!r}")
-            if len(candidates) > 1:
-                raise DedupPlanningError(f"ambiguous column {name!r}; qualify it")
-            owners.add(candidates[0])
-        return owners
-
-    def _join_step(self, join: ast.JoinClause, infos: List[BindingInfo]) -> JoinStep:
+    def _join_step(join: ast.JoinClause, owners: Dict[ast.ColumnRef, str]) -> JoinStep:
+        """The equi-join edge of *join*; *owners* maps each column of its
+        condition to its binding (:func:`resolve_bindings`)."""
         condition = join.condition
-        if not (
-            isinstance(condition, ast.BinaryOp)
-            and condition.op == "="
-            and isinstance(condition.left, ast.ColumnRef)
-            and isinstance(condition.right, ast.ColumnRef)
-        ):
-            raise DedupPlanningError(
-                f"DEDUP joins must be equi-joins on columns, got {condition}"
-            )
+        keys = equi_join_keys(condition)
+        if keys is None:
+            raise PlanningError(f"DEDUP joins must be equi-joins on columns, got {condition}")
         new_binding = join.table.binding.lower()
-        refs = {self._ref_owner(r, infos): r for r in (condition.left, condition.right)}
+        refs = {owners[ref]: ref for ref in keys}
         if new_binding not in refs:
-            raise DedupPlanningError(
+            raise PlanningError(
                 f"join condition {condition} does not reference {join.table.binding}"
             )
         right_ref = refs.pop(new_binding)
         if len(refs) != 1:
-            raise DedupPlanningError(f"join condition {condition} must span two tables")
+            raise PlanningError(f"join condition {condition} must span two tables")
         left_owner, left_ref = next(iter(refs.items()))
         return JoinStep(left_owner, left_ref.name, new_binding, right_ref.name)
-
-    def _ref_owner(self, ref: ast.ColumnRef, infos: List[BindingInfo]) -> str:
-        if ref.qualifier is not None:
-            for info in infos:
-                if info.binding.lower() == ref.qualifier.lower():
-                    return info.binding.lower()
-            raise DedupPlanningError(f"unknown alias {ref.qualifier!r} in join")
-        candidates = [
-            info.binding.lower()
-            for info in infos
-            if ref.name.lower() in {c.name.lower() for c in info.index.table.schema}
-        ]
-        if len(candidates) != 1:
-            raise DedupPlanningError(f"cannot resolve join column {ref.name!r}")
-        return candidates[0]
 
     # ----------------------------------------------------------------------
     # planning
     # ----------------------------------------------------------------------
     def plan(self, query: ast.SelectQuery, mode: ExecutionMode) -> DedupQueryPlan:
-        """Produce the plan (with estimates) without executing it."""
-        infos, steps, _residual = self.analyze(query)
-        plan = DedupQueryPlan(mode=mode, bindings=[i.binding for i in infos], join_steps=steps)
+        """Analyse *query* once and produce its plan (with estimates)."""
+        infos, steps, residual = self.analyze(query)
+        plan = DedupQueryPlan(mode, query, infos, steps, residual)
         if steps and mode is ExecutionMode.AES:
-            first = steps[0]
-            left_info = self._info(infos, first.left_binding)
-            right_info = self._info(infos, first.right_binding)
+            info_by = {i.binding.lower(): i for i in infos}
+            left_info = info_by[steps[0].left_binding]
+            right_info = info_by[steps[0].right_binding]
             left_estimate = ComparisonEstimator(left_info.index).estimate(left_info.condition)
             right_estimate = ComparisonEstimator(right_info.index).estimate(right_info.condition)
             plan.estimates = {
@@ -249,57 +242,7 @@ class DedupQueryPlanner:
             plan.clean_first = (
                 left_info.binding if left_estimate <= right_estimate else right_info.binding
             )
-        plan.description = self._describe(query, plan, infos)
         return plan
-
-    @staticmethod
-    def _info(infos: List[BindingInfo], binding: str) -> BindingInfo:
-        for info in infos:
-            if info.binding.lower() == binding.lower():
-                return info
-        raise DedupPlanningError(f"unknown binding {binding!r}")
-
-    def _describe(
-        self, query: ast.SelectQuery, plan: DedupQueryPlan, infos: List[BindingInfo]
-    ) -> str:
-        lines = ["Project[" + ", ".join(str(i) for i in query.items) + "]"]
-        lines.append("  GroupEntities")
-        indent = "  "
-        if plan.join_steps:
-            step = plan.join_steps[0]
-            if plan.mode is ExecutionMode.AES and plan.clean_first is not None:
-                dirty = (
-                    step.right_binding
-                    if plan.clean_first.lower() == step.left_binding.lower()
-                    else step.left_binding
-                )
-                join_label = f"Dirty{'Right' if dirty == step.right_binding else 'Left'}Join"
-            else:
-                join_label = "DeduplicateJoin"
-            lines.append(f"{indent * 2}{join_label}[{step.left_binding}.{step.left_column} = "
-                         f"{step.right_binding}.{step.right_column}]")
-            indent *= 3
-        for info in infos:
-            branch: List[str] = []
-            clean_here = (
-                plan.mode in (ExecutionMode.NES, ExecutionMode.NAIVE_SCAN, ExecutionMode.BATCH)
-                or not plan.join_steps
-                or (plan.clean_first or "").lower() == info.binding.lower()
-            )
-            dedup_label = "BatchDeduplicate" if plan.mode is ExecutionMode.BATCH else "Deduplicate"
-            if clean_here and plan.mode is not ExecutionMode.NAIVE_SCAN and plan.mode is not ExecutionMode.BATCH:
-                branch.append(dedup_label)
-                if info.condition is not None:
-                    branch.append(f"Filter[{info.condition}]")
-            else:
-                if info.condition is not None:
-                    branch.append(f"Filter[{info.condition}]")
-                if clean_here:
-                    branch.append(dedup_label)
-            branch.append(f"TableScan[{info.index.table.name} AS {info.binding}]")
-            for depth, label in enumerate(branch):
-                lines.append(indent + "  " * depth + label)
-        return "\n".join(lines)
 
 
 # ===========================================================================
@@ -336,45 +279,39 @@ class JoinState:
         for position, name in enumerate(self.bindings):
             if name.lower() == binding.lower():
                 return position
-        raise DedupPlanningError(f"binding {binding!r} not in join state")
+        raise PlanningError(f"binding {binding!r} not in join state")
 
     def schema(self) -> PlanSchema:
-        fields: List[Field] = []
-        for binding in self.bindings:
-            table = self.results[binding].table
-            fields.extend(Field(binding, c.name) for c in table.schema)
-        return PlanSchema(fields)
+        return PlanSchema(
+            [f for b in self.bindings for f in schema_for_table(self.results[b].table, b)]
+        )
 
     def value_tuples(self) -> List[tuple]:
         return [sum((row.values for row in combo), ()) for combo in self.rows]
 
 
 class DedupQueryExecutor:
-    """Executes a planned Dedupe Query through Group-Entities + Project."""
+    """Executes a planned Dedupe Query: Deduplicate (-Join), the residual
+    filter, Group-Entities, then the relational tail."""
 
     def __init__(self, engine: "QueryEREngine"):  # noqa: F821
         self.engine = engine
-        self.planner = DedupQueryPlanner(engine)
+        self.relational = RelationalPlanner(engine.catalog)
 
     # -- entry point ------------------------------------------------------
     def execute(
-        self,
-        query: ast.SelectQuery,
-        mode: ExecutionMode,
-        context: ExecutionContext,
-        plan: DedupQueryPlan,
+        self, plan: DedupQueryPlan, context: ExecutionContext
     ) -> Tuple[List[str], List[tuple]]:
-        """Run *query* under *plan* (:meth:`DedupQueryPlanner.plan`'s
-        output for the same query and mode, possibly cached)."""
-        infos, steps, residual = self.planner.analyze(query)
-
-        if not steps:
-            state = self._execute_single(infos[0], mode, context)
+        """Run *plan* (:meth:`DedupQueryPlanner.plan`'s output, possibly
+        cached); returns the output column names and rows."""
+        if not plan.join_steps:
+            state = self._execute_single(plan.infos[0], plan.mode, context)
         else:
-            state = self._execute_joins(infos, steps, plan, mode, context)
+            state = self._execute_joins(plan, context)
 
-        if residual is not None:
-            predicate = compile_predicate(residual, state.schema())
+        schema = state.schema()
+        if plan.residual is not None:
+            predicate = compile_predicate(plan.residual, schema)
             keep = [
                 combo
                 for combo, values in zip(state.rows, state.value_tuples())
@@ -384,14 +321,11 @@ class DedupQueryExecutor:
 
         with context.timed("group"):
             grouped = self._group(state)
-        from repro.sql.planner import RelationalPlanner
-
-        if RelationalPlanner._is_aggregation(query):
-            columns, rows = self._aggregate_grouped(query, state, grouped)
-        else:
-            columns, rows = self._project(query, state, grouped)
-        rows = self._order_and_limit(query, columns, rows)
-        return columns, rows
+        # Aggregates fold over grouped entities, so each duplicate cluster
+        # contributes once (the §10 dedupe-aware aggregation).
+        tail = self.relational.tail(LogicalValues(schema, grouped), plan.query)
+        output = self.relational.physical_plan(tail)
+        return [f.name for f in output.schema], list(output.execute(context))
 
     # -- single-table (SP) path ------------------------------------------------
     def _execute_single(
@@ -427,15 +361,9 @@ class DedupQueryExecutor:
         return DedupResult(info.index.table, qe, duplicates - qe, full.links)
 
     # -- SPJ path -------------------------------------------------------------
-    def _execute_joins(
-        self,
-        infos: List[BindingInfo],
-        steps: List[JoinStep],
-        plan: DedupQueryPlan,
-        mode: ExecutionMode,
-        context: ExecutionContext,
-    ) -> JoinState:
-        info_by_binding = {i.binding.lower(): i for i in infos}
+    def _execute_joins(self, plan: DedupQueryPlan, context: ExecutionContext) -> JoinState:
+        mode, steps = plan.mode, plan.join_steps
+        info_by_binding = {i.binding.lower(): i for i in plan.infos}
         first = steps[0]
         left_info = info_by_binding[first.left_binding]
         right_info = info_by_binding[first.right_binding]
@@ -602,7 +530,7 @@ class DedupQueryExecutor:
         results[right_binding] = right_dr
         return JoinState(state.bindings + [right_binding], results, joined)
 
-    # -- grouping + projection -------------------------------------------------
+    # -- Group-Entities ----------------------------------------------------------
     def _group(self, state: JoinState) -> List[tuple]:
         """Group-Entities: one fused tuple per cross-binding cluster key.
 
@@ -634,102 +562,3 @@ class DedupQueryExecutor:
                 fused.extend(merge_values(column) for column in zip(*(r.values for r in rows)))
             grouped.append(tuple(fused))
         return grouped
-
-    def _aggregate_grouped(
-        self, query: ast.SelectQuery, state: JoinState, grouped: List[tuple]
-    ) -> Tuple[List[str], List[tuple]]:
-        """Dedupe-aware aggregation (§10 extension): aggregates fold over
-        *grouped entities*, so each duplicate cluster contributes once."""
-        from repro.sql.aggregates import (
-            aggregate_argument,
-            is_aggregate_call,
-            run_aggregation,
-        )
-        from repro.sql.expressions import compile_expression
-
-        schema = state.schema()
-        key_fns = [compile_expression(g, schema) for g in query.group_by]
-        group_strings = [str(g).lower() for g in query.group_by]
-        columns: List[str] = []
-        calls = []
-        output_plan: List[Tuple[str, int]] = []
-        for index, item in enumerate(query.items):
-            expr = item.expr
-            if isinstance(expr, ast.Star):
-                raise DedupPlanningError("SELECT * cannot be combined with aggregation")
-            if is_aggregate_call(expr):
-                argument = aggregate_argument(expr)
-                value_fn = (
-                    compile_expression(argument, schema) if argument is not None else None
-                )
-                columns.append(item.alias or expr.name.lower())
-                output_plan.append(("agg", len(calls)))
-                calls.append((expr, value_fn))
-            else:
-                if str(expr).lower() not in group_strings:
-                    raise DedupPlanningError(
-                        f"{expr} must appear in GROUP BY or inside an aggregate"
-                    )
-                columns.append(
-                    item.alias
-                    or (expr.name if isinstance(expr, ast.ColumnRef) else f"col{index}")
-                )
-                output_plan.append(("key", group_strings.index(str(expr).lower())))
-        rows = []
-        for key, results in run_aggregation(grouped, key_fns, calls):
-            rows.append(
-                tuple(
-                    key[i] if kind == "key" else results[i]
-                    for kind, i in output_plan
-                )
-            )
-        return columns, rows
-
-    def _project(
-        self, query: ast.SelectQuery, state: JoinState, grouped: List[tuple]
-    ) -> Tuple[List[str], List[tuple]]:
-        schema = state.schema()
-        columns: List[str] = []
-        positions: List[int] = []
-        for item in query.items:
-            if isinstance(item.expr, ast.Star):
-                qualifier = item.expr.qualifier
-                for i, fieldref in enumerate(schema):
-                    if qualifier is None or fieldref.qualifier.lower() == qualifier.lower():
-                        columns.append(fieldref.name)
-                        positions.append(i)
-            elif isinstance(item.expr, ast.ColumnRef):
-                positions.append(schema.resolve(item.expr.name, item.expr.qualifier))
-                columns.append(item.alias or item.expr.name)
-            else:
-                raise DedupPlanningError(
-                    "DEDUP projection supports plain columns and *, got "
-                    f"{item.expr}"
-                )
-        rows = [tuple(row[p] for p in positions) for row in grouped]
-        return columns, rows
-
-    @staticmethod
-    def _order_and_limit(
-        query: ast.SelectQuery, columns: List[str], rows: List[tuple]
-    ) -> List[tuple]:
-        if query.order_by:
-            lowered = [c.lower() for c in columns]
-            for item in reversed(query.order_by):
-                if not isinstance(item.expr, ast.ColumnRef):
-                    raise DedupPlanningError("DEDUP ORDER BY supports plain columns")
-                try:
-                    position = lowered.index(item.expr.name.lower())
-                except ValueError:
-                    raise DedupPlanningError(
-                        f"ORDER BY column {item.expr.name!r} not in output"
-                    ) from None
-                from repro.sql.physical import _sort_key
-
-                rows.sort(
-                    key=lambda row: _sort_key(row[position]),
-                    reverse=not item.ascending,
-                )
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        return rows

@@ -239,13 +239,13 @@ def compile_predicate(expr: Optional[ast.Expr], schema: PlanSchema) -> RowEvalua
 # -- analysis helpers used by the planners -------------------------------
 
 
-def referenced_bindings(expr: ast.Expr) -> set:
-    """Binding qualifiers mentioned by *expr* (unqualified refs → '')."""
-    found: set = set()
+def column_refs(expr: ast.Expr) -> List[ast.ColumnRef]:
+    """Every column reference in *expr*, in left-to-right order."""
+    found: List[ast.ColumnRef] = []
 
     def walk(node: ast.Expr) -> None:
         if isinstance(node, ast.ColumnRef):
-            found.add((node.qualifier or "").lower())
+            found.append(node)
         elif isinstance(node, ast.BinaryOp):
             walk(node.left)
             walk(node.right)

@@ -73,6 +73,19 @@ def schema_for_table(table: Table, binding: str) -> PlanSchema:
     return PlanSchema([Field(binding, c.name) for c in table.schema])
 
 
+def output_schema(items: Sequence[Tuple[str, ast.Expr]], child: PlanSchema) -> PlanSchema:
+    """The fields a Project or Aggregate outputs for its *(name, expression)*
+    items: a bare, unrenamed column keeps the binding it reads, so ORDER BY
+    may name it qualified (``ORDER BY P.surname``); other items are unqualified."""
+    fields = []
+    for name, expr in items:
+        qualifier = ""
+        if isinstance(expr, ast.ColumnRef) and expr.name == name:
+            qualifier = child.fields[child.resolve(expr.name, expr.qualifier)].qualifier
+        fields.append(Field(qualifier, name))
+    return PlanSchema(fields)
+
+
 class LogicalPlan:
     """Base logical operator; subclasses define children and schema."""
 
@@ -118,6 +131,22 @@ class LogicalScan(LogicalPlan):
 
     def label(self) -> str:
         return f"TableScan[{self.table.name} AS {self.binding}]"
+
+
+class LogicalValues(LogicalPlan):
+    """Rows computed outside the relational plan under a given schema —
+    the DEDUP executor's Group-Entities tuples entering the tail."""
+
+    def __init__(self, schema: PlanSchema, rows: Sequence[tuple]):
+        self._schema = schema
+        self.rows = rows
+
+    @property
+    def schema(self) -> PlanSchema:
+        return self._schema
+
+    def label(self) -> str:
+        return "Values"
 
 
 class LogicalFilter(LogicalPlan):
@@ -166,10 +195,11 @@ class LogicalProject(LogicalPlan):
     def __init__(self, child: LogicalPlan, items: Sequence[Tuple[str, ast.Expr]]):
         self.child = child
         self.items = tuple(items)  # (output name, expression)
+        self._schema = output_schema(self.items, child.schema)
 
     @property
     def schema(self) -> PlanSchema:
-        return PlanSchema([Field("", name) for name, _ in self.items])
+        return self._schema
 
     @property
     def children(self) -> Tuple[LogicalPlan, ...]:
@@ -196,10 +226,11 @@ class LogicalAggregate(LogicalPlan):
         self.child = child
         self.items = tuple(items)
         self.group_by = tuple(group_by)
+        self._schema = output_schema(self.items, child.schema)
 
     @property
     def schema(self) -> PlanSchema:
-        return PlanSchema([Field("", name) for name, _ in self.items])
+        return self._schema
 
     @property
     def children(self) -> Tuple[LogicalPlan, ...]:

@@ -6,19 +6,25 @@ with the standard heuristics the paper assumes as its starting point
 pushed to the scans they reference, joins are left-deep in FROM-clause
 order, projection sits at the root.  A second pass lowers the logical
 plan to volcano physical operators.
+
+Two parts serve ``SELECT DEDUP`` too: :func:`resolve_bindings` checks
+the table bindings of every statement, and
+:meth:`RelationalPlanner.tail` (Aggregate or Project, Distinct, Sort,
+Limit) ends every statement — a DEDUP one over its Group-Entities
+tuples (:class:`~repro.sql.logical.LogicalValues`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.sql import ast
 from repro.sql.expressions import (
+    column_refs,
     compile_expression,
     compile_predicate,
     conjoin,
     conjuncts,
-    referenced_bindings,
 )
 from repro.sql.logical import (
     LogicalDistinct,
@@ -29,7 +35,7 @@ from repro.sql.logical import (
     LogicalProject,
     LogicalScan,
     LogicalSort,
-    PlanSchema,
+    LogicalValues,
 )
 from repro.sql.physical import (
     DistinctOp,
@@ -49,7 +55,7 @@ class PlanningError(ValueError):
     """Raised when a query cannot be planned against the catalog."""
 
 
-def _equi_join_keys(condition: ast.Expr) -> Optional[Tuple[ast.ColumnRef, ast.ColumnRef]]:
+def equi_join_keys(condition: ast.Expr) -> Optional[Tuple[ast.ColumnRef, ast.ColumnRef]]:
     """Extract the two column refs of a simple ``a.x = b.y`` condition."""
     if (
         isinstance(condition, ast.BinaryOp)
@@ -61,6 +67,77 @@ def _equi_join_keys(condition: ast.Expr) -> Optional[Tuple[ast.ColumnRef, ast.Co
     return None
 
 
+class BindingResolution(NamedTuple):
+    """Where :func:`resolve_bindings` places a query's WHERE and JOINs."""
+
+    #: Per FROM/JOIN table, in FROM order, the WHERE conjuncts reading only it.
+    filters: List[List[ast.Expr]]
+    #: The WHERE conjuncts reading several tables (or none).
+    residual: List[ast.Expr]
+    #: Per JOIN, the (lower-cased) binding of each column its condition names.
+    join_owners: List[Dict[ast.ColumnRef, str]]
+
+
+def resolve_bindings(
+    query: ast.SelectQuery, columns: Sequence[Iterable[str]]
+) -> BindingResolution:
+    """Check the table bindings of *query* — the one resolver of both the
+    relational and the DEDUP planner.
+
+    *columns* holds, in FROM order, the column names of the FROM table and
+    of each JOIN table.  Raises :class:`PlanningError` on a duplicate
+    alias, an unknown alias, an unknown or ambiguous unqualified column,
+    or a join condition naming a table that is joined only later.  An
+    unqualified column belongs to the one binding that has it; in a join
+    condition only the tables joined so far count.
+    """
+    refs = (query.table, *(j.table for j in query.joins))
+    names: Dict[str, Set[str]] = {}
+    for ref, table_columns in zip(refs, columns):
+        key = ref.binding.lower()
+        if key in names:
+            raise PlanningError(f"duplicate table binding {ref.binding!r}")
+        names[key] = {c.lower() for c in table_columns}
+    order = list(names)
+
+    def owner(ref: ast.ColumnRef, scope: List[str], clause: str) -> str:
+        if ref.qualifier is not None:
+            if ref.qualifier.lower() not in names:
+                raise PlanningError(f"unknown table alias {ref.qualifier!r} in {clause}")
+            return ref.qualifier.lower()
+        found = [b for b in order if ref.name.lower() in names[b]]
+        visible = [b for b in found if b in scope]
+        if len(visible) > 1:
+            raise PlanningError(f"ambiguous column {ref.name!r}; qualify it")
+        if not found:
+            raise PlanningError(f"unknown column {ref.name!r}")
+        return (visible or found)[0]
+
+    filters: Dict[str, List[ast.Expr]] = {key: [] for key in order}
+    residual: List[ast.Expr] = []
+    for conjunct in conjuncts(query.where):
+        owners = {owner(ref, order, "WHERE clause") for ref in column_refs(conjunct)}
+        if len(owners) == 1:
+            filters[owners.pop()].append(conjunct)
+        else:
+            residual.append(conjunct)
+
+    join_owners: List[Dict[ast.ColumnRef, str]] = []
+    for position, join in enumerate(query.joins):
+        scope = order[: position + 2]
+        owners: Dict[ast.ColumnRef, str] = {}
+        for ref in column_refs(join.condition):
+            key = owner(ref, scope, "JOIN condition")
+            if key not in scope:
+                raise PlanningError(
+                    f"join condition {join.condition} references "
+                    f"{key!r} before it is joined"
+                )
+            owners[ref] = key
+        join_owners.append(owners)
+    return BindingResolution([filters[key] for key in order], residual, join_owners)
+
+
 class RelationalPlanner:
     """AST → logical plan → physical plan against a table catalog."""
 
@@ -70,62 +147,34 @@ class RelationalPlanner:
     # -- logical planning -------------------------------------------------
     def logical_plan(self, query: ast.SelectQuery) -> LogicalPlan:
         """Build the pushed-down, left-deep logical plan for *query*."""
-        scans: Dict[str, LogicalPlan] = {}
-        order: List[str] = []
-        for ref in (query.table, *(j.table for j in query.joins)):
-            binding = ref.binding.lower()
-            if binding in scans:
-                raise PlanningError(f"duplicate table binding {ref.binding!r}")
-            scans[binding] = LogicalScan(self.catalog.get(ref.name), ref.binding)
-            order.append(binding)
+        return self.tail(self._from_where(query), query)
 
-        # Partition WHERE conjuncts into per-binding filters and residuals.
-        residuals: List[ast.Expr] = []
-        per_binding: Dict[str, List[ast.Expr]] = {b: [] for b in scans}
-        for conjunct in conjuncts(query.where):
-            bindings = {q for q in referenced_bindings(conjunct)}
-            resolved = self._resolve_bindings(bindings, conjunct, scans, order)
-            if len(resolved) == 1:
-                per_binding[next(iter(resolved))].append(conjunct)
-            else:
-                residuals.append(conjunct)
-
-        for binding, exprs in per_binding.items():
+    def _from_where(self, query: ast.SelectQuery) -> LogicalPlan:
+        """FROM, WHERE and JOIN: filters pushed to their scans, joins
+        left-deep in FROM order, cross-table conjuncts above the joins."""
+        refs = (query.table, *(j.table for j in query.joins))
+        tables = [self.catalog.get(ref.name) for ref in refs]
+        resolution = resolve_bindings(query, [[c.name for c in t.schema] for t in tables])
+        scans: List[LogicalPlan] = []
+        for ref, table, exprs in zip(refs, tables, resolution.filters):
+            scan: LogicalPlan = LogicalScan(table, ref.binding)
             condition = conjoin(exprs)
-            if condition is not None:
-                scans[binding] = LogicalFilter(scans[binding], condition)
+            scans.append(scan if condition is None else LogicalFilter(scan, condition))
 
-        plan = scans[order[0]]
-        bound = {order[0]}
-        for join in query.joins:
-            binding = join.table.binding.lower()
-            # A join condition may only reference bindings joined so far;
-            # without this check a condition naming a later FROM entry
-            # compiles into a SchemaResolutionError (or a silently wrong
-            # nested-loop join) deep inside physical lowering.
-            for qualifier in referenced_bindings(join.condition):
-                if qualifier == "":
-                    continue
-                if qualifier not in scans:
-                    raise PlanningError(
-                        f"unknown table alias {qualifier!r} in JOIN condition"
-                    )
-                if qualifier not in bound | {binding}:
-                    raise PlanningError(
-                        f"join condition {join.condition} references "
-                        f"{qualifier!r} before it is joined"
-                    )
-            bound.add(binding)
-            plan = LogicalJoin(plan, scans[binding], join.condition, join.join_type)
+        plan = scans[0]
+        for join, scan in zip(query.joins, scans[1:]):
+            plan = LogicalJoin(plan, scan, join.condition, join.join_type)
+        residual = conjoin(resolution.residual)
+        return plan if residual is None else LogicalFilter(plan, residual)
 
-        residual = conjoin(residuals)
-        if residual is not None:
-            plan = LogicalFilter(plan, residual)
-
+    def tail(self, child: LogicalPlan, query: ast.SelectQuery) -> LogicalPlan:
+        """Aggregate or Project, then Distinct, Sort and Limit over *child* —
+        the end of every SELECT, relational or DEDUP (whose *child* is the
+        Group-Entities output)."""
         if self._is_aggregation(query):
-            plan = self._aggregate(plan, query)
+            plan = self._aggregate(child, query)
         else:
-            plan = self._project(plan, query)
+            plan = self._project(child, query)
         if query.distinct:
             plan = LogicalDistinct(plan)
         if query.order_by:
@@ -134,42 +183,6 @@ class RelationalPlanner:
         if query.limit is not None:
             plan = LogicalLimit(plan, query.limit)
         return plan
-
-    def _resolve_bindings(
-        self,
-        bindings: set,
-        conjunct: ast.Expr,
-        scans: Dict[str, LogicalPlan],
-        order: List[str],
-    ) -> set:
-        """Map referenced qualifiers (possibly '') to actual bindings."""
-        resolved = set()
-        for qualifier in bindings:
-            if qualifier == "":
-                # Unqualified column: find the unique binding providing it.
-                resolved.update(self._owners_of_unqualified(conjunct, scans, order))
-            elif qualifier in scans:
-                resolved.add(qualifier)
-            else:
-                raise PlanningError(f"unknown table alias {qualifier!r} in WHERE clause")
-        return resolved
-
-    def _owners_of_unqualified(
-        self, conjunct: ast.Expr, scans: Dict[str, LogicalPlan], order: List[str]
-    ) -> set:
-        owners = set()
-        for name in _unqualified_names(conjunct):
-            candidates = [b for b in order if self._binding_has_column(scans[b], name)]
-            if not candidates:
-                raise PlanningError(f"unknown column {name!r}")
-            if len(candidates) > 1:
-                raise PlanningError(f"ambiguous column {name!r}; qualify it")
-            owners.add(candidates[0])
-        return owners
-
-    @staticmethod
-    def _binding_has_column(plan: LogicalPlan, name: str) -> bool:
-        return any(f.name.lower() == name.lower() for f in plan.schema)
 
     @staticmethod
     def _is_aggregation(query: ast.SelectQuery) -> bool:
@@ -227,6 +240,8 @@ class RelationalPlanner:
         if isinstance(plan, LogicalScan):
             rows = [row.values for row in plan.table]
             return ScanOp(plan.schema, rows, plan.table.name, plan.binding)
+        if isinstance(plan, LogicalValues):
+            return ScanOp(plan.schema, plan.rows, "Values", "Values")
         if isinstance(plan, LogicalFilter):
             child = self.physical_plan(plan.child)
             predicate = compile_predicate(plan.condition, plan.child.schema)
@@ -281,7 +296,7 @@ class RelationalPlanner:
     def _physical_join(self, plan: LogicalJoin) -> PhysicalOperator:
         left = self.physical_plan(plan.left)
         right = self.physical_plan(plan.right)
-        keys = _equi_join_keys(plan.condition)
+        keys = equi_join_keys(plan.condition)
         if keys is not None:
             left_key, right_key = self._orient_keys(plan, keys)
             if left_key is not None and right_key is not None:
@@ -321,35 +336,6 @@ def _normalized_key(fn: Callable) -> Callable:
         return value
 
     return key
-
-
-def _unqualified_names(expr: ast.Expr) -> List[str]:
-    names: List[str] = []
-
-    def walk(node: ast.Expr) -> None:
-        if isinstance(node, ast.ColumnRef):
-            if node.qualifier is None:
-                names.append(node.name)
-        elif isinstance(node, ast.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, ast.BooleanOp):
-            for operand in node.operands:
-                walk(operand)
-        elif isinstance(node, ast.NotOp):
-            walk(node.operand)
-        elif isinstance(node, (ast.InList, ast.Like, ast.IsNull)):
-            walk(node.operand)
-        elif isinstance(node, ast.Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, ast.FunctionCall):
-            for arg in node.args:
-                walk(arg)
-
-    walk(expr)
-    return names
 
 
 def _default_name(expr: ast.Expr, index: int) -> str:

@@ -6,6 +6,8 @@ from repro.core.engine import QueryEREngine
 from repro.core.planner import DedupPlanningError, ExecutionMode
 from repro.datagen import generate_organizations, generate_people, generate_projects
 from repro.er.meta_blocking import MetaBlockingConfig
+from repro.sql.logical import SchemaResolutionError
+from repro.sql.planner import PlanningError
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +76,6 @@ class TestDedupErrorHandling:
             three_table_engine.execute("SELECT DEDUP x FROM NOPE")
 
     def test_unknown_column_in_projection(self, three_table_engine):
-        from repro.sql.logical import SchemaResolutionError
-
         with pytest.raises(SchemaResolutionError):
             three_table_engine.execute("SELECT DEDUP nosuchcol FROM OAO")
 
@@ -100,79 +100,54 @@ class TestDedupErrorHandling:
         assert result.comparisons == 0
 
 
+PREFIXES = pytest.mark.parametrize("prefix", ["SELECT", "SELECT DEDUP"])
+
+
 class TestJoinEdgeCases:
-    """Satellite: duplicate aliases, ambiguity and forward references
-    fail at planning time — on both the DEDUP and relational paths."""
+    """Duplicate aliases, ambiguity and forward references fail at
+    planning time — one resolver raises for both the DEDUP and
+    the relational path."""
 
-    def test_duplicate_alias_rejected_dedup(self, three_table_engine):
-        with pytest.raises(DedupPlanningError, match="duplicate"):
-            three_table_engine.execute(
-                "SELECT DEDUP T.surname FROM PPL T "
-                "JOIN OAO T ON T.organisation = T.name"
-            )
-
-    def test_duplicate_alias_rejected_relational(self, three_table_engine):
-        from repro.sql.planner import PlanningError
-
+    @PREFIXES
+    def test_duplicate_alias_rejected(self, three_table_engine, prefix):
         with pytest.raises(PlanningError, match="duplicate"):
             three_table_engine.execute(
-                "SELECT T.surname FROM PPL T JOIN OAO T ON T.organisation = T.name"
+                f"{prefix} T.surname FROM PPL T JOIN OAO T ON T.organisation = T.name"
             )
 
-    def test_ambiguous_unqualified_projection_three_tables_dedup(self, three_table_engine):
-        from repro.sql.logical import SchemaResolutionError
-
+    @PREFIXES
+    def test_ambiguous_unqualified_projection_three_tables(self, three_table_engine, prefix):
         # 'organisation' lives in both PPL and OAP.
         with pytest.raises(SchemaResolutionError, match="ambiguous"):
             three_table_engine.execute(
-                "SELECT DEDUP organisation FROM PPL "
+                f"{prefix} organisation FROM PPL "
                 "JOIN OAO ON PPL.organisation = OAO.name "
                 "JOIN OAP ON OAP.organisation = OAO.name"
             )
 
-    def test_ambiguous_unqualified_where_three_tables_dedup(self, three_table_engine):
-        with pytest.raises(DedupPlanningError, match="ambiguous"):
+    @PREFIXES
+    def test_ambiguous_unqualified_where_three_tables(self, three_table_engine, prefix):
+        with pytest.raises(PlanningError, match="ambiguous"):
             three_table_engine.execute(
-                "SELECT DEDUP PPL.surname FROM PPL "
+                f"{prefix} PPL.surname FROM PPL "
                 "JOIN OAO ON PPL.organisation = OAO.name "
                 "JOIN OAP ON OAP.organisation = OAO.name "
                 "WHERE organisation = 'acme'"
             )
 
-    def test_ambiguous_unqualified_column_three_tables_relational(self, three_table_engine):
-        from repro.sql.logical import SchemaResolutionError
-
-        with pytest.raises(SchemaResolutionError, match="ambiguous"):
-            three_table_engine.execute(
-                "SELECT organisation FROM PPL "
-                "JOIN OAO ON PPL.organisation = OAO.name "
-                "JOIN OAP ON OAP.organisation = OAO.name"
-            )
-
-    def test_forward_reference_join_rejected_dedup(self, three_table_engine):
+    @PREFIXES
+    def test_forward_reference_join_rejected(self, three_table_engine, prefix):
         # OAO's condition references OAP, which joins later.
-        with pytest.raises(DedupPlanningError):
-            three_table_engine.execute(
-                "SELECT DEDUP PPL.surname FROM PPL "
-                "JOIN OAO ON OAO.name = OAP.organisation "
-                "JOIN OAP ON PPL.organisation = OAO.name"
-            )
-
-    def test_forward_reference_join_rejected_relational(self, three_table_engine):
-        from repro.sql.planner import PlanningError
-
         with pytest.raises(PlanningError, match="before it is joined"):
             three_table_engine.execute(
-                "SELECT PPL.surname FROM PPL "
+                f"{prefix} PPL.surname FROM PPL "
                 "JOIN OAO ON OAO.name = OAP.organisation "
                 "JOIN OAP ON PPL.organisation = OAO.name"
             )
 
-    def test_unknown_alias_in_join_condition_relational(self, three_table_engine):
-        from repro.sql.planner import PlanningError
-
+    @PREFIXES
+    def test_unknown_alias_in_join_condition(self, three_table_engine, prefix):
         with pytest.raises(PlanningError, match="unknown table alias"):
             three_table_engine.execute(
-                "SELECT PPL.surname FROM PPL "
-                "JOIN OAO ON ZZ.name = PPL.organisation"
+                f"{prefix} PPL.surname FROM PPL JOIN OAO ON ZZ.name = PPL.organisation"
             )

@@ -476,8 +476,9 @@ def test_loaded_engine_explains_like_the_golden(config, tmp_path):
     The "answered" phase is left out: there the golden engine renders
     the plans it cached in the "fresh" phase (a cached join plan keeps
     its clean-first choice after the Link Index fills), while a loaded
-    engine starts with no plan cached.  Inserts into PPL and OAO retire
-    every plan, so the "inserted" phase is planned afresh on both.
+    engine starts with no plan cached.  Every explained statement reads
+    PPL or OAO, so the inserts into them retire its plan and the
+    "inserted" phase is planned afresh on both.
     """
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     engine, step = explained_engine(config)

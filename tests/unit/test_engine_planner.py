@@ -154,9 +154,30 @@ class TestPlannerAnalysis:
         assert infos[0].condition is not None
         assert infos[1].condition is not None
 
-    def test_computed_projection_rejected_in_dedup(self, engine):
-        with pytest.raises(DedupPlanningError):
-            engine.execute("SELECT DEDUP id * 2 FROM L")
+    def test_computed_projection_over_grouped_entities(self, engine):
+        result = engine.execute("SELECT DEDUP UPPER(name) AS n FROM L WHERE kind = 'alpha'")
+        assert result.columns == ["n"]
+        assert result.rows == [("JOHN SMITH | JOHN SMYTH",)]
+
+    def test_statement_is_analysed_once(self, engine, monkeypatch):
+        """The plan carries the analysis: planning analyses the statement
+        once, and a cached re-issue and its EXPLAIN never again."""
+        calls = []
+        analyze = DedupQueryPlanner.analyze
+
+        def counting(self, query):
+            calls.append(query)
+            return analyze(self, query)
+
+        monkeypatch.setattr(DedupQueryPlanner, "analyze", counting)
+        sql = "SELECT DEDUP L.name, R.label FROM L JOIN R ON L.ref = R.key WHERE L.kind = 'alpha'"
+        engine.execute(sql)
+        assert len(calls) == 1
+        engine.execute(sql)
+        engine.execute("EXPLAIN " + sql)
+        engine.execute("EXPLAIN ANALYZE " + sql)
+        engine.explain(sql)
+        assert len(calls) == 1
 
 
 class TestModes:

@@ -5,11 +5,11 @@ import pytest
 from repro.sql import ast
 from repro.sql.expressions import (
     ExpressionError,
+    column_refs,
     compile_expression,
     compile_predicate,
     conjoin,
     conjuncts,
-    referenced_bindings,
     string_literals,
 )
 from repro.sql.logical import Field, PlanSchema
@@ -148,9 +148,13 @@ class TestPredicateHelpers:
     def test_conjoin_empty_is_none(self):
         assert conjoin([]) is None
 
-    def test_referenced_bindings(self):
-        q = parse("SELECT x FROM t WHERE t.a = 1 AND u.b = 2 AND c = 3")
-        assert referenced_bindings(q.where) == {"t", "u", ""}
+    def test_column_refs(self):
+        q = parse("SELECT x FROM t WHERE t.a = 1 AND (u.b = 2 OR UPPER(c) = 'X')")
+        assert column_refs(q.where) == [
+            ast.ColumnRef("a", "t"),
+            ast.ColumnRef("b", "u"),
+            ast.ColumnRef("c"),
+        ]
 
     def test_string_literals_collects_from_all_shapes(self):
         q = parse(

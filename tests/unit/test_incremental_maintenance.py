@@ -254,20 +254,25 @@ class TestStatisticsRefresh:
 
     def test_insert_resamples_only_the_grown_table(self):
         """An insert into R retires R's sample and every join percentage
-        reading R; L's sample stays the very same object."""
+        reading R; L's sample and the plan of a statement reading L only
+        stay."""
         engine = QueryEREngine()
         engine.register(Table("L", Schema.of("id", "ref"), [("l1", "k1"), ("l2", "k2")]))
         engine.register(Table("R", Schema.of("id", "key"), [("r1", "k1")]))
         left, right = engine.statistics_of("L"), engine.statistics_of("R")
         engine.join_percentage("L", "R", "ref", "key")
-        engine.execute("SELECT DEDUP id, ref FROM L")  # a plan reading L only
+        sql = "SELECT DEDUP id, ref FROM L"  # a plan reading L only
+        engine.execute(sql)
         engine.insert("R", [("r2", "k2")])
+        # L's sample and the L-only plan survived (their keys hold L's
+        # epoch only); R's sample and the join percentage did not.
+        assert len(engine.plan_cache) == 2
+        hits = engine.plan_cache.stats["hits"]
+        engine.execute(sql)
+        assert engine.plan_cache.stats["hits"] == hits + 1
         assert engine.statistics_of("L") is left
         assert engine.statistics_of("R") is not right
         assert engine.statistics_of("R").base_rows == 2
-        # L's sample is the only entry that survived: the plan's key holds
-        # every table's epoch, the join percentage's R's.
-        assert len(engine.plan_cache) == 2
 
     def test_join_percentages_recomputed_after_insert(self):
         engine = QueryEREngine()

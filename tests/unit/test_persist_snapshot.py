@@ -1,6 +1,7 @@
 """Unit tests for repro.persist: codec, snapshots, checkpoints, faults."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -442,21 +443,19 @@ def assert_same_arrays(left, right):
             assert np.array_equal(one[name], other[name]), name
 
 
-def without_checksums(entry):
-    """*entry* minus the segment checksums: an ``.npz`` is a zip whose
-    member headers carry the write time, so equal arrays written at
-    different moments may hash differently."""
-    return {
-        **entry,
-        "segments": [
-            {k: v for k, v in segment.items() if k != "sha256"}
-            for segment in entry["segments"]
-        ],
-    }
-
-
 class TestWriterIdentity:
     """``save_engine``, the checkpointer and compaction write one format."""
+
+    def test_write_npz_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        """``np.savez`` stamps every zip member with the fixed 1980 date, so
+        equal arrays written at different moments hash the same."""
+        arrays = {"ids": np.arange(5, dtype=np.int64), "text": np.array(["a", "bc"])}
+        first = snap.write_npz(tmp_path / "first.npz", arrays)
+        later = time.time() + 400 * 24 * 3600
+        monkeypatch.setattr(time, "time", lambda: later)
+        second = snap.write_npz(tmp_path / "second.npz", arrays)
+        assert second == first
+        assert (tmp_path / "first.npz").read_bytes() == (tmp_path / "second.npz").read_bytes()
 
     def test_base_capture_writes_what_save_engine_writes(self, tmp_path):
         engine = make_engine()
@@ -472,7 +471,7 @@ class TestWriterIdentity:
         for field in ("format", "engine", "epochs"):
             assert checkpointed[field] == saved[field], field
         entry, saved_entry = checkpointed["tables"]["ppl"], saved["tables"]["ppl"]
-        assert without_checksums(entry) == without_checksums(saved_entry)
+        assert entry == saved_entry
         assert entry["state"] == saved_entry["state"]
         assert_same_arrays(
             decoded(tmp_path / "checkpoint", entry), decoded(tmp_path / "saved", saved_entry)
@@ -492,7 +491,7 @@ class TestWriterIdentity:
         entry = read_manifest(tmp_path / "checkpoint")["tables"]["ppl"]
         assert [s["kind"] for s in entry["segments"]] == ["base"]
         saved_entry = save_engine(engine, tmp_path / "saved")["tables"]["ppl"]
-        assert without_checksums(entry) == without_checksums(saved_entry)
+        assert entry == saved_entry
         assert_same_arrays(
             decoded(tmp_path / "checkpoint", entry), decoded(tmp_path / "saved", saved_entry)
         )
