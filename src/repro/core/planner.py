@@ -178,6 +178,7 @@ class DedupQueryPlanner:
 
     def __init__(self, engine: "QueryEREngine"):  # noqa: F821 (facade type)
         self.engine = engine
+        self.relational = RelationalPlanner(engine.catalog)
 
     # ------------------------------------------------------------------
     # analysis
@@ -226,8 +227,16 @@ class DedupQueryPlanner:
     # planning
     # ----------------------------------------------------------------------
     def plan(self, query: ast.SelectQuery, mode: ExecutionMode) -> DedupQueryPlan:
-        """Analyse *query* once and produce its plan (with estimates)."""
+        """Analyse *query* once and produce its plan (with estimates).
+
+        The relational tail is lowered here over no rows, so that an
+        unknown select-list or ORDER BY column raises before any
+        Deduplicate runs.
+        """
         infos, steps, residual = self.analyze(query)
+        self.relational.physical_plan(
+            self.relational.tail(LogicalValues(_output_schema(infos, steps), []), query)
+        )
         plan = DedupQueryPlan(mode, query, infos, steps, residual)
         if steps and mode is ExecutionMode.AES:
             info_by = {i.binding.lower(): i for i in infos}
@@ -243,6 +252,24 @@ class DedupQueryPlanner:
                 left_info.binding if left_estimate <= right_estimate else right_info.binding
             )
         return plan
+
+
+def _output_schema(infos: List[BindingInfo], steps: List[JoinStep]) -> PlanSchema:
+    """The schema Group-Entities hands the tail: the bindings' columns
+    in join-state order (the first join's left and right binding, then
+    each later join's right binding)."""
+    info_by = {info.binding.lower(): info for info in infos}
+    if steps:
+        bindings = [steps[0].left_binding] + [step.right_binding for step in steps]
+    else:
+        bindings = [infos[0].binding]
+    return PlanSchema(
+        [
+            f
+            for info in (info_by[binding.lower()] for binding in bindings)
+            for f in schema_for_table(info.index.table, info.binding)
+        ]
+    )
 
 
 # ===========================================================================

@@ -13,30 +13,36 @@ from typing import Any
 
 import numpy as np
 
+from repro.er.util import packed_argsort
+
 #: Default filtering ratio from the enhanced meta-blocking paper [27].
 DEFAULT_RATIO = 0.8
 
 
 def retained_assignment_mask(
-    entities: Any, sizes: Any, key_ranks: Any, ratio: float = DEFAULT_RATIO
+    entities: Any, block_ranks: Any, ratio: float = DEFAULT_RATIO
 ) -> Any:
     """Vectorized Block Filtering over flat assignment arrays.
 
     Inputs are parallel per-assignment arrays: *entities* (dense entity
-    id of the assignment), *sizes* (|b| of the assignment's block) and
-    *key_ranks* (the block key's rank in the tie-break order —
-    lexicographic over key strings).  Returns a boolean mask keeping,
-    per entity, its first ``max(1, ceil(ratio * count))`` assignments
-    in ascending ``(|b|, key)`` order (the ITBI order), computed with
-    one ``lexsort`` and prefix arithmetic instead of per-entity sorts.
+    id of the assignment) and *block_ranks* (its block's rank among the
+    blocks in ascending ``(|b|, key)`` order, the ITBI order, key ties
+    broken lexicographically over the key strings).  Returns a boolean
+    mask keeping, per entity, its first ``max(1, ceil(ratio * count))``
+    assignments in that order, computed with one sort of the single key
+    ``entity · B + block_rank`` and prefix arithmetic instead of
+    per-entity sorts.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("filtering ratio must be in (0, 1]")
     total = len(entities)
     if not total:
         return np.zeros(0, dtype=bool)
-    order = np.lexsort((key_ranks, sizes, entities))
-    grouped = entities[order]
+    block_count = int(block_ranks.max()) + 1
+    keys = entities * block_count
+    keys += block_ranks
+    sorted_keys, order = packed_argsort(keys)
+    grouped = sorted_keys // block_count
     # Per-entity group spans over the sorted assignments.
     boundaries = np.nonzero(np.diff(grouped))[0] + 1
     starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))

@@ -13,7 +13,12 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.er.tokenizer import MIN_TOKEN_LENGTH, TokenVocabulary, tokenize_entity
-from repro.er.util import GrowableArray, gather_ranges
+from repro.er.util import GrowableArray, gather_ranges, packed_argsort
+
+
+def _object_ids(ids: List[Any]) -> GrowableArray:
+    """*ids* as a growable 1-d object array (a tuple stays one element)."""
+    return GrowableArray(np.fromiter(ids, dtype=object, count=len(ids)), dtype=object)
 
 
 class TokenPostings:
@@ -36,11 +41,20 @@ class TokenPostings:
     the pending volume reaches the base volume (amortized O(1) per
     posting).  A rollback cuts the forward CSR back
     (:meth:`truncate`).
+
+    The table's entity-id order is kept beside them as arrays
+    (:meth:`id_order`): each dense id's rank in ascending entity-id
+    order and the ids by rank.  Candidate derivation reads its universe
+    order off them.  They are derived state: built on first use after
+    :meth:`build`, :meth:`from_arrays` or :meth:`truncate`, and
+    extended by a merge of the appended ids on the first use after an
+    append, never inside :meth:`add_entity`.
     """
 
     def __init__(self, vocabulary: TokenVocabulary):
         self.vocabulary = vocabulary
-        self._entity_ids: List[Any] = []
+        # Entity id per dense id (an object array).
+        self._ids = GrowableArray(dtype=object)
         self._entity_index: Dict[Any, int] = {}
         self._ent_indptr = GrowableArray([0])
         self._ent_tokens = GrowableArray()
@@ -52,6 +66,7 @@ class TokenPostings:
         # Total posting length per token id (base + pending), maintained
         # incrementally — the purge/filter stages read it in bulk.
         self._sizes = GrowableArray()
+        self._reset_id_order()
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -68,7 +83,7 @@ class TokenPostings:
         """
         postings = cls(vocabulary)
         intern = vocabulary.intern
-        ids = postings._entity_ids
+        ids: List[Any] = []
         index = postings._entity_index
         indptr: List[int] = [0]
         tokens: List[int] = []
@@ -78,6 +93,7 @@ class TokenPostings:
             for key in keys:
                 tokens.append(intern(key))
             indptr.append(len(tokens))
+        postings._ids = _object_ids(ids)
         postings._ent_indptr = GrowableArray(indptr)
         postings._ent_tokens = GrowableArray(tokens)
         postings.compact()
@@ -100,14 +116,15 @@ class TokenPostings:
         indistinguishable from a bulk build over the original keys.
         """
         postings = cls(vocabulary)
-        postings._entity_ids = list(entity_ids)
-        postings._entity_index = {e: i for i, e in enumerate(postings._entity_ids)}
+        ids = list(entity_ids)
+        postings._ids = _object_ids(ids)
+        postings._entity_index = {e: i for i, e in enumerate(ids)}
         postings._ent_indptr = GrowableArray(indptr)
         postings._ent_tokens = GrowableArray(tokens)
-        if len(postings._ent_indptr) != len(postings._entity_ids) + 1:
+        if len(postings._ent_indptr) != len(ids) + 1:
             raise ValueError(
                 f"indptr has {len(postings._ent_indptr)} entries for "
-                f"{len(postings._entity_ids)} entities"
+                f"{len(ids)} entities"
             )
         postings.compact()
         return postings
@@ -123,7 +140,7 @@ class TokenPostings:
         """
         indptr = self._ent_indptr.view()[start:]
         return {
-            "entity_ids": self._entity_ids[start:],
+            "entity_ids": self._ids.view()[start:].tolist(),
             "indptr": indptr - indptr[0],
             "tokens": self._ent_tokens.view()[indptr[0] : indptr[-1]].copy(),
         }
@@ -137,9 +154,9 @@ class TokenPostings:
         """
         if entity_id in self._entity_index:
             raise ValueError(f"entity {entity_id!r} already has postings")
-        dense = len(self._entity_ids)
+        dense = len(self._ids)
         self._entity_index[entity_id] = dense
-        self._entity_ids.append(entity_id)
+        self._ids.append(entity_id)
         token_ids = [self.vocabulary.intern(key) for key in keys]
         self._ent_tokens.extend(token_ids)
         self._ent_indptr.append(len(self._ent_tokens))
@@ -162,23 +179,26 @@ class TokenPostings:
         The forward CSR is cut back and :meth:`compact` recounts the
         sizes and rebuilds the inverted CSR — O(assignments), which only
         a rolled-back ``INSERT`` pays.  Tokens the dropped entities
-        interned stay in the vocabulary, with empty postings.
+        interned stay in the vocabulary, with empty postings.  The id
+        order is rebuilt on its next use.
         """
         if not 0 <= entity_count <= self.entity_count:
             raise ValueError(
                 f"cannot truncate {self.entity_count} entities to {entity_count}"
             )
-        for entity_id in self._entity_ids[entity_count:]:
+        for entity_id in self._ids.view()[entity_count:].tolist():
             del self._entity_index[entity_id]
-        del self._entity_ids[entity_count:]
+        self._ids.view()[entity_count:] = None  # release the dropped ids
+        self._ids.truncate(entity_count)
         self._ent_indptr.truncate(entity_count + 1)
         self._ent_tokens.truncate(int(self._ent_indptr.view()[-1]))
+        self._reset_id_order()
         self.compact()
 
     def compact(self) -> None:
         """Fold pending deltas into the inverted base CSR.
 
-        A stable counting sort over the forward arrays, which also
+        One stable sort of the forward arrays' token ids, which also
         recounts every posting size: O(assignments), fully vectorized.
         Triggered automatically only when the pending volume has caught
         up with the base volume, so append-heavy workloads pay amortized
@@ -187,13 +207,13 @@ class TokenPostings:
         tokens = self._ent_tokens.view()
         indptr = self._ent_indptr.view()
         counts = np.diff(indptr)
-        entities = np.repeat(np.arange(len(self._entity_ids), dtype=np.int64), counts)
+        entities = np.repeat(np.arange(len(self._ids), dtype=np.int64), counts)
         token_counts = np.bincount(tokens, minlength=len(self.vocabulary))
         self._sizes = GrowableArray(token_counts)
         self._tok_indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(token_counts, dtype=np.int64))
         )
-        order = np.argsort(tokens, kind="stable")
+        _, order = packed_argsort(tokens)
         self._tok_members = entities[order]
         self._pending = {}
         self._pending_count = 0
@@ -207,7 +227,7 @@ class TokenPostings:
     # -- entity mapping -------------------------------------------------
     @property
     def entity_count(self) -> int:
-        return len(self._entity_ids)
+        return len(self._ids)
 
     @property
     def assignment_count(self) -> int:
@@ -225,8 +245,7 @@ class TokenPostings:
         return self._entity_index
 
     def entity_ids_of(self, dense: Any) -> List[Any]:
-        ids = self._entity_ids
-        return [ids[i] for i in dense.tolist()]
+        return self._ids.view()[dense].tolist()
 
     def dense_frontier(self, entity_ids: Iterable[Any]) -> Any:
         """Sorted dense ids of the known subset of *entity_ids*."""
@@ -234,6 +253,52 @@ class TokenPostings:
         dense = [index[e] for e in entity_ids if e in index]
         dense.sort()
         return np.array(dense, dtype=np.int64)
+
+    def id_order(self) -> Tuple[Any, Any]:
+        """``(rank, ids)``: the table's entities in ascending id order.
+
+        ``rank[d]`` is dense id *d*'s position in that order and
+        ``ids[r]`` the entity id at position *r* (an object array).  Ids
+        appended since the last call are merged in: sorted among
+        themselves, then placed with one ``searchsorted`` over the
+        ordered ids.  Ids of mixed types, which do not compare, are
+        ordered by ``repr`` over the whole table instead.
+        """
+        count = self.entity_count
+        if self._ranked != count:
+            ids = self._ids.view()
+            if not self._repr_order:
+                try:
+                    self._merge_ids(ids, count)
+                except TypeError:
+                    self._repr_order = True
+            if self._repr_order:
+                keys = list(map(repr, ids.tolist()))
+                self._by_rank = np.array(
+                    sorted(range(count), key=keys.__getitem__), dtype=np.int64
+                )
+                self._sorted_ids = ids[self._by_rank]
+            self._ranked = count
+            self._rank = np.empty(count, dtype=np.int64)
+            self._rank[self._by_rank] = np.arange(count, dtype=np.int64)
+        return self._rank, self._sorted_ids
+
+    def _merge_ids(self, ids: Any, count: int) -> None:
+        """Merge dense ids ``[self._ranked, count)`` into the ordered arrays."""
+        start = self._ranked
+        new = ids[start:count]
+        order = np.array(sorted(range(len(new)), key=new.tolist().__getitem__), dtype=np.int64)
+        new = new[order]
+        at = np.searchsorted(self._sorted_ids, new)
+        self._by_rank = np.insert(self._by_rank, at, start + order)
+        self._sorted_ids = np.insert(self._sorted_ids, at, new)
+
+    def _reset_id_order(self) -> None:
+        self._ranked = 0
+        self._repr_order = False
+        self._by_rank = np.empty(0, dtype=np.int64)
+        self._rank = np.empty(0, dtype=np.int64)
+        self._sorted_ids = np.empty(0, dtype=object)
 
     # -- forward postings -----------------------------------------------
     def tokens_of_entities(self, dense: Any) -> Any:

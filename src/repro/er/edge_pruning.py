@@ -15,22 +15,29 @@ Weighting schemes implemented (standard meta-blocking literature):
 * ``ARCS`` — Aggregate Reciprocal Comparisons: Σ 1/||b|| over shared
   blocks, favouring pairs meeting in small blocks.
 
-The graph is built from CSR block spans over dense entity indices: each
+The graph is built from CSR block spans over dense entity indices —
+positions in a universe that candidate derivation lays out in the
+table's entity-id order, from the postings' rank arrays: each
 unordered pair is one packed int (``left * n + right``), pair generation
 and the per-scheme weights are bulk NumPy array operations, and Edge
-Pruning consumes the arrays directly.  Summation order is part of the
-contract: a pair's ARCS weight sums its reciprocals in block visit order
-(ascending token id on the query path) and the average weight sums the
-edges in ascending packed-key order, both strictly left to right.
+Pruning consumes the arrays directly.  Every sort is one plain sort of
+a single packed int key (:func:`~repro.er.util.packed_argsort`), with
+no multi-key ``lexsort``.  Summation order is part of the contract,
+unchanged: a pair's ARCS weight sums its reciprocals in block visit
+order (ascending token id on the query path) and the average weight
+sums the edges in ascending packed-key order, both strictly left to
+right.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+
+from repro.er.util import packed_argsort
 
 #: Pairs :func:`generate_span_segments` enumerates per pass.  A pass
 #: holds a handful of int64 scratch arrays as long as its pair count, so
@@ -67,14 +74,18 @@ def generate_span_segments(
     *members* holds dense entity indices grouped by block (block ``b``
     spans ``members[indptr[b] : indptr[b+1]]``), in any order within a
     block.  All blocks are handled by array operations, with no
-    per-block loop: one ``lexsort`` orders the members within each
-    block, each focus row pairs with every later member of its block,
+    per-block loop: one sort of the single key ``block · n + member``
+    orders the members within each block (free when they already are),
+    each focus row pairs with every later member of its block,
     each non-focus row with every later *focus* member, and each pair
     gathers its block's ARCS reciprocal.  Pairs come out in block order,
     then ascending left and right member — the order a per-block nested
     loop would visit them in.  They are enumerated in passes of whole
     rows, about ``_PAIRS_PER_PASS`` pairs each, written straight into
     the outputs.
+
+    *in_focus* is a bytes-like mask over the *n* entities (a
+    ``bytearray`` or a uint8 array), or ``None`` for no focus.
 
     Returns ``(keys, values, block_counts)``: packed pair keys, their
     reciprocals (``None`` unless *need_arcs*), and an int64 array of
@@ -85,7 +96,9 @@ def generate_span_segments(
     block_counts = np.bincount(span, minlength=n).astype(np.int64)
     sizes = np.diff(indptr).astype(np.int64)
     block_of = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    rows = span[np.lexsort((span, block_of))]
+    block_base = block_of * n
+    rows, _ = packed_argsort(block_base + span)
+    rows -= block_base
     position = np.arange(len(rows), dtype=np.int64)
     # Exclusive end of each row's block, relative to the first block.
     ends = np.repeat(indptr[1:] - base, sizes)
@@ -146,19 +159,19 @@ def generate_span_segments(
 def reduce_span_segments(keys: Any, values: Any, need_arcs: bool) -> Tuple[Any, Any]:
     """Generated pairs → ``(edge_keys, edge_stats)``, edges by ascending key.
 
-    One stable argsort groups each key's contributions in global block
-    visit order.  CBS counts are the group lengths; ARCS sums add each
-    edge's reciprocals with ``np.bincount``, which accumulates strictly
-    left to right in that order, where a segmented reduction may
-    reassociate them.
+    One stable sort (:func:`~repro.er.util.packed_argsort`, a plain sort
+    of ``key << b | position``) groups each key's contributions in
+    global block visit order.  CBS counts are the group lengths; ARCS
+    sums add each edge's reciprocals with ``np.bincount``, which
+    accumulates strictly left to right in that order, where a segmented
+    reduction may reassociate them.
     """
     m = len(keys)
     if not m:
         return np.empty(0, dtype=np.int64), np.empty(
             0, dtype=np.float64 if need_arcs else np.int64
         )
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    sorted_keys, order = packed_argsort(keys)
     first = np.empty(m, dtype=np.bool_)
     first[0] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
@@ -178,24 +191,23 @@ class BlockingGraph:
         self,
         scheme: WeightingScheme,
         block_count: int,
-        universe: List[Any],
-        index_of: Dict[Any, int],
-        block_counts: List[int],
+        universe: Sequence[Any],
+        block_counts: Any,
         edge_keys: Any,
         edge_stats: Any,
     ):
         """A graph assembled from already-reduced edge arrays.
 
-        *universe* lists the entities by dense index (``index_of`` is
-        its inverse), *block_counts* each entity's block count,
-        *edge_keys* the packed pairs and *edge_stats* their
+        *universe* lists the entities by dense index (a list or an
+        object array), *block_counts* is an int array of each entity's
+        block count, *edge_keys* the packed pairs and *edge_stats* their
         :func:`reduce_span_segments` statistic (ARCS sums, else shared
         block counts).
         """
         self.scheme = scheme
         self._block_count = max(block_count, 1)
         self._universe = universe
-        self._index_of = index_of
+        self._index_of: Optional[Dict[Any, int]] = None
         self._n = len(universe)
         self._block_counts = block_counts
         self._edge_positions: Optional[Dict[int, int]] = None
@@ -214,7 +226,8 @@ class BlockingGraph:
         """Per-entity ECBS log boosts, computed once (bulk) per graph."""
         total = self._block_count
         return [
-            math.log(total / count) if count else 0.0 for count in self._block_counts
+            math.log(total / count) if count else 0.0
+            for count in self._block_counts.tolist()
         ]
 
     def _weights(self):
@@ -238,7 +251,7 @@ class BlockingGraph:
         left = keys // n
         right = keys % n
         if self.scheme is WeightingScheme.JS:
-            counts = np.asarray(self._block_counts, dtype=np.int64)
+            counts = self._block_counts
             union = counts[left] + counts[right] - stats
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(union != 0, stats / union, 0.0)
@@ -260,7 +273,12 @@ class BlockingGraph:
         return positions
 
     def weight(self, a: Any, b: Any) -> float:
-        """Edge weight of pair ``(a, b)`` under the configured scheme."""
+        """Edge weight of pair ``(a, b)`` under the configured scheme.
+
+        The first call indexes the universe (entity → dense index).
+        """
+        if self._index_of is None:
+            self._index_of = {entity: i for i, entity in enumerate(self._universe)}
         ia = self._index_of.get(a)
         ib = self._index_of.get(b)
         if ia is None or ib is None:
@@ -274,7 +292,7 @@ class BlockingGraph:
         if self.scheme is WeightingScheme.ARCS:
             return float(stat)
         return self._scheme_weight(
-            int(stat), self._block_counts[ia], self._block_counts[ib]
+            int(stat), int(self._block_counts[ia]), int(self._block_counts[ib])
         )
 
     def _scheme_weight(self, common: int, blocks_a: int, blocks_b: int) -> float:

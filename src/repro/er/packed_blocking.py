@@ -12,12 +12,20 @@ postings spans directly through
 :func:`purge_and_filter`, is also what the planner's §7.2.1 comparison
 estimate runs.
 
+The graph's universe — the entities left in some block after BP/BF —
+is laid out in the table's entity-id order, read off the postings' rank
+arrays (:meth:`~repro.er.blocking.TokenPostings.id_order`) as a
+presence mask over ranks and one ``cumsum``: a round does no
+per-entity Python work.  Block Filtering ranks the blocks once by
+``(|b|, key)`` and sorts the assignments by one packed key.
+
 Blocks are visited in ascending token-id order, members in ascending
-entity-id order within a block.  That order is the summation spec: a
-pair's ARCS weight adds its blocks' reciprocals left to right in block
-order, and the average weight adds the edges left to right in
-ascending ``(left, right)`` order, so every weight — and therefore the
-pruning threshold and the retained pair set — is one exact float.
+entity-id order within a block.  That order is the summation spec,
+unchanged by how the universe is laid out: a pair's ARCS weight adds
+its blocks' reciprocals left to right in block order, and the average
+weight adds the edges left to right in ascending ``(left, right)``
+order, so every weight — and therefore the pruning threshold and the
+retained pair set — is one exact float.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ from repro.er.edge_pruning import (
     generate_span_segments,
     reduce_span_segments,
 )
-from repro.er.util import safe_sorted
 from repro.resilience import inject
 
 
@@ -97,17 +104,16 @@ def purge_and_filter(
     indptr, members = postings.members_of(tokens)
 
     # Block Filtering — per-entity top-k retention over flat assignment
-    # arrays, ties broken by (|b|, key string).
+    # arrays, the blocks ranked once by (|b|, key string).
     if filter_ratio is not None and len(tokens):
         counts = np.diff(indptr)
         block_of = np.repeat(np.arange(len(tokens), dtype=np.int64), counts)
         token_of = postings.vocabulary.token_of
-        key_strings = np.array([token_of(t) for t in tokens.tolist()])
-        ranks = np.empty(len(tokens), dtype=np.int64)
-        ranks[np.argsort(key_strings)] = np.arange(len(tokens), dtype=np.int64)
-        mask = retained_assignment_mask(
-            members, np.repeat(sizes, counts), ranks[block_of], filter_ratio
-        )
+        by_key = np.argsort(np.array([token_of(t) for t in tokens.tolist()]))
+        by_size_then_key = by_key[np.argsort(sizes[by_key], kind="stable")]
+        block_rank = np.empty(len(tokens), dtype=np.int64)
+        block_rank[by_size_then_key] = np.arange(len(tokens), dtype=np.int64)
+        mask = retained_assignment_mask(members, block_rank[block_of], filter_ratio)
         members = members[mask]
         block_of = block_of[mask]
         new_counts = np.bincount(block_of, minlength=len(tokens)).astype(np.int64)
@@ -161,30 +167,26 @@ def derive_candidates(
         if not block_count:
             return PackedCandidates([], qbi_blocks, eqbi_blocks, comparisons_before, 0)
 
-        # Dense postings ids → the graph's canonical universe (sorted
-        # actual entity ids).
-        unique_dense = np.unique(members)
-        dense_ids = postings.entity_ids_of(unique_dense)
-        universe = safe_sorted(dense_ids)
-        index_of = {entity: i for i, entity in enumerate(universe)}
+        # Dense postings ids → the graph's universe: the members in
+        # ascending entity-id order, read off the table's id ranks as a
+        # presence mask and its running count.
+        rank, ordered_ids = postings.id_order()
+        member_ranks = rank[members]
+        present = np.zeros(len(rank), dtype=np.bool_)
+        present[member_ranks] = True
+        position = np.cumsum(present, dtype=np.int64)
+        position -= 1
+        members_u = position[member_ranks]
+        universe = ordered_ids[present]
         n = len(universe)
-        positions = np.fromiter(
-            (index_of[e] for e in dense_ids), dtype=np.int64, count=len(dense_ids)
-        )
-        to_universe = np.zeros(postings.entity_count, dtype=np.int64)
-        to_universe[unique_dense] = positions
-        members_u = to_universe[members]
-        in_focus = bytearray(n)
-        for entity in frontier:
-            i = index_of.get(entity)
-            if i is not None:
-                in_focus[i] = 1
+        focus_ranks = rank[dense_frontier]
+        in_focus = np.zeros(n, dtype=np.uint8)
+        in_focus[position[focus_ranks[present[focus_ranks]]]] = 1
 
         # (iii)c Edge Pruning — the packed graph fed by postings spans.
         if config.pruning:
             graph = _span_graph(
-                members_u, indptr, universe, index_of, config.weighting,
-                in_focus, block_count,
+                members_u, indptr, universe, config.weighting, in_focus, block_count
             )
             retained_keys = graph.retained_key_array(graph.average_weight())
             comparisons_after = len(retained_keys)
@@ -202,10 +204,9 @@ def derive_candidates(
 def _span_graph(
     members_u: Any,
     indptr: Any,
-    universe: List[Any],
-    index_of: dict,
+    universe: Any,
     scheme: Any,
-    in_focus: bytearray,
+    in_focus: Any,
     block_count: int,
 ) -> BlockingGraph:
     """Blocking graph over postings spans."""
@@ -215,17 +216,11 @@ def _span_graph(
     )
     edge_keys, edge_stats = reduce_span_segments(keys, values, need_arcs)
     return BlockingGraph(
-        scheme, block_count, universe, index_of, block_counts.tolist(),
-        edge_keys, edge_stats,
+        scheme, block_count, universe, block_counts, edge_keys, edge_stats
     )
 
 
-def _enumerate_pair_keys(
-    members_u: Any,
-    indptr: Any,
-    n: int,
-    in_focus: bytearray,
-) -> Any:
+def _enumerate_pair_keys(members_u: Any, indptr: Any, n: int, in_focus: Any) -> Any:
     """Frontier-incident packed pair keys when Edge Pruning is disabled.
 
     Deduplicated in ascending-key order.
@@ -234,13 +229,12 @@ def _enumerate_pair_keys(
     return np.unique(keys)
 
 
-def _unpack_pairs(keys: Any, universe: List[Any], n: int) -> List[Tuple[Any, Any]]:
-    """Packed keys → canonical ``(left, right)`` id pairs, vectorized."""
+def _unpack_pairs(keys: Any, universe: Any, n: int) -> List[Tuple[Any, Any]]:
+    """Packed keys → canonical ``(left, right)`` id pairs, vectorized
+    over the universe's object array."""
     if not len(keys):
         return []
     keys = np.asarray(keys, dtype=np.int64)
-    ids = np.empty(len(universe), dtype=object)
-    ids[:] = universe
-    left = ids[keys // n].tolist()
-    right = ids[keys % n].tolist()
+    left = universe[keys // n].tolist()
+    right = universe[keys % n].tolist()
     return list(zip(left, right))

@@ -66,3 +66,47 @@ def test_order_by_a_column_missing_from_the_output_raises(engine, prefix):
 def test_order_by_a_name_two_output_columns_share_raises(engine, prefix):
     with pytest.raises(SchemaResolutionError, match="ambiguous"):
         engine.execute(f"{prefix} surname, P.surname FROM PPL P ORDER BY surname")
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT DEDUP surname FROM PPL WHERE state = 'nsw' ORDER BY nosuch",
+        "SELECT DEDUP surname, nosuch FROM PPL WHERE state = 'nsw'",
+    ],
+    ids=["order-by", "select-list"],
+)
+def test_an_unknown_tail_column_fails_before_any_er_work(sql):
+    """The tail is lowered at planning time: the statement raises before
+    Deduplicate resolves an entity or writes a link."""
+    people, _ = generate_people(300, seed=7)
+    engine = QueryEREngine()
+    engine.register(people)
+    with pytest.raises(SchemaResolutionError, match="unknown column 'nosuch'"):
+        engine.execute(sql)
+    link_index = engine.index_of("PPL").link_index
+    assert link_index.resolved_count == 0
+    assert not link_index.links
+
+
+def test_an_unknown_tail_column_of_a_join_fails_before_any_er_work():
+    """The tail of a join sees every binding's columns in join-state
+    order; an unknown one raises before either side is cleaned."""
+    people, _ = generate_people(200, organisations=["acme", "globex"], seed=3)
+    orgs, _ = generate_people(50, seed=4)
+    engine = QueryEREngine()
+    engine.register(people)
+    engine.register(type(orgs)("ORG", orgs.schema, [row.values for row in orgs]))
+    sql = (
+        "SELECT DEDUP PPL.surname, ORG.surname FROM PPL "
+        "JOIN ORG ON PPL.state = ORG.state WHERE PPL.state = 'nsw' ORDER BY nosuch"
+    )
+    with pytest.raises(SchemaResolutionError, match="unknown column 'nosuch'"):
+        engine.execute(sql)
+    for name in ("PPL", "ORG"):
+        link_index = engine.index_of(name).link_index
+        assert link_index.resolved_count == 0
+        assert not link_index.links
+    # The same statement with a known column runs, both bindings visible.
+    rows = engine.execute(sql.replace("nosuch", "ORG.surname")).rows
+    assert rows

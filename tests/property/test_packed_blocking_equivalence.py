@@ -135,22 +135,23 @@ class TestStageEquivalence:
         """Per-entity retained keys match the dict path, any ratio."""
         collection = build_collection(pairs)
         expected = retained_keys(collection, ratio=ratio)
-        # Flatten the collection into the packed path's assignment arrays.
+        # Flatten the collection into the packed path's assignment
+        # arrays, each block ranked by (|b|, key).
         keys = collection.keys()
         entity_index = {e: i for i, e in enumerate(sorted(collection.entity_ids()))}
-        entities, sizes, ranks = [], [], []
-        rank_of = {k: r for r, k in enumerate(sorted(keys))}
+        entities, ranks = [], []
+        rank_of = {
+            k: r for r, k in enumerate(sorted(keys, key=lambda k: (collection.get(k).size, k)))
+        }
         flat = []  # (key, entity) per assignment, aligned with the arrays
         for key in keys:
             block = collection.get(key)
             for entity in block.entities:
                 entities.append(entity_index[entity])
-                sizes.append(block.size)
                 ranks.append(rank_of[key])
                 flat.append((key, entity))
         mask = retained_assignment_mask(
             np.array(entities, dtype=np.int64),
-            np.array(sizes, dtype=np.int64),
             np.array(ranks, dtype=np.int64),
             ratio,
         )
@@ -163,10 +164,7 @@ class TestStageEquivalence:
     def test_filter_ratio_validation_matches_dict(self):
         with pytest.raises(ValueError):
             retained_assignment_mask(
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                0.0,
+                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0.0
             )
         with pytest.raises(ValueError):
             retained_keys(BlockCollection(), ratio=0.0)

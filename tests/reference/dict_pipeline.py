@@ -15,7 +15,8 @@ suite has one oracle to diff against:
 * Query Blocking and Block-Join over that TBI;
 * Block Purging, Block Filtering and Edge Pruning over block
   collections, the blocking graph accumulated pair by pair in dicts
-  (:class:`ReferenceGraph`);
+  (:class:`ReferenceGraph`), and Block Filtering's former three-key
+  ``lexsort`` over assignment arrays (:func:`lexsort_assignment_mask`);
 * the Block-object graph: a block collection laid out as one CSR span
   and fed to the engine's own pair generator and graph
   (:func:`block_object_graph`);
@@ -353,6 +354,37 @@ def retained_keys(
     return kept
 
 
+def lexsort_assignment_mask(
+    entities: Any, sizes: Any, key_ranks: Any, ratio: float = DEFAULT_RATIO
+) -> Any:
+    """Block Filtering over flat assignment arrays, by a three-key ``lexsort``.
+
+    The array form the engine used before it ranked blocks once:
+    parallel per-assignment arrays of dense entity ids, block sizes |b|
+    and key ranks (lexicographic over the key strings).  Keeps, per
+    entity, its first ``max(1, ceil(ratio * count))`` assignments in
+    ascending ``(|b|, key)`` order.  The oracle for
+    :func:`repro.er.block_filtering.retained_assignment_mask`.
+    """
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError("filtering ratio must be in (0, 1]")
+    total = len(entities)
+    if not total:
+        return np.zeros(0, dtype=bool)
+    order = np.lexsort((key_ranks, sizes, entities))
+    grouped = entities[order]
+    boundaries = np.nonzero(np.diff(grouped))[0] + 1
+    starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
+    stops = np.concatenate((boundaries, np.array([total], dtype=np.int64)))
+    counts = stops - starts
+    limits = np.maximum(1, np.ceil(ratio * counts)).astype(np.int64)
+    positions = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+    keep_sorted = positions < np.repeat(limits, counts)
+    mask = np.empty(total, dtype=bool)
+    mask[order] = keep_sorted
+    return mask
+
+
 def block_filtering(collection: BlockCollection, ratio: float = DEFAULT_RATIO) -> BlockCollection:
     """The collection restructured to the retained keys, singletons dropped."""
     filtered = BlockCollection()
@@ -525,8 +557,7 @@ def block_object_graph(
     )
     edge_keys, edge_stats = reduce_span_segments(keys, values, need_arcs)
     return BlockingGraph(
-        scheme, len(collection), universe, index_of, block_counts.tolist(),
-        edge_keys, edge_stats,
+        scheme, len(collection), universe, block_counts, edge_keys, edge_stats
     )
 
 
