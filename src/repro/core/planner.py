@@ -94,8 +94,10 @@ class DedupQueryPlan:
     """Planner output: the analysed statement, its placements and estimates.
 
     ``infos`` (one per FROM binding, with the compiled per-binding
-    predicate), ``join_steps`` and ``residual`` are the statement's one
-    analysis; the executor and ``EXPLAIN`` read them from here.
+    predicate), ``join_steps``, ``residual`` and ``schema`` (the joined
+    rows' columns, which the residual and the relational tail resolve
+    against) are the statement's one analysis; the executor and
+    ``EXPLAIN`` read them from here.
     """
 
     mode: ExecutionMode
@@ -103,6 +105,7 @@ class DedupQueryPlan:
     infos: List[BindingInfo]
     join_steps: List[JoinStep]
     residual: Optional[ast.Expr]
+    schema: PlanSchema
     estimates: Dict[str, int] = field(default_factory=dict)
     clean_first: Optional[str] = None
 
@@ -234,10 +237,9 @@ class DedupQueryPlanner:
         Deduplicate runs.
         """
         infos, steps, residual = self.analyze(query)
-        self.relational.physical_plan(
-            self.relational.tail(LogicalValues(_output_schema(infos, steps), []), query)
-        )
-        plan = DedupQueryPlan(mode, query, infos, steps, residual)
+        schema = _output_schema(infos, steps)
+        self.relational.physical_plan(self.relational.tail(LogicalValues(schema, []), query))
+        plan = DedupQueryPlan(mode, query, infos, steps, residual, schema)
         if steps and mode is ExecutionMode.AES:
             info_by = {i.binding.lower(): i for i in infos}
             left_info = info_by[steps[0].left_binding]
@@ -255,9 +257,9 @@ class DedupQueryPlanner:
 
 
 def _output_schema(infos: List[BindingInfo], steps: List[JoinStep]) -> PlanSchema:
-    """The schema Group-Entities hands the tail: the bindings' columns
-    in join-state order (the first join's left and right binding, then
-    each later join's right binding)."""
+    """The joined rows' schema: the bindings' columns in the order the
+    executor's join state binds them (the first join's left and right
+    binding, then each later join's right binding)."""
     info_by = {info.binding.lower(): info for info in infos}
     if steps:
         bindings = [steps[0].left_binding] + [step.right_binding for step in steps]
@@ -308,11 +310,6 @@ class JoinState:
                 return position
         raise PlanningError(f"binding {binding!r} not in join state")
 
-    def schema(self) -> PlanSchema:
-        return PlanSchema(
-            [f for b in self.bindings for f in schema_for_table(self.results[b].table, b)]
-        )
-
     def value_tuples(self) -> List[tuple]:
         return [sum((row.values for row in combo), ()) for combo in self.rows]
 
@@ -336,9 +333,8 @@ class DedupQueryExecutor:
         else:
             state = self._execute_joins(plan, context)
 
-        schema = state.schema()
         if plan.residual is not None:
-            predicate = compile_predicate(plan.residual, schema)
+            predicate = compile_predicate(plan.residual, plan.schema)
             keep = [
                 combo
                 for combo, values in zip(state.rows, state.value_tuples())
@@ -350,7 +346,7 @@ class DedupQueryExecutor:
             grouped = self._group(state)
         # Aggregates fold over grouped entities, so each duplicate cluster
         # contributes once (the §10 dedupe-aware aggregation).
-        tail = self.relational.tail(LogicalValues(schema, grouped), plan.query)
+        tail = self.relational.tail(LogicalValues(plan.schema, grouped), plan.query)
         output = self.relational.physical_plan(tail)
         return [f.name for f in output.schema], list(output.execute(context))
 

@@ -13,8 +13,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.er.util import packed_argsort
-
 #: Default filtering ratio from the enhanced meta-blocking paper [27].
 DEFAULT_RATIO = 0.8
 
@@ -31,7 +29,8 @@ def retained_assignment_mask(
     mask keeping, per entity, its first ``max(1, ceil(ratio * count))``
     assignments in that order, computed with one sort of the single key
     ``entity · B + block_rank`` and prefix arithmetic instead of
-    per-entity sorts.
+    per-entity sorts.  An entity is assigned to a block at most once, so
+    the keys are distinct and need no stable sort.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("filtering ratio must be in (0, 1]")
@@ -41,8 +40,8 @@ def retained_assignment_mask(
     block_count = int(block_ranks.max()) + 1
     keys = entities * block_count
     keys += block_ranks
-    sorted_keys, order = packed_argsort(keys)
-    grouped = sorted_keys // block_count
+    order = np.argsort(keys)
+    grouped = keys[order] // block_count
     # Per-entity group spans over the sorted assignments.
     boundaries = np.nonzero(np.diff(grouped))[0] + 1
     starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))

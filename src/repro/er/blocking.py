@@ -13,7 +13,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.er.tokenizer import MIN_TOKEN_LENGTH, TokenVocabulary, tokenize_entity
-from repro.er.util import GrowableArray, gather_ranges, packed_argsort
+from repro.er.util import GrowableArray, gather_ranges
 
 
 def _object_ids(ids: List[Any]) -> GrowableArray:
@@ -213,7 +213,7 @@ class TokenPostings:
         self._tok_indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(token_counts, dtype=np.int64))
         )
-        _, order = packed_argsort(tokens)
+        order = np.argsort(tokens, kind="stable")
         self._tok_members = entities[order]
         self._pending = {}
         self._pending_count = 0

@@ -20,13 +20,12 @@ positions in a universe that candidate derivation lays out in the
 table's entity-id order, from the postings' rank arrays: each
 unordered pair is one packed int (``left * n + right``), pair generation
 and the per-scheme weights are bulk NumPy array operations, and Edge
-Pruning consumes the arrays directly.  Every sort is one plain sort of
-a single packed int key (:func:`~repro.er.util.packed_argsort`), with
-no multi-key ``lexsort``.  Summation order is part of the contract,
-unchanged: a pair's ARCS weight sums its reciprocals in block visit
-order (ascending token id on the query path) and the average weight
-sums the edges in ascending packed-key order, both strictly left to
-right.
+Pruning consumes the arrays directly.  Every sort is over a single int
+key, with no multi-key ``lexsort``.  Summation order is part of the
+contract, unchanged: a pair's ARCS weight sums its reciprocals in block
+visit order (ascending token id on the query path) and the average
+weight sums the edges in ascending packed-key order, both strictly left
+to right.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ import math
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-
-from repro.er.util import packed_argsort
 
 #: Pairs :func:`generate_span_segments` enumerates per pass.  A pass
 #: holds a handful of int64 scratch arrays as long as its pair count, so
@@ -66,7 +63,7 @@ def generate_span_segments(
     members: Any,
     indptr: Any,
     n: int,
-    in_focus: Optional[bytearray],
+    in_focus: Optional[Any],
     need_arcs: bool,
 ) -> Tuple[Any, Any, Any]:
     """Every focus-incident pair of the blocks *indptr* delimits.
@@ -97,7 +94,11 @@ def generate_span_segments(
     sizes = np.diff(indptr).astype(np.int64)
     block_of = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     block_base = block_of * n
-    rows, _ = packed_argsort(block_base + span)
+    rows = block_base + span
+    # Candidate derivation hands the members over already in order; a
+    # plain sort of sorted keys costs ten times the check.
+    if not (rows[1:] >= rows[:-1]).all():
+        rows.sort()
     rows -= block_base
     position = np.arange(len(rows), dtype=np.int64)
     # Exclusive end of each row's block, relative to the first block.
@@ -159,19 +160,19 @@ def generate_span_segments(
 def reduce_span_segments(keys: Any, values: Any, need_arcs: bool) -> Tuple[Any, Any]:
     """Generated pairs → ``(edge_keys, edge_stats)``, edges by ascending key.
 
-    One stable sort (:func:`~repro.er.util.packed_argsort`, a plain sort
-    of ``key << b | position``) groups each key's contributions in
-    global block visit order.  CBS counts are the group lengths; ARCS
-    sums add each edge's reciprocals with ``np.bincount``, which
-    accumulates strictly left to right in that order, where a segmented
-    reduction may reassociate them.
+    One stable argsort groups each key's contributions in global block
+    visit order.  CBS counts are the group lengths; ARCS sums add each
+    edge's reciprocals with ``np.bincount``, which accumulates strictly
+    left to right in that order, where a segmented reduction may
+    reassociate them.
     """
     m = len(keys)
     if not m:
         return np.empty(0, dtype=np.int64), np.empty(
             0, dtype=np.float64 if need_arcs else np.int64
         )
-    sorted_keys, order = packed_argsort(keys)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
     first = np.empty(m, dtype=np.bool_)
     first[0] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])

@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.er.similarity import jaro_winkler_char_bound_batch, jaro_winkler_fast
 from repro.er.tokenizer import TokenVocabulary, normalize_value, tokenize_value
-from repro.er.util import GrowableArray, LRUCache, gather_ranges, packed_argsort
+from repro.er.util import GrowableArray, LRUCache, gather_ranges
 
 #: Default match-decision threshold on the mean attribute similarity.
 DEFAULT_THRESHOLD = 0.75
@@ -227,7 +227,7 @@ class SignatureColumns:
         else:
             rows = words = bits = np.empty(0, dtype=np.int64)
         # Row-major: each row's words, slot by slot.
-        _, order = packed_argsort(rows)
+        order = np.argsort(rows, kind="stable")
         self._word_indptr.extend(
             len(self._words) + np.cumsum(np.bincount(rows, minlength=count))
         )

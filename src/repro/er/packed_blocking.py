@@ -17,7 +17,8 @@ is laid out in the table's entity-id order, read off the postings' rank
 arrays (:meth:`~repro.er.blocking.TokenPostings.id_order`) as a
 presence mask over ranks and one ``cumsum``: a round does no
 per-entity Python work.  Block Filtering ranks the blocks once by
-``(|b|, key)`` and sorts the assignments by one packed key.
+``(|b|, key)`` and sorts the assignments by the single key ``entity ·
+B + block_rank``.
 
 Blocks are visited in ascending token-id order, members in ascending
 entity-id order within a block.  That order is the summation spec,

@@ -2,9 +2,8 @@
 
 Hosts the canonical-ordering utilities the ER modules share, the
 bounded LRU cache behind the matcher's pair memo and the engine's plan
-and result caches, the growable arrays and range gather the table's CSR
-columns are built on, and the packed single-key sort that stands in for
-a stable argsort.
+and result caches, and the growable arrays
+and range gather the table's CSR columns are built on.
 """
 
 from __future__ import annotations
@@ -161,32 +160,6 @@ class GrowableArray:
     def truncate(self, size: int) -> None:
         """Drop every entry from position *size* on."""
         self._size = min(self._size, size)
-
-
-def packed_argsort(keys: Any) -> Tuple[Any, Any]:
-    """``(keys[order], order)`` with ``order = np.argsort(keys, kind="stable")``.
-
-    Packs each non-negative int64 key with its position, ``key << b |
-    position`` for ``b`` bits of position, so that one plain ``np.sort``
-    of distinct values yields both the sorted keys and the stable order
-    (equal keys stay in position order).  Keys already in order skip the
-    sort.  Falls back to the stable argsort when a key is negative or
-    ``key << b`` needs more than 63 bits.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    m = len(keys)
-    if (keys[1:] >= keys[:-1]).all():
-        return keys.copy(), np.arange(m, dtype=np.int64)
-    bits = (m - 1).bit_length()
-    if int(keys.min()) < 0 or int(keys.max()) >> (63 - bits):
-        order = np.argsort(keys, kind="stable")
-        return keys[order], order
-    packed = keys << bits
-    packed |= np.arange(m, dtype=np.int64)
-    packed.sort()
-    order = packed & ((1 << bits) - 1)
-    packed >>= bits
-    return packed, order
 
 
 def gather_ranges(source: Any, starts: Any, counts: Any) -> Any:

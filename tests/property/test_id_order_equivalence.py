@@ -11,9 +11,7 @@ an ``INSERT`` followed by a rolled-back ``INSERT`` and a different
 reference in ``tests/reference/dict_pipeline.py``: the same pairs, the
 same comparison counts and Edge-Pruning weights equal under ``==``.
 
-Also here: the packed single-key sort (:func:`repro.er.util.packed_argsort`)
-against ``np.argsort(kind="stable")`` on both sides of its 63-bit
-fallback, and Block Filtering's single-key mask against the three-key
+Also here: Block Filtering's single-key mask against the three-key
 ``lexsort`` oracle it replaced, ties in |b| included.
 """
 
@@ -38,7 +36,6 @@ from repro.er.blocking import TokenPostings
 from repro.er.edge_pruning import WeightingScheme
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.er.tokenizer import TokenVocabulary
-from repro.er.util import packed_argsort
 from repro.incremental import IngestError
 from repro.resilience import FaultPlan, clear_plan, install_plan
 from repro.storage.schema import Schema
@@ -205,52 +202,6 @@ def test_id_order_is_not_computed_inside_add_entity():
     rank, ids = postings.id_order()
     assert ids.tolist() == ["a", "b", "c", "d"]
     assert rank.tolist() == [1, 3, 0, 2]
-
-
-# -- the packed single-key sort ---------------------------------------------------
-def assert_packed_equals_stable(keys) -> None:
-    keys = np.asarray(keys, dtype=np.int64)
-    before = keys.copy()
-    sorted_keys, order = packed_argsort(keys)
-    expected = np.argsort(keys, kind="stable")
-    assert order.dtype == np.int64 and sorted_keys.dtype == np.int64
-    assert np.array_equal(order, expected)
-    assert np.array_equal(sorted_keys, keys[expected])
-    assert np.array_equal(keys, before)  # the input is left alone
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=12), max_size=300),
-    st.sampled_from([0, 1 << 20, 1 << 40, 1 << 52, (1 << 62) - 64, (1 << 63) - 64]),
-)
-def test_packed_argsort_equals_stable_argsort(small, offset):
-    """Keys with many duplicates, offset from 0 up to the int64 limit, so
-    both the packed sort and the stable fallback are exercised."""
-    assert_packed_equals_stable([offset + key for key in small])
-
-
-@pytest.mark.parametrize("m", [2, 3, 1000, 70000])
-def test_packed_argsort_on_both_sides_of_the_63_bit_fallback(m):
-    rng = np.random.default_rng(m)
-    bits = (m - 1).bit_length()
-    limit = 1 << (63 - bits)  # the first key whose packed form overflows
-    for top in (limit - 1, limit):
-        # One key at the edge, first, the rest just below it: out of
-        # order, with duplicates.
-        keys = top - 1 - rng.integers(0, 3, size=m)
-        keys[0] = top
-        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
-            assert_packed_equals_stable(keys)
-        # One argsort is the oracle's; a second is the fallback's.
-        assert argsort.call_count == (1 if top < limit else 2)
-
-
-def test_packed_argsort_negative_and_sorted_keys():
-    assert_packed_equals_stable([3, -1, 3, -1, 0])
-    assert_packed_equals_stable([-7, -7, 0, 2, 2])  # already in order
-    assert_packed_equals_stable([])
-    assert_packed_equals_stable([5])
 
 
 # -- Block Filtering against the three-key lexsort oracle ----------------------------
