@@ -92,8 +92,9 @@ class QueryEREngine:
     derived artefact on the epoch: the plan cache keys each entry on
     the epochs it read, and the serving layer (:mod:`repro.serving`)
     stamps each response with the epoch map it executed under and keys
-    its result cache on ``(mode, normalized SQL, epochs)`` —
-    epoch-stamped snapshot reads over the append-only tables.
+    its result cache on ``(mode, normalized SQL, epochs of the tables
+    the statement names)`` (:meth:`epochs_of`) — epoch-stamped snapshot
+    reads over the append-only tables.
     """
 
     def __init__(
@@ -430,14 +431,22 @@ class QueryEREngine:
         return QueryResult(columns, rows, elapsed, context, plan.pretty())
 
     # -- plan selection ---------------------------------------------------
-    def _statement_epochs(self, query: ast.SelectQuery) -> Dict[str, int]:
-        """The epochs of the tables *query* names — its plan's cache key.
+    @staticmethod
+    def statement_tables(statement: ast.Statement) -> Tuple[str, ...]:
+        """The (lower-cased) names of the tables *statement* reads or
+        writes — an ``EXPLAIN``'s are those of the statement it wraps."""
+        if isinstance(statement, ast.ExplainStatement):
+            statement = statement.statement
+        if isinstance(statement, ast.InsertStatement):
+            return (statement.table.lower(),)
+        refs = (statement.table, *(j.table for j in statement.joins))
+        return tuple(ref.name.lower() for ref in refs)
 
-        An unknown name keys at epoch 0; planning it raises, so nothing
-        is cached under it.
-        """
-        refs = (query.table, *(j.table for j in query.joins))
-        return {ref.name.lower(): self.epoch_of(ref.name) for ref in refs}
+    def epochs_of(self, tables: Iterable[str]) -> Dict[str, int]:
+        """The epochs of *tables* — the cache key of an answer or plan of a
+        statement naming them.  An unknown name keys at epoch 0; planning
+        it raises, so nothing is cached under it."""
+        return {name: self.epoch_of(name) for name in tables}
 
     def _dedup_plan(self, query: ast.SelectQuery, mode: ExecutionMode) -> DedupQueryPlan:
         """The §7.2.1 plan of a DEDUP query, from the plan cache if there.
@@ -450,7 +459,7 @@ class QueryEREngine:
         return self._cached(
             mode.value,
             normalize_sql(str(query)),
-            self._statement_epochs(query),
+            self.epochs_of(self.statement_tables(query)),
             lambda: DedupQueryPlanner(self).plan(query, mode),
         )
 
@@ -459,7 +468,7 @@ class QueryEREngine:
         return self._cached(
             "relational",
             normalize_sql(str(query)),
-            self._statement_epochs(query),
+            self.epochs_of(self.statement_tables(query)),
             lambda: self._relational.logical_plan(query),
         )
 

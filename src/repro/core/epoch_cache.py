@@ -5,10 +5,10 @@ Both memoize something derived from one engine snapshot under the key
 
     (kind, key, frozenset of (table, epoch) pairs)
 
-with the epochs taken from :meth:`QueryEREngine.table_epochs`.  The
+with the epochs taken from :meth:`QueryEREngine.epochs_of`.  The
 serving result cache holds whole answers (kind = execution mode, key =
-normalized SQL, the epochs of every table).  The engine's cache holds
-four kinds of entry:
+normalized SQL, the epochs of the tables the statement names).  The
+engine's cache holds four kinds of entry:
 
 * a DEDUP plan (kind = execution mode) and a plain SELECT's logical
   plan (kind ``"relational"``), keyed on normalized SQL and the epochs

@@ -41,7 +41,13 @@ from repro.core.indices import TableIndex
 from repro.core.result import DedupResult, merge_values
 from repro.core.statistics import ComparisonEstimator, join_value
 from repro.sql import ast
-from repro.sql.expressions import compile_predicate, conjoin
+from repro.sql.expressions import (
+    MaskPredicate,
+    RowEvaluator,
+    compile_mask,
+    compile_predicate,
+    conjoin,
+)
 from repro.sql.logical import LogicalValues, PlanSchema, schema_for_table
 from repro.sql.physical import ExecutionContext
 from repro.sql.planner import PlanningError, RelationalPlanner, equi_join_keys, resolve_bindings
@@ -68,12 +74,13 @@ class BindingInfo:
     binding: str
     index: TableIndex
     condition: Optional[ast.Expr]
-    predicate: Callable[[Sequence[Any]], bool]
+    where: MaskPredicate
 
     def qe_rows(self) -> List[Row]:
-        """QE: rows the query evaluates after the per-binding WHERE."""
-        predicate = self.predicate
-        return [row for row in self.index.table if predicate(row.values)]
+        """QE: rows the query evaluates after the per-binding WHERE, in
+        table order."""
+        table = self.index.table
+        return [table[position] for position in self.where.positions(table).tolist()]
 
     def qe_ids(self) -> Set[Any]:
         return {row.id for row in self.qe_rows()}
@@ -93,11 +100,12 @@ class JoinStep:
 class DedupQueryPlan:
     """Planner output: the analysed statement, its placements and estimates.
 
-    ``infos`` (one per FROM binding, with the compiled per-binding
-    predicate), ``join_steps``, ``residual`` and ``schema`` (the joined
-    rows' columns, which the residual and the relational tail resolve
-    against) are the statement's one analysis; the executor and
-    ``EXPLAIN`` read them from here.
+    ``infos`` (one per FROM binding, with the per-binding WHERE compiled
+    to column masks), ``join_steps``, ``residual`` and ``schema`` (the
+    joined rows' columns, which the residual and the relational tail
+    resolve against) are the statement's one analysis; the executor and
+    ``EXPLAIN`` read them from here.  ``residual_predicate`` is the
+    residual compiled over ``schema``, once per plan.
     """
 
     mode: ExecutionMode
@@ -106,6 +114,7 @@ class DedupQueryPlan:
     join_steps: List[JoinStep]
     residual: Optional[ast.Expr]
     schema: PlanSchema
+    residual_predicate: RowEvaluator
     estimates: Dict[str, int] = field(default_factory=dict)
     clean_first: Optional[str] = None
 
@@ -198,8 +207,8 @@ class DedupQueryPlanner:
         infos: List[BindingInfo] = []
         for ref, index, exprs in zip(refs, indices, resolution.filters):
             condition = conjoin(exprs)
-            predicate = compile_predicate(condition, schema_for_table(index.table, ref.binding))
-            infos.append(BindingInfo(ref.binding, index, condition, predicate))
+            where = compile_mask(condition, schema_for_table(index.table, ref.binding))
+            infos.append(BindingInfo(ref.binding, index, condition, where))
         steps = [
             self._join_step(join, owners)
             for join, owners in zip(query.joins, resolution.join_owners)
@@ -239,7 +248,9 @@ class DedupQueryPlanner:
         infos, steps, residual = self.analyze(query)
         schema = _output_schema(infos, steps)
         self.relational.physical_plan(self.relational.tail(LogicalValues(schema, []), query))
-        plan = DedupQueryPlan(mode, query, infos, steps, residual, schema)
+        plan = DedupQueryPlan(
+            mode, query, infos, steps, residual, schema, compile_predicate(residual, schema)
+        )
         if steps and mode is ExecutionMode.AES:
             info_by = {i.binding.lower(): i for i in infos}
             left_info = info_by[steps[0].left_binding]
@@ -334,7 +345,7 @@ class DedupQueryExecutor:
             state = self._execute_joins(plan, context)
 
         if plan.residual is not None:
-            predicate = compile_predicate(plan.residual, plan.schema)
+            predicate = plan.residual_predicate
             keep = [
                 combo
                 for combo, values in zip(state.rows, state.value_tuples())
@@ -379,7 +390,7 @@ class DedupQueryExecutor:
         A cluster survives when any member satisfies the predicate; the
         satisfying members are QE, the dragged-in ones QE̅.
         """
-        qe = {row.id for row in info.qe_rows()}
+        qe = info.qe_ids()
         duplicates = full.links.closure(qe)
         return DedupResult(info.index.table, qe, duplicates - qe, full.links)
 

@@ -14,8 +14,9 @@ memos, lazily refreshed statistics), so raw engine calls are serialized
 behind one *engine gate*.  Concurrency is won **above** the gate:
 
 * **result cache** — epoch-keyed snapshot answers (an
-  :class:`~repro.core.epoch_cache.EpochCache`) are served without
-  touching the engine or its gate at all;
+  :class:`~repro.core.epoch_cache.EpochCache`, keyed on the epochs of
+  the tables the statement names) are served without touching the
+  engine or its gate at all;
 * **single-flight coalescing** — concurrent identical queries share
   one gated execution (:mod:`repro.serving.coalescer`);
 * **admission control** — at most ``max_inflight`` requests may hold
@@ -31,7 +32,8 @@ Every response is stamped with the epoch map it executed under
 stamp provably describes the executed snapshot).  ``INSERT INTO`` takes
 the same gate, bumps the affected table's epoch, and explicitly evicts
 the now-stale cache entries — readers before and after an insert each
-see one consistent epoch's answer, never torn state.
+see one consistent epoch's answer, never torn state.  An insert into
+one table leaves the answers of statements over other tables cached.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from typing import Any, Dict, IO, Optional, Tuple, Union
 from repro.core.engine import QueryEREngine
 from repro.core.epoch_cache import EpochCache, epoch_key
 from repro.core.planner import ExecutionMode
+from repro.er.util import LRUCache
 from repro.resilience import DEGRADATION, inject
 from repro.serving.coalescer import CoalesceTimeout, SingleFlight
 from repro.serving.metrics import ServiceMetrics
@@ -145,6 +148,9 @@ class EngineService:
         self.default_timeout = default_timeout
         self.metrics = ServiceMetrics()
         self.cache = EpochCache(cache_size)
+        #: Normalized SQL → the tables it names, remembered on a miss so
+        #: that a hit can build its cache key without a parse.
+        self._tables = LRUCache(cache_size)
         self.flights = SingleFlight()
         #: The process-wide degradation log (per-layer graceful
         #: fallbacks), surfaced by /healthz and /metrics.
@@ -182,21 +188,27 @@ class EngineService:
         normalized = normalize_sql(sql)
         self.metrics.increment("queries_total")
 
-        # Fast path: a cached answer for the current epochs needs no
-        # admission, no gate and no engine.  The unlocked epoch read is
-        # safe: whatever map we observe, the entry it keys was computed
-        # at exactly those epochs (the answer is stamped to prove it).
-        entry = self.cache.get(epoch_key(mode_name, normalized, self.engine.table_epochs()))
-        if entry is not None:
-            served = self._served(entry, "hit", normalized, started)
-            self._record(served)
-            return served
+        # Fast path: a cached answer for the current epochs of the
+        # statement's tables needs no admission, no gate, no engine and
+        # no parse.  The unlocked epoch read is safe: whatever epochs we
+        # observe, the entry they key was computed at exactly those.
+        tables = self._tables.get(normalized)
+        if tables is None:
+            tables = self.engine.statement_tables(parse(sql))
+            self._tables.put(normalized, tables)
+        else:
+            key = epoch_key(mode_name, normalized, self.engine.epochs_of(tables))
+            entry = self.cache.get(key)
+            if entry is not None:
+                served = self._served(entry, "hit", normalized, started)
+                self._record(served)
+                return served
 
         self._admit()
         try:
             outcome, coalesced = self.flights.run(
                 (normalized, mode_name),
-                lambda: self._execute_gated(sql, normalized, mode_name, timeout),
+                lambda: self._execute_gated(sql, normalized, tables, mode_name, timeout),
                 timeout=timeout,
             )
         except CoalesceTimeout:
@@ -345,7 +357,12 @@ class EngineService:
 
     # -- internals -------------------------------------------------------
     def _execute_gated(
-        self, sql: str, normalized: str, mode_name: str, timeout: Optional[float]
+        self,
+        sql: str,
+        normalized: str,
+        tables: Tuple[str, ...],
+        mode_name: str,
+        timeout: Optional[float],
     ) -> Tuple[CachedResult, bool]:
         """Leader body: execute under the gate at a provable snapshot.
 
@@ -356,7 +373,7 @@ class EngineService:
         self._acquire_gate(timeout)
         try:
             epochs = self.engine.table_epochs()
-            key = epoch_key(mode_name, normalized, epochs)
+            key = epoch_key(mode_name, normalized, self.engine.epochs_of(tables))
             entry = self.cache.get(key)
             if entry is not None:
                 return entry, False

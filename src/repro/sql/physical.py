@@ -13,7 +13,9 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.sql.expressions import MaskPredicate
 from repro.sql.logical import PlanSchema
+from repro.storage.table import Table
 
 
 class ExecutionContext:
@@ -81,7 +83,7 @@ class PhysicalOperator:
 
 
 class ScanOp(PhysicalOperator):
-    """Full scan of an in-memory base table."""
+    """Scan of literal rows (a :class:`~repro.sql.logical.LogicalValues`)."""
 
     def __init__(self, schema: PlanSchema, rows: Sequence[tuple], table_name: str, binding: str):
         super().__init__(schema)
@@ -96,6 +98,42 @@ class ScanOp(PhysicalOperator):
 
     def label(self) -> str:
         return f"TableScan[{self.table_name} AS {self.binding}]"
+
+
+class TableScanOp(PhysicalOperator):
+    """Scan of a base table, keeping the rows its single-table WHERE
+    (``where``, a compiled :class:`~repro.sql.expressions.MaskPredicate`)
+    selects; rows are read when the scan runs."""
+
+    def __init__(
+        self,
+        schema: PlanSchema,
+        table: Table,
+        binding: str,
+        where: Optional[MaskPredicate] = None,
+        description: str = "",
+    ):
+        super().__init__(schema)
+        self.table = table
+        self.binding = binding
+        self.where = where
+        self.description = description
+
+    def execute(self, context: ExecutionContext) -> Iterator[tuple]:
+        table = self.table
+        with context.timed("other"):
+            if self.where is None:
+                materialized = [row.values for row in table]
+            else:
+                positions = self.where.positions(table).tolist()
+                materialized = [table[position].values for position in positions]
+        yield from materialized
+
+    def pretty(self, indent: int = 0) -> str:
+        scan = f"TableScan[{self.table.name} AS {self.binding}]"
+        if self.where is None:
+            return "  " * indent + scan
+        return "  " * indent + f"Filter[{self.description}]\n" + "  " * (indent + 1) + scan
 
 
 class FilterOp(PhysicalOperator):

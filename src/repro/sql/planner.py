@@ -22,6 +22,7 @@ from repro.sql import ast
 from repro.sql.expressions import (
     column_refs,
     compile_expression,
+    compile_mask,
     compile_predicate,
     conjoin,
     conjuncts,
@@ -47,6 +48,7 @@ from repro.sql.physical import (
     ProjectOp,
     ScanOp,
     SortOp,
+    TableScanOp,
 )
 from repro.storage.catalog import Catalog
 
@@ -238,10 +240,15 @@ class RelationalPlanner:
     def physical_plan(self, plan: LogicalPlan) -> PhysicalOperator:
         """Lower a logical plan to volcano operators."""
         if isinstance(plan, LogicalScan):
-            rows = [row.values for row in plan.table]
-            return ScanOp(plan.schema, rows, plan.table.name, plan.binding)
+            return TableScanOp(plan.schema, plan.table, plan.binding)
         if isinstance(plan, LogicalValues):
             return ScanOp(plan.schema, plan.rows, "Values", "Values")
+        if isinstance(plan, LogicalFilter) and isinstance(plan.child, LogicalScan):
+            # A single-table WHERE: the column-mask evaluator DEDUP
+            # bindings use too.
+            scan = plan.child
+            where = compile_mask(plan.condition, scan.schema)
+            return TableScanOp(scan.schema, scan.table, scan.binding, where, str(plan.condition))
         if isinstance(plan, LogicalFilter):
             child = self.physical_plan(plan.child)
             predicate = compile_predicate(plan.condition, plan.child.schema)

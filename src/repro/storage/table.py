@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.resilience import inject
+from repro.storage.columns import ColumnArray
 from repro.storage.schema import Schema, SchemaError
 
 
@@ -101,6 +102,9 @@ class Table:
         self._schema = schema
         self._rows: List[Row] = []
         self._by_id: Dict[Any, int] = {}
+        #: Column position → typed arrays, built on first read (see
+        #: :meth:`column_array`).
+        self._columns: Dict[int, ColumnArray] = {}
         self.append_rows(rows, coerce=coerce)
 
     @property
@@ -151,6 +155,24 @@ class Table:
         return [list(column) for column in zip(*(r.values for r in rows))] or [
             [] for _ in self._schema.columns
         ]
+
+    def column_array(self, position: int) -> ColumnArray:
+        """The typed arrays of column *position* over every row.
+
+        Built on the first read and kept; rows appended since the last
+        read are added on this one (never inside :meth:`append_rows`),
+        and :meth:`rollback_to` truncates.  When appended values change
+        the column's kind the arrays are rebuilt from all rows.
+        """
+        rows = self._rows
+        column = self._columns.get(position)
+        if column is not None and column.length < len(rows):
+            if not column.extend([row.values[position] for row in rows[column.length :]]):
+                column = None
+        if column is None:
+            column = ColumnArray([row.values[position] for row in rows])
+            self._columns[position] = column
+        return column
 
     @classmethod
     def from_columns(
@@ -214,6 +236,8 @@ class Table:
         for row in dropped:
             self._by_id.pop(row.id, None)
         del self._rows[row_count:]
+        for column in self._columns.values():
+            column.truncate(row_count)
         return len(dropped)
 
     def select(self, predicate: Callable[[Row], bool], name: Optional[str] = None) -> "Table":

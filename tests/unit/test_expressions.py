@@ -7,6 +7,7 @@ from repro.sql.expressions import (
     ExpressionError,
     column_refs,
     compile_expression,
+    compile_mask,
     compile_predicate,
     conjoin,
     conjuncts,
@@ -14,6 +15,8 @@ from repro.sql.expressions import (
 )
 from repro.sql.logical import Field, PlanSchema
 from repro.sql.parser import parse
+from repro.storage.schema import Schema
+from repro.storage.table import Table
 
 
 SCHEMA = PlanSchema([Field("t", "id"), Field("t", "name"), Field("t", "age"), Field("u", "name")])
@@ -162,3 +165,55 @@ class TestPredicateHelpers:
         )
         found = string_literals(q.where)
         assert {"alpha", "beta", "gamma", "%delta%"} <= set(found)
+
+
+class TestNullRules:
+    """The NULL rules of the module docstring, for the row closure and
+    for the column masks alike."""
+
+    TABLE = Table(
+        "t",
+        Schema.of("id", "x", "s"),
+        [("1", 1, "ann"), ("2", None, None), ("3", 5, "bob")],
+        coerce=False,
+    )
+    TABLE_SCHEMA = PlanSchema([Field("t", "id"), Field("t", "x"), Field("t", "s")])
+
+    def kept(self, condition: str):
+        where = parse(f"SELECT id FROM t WHERE {condition}").where
+        predicate = compile_predicate(where, self.TABLE_SCHEMA)
+        by_closure = [row.id for row in self.TABLE if predicate(row.values)]
+        by_mask = [
+            self.TABLE[p].id for p in compile_mask(where, self.TABLE_SCHEMA).positions(self.TABLE)
+        ]
+        assert by_mask == by_closure
+        return by_closure
+
+    def test_comparison_with_null_is_false(self):
+        assert self.kept("x = 1") == ["1"]
+        assert self.kept("x <> 1") == ["3"]
+        assert self.kept("x = NULL") == []
+        assert self.kept("x <> NULL") == []
+
+    def test_not_flips_a_null_comparison(self):
+        assert self.kept("NOT (x = 1)") == ["2", "3"]
+        assert self.kept("NOT (s = 'ann')") == ["2", "3"]
+
+    def test_in_like_between_on_null_are_false_even_negated(self):
+        assert self.kept("x NOT IN (1)") == ["3"]
+        assert self.kept("s NOT LIKE 'a%'") == ["3"]
+        assert self.kept("x NOT BETWEEN 2 AND 3") == ["1", "3"]
+        assert self.kept("NOT (x IN (1))") == ["2", "3"]
+
+    def test_between_with_a_null_bound_fails_its_comparison(self):
+        assert self.kept("x BETWEEN NULL AND 9") == []
+        assert self.kept("x NOT BETWEEN NULL AND 9") == ["1", "3"]
+
+    def test_arithmetic_on_null_is_null(self):
+        assert self.kept("x + 1 IS NULL") == ["2"]
+        assert self.kept("MOD(x, 2) IS NOT NULL") == ["1", "3"]
+
+    def test_bare_values_are_tested_for_truth(self):
+        assert self.kept("x") == ["1", "3"]
+        assert self.kept("x - 1") == ["3"]
+        assert self.kept("s") == ["1", "3"]

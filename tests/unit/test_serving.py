@@ -217,6 +217,26 @@ class TestResultCache:
         cache.put(("q", "aes", frozenset()), _entry({}))
         assert cache.get(("q", "aes", frozenset())) is None
 
+    def test_answers_key_on_the_tables_the_statement_names(self):
+        left, _ = generate_people(60, seed=11, name="L")
+        right, _ = generate_people(40, seed=12, name="R")
+        engine = QueryEREngine()
+        engine.register(left)
+        engine.register(right)
+        service = EngineService(engine)
+        sql = "SELECT DEDUP id, surname FROM L WHERE state = 'nsw'"
+        first = service.query(sql)
+        extra = list(right[0].values)
+        extra[0] = 9001
+        service.insert_rows("R", [extra])
+        again = service.query(sql)
+        assert again.cache == "hit"
+        assert again.rows == first.rows
+        # An insert into L itself still evicts the answer.
+        extra[0] = 9002
+        service.insert_rows("L", [extra])
+        assert service.query(sql).cache == "miss"
+
 
 # -- single flight ----------------------------------------------------------
 class TestSingleFlight:
