@@ -42,7 +42,7 @@ def main() -> None:
 
     print("\nAES plan:")
     print(engine.explain(sql, ExecutionMode.AES))
-    print("\nNES plan (fixed placement, no estimates):")
+    print("\nNES plan (fixed placement):")
     print(engine.explain(sql, ExecutionMode.NES))
 
     print("\nExecution:")
@@ -61,13 +61,6 @@ def main() -> None:
     print(
         f"\nThe cost-based placement saved {saved} comparisons "
         f"({saved / max(1, nes.comparisons):.0%} of the naive plan's work)."
-    )
-
-    # Pre-computed join statistics the planner can also consult:
-    left_pct, right_pct = engine.join_percentage("PPL", "OAO", "organisation", "name")
-    print(
-        f"Join percentages (pre-computed per table pair): "
-        f"{left_pct:.0%} of PPL joins, {right_pct:.0%} of OAO joins."
     )
 
 

@@ -25,10 +25,10 @@ every committed insert back into it:
     python -m repro load --data-dir snap/ "SELECT DEDUP * FROM publications"
     python -m repro serve --data-dir snap/ --port 7531
 
-``repro explain`` prints the §7.2.1 planner's plan with its row and
-comparison estimates instead of result rows (``--analyze`` also
-executes and appends estimated-vs-actual per-stage figures; see
-:mod:`repro.optimizer.explain`):
+``repro explain`` prints the §7.2.1 planner's plan with its comparison
+estimates instead of result rows (``--analyze`` also executes and
+appends the actual rows, estimated-vs-actual comparisons and per-stage
+figures; see :meth:`repro.core.planner.DedupQueryPlan.explain`):
 
     python -m repro explain --csv publications.csv --csv venues.csv \\
         "SELECT DEDUP P.title FROM publications P \\

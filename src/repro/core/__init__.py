@@ -17,7 +17,7 @@ from repro.core.dedup_operator import DeduplicateOperator, DedupStats
 from repro.core.group_entities import group_single
 from repro.core.indices import LinkIndex, TableIndex
 from repro.core.result import DedupResult, GroupedEntity, group_cluster, merge_values
-from repro.core.statistics import ComparisonEstimator, TableStatistics, join_percentage
+from repro.core.statistics import ComparisonEstimator
 from repro.core.batch import batch_deduplicate
 from repro.core.entity import Entity, EntityCollection
 
@@ -37,8 +37,6 @@ __all__ = [
     "group_cluster",
     "merge_values",
     "ComparisonEstimator",
-    "TableStatistics",
-    "join_percentage",
     "batch_deduplicate",
     "Entity",
     "EntityCollection",

@@ -10,10 +10,9 @@ Two refinements beyond the pseudocode, both paper-faithful:
 * Entities already *resolved* in the Link Index are skipped entirely;
   their duplicates come straight from LI (§6.1: LI "is crucial to the
   efficiency of our approach").
-* When ``transitive`` is on (default), newly discovered duplicates are
-  fed back as a new frontier until a fixpoint, so the clusters DR_E
-  carries equal the Batch Approach's clusters — the DQ-Correctness
-  guarantee of §5/§6.1 made operational.
+* Newly discovered duplicates are fed back as a new frontier until a
+  fixpoint, so the clusters DR_E carries equal the Batch Approach's
+  clusters — the DQ-Correctness guarantee of §5/§6.1 made operational.
 """
 
 from __future__ import annotations
@@ -60,9 +59,6 @@ class DeduplicateOperator:
     use_link_index:
         When False the LI is neither consulted nor amended (the paper's
         "Without LI" configuration, Fig 11).
-    transitive:
-        Feed newly found duplicates back as a new frontier (see module
-        docstring).
     """
 
     def __init__(
@@ -71,14 +67,12 @@ class DeduplicateOperator:
         matcher: Optional[ProfileMatcher] = None,
         meta_blocking: Optional[MetaBlockingConfig] = None,
         use_link_index: bool = True,
-        transitive: bool = True,
         collect_candidates: bool = False,
     ):
         self.index = index
         self.matcher = matcher or ProfileMatcher(exclude=(index.table.schema.id_column,))
         self.meta_blocking = meta_blocking or MetaBlockingConfig.all()
         self.use_link_index = use_link_index
-        self.transitive = transitive
         self.collect_candidates = collect_candidates
 
     # -- public API ------------------------------------------------------
@@ -113,8 +107,6 @@ class DeduplicateOperator:
             stats.rounds += 1
             newly_found = self._resolve_frontier(frontier, links, compared, context, stats)
             processed.update(frontier)
-            if not self.transitive:
-                break
             # Newly discovered duplicates become the next frontier —
             # except those already processed or resolved in LI (whose
             # clusters we already pulled in).

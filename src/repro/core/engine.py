@@ -4,8 +4,7 @@ Registers dirty entity collections, builds the per-table indices once
 (TBI, ITBI, LI), parses incoming SQL, routes ``SELECT DEDUP`` queries
 through the ER planner/executor, ``INSERT INTO`` through the incremental
 ingestion subsystem, and everything else through the plain relational
-path.  The planner's §7.2.1 statistics are computed when first read and
-cached, like plans, in the engine's one epoch-keyed cache.
+path.  Plans are cached in the engine's one epoch-keyed cache.
 
 >>> engine = QueryEREngine()
 >>> engine.register(publications)
@@ -28,12 +27,11 @@ from repro.core.planner import (
     DedupQueryPlan,
     DedupQueryPlanner,
     ExecutionMode,
+    analyze_lines,
 )
-from repro.core.statistics import TableStatistics, join_percentage
 from repro.er.matching import DEFAULT_THRESHOLD, ProfileMatcher
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.incremental import DmlExecutor, IndexMaintainer, IngestResult
-from repro.optimizer.explain import analyze_lines, explain_dedup, relational_plan_lines
 from repro.sql import ast, normalize_sql
 from repro.sql.executor import QueryResult, execute_plan
 from repro.sql.logical import LogicalPlan
@@ -43,7 +41,7 @@ from repro.sql.planner import RelationalPlanner
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
-#: Capacity of the engine's plan cache, in entries (plans and statistics).
+#: Capacity of the engine's plan cache, in entries.
 PLAN_CACHE_SIZE = 128
 
 
@@ -59,27 +57,21 @@ class QueryEREngine:
     use_link_index:
         Progressive cleaning across queries via the Link Index (Fig 11's
         "With LI" configuration); disable to re-resolve every query.
-    transitive:
-        Expand newly found duplicates until fixpoint so DR_G matches the
-        Batch Approach exactly (DQ Correctness, §5).
 
-    **Plans and statistics.**
+    Every Deduplicate expands newly found duplicates until a fixpoint,
+    so DR_G matches the Batch Approach exactly (DQ Correctness, §5).
+
+    **Plans.**
     :class:`~repro.core.planner.DedupQueryPlanner` plans every DEDUP
-    query (§7.2.1: clean the cheaper side of the first join first) and
+    query (§7.2.1: clean the cheaper side of the first join first, by
+    the WHERE-literal comparison estimate) and
     :class:`~repro.sql.planner.RelationalPlanner` every other SELECT.
-    Registration builds indices only: the §7.2.1 duplication-factor
-    sample (:meth:`statistics_of`) and join percentages
-    (:meth:`join_percentage`) are computed on first read, which only
-    ``EXPLAIN`` does — the planner's clean-first choice needs comparison
-    estimates alone.  Plans and both statistics are entries of
-    :attr:`plan_cache`, keyed ``(kind, key, epochs)`` on the epochs of
-    the tables the entry reads: a plan (kind = mode, or
-    ``"relational"``; key = normalized SQL) on the tables its statement
-    names, a statistic (kind ``"statistics"`` or ``"join_percentage"``)
-    on the tables it samples.  Every register, unregister and adopt
-    drops the whole cache; a committed insert drops only the entries
-    that read the grown table — the plans of statements over other
-    tables, and those tables' statistics, stay.
+    Registration builds indices only.  Plans are entries of
+    :attr:`plan_cache`, keyed ``(kind, normalized SQL, epochs)`` — kind
+    = mode, or ``"relational"`` — on the epochs of the tables the
+    statement names.  Every register, unregister and adopt drops the
+    whole cache; a committed insert drops only the plans that read the
+    grown table — the plans of statements over other tables stay.
 
     **Epoch/snapshot contract.**  The engine is the single source of
     truth for per-table *epochs*: :meth:`register` and every ingested
@@ -102,13 +94,11 @@ class QueryEREngine:
         match_threshold: float = DEFAULT_THRESHOLD,
         meta_blocking: Optional[MetaBlockingConfig] = None,
         use_link_index: bool = True,
-        transitive: bool = True,
     ):
         self.catalog = Catalog()
         self.meta_blocking = meta_blocking or MetaBlockingConfig.all()
         self.match_threshold = match_threshold
         self.use_link_index = use_link_index
-        self.transitive = transitive
         self._indices: Dict[str, TableIndex] = {}
         self._epochs: Dict[str, int] = {}
         # Epochs of unregistered tables: a re-registration under the same
@@ -128,10 +118,8 @@ class QueryEREngine:
     def register(self, table: Table, replace: bool = False) -> TableIndex:
         """Register *table*, building its token postings (TBI/ITBI) and LI.
 
-        No statistic is computed here: :meth:`statistics_of` and
-        :meth:`join_percentage` compute theirs on first read.  The new
-        epoch makes every cached plan and statistic of a replaced
-        registration unreachable, and the cache is emptied.
+        The new epoch makes every cached plan of a replaced registration
+        unreachable, and the cache is emptied.
         """
         self.catalog.register(table, replace=replace)
         index = TableIndex(table)
@@ -155,8 +143,8 @@ class QueryEREngine:
         """Remove a table and *every* engine artefact derived from it.
 
         Purges the catalog entry, the postings/LI bundle, the matcher and
-        every cached plan and statistic — leaving any of them would hand
-        later queries (or the planner) state of a dead index.  The epoch
+        every cached plan — leaving any of them would hand later queries
+        (or the planner) state of a dead index.  The epoch
         entry is removed from :meth:`table_epochs` but its value is
         *retired*, so a later
         re-registration under the same name opens a strictly larger
@@ -207,9 +195,7 @@ class QueryEREngine:
         """Reconstruct a warm engine from a snapshot directory.
 
         Answers every query bit-identically to the engine that was
-        saved — no tokenization or blocking build re-runs; the §7.2.1
-        statistics are not persisted and are sampled, under the loaded
-        engine's own settings, on the first ``EXPLAIN``.  Keyword
+        saved — no tokenization or blocking build re-runs.  Keyword
         *overrides* (``meta_blocking=``, ``match_threshold=``, …) take
         precedence over the manifest's recorded configuration.
         """
@@ -298,7 +284,7 @@ class QueryEREngine:
     # -- plan cache -------------------------------------------------------
     @property
     def plan_cache(self) -> EpochCache:
-        """The LRU of plans and statistics (stats surfaced by serving /metrics)."""
+        """The LRU of plans (stats surfaced by serving /metrics)."""
         return self._plan_cache
 
     def _cached(
@@ -319,7 +305,7 @@ class QueryEREngine:
         commit.  The new epoch makes every artefact keyed on the old one
         unreachable — the plan cache and the serving layer's result
         cache both key on it — and the plan cache drops those entries:
-        the plans and statistics that read *name*.  The others stay.
+        the plans that read *name*.  The others stay.
         """
         if count <= 0:
             return
@@ -334,34 +320,6 @@ class QueryEREngine:
         except KeyError:
             raise KeyError(f"table {name!r} is not registered") from None
 
-    def statistics_of(self, name: str) -> TableStatistics:
-        """Duplication-factor statistics of a registered table.
-
-        Sampled on the first read at each epoch of the table.
-        """
-        key = name.lower()
-        index = self.index_of(key)
-        return self._cached(
-            "statistics",
-            key,
-            {key: self._epochs[key]},
-            lambda: TableStatistics(index, self._matchers[key]),
-        )
-
-    def join_percentage(
-        self, left: str, right: str, left_column: str, right_column: str
-    ) -> Tuple[float, float]:
-        """Join percentage of a table pair (§7.2.1), computed on the
-        first read at each pair of the two tables' epochs."""
-        key = (left.lower(), right.lower(), left_column.lower(), right_column.lower())
-        left_index, right_index = self.index_of(left), self.index_of(right)
-        return self._cached(
-            "join_percentage",
-            key,
-            {table: self._epochs[table] for table in key[:2]},
-            lambda: join_percentage(left_index, right_index, left_column, right_column),
-        )
-
     def matcher_for(self, index: TableIndex) -> ProfileMatcher:
         return self._matchers[index.table.name.lower()]
 
@@ -372,7 +330,6 @@ class QueryEREngine:
             matcher=self.matcher_for(index),
             meta_blocking=self.meta_blocking,
             use_link_index=self.use_link_index,
-            transitive=self.transitive,
         )
 
     def reset_link_indexes(self) -> None:
@@ -487,14 +444,13 @@ class QueryEREngine:
             lines = DmlExecutor.describe(inner).splitlines()
         elif not inner.dedup:
             logical = self._relational_plan(inner)
-            lines = relational_plan_lines(logical)
+            lines = ["-- plan: relational"] + logical.pretty().splitlines()
             if statement.analyze:
                 context = ExecutionContext()
                 result = execute_plan(self._relational.physical_plan(logical), context)
                 lines = analyze_lines(
                     lines,
                     estimated_comparisons=None,
-                    estimated_rows=None,
                     actual_rows=len(result.rows),
                     actual_comparisons=result.comparisons,
                     elapsed_s=result.elapsed,
@@ -502,7 +458,7 @@ class QueryEREngine:
                 )
         else:
             plan = self._dedup_plan(inner, mode)
-            lines, estimated = explain_dedup(self, plan)
+            lines, estimated = plan.explain()
             if statement.analyze:
                 context = ExecutionContext()
                 run_start = time.perf_counter()
@@ -511,7 +467,6 @@ class QueryEREngine:
                 lines = analyze_lines(
                     lines,
                     estimated_comparisons=estimated,
-                    estimated_rows=None,
                     actual_rows=len(rows),
                     actual_comparisons=context.comparisons,
                     elapsed_s=run_elapsed,
@@ -526,26 +481,24 @@ class QueryEREngine:
         sql: str,
         mode: Union[ExecutionMode, str] = ExecutionMode.AES,
     ) -> str:
-        """The plan that :meth:`execute` would run, as an indented tree."""
+        """The plan that :meth:`execute` would run, as an indented tree:
+        the text of ``EXPLAIN`` *sql* (an ``EXPLAIN [ANALYZE]`` prefix is
+        accepted and never executes the statement)."""
         mode = ExecutionMode(mode) if isinstance(mode, str) else mode
-        query = parse(sql)
-        if isinstance(query, ast.ExplainStatement):
-            query = query.statement
-        if isinstance(query, ast.InsertStatement):
-            return DmlExecutor.describe(query)
-        if not query.dedup:
-            return "\n".join(relational_plan_lines(self._relational_plan(query)))
-        lines, _ = explain_dedup(self, self._dedup_plan(query, mode))
-        return "\n".join(lines)
+        statement = parse(sql)
+        if isinstance(statement, ast.ExplainStatement):
+            statement = statement.statement
+        return self._explain_statement(ast.ExplainStatement(statement), mode).plan_description
 
     def plan_for(
         self,
         sql: str,
         mode: Union[ExecutionMode, str] = ExecutionMode.AES,
     ) -> DedupQueryPlan:
-        """Structured plan object (estimates, clean-first choice)."""
+        """The plan :meth:`execute` would run for a DEDUP *sql*
+        (estimates, clean-first choice), from the plan cache if there."""
         mode = ExecutionMode(mode) if isinstance(mode, str) else mode
         query = parse(sql)
         if isinstance(query, ast.InsertStatement) or not query.dedup:
             raise ValueError("plan_for() is for DEDUP queries; use explain()")
-        return DedupQueryPlanner(self).plan(query, mode)
+        return self._dedup_plan(query, mode)

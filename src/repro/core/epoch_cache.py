@@ -8,20 +8,9 @@ Both memoize something derived from one engine snapshot under the key
 with the epochs taken from :meth:`QueryEREngine.epochs_of`.  The
 serving result cache holds whole answers (kind = execution mode, key =
 normalized SQL, the epochs of the tables the statement names).  The
-engine's cache holds four kinds of entry:
-
-* a DEDUP plan (kind = execution mode) and a plain SELECT's logical
-  plan (kind ``"relational"``), keyed on normalized SQL and the epochs
-  of the tables the statement names;
-* a §7.2.1 duplication-factor sample (kind ``"statistics"``), keyed on
-  the table name and that table's epoch;
-* a §7.2.1 join percentage (kind ``"join_percentage"``), keyed on
-  ``(left, right, left column, right column)`` and the two tables'
-  epochs.
-
-The statistics are read only by ``EXPLAIN``'s estimates, so the
-``plan_cache`` hit/miss counters on the serving ``/metrics`` payload
-count those reads beside plan lookups.
+engine's cache holds plans: a DEDUP plan (kind = execution mode) and a
+plain SELECT's logical plan (kind ``"relational"``), keyed on
+normalized SQL and the epochs of the tables the statement names.
 
 Tables are append-only and every mutation advances the table's epoch,
 so an entry can never describe anything but the exact snapshot it was

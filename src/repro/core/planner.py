@@ -27,7 +27,12 @@ A statement is analysed once, by :meth:`DedupQueryPlanner.plan`: the
 bindings (checked by the relational planner's
 :func:`~repro.sql.planner.resolve_bindings`), their compiled filters,
 the join steps and the residual live on the :class:`DedupQueryPlan`,
-which the executor runs and ``EXPLAIN`` prints (:meth:`DedupQueryPlan.tree`).
+which the executor runs and ``EXPLAIN`` prints (:meth:`DedupQueryPlan.explain`
+annotates :meth:`DedupQueryPlan.tree` with the comparison estimates;
+:func:`analyze_lines` adds ``EXPLAIN ANALYZE``'s actual figures).  The
+engine caches plans in its :class:`~repro.core.epoch_cache.EpochCache`:
+a DEDUP plan under its execution mode, a plain SELECT's logical plan
+under ``"relational"``.
 """
 
 from __future__ import annotations
@@ -183,6 +188,67 @@ class DedupQueryPlan:
         for step in steps[1:]:
             tree.extend(branch(step.right_binding, not aes, depth))
         return tree
+
+    def explain(self) -> Tuple[List[str], int]:
+        """``EXPLAIN``'s lines: :meth:`tree` annotated with what the plan
+        and the comparison estimator already know, plus ΣC.
+
+        A ``TableScan`` shows the table's rows, a ``Filter`` the size of
+        its literal-derived superset S_E, and a ``Deduplicate`` the
+        estimated comparisons C of its binding: the planner's own
+        estimate where it made one (the first join's two sides), else
+        :class:`~repro.core.statistics.ComparisonEstimator` over the
+        binding's filter.  The returned ΣC, every binding's C, is what
+        ``EXPLAIN ANALYZE`` reports next to the actual comparisons.  It
+        is an upper bound for a side that enters an AES join dirty: C
+        prices the side's whole filtered frontier, while the executor
+        deduplicates only the rows the semi-join reduction keeps.
+        """
+        comparisons = {binding.lower(): c for binding, c in self.estimates.items()}
+        selected: Dict[str, int] = {}
+        table_rows: Dict[str, int] = {}
+        for info in self.infos:
+            binding = info.binding.lower()
+            estimator = ComparisonEstimator(info.index)
+            entities = estimator.selected_entities(info.condition)
+            selected[binding] = len(entities)
+            table_rows[binding] = len(info.index.table)
+            if binding not in comparisons:
+                comparisons[binding] = estimator.estimate_for_entities(entities)
+
+        def note(kind: str, binding: str) -> str:
+            if kind == "dedup":
+                return f" {{est comparisons={comparisons[binding]}}}"
+            if kind == "filter":
+                return f" {{est rows={selected[binding]}}}"
+            return f" {{rows={table_rows[binding]}}}"
+
+        lines = [f"-- plan: dedup (mode={self.mode.value})"] + self.tree(note)
+        return lines, sum(comparisons.values())
+
+
+def analyze_lines(
+    plan_lines: List[str],
+    estimated_comparisons: Optional[int],
+    actual_rows: int,
+    actual_comparisons: int,
+    elapsed_s: float,
+    stage_times: Dict[str, float],
+) -> List[str]:
+    """The ``EXPLAIN ANALYZE`` report: the plan's lines, then the actual
+    rows, estimated-vs-actual comparisons and per-stage seconds."""
+    lines = list(plan_lines)
+    lines.append("-- analyze --")
+    estimated = "n/a" if estimated_comparisons is None else estimated_comparisons
+    lines.append(f"rows: actual={actual_rows}")
+    lines.append(f"comparisons: estimated={estimated} actual={actual_comparisons}")
+    lines.append(f"elapsed: actual={elapsed_s:.6f}s")
+    total = sum(stage_times.values())
+    for stage in sorted(stage_times):
+        seconds = stage_times[stage]
+        share = f" ({100.0 * seconds / total:.1f}%)" if total > 0 else ""
+        lines.append(f"stage {stage}: actual={seconds:.6f}s{share}")
+    return lines
 
 
 class DedupQueryPlanner:

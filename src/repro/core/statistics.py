@@ -1,48 +1,34 @@
-"""ER-specific statistics for the cost-based planner (paper §7.2.1(i)).
+"""The planner's ER-specific statistic (paper §7.2.1(i)).
 
-Three estimators:
+**Comparison estimation** — from the WHERE clause's string literals
+(treated as blocking keys into the TBI) derive the approximate selected
+set S_E ≈ QE, expand it to its table blocks, apply Block Purging + Block
+Filtering, and evaluate the paper's comparison formula.  The chain stops
+before Edge Pruning ("the cost of estimating the output of the Edge
+Pruning ... is very high; we terminate our calculations at the BF
+step").  BP/BF is candidate derivation's own stage
+(:func:`~repro.er.packed_blocking.purge_and_filter`) over the table's
+postings.
 
-* **Comparison estimation** — from the WHERE clause's string literals
-  (treated as blocking keys into the TBI) derive the approximate
-  selected set S_E ≈ QE, expand it to its table blocks, apply Block
-  Purging + Block Filtering, and evaluate the paper's comparison formula.
-  The chain stops before Edge Pruning ("the cost of estimating the
-  output of the Edge Pruning ... is very high; we terminate our
-  calculations at the BF step").  BP/BF is candidate derivation's own
-  stage (:func:`~repro.er.packed_blocking.purge_and_filter`) over the
-  table's postings.
-* **Duplication factor** — a sample of each table is cleaned with an
-  all-pairs comparison; df = duplicates found / sample size, used to
-  estimate |DR_E| from |QE|.
-* **Join percentage** — for every table pair, the fraction of rows whose
-  join value appears on the other side, used to estimate how much a join
-  shrinks each DR_E.
-
-Only ``EXPLAIN``'s per-binding estimates read the last two.  They are
-derived state, never persisted: ``QueryEREngine.statistics_of`` and
-``QueryEREngine.join_percentage`` compute them on the first read at each
-epoch of the tables they read, and cache them in the engine's
-epoch-keyed plan cache (:mod:`repro.core.epoch_cache`) — never at
-registration or load time.
+The planner reads it to pick the side of a join to clean first, and
+``EXPLAIN`` prints it.  The paper's other two statistics, a sampled
+duplication factor and per-table-pair join percentages, would only feed
+row estimates that no plan choice reads, so they are not computed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
-from typing import Any, List, Optional, Set, Tuple
+from typing import Any, Optional, Set
 
 import numpy as np
 
 from repro.core.indices import TableIndex
 from repro.er.block_filtering import DEFAULT_RATIO
 from repro.er.block_purging import SMOOTHING_FACTOR
-from repro.er.matching import ProfileMatcher
 from repro.er.packed_blocking import purge_and_filter
 from repro.er.tokenizer import tokenize_value
 from repro.sql import ast
 from repro.sql.expressions import string_literals
-from repro.storage.table import Row, Table
 
 
 class ComparisonEstimator:
@@ -157,89 +143,8 @@ class ComparisonEstimator:
         return int((q * sizes - q * (q + 1) // 2).sum())
 
 
-class TableStatistics:
-    """Duplication factor of one table, from an all-pairs cleaned sample.
-
-    A fraction of the table is cleaned with an exhaustive in-sample
-    comparison (the sample is small, so the quadratic pair count is
-    bounded) to estimate df = |duplicates| / |sample| (§7.2.1).  The
-    pairs go through the batched Comparison-Execution entry point,
-    :meth:`~repro.er.matching.ProfileMatcher.match_pair_indices`, on a
-    private matcher configured like *matcher* and over the table's own
-    signature columns — so neither the table matcher's counters and memo
-    nor the table index change.  The decisions equal ``matcher.matches``
-    on every pair.
-    """
-
-    def __init__(
-        self,
-        index: TableIndex,
-        matcher: ProfileMatcher,
-        sample_fraction: float = 0.05,
-        max_sample: int = 200,
-        seed: int = 7,
-    ):
-        table = index.table
-        rows = sample_rows(table, sample_fraction, max_sample, seed)
-        duplicates = _count_duplicates(index, matcher, rows)
-        self.sample_size = len(rows)
-        self.sample_duplicates = duplicates
-        self.duplication_factor = duplicates / len(rows) if rows else 0.0
-        self.base_rows = len(table)
-
-    def estimated_dr_size(self, qe_size: int) -> int:
-        """Estimated |DR_E| for a query evaluating *qe_size* entities."""
-        return int(round(qe_size * (1.0 + self.duplication_factor)))
-
-
-def sample_rows(
-    table: Table, sample_fraction: float = 0.05, max_sample: int = 200, seed: int = 7
-) -> List[Row]:
-    """The rows :class:`TableStatistics` cleans for the duplication factor."""
-    fraction = min(1.0, max(sample_fraction, 1e-9))
-    return list(table.sample(fraction, seed=seed, limit=max_sample))
-
-
-def _count_duplicates(index: TableIndex, matcher: ProfileMatcher, rows: List[Row]) -> int:
-    """Matching pairs among *rows*, all pairs in one batched call."""
-    if len(rows) < 2:
-        return 0
-    private = ProfileMatcher(threshold=matcher.threshold, exclude=matcher.exclude)
-    pairs = list(combinations([row.id for row in rows], 2))
-    return len(private.match_pair_indices(pairs, index.signatures))
-
-
-def join_percentage(
-    left: TableIndex,
-    right: TableIndex,
-    left_column: str,
-    right_column: str,
-) -> Tuple[float, float]:
-    """Fraction of each side whose join value appears on the other side.
-
-    The paper pre-computes it per table pair (§7.2.1: "we pre-compute
-    for every table pair the percentage of entities that join"); the
-    engine computes it on first read and caches it at the two tables'
-    epochs.
-    Join values are folded by :func:`join_value`, as the Deduplicate-Join
-    folds them.
-    """
-    left_values = _join_value_counts(left.table, left_column)
-    right_values = _join_value_counts(right.table, right_column)
-    left_total = len(left.table) or 1
-    right_total = len(right.table) or 1
-    left_joining = sum(count for value, count in left_values.items() if value in right_values)
-    right_joining = sum(count for value, count in right_values.items() if value in left_values)
-    return left_joining / left_total, right_joining / right_total
-
-
 def join_value(value: Any) -> Any:
     """Case-folded join key so dirty string variants still hash-join."""
     if isinstance(value, str):
         return value.lower()
     return value
-
-
-def _join_value_counts(table: Table, column: str) -> Counter:
-    values = table.column_values()[table.schema.position(column)]
-    return Counter(join_value(value) for value in values if value is not None)

@@ -19,9 +19,8 @@ Four coordinated maintenance steps per batch (:class:`IndexMaintainer`):
    (:meth:`repro.core.indices.TableIndex.add_records`); no rebuild.
 3. **Link-Index invalidation** — see below.
 4. **Epoch advance** — ``QueryEREngine.note_appended`` advances the
-   table's epoch.  Every plan and §7.2.1 statistic that read the table
-   is keyed on the old epoch, so it is unreachable, and the engine's
-   plan cache evicts it; a statistic recomputes on its next read.
+   table's epoch.  Every plan that read the table is keyed on the old
+   epoch, so it is unreachable, and the engine's plan cache evicts it.
 
 Link-Index invalidation
 -----------------------

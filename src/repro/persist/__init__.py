@@ -4,9 +4,8 @@ The persistence subsystem turns a live
 :class:`~repro.core.engine.QueryEREngine` into a versioned on-disk
 snapshot — columnar table segments, interned token vocabulary,
 blocking-key CSR, Link-Index state, engine settings, epoch map — and
-back, without re-running tokenization or blocking builds.  The §7.2.1
-planner statistics are not persisted; a loaded engine samples them on
-its first ``EXPLAIN``.  See :mod:`repro.persist.snapshot` for the format and
+back, without re-running tokenization or blocking builds.  See
+:mod:`repro.persist.snapshot` for the format and
 :mod:`repro.persist.checkpoint` for delta checkpoints after committed
 ``INSERT INTO`` batches.
 

@@ -40,10 +40,8 @@ observable behaviour is bit-identical to the saved one — same rows,
 same token postings (the persisted forward CSR plus one counting sort,
 never re-tokenized), same Link-Index links and resolved set, same
 epochs — which the snapshot round-trip property suite gates
-query-for-query.  The §7.2.1 planner statistics are not persisted: they
-are derived from the rows under the engine's settings, so a loaded
-engine samples them on its first ``EXPLAIN``, under its own (possibly
-overridden) match threshold.
+query-for-query.  Plans are not persisted: a loaded engine plans each
+statement on its first issue.
 """
 
 from __future__ import annotations
@@ -362,7 +360,6 @@ def engine_state(engine: "QueryEREngine") -> Dict[str, Any]:
         "match_threshold": engine.match_threshold,
         "meta_blocking": meta_blocking_state(engine.meta_blocking),
         "use_link_index": engine.use_link_index,
-        "transitive": engine.transitive,
     }
 
 
@@ -512,7 +509,7 @@ def read_table_entry(
 
 #: The engine settings :func:`load_engine` reads from the manifest, and
 #: so the keyword overrides it accepts.
-_ENGINE_SETTINGS = frozenset({"match_threshold", "use_link_index", "transitive"})
+_ENGINE_SETTINGS = frozenset({"match_threshold", "use_link_index"})
 
 
 def load_engine(
@@ -541,12 +538,19 @@ def load_engine(
     if manifest is None:
         raise SnapshotError(f"no snapshot manifest in {directory}")
     # Older manifests also carry ``sample_stats``, ``optimizer``,
-    # ``plan_cache_size`` and ``invalidation_policy`` under ``engine``,
-    # and v1 manifests per-table ``statistics`` and a top-level
-    # ``join_percentages``.  Statistics are derived on first read, the
-    # §7.2.1 planner is the only plan source, the plan cache has a fixed
-    # size and the targeted Link-Index invalidation is the only one, so
-    # those keys select nothing and are ignored.
+    # ``plan_cache_size``, ``invalidation_policy`` and ``transitive``
+    # under ``engine``, and v1 manifests per-table ``statistics`` and a
+    # top-level ``join_percentages``.  No statistic but the comparison
+    # estimate exists, the §7.2.1 planner is the only plan source, the
+    # plan cache has a fixed size, the targeted Link-Index invalidation
+    # is the only one and every Deduplicate expands to a fixpoint, so
+    # those keys select nothing and are ignored — except a ``transitive``
+    # of false, a state this engine cannot honour.
+    if not manifest["engine"].get("transitive", True):
+        raise SnapshotError(
+            f"snapshot in {directory} records single-round Deduplicates "
+            '("transitive": false), which this engine cannot honour'
+        )
     config = {**manifest["engine"], **overrides}
     if meta_blocking is None:
         meta_blocking = meta_blocking_from_state(config["meta_blocking"])

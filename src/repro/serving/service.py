@@ -10,7 +10,7 @@ Concurrency model
 -----------------
 The engine itself is a single-caller library — a DEDUP execution
 mutates shared state (the progressive-cleaning Link Index, matcher
-memos, lazily refreshed statistics), so raw engine calls are serialized
+memos, the plan cache), so raw engine calls are serialized
 behind one *engine gate*.  Concurrency is won **above** the gate:
 
 * **result cache** — epoch-keyed snapshot answers (an
@@ -169,11 +169,17 @@ class EngineService:
         mode: Union[ExecutionMode, str] = ExecutionMode.AES,
         timeout: Optional[float] = None,
     ) -> ServedQuery:
-        """Serve one SQL statement: SELECTs read, ``INSERT INTO`` writes."""
-        statement = parse(sql)  # surfaces ParseError/LexError as HTTP 400
-        if isinstance(statement, ast.InsertStatement):
+        """Serve one SQL statement: SELECTs read, ``INSERT INTO`` writes.
+
+        A statement :meth:`query` has seen is a read, so it is routed
+        without a parse; any other is parsed (a ParseError/LexError is
+        HTTP 400) to tell an ``INSERT INTO`` from a read.
+        """
+        started = time.perf_counter()
+        normalized = normalize_sql(sql)
+        if normalized not in self._tables and isinstance(parse(sql), ast.InsertStatement):
             return self.insert_sql(sql, timeout=timeout)
-        return self.query(sql, mode=mode, timeout=timeout)
+        return self._read(sql, normalized, mode, timeout, started)
 
     def query(
         self,
@@ -181,11 +187,24 @@ class EngineService:
         mode: Union[ExecutionMode, str] = ExecutionMode.AES,
         timeout: Optional[float] = None,
     ) -> ServedQuery:
-        """Answer a read-only query at one consistent epoch snapshot."""
-        started = time.perf_counter()
+        """Answer a read-only query at one consistent epoch snapshot.
+
+        An ``INSERT INTO`` is refused with :class:`ValueError` (HTTP
+        400): it is not a read, and only reads are remembered.
+        """
+        return self._read(sql, normalize_sql(sql), mode, timeout, time.perf_counter())
+
+    def _read(
+        self,
+        sql: str,
+        normalized: str,
+        mode: Union[ExecutionMode, str],
+        timeout: Optional[float],
+        started: float,
+    ) -> ServedQuery:
+        """:meth:`query` of *sql*, whose normalized text is *normalized*."""
         mode_name = mode.value if isinstance(mode, ExecutionMode) else str(mode)
         timeout = self.default_timeout if timeout is None else timeout
-        normalized = normalize_sql(sql)
         self.metrics.increment("queries_total")
 
         # Fast path: a cached answer for the current epochs of the
@@ -194,7 +213,10 @@ class EngineService:
         # observe, the entry they key was computed at exactly those.
         tables = self._tables.get(normalized)
         if tables is None:
-            tables = self.engine.statement_tables(parse(sql))
+            statement = parse(sql)
+            if isinstance(statement, ast.InsertStatement):
+                raise ValueError("query() serves reads; send INSERT INTO through execute()")
+            tables = self.engine.statement_tables(statement)
             self._tables.put(normalized, tables)
         else:
             key = epoch_key(mode_name, normalized, self.engine.epochs_of(tables))
@@ -330,7 +352,7 @@ class EngineService:
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = self.cache.snapshot()
         # The engine's plan LRU (hits/misses/evictions/invalidations of
-        # plans and of EXPLAIN's statistics reads) — plans are reused
+        # plans) — plans are reused
         # across requests, so their churn is a serving-level signal like
         # the result cache's.
         snapshot["plan_cache"] = self.engine.plan_cache.snapshot()

@@ -276,7 +276,7 @@ class ExplainStatement:
     """``EXPLAIN [ANALYZE] <statement>``.
 
     Wraps a query or DML statement.  Plain ``EXPLAIN`` renders the plan
-    the engine would run (with estimated rows and comparisons) without
+    the engine would run (with its row and comparison estimates) without
     executing it; ``EXPLAIN ANALYZE`` also executes the statement and
     annotates the plan with the actual per-stage timings and row counts.
     ``dedup`` is always False so engine dispatch can treat statements

@@ -581,9 +581,10 @@ class MaskPredicate:
     """A single-table WHERE compiled to column masks (:func:`compile_mask`).
 
     :meth:`mask` equals the row closure's verdict on every row.  Should a
-    node raise (the closure of a subtree NumPy does not cover, or a
-    string value seen only by a rolled-back row), the row closure is
-    replayed over the rows: it raises what the row loop raises, or
+    node raise (the closure of a subtree NumPy does not cover, a string
+    value seen only by a rolled-back row, or a string repeated by a huge
+    int where the row loop's AND/OR never evaluates it), the row closure
+    is replayed over the rows: it raises what the row loop raises, or
     answers where its short-circuits skip the failing rows.
     """
 
@@ -600,7 +601,7 @@ class MaskPredicate:
         try:
             with np.errstate(all="ignore"):
                 return _Frame(table).truth(self._root)
-        except (TypeError, ValueError, ArithmeticError):
+        except (TypeError, ValueError, ArithmeticError, MemoryError):
             predicate = self.row_predicate
             return np.fromiter((predicate(row.values) for row in table), dtype=bool, count=count)
 

@@ -261,32 +261,5 @@ class Table:
         out._by_id = seen
         return out
 
-    def sample(
-        self, fraction: float, seed: int = 0, limit: Optional[int] = None
-    ) -> "Table":
-        """Deterministic pseudo-random sample of ~``fraction`` of the rows.
-
-        With *limit*, at most that many rows: when more are picked, the
-        same seeded generator chooses *limit* of them uniformly (kept in
-        table order), so rows appended later can be drawn too — the
-        first *limit* picks would all come from a fixed prefix.
-
-        Used by the planner to clean a sample for the duplication-factor
-        statistic (paper §7.2.1) the first time that statistic is read at
-        the table's epoch — not at registration or load time.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        import random
-
-        rng = random.Random(seed)
-        picked = [r for r in self._rows if rng.random() < fraction]
-        if not picked and self._rows:
-            picked = [self._rows[0]]
-        if limit is not None and len(picked) > limit:
-            chosen = sorted(rng.sample(range(len(picked)), limit))
-            picked = [picked[i] for i in chosen]
-        return self.from_rows(picked, name=f"{self._name}_sample")
-
     def __repr__(self) -> str:
         return f"Table({self._name!r}, {len(self)} rows, columns={self._schema.names})"

@@ -1,11 +1,6 @@
-"""The planner's §7.2.1 statistics ≡ their scalar and dict references.
+"""The planner's §7.2.1 comparison estimate ≡ its dict reference, and
+``EXPLAIN`` ≡ its golden text.
 
-* The duplication-factor sample runs its pairs through the batched
-  ``ProfileMatcher.match_pair_indices`` on a private matcher; it must
-  count exactly the duplicates an all-pairs ``ReferenceMatcher.matches``
-  loop counts on the same sampled rows — fresh, after ``INSERT INTO``
-  made it stale, and after a snapshot reload — and leave the table's own
-  matcher, vocabulary and signature columns untouched.
 * The comparison estimate runs candidate derivation's BP/BF stage; it
   must equal, integer for integer, the string-keyed ``BlockCollection``
   estimator below, built on the dict reference's BP/BF over a TBI
@@ -15,11 +10,10 @@
   ``INSERT`` interned too.
 * ``EXPLAIN`` over a fixed set of single-table and join statements must
   render byte-identically to ``explain_golden.json``, written by
-  running this module as a script.  Its estimates were first rendered
-  against the engine as it was before both changes (statistics sampled
-  eagerly at registration, dict BP/BF in the estimator); every table
-  there holds at most 4 000 rows, so the sampled rows are the first
-  200 picks either way.
+  running this module as a script.  Its annotations are the table rows
+  (``TableScan``), |S_E| (``Filter``) and the comparison estimate C
+  (``Deduplicate``: the planner's own for the first join's two sides,
+  else the estimator's).
 """
 
 from __future__ import annotations
@@ -27,8 +21,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import unicodedata
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -39,7 +31,6 @@ from reference.dict_pipeline import (
     reference_tbi,
     retained_keys,
 )
-from reference.signature_oracle import ReferenceMatcher, column_state
 
 from repro import QueryEREngine
 from repro.core import statistics
@@ -50,8 +41,6 @@ from repro.datagen import (
     generate_people,
     generate_projects,
 )
-from repro.datagen.corruptor import Corruptor
-from repro.er.matching import ProfileMatcher
 from repro.er.tokenizer import tokenize_value
 from repro.incremental import IngestError
 from repro.er.meta_blocking import MetaBlockingConfig
@@ -60,7 +49,6 @@ from repro.sql.parser import parse
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
-THRESHOLDS = (0.0, 0.75, 1.0)
 GOLDEN = Path(__file__).with_name("explain_golden.json")
 
 
@@ -101,34 +89,11 @@ def edge_cases():
     )
 
 
-def greek():
-    """Modern-Greek values with NFD, accent-stripped and final-sigma variants."""
-    base = [
-        ("οδός αθηνάς 12", "θεσσαλονίκη"),
-        ("λεωφόρος κηφισίας", "αθήνα"),
-        ("πλατεία συντάγματος", "αθήνα"),
-        ("οδός ερμού", "πάτρα"),
-        ("ΟΔΟΣ ΣΤΑΔΙΟΥ", "ΑΘΗΝΑ"),
-        ("naïve café", "zürich"),
-    ]
-    corruptor = Corruptor(random.Random(11))
-    rows = []
-    for street, city in base:
-        rows.append((len(rows) + 1, street, city))
-        rows.append((len(rows) + 1, unicodedata.normalize("NFD", street), city))
-        for _ in range(3):
-            rows.append(
-                (len(rows) + 1, corruptor.unicode_variant(street), corruptor.unicode_variant(city))
-            )
-    return Table("GR", Schema.of("id", "street", "city"), rows)
-
-
 DATASETS = {
     "people": people,
     "papers": papers,
     "organisations": organisations,
     "edge_cases": edge_cases,
-    "greek": greek,
 }
 
 
@@ -142,25 +107,6 @@ def copies(table, count):
 
 
 # -- references ---------------------------------------------------------------
-def scalar_duplicates(index, matcher, rows):
-    """All-pairs ``matches`` over *rows* on a fresh, identically configured matcher."""
-    reference = ReferenceMatcher(threshold=matcher.threshold, exclude=matcher.exclude)
-    attributes = index.entities.attributes_of_row
-    return sum(
-        1
-        for left, right in combinations(rows, 2)
-        if reference.matches(attributes(left), attributes(right))
-    )
-
-
-def assert_sample_matches_reference(index, matcher, stats, **sample):
-    rows = statistics.sample_rows(index.table, **sample)
-    duplicates = scalar_duplicates(index, matcher, rows)
-    assert stats.sample_size == len(rows)
-    assert stats.sample_duplicates == duplicates
-    assert stats.duplication_factor == (duplicates / len(rows) if rows else 0.0)
-
-
 def dict_estimate(index, selected, smoothing=1.025, ratio=0.8):
     """The string-keyed BP/BF comparison estimate (§7.2.1)."""
     pending = {e for e in selected if not index.link_index.is_resolved(e)}
@@ -199,82 +145,10 @@ def reference_selected(index, literal):
     return selected or set()
 
 
-def engine_with(table, threshold=0.75):
-    engine = QueryEREngine(match_threshold=threshold)
+def engine_with(table):
+    engine = QueryEREngine()
     engine.register(table)
     return engine
-
-
-# -- duplication factor -------------------------------------------------------
-@pytest.mark.parametrize("threshold", THRESHOLDS)
-@pytest.mark.parametrize("dataset", sorted(DATASETS))
-class TestDuplicationSample:
-    def test_default_sample(self, dataset, threshold):
-        table = DATASETS[dataset]()
-        engine = engine_with(table, threshold)
-        index = engine.index_of(table.name)
-        stats = engine.statistics_of(table.name)
-        assert_sample_matches_reference(index, engine.matcher_for(index), stats)
-
-    def test_whole_table_sample(self, dataset, threshold):
-        """Every pair of the table, not just a 5% sample's."""
-        table = DATASETS[dataset]()
-        index = TableIndex(table)
-        matcher = ProfileMatcher(threshold=threshold, exclude=(table.schema.id_column,))
-        stats = statistics.TableStatistics(index, matcher, sample_fraction=1.0, max_sample=500)
-        assert_sample_matches_reference(
-            index, matcher, stats, sample_fraction=1.0, max_sample=500
-        )
-
-    def test_stale_recompute_after_insert(self, dataset, threshold):
-        table = DATASETS[dataset]()
-        engine = engine_with(table, threshold)
-        index = engine.index_of(table.name)
-        before = engine.statistics_of(table.name)
-        engine.insert(table.name, copies(table, 20))
-        after = engine.statistics_of(table.name)
-        assert after is not before
-        assert after.base_rows == before.base_rows + min(20, before.base_rows)
-        assert_sample_matches_reference(index, engine.matcher_for(index), after)
-
-    def test_after_load(self, dataset, threshold, tmp_path):
-        table = DATASETS[dataset]()
-        engine = engine_with(table, threshold)
-        engine.save(tmp_path / "unread")
-        expected = vars(engine.statistics_of(table.name))
-        engine.save(tmp_path / "read")
-        for snapshot in ("unread", "read"):
-            loaded = QueryEREngine.load(tmp_path / snapshot)
-            assert vars(loaded.statistics_of(table.name)) == expected
-            loaded.insert(table.name, copies(table, 5))
-            index = loaded.index_of(table.name)
-            stale = loaded.statistics_of(table.name)
-            assert_sample_matches_reference(index, loaded.matcher_for(index), stale)
-
-
-class TestPrivateMatcher:
-    def test_table_matcher_and_index_untouched(self):
-        table = people()
-        engine = engine_with(table)
-        engine.execute("SELECT DEDUP id, surname FROM PPL WHERE state = 'nsw'")
-        index = engine.index_of("PPL")
-        matcher = engine.matcher_for(index)
-        before = (
-            dict(matcher.cascade_stats),
-            len(matcher._pair_cache),
-            len(index.vocabulary),
-            column_state(index),
-        )
-        stats = statistics.TableStatistics(index, matcher, sample_fraction=1.0)
-        assert stats.sample_duplicates > 0
-        engine.statistics_of("PPL")
-        after = (
-            dict(matcher.cascade_stats),
-            len(matcher._pair_cache),
-            len(index.vocabulary),
-            column_state(index),
-        )
-        assert after == before
 
 
 # -- comparison estimate ------------------------------------------------------
@@ -470,8 +344,8 @@ def test_explain_is_byte_identical_to_golden():
 
 @pytest.mark.parametrize("config", ["all", "none"])
 def test_loaded_engine_explains_like_the_golden(config, tmp_path):
-    """Statistics are not persisted: an engine loaded, with no override,
-    from a snapshot samples them again and renders the golden text.
+    """Plans are not persisted: an engine loaded, with no override, from
+    a snapshot plans and estimates again and renders the golden text.
 
     The "answered" phase is left out: there the golden engine renders
     the plans it cached in the "fresh" phase (a cached join plan keeps

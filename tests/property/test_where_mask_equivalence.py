@@ -164,6 +164,7 @@ SHAPES = [
     "NOT b",
     "o = 5",
     "LOWER(s) = 'nsw'",
+    "id = NULL AND id = id * 9007199254740993",
 ]
 
 

@@ -680,7 +680,6 @@ class _ReferenceEngine(QueryEREngine):
             self.meta_blocking,
             self.match_threshold,
             use_link_index=self.use_link_index,
-            transitive=self.transitive,
         )
 
 

@@ -150,19 +150,6 @@ class TestLinkIndexAtomicity:
             assert engine.execute(sql).sorted_rows() == fresh.execute(sql).sorted_rows()
 
 
-class TestNonTransitive:
-    def test_single_round_when_disabled(self):
-        index = TableIndex(dirty_table())
-        operator = DeduplicateOperator(
-            index,
-            meta_blocking=MetaBlockingConfig.none(),
-            transitive=False,
-        )
-        stats = DedupStats()
-        operator.deduplicate(["r3"], stats=stats)
-        assert stats.rounds == 1
-
-
 class TestEngineInvalidation:
     """Repeated DEDUPs on one engine: inserts, re-derivation, cache resets."""
 

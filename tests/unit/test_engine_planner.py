@@ -72,15 +72,11 @@ class TestEngineBasics:
         engine.reset_link_indexes()
         assert engine.index_of("L").link_index.resolved_count == 0
 
-    def test_statistics_lazily_computed(self, engine):
-        stats = engine.statistics_of("L")
-        assert stats.sample_size > 0
-
-    def test_join_percentage_cached(self, engine):
-        first = engine.join_percentage("L", "R", "ref", "key")
-        second = engine.join_percentage("L", "R", "ref", "key")
-        assert first == second
-        assert 0.0 < first[0] <= 1.0
+    def test_plan_cached_until_the_epoch_moves(self, engine):
+        sql = "SELECT DEDUP L.name, R.label FROM L JOIN R ON L.ref = R.key"
+        plan = engine.plan_for(sql)
+        assert engine.plan_for(sql) is plan
+        assert engine.plan_cache.snapshot()["size"] == 1
 
 
 class TestExplainAndPlan:
@@ -218,21 +214,26 @@ class TestModes:
 class TestRegisterReplace:
     """Regression: replace=True must purge per-table cached state."""
 
-    def test_replace_purges_join_percentage_cache(self, engine):
-        assert engine.join_percentage("L", "R", "ref", "key") == (0.75, 2 / 3)
-        engine.register(
+    JOIN = "SELECT DEDUP L.name, R.key FROM L JOIN R ON L.ref = R.key"
+
+    def test_replace_purges_cached_join_plans(self, engine):
+        before = engine.plan_for(self.JOIN)
+        replacement = engine.register(
             Table("R", Schema.of("id", "key"), [("r1", "k1"), ("r2", "k3")]),
             replace=True,
         )
-        # Stale cache would still say (0.75, 2/3) against the dead index.
-        assert engine.join_percentage("L", "R", "ref", "key") == (0.75, 1.0)
+        # A stale plan would still read the dead index.
+        after = engine.plan_for(self.JOIN)
+        assert after is not before
+        assert [info.index for info in after.infos] == [engine.index_of("L"), replacement]
 
-    def test_replace_purges_memoized_statistics(self):
+    def test_replace_purges_cached_single_table_plans(self):
         engine = QueryEREngine()
         engine.register(left_table())
-        before = engine.statistics_of("L")  # lazily memoized
+        before = engine.plan_for("SELECT DEDUP id FROM L")
         replacement = Table("L", Schema.of("id", "name"), [("l1", "solo")])
         engine.register(replacement, replace=True)
-        after = engine.statistics_of("L")
+        after = engine.plan_for("SELECT DEDUP id FROM L")
         assert after is not before
-        assert after.base_rows == 1
+        assert after.infos[0].index.table is replacement
+        assert "{rows=1}" in engine.explain("SELECT DEDUP id FROM L")

@@ -1,4 +1,4 @@
-"""Unit tests for the plan cache, the per-statement estimates and EXPLAIN."""
+"""Unit tests for the plan cache and EXPLAIN."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.core.epoch_cache import EpochCache, epoch_key
 from repro.core.planner import DedupQueryPlanner, ExecutionMode
 from repro.datagen import generate_organizations, generate_people, generate_projects
 from repro.er.meta_blocking import MetaBlockingConfig
-from repro.optimizer import CostModel
+from repro.core.statistics import ComparisonEstimator
 from repro.sql.parser import parse
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -153,44 +153,58 @@ class TestPlanCache:
         assert len(engine.plan_cache) == 0
 
 
-# -- per-statement estimates -------------------------------------------------
+# -- EXPLAIN annotations ---------------------------------------------------
 
 
-class TestCostModel:
-    def test_binding_estimates_are_memoized_per_model(self, mb_none_engine):
-        model = CostModel(mb_none_engine)
-        planner = DedupQueryPlanner(mb_none_engine)
-        infos, _, _ = planner.analyze(parse(TWO_WAY))
-        first = model.binding_estimate(infos[0])
-        assert model.binding_estimate(infos[0]) is first
-        fresh = CostModel(mb_none_engine).binding_estimate(infos[0])
-        assert fresh is not first and fresh == first
+def _estimator_figures(engine, sql):
+    """Per binding: |S_E| and C from the comparison estimator."""
+    infos, _, _ = DedupQueryPlanner(engine).analyze(parse(sql))
+    figures = {}
+    for info in infos:
+        estimator = ComparisonEstimator(info.index)
+        selected = estimator.selected_entities(info.condition)
+        figures[info.binding.lower()] = (len(selected), estimator.estimate_for_entities(selected))
+    return figures
 
-    def test_filtered_binding_is_more_selective(self, mb_none_engine):
-        model = CostModel(mb_none_engine)
-        planner = DedupQueryPlanner(mb_none_engine)
-        infos, _, _ = planner.analyze(parse(TWO_WAY))
-        by_binding = {i.binding.lower(): model.binding_estimate(i) for i in infos}
-        assert by_binding["ppl"].qe_rows < by_binding["ppl"].table_rows  # state filter
-        assert by_binding["oao"].qe_rows == by_binding["oao"].table_rows
 
-    def test_dedup_order_cost_estimates_every_binding(self, mb_none_engine):
-        model = CostModel(mb_none_engine)
-        planner = DedupQueryPlanner(mb_none_engine)
-        infos, steps, _ = planner.analyze(parse(THREE_WAY))
-        cost = model.dedup_order_cost(infos, steps, steps[0].left_binding)
-        bindings = {i.binding.lower() for i in infos}
-        assert set(cost.comparisons) == set(cost.rows) == bindings
-        assert all(value >= 0 for value in cost.comparisons.values())
+class TestExplainAnnotations:
+    """EXPLAIN prints what the plan and the comparison estimator know."""
 
-    def test_placement_changes_the_estimate(self):
+    def test_single_table_annotations(self):
         engine = _three_table_engine()  # an empty Link Index
-        model = CostModel(engine)
-        planner = DedupQueryPlanner(engine)
-        infos, steps, _ = planner.analyze(parse(TWO_WAY))
-        left = model.dedup_order_cost(infos, steps, steps[0].left_binding)
-        right = model.dedup_order_cost(infos, steps, steps[0].right_binding)
-        assert left.comparisons != right.comparisons
+        sql = "SELECT DEDUP id, surname FROM PPL WHERE state = 'nsw'"
+        selected, comparisons = _estimator_figures(engine, sql)["ppl"]
+        rows = len(engine.index_of("PPL").table)
+        lines = engine.explain(sql).splitlines()
+        assert lines[-3:] == [
+            f"    Deduplicate {{est comparisons={comparisons}}}",
+            f"      Filter[(state = 'nsw')] {{est rows={selected}}}",
+            f"        TableScan[PPL AS PPL] {{rows={rows}}}",
+        ]
+        assert 0 < selected < rows  # the literal bounds S_E
+        assert comparisons > 0
+
+    def test_join_prints_the_planners_estimates(self):
+        engine = _three_table_engine()
+        plan = engine.plan_for(THREE_WAY)
+        figures = _estimator_figures(engine, THREE_WAY)
+        text = engine.explain(THREE_WAY)
+        clean = plan.clean_first
+        assert f"Deduplicate {{est comparisons={plan.estimates[clean]}}}" in text
+        assert plan.estimates[clean] == figures[clean.lower()][1]
+        assert f"Filter[(OAP.programme = 'fp7')] {{est rows={figures['oap'][0]}}}" in text
+        dedups = [line for line in text.splitlines() if "Deduplicate" in line]
+        assert dedups and all("est rows=" not in line for line in dedups)
+
+    def test_analyze_estimate_sums_every_binding(self):
+        engine = _three_table_engine()
+        figures = _estimator_figures(engine, THREE_WAY)
+        plan = engine.plan_for(THREE_WAY)
+        expected = sum(
+            plan.estimates.get(binding.upper(), c) for binding, (_, c) in figures.items()
+        )
+        _, estimated = plan.explain()
+        assert estimated == expected
 
 
 # -- EXPLAIN -----------------------------------------------------------------
@@ -214,7 +228,7 @@ class TestExplainStatement:
     def test_explain_analyze_reports_estimated_vs_actual(self, mb_none_engine):
         text = mb_none_engine.execute("EXPLAIN ANALYZE " + TWO_WAY).plan_description
         assert "-- analyze --" in text
-        assert "rows: estimated=" in text and "actual=" in text
+        assert "rows: actual=" in text and "rows: estimated=" not in text
         assert "comparisons: estimated=" in text
         assert "comparisons: estimated=n/a" not in text
         assert "stage " in text  # per-stage actual timings

@@ -238,46 +238,38 @@ class TestInsertSql:
         assert len(engine.catalog.get("T")) == 1
 
 
-class TestStatisticsRefresh:
-    def test_duplication_sample_recomputed_after_insert(self):
+class TestPlanRefresh:
+    def test_plan_recomputed_after_insert(self):
         engine = QueryEREngine()
         table, _ = generate_people(60, seed=3)
         engine.register(table)
-        before = engine.statistics_of("PPL")
-        assert before.base_rows == 60
-        assert engine.statistics_of("PPL") is before
+        sql = "SELECT DEDUP id, surname FROM PPL"
+        before = engine.plan_for(sql)
+        assert engine.plan_for(sql) is before
+        assert "{rows=60}" in engine.explain(sql)
         engine.insert("PPL", [(9001, "zz", "yy")], columns=["id", "given_name", "surname"])
-        after = engine.statistics_of("PPL")
+        after = engine.plan_for(sql)
         assert after is not before
-        assert after.base_rows == 61
-        assert engine.statistics_of("PPL") is after
+        assert engine.plan_for(sql) is after
+        assert "{rows=61}" in engine.explain(sql)
 
-    def test_insert_resamples_only_the_grown_table(self):
-        """An insert into R retires R's sample and every join percentage
-        reading R; L's sample and the plan of a statement reading L only
-        stay."""
+    def test_insert_replans_only_the_grown_table(self):
+        """An insert into R retires R's plans and every join plan reading
+        R; the plan of a statement reading L only stays."""
         engine = QueryEREngine()
         engine.register(Table("L", Schema.of("id", "ref"), [("l1", "k1"), ("l2", "k2")]))
         engine.register(Table("R", Schema.of("id", "key"), [("r1", "k1")]))
-        left, right = engine.statistics_of("L"), engine.statistics_of("R")
-        engine.join_percentage("L", "R", "ref", "key")
-        sql = "SELECT DEDUP id, ref FROM L"  # a plan reading L only
-        engine.execute(sql)
+        left_sql = "SELECT DEDUP id, ref FROM L"  # a plan reading L only
+        right_sql = "SELECT DEDUP id, key FROM R"
+        join_sql = "SELECT DEDUP L.id, R.id FROM L JOIN R ON L.ref = R.key"
+        left, right, join = (engine.plan_for(sql) for sql in (left_sql, right_sql, join_sql))
+        assert engine.plan_cache.snapshot()["size"] == 3
         engine.insert("R", [("r2", "k2")])
-        # L's sample and the L-only plan survived (their keys hold L's
-        # epoch only); R's sample and the join percentage did not.
-        assert len(engine.plan_cache) == 2
+        # The L-only plan survived (its key holds L's epoch only); R's
+        # plan and the join plan did not.
+        assert engine.plan_cache.snapshot()["size"] == 1
         hits = engine.plan_cache.stats["hits"]
-        engine.execute(sql)
+        assert engine.plan_for(left_sql) is left
         assert engine.plan_cache.stats["hits"] == hits + 1
-        assert engine.statistics_of("L") is left
-        assert engine.statistics_of("R") is not right
-        assert engine.statistics_of("R").base_rows == 2
-
-    def test_join_percentages_recomputed_after_insert(self):
-        engine = QueryEREngine()
-        engine.register(Table("L", Schema.of("id", "ref"), [("l1", "k1"), ("l2", "k2")]))
-        engine.register(Table("R", Schema.of("id", "key"), [("r1", "k1")]))
-        assert engine.join_percentage("L", "R", "ref", "key") == (0.5, 1.0)
-        engine.insert("R", [("r2", "k2")])
-        assert engine.join_percentage("L", "R", "ref", "key") == (1.0, 1.0)
+        assert engine.plan_for(right_sql) is not right
+        assert engine.plan_for(join_sql) is not join

@@ -28,6 +28,7 @@ from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
 
 QUERY = "SELECT DEDUP id, given_name, surname FROM PPL WHERE surname LIKE '%an%'"
+JOIN = "SELECT DEDUP PPL.id, OTH.id FROM PPL JOIN OTH ON PPL.surname = OTH.surname"
 
 
 @pytest.fixture(autouse=True)
@@ -117,68 +118,61 @@ class TestSaveLoad:
         state = json.loads((tmp_path / entry["state"]["file"]).read_text())
         assert set(state) == {"links", "resolved"}
 
-    def test_statistics_after_load_equal_the_live_engines(self, tmp_path):
+    def test_explain_after_load_equals_the_live_engines(self, tmp_path):
         engine = make_engine()
-        live = engine.statistics_of("ppl")
+        other, _ = generate_people(40, seed=5, name="OTH")
+        engine.register(other)
+        statements = (QUERY, JOIN, JOIN.replace("FROM PPL JOIN OTH", "FROM OTH JOIN PPL"))
+        live = [engine.explain(sql) for sql in statements]
         engine.save(tmp_path)
         warm = QueryEREngine.load(tmp_path)
-        restored = warm.statistics_of("ppl")
-        assert restored is not live  # sampled again, not restored
-        assert vars(restored) == vars(live)
-        assert restored.duplication_factor == live.duplication_factor
-        assert restored.sample_size == live.sample_size
+        assert [warm.explain(sql) for sql in statements] == live
 
     def test_manifest_carries_no_statistics(self, tmp_path):
         engine = make_engine()
         other, _ = generate_people(40, seed=5, name="OTH")
         engine.register(other)
-        engine.statistics_of("ppl")
-        engine.join_percentage("PPL", "OTH", "surname", "surname")
+        engine.explain(JOIN)
         manifest = engine.save(tmp_path)
         assert manifest["format"] == FORMAT == "repro/persist/v2"
         assert "join_percentages" not in manifest
         assert "statistics" not in manifest["tables"]["ppl"]
-        assert set(manifest["engine"]) == {
-            "match_threshold", "meta_blocking", "use_link_index", "transitive",
-        }
+        assert set(manifest["engine"]) == {"match_threshold", "meta_blocking", "use_link_index"}
 
     def test_explain_after_load_with_a_threshold_override_equals_a_fresh_engines(
         self, tmp_path
     ):
-        """Regression: the loaded engine once kept the duplication factor
-        sampled at the saved threshold (0.75: df 0.017, est rows=16), where
-        a fresh 0.55 engine samples df 2.72 (est rows=60)."""
+        """Regression: the loaded engine once kept a threshold-dependent
+        row estimate from the saved threshold.  The comparison estimate
+        depends on the blocking keys alone, so every threshold prints it."""
         sql = "EXPLAIN SELECT DEDUP * FROM PPL WHERE surname = 'smith'"
         table, _ = generate_people(1000, seed=7)
         engine = QueryEREngine()
         engine.register(table)
-        saved = engine.execute(sql).plan_description  # samples at 0.75
-        assert "Deduplicate {est comparisons=23, est rows=16}" in saved
+        saved = engine.execute(sql).plan_description
+        assert "Deduplicate {est comparisons=23}" in saved
         engine.save(tmp_path)
         warm = QueryEREngine.load(tmp_path, match_threshold=0.55)
         fresh = QueryEREngine(match_threshold=0.55)
         fresh.register(generate_people(1000, seed=7)[0])
         expected = fresh.execute(sql).plan_description
-        assert "Deduplicate {est comparisons=23, est rows=60}" in expected
-        assert warm.execute(sql).plan_description == expected
-        assert vars(warm.statistics_of("PPL")) == vars(fresh.statistics_of("PPL"))
+        assert warm.execute(sql).plan_description == expected == saved
 
     def test_manifest_with_legacy_sample_stats_key_loads(self, tmp_path):
         """Manifests written while statistics were sampled at registration
         carry ``"sample_stats": true``; the key no longer selects anything."""
         engine = make_engine()
-        engine.statistics_of("ppl")
         manifest = engine.save(tmp_path)
         manifest["engine"]["sample_stats"] = True
         write_manifest(tmp_path, manifest)
         warm = QueryEREngine.load(tmp_path)
+        assert warm.explain(QUERY) == engine.explain(QUERY)
         assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
-        assert vars(warm.statistics_of("ppl")) == vars(engine.statistics_of("ppl"))
 
-    def test_v1_manifest_with_statistics_loads_and_resamples(self, tmp_path):
+    def test_v1_manifest_with_statistics_loads(self, tmp_path):
         """A v1 manifest's ``statistics``, ``join_percentages`` and
-        ``invalidation_policy`` are ignored: the loaded engine samples its
-        own statistics, so the stale values written here never surface."""
+        ``invalidation_policy`` are ignored, so the stale values written
+        here never surface."""
         engine = make_engine()
         other, _ = generate_people(40, seed=5, name="OTH")
         engine.register(other)
@@ -193,11 +187,37 @@ class TestSaveLoad:
             }
         write_manifest(tmp_path, manifest)
         warm = QueryEREngine.load(tmp_path)
-        assert vars(warm.statistics_of("ppl")) == vars(engine.statistics_of("ppl"))
-        assert warm.join_percentage("PPL", "OTH", "surname", "surname") == (
-            engine.join_percentage("PPL", "OTH", "surname", "surname")
-        )
+        assert warm.explain(JOIN) == engine.explain(JOIN)
         assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
+
+    def test_manifest_recording_transitive_true_loads(self, tmp_path):
+        """Manifests written while Deduplicate's fixpoint expansion was an
+        option record ``"transitive": true``, the one state it has now."""
+        engine = make_engine()
+        manifest = engine.save(tmp_path)
+        assert "transitive" not in manifest["engine"]
+        manifest["engine"]["transitive"] = True
+        write_manifest(tmp_path, manifest)
+        warm = QueryEREngine.load(tmp_path)
+        assert warm.execute(QUERY).sorted_rows() == engine.execute(QUERY).sorted_rows()
+
+    def test_manifest_recording_transitive_false_is_refused(self, tmp_path):
+        """Single-round Deduplicates cannot be honoured: such a snapshot
+        must not load as if it had been saved with the fixpoint."""
+        engine = make_engine()
+        manifest = engine.save(tmp_path)
+        manifest["engine"]["transitive"] = False
+        write_manifest(tmp_path, manifest)
+        with pytest.raises(SnapshotError, match="transitive"):
+            QueryEREngine.load(tmp_path)
+
+    def test_removed_transitive_setting_is_refused(self, tmp_path):
+        engine = make_engine()
+        engine.save(tmp_path)
+        with pytest.raises(TypeError, match="transitive"):
+            QueryEREngine.load(tmp_path, transitive=True)
+        with pytest.raises(TypeError, match="transitive"):
+            QueryEREngine(transitive=True)
 
     def test_manifest_with_legacy_optimizer_keys_loads(self, tmp_path):
         """Manifests written while a plan enumerator existed carry
@@ -545,18 +565,6 @@ class TestEngineHooks:
         engine.insert("PPL", [extra_row(0)])
         engine.save(tmp_path)
         assert QueryEREngine.load(tmp_path).table_epochs() == engine.table_epochs()
-
-    def test_join_percentage_after_load_equals_the_live_engines(self, tmp_path):
-        engine = make_engine()
-        other, _ = generate_people(40, seed=5, name="OTH")
-        engine.register(other)
-        live = engine.join_percentage("PPL", "OTH", "surname", "surname")
-        engine.save(tmp_path)
-        warm = QueryEREngine.load(tmp_path)
-        assert warm.join_percentage("PPL", "OTH", "surname", "surname") == live
-        assert warm.join_percentage("OTH", "PPL", "surname", "surname") == (
-            engine.join_percentage("OTH", "PPL", "surname", "surname")
-        )
 
     def test_unsnapshotable_blocking_is_refused(self, tmp_path):
         from repro.core.indices import TableIndex

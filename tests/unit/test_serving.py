@@ -25,6 +25,7 @@ from repro.serving import (
     SingleFlight,
     make_server,
 )
+from repro.serving import service as service_module
 from repro.storage.table import Table
 
 
@@ -426,6 +427,57 @@ class TestHTTPService:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(url, "/nope")
         assert excinfo.value.code == 404
+
+
+class TestStatementRouting:
+    """``execute`` parses only the statements ``query`` has not seen."""
+
+    INSERT = "INSERT INTO PPL (id, surname, state) VALUES ({}, 'stone', 'nsw')"
+
+    @staticmethod
+    def _service():
+        table, _ = generate_people(60, seed=31, name="PPL")
+        engine = QueryEREngine()
+        engine.register(table)
+        return EngineService(engine)
+
+    def test_a_hit_through_execute_never_parses(self, monkeypatch):
+        service = self._service()
+        first = service.execute(SQL)
+        calls = []
+        parse = service_module.parse
+        monkeypatch.setattr(service_module, "parse", lambda sql: calls.append(sql) or parse(sql))
+        second = service.execute(SQL)
+        assert calls == []
+        assert (first.cache, second.cache) == ("miss", "hit")
+        assert second.rows == first.rows
+
+    def test_insert_through_execute_goes_to_insert_sql(self, monkeypatch):
+        service = self._service()
+        service.execute(SQL)
+        calls = []
+        insert_sql = EngineService.insert_sql
+
+        def counting(self, sql, timeout=None):
+            calls.append(sql)
+            return insert_sql(self, sql, timeout=timeout)
+
+        monkeypatch.setattr(EngineService, "insert_sql", counting)
+        statement = self.INSERT.format(77003)
+        assert service.execute(statement).cache == "write"
+        assert calls == [statement]
+        assert service.engine.epoch_of("PPL") == 2
+        assert service.execute(SQL).cache == "miss"
+
+    def test_query_refuses_an_insert(self):
+        service = self._service()
+        statement = self.INSERT.format(77004)
+        with pytest.raises(ValueError, match="INSERT INTO"):
+            service.query(statement)
+        assert service.engine.epoch_of("PPL") == 1
+        # Refused, so not remembered as a read: execute still writes it.
+        assert service.execute(statement).cache == "write"
+        assert service.engine.epoch_of("PPL") == 2
 
 
 def _jsonify(value):

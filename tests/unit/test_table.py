@@ -89,29 +89,5 @@ class TestTable:
         rebuilt = table.from_rows([table[0], table[0], table[2]])
         assert [r.id for r in rebuilt] == ["1", "3"]
 
-    def test_sample_is_deterministic(self, table):
-        a = table.sample(0.5, seed=3)
-        b = table.sample(0.5, seed=3)
-        assert [r.id for r in a] == [r.id for r in b]
-
-    def test_sample_never_empty(self, table):
-        assert len(table.sample(1e-9, seed=1)) >= 1
-
-    def test_sample_limit_chooses_uniformly_in_table_order(self):
-        big = Table("B", Schema.of("id", "v"), [(str(i), "x") for i in range(1000)])
-        unlimited = [r.id for r in big.sample(0.5, seed=4)]
-        assert [r.id for r in big.sample(0.5, seed=4, limit=len(unlimited))] == unlimited
-        limited = [r.id for r in big.sample(0.5, seed=4, limit=50)]
-        assert len(limited) == 50 and set(limited) <= set(unlimited)
-        assert limited == [i for i in unlimited if i in set(limited)]
-        assert limited != unlimited[:50]
-        assert limited == [r.id for r in big.sample(0.5, seed=4, limit=50)]
-
-    def test_sample_fraction_validation(self, table):
-        with pytest.raises(ValueError):
-            table.sample(0.0)
-        with pytest.raises(ValueError):
-            table.sample(1.5)
-
     def test_ids_property(self, table):
         assert table.ids == ["1", "2", "3"]

@@ -2,7 +2,7 @@
 
 Regression suite for the stale-state bug: ``Catalog.unregister`` used to
 remove only the catalog entry, leaving the TBI/ITBI bundle, matcher,
-cached statistics, join percentages and epoch entry behind — a
+cached plans and epoch entry behind — a
 re-registered table under the same name could then serve another
 table's blocking index or alias its epoch-keyed caches.
 """
@@ -48,33 +48,39 @@ class TestUnregister:
         with pytest.raises(KeyError):
             engine.index_of("PPL")
 
-    def test_purges_statistics(self, engine):
-        before = engine.statistics_of("PPL")  # populate the cache
+    def test_purges_plans(self, engine):
+        sql = "SELECT DEDUP id, surname FROM PPL WHERE state = 'nsw'"
+        before = engine.plan_for(sql)  # populate the cache
         assert len(engine.plan_cache) == 1
         engine.unregister("PPL")
         assert len(engine.plan_cache) == 0
         with pytest.raises(KeyError):
-            engine.statistics_of("PPL")
+            engine.plan_for(sql)
         engine.register(Table("PPL", people_schema(), people_rows(30, seed=4)))
-        after = engine.statistics_of("PPL")
-        assert after is not before and after.base_rows == 30
+        after = engine.plan_for(sql)
+        assert after is not before
+        assert after.infos[0].index is engine.index_of("PPL")
+        assert len(after.infos[0].index.table) == 30
 
-    def test_purges_join_percentages(self, engine):
+    def test_purges_join_plans(self, engine):
         engine.register(Table("OTHER", people_schema(), people_rows(40, seed=9)))
-        before = engine.join_percentage("PPL", "OTHER", "surname", "surname")
-        engine.join_percentage("OTHER", "PPL", "surname", "surname")
+        sql = "SELECT DEDUP PPL.id, OTHER.id FROM PPL JOIN OTHER ON PPL.surname = OTHER.surname"
+        flipped = "SELECT DEDUP OTHER.id, PPL.id FROM OTHER JOIN PPL ON OTHER.surname = PPL.surname"
+        before = engine.plan_for(sql)
+        engine.plan_for(flipped)
         assert len(engine.plan_cache) == 2
         engine.unregister("PPL")
         assert len(engine.plan_cache) == 0
         with pytest.raises(KeyError):
-            engine.join_percentage("PPL", "OTHER", "surname", "surname")
+            engine.plan_for(sql)
         other = engine.catalog.get("OTHER")
         engine.register(Table("PPL", people_schema(), [tuple(r.values) for r in other]))
-        # PPL now holds OTHER's rows: both sides join exactly like OTHER
-        # joins itself, which the dropped PPL did not.
-        itself = engine.join_percentage("OTHER", "OTHER", "surname", "surname")
-        assert engine.join_percentage("PPL", "OTHER", "surname", "surname") == itself
-        assert before != itself
+        after = engine.plan_for(sql)
+        assert after is not before
+        assert [info.index for info in after.infos] == [
+            engine.index_of("PPL"),
+            engine.index_of("OTHER"),
+        ]
 
     def test_epoch_entry_removed_but_retired(self, engine):
         engine.insert("PPL", [people_rows(81, seed=5)[-1]])
