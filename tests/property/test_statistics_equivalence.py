@@ -8,6 +8,13 @@
   tokens looked up in the postings — must equal the same TBI's block
   intersection, for unknown tokens and for tokens only a rolled-back
   ``INSERT`` interned too.
+* A single-table ``EXPLAIN``'s annotations must equal those references
+  (the table's rows, the reference S_E's size, the dict estimate over
+  it) at every match threshold: fresh, after the statement was answered,
+  after ``INSERT INTO`` and after a snapshot reload.  ``EXPLAIN
+  ANALYZE`` must report that estimate next to the rows and comparisons
+  a plain run of the statement reports, and estimating must leave the
+  table's matcher, vocabulary and signature columns untouched.
 * ``EXPLAIN`` over a fixed set of single-table and join statements must
   render byte-identically to ``explain_golden.json``, written by
   running this module as a script.  Its annotations are the table rows
@@ -21,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -31,6 +39,7 @@ from reference.dict_pipeline import (
     reference_tbi,
     retained_keys,
 )
+from reference.signature_oracle import column_state
 
 from repro import QueryEREngine
 from repro.core import statistics
@@ -41,6 +50,7 @@ from repro.datagen import (
     generate_people,
     generate_projects,
 )
+from repro.datagen.corruptor import Corruptor
 from repro.er.tokenizer import tokenize_value
 from repro.incremental import IngestError
 from repro.er.meta_blocking import MetaBlockingConfig
@@ -89,11 +99,34 @@ def edge_cases():
     )
 
 
+def greek():
+    """Modern-Greek values with NFD, accent-stripped and final-sigma variants."""
+    base = [
+        ("οδός αθηνάς 12", "θεσσαλονίκη"),
+        ("λεωφόρος κηφισίας", "αθήνα"),
+        ("πλατεία συντάγματος", "αθήνα"),
+        ("οδός ερμού", "πάτρα"),
+        ("ΟΔΟΣ ΣΤΑΔΙΟΥ", "ΑΘΗΝΑ"),
+        ("naïve café", "zürich"),
+    ]
+    corruptor = Corruptor(random.Random(11))
+    rows = []
+    for street, city in base:
+        rows.append((len(rows) + 1, street, city))
+        rows.append((len(rows) + 1, unicodedata.normalize("NFD", street), city))
+        for _ in range(3):
+            rows.append(
+                (len(rows) + 1, corruptor.unicode_variant(street), corruptor.unicode_variant(city))
+            )
+    return Table("GR", Schema.of("id", "street", "city"), rows)
+
+
 DATASETS = {
     "people": people,
     "papers": papers,
     "organisations": organisations,
     "edge_cases": edge_cases,
+    "greek": greek,
 }
 
 
@@ -145,14 +178,14 @@ def reference_selected(index, literal):
     return selected or set()
 
 
-def engine_with(table):
-    engine = QueryEREngine()
+def engine_with(table, threshold=0.75):
+    engine = QueryEREngine(match_threshold=threshold)
     engine.register(table)
     return engine
 
 
 # -- comparison estimate ------------------------------------------------------
-ESTIMATED = ("people", "papers", "organisations", "edge_cases")
+ESTIMATED = ("people", "papers", "organisations", "edge_cases", "greek")
 RATIOS = (0.5, 0.8, 1.0)
 
 
@@ -267,6 +300,117 @@ class TestSelectedEntities:
             quoted = literal.replace("'", "''")
             where = where_of(table, f"{column} = '{quoted}'")
             assert estimator.selected_entities(where) == reference_selected(index, literal)
+
+
+# -- EXPLAIN annotations ------------------------------------------------------
+THRESHOLDS = (0.0, 0.75, 1.0)
+
+
+def probe(table):
+    """A ``SELECT DEDUP`` on the first attribute's first literal that
+    selects entities, and that literal."""
+    index = TableIndex(table)
+    column = table.schema.names[1]
+    literal = next(v for v in literals(table) if reference_selected(index, v))
+    quoted = literal.replace("'", "''")
+    return f"SELECT DEDUP * FROM {table.name} WHERE {column} = '{quoted}'", literal
+
+
+def annotations(text):
+    """The ``{…}`` annotation of each operator line of an ``EXPLAIN`` text."""
+    notes = {}
+    for line in text.splitlines():
+        operator = line.strip().split("[")[0].split(" ")[0]
+        if "{" in line:
+            notes[operator] = line[line.index("{") :]
+    return notes
+
+
+def reference_annotations(index, literal):
+    """``TableScan``, ``Filter`` and ``Deduplicate`` annotations from the
+    table's row count, the reference S_E and the dict estimate over it."""
+    selected = reference_selected(index, literal)
+    return {
+        "Deduplicate": f"{{est comparisons={dict_estimate(index, selected)}}}",
+        "Filter": f"{{est rows={len(selected)}}}",
+        "TableScan": f"{{rows={len(index.table)}}}",
+    }
+
+
+def assert_annotations_match(engine, table, sql, literal):
+    index = engine.index_of(table.name)
+    assert annotations(engine.explain(sql)) == reference_annotations(index, literal)
+
+
+def matcher_and_index_state(engine, index):
+    matcher = engine.matcher_for(index)
+    return (
+        dict(matcher.cascade_stats),
+        len(matcher._pair_cache),
+        len(index.vocabulary),
+        column_state(index),
+    )
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+class TestExplainAnnotations:
+    """A single-table ``EXPLAIN`` prints the table's rows, the reference
+    |S_E| and the dict estimate C over the Link Index as the match
+    threshold left it: fresh, answered, grown, reloaded."""
+
+    def test_fresh_and_answered(self, dataset, threshold):
+        table = DATASETS[dataset]()
+        engine = engine_with(table, threshold)
+        sql, literal = probe(table)
+        assert_annotations_match(engine, table, sql, literal)
+        engine.execute(sql)
+        assert engine.index_of(table.name).link_index.resolved_count > 0
+        assert_annotations_match(engine, table, sql, literal)
+
+    def test_after_insert(self, dataset, threshold):
+        table = DATASETS[dataset]()
+        engine = engine_with(table, threshold)
+        sql, literal = probe(table)
+        engine.execute(sql)
+        before = engine.explain(sql)
+        engine.insert(table.name, copies(table, 10))
+        assert engine.explain(sql) != before  # the scan grew
+        assert_annotations_match(engine, table, sql, literal)
+
+    def test_after_load(self, dataset, threshold, tmp_path):
+        table = DATASETS[dataset]()
+        engine = engine_with(table, threshold)
+        sql, literal = probe(table)
+        engine.execute(sql)
+        engine.insert(table.name, copies(table, 5))
+        engine.save(tmp_path / "snapshot")
+        loaded = QueryEREngine.load(tmp_path / "snapshot")
+        assert loaded.explain(sql) == engine.explain(sql)
+        assert_annotations_match(loaded, table, sql, literal)
+
+    def test_analyze_reports_the_estimate_and_the_run(self, dataset, threshold):
+        table = DATASETS[dataset]()
+        analyzed = engine_with(table, threshold)
+        answered = engine_with(DATASETS[dataset](), threshold)
+        sql, literal = probe(table)
+        index = analyzed.index_of(table.name)
+        estimate = dict_estimate(index, reference_selected(index, literal))
+        lines = analyzed.execute("EXPLAIN ANALYZE " + sql).plan_description.splitlines()
+        result = answered.execute(sql)
+        assert f"rows: actual={len(result.rows)}" in lines
+        assert f"comparisons: estimated={estimate} actual={result.comparisons}" in lines
+
+    def test_estimating_leaves_matcher_and_index_untouched(self, dataset, threshold):
+        table = DATASETS[dataset]()
+        engine = engine_with(table, threshold)
+        sql, _ = probe(table)
+        engine.execute(sql)
+        index = engine.index_of(table.name)
+        before = matcher_and_index_state(engine, index)
+        engine.explain(sql)
+        engine.explain(f"SELECT DEDUP * FROM {table.name}")
+        assert matcher_and_index_state(engine, index) == before
 
 
 # -- EXPLAIN golden -----------------------------------------------------------
