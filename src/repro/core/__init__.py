@@ -14,9 +14,8 @@ from repro.core.planner import (
     ExecutionMode,
 )
 from repro.core.dedup_operator import DeduplicateOperator, DedupStats
-from repro.core.group_entities import group_single
 from repro.core.indices import LinkIndex, TableIndex
-from repro.core.result import DedupResult, GroupedEntity, group_cluster, merge_values
+from repro.core.result import DedupResult, merge_values
 from repro.core.statistics import ComparisonEstimator
 from repro.core.batch import batch_deduplicate
 from repro.core.entity import Entity, EntityCollection
@@ -29,12 +28,9 @@ __all__ = [
     "DedupPlanningError",
     "DeduplicateOperator",
     "DedupStats",
-    "group_single",
     "LinkIndex",
     "TableIndex",
     "DedupResult",
-    "GroupedEntity",
-    "group_cluster",
     "merge_values",
     "ComparisonEstimator",
     "batch_deduplicate",

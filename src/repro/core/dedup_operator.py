@@ -196,5 +196,8 @@ class DeduplicateOperator:
 
     def _add_cluster(self, links: LinkSet, entity_id: Any) -> None:
         """Copy a resolved entity's Link Index cluster into *links*, as
-        pairs from *entity_id* to every other member."""
-        links.add_all(entity_id, self.index.link_index.cluster_of(entity_id))
+        pairs from *entity_id* to every other member (none for an
+        entity that is its own cluster)."""
+        cluster = self.index.link_index.cluster_of(entity_id)
+        if len(cluster) > 1:
+            links.add_all(entity_id, cluster)

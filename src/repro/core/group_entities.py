@@ -1,41 +1,20 @@
-"""The Group-Entities operator (paper §6.3).
+"""Group-Entities (paper §6.3) over one table's DR_E.
 
-Groups a deduplicated result into a single record per entity cluster —
-the "hyper-entity" whose attribute values concatenate the distinct values
-of its members — placed directly before the final Project.
-
-Two shapes of input exist:
-
-* **single-table** (SP queries): one :class:`~repro.core.result.DedupResult`;
-  each duplicate cluster becomes one grouped row.
-* **joined** (SPJ queries): rows that concatenate fields of several
-  bindings; the group key is the tuple of cluster representatives
-  (:meth:`~repro.er.linkset.LinkSet.representative`), one per binding,
-  so a left-cluster × right-cluster combination fuses into exactly one
-  output row (``DedupQueryExecutor._group`` in :mod:`repro.core.planner`).
+The operator itself is ``DedupQueryExecutor._group`` in
+:mod:`repro.core.planner`, over the cluster-granular join state;
+:func:`group_single` runs it on a single :class:`DedupResult` (the
+benchmark's layer replay, ``bench/layers.py``, times it as
+``group.single``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import List
 
-from repro.core.result import DedupResult, merge_values
+from repro.core.planner import DedupQueryExecutor, JoinState
+from repro.core.result import DedupResult
 
 
-def group_single(result: DedupResult) -> List[Dict[str, Any]]:
-    """Group a single-table DR_E into fused attribute dictionaries.
-
-    Returns one dict per cluster (column name → merged value), sorted by
-    the cluster representative for determinism.
-    """
-    table = result.table
-    grouped: List[Tuple[Any, Dict[str, Any]]] = []
-    for cluster in result.clusters():
-        rows = [table.by_id(entity_id) for entity_id in cluster]
-        fused = {
-            name: merge_values([row[name] for row in rows])
-            for name in table.schema.names
-        }
-        grouped.append((min(cluster, key=repr), fused))
-    grouped.sort(key=lambda pair: repr(pair[0]))
-    return [fused for _, fused in grouped]
+def group_single(result: DedupResult) -> List[tuple]:
+    """One fused tuple per cluster of *result*, in representative order."""
+    return DedupQueryExecutor._group(JoinState.initial(result.table.name, result))

@@ -21,7 +21,9 @@ All strategies funnel into Group-Entities and then the relational tail
 (:meth:`~repro.sql.planner.RelationalPlanner.tail`: Aggregate or
 Project, Distinct, Sort, Limit — the one every plain SELECT ends in), so
 their outputs are directly comparable — which is precisely the paper's
-DQ-Correctness requirement.
+DQ-Correctness requirement.  The Dedup-Join and Group-Entities work on
+clusters: the :class:`JoinState` holds one entry per combination of
+duplicate clusters, and only a cluster of two or more rows is fused.
 
 A statement is analysed once, by :meth:`DedupQueryPlanner.plan`: the
 bindings (checked by the relational planner's
@@ -38,8 +40,9 @@ under ``"relational"``.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.batch import batch_deduplicate
 from repro.core.indices import TableIndex
@@ -356,30 +359,35 @@ def _output_schema(infos: List[BindingInfo], steps: List[JoinStep]) -> PlanSchem
 # ===========================================================================
 
 
-def _key_parts(rows: Sequence[Row], representative: Callable[[Any], Any]) -> List[str]:
-    """Per row, the ``repr`` of its cluster representative — computed once
-    per distinct row (rows by identity: a table holds one Row per entity)."""
-    memo: Dict[int, str] = {}
-    parts: List[str] = []
-    for row in rows:
-        part = memo.get(id(row))
-        if part is None:
-            part = memo[id(row)] = repr(representative(row.id))
-        parts.append(part)
-    return parts
+#: A join-state entry: per bound binding, the ``repr`` of its cluster
+#: representative and that cluster's distinct rows in first-seen order.
+Entry = Tuple[Tuple[str, ...], Tuple[List[Row], ...]]
 
 
 class JoinState:
-    """Accumulated joined rows: one base-table Row per bound binding."""
+    """Accumulated joined clusters, one entry per cluster combination.
 
-    def __init__(self, bindings: List[str], results: Dict[str, DedupResult], rows: List[Tuple[Row, ...]]):
+    An entry stands for the product of its row lists (last binding
+    fastest): the row combinations a row-at-a-time join would hold.
+    The residual, the last step before Group-Entities, leaves each entry
+    only the rows of its surviving combinations.  Entries' keys are
+    distinct.
+    """
+
+    def __init__(self, bindings: List[str], results: Dict[str, DedupResult], entries: List[Entry]):
         self.bindings = bindings
         self.results = results
-        self.rows = rows
+        self.entries = entries
 
     @classmethod
     def initial(cls, binding: str, result: DedupResult) -> "JoinState":
-        return cls([binding], {binding: result}, [(row,) for row in result.rows()])
+        """One entry per cluster of *result*, its rows in table order."""
+        representative = result.links.representative
+        clusters: Dict[str, List[Row]] = {}
+        for row in result.rows():
+            clusters.setdefault(repr(representative(row.id)), []).append(row)
+        entries = [((key,), (rows,)) for key, rows in clusters.items()]
+        return cls([binding], {binding: result}, entries)
 
     def binding_position(self, binding: str) -> int:
         for position, name in enumerate(self.bindings):
@@ -387,13 +395,13 @@ class JoinState:
                 return position
         raise PlanningError(f"binding {binding!r} not in join state")
 
-    def value_tuples(self) -> List[tuple]:
-        return [sum((row.values for row in combo), ()) for combo in self.rows]
-
 
 class DedupQueryExecutor:
     """Executes a planned Dedupe Query: Deduplicate (-Join), the residual
     filter, Group-Entities, then the relational tail."""
+
+    #: The join state's class; a test oracle swaps in a row-combination one.
+    join_state = JoinState
 
     def __init__(self, engine: "QueryEREngine"):  # noqa: F821
         self.engine = engine
@@ -411,13 +419,7 @@ class DedupQueryExecutor:
             state = self._execute_joins(plan, context)
 
         if plan.residual is not None:
-            predicate = plan.residual_predicate
-            keep = [
-                combo
-                for combo, values in zip(state.rows, state.value_tuples())
-                if predicate(values)
-            ]
-            state = JoinState(state.bindings, state.results, keep)
+            state = self._filter(state, plan.residual_predicate)
 
         with context.timed("group"):
             grouped = self._group(state)
@@ -448,7 +450,7 @@ class DedupQueryExecutor:
                 qe = info.qe_ids()
             operator = self.engine.dedup_operator(info.index)
             result = operator.deduplicate(qe, context)
-        return JoinState.initial(info.binding, result)
+        return self.join_state.initial(info.binding, result)
 
     def _dedup_aware_filter(self, info: BindingInfo, full: DedupResult) -> DedupResult:
         """Filter *above* a whole-table Deduplicate (Fig. 5 semantics).
@@ -472,7 +474,7 @@ class DedupQueryExecutor:
             clean_first = (plan.clean_first or left_info.binding).lower()
             if clean_first == left_info.binding.lower():
                 left_dr = self._clean(left_info, context)
-                state = JoinState.initial(left_info.binding, left_dr)
+                state = self.join_state.initial(left_info.binding, left_dr)
                 state = self._join_dirty(state, first, right_info, context)
             else:
                 right_dr = self._clean(right_info, context)
@@ -482,17 +484,17 @@ class DedupQueryExecutor:
                 left_dr = self.engine.dedup_operator(left_info.index).deduplicate(
                     reduced, context
                 )
-                state = JoinState.initial(left_info.binding, left_dr)
+                state = self.join_state.initial(left_info.binding, left_dr)
                 state = self._join_clean(state, first, right_dr, right_info.binding, context)
         elif mode is ExecutionMode.NES:
             left_dr = self._clean(left_info, context)
             right_dr = self._clean(right_info, context)
-            state = JoinState.initial(left_info.binding, left_dr)
+            state = self.join_state.initial(left_info.binding, left_dr)
             state = self._join_clean(state, first, right_dr, right_info.binding, context)
         else:  # NAIVE_SCAN and BATCH clean whole tables first
             left_dr = self._whole_table(left_info, mode, context)
             right_dr = self._whole_table(right_info, mode, context)
-            state = JoinState.initial(left_info.binding, left_dr)
+            state = self.join_state.initial(left_info.binding, left_dr)
             state = self._join_clean(state, first, right_dr, right_info.binding, context)
 
         # Remaining joins: every new table enters dirty (reduced first).
@@ -565,9 +567,10 @@ class DedupQueryExecutor:
         left_column = step.left_column
         with context.timed("other"):
             accumulated_values = {
-                join_value(combo[position][left_column])
-                for combo in state.rows
-                if combo[position][left_column] is not None
+                join_value(row[left_column])
+                for _, clusters in state.entries
+                for row in clusters[position]
+                if row[left_column] is not None
             }
             reduced = {
                 row.id
@@ -587,10 +590,16 @@ class DedupQueryExecutor:
         context: ExecutionContext,
     ) -> JoinState:
         """Generalized Alg. 2: cluster-wise join of the accumulated state
-        with a resolved right side."""
+        with a resolved right side.
+
+        Each left cluster's matched right rows expand to their clusters
+        (E_right); every entry of the left cluster then pairs with each
+        right cluster of E_right, whose rows it holds in ``repr`` order
+        of their ids.
+        """
         with context.timed("other"):
             position = state.binding_position(step.left_binding)
-            left_result = state.results[state.bindings[position]]
+            left_column = step.left_column
 
             right_rows = right_dr.rows()
             right_lookup = {row.id: row for row in right_rows}
@@ -601,64 +610,73 @@ class DedupQueryExecutor:
                 if value is None:
                     continue
                 right_by_value.setdefault(join_value(value), []).append(row)
+            right_representative = right_dr.links.representative
 
-            # Group accumulated combos by the left binding's cluster.
-            representative = left_result.links.representative
-            groups: Dict[Any, List[Tuple[Row, ...]]] = {}
-            for combo in state.rows:
-                groups.setdefault(representative(combo[position].id), []).append(combo)
+            # Entries by the left binding's cluster.
+            groups: Dict[str, List[Entry]] = {}
+            for entry in state.entries:
+                groups.setdefault(entry[0][position], []).append(entry)
 
-            joined: List[Tuple[Row, ...]] = []
-            for key in sorted(groups, key=repr):
-                members = groups[key]
+            joined: List[Entry] = []
+            for members in groups.values():
                 matched: Set[Any] = set()
-                for combo in members:
-                    value = combo[position][step.left_column]
-                    if value is None:
-                        continue
-                    matched.update(
-                        right_row.id for right_row in right_by_value.get(join_value(value), ())
-                    )
+                for _, clusters in members:
+                    for row in clusters[position]:
+                        value = row[left_column]
+                        if value is None:
+                            continue
+                        matched.update(
+                            right_row.id
+                            for right_row in right_by_value.get(join_value(value), ())
+                        )
                 if not matched:
                     continue
                 e_right = matched | (right_dr.links.closure(matched) & right_id_set)
-                for combo in members:
-                    for right_id in sorted(e_right, key=repr):
-                        joined.append(combo + (right_lookup[right_id],))
+                right_clusters: Dict[str, List[Row]] = {}
+                for right_id in sorted(e_right, key=repr):
+                    right_clusters.setdefault(repr(right_representative(right_id)), []).append(
+                        right_lookup[right_id]
+                    )
+                for keys, clusters in members:
+                    for right_key, right_cluster in right_clusters.items():
+                        joined.append((keys + (right_key,), clusters + (right_cluster,)))
 
         results = dict(state.results)
         results[right_binding] = right_dr
         return JoinState(state.bindings + [right_binding], results, joined)
 
-    # -- Group-Entities ----------------------------------------------------------
-    def _group(self, state: JoinState) -> List[tuple]:
-        """Group-Entities: one fused tuple per cross-binding cluster key.
+    # -- residual and Group-Entities ----------------------------------------------
+    @staticmethod
+    def _filter(state: JoinState, predicate: RowEvaluator) -> JoinState:
+        """The residual over each entry's row combinations (last binding
+        fastest); an entry keeps, per binding, the rows of its surviving
+        combinations in first-seen order, and is dropped with none."""
+        kept: List[Entry] = []
+        for keys, clusters in state.entries:
+            survivors: List[Dict[int, Row]] = [{} for _ in clusters]
+            for combo in itertools.product(*clusters):
+                if predicate(sum((row.values for row in combo), ())):
+                    for seen, row in zip(survivors, combo):
+                        seen.setdefault(id(row), row)
+            if survivors[0]:
+                kept.append((keys, tuple(list(seen.values()) for seen in survivors)))
+        return JoinState(state.bindings, state.results, kept)
 
-        The key is the ``repr`` of each binding's cluster representative.
-        Each binding's distinct rows of a bucket are fused in first-seen
-        order, which equals fusing every combo because
-        :func:`merge_values` keeps a value's first occurrence.
+    @staticmethod
+    def _group(state: JoinState) -> List[tuple]:
+        """Group-Entities: one fused tuple per entry, in key order.
+
+        A binding's cluster of one row passes that row's values through
+        (:func:`merge_values` of one value is that value); only clusters
+        of two or more rows fuse, column by column, in first-seen order.
         """
-        keys = zip(
-            *(
-                _key_parts(rows, state.results[binding].links.representative)
-                for binding, rows in zip(state.bindings, zip(*state.rows))
-            )
-        )
-        buckets: Dict[tuple, List[Tuple[Row, ...]]] = {}
-        for key, combo in zip(keys, state.rows):
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [combo]
-            else:
-                bucket.append(combo)
         grouped: List[tuple] = []
-        for key in sorted(buckets):
-            combos = buckets[key]
+        for _, clusters in sorted(state.entries, key=lambda entry: entry[0]):
             fused: List[Any] = []
-            for i in range(len(state.bindings)):
-                # Rows by identity: combos hold the table's own Row objects.
-                rows = {id(combo[i]): combo[i] for combo in combos}.values()
-                fused.extend(merge_values(column) for column in zip(*(r.values for r in rows)))
+            for rows in clusters:
+                if len(rows) == 1:
+                    fused.extend(rows[0].values)
+                else:
+                    fused.extend(merge_values(column) for column in zip(*(r.values for r in rows)))
             grouped.append(tuple(fused))
         return grouped

@@ -1,13 +1,14 @@
 """Result structures of the ER operators.
 
 ``DedupResult`` is the paper's DR_E — the evaluated entities QE plus the
-duplicates found for them (QE̅) and the linkset L_E.  ``GroupedEntity``
-rows form DR_G after Group-Entities fuses each duplicate cluster.
+duplicates found for them (QE̅) and the linkset L_E.  Group-Entities
+(``DedupQueryExecutor._group`` in :mod:`repro.core.planner`) fuses each
+duplicate cluster's values with :func:`merge_values`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.er.linkset import LinkSet
 from repro.storage.table import Row, Table
@@ -99,27 +100,3 @@ def merge_values(values: Iterable[Any]) -> Any:
         # contradictions are rendered as concatenated text.
         return next(iter(first.values()))
     return GROUP_SEPARATOR.join(sorted(first))
-
-
-class GroupedEntity:
-    """A hyper-entity: one fused record per duplicate cluster (§6.3)."""
-
-    def __init__(self, member_ids: Sequence[Any], attributes: Dict[str, Any]):
-        self.member_ids = tuple(member_ids)
-        self.attributes = dict(attributes)
-
-    def __getitem__(self, name: str) -> Any:
-        return self.attributes[name]
-
-    def __repr__(self) -> str:
-        return f"GroupedEntity({list(self.member_ids)}, {self.attributes})"
-
-
-def group_cluster(table: Table, cluster: Iterable[Any]) -> GroupedEntity:
-    """Fuse the rows of one duplicate cluster into a :class:`GroupedEntity`."""
-    members = sorted(cluster, key=repr)
-    rows = [table.by_id(entity_id) for entity_id in members]
-    fused: Dict[str, Any] = {}
-    for name in table.schema.names:
-        fused[name] = merge_values([row[name] for row in rows])
-    return GroupedEntity(members, fused)

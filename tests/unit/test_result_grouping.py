@@ -1,7 +1,7 @@
 """Unit tests for DedupResult, value merging and Group-Entities."""
 
 from repro.core.group_entities import group_single
-from repro.core.result import DedupResult, GROUP_SEPARATOR, group_cluster, merge_values
+from repro.core.result import DedupResult, GROUP_SEPARATOR, merge_values
 from repro.er.linkset import LinkSet
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -63,22 +63,9 @@ class TestDedupResult:
         assert dr.clusters() == [{"a"}]
 
 
-class TestGroupCluster:
-    def test_fuses_values(self):
-        grouped = group_cluster(table(), ["a", "b"])
-        assert grouped["title"] == "E.R." + GROUP_SEPARATOR + "Entity Resolution"
-        assert grouped["year"] == "2008"
-
-    def test_null_filled_from_member(self):
-        grouped = group_cluster(table(), ["c", "d"])
-        assert grouped["year"] == "2010"
-
-    def test_member_ids_sorted(self):
-        grouped = group_cluster(table(), ["d", "c"])
-        assert grouped.member_ids == ("c", "d")
-
-
 class TestGroupSingle:
+    """The executor's Group-Entities over one DR_E (columns id, title, year)."""
+
     def test_one_row_per_cluster(self):
         dr = DedupResult(table(), ["a", "c"], ["b"], LinkSet([("a", "b")]))
         groups = group_single(dr)
@@ -87,8 +74,27 @@ class TestGroupSingle:
     def test_grouped_values(self):
         dr = DedupResult(table(), ["a"], ["b"], LinkSet([("a", "b")]))
         (group,) = group_single(dr)
-        assert GROUP_SEPARATOR in group["title"]
-        assert group["year"] == "2008"
+        assert GROUP_SEPARATOR in group[1]
+        assert group[2] == "2008"
+
+    def test_fuses_values(self):
+        dr = DedupResult(table(), ["a", "b"], [], LinkSet([("a", "b")]))
+        (group,) = group_single(dr)
+        assert group == ("a | b", "E.R." + GROUP_SEPARATOR + "Entity Resolution", "2008")
+
+    def test_null_filled_from_member(self):
+        dr = DedupResult(table(), ["c"], ["d"], LinkSet([("c", "d")]))
+        (group,) = group_single(dr)
+        assert group[2] == "2010"
+
+    def test_clusters_in_representative_order(self):
+        dr = DedupResult(table(), ["d", "b", "c", "a"], [], LinkSet([("d", "c")]))
+        assert [group[0] for group in group_single(dr)] == ["a", "b", "c | d"]
+
+    def test_singleton_passes_row_through(self):
+        dr = DedupResult(table(), ["c"])
+        (group,) = group_single(dr)
+        assert group == table().by_id("c").values
 
 
 class TestRepresentative:
