@@ -15,7 +15,7 @@ from repro.er.evaluation import pair_completeness
 from repro.er.matching import ProfileMatcher
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.sql.expressions import compile_predicate
-from repro.sql.logical import Field, PlanSchema
+from repro.sql.schema import Field, PlanSchema
 from repro.sql.parser import parse
 
 from _support.workload import sp_queries

@@ -34,9 +34,8 @@ from repro.er.meta_blocking import MetaBlockingConfig
 from repro.incremental import DmlExecutor, IndexMaintainer, IngestResult
 from repro.sql import ast, normalize_sql
 from repro.sql.executor import QueryResult, execute_plan
-from repro.sql.logical import LogicalPlan
 from repro.sql.parser import parse
-from repro.sql.physical import ExecutionContext
+from repro.sql.physical import PhysicalOperator
 from repro.sql.planner import RelationalPlanner
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -376,16 +375,7 @@ class QueryEREngine:
             return self._explain_statement(query, mode)
         if isinstance(query, ast.InsertStatement):
             return self._dml.execute(query)
-        if not query.dedup:
-            physical = self._relational.physical_plan(self._relational_plan(query))
-            return execute_plan(physical)
-
-        context = ExecutionContext()
-        start = time.perf_counter()
-        plan = self._dedup_plan(query, mode)
-        columns, rows = self._executor.execute(plan, context)
-        elapsed = time.perf_counter() - start
-        return QueryResult(columns, rows, elapsed, context, plan.pretty())
+        return execute_plan(self._plan(query, mode))
 
     # -- plan selection ---------------------------------------------------
     @staticmethod
@@ -420,13 +410,17 @@ class QueryEREngine:
             lambda: DedupQueryPlanner(self).plan(query, mode),
         )
 
-    def _relational_plan(self, query: ast.SelectQuery) -> LogicalPlan:
-        """The logical plan of a plain SELECT, from the plan cache if there."""
+    def _plan(self, query: ast.SelectQuery, mode: ExecutionMode) -> PhysicalOperator:
+        """The operator tree *query* runs, from the plan cache if there: a
+        DEDUP plan's ``root``, or a plain SELECT's tree (kind
+        ``"relational"``)."""
+        if query.dedup:
+            return self._dedup_plan(query, mode).root
         return self._cached(
             "relational",
             normalize_sql(str(query)),
             self.epochs_of(self.statement_tables(query)),
-            lambda: self._relational.logical_plan(query),
+            lambda: self._relational.plan(query),
         )
 
     def _explain_statement(
@@ -442,36 +436,23 @@ class QueryEREngine:
                     "(it would execute the mutation)"
                 )
             lines = DmlExecutor.describe(inner).splitlines()
-        elif not inner.dedup:
-            logical = self._relational_plan(inner)
-            lines = ["-- plan: relational"] + logical.pretty().splitlines()
-            if statement.analyze:
-                context = ExecutionContext()
-                result = execute_plan(self._relational.physical_plan(logical), context)
-                lines = analyze_lines(
-                    lines,
-                    estimated_comparisons=None,
-                    actual_rows=len(result.rows),
-                    actual_comparisons=result.comparisons,
-                    elapsed_s=result.elapsed,
-                    stage_times=result.stage_times,
-                )
-        else:
+        elif inner.dedup:
             plan = self._dedup_plan(inner, mode)
+            root = plan.root
             lines, estimated = plan.explain()
-            if statement.analyze:
-                context = ExecutionContext()
-                run_start = time.perf_counter()
-                columns, rows = self._executor.execute(plan, context)
-                run_elapsed = time.perf_counter() - run_start
-                lines = analyze_lines(
-                    lines,
-                    estimated_comparisons=estimated,
-                    actual_rows=len(rows),
-                    actual_comparisons=context.comparisons,
-                    elapsed_s=run_elapsed,
-                    stage_times=dict(context.stage_times),
-                )
+        else:
+            root = self._plan(inner, mode)
+            lines, estimated = ["-- plan: relational"] + root.pretty().splitlines(), None
+        if statement.analyze:
+            result = execute_plan(root)
+            lines = analyze_lines(
+                lines,
+                estimated_comparisons=estimated,
+                actual_rows=len(result.rows),
+                actual_comparisons=result.comparisons,
+                elapsed_s=result.elapsed,
+                stage_times=result.stage_times,
+            )
         elapsed = time.perf_counter() - start
         text = "\n".join(lines)
         return QueryResult(["plan"], [(line,) for line in lines], elapsed, None, text)

@@ -9,7 +9,7 @@ with the epochs taken from :meth:`QueryEREngine.epochs_of`.  The
 serving result cache holds whole answers (kind = execution mode, key =
 normalized SQL, the epochs of the tables the statement names).  The
 engine's cache holds plans: a DEDUP plan (kind = execution mode) and a
-plain SELECT's logical plan (kind ``"relational"``), keyed on
+plain SELECT's operator tree (kind ``"relational"``), keyed on
 normalized SQL and the epochs of the tables the statement names.
 
 Tables are append-only and every mutation advances the table's epoch,

@@ -29,12 +29,14 @@ A statement is analysed once, by :meth:`DedupQueryPlanner.plan`: the
 bindings (checked by the relational planner's
 :func:`~repro.sql.planner.resolve_bindings`), their compiled filters,
 the join steps and the residual live on the :class:`DedupQueryPlan`,
-which the executor runs and ``EXPLAIN`` prints (:meth:`DedupQueryPlan.explain`
-annotates :meth:`DedupQueryPlan.tree` with the comparison estimates;
-:func:`analyze_lines` adds ``EXPLAIN ANALYZE``'s actual figures).  The
-engine caches plans in its :class:`~repro.core.epoch_cache.EpochCache`:
-a DEDUP plan under its execution mode, a plain SELECT's logical plan
-under ``"relational"``.
+together with its operator tree (``root``): the relational tail, built
+once over a :class:`GroupEntitiesOp` leaf that runs the ER part through
+the engine's executor.  The engine runs that tree and prints it
+(:meth:`DedupQueryPlan.explain` annotates it with the comparison
+estimates; :func:`analyze_lines` adds ``EXPLAIN ANALYZE``'s actual
+figures).  The engine caches plans in its
+:class:`~repro.core.epoch_cache.EpochCache`: a DEDUP plan under its
+execution mode, a plain SELECT's operator tree under ``"relational"``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.batch import batch_deduplicate
 from repro.core.indices import TableIndex
@@ -56,9 +58,9 @@ from repro.sql.expressions import (
     compile_predicate,
     conjoin,
 )
-from repro.sql.logical import LogicalValues, PlanSchema, schema_for_table
-from repro.sql.physical import ExecutionContext
+from repro.sql.physical import ExecutionContext, Note, PhysicalOperator, no_note
 from repro.sql.planner import PlanningError, RelationalPlanner, equi_join_keys, resolve_bindings
+from repro.sql.schema import PlanSchema, schema_for_table
 from repro.storage.table import Row
 
 
@@ -113,7 +115,9 @@ class DedupQueryPlan:
     joined rows' columns, which the residual and the relational tail
     resolve against) are the statement's one analysis; the executor and
     ``EXPLAIN`` read them from here.  ``residual_predicate`` is the
-    residual compiled over ``schema``, once per plan.
+    residual compiled over ``schema``, once per plan.  ``root`` is the
+    operator tree the engine runs and prints: the relational tail over
+    a :class:`GroupEntitiesOp` leaf.
     """
 
     mode: ExecutionMode
@@ -125,76 +129,11 @@ class DedupQueryPlan:
     residual_predicate: RowEvaluator
     estimates: Dict[str, int] = field(default_factory=dict)
     clean_first: Optional[str] = None
-
-    def pretty(self) -> str:
-        return "\n".join(self.tree())
-
-    def tree(self, note: Callable[[str, str], str] = lambda kind, binding: "") -> List[str]:
-        """The operator tree, one line per operator, joins nested
-        left-deep in execution order.
-
-        ``note(kind, binding)`` is appended to each ``Deduplicate``
-        (kind ``"dedup"``), ``Filter`` (``"filter"``) and ``TableScan``
-        (``"scan"``) line of a binding — ``EXPLAIN``'s estimates.
-        """
-        info_by = {i.binding.lower(): i for i in self.infos}
-        dedup_label = "BatchDeduplicate" if self.mode is ExecutionMode.BATCH else "Deduplicate"
-
-        def branch(binding: str, clean_here: bool, depth: int) -> List[str]:
-            info = info_by[binding]
-            dedup = [dedup_label + note("dedup", binding)]
-            filters = (
-                [f"Filter[{info.condition}]" + note("filter", binding)]
-                if info.condition is not None
-                else []
-            )
-            scan = f"TableScan[{info.index.table.name} AS {info.binding}]" + note("scan", binding)
-            if clean_here and self.mode not in (ExecutionMode.NAIVE_SCAN, ExecutionMode.BATCH):
-                parts = dedup + filters
-            else:
-                parts = filters + (dedup if clean_here else [])
-            parts.append(scan)
-            return ["  " * (depth + extra) + label for extra, label in enumerate(parts)]
-
-        def join_line(label: str, step: JoinStep, depth: int) -> str:
-            return (
-                "  " * depth + f"{label}[{step.left_binding}.{step.left_column} = "
-                f"{step.right_binding}.{step.right_column}]"
-            )
-
-        tree = [f"Project[{', '.join(str(i) for i in self.query.items)}]", "  GroupEntities"]
-        depth = 2
-        if self.residual is not None:
-            tree.append("  " * depth + f"Filter[{self.residual}]")
-            depth += 1
-        steps = self.join_steps
-        if not steps:
-            return tree + branch(self.infos[0].binding.lower(), True, depth)
-        aes = self.mode is ExecutionMode.AES
-        # The last step is the outermost node, the first the innermost.
-        for step in reversed(steps[1:]):
-            tree.append(join_line("DirtyRightJoin" if aes else "DeduplicateJoin", step, depth))
-            depth += 1
-        first = steps[0]
-        clean = (self.clean_first or first.left_binding).lower()
-        if not aes:
-            label = "DeduplicateJoin"
-        elif clean == first.left_binding:
-            label = "DirtyRightJoin"
-        else:
-            label = "DirtyLeftJoin"
-        tree.append(join_line(label, first, depth))
-        depth += 1
-        for binding in (first.left_binding, first.right_binding):
-            tree.extend(branch(binding, not aes or binding == clean, depth))
-        # Tables entering at later steps (dirty in AES, cleaned otherwise).
-        for step in steps[1:]:
-            tree.extend(branch(step.right_binding, not aes, depth))
-        return tree
+    root: PhysicalOperator = field(init=False, repr=False, compare=False)
 
     def explain(self) -> Tuple[List[str], int]:
-        """``EXPLAIN``'s lines: :meth:`tree` annotated with what the plan
-        and the comparison estimator already know, plus ΣC.
+        """``EXPLAIN``'s lines: the operator tree (``root``) annotated with
+        what the plan and the comparison estimator already know, plus ΣC.
 
         A ``TableScan`` shows the table's rows, a ``Filter`` the size of
         its literal-derived superset S_E, and a ``Deduplicate`` the
@@ -226,8 +165,86 @@ class DedupQueryPlan:
                 return f" {{est rows={selected[binding]}}}"
             return f" {{rows={table_rows[binding]}}}"
 
-        lines = [f"-- plan: dedup (mode={self.mode.value})"] + self.tree(note)
+        lines = [f"-- plan: dedup (mode={self.mode.value})"]
+        lines.extend(self.root.pretty(note=note).splitlines())
         return lines, sum(comparisons.values())
+
+
+class GroupEntitiesOp(PhysicalOperator):
+    """The leaf of a DEDUP plan's operator tree: Deduplicate (-Join), the
+    residual and Group-Entities of *plan*, run by the engine's executor
+    (looked up on every run).  It yields the grouped tuples under
+    ``plan.schema`` to the relational tail and keeps none of them."""
+
+    def __init__(self, engine: "QueryEREngine", plan: DedupQueryPlan):  # noqa: F821
+        super().__init__(plan.schema)
+        self.engine = engine
+        self.plan = plan
+
+    def execute(self, context: ExecutionContext) -> Iterator[tuple]:
+        yield from self.engine._executor.resolve(self.plan, context)
+
+    def pretty(self, indent: int = 0, note: Note = no_note) -> str:
+        """``GroupEntities`` over the residual, the joins nested left-deep
+        in execution order and each binding's branch, one line per
+        operator.  ``note(kind, binding)`` is appended to each
+        ``Deduplicate`` (kind ``"dedup"``), ``Filter`` (``"filter"``) and
+        ``TableScan`` (``"scan"``) line of a binding."""
+        plan = self.plan
+        info_by = {i.binding.lower(): i for i in plan.infos}
+        dedup_label = "BatchDeduplicate" if plan.mode is ExecutionMode.BATCH else "Deduplicate"
+
+        def branch(binding: str, clean_here: bool, depth: int) -> List[str]:
+            info = info_by[binding]
+            dedup = [dedup_label + note("dedup", binding)]
+            filters = (
+                [f"Filter[{info.condition}]" + note("filter", binding)]
+                if info.condition is not None
+                else []
+            )
+            scan = f"TableScan[{info.index.table.name} AS {info.binding}]" + note("scan", binding)
+            if clean_here and plan.mode not in (ExecutionMode.NAIVE_SCAN, ExecutionMode.BATCH):
+                parts = dedup + filters
+            else:
+                parts = filters + (dedup if clean_here else [])
+            parts.append(scan)
+            return ["  " * (depth + extra) + label for extra, label in enumerate(parts)]
+
+        def join_line(label: str, step: JoinStep, depth: int) -> str:
+            return (
+                "  " * depth + f"{label}[{step.left_binding}.{step.left_column} = "
+                f"{step.right_binding}.{step.right_column}]"
+            )
+
+        tree = ["  " * indent + "GroupEntities"]
+        depth = indent + 1
+        if plan.residual is not None:
+            tree.append("  " * depth + f"Filter[{plan.residual}]")
+            depth += 1
+        steps = plan.join_steps
+        if not steps:
+            return "\n".join(tree + branch(plan.infos[0].binding.lower(), True, depth))
+        aes = plan.mode is ExecutionMode.AES
+        # The last step is the outermost node, the first the innermost.
+        for step in reversed(steps[1:]):
+            tree.append(join_line("DirtyRightJoin" if aes else "DeduplicateJoin", step, depth))
+            depth += 1
+        first = steps[0]
+        clean = (plan.clean_first or first.left_binding).lower()
+        if not aes:
+            label = "DeduplicateJoin"
+        elif clean == first.left_binding:
+            label = "DirtyRightJoin"
+        else:
+            label = "DirtyLeftJoin"
+        tree.append(join_line(label, first, depth))
+        depth += 1
+        for binding in (first.left_binding, first.right_binding):
+            tree.extend(branch(binding, not aes or binding == clean, depth))
+        # Tables entering at later steps (dirty in AES, cleaned otherwise).
+        for step in steps[1:]:
+            tree.extend(branch(step.right_binding, not aes, depth))
+        return "\n".join(tree)
 
 
 def analyze_lines(
@@ -310,16 +327,16 @@ class DedupQueryPlanner:
     def plan(self, query: ast.SelectQuery, mode: ExecutionMode) -> DedupQueryPlan:
         """Analyse *query* once and produce its plan (with estimates).
 
-        The relational tail is lowered here over no rows, so that an
-        unknown select-list or ORDER BY column raises before any
-        Deduplicate runs.
+        The relational tail is built here, once, over the plan's
+        Group-Entities leaf, so an unknown select-list or ORDER BY column
+        raises before any Deduplicate runs.
         """
         infos, steps, residual = self.analyze(query)
         schema = _output_schema(infos, steps)
-        self.relational.physical_plan(self.relational.tail(LogicalValues(schema, []), query))
         plan = DedupQueryPlan(
             mode, query, infos, steps, residual, schema, compile_predicate(residual, schema)
         )
+        plan.root = self.relational.tail(GroupEntitiesOp(self.engine, plan), query)
         if steps and mode is ExecutionMode.AES:
             info_by = {i.binding.lower(): i for i in infos}
             left_info = info_by[steps[0].left_binding]
@@ -357,6 +374,20 @@ def _output_schema(infos: List[BindingInfo], steps: List[JoinStep]) -> PlanSchem
 # ===========================================================================
 # execution
 # ===========================================================================
+
+
+def _semi_join(
+    dirty: BindingInfo, dirty_column: str, rows: Iterable[Row], column: str
+) -> Set[Any]:
+    """Alg. 1 lines 4/9: the ids of *dirty*'s QE rows whose *dirty_column*
+    value joins (:func:`join_value`) the *column* value of one of *rows*;
+    NULL joins nothing."""
+    values = {join_value(row[column]) for row in rows if row[column] is not None}
+    return {
+        row.id
+        for row in dirty.qe_rows()
+        if row[dirty_column] is not None and join_value(row[dirty_column]) in values
+    }
 
 
 #: A join-state entry: per bound binding, the ``repr`` of its cluster
@@ -397,60 +428,42 @@ class JoinState:
 
 
 class DedupQueryExecutor:
-    """Executes a planned Dedupe Query: Deduplicate (-Join), the residual
-    filter, Group-Entities, then the relational tail."""
+    """Executes the ER part of a planned Dedupe Query: Deduplicate (-Join),
+    the residual filter and Group-Entities."""
 
     #: The join state's class; a test oracle swaps in a row-combination one.
     join_state = JoinState
 
     def __init__(self, engine: "QueryEREngine"):  # noqa: F821
         self.engine = engine
-        self.relational = RelationalPlanner(engine.catalog)
 
     # -- entry point ------------------------------------------------------
-    def execute(
-        self, plan: DedupQueryPlan, context: ExecutionContext
-    ) -> Tuple[List[str], List[tuple]]:
-        """Run *plan* (:meth:`DedupQueryPlanner.plan`'s output, possibly
-        cached); returns the output column names and rows."""
+    def resolve(self, plan: DedupQueryPlan, context: ExecutionContext) -> List[tuple]:
+        """The Group-Entities tuples of *plan* (:meth:`DedupQueryPlanner.plan`'s
+        output, possibly cached), which its relational tail reads."""
         if not plan.join_steps:
-            state = self._execute_single(plan.infos[0], plan.mode, context)
+            info = plan.infos[0]
+            result = self._resolved(info, plan.mode, context)
+            state = self.join_state.initial(info.binding, result)
         else:
             state = self._execute_joins(plan, context)
 
         if plan.residual is not None:
             state = self._filter(state, plan.residual_predicate)
 
-        with context.timed("group"):
-            grouped = self._group(state)
         # Aggregates fold over grouped entities, so each duplicate cluster
         # contributes once (the §10 dedupe-aware aggregation).
-        tail = self.relational.tail(LogicalValues(plan.schema, grouped), plan.query)
-        output = self.relational.physical_plan(tail)
-        return [f.name for f in output.schema], list(output.execute(context))
+        with context.timed("group"):
+            return self._group(state)
 
-    # -- single-table (SP) path ------------------------------------------------
-    def _execute_single(
+    def _resolved(
         self, info: BindingInfo, mode: ExecutionMode, context: ExecutionContext
-    ) -> JoinState:
-        if mode is ExecutionMode.BATCH:
-            full = batch_deduplicate(
-                info.index,
-                matcher=self.engine.matcher_for(info.index),
-                meta_blocking=self.engine.meta_blocking,
-                context=context,
-            )
-            result = self._dedup_aware_filter(info, full)
-        elif mode is ExecutionMode.NAIVE_SCAN:
-            operator = self.engine.dedup_operator(info.index)
-            full = operator.deduplicate(info.index.table.ids, context)
-            result = self._dedup_aware_filter(info, full)
-        else:  # NES and AES place Deduplicate above the Filter (§7.2.1)
-            with context.timed("other"):
-                qe = info.qe_ids()
-            operator = self.engine.dedup_operator(info.index)
-            result = operator.deduplicate(qe, context)
-        return self.join_state.initial(info.binding, result)
+    ) -> DedupResult:
+        """A binding's DR: NES and AES place Deduplicate above the Filter
+        (§7.2.1), NAIVE_SCAN and BATCH clean the whole table first."""
+        if mode in (ExecutionMode.NAIVE_SCAN, ExecutionMode.BATCH):
+            return self._whole_table(info, mode, context)
+        return self._clean(info, context)
 
     def _dedup_aware_filter(self, info: BindingInfo, full: DedupResult) -> DedupResult:
         """Filter *above* a whole-table Deduplicate (Fig. 5 semantics).
@@ -478,36 +491,29 @@ class DedupQueryExecutor:
                 state = self._join_dirty(state, first, right_info, context)
             else:
                 right_dr = self._clean(right_info, context)
-                reduced = self._reduce_by_values(
-                    left_info, first.left_column, right_dr, first.right_column, context
-                )
+                with context.timed("other"):
+                    reduced = _semi_join(
+                        left_info, first.left_column, right_dr.rows(), first.right_column
+                    )
                 left_dr = self.engine.dedup_operator(left_info.index).deduplicate(
                     reduced, context
                 )
                 state = self.join_state.initial(left_info.binding, left_dr)
                 state = self._join_clean(state, first, right_dr, right_info.binding, context)
-        elif mode is ExecutionMode.NES:
-            left_dr = self._clean(left_info, context)
-            right_dr = self._clean(right_info, context)
-            state = self.join_state.initial(left_info.binding, left_dr)
-            state = self._join_clean(state, first, right_dr, right_info.binding, context)
-        else:  # NAIVE_SCAN and BATCH clean whole tables first
-            left_dr = self._whole_table(left_info, mode, context)
-            right_dr = self._whole_table(right_info, mode, context)
+        else:  # NES cleans both sides' QE, NAIVE_SCAN and BATCH whole tables
+            left_dr = self._resolved(left_info, mode, context)
+            right_dr = self._resolved(right_info, mode, context)
             state = self.join_state.initial(left_info.binding, left_dr)
             state = self._join_clean(state, first, right_dr, right_info.binding, context)
 
-        # Remaining joins: every new table enters dirty (reduced first).
+        # Remaining joins: in AES every new table enters dirty (reduced first).
         for step in steps[1:]:
             next_info = info_by_binding[step.right_binding]
-            if mode in (ExecutionMode.NAIVE_SCAN, ExecutionMode.BATCH):
-                next_dr = self._whole_table(next_info, mode, context)
-                state = self._join_clean(state, step, next_dr, next_info.binding, context)
-            elif mode is ExecutionMode.NES:
-                next_dr = self._clean(next_info, context)
-                state = self._join_clean(state, step, next_dr, next_info.binding, context)
-            else:
+            if mode is ExecutionMode.AES:
                 state = self._join_dirty(state, step, next_info, context)
+            else:
+                next_dr = self._resolved(next_info, mode, context)
+                state = self._join_clean(state, step, next_dr, next_info.binding, context)
         return state
 
     def _clean(self, info: BindingInfo, context: ExecutionContext) -> DedupResult:
@@ -532,28 +538,6 @@ class DedupQueryExecutor:
         return self._dedup_aware_filter(info, full)
 
     # -- join mechanics ----------------------------------------------------
-    def _reduce_by_values(
-        self,
-        dirty_info: BindingInfo,
-        dirty_column: str,
-        clean_dr: DedupResult,
-        clean_column: str,
-        context: ExecutionContext,
-    ) -> Set[Any]:
-        """Alg. 1 line 4/9 against a clean DR (values of all duplicates)."""
-        with context.timed("other"):
-            clean_values = {
-                join_value(row[clean_column])
-                for row in clean_dr.rows()
-                if row[clean_column] is not None
-            }
-            kept: Set[Any] = set()
-            for row in dirty_info.qe_rows():
-                value = row[dirty_column]
-                if value is not None and join_value(value) in clean_values:
-                    kept.add(row.id)
-        return kept
-
     def _join_dirty(
         self,
         state: JoinState,
@@ -564,20 +548,9 @@ class DedupQueryExecutor:
         """Reduce the incoming dirty side by the accumulated rows, dedup it,
         then perform the clean-clean cluster join."""
         position = state.binding_position(step.left_binding)
-        left_column = step.left_column
         with context.timed("other"):
-            accumulated_values = {
-                join_value(row[left_column])
-                for _, clusters in state.entries
-                for row in clusters[position]
-                if row[left_column] is not None
-            }
-            reduced = {
-                row.id
-                for row in right_info.qe_rows()
-                if row[step.right_column] is not None
-                and join_value(row[step.right_column]) in accumulated_values
-            }
+            accumulated = (row for _, clusters in state.entries for row in clusters[position])
+            reduced = _semi_join(right_info, step.right_column, accumulated, step.left_column)
         right_dr = self.engine.dedup_operator(right_info.index).deduplicate(reduced, context)
         return self._join_clean(state, step, right_dr, right_info.binding, context)
 

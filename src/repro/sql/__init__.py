@@ -1,4 +1,4 @@
-"""SQL substrate: lexer, parser, logical/physical plans, executor.
+"""SQL substrate: lexer, parser, planner, volcano operators, executor.
 
 Implements the flat SPJ dialect of the paper (§5): conjunctive and
 disjunctive WHERE clauses with ``col op constant`` and equi-join
@@ -10,17 +10,7 @@ DML form that feeds incremental ingestion (:mod:`repro.incremental`).
 from repro.sql.lexer import Lexer, LexError
 from repro.sql.parser import Parser, ParseError, parse
 from repro.sql import ast
-from repro.sql.logical import (
-    Field,
-    PlanSchema,
-    LogicalPlan,
-    LogicalScan,
-    LogicalFilter,
-    LogicalJoin,
-    LogicalProject,
-    LogicalLimit,
-    LogicalSort,
-)
+from repro.sql.schema import Field, PlanSchema
 from repro.sql.normalize import normalize_sql
 from repro.sql.planner import RelationalPlanner
 from repro.sql.executor import QueryResult, execute_plan
@@ -34,13 +24,6 @@ __all__ = [
     "ast",
     "Field",
     "PlanSchema",
-    "LogicalPlan",
-    "LogicalScan",
-    "LogicalFilter",
-    "LogicalJoin",
-    "LogicalProject",
-    "LogicalLimit",
-    "LogicalSort",
     "normalize_sql",
     "RelationalPlanner",
     "QueryResult",

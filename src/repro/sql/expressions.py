@@ -1,6 +1,6 @@
 """Expression compilation: AST → positional row evaluators and column masks.
 
-Column references are resolved against a :class:`~repro.sql.logical.PlanSchema`
+Column references are resolved against a :class:`~repro.sql.schema.PlanSchema`
 once, at plan time.  A single-table WHERE then runs as one NumPy boolean
 mask over the table's cached typed columns (:func:`compile_mask`); every
 other expression — residuals over joined rows, projections, sort and
@@ -37,7 +37,7 @@ from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple, U
 import numpy as np
 
 from repro.sql import ast
-from repro.sql.logical import PlanSchema
+from repro.sql.schema import PlanSchema
 from repro.storage.columns import INT64_BOUND, ColumnArray
 from repro.storage.table import Table
 

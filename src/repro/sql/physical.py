@@ -6,6 +6,11 @@ generators over plain value tuples.  The :class:`ExecutionContext`
 carries cross-operator state: the executed-comparison counter, per-stage
 timings, and per-binding deduplication results (linksets) that the ER
 operators deposit for Group-Entities.
+
+An operator tree is built once per statement and cached with its plan,
+so every operator keeps its per-run state local to :meth:`execute`.
+:meth:`PhysicalOperator.pretty` renders the tree ``EXPLAIN`` and
+``QueryResult.plan_description`` print.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sql.expressions import MaskPredicate
-from repro.sql.logical import PlanSchema
+from repro.sql.schema import PlanSchema
 from repro.storage.table import Table
 
 
@@ -61,6 +66,15 @@ class _StageTimer:
         self._context.add_time(self._stage, time.perf_counter() - self._start)
 
 
+#: ``note(kind, binding)``: text ``EXPLAIN`` appends to an ER operator's
+#: line (its estimates); relational operators take none.
+Note = Callable[[str, str], str]
+
+
+def no_note(kind: str, binding: str) -> str:
+    return ""
+
+
 class PhysicalOperator:
     """Base physical operator: an iterator of value tuples."""
 
@@ -74,30 +88,13 @@ class PhysicalOperator:
     def children(self) -> Tuple["PhysicalOperator", ...]:
         return ()
 
-    def pretty(self, indent: int = 0) -> str:
+    def pretty(self, indent: int = 0, note: Note = no_note) -> str:
+        """The indented tree, one line per operator (the paper's figures)."""
         line = "  " * indent + self.label()
-        return "\n".join([line] + [c.pretty(indent + 1) for c in self.children])
+        return "\n".join([line] + [c.pretty(indent + 1, note) for c in self.children])
 
     def label(self) -> str:
-        return type(self).__name__
-
-
-class ScanOp(PhysicalOperator):
-    """Scan of literal rows (a :class:`~repro.sql.logical.LogicalValues`)."""
-
-    def __init__(self, schema: PlanSchema, rows: Sequence[tuple], table_name: str, binding: str):
-        super().__init__(schema)
-        self._rows = rows
-        self.table_name = table_name
-        self.binding = binding
-
-    def execute(self, context: ExecutionContext) -> Iterator[tuple]:
-        with context.timed("other"):
-            materialized = list(self._rows)
-        yield from materialized
-
-    def label(self) -> str:
-        return f"TableScan[{self.table_name} AS {self.binding}]"
+        raise NotImplementedError
 
 
 class TableScanOp(PhysicalOperator):
@@ -129,7 +126,7 @@ class TableScanOp(PhysicalOperator):
                 materialized = [table[position].values for position in positions]
         yield from materialized
 
-    def pretty(self, indent: int = 0) -> str:
+    def pretty(self, indent: int = 0, note: Note = no_note) -> str:
         scan = f"TableScan[{self.table.name} AS {self.binding}]"
         if self.where is None:
             return "  " * indent + scan
@@ -156,7 +153,7 @@ class FilterOp(PhysicalOperator):
                 yield row
 
     def label(self) -> str:
-        return f"Filter[{self.description}]" if self.description else "Filter"
+        return f"Filter[{self.description}]"
 
 
 class HashJoinOp(PhysicalOperator):
@@ -168,15 +165,13 @@ class HashJoinOp(PhysicalOperator):
         right: PhysicalOperator,
         left_key: Callable[[tuple], Any],
         right_key: Callable[[tuple], Any],
-        residual: Optional[Callable[[tuple], bool]] = None,
-        description: str = "",
+        description: str,
     ):
         super().__init__(left.schema + right.schema)
         self.left = left
         self.right = right
         self.left_key = left_key
         self.right_key = right_key
-        self.residual = residual
         self.description = description
 
     @property
@@ -190,24 +185,27 @@ class HashJoinOp(PhysicalOperator):
             if key is None:
                 continue
             buckets.setdefault(key, []).append(row)
-        residual = self.residual
         for left_row in self.left.execute(context):
             key = self.left_key(left_row)
             if key is None:
                 continue
             for right_row in buckets.get(key, ()):
-                combined = left_row + right_row
-                if residual is None or residual(combined):
-                    yield combined
+                yield left_row + right_row
 
     def label(self) -> str:
-        return f"HashJoin[{self.description}]" if self.description else "HashJoin"
+        return f"HashJoin[{self.description}]"
 
 
 class NestedLoopJoinOp(PhysicalOperator):
     """Fallback join for non-equi conditions."""
 
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator, predicate: Callable[[tuple], bool], description: str = ""):
+    def __init__(
+        self,
+        left: PhysicalOperator,
+        right: PhysicalOperator,
+        predicate: Callable[[tuple], bool],
+        description: str,
+    ):
         super().__init__(left.schema + right.schema)
         self.left = left
         self.right = right
@@ -228,16 +226,24 @@ class NestedLoopJoinOp(PhysicalOperator):
                     yield combined
 
     def label(self) -> str:
-        return f"NestedLoopJoin[{self.description}]" if self.description else "NestedLoopJoin"
+        return f"NestedLoopJoin[{self.description}]"
 
 
 class ProjectOp(PhysicalOperator):
-    """Expression projection to the output schema."""
+    """Expression projection to the output schema; ``description`` is the
+    select list as written."""
 
-    def __init__(self, child: PhysicalOperator, schema: PlanSchema, evaluators: Sequence[Callable[[tuple], Any]]):
+    def __init__(
+        self,
+        child: PhysicalOperator,
+        schema: PlanSchema,
+        evaluators: Sequence[Callable[[tuple], Any]],
+        description: str,
+    ):
         super().__init__(schema)
         self.child = child
         self.evaluators = list(evaluators)
+        self.description = description
 
     @property
     def children(self) -> Tuple[PhysicalOperator, ...]:
@@ -249,7 +255,7 @@ class ProjectOp(PhysicalOperator):
             yield tuple(fn(row) for fn in evaluators)
 
     def label(self) -> str:
-        return "Project[" + ", ".join(str(f) for f in self.schema) + "]"
+        return f"Project[{self.description}]"
 
 
 class HashAggregateOp(PhysicalOperator):
@@ -257,6 +263,7 @@ class HashAggregateOp(PhysicalOperator):
 
     ``output_plan`` describes each output column: ``("key", i)`` takes
     the i-th group-key value, ``("agg", i)`` the i-th aggregate result.
+    ``description`` is the select list and GROUP BY keys as written.
     """
 
     def __init__(
@@ -266,12 +273,14 @@ class HashAggregateOp(PhysicalOperator):
         key_fns: Sequence[Callable[[tuple], Any]],
         calls,
         output_plan: Sequence[Tuple[str, int]],
+        description: str,
     ):
         super().__init__(schema)
         self.child = child
         self.key_fns = list(key_fns)
         self.calls = list(calls)
         self.output_plan = list(output_plan)
+        self.description = description
 
     @property
     def children(self) -> Tuple[PhysicalOperator, ...]:
@@ -288,16 +297,23 @@ class HashAggregateOp(PhysicalOperator):
             yield tuple(out)
 
     def label(self) -> str:
-        return "HashAggregate[" + ", ".join(str(f) for f in self.schema) + "]"
+        return f"Aggregate[{self.description}]"
 
 
 class SortOp(PhysicalOperator):
-    """ORDER BY with None-last semantics per key."""
+    """ORDER BY with None-first semantics per key; ``description`` is the
+    ORDER BY list as written."""
 
-    def __init__(self, child: PhysicalOperator, keys: Sequence[Tuple[Callable[[tuple], Any], bool]]):
+    def __init__(
+        self,
+        child: PhysicalOperator,
+        keys: Sequence[Tuple[Callable[[tuple], Any], bool]],
+        description: str,
+    ):
         super().__init__(child.schema)
         self.child = child
         self.keys = list(keys)
+        self.description = description
 
     @property
     def children(self) -> Tuple[PhysicalOperator, ...]:
@@ -312,6 +328,9 @@ class SortOp(PhysicalOperator):
                 reverse=not ascending,
             )
         yield from rows
+
+    def label(self) -> str:
+        return f"Sort[{self.description}]"
 
 
 def _sort_key(value: Any) -> tuple:
@@ -366,3 +385,6 @@ class DistinctOp(PhysicalOperator):
             if row not in seen:
                 seen.add(row)
                 yield row
+
+    def label(self) -> str:
+        return "Distinct"

@@ -1,17 +1,18 @@
 """Relational (non-ER) query planning.
 
-Converts a parsed :class:`~repro.sql.ast.SelectQuery` into a logical plan
-with the standard heuristics the paper assumes as its starting point
-(§7.2.1: "the best non ER-enabled query plan ... is given"): filters are
-pushed to the scans they reference, joins are left-deep in FROM-clause
-order, projection sits at the root.  A second pass lowers the logical
-plan to volcano physical operators.
+Converts a parsed :class:`~repro.sql.ast.SelectQuery` into a tree of
+volcano operators (:mod:`repro.sql.physical`) with the standard
+heuristics the paper assumes as its starting point (§7.2.1: "the best
+non ER-enabled query plan ... is given"): filters are pushed to the
+scans they reference, joins are left-deep in FROM-clause order,
+projection sits at the root.  Expressions are compiled as the tree is
+built, so the engine caches the tree and runs it as it is.
 
 Two parts serve ``SELECT DEDUP`` too: :func:`resolve_bindings` checks
 the table bindings of every statement, and
 :meth:`RelationalPlanner.tail` (Aggregate or Project, Distinct, Sort,
-Limit) ends every statement — a DEDUP one over its Group-Entities
-tuples (:class:`~repro.sql.logical.LogicalValues`).
+Limit) ends every statement — a DEDUP one over its Group-Entities leaf
+(:class:`~repro.core.planner.GroupEntitiesOp`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.sql import ast
+from repro.sql.aggregates import aggregate_argument, contains_aggregate, is_aggregate_call
 from repro.sql.expressions import (
     column_refs,
     compile_expression,
@@ -27,29 +29,19 @@ from repro.sql.expressions import (
     conjoin,
     conjuncts,
 )
-from repro.sql.logical import (
-    LogicalDistinct,
-    LogicalFilter,
-    LogicalJoin,
-    LogicalLimit,
-    LogicalPlan,
-    LogicalProject,
-    LogicalScan,
-    LogicalSort,
-    LogicalValues,
-)
 from repro.sql.physical import (
     DistinctOp,
     FilterOp,
+    HashAggregateOp,
     HashJoinOp,
     LimitOp,
     NestedLoopJoinOp,
     PhysicalOperator,
     ProjectOp,
-    ScanOp,
     SortOp,
     TableScanOp,
 )
+from repro.sql.schema import output_schema, schema_for_table
 from repro.storage.catalog import Catalog
 
 
@@ -141,55 +133,87 @@ def resolve_bindings(
 
 
 class RelationalPlanner:
-    """AST → logical plan → physical plan against a table catalog."""
+    """AST → operator tree against a table catalog."""
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
 
-    # -- logical planning -------------------------------------------------
-    def logical_plan(self, query: ast.SelectQuery) -> LogicalPlan:
-        """Build the pushed-down, left-deep logical plan for *query*."""
+    def plan(self, query: ast.SelectQuery) -> PhysicalOperator:
+        """The operator tree of a plain SELECT: pushed-down scans,
+        left-deep joins, the residual, then :meth:`tail`."""
         return self.tail(self._from_where(query), query)
 
-    def _from_where(self, query: ast.SelectQuery) -> LogicalPlan:
-        """FROM, WHERE and JOIN: filters pushed to their scans, joins
-        left-deep in FROM order, cross-table conjuncts above the joins."""
+    def _from_where(self, query: ast.SelectQuery) -> PhysicalOperator:
+        """FROM, WHERE and JOIN: each single-table WHERE compiled to a
+        column mask on its scan, joins left-deep in FROM order (a hash
+        join on a two-table equality, else a nested loop), cross-table
+        conjuncts in a filter above them."""
         refs = (query.table, *(j.table for j in query.joins))
         tables = [self.catalog.get(ref.name) for ref in refs]
         resolution = resolve_bindings(query, [[c.name for c in t.schema] for t in tables])
-        scans: List[LogicalPlan] = []
+        scans: List[PhysicalOperator] = []
         for ref, table, exprs in zip(refs, tables, resolution.filters):
-            scan: LogicalPlan = LogicalScan(table, ref.binding)
+            schema = schema_for_table(table, ref.binding)
             condition = conjoin(exprs)
-            scans.append(scan if condition is None else LogicalFilter(scan, condition))
+            if condition is None:
+                scans.append(TableScanOp(schema, table, ref.binding))
+            else:
+                where = compile_mask(condition, schema)
+                scans.append(TableScanOp(schema, table, ref.binding, where, str(condition)))
 
         plan = scans[0]
-        for join, scan in zip(query.joins, scans[1:]):
-            plan = LogicalJoin(plan, scan, join.condition, join.join_type)
+        for join, scan, owners in zip(query.joins, scans[1:], resolution.join_owners):
+            plan = self._join(plan, scan, join, owners)
         residual = conjoin(resolution.residual)
-        return plan if residual is None else LogicalFilter(plan, residual)
+        if residual is None:
+            return plan
+        return FilterOp(plan, compile_predicate(residual, plan.schema), str(residual))
 
-    def tail(self, child: LogicalPlan, query: ast.SelectQuery) -> LogicalPlan:
+    @staticmethod
+    def _join(
+        left: PhysicalOperator,
+        right: PhysicalOperator,
+        join: ast.JoinClause,
+        owners: Dict[ast.ColumnRef, str],
+    ) -> PhysicalOperator:
+        """A hash join when the condition equates a column of the joined
+        table with one of the tables before it (*owners*, from
+        :func:`resolve_bindings`), else a nested-loop join."""
+        condition = join.condition
+        keys = equi_join_keys(condition)
+        binding = join.table.binding.lower()
+        if keys is not None and [owners[ref] == binding for ref in keys].count(True) == 1:
+            left_ref, right_ref = keys if owners[keys[1]] == binding else keys[::-1]
+            return HashJoinOp(
+                left,
+                right,
+                _normalized_key(compile_expression(left_ref, left.schema)),
+                _normalized_key(compile_expression(right_ref, right.schema)),
+                str(condition),
+            )
+        predicate = compile_predicate(condition, left.schema + right.schema)
+        return NestedLoopJoinOp(left, right, predicate, str(condition))
+
+    def tail(self, child: PhysicalOperator, query: ast.SelectQuery) -> PhysicalOperator:
         """Aggregate or Project, then Distinct, Sort and Limit over *child* —
         the end of every SELECT, relational or DEDUP (whose *child* is the
-        Group-Entities output)."""
+        Group-Entities leaf)."""
         if self._is_aggregation(query):
             plan = self._aggregate(child, query)
         else:
             plan = self._project(child, query)
         if query.distinct:
-            plan = LogicalDistinct(plan)
+            plan = DistinctOp(plan)
         if query.order_by:
             # ORDER BY refers to projected names; resolve after projection.
-            plan = LogicalSort(plan, [(o.expr, o.ascending) for o in query.order_by])
+            keys = [(compile_expression(o.expr, plan.schema), o.ascending) for o in query.order_by]
+            plan = SortOp(plan, keys, ", ".join(str(o) for o in query.order_by))
         if query.limit is not None:
-            plan = LogicalLimit(plan, query.limit)
+            plan = LimitOp(plan, query.limit)
         return plan
 
     @staticmethod
     def _is_aggregation(query: ast.SelectQuery) -> bool:
-        from repro.sql.aggregates import contains_aggregate
-
         if query.group_by:
             return True
         return any(
@@ -197,9 +221,8 @@ class RelationalPlanner:
             for item in query.items
         )
 
-    def _aggregate(self, plan: LogicalPlan, query: ast.SelectQuery) -> LogicalPlan:
-        from repro.sql.aggregates import is_aggregate_call
-
+    @staticmethod
+    def _aggregate(child: PhysicalOperator, query: ast.SelectQuery) -> PhysicalOperator:
         group_strings = [str(g).lower() for g in query.group_by]
         items: List[Tuple[str, ast.Expr]] = []
         for index, item in enumerate(query.items):
@@ -215,122 +238,46 @@ class RelationalPlanner:
                     )
                 name = item.alias or _default_name(expr, index)
             items.append((name, expr))
-        from repro.sql.logical import LogicalAggregate
+        schema = output_schema(items, child.schema)
+        calls = []
+        output_plan: List[Tuple[str, int]] = []
+        for _, expr in items:
+            if is_aggregate_call(expr):
+                argument = aggregate_argument(expr)
+                value_fn = None if argument is None else compile_expression(argument, child.schema)
+                output_plan.append(("agg", len(calls)))
+                calls.append((expr, value_fn))
+            else:
+                output_plan.append(("key", group_strings.index(str(expr).lower())))
+        key_fns = [compile_expression(g, child.schema) for g in query.group_by]
+        keys = ", ".join(str(g) for g in query.group_by) or "()"
+        description = f"{_select_list(query)} BY {keys}"
+        return HashAggregateOp(child, schema, key_fns, calls, output_plan, description)
 
-        return LogicalAggregate(plan, items, query.group_by)
-
-    def _project(self, plan: LogicalPlan, query: ast.SelectQuery) -> LogicalPlan:
+    @staticmethod
+    def _project(child: PhysicalOperator, query: ast.SelectQuery) -> PhysicalOperator:
         items: List[Tuple[str, ast.Expr]] = []
         for item in query.items:
             if isinstance(item.expr, ast.Star):
                 qualifier = item.expr.qualifier
-                for field in plan.schema:
+                for field in child.schema:
                     if qualifier is None or field.qualifier.lower() == qualifier.lower():
                         items.append((field.name, ast.ColumnRef(field.name, field.qualifier)))
                 if qualifier is not None and not any(
-                    f.qualifier.lower() == qualifier.lower() for f in plan.schema
+                    f.qualifier.lower() == qualifier.lower() for f in child.schema
                 ):
                     raise PlanningError(f"unknown table alias {qualifier!r} in select list")
             else:
                 name = item.alias or _default_name(item.expr, len(items))
                 items.append((name, item.expr))
-        return LogicalProject(plan, items)
+        schema = output_schema(items, child.schema)
+        evaluators = [compile_expression(e, child.schema) for _, e in items]
+        return ProjectOp(child, schema, evaluators, _select_list(query))
 
-    # -- physical planning --------------------------------------------------
-    def physical_plan(self, plan: LogicalPlan) -> PhysicalOperator:
-        """Lower a logical plan to volcano operators."""
-        if isinstance(plan, LogicalScan):
-            return TableScanOp(plan.schema, plan.table, plan.binding)
-        if isinstance(plan, LogicalValues):
-            return ScanOp(plan.schema, plan.rows, "Values", "Values")
-        if isinstance(plan, LogicalFilter) and isinstance(plan.child, LogicalScan):
-            # A single-table WHERE: the column-mask evaluator DEDUP
-            # bindings use too.
-            scan = plan.child
-            where = compile_mask(plan.condition, scan.schema)
-            return TableScanOp(scan.schema, scan.table, scan.binding, where, str(plan.condition))
-        if isinstance(plan, LogicalFilter):
-            child = self.physical_plan(plan.child)
-            predicate = compile_predicate(plan.condition, plan.child.schema)
-            return FilterOp(child, predicate, description=str(plan.condition))
-        if isinstance(plan, LogicalJoin):
-            return self._physical_join(plan)
-        if isinstance(plan, LogicalProject):
-            child = self.physical_plan(plan.child)
-            evaluators = [compile_expression(e, plan.child.schema) for _, e in plan.items]
-            return ProjectOp(child, plan.schema, evaluators)
-        if isinstance(plan, LogicalSort):
-            child = self.physical_plan(plan.child)
-            keys = [
-                (compile_expression(expr, plan.child.schema), ascending)
-                for expr, ascending in plan.keys
-            ]
-            return SortOp(child, keys)
-        if isinstance(plan, LogicalLimit):
-            return LimitOp(self.physical_plan(plan.child), plan.count)
-        if isinstance(plan, LogicalDistinct):
-            return DistinctOp(self.physical_plan(plan.child))
-        from repro.sql.logical import LogicalAggregate
 
-        if isinstance(plan, LogicalAggregate):
-            return self._physical_aggregate(plan)
-        raise PlanningError(f"cannot lower plan node {type(plan).__name__}")
-
-    def _physical_aggregate(self, plan) -> PhysicalOperator:
-        from repro.sql.aggregates import aggregate_argument, is_aggregate_call
-        from repro.sql.physical import HashAggregateOp
-
-        child = self.physical_plan(plan.child)
-        child_schema = plan.child.schema
-        key_fns = [compile_expression(g, child_schema) for g in plan.group_by]
-        group_strings = [str(g).lower() for g in plan.group_by]
-        calls = []
-        output_plan: List[Tuple[str, int]] = []
-        for name, expr in plan.items:
-            if is_aggregate_call(expr):
-                argument = aggregate_argument(expr)
-                value_fn = (
-                    compile_expression(argument, child_schema)
-                    if argument is not None
-                    else None
-                )
-                output_plan.append(("agg", len(calls)))
-                calls.append((expr, value_fn))
-            else:
-                output_plan.append(("key", group_strings.index(str(expr).lower())))
-        return HashAggregateOp(child, plan.schema, key_fns, calls, output_plan)
-
-    def _physical_join(self, plan: LogicalJoin) -> PhysicalOperator:
-        left = self.physical_plan(plan.left)
-        right = self.physical_plan(plan.right)
-        keys = equi_join_keys(plan.condition)
-        if keys is not None:
-            left_key, right_key = self._orient_keys(plan, keys)
-            if left_key is not None and right_key is not None:
-                return HashJoinOp(
-                    left,
-                    right,
-                    left_key,
-                    right_key,
-                    description=str(plan.condition),
-                )
-        predicate = compile_predicate(plan.condition, plan.schema)
-        return NestedLoopJoinOp(left, right, predicate, description=str(plan.condition))
-
-    def _orient_keys(
-        self, plan: LogicalJoin, keys: Tuple[ast.ColumnRef, ast.ColumnRef]
-    ) -> Tuple[Optional[Callable], Optional[Callable]]:
-        """Figure out which key column belongs to which join side."""
-        first, second = keys
-        for candidate in ((first, second), (second, first)):
-            left_ref, right_ref = candidate
-            try:
-                left_fn = compile_expression(left_ref, plan.left.schema)
-                right_fn = compile_expression(right_ref, plan.right.schema)
-                return _normalized_key(left_fn), _normalized_key(right_fn)
-            except Exception:
-                continue
-        return None, None
+def _select_list(query: ast.SelectQuery) -> str:
+    """The select list as written — the Project and Aggregate labels."""
+    return ", ".join(str(item) for item in query.items)
 
 
 def _normalized_key(fn: Callable) -> Callable:

@@ -6,7 +6,7 @@ from repro.core.engine import QueryEREngine
 from repro.core.planner import DedupPlanningError, ExecutionMode
 from repro.datagen import generate_organizations, generate_people, generate_projects
 from repro.er.meta_blocking import MetaBlockingConfig
-from repro.sql.logical import SchemaResolutionError
+from repro.sql.schema import SchemaResolutionError
 from repro.sql.planner import PlanningError
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.engine import QueryEREngine
 from repro.datagen import generate_people
-from repro.sql.logical import SchemaResolutionError
+from repro.sql.schema import SchemaResolutionError
 from repro.sql.physical import _sort_key
 
 PREFIXES = pytest.mark.parametrize("prefix", ["SELECT", "SELECT DEDUP"])
@@ -77,7 +77,7 @@ def test_order_by_a_name_two_output_columns_share_raises(engine, prefix):
     ids=["order-by", "select-list"],
 )
 def test_an_unknown_tail_column_fails_before_any_er_work(sql):
-    """The tail is lowered at planning time: the statement raises before
+    """The tail is built at planning time: the statement raises before
     Deduplicate resolves an entity or writes a link."""
     people, _ = generate_people(300, seed=7)
     engine = QueryEREngine()

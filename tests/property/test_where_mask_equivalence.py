@@ -36,7 +36,7 @@ from repro.incremental import IngestError
 from repro.resilience import FaultPlan, clear_plan, install_plan
 from repro.sql import ast, expressions
 from repro.sql.expressions import compile_mask, compile_predicate
-from repro.sql.logical import schema_for_table
+from repro.sql.schema import schema_for_table
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
 

@@ -1,5 +1,9 @@
 """Unit tests for the plan cache and EXPLAIN."""
 
+import gc
+import re
+import weakref
+
 import pytest
 
 from repro.core.engine import PLAN_CACHE_SIZE, QueryEREngine
@@ -9,6 +13,8 @@ from repro.datagen import generate_organizations, generate_people, generate_proj
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.core.statistics import ComparisonEstimator
 from repro.sql.parser import parse
+from repro.sql.physical import PhysicalOperator
+from repro.sql.planner import RelationalPlanner
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -233,13 +239,18 @@ class TestExplainStatement:
         assert "comparisons: estimated=n/a" not in text
         assert "stage " in text  # per-stage actual timings
 
-    def test_explain_relational_shows_the_logical_plan(self, mb_none_engine):
+    def test_explain_relational_shows_the_operator_tree(self, mb_none_engine):
         text = mb_none_engine.execute(
             "EXPLAIN SELECT PPL.surname, OAO.name FROM PPL "
             "JOIN OAO ON PPL.organisation = OAO.name"
         ).plan_description
-        assert text.startswith("-- plan: relational")
-        assert "Join" in text and "TableScan" in text
+        assert text.splitlines() == [
+            "-- plan: relational",
+            "Project[PPL.surname, OAO.name]",
+            "  HashJoin[(PPL.organisation = OAO.name)]",
+            "    TableScan[PPL AS PPL]",
+            "    TableScan[OAO AS OAO]",
+        ]
 
     def test_explain_insert_describes_without_mutating(self, mb_none_engine):
         epoch = mb_none_engine.epoch_of("OAO")
@@ -264,3 +275,180 @@ class TestExplainStatement:
         plan = mb_none_engine.plan_for(TWO_WAY, ExecutionMode.AES)
         assert set(plan.estimates) == {"PPL", "OAO"}
         assert plan.clean_first in plan.estimates
+
+
+# -- one operator tree -------------------------------------------------------
+
+
+DEDUP_NSW = "SELECT DEDUP surname FROM PPL WHERE state = 'nsw'"
+
+
+class TestDedupExplainShowsTheTail:
+    """A DEDUP statement's EXPLAIN prints the tail that runs above
+    Group-Entities, clause by clause."""
+
+    def _head(self, engine, sql, count):
+        lines = engine.explain(sql).splitlines()
+        assert lines[0] == "-- plan: dedup (mode=aes)"
+        return lines[1 : 1 + count]
+
+    def test_order_by(self, mb_none_engine):
+        assert self._head(mb_none_engine, DEDUP_NSW + " ORDER BY surname", 3) == [
+            "Sort[surname ASC]",
+            "  Project[surname]",
+            "    GroupEntities",
+        ]
+
+    def test_limit(self, mb_none_engine):
+        assert self._head(mb_none_engine, DEDUP_NSW + " LIMIT 2", 3) == [
+            "Limit[2]",
+            "  Project[surname]",
+            "    GroupEntities",
+        ]
+
+    def test_distinct(self, mb_none_engine):
+        sql = DEDUP_NSW.replace("DEDUP", "DEDUP DISTINCT")
+        assert self._head(mb_none_engine, sql, 3) == [
+            "Distinct",
+            "  Project[surname]",
+            "    GroupEntities",
+        ]
+
+    def test_group_by(self, mb_none_engine):
+        sql = "SELECT DEDUP state, COUNT(*) AS n FROM PPL GROUP BY state"
+        assert self._head(mb_none_engine, sql, 2) == [
+            "Aggregate[state, COUNT(*) AS n BY state]",
+            "  GroupEntities",
+        ]
+
+
+def _operator_class_names():
+    names, stack = set(), [PhysicalOperator]
+    while stack:
+        cls = stack.pop()
+        names.add(cls.__name__)
+        stack.extend(cls.__subclasses__())
+    return names
+
+
+def _without_annotations(lines):
+    return [re.sub(r" \{[^}]*\}$", "", line) for line in lines]
+
+
+RELATIONAL = [
+    "SELECT PPL.surname, OAO.name FROM PPL JOIN OAO ON PPL.organisation = OAO.name "
+    "WHERE PPL.state = 'nsw'",
+    "SELECT PPL.surname FROM PPL JOIN OAO ON PPL.organisation = OAO.name "
+    "WHERE PPL.surname = OAO.name",
+    "SELECT PPL.surname FROM PPL JOIN OAO ON PPL.organisation > OAO.name LIMIT 3",
+    "SELECT state, COUNT(*) AS n FROM PPL GROUP BY state ORDER BY n DESC LIMIT 3",
+    "SELECT COUNT(*) FROM PPL",
+    "SELECT DISTINCT surname FROM PPL ORDER BY surname LIMIT 5",
+    "SELECT * FROM OAO",
+]
+
+
+class TestOneRendering:
+    """``EXPLAIN``, ``EXPLAIN ANALYZE`` and ``plan_description`` print the
+    one cached tree."""
+
+    @pytest.mark.parametrize("sql", RELATIONAL)
+    def test_relational_explain_is_the_plan_description(self, mb_none_engine, sql):
+        description = mb_none_engine.execute(sql).plan_description
+        lines = mb_none_engine.explain(sql).splitlines()
+        assert lines[0] == "-- plan: relational"
+        assert "\n".join(lines[1:]) == description
+        analyzed = mb_none_engine.execute("EXPLAIN ANALYZE " + sql).plan_description
+        assert analyzed.splitlines()[: len(lines)] == lines
+        classes = _operator_class_names()
+        assert not [line for line in lines if line.strip() in classes]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            DEDUP_NSW + " ORDER BY surname LIMIT 2",
+            "SELECT DEDUP state, COUNT(*) AS n FROM PPL GROUP BY state",
+            TWO_WAY,
+        ],
+    )
+    def test_dedup_explain_is_the_plan_description(self, sql):
+        engine = _three_table_engine()
+        lines = engine.explain(sql).splitlines()
+        description = engine.execute(sql).plan_description
+        assert "\n".join(_without_annotations(lines[1:])) == description
+        classes = _operator_class_names()
+        assert not [line for line in lines if line.strip() in classes]
+
+
+def _count_builds(monkeypatch):
+    """Count tail builds and operator constructions from now on."""
+    counts = {"tails": 0, "operators": 0}
+    tail, init = RelationalPlanner.tail, PhysicalOperator.__init__
+
+    def counting_tail(self, child, query):
+        counts["tails"] += 1
+        return tail(self, child, query)
+
+    def counting_init(self, schema):
+        counts["operators"] += 1
+        init(self, schema)
+
+    monkeypatch.setattr(RelationalPlanner, "tail", counting_tail)
+    monkeypatch.setattr(PhysicalOperator, "__init__", counting_init)
+    return counts
+
+
+class TestTreeBuiltOncePerPlan:
+    @pytest.mark.parametrize(
+        "sql", [DEDUP_NSW + " ORDER BY surname", "SELECT surname FROM PPL ORDER BY surname"]
+    )
+    def test_first_issue_builds_the_tail_once_and_a_reissue_builds_nothing(
+        self, monkeypatch, sql
+    ):
+        engine = _three_table_engine()
+        counts = _count_builds(monkeypatch)
+        first = engine.execute(sql)
+        assert counts["tails"] == 1 and counts["operators"] > 0
+        counts.update(tails=0, operators=0)
+        second = engine.execute(sql)
+        assert counts == {"tails": 0, "operators": 0}
+        assert second.rows == first.rows
+
+    @pytest.mark.parametrize("sql", [DEDUP_NSW, "SELECT surname FROM PPL WHERE state = 'nsw'"])
+    def test_only_an_insert_into_the_statements_table_rebuilds(self, monkeypatch, sql):
+        engine = _three_table_engine()
+        engine.execute(sql)
+        counts = _count_builds(monkeypatch)
+        org = list(engine.index_of("OAO").table[0].values)
+        org[0] = 990001
+        engine.insert("OAO", [org])
+        engine.execute(sql)
+        assert counts == {"tails": 0, "operators": 0}
+        person = list(engine.index_of("PPL").table[0].values)
+        person[0] = 990002
+        engine.insert("PPL", [person])
+        engine.execute(sql)
+        engine.execute(sql)
+        assert counts["tails"] == 1
+
+    def test_a_cached_dedup_plan_holds_no_grouped_rows(self, monkeypatch):
+        engine = _three_table_engine()
+        executor = engine._executor
+        group = executor._group
+        produced = []
+
+        class Rows(list):
+            """A list that takes weak references."""
+
+        def recording(state):
+            rows = Rows(group(state))
+            produced.append(weakref.ref(rows))
+            return rows
+
+        monkeypatch.setattr(executor, "_group", recording)
+        sql = TWO_WAY + " ORDER BY PPL.surname LIMIT 5"
+        result = engine.execute(sql)
+        assert result.rows and len(produced) == 1
+        gc.collect()
+        assert produced[0]() is None
+        assert engine.execute(sql).rows == result.rows

@@ -13,7 +13,7 @@ from repro.sql.expressions import (
     conjuncts,
     string_literals,
 )
-from repro.sql.logical import Field, PlanSchema
+from repro.sql.schema import Field, PlanSchema
 from repro.sql.parser import parse
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -37,13 +37,13 @@ class TestColumnResolution:
         assert compile_expression(expr, SCHEMA)((1, "a", 30, "b")) == 30
 
     def test_ambiguous_raises(self):
-        from repro.sql.logical import SchemaResolutionError
+        from repro.sql.schema import SchemaResolutionError
 
         with pytest.raises(SchemaResolutionError):
             compile_expression(ast.ColumnRef("name"), SCHEMA)
 
     def test_unknown_raises(self):
-        from repro.sql.logical import SchemaResolutionError
+        from repro.sql.schema import SchemaResolutionError
 
         with pytest.raises(SchemaResolutionError):
             compile_expression(ast.ColumnRef("zzz"), SCHEMA)

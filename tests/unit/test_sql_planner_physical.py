@@ -1,16 +1,17 @@
-"""Unit tests for the relational planner and volcano operators."""
+"""Unit tests for the relational planner and volcano operators: the
+planner builds the operator tree that runs, with no intermediate plan."""
 
 import pytest
 
 from repro.sql.executor import execute_plan
-from repro.sql.logical import (
-    LogicalFilter,
-    LogicalJoin,
-    LogicalProject,
-    LogicalScan,
-)
 from repro.sql.parser import parse
-from repro.sql.physical import ExecutionContext, HashJoinOp, NestedLoopJoinOp
+from repro.sql.physical import (
+    ExecutionContext,
+    FilterOp,
+    HashJoinOp,
+    ProjectOp,
+    TableScanOp,
+)
 from repro.sql.planner import PlanningError, RelationalPlanner
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, ColumnType, Schema
@@ -43,56 +44,60 @@ def planner(catalog):
 
 
 def run(planner, sql):
-    plan = planner.logical_plan(parse(sql))
-    return execute_plan(planner.physical_plan(plan))
+    return execute_plan(planner.plan(parse(sql)))
 
 
-class TestLogicalPlanning:
+class TestPlanning:
     def test_filter_pushed_below_join(self, planner):
-        plan = planner.logical_plan(
+        plan = planner.plan(
             parse("SELECT name FROM emp JOIN dept ON emp.dept = dept.id WHERE emp.name = 'ann'")
         )
-        join = plan.child  # Project → Join
-        assert isinstance(join, LogicalJoin)
-        assert isinstance(join.left, LogicalFilter)
-        assert isinstance(join.left.child, LogicalScan)
+        join = plan.child  # Project → HashJoin
+        assert isinstance(join, HashJoinOp)
+        assert isinstance(join.left, TableScanOp)
+        assert join.left.where is not None  # the mask rides on the scan
+        assert join.right.where is None
 
     def test_cross_table_conjunct_stays_above_join(self, planner):
-        plan = planner.logical_plan(
+        plan = planner.plan(
             parse(
                 "SELECT name FROM emp JOIN dept ON emp.dept = dept.id "
                 "WHERE emp.name = dept.label"
             )
         )
-        assert isinstance(plan.child, LogicalFilter)  # residual above join
+        assert isinstance(plan.child, FilterOp)  # residual above join
+        assert isinstance(plan.child.child, HashJoinOp)
 
     def test_duplicate_binding_rejected(self, planner):
         with pytest.raises(PlanningError):
-            planner.logical_plan(parse("SELECT a FROM emp JOIN emp ON emp.id = emp.id"))
+            planner.plan(parse("SELECT a FROM emp JOIN emp ON emp.id = emp.id"))
 
     def test_unknown_alias_in_where_rejected(self, planner):
         with pytest.raises(PlanningError):
-            planner.logical_plan(parse("SELECT name FROM emp WHERE zz.name = 'x'"))
+            planner.plan(parse("SELECT name FROM emp WHERE zz.name = 'x'"))
 
     def test_ambiguous_unqualified_column_rejected(self, planner):
         with pytest.raises(PlanningError):
-            planner.logical_plan(
+            planner.plan(
                 parse("SELECT name FROM emp JOIN dept ON emp.dept = dept.id WHERE id = 1")
             )
 
     def test_star_expansion(self, planner):
-        plan = planner.logical_plan(parse("SELECT * FROM emp"))
-        assert isinstance(plan, LogicalProject)
+        plan = planner.plan(parse("SELECT * FROM emp"))
+        assert isinstance(plan, ProjectOp)
         assert [f.name for f in plan.schema] == ["id", "name", "dept"]
 
     def test_qualified_star_unknown_alias_rejected(self, planner):
         with pytest.raises(PlanningError):
-            planner.logical_plan(parse("SELECT zz.* FROM emp"))
+            planner.plan(parse("SELECT zz.* FROM emp"))
 
     def test_pretty_renders_tree(self, planner):
-        plan = planner.logical_plan(parse("SELECT name FROM emp WHERE id = 1"))
-        text = plan.pretty()
-        assert "Project" in text and "Filter" in text and "TableScan" in text
+        plan = planner.plan(parse("SELECT name FROM emp WHERE id = 1"))
+        assert plan.pretty().splitlines() == [
+            "Project[name]",
+            "  Filter[(id = 1)]",
+            "    TableScan[emp AS emp]",
+        ]
 
 
 class TestExecution:
@@ -164,12 +169,33 @@ class TestExecution:
 
 class TestOperators:
     def test_nested_loop_join_for_non_equi(self, planner):
-        plan = planner.logical_plan(
-            parse("SELECT emp.name FROM emp JOIN dept ON emp.id > dept.label")
+        plan = planner.plan(parse("SELECT emp.name FROM emp JOIN dept ON emp.id > dept.label"))
+        assert "NestedLoopJoin[(emp.id > dept.label)]" in plan.pretty()
+
+    def test_equi_join_keys_oriented_by_binding(self, planner):
+        """A condition naming the joined table first still hashes on the
+        right columns of each side."""
+        result = run(
+            planner,
+            "SELECT emp.name, dept.label FROM emp JOIN dept ON dept.id = emp.dept",
         )
-        physical = planner.physical_plan(plan)
-        labels = physical.pretty()
-        assert "NestedLoopJoin" in labels
+        assert sorted(result.rows) == [
+            ("ann", "engineering"),
+            ("bob", "sales"),
+            ("cyd", "engineering"),
+        ]
+
+    def test_a_tree_runs_twice_to_the_same_rows(self, planner):
+        """Operators keep their per-run state local: a cached tree reruns."""
+        plan = planner.plan(
+            parse(
+                "SELECT DISTINCT dept.label FROM emp JOIN dept ON emp.dept = dept.id "
+                "ORDER BY label LIMIT 5"
+            )
+        )
+        first = execute_plan(plan).rows
+        assert first == [("engineering",), ("sales",)]
+        assert execute_plan(plan).rows == first
 
     def test_execution_context_timers(self):
         context = ExecutionContext()
