@@ -9,7 +9,8 @@ Two refinements beyond the pseudocode, both paper-faithful:
 
 * Entities already *resolved* in the Link Index are skipped entirely;
   their duplicates come straight from LI (§6.1: LI "is crucial to the
-  efficiency of our approach").
+  efficiency of our approach"): each one's cluster is read in place,
+  once per cluster, and joined into the result as a component.
 * Newly discovered duplicates are fed back as a new frontier until a
   fixpoint, so the clusters DR_E carries equal the Batch Approach's
   clusters — the DQ-Correctness guarantee of §5/§6.1 made operational.
@@ -88,13 +89,18 @@ class DeduplicateOperator:
         query_set: Set[Any] = set(query_ids)
         links = LinkSet()
         link_index = self.index.link_index
+        # Resolved entities whose Link Index cluster this call read, and
+        # the Link Index roots of those clusters.
+        read: List[Any] = []
+        roots: Set[Any] = set()
 
-        # Entities a previous query resolved: read their links from LI.
+        # Entities a previous query resolved: read their clusters from LI.
         if self.use_link_index:
             resolved = link_index.resolved_subset(query_set)
             stats.skipped_resolved = len(resolved)
             for entity_id in resolved:
-                self._add_cluster(links, entity_id)
+                self._read_cluster(links, entity_id, roots)
+            read.extend(resolved)
         else:
             resolved = set()
 
@@ -109,13 +115,14 @@ class DeduplicateOperator:
             processed.update(frontier)
             # Newly discovered duplicates become the next frontier —
             # except those already processed or resolved in LI (whose
-            # clusters we already pulled in).
+            # clusters we already read).
             next_frontier = set()
             for entity_id in newly_found:
                 if entity_id in processed:
                     continue
                 if self.use_link_index and link_index.is_resolved(entity_id):
-                    self._add_cluster(links, entity_id)
+                    self._read_cluster(links, entity_id, roots)
+                    read.append(entity_id)
                     processed.add(entity_id)
                     continue
                 next_frontier.add(entity_id)
@@ -126,7 +133,7 @@ class DeduplicateOperator:
         # would answer every later query from a wrong cluster.
         if self.use_link_index:
             link_index.mark_resolved(processed - resolved)
-            link_index.add_links(links)
+            self._commit(links, read)
 
         duplicate_ids = (links.entities() | links.closure(query_set)) - query_set
         return DedupResult(self.index.table, query_set, duplicate_ids, links)
@@ -194,10 +201,16 @@ class DeduplicateOperator:
             compared.update(pairs)
         return pairs
 
-    def _add_cluster(self, links: LinkSet, entity_id: Any) -> None:
-        """Copy a resolved entity's Link Index cluster into *links*, as
-        pairs from *entity_id* to every other member (none for an
-        entity that is its own cluster)."""
-        cluster = self.index.link_index.cluster_of(entity_id)
-        if len(cluster) > 1:
-            links.add_all(entity_id, cluster)
+    def _read_cluster(self, links: LinkSet, entity_id: Any, roots: Set[Any]) -> None:
+        """Join a resolved entity's Link Index cluster into *links* as one
+        component, recording no pair; a cluster whose root is in *roots*
+        (the ones this call already read) is not read again."""
+        component = self.index.link_index.links.component(entity_id)
+        if component is not None and component[0] not in roots:
+            roots.add(component[0])
+            links.join(component[1])
+
+    def _commit(self, links: LinkSet, read: List[Any]) -> None:
+        """Add the pairs this call matched to the Link Index, and the star
+        of each resolved entity whose cluster it read (*read*)."""
+        self.index.link_index.add_links(links, stars=read)

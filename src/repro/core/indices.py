@@ -16,7 +16,8 @@
 * **Link Index (LI)** — record id → resolved duplicate cluster, amended
   with every query's findings; the engine of progressive cleaning
   (Fig 11).  Its :class:`~repro.er.linkset.LinkSet` keeps a union-find
-  member index, so a cluster read is a lookup.
+  member index, so a cluster read is a lookup, and a Deduplicate reads
+  the clusters of resolved entities in place instead of copying them.
 """
 
 from __future__ import annotations
@@ -59,11 +60,19 @@ class LinkIndex:
     Deduplicate operator can skip re-resolving entities that a previous
     query already paid for (§6.1: "we only need to compute the link-sets
     of those entities in QE that are not already in LI").
+
+    A Deduplicate reads a resolved entity's cluster in place and, when
+    it commits, has :meth:`add_links` record that entity's *star* — a
+    pair from it to every other member of the cluster it read.  Clusters
+    only grow, so a star recorded at the cluster's present size is
+    already in the pairs: ``_star_sizes`` (entity → cluster size at its
+    last star, never persisted) lets a re-issue skip it.
     """
 
     def __init__(self) -> None:
         self._links = LinkSet()
         self._resolved: Set[Any] = set()
+        self._star_sizes: Dict[Any, int] = {}
 
     @property
     def links(self) -> LinkSet:
@@ -91,8 +100,18 @@ class LinkIndex:
         self._resolved.difference_update(entity_ids)
         return before - len(self._resolved)
 
-    def add_links(self, links: Iterable[tuple]) -> None:
-        self._links.update(links)
+    def add_links(self, links: Iterable[tuple], stars: Iterable[Any] = ()) -> None:
+        """Record the pairs of *links*, after the star of each of *stars*
+        over its cluster as it stands before those pairs; a star whose
+        cluster has not grown since it was last recorded is skipped."""
+        pairs = self._links
+        sizes = self._star_sizes
+        for entity_id in stars:
+            component = pairs.component(entity_id)
+            if component is not None and sizes.get(entity_id) != len(component[1]):
+                sizes[entity_id] = len(component[1])
+                pairs.add_all(entity_id, component[1])
+        pairs.update(links)
 
     def cluster_of(self, entity_id: Any) -> Set[Any]:
         return self._links.cluster_of(entity_id)
@@ -101,6 +120,7 @@ class LinkIndex:
         """Forget everything (used to measure the no-LI configuration)."""
         self._links = LinkSet()
         self._resolved = set()
+        self._star_sizes = {}
 
     @property
     def resolved_count(self) -> int:

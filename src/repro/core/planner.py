@@ -23,7 +23,8 @@ Project, Distinct, Sort, Limit — the one every plain SELECT ends in), so
 their outputs are directly comparable — which is precisely the paper's
 DQ-Correctness requirement.  The Dedup-Join and Group-Entities work on
 clusters: the :class:`JoinState` holds one entry per combination of
-duplicate clusters, and only a cluster of two or more rows is fused.
+duplicate clusters, and only a cluster of two or more rows is fused —
+in the columns the relational tail reads (:attr:`DedupQueryPlan.read`).
 
 A statement is analysed once, by :meth:`DedupQueryPlanner.plan`: the
 bindings (checked by the relational planner's
@@ -54,6 +55,7 @@ from repro.sql import ast
 from repro.sql.expressions import (
     MaskPredicate,
     RowEvaluator,
+    column_refs,
     compile_mask,
     compile_predicate,
     conjoin,
@@ -117,7 +119,9 @@ class DedupQueryPlan:
     ``EXPLAIN`` read them from here.  ``residual_predicate`` is the
     residual compiled over ``schema``, once per plan.  ``root`` is the
     operator tree the engine runs and prints: the relational tail over
-    a :class:`GroupEntitiesOp` leaf.
+    a :class:`GroupEntitiesOp` leaf.  ``read`` holds, per binding, the
+    columns that tail reads (:func:`_read_columns`), the ones
+    Group-Entities fuses.
     """
 
     mode: ExecutionMode
@@ -129,6 +133,7 @@ class DedupQueryPlan:
     residual_predicate: RowEvaluator
     estimates: Dict[str, int] = field(default_factory=dict)
     clean_first: Optional[str] = None
+    read: "ReadColumns" = None
     root: PhysicalOperator = field(init=False, repr=False, compare=False)
 
     def explain(self) -> Tuple[List[str], int]:
@@ -332,11 +337,13 @@ class DedupQueryPlanner:
         raises before any Deduplicate runs.
         """
         infos, steps, residual = self.analyze(query)
-        schema = _output_schema(infos, steps)
+        joined = _joined_infos(infos, steps)
+        schema = _output_schema(joined)
         plan = DedupQueryPlan(
             mode, query, infos, steps, residual, schema, compile_predicate(residual, schema)
         )
         plan.root = self.relational.tail(GroupEntitiesOp(self.engine, plan), query)
+        plan.read = _read_columns(query, schema, joined)
         if steps and mode is ExecutionMode.AES:
             info_by = {i.binding.lower(): i for i in infos}
             left_info = info_by[steps[0].left_binding]
@@ -353,22 +360,45 @@ class DedupQueryPlanner:
         return plan
 
 
-def _output_schema(infos: List[BindingInfo], steps: List[JoinStep]) -> PlanSchema:
-    """The joined rows' schema: the bindings' columns in the order the
-    executor's join state binds them (the first join's left and right
-    binding, then each later join's right binding)."""
+def _joined_infos(infos: List[BindingInfo], steps: List[JoinStep]) -> List[BindingInfo]:
+    """The bindings in the order the executor's join state binds them:
+    the first join's left and right binding, then each later join's
+    right binding."""
     info_by = {info.binding.lower(): info for info in infos}
-    if steps:
-        bindings = [steps[0].left_binding] + [step.right_binding for step in steps]
-    else:
-        bindings = [infos[0].binding]
+    if not steps:
+        return infos[:1]
+    bindings = [steps[0].left_binding] + [step.right_binding for step in steps]
+    return [info_by[binding.lower()] for binding in bindings]
+
+
+def _output_schema(joined: List[BindingInfo]) -> PlanSchema:
+    """The joined rows' schema: the *joined* bindings' columns in order."""
     return PlanSchema(
-        [
-            f
-            for info in (info_by[binding.lower()] for binding in bindings)
-            for f in schema_for_table(info.index.table, info.binding)
-        ]
+        [f for info in joined for f in schema_for_table(info.index.table, info.binding)]
     )
+
+
+def _read_columns(
+    query: ast.SelectQuery, schema: PlanSchema, joined: List[BindingInfo]
+) -> ReadColumns:
+    """The columns of *schema* the relational tail of *query* reads — the
+    select list's, aggregate arguments included, and the GROUP BY keys'
+    (ORDER BY names projected columns only) — as positions within the
+    row of each of the *joined* bindings, or None when the select list
+    has a ``*``."""
+    exprs = [item.expr for item in query.items] + list(query.group_by)
+    if any(isinstance(expr, ast.Star) for expr in exprs):
+        return None
+    positions = sorted(
+        {schema.resolve(ref.name, ref.qualifier) for expr in exprs for ref in column_refs(expr)}
+    )
+    read: List[Tuple[int, ...]] = []
+    offset = 0
+    for info in joined:
+        width = len(info.index.table.schema)
+        read.append(tuple(p - offset for p in positions if offset <= p < offset + width))
+        offset += width
+    return tuple(read)
 
 
 # ===========================================================================
@@ -388,6 +418,11 @@ def _semi_join(
         for row in dirty.qe_rows()
         if row[dirty_column] is not None and join_value(row[dirty_column]) in values
     }
+
+
+#: Per binding of a joined row, in join-state order, the positions of
+#: its columns that the relational tail reads; None when it reads all.
+ReadColumns = Optional[Tuple[Tuple[int, ...], ...]]
 
 
 #: A join-state entry: per bound binding, the ``repr`` of its cluster
@@ -454,7 +489,7 @@ class DedupQueryExecutor:
         # Aggregates fold over grouped entities, so each duplicate cluster
         # contributes once (the §10 dedupe-aware aggregation).
         with context.timed("group"):
-            return self._group(state)
+            return self._group(state, plan.read)
 
     def _resolved(
         self, info: BindingInfo, mode: ExecutionMode, context: ExecutionContext
@@ -568,22 +603,26 @@ class DedupQueryExecutor:
         Each left cluster's matched right rows expand to their clusters
         (E_right); every entry of the left cluster then pairs with each
         right cluster of E_right, whose rows it holds in ``repr`` order
-        of their ids.
+        of their ids.  The right side is keyed once: a left cluster's
+        E_right is the union of the cluster keys its join values reach.
         """
         with context.timed("other"):
             position = state.binding_position(step.left_binding)
             left_column = step.left_column
+            right_column = step.right_column
 
-            right_rows = right_dr.rows()
-            right_lookup = {row.id: row for row in right_rows}
-            right_id_set = set(right_lookup)
-            right_by_value: Dict[Any, List[Row]] = {}
-            for row in right_rows:
-                value = row[step.right_column]
-                if value is None:
-                    continue
-                right_by_value.setdefault(join_value(value), []).append(row)
-            right_representative = right_dr.links.representative
+            # One pass over the right side, in ``repr`` order of ids: each
+            # cluster's rows under its key, and per join value the keys
+            # of the clusters holding it.
+            representative = right_dr.links.representative
+            rows_of: Dict[str, List[Row]] = {}
+            keys_of: Dict[Any, Set[str]] = {}
+            for row in sorted(right_dr.rows(), key=lambda row: repr(row.id)):
+                key = repr(representative(row.id))
+                rows_of.setdefault(key, []).append(row)
+                value = row[right_column]
+                if value is not None:
+                    keys_of.setdefault(join_value(value), set()).add(key)
 
             # Entries by the left binding's cluster.
             groups: Dict[str, List[Entry]] = {}
@@ -592,27 +631,18 @@ class DedupQueryExecutor:
 
             joined: List[Entry] = []
             for members in groups.values():
-                matched: Set[Any] = set()
+                matched: Set[str] = set()
                 for _, clusters in members:
                     for row in clusters[position]:
                         value = row[left_column]
-                        if value is None:
-                            continue
-                        matched.update(
-                            right_row.id
-                            for right_row in right_by_value.get(join_value(value), ())
-                        )
-                if not matched:
-                    continue
-                e_right = matched | (right_dr.links.closure(matched) & right_id_set)
-                right_clusters: Dict[str, List[Row]] = {}
-                for right_id in sorted(e_right, key=repr):
-                    right_clusters.setdefault(repr(right_representative(right_id)), []).append(
-                        right_lookup[right_id]
-                    )
+                        if value is not None:
+                            matched.update(keys_of.get(join_value(value), ()))
+                # A cluster's key is the repr of its smallest member by
+                # repr, so key order is the order of each cluster's first row.
+                right_keys = sorted(matched)
                 for keys, clusters in members:
-                    for right_key, right_cluster in right_clusters.items():
-                        joined.append((keys + (right_key,), clusters + (right_cluster,)))
+                    for right_key in right_keys:
+                        joined.append((keys + (right_key,), clusters + (rows_of[right_key],)))
 
         results = dict(state.results)
         results[right_binding] = right_dr
@@ -636,20 +666,28 @@ class DedupQueryExecutor:
         return JoinState(state.bindings, state.results, kept)
 
     @staticmethod
-    def _group(state: JoinState) -> List[tuple]:
+    def _group(state: JoinState, read: ReadColumns = None) -> List[tuple]:
         """Group-Entities: one fused tuple per entry, in key order.
 
         A binding's cluster of one row passes that row's values through
         (:func:`merge_values` of one value is that value); only clusters
         of two or more rows fuse, column by column, in first-seen order.
+        *read* (:attr:`DedupQueryPlan.read`) names, per binding, the
+        columns the tail reads: only those fuse, and the others keep the
+        cluster's first row's value.  None fuses every column.
         """
         grouped: List[tuple] = []
         for _, clusters in sorted(state.entries, key=lambda entry: entry[0]):
             fused: List[Any] = []
-            for rows in clusters:
+            for binding, rows in enumerate(clusters):
                 if len(rows) == 1:
                     fused.extend(rows[0].values)
-                else:
+                elif read is None:
                     fused.extend(merge_values(column) for column in zip(*(r.values for r in rows)))
+                else:
+                    values = list(rows[0].values)
+                    for position in read[binding]:
+                        values[position] = merge_values([row.values[position] for row in rows])
+                    fused.extend(values)
             grouped.append(tuple(fused))
         return grouped

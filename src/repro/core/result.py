@@ -31,7 +31,11 @@ class DedupResult:
         QE̅ — ids *not* evaluated by the query but duplicating some QE
         member.
     links:
-        L_E restricted to the pairs discovered/needed for this result.
+        L_E over this result: its pairs are the pairs this Deduplicate
+        matched, and the Link Index clusters it read are held as
+        components of its member index (:meth:`LinkSet.join
+        <repro.er.linkset.LinkSet.join>`), with no pairs.  Cluster reads
+        (``representative``, ``closure``, ``entities``) see both.
     """
 
     def __init__(
@@ -56,18 +60,17 @@ class DedupResult:
         return self.table.rows_of(self.entity_ids)
 
     def clusters(self) -> List[Set[Any]]:
-        """Duplicate clusters over DR_E, singletons included.
+        """Duplicate clusters over DR_E, singletons included, ordered by
+        the ``repr`` of their representative.
 
-        Every entity of DR_E appears in exactly one cluster; linked
-        entities share a cluster (transitive closure of L_E).
+        Every entity of DR_E appears in exactly one cluster; entities in
+        one component of L_E's member index share a cluster.
         """
-        from repro.er.clustering import UnionFind
-
-        forest = UnionFind(self.entity_ids)
-        for a, b in self.links:
-            if a in self.entity_ids and b in self.entity_ids:
-                forest.union(a, b)
-        return forest.groups()
+        representative = self.links.representative
+        groups: Dict[str, Set[Any]] = {}
+        for entity_id in self.entity_ids:
+            groups.setdefault(repr(representative(entity_id)), set()).add(entity_id)
+        return [groups[key] for key in sorted(groups)]
 
     def __len__(self) -> int:
         return len(self.entity_ids)

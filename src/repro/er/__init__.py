@@ -2,8 +2,8 @@
 
 Implements the batch-ER machinery the paper builds on (Papadakis et al.'s
 schema-agnostic Token Blocking and Meta-Blocking) plus the Jaro-Winkler
-kernels, the profile matcher and the match clustering used by
-Comparison-Execution.
+kernels, the profile matcher and the linksets (with their cluster
+member index) used by Comparison-Execution.
 """
 
 from repro.er.tokenizer import TokenVocabulary, tokenize_value, tokenize_entity
@@ -13,7 +13,6 @@ from repro.er.edge_pruning import BlockingGraph, WeightingScheme
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.er.similarity import jaro, jaro_fast, jaro_winkler_fast
 from repro.er.matching import ProfileMatcher, SignatureColumns, SignatureRow
-from repro.er.clustering import UnionFind, connected_components
 from repro.er.linkset import LinkSet
 from repro.er.evaluation import pair_completeness, pairs_quality, f_measure
 
@@ -35,8 +34,6 @@ __all__ = [
     "ProfileMatcher",
     "SignatureColumns",
     "SignatureRow",
-    "UnionFind",
-    "connected_components",
     "LinkSet",
     "pair_completeness",
     "pairs_quality",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Any, Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 def canonical_pair(a: Any, b: Any) -> Tuple[Any, Any]:
@@ -28,6 +28,10 @@ class LinkSet:
     member set into the larger.  Cluster reads (:meth:`cluster_of`,
     :meth:`closure`, :meth:`representative`) are therefore lookups, not
     walks over the link graph.
+
+    :meth:`join` puts a whole cluster read elsewhere (a Link Index's)
+    into one component without recording a pair, so the components can
+    be coarser than the pairs; equality and iteration see the pairs only.
     """
 
     def __init__(self, pairs: Iterable[Tuple[Any, Any]] = ()):
@@ -77,6 +81,25 @@ class LinkSet:
         self._representative.pop(root_a, None)
         self._representative.pop(root_b, None)
 
+    def join(self, members: Collection[Any]) -> None:
+        """Put all of *members* in one component, recording no pair.
+
+        When none of them is linked yet — a cluster read into a fresh
+        result — the member set is adopted in one step.
+        """
+        if len(members) < 2:
+            return
+        root_of = self._root_of
+        if root_of.keys().isdisjoint(members):
+            group = set(members)
+            root = next(iter(group))
+            root_of.update(dict.fromkeys(group, root))
+            self._members[root] = group
+            return
+        first, *rest = members
+        for member in rest:
+            self._merge(first, member)
+
     def add_all(self, entity_id: Any, others: Iterable[Any]) -> None:
         """Record that *entity_id* ≡ each of *others* (itself skipped)."""
         star = {canonical_pair(entity_id, other) for other in others if other != entity_id}
@@ -96,6 +119,15 @@ class LinkSet:
         self._pairs |= new
         for a, b in new:
             self._merge(a, b)
+
+    def component(self, entity_id: Any) -> Optional[Tuple[Any, Set[Any]]]:
+        """*entity_id*'s component as ``(root, members)`` — the member
+        index's own set, to read and not to change — or None when it
+        is in no component."""
+        root = self._root_of.get(entity_id, _UNLINKED)
+        if root is _UNLINKED:
+            return None
+        return root, self._members[root]
 
     def cluster_of(self, entity_id: Any) -> Set[Any]:
         """Transitive closure of duplicates including *entity_id* itself."""

@@ -3,9 +3,8 @@
 Every operator implements the Iterator Interface the paper names in
 §7.2.2: ``open() → iterate rows → close()``, here expressed as Python
 generators over plain value tuples.  The :class:`ExecutionContext`
-carries cross-operator state: the executed-comparison counter, per-stage
-timings, and per-binding deduplication results (linksets) that the ER
-operators deposit for Group-Entities.
+carries cross-operator state: the executed-comparison counter and
+per-stage timings.
 
 An operator tree is built once per statement and cached with its plan,
 so every operator keeps its per-run state local to :meth:`execute`.
@@ -34,15 +33,11 @@ class ExecutionContext:
     stage_times:
         Wall-clock seconds per named stage (block-join, meta-blocking,
         resolution, group, other) for the Table 6 breakdown.
-    dedup_results:
-        binding alias → :class:`~repro.core.result.DedupResult` deposited
-        by Deduplicate/Deduplicate-Join for Group-Entities to consume.
     """
 
     def __init__(self) -> None:
         self.comparisons = 0
         self.stage_times: Dict[str, float] = {}
-        self.dedup_results: Dict[str, Any] = {}
 
     def add_time(self, stage: str, seconds: float) -> None:
         self.stage_times[stage] = self.stage_times.get(stage, 0.0) + seconds

@@ -11,10 +11,15 @@ with COUNT, DISTINCT/ORDER BY/LIMIT, three-way joins in both FROM
 orders — under every execution mode and with meta-blocking off and on,
 the two engines must return the same ordered rows and run the same
 comparisons: on first issue, on re-issue, after cleared caches, after
-an ``INSERT INTO`` and with NULL join values.  Two counts pin the
-granularity itself: an all-singleton answer calls ``merge_values`` not
-once, and the state Group-Entities reads has one entry per cluster
-combination, not per row combination.
+an ``INSERT INTO`` and with NULL join values.  The product fuses only
+the columns the relational tail reads (the select list, aggregate
+arguments and GROUP BY keys; all of them under ``*`` or ``alias.*``),
+the reference every column, so an aggregate over a column that is not
+selected, a GROUP BY key that is not selected and ``alias.*`` are in
+the matrix.  Three counts pin the granularity itself: an all-singleton
+answer calls ``merge_values`` not once, a multi-row cluster calls it
+once per column the tail reads, and the state Group-Entities reads has
+one entry per cluster combination, not per row combination.
 """
 
 from __future__ import annotations
@@ -62,6 +67,14 @@ QUERIES = {
         "FROM PPL JOIN OAO ON PPL.organisation = OAO.name "
         "JOIN OAP ON OAP.organisation = OAO.name WHERE OAP.programme = 'fp7'"
     ),
+    "aggregate-unselected": (
+        f"SELECT DEDUP OAO.org_type, MIN(PPL.given_name) AS first {JOIN} "
+        "GROUP BY OAO.org_type ORDER BY OAO.org_type"
+    ),
+    "group-key-unselected": (
+        f"SELECT DEDUP COUNT(*) AS n {JOIN} GROUP BY OAO.country ORDER BY n"
+    ),
+    "alias-star": f"SELECT DEDUP PPL.*, OAO.name {JOIN} WHERE PPL.state IN ('nt', 'act')",
 }
 
 #: Join queries without a residual: their state is the full product.
@@ -160,13 +173,14 @@ def test_null_join_values_equal_row_reference(mode):
 
 # -- the granularity itself ---------------------------------------------------
 def _recording(engine):
-    """The join states *engine*'s Group-Entities reads, one per statement."""
+    """The join states *engine*'s Group-Entities reads, one per statement,
+    each with the columns the tail reads."""
     states = []
     group = engine._executor._group
 
-    def recording(state):
-        states.append(state)
-        return group(state)
+    def recording(state, read):
+        states.append((state, read))
+        return group(state, read)
 
     engine._executor._group = recording
     return states
@@ -192,7 +206,7 @@ def test_state_holds_one_entry_per_cluster_combination(mode):
     for name in PRODUCT_QUERIES:
         product.execute(QUERIES[name], mode=mode)
         reference.execute(QUERIES[name], mode=mode)
-        state, reference_state = product_states[-1], reference_states[-1]
+        (state, _), (reference_state, _) = product_states[-1], reference_states[-1]
         keys = set(
             zip(
                 *(
@@ -209,24 +223,62 @@ def test_state_holds_one_entry_per_cluster_combination(mode):
     assert collapsed > 0, "some cluster holds more than one row"
 
 
+#: Per query, the columns its tail reads, by binding in join-state order
+#: (None: every column).
+READ = {
+    "single": None,
+    "two-way": (("surname",), ("name",)),
+    "residual-or": (("surname", "state"), ("country",)),
+    "residual-compare": (("given_name",), ("name",)),
+    "select-star": None,
+    "group-count": ((), ("org_type",)),
+    "distinct-order-limit": (("state",), ("name",)),
+    "three-way": (("title",), ("name",), ("surname",)),
+    "three-way-reversed": (("surname",), ("name",), ("title",)),
+    "aggregate-unselected": (("given_name",), ("org_type",)),
+    "group-key-unselected": ((), ("country",)),
+    "alias-star": None,
+}
+
+
 def test_fuses_only_clusters_of_two_or_more_rows(monkeypatch):
+    """Only clusters of two or more rows fuse, and of those only the
+    columns the tail reads (each binding here is its table's name)."""
     engine = QueryEREngine(meta_blocking=MetaBlockingConfig.none())
     for table in _tables():
         engine.register(table)
     states = _recording(engine)
     calls = _counting_merge(monkeypatch)
+    fused_fewer = 0
     for name in QUERIES:
         before = len(calls)
         engine.execute(QUERIES[name])
-        state = states[-1]
-        expected = sum(
+        state, read = states[-1]
+        if READ[name] is None:
+            assert read is None, name
+        else:
+            names = tuple(
+                tuple(engine.index_of(binding).table.schema.names[p] for p in positions)
+                for binding, positions in zip(state.bindings, read)
+            )
+            assert names == READ[name], name
+        every = sum(
             len(cluster[0].values)
             for _, clusters in state.entries
             for cluster in clusters
             if len(cluster) > 1
         )
+        expected = sum(
+            len(cluster[0].values) if read is None else len(read[binding])
+            for _, clusters in state.entries
+            for binding, cluster in enumerate(clusters)
+            if len(cluster) > 1
+        )
         assert len(calls) - before == expected, name
+        fused_fewer += every - expected
     assert calls, "some answer fuses a duplicate cluster"
+    assert fused_fewer, "some answer leaves an unread column of a cluster unfused"
+
 
 
 def test_all_singleton_answer_calls_no_merge(monkeypatch):

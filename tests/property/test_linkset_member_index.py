@@ -2,7 +2,9 @@
 
 Random sequences of ``add`` (self-pairs and repeats included, ids mixing
 ints and strings so pair canonicalization takes its ``repr`` fallback),
-``add_all``, ``update`` and ``copy``, with ``representative`` reads
+``add_all``, ``update``, ``join`` (a whole cluster put in one component
+without a pair; the oracle links it as a chain it keeps out of the
+expected pairs) and ``copy``, with ``representative`` reads
 interleaved so a memo that outlives a merge shows; after each sequence
 every cluster read of :class:`~repro.er.linkset.LinkSet` must equal
 :class:`reference.linkset_oracle.AdjacencyLinks` fed the same pairs.
@@ -22,6 +24,7 @@ operations = st.lists(
         st.tuples(st.just("add_all"), st.tuples(ids, st.lists(ids, max_size=5))),
         st.tuples(st.just("update"), st.lists(pair, max_size=6)),
         st.tuples(st.just("update_linkset"), st.lists(pair, max_size=6)),
+        st.tuples(st.just("join"), st.lists(ids, max_size=6)),
         st.tuples(st.just("copy"), st.none()),
         st.tuples(st.just("read"), ids),
     ),
@@ -56,6 +59,10 @@ def replay(script):
             links.update(other)
             for a, b in argument:
                 record(a, b)
+        elif kind == "join":
+            links.join(set(argument))
+            for a, b in zip(argument, argument[1:]):
+                oracle.add(a, b)
         elif kind == "read":
             assert links.representative(argument) == min(
                 oracle.cluster_of(argument), key=repr
@@ -113,6 +120,18 @@ def test_representative_memo_is_dropped_on_merge():
     assert links.representative("x") == "a"
     links.add("x", "m")  # the smaller cluster is absorbed
     assert {links.representative(e) for e in "abmnpx"} == {"a"}
+
+
+def test_join_reads_as_one_cluster_without_pairs():
+    links = LinkSet([("a", "b")])
+    links.join({"c", "d", "e"})  # none linked yet: adopted whole
+    links.join({"e", "b", "f"})  # overlaps two components: merged
+    assert set(links) == {("a", "b")}
+    assert links.cluster_of("d") == set("abcdef")
+    assert links.representative("f") == "a"
+    assert links.component("zz") is None
+    root, members = links.component("c")
+    assert members == set("abcdef") and links.component("a")[0] == root
 
 
 def sorted_repr(cluster):

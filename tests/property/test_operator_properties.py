@@ -44,8 +44,8 @@ def test_deduplicate_is_idempotent(seed):
     context = ExecutionContext()
     second = operator.deduplicate(selection, context)
     assert first.entity_ids == second.entity_ids
-    # The LI answers with star-shaped links (entity → cluster members),
-    # so compare the induced clusters rather than the raw pair sets.
+    # The LI answers with its clusters read as components, without
+    # pairs, so compare the induced clusters rather than the pair sets.
     assert {frozenset(c) for c in first.clusters()} == {
         frozenset(c) for c in second.clusters()
     }

@@ -155,13 +155,14 @@ class RowJoinExecutor(DedupQueryExecutor):
         results[right_binding] = right_dr
         return RowJoinState(state.bindings + [right_binding], results, joined)
 
-    def _group(self, state: RowJoinState) -> List[tuple]:
+    def _group(self, state: RowJoinState, read: Any = None) -> List[tuple]:
         """Group-Entities: one fused tuple per cross-binding cluster key.
 
         The key is the ``repr`` of each binding's cluster representative.
         Each binding's distinct rows of a bucket are fused in first-seen
         order, which equals fusing every combo because
-        :func:`merge_values` keeps a value's first occurrence.
+        :func:`merge_values` keeps a value's first occurrence.  Every
+        column is fused, whichever of them (*read*) the tail reads.
         """
         keys = zip(
             *(

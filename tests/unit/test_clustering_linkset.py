@@ -1,54 +1,6 @@
-"""Unit tests for union-find, connected components and linksets."""
+"""Unit tests for linksets."""
 
-from repro.er.clustering import UnionFind, connected_components
 from repro.er.linkset import LinkSet, canonical_pair
-
-
-class TestUnionFind:
-    def test_singletons(self):
-        uf = UnionFind(["a", "b"])
-        assert not uf.connected("a", "b")
-
-    def test_union_connects(self):
-        uf = UnionFind()
-        uf.union("a", "b")
-        assert uf.connected("a", "b")
-
-    def test_transitivity(self):
-        uf = UnionFind()
-        uf.union("a", "b")
-        uf.union("b", "c")
-        assert uf.connected("a", "c")
-
-    def test_find_auto_registers(self):
-        uf = UnionFind()
-        assert uf.find("new") == "new"
-
-    def test_groups_include_singletons(self):
-        uf = UnionFind(["x"])
-        uf.union("a", "b")
-        groups = uf.groups()
-        assert {"x"} in groups and {"a", "b"} in groups
-
-    def test_idempotent_union(self):
-        uf = UnionFind()
-        uf.union("a", "b")
-        uf.union("a", "b")
-        assert len(uf.groups()) == 1
-
-    def test_len_counts_elements(self):
-        uf = UnionFind(["a", "b", "c"])
-        assert len(uf) == 3
-
-
-class TestConnectedComponents:
-    def test_basic(self):
-        comps = connected_components([("a", "b"), ("c", "d"), ("b", "c")])
-        assert comps == [{"a", "b", "c", "d"}]
-
-    def test_isolated_nodes(self):
-        comps = connected_components([("a", "b")], nodes=["z"])
-        assert {"z"} in comps
 
 
 class TestCanonicalPair:

@@ -440,8 +440,8 @@ class TestTreeBuiltOncePerPlan:
         class Rows(list):
             """A list that takes weak references."""
 
-        def recording(state):
-            rows = Rows(group(state))
+        def recording(state, read):
+            rows = Rows(group(state, read))
             produced.append(weakref.ref(rows))
             return rows
 
