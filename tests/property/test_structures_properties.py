@@ -33,6 +33,38 @@ class TestLinkSetProperties:
         assert len(links) == len({canonical_pair(*p) for p in valid})
 
 
+    @given(pairs)
+    def test_clusters_partition_the_linked_entities(self, edge_list):
+        links = LinkSet(p for p in edge_list if p[0] != p[1])
+        members = [e for cluster in links.clusters() for e in cluster]
+        assert len(members) == len(set(members))
+        assert set(members) == links.entities()
+        assert all(len(cluster) >= 2 for cluster in links.clusters())
+
+    @given(pairs)
+    def test_add_order_does_not_change_clusters(self, edge_list):
+        forward = LinkSet()
+        for a, b in edge_list:
+            forward.add(a, b)
+        backward = LinkSet()
+        for a, b in reversed(edge_list):
+            backward.add(b, a)
+        assert forward == backward
+        assert forward.clusters() == backward.clusters()
+        for entity in forward.entities():
+            assert forward.representative(entity) == backward.representative(entity)
+
+    @given(st.lists(st.sets(elements, max_size=6), max_size=8))
+    def test_join_order_does_not_change_clusters(self, groups):
+        forward, backward = LinkSet(), LinkSet()
+        for group in groups:
+            forward.join(group)
+        for group in reversed(groups):
+            backward.join(group)
+        assert forward.clusters() == backward.clusters()
+        assert len(forward) == len(backward) == 0
+
+
 class TestMergeValuesProperties:
     values = st.lists(st.one_of(st.none(), st.text(max_size=8)), max_size=8)
 

@@ -57,3 +57,19 @@ class TestLinkSet:
 
     def test_entities(self):
         assert LinkSet([("a", "b")]).entities() == {"a", "b"}
+
+    def test_component_of_unlinked_is_none(self):
+        assert LinkSet([("a", "b")]).component("z") is None
+
+    def test_join_of_fewer_than_two_members_records_nothing(self):
+        ls = LinkSet()
+        ls.join({"a"})
+        ls.join(set())
+        assert ls.entities() == set() and ls.component("a") is None
+
+    def test_add_after_join_records_only_the_added_pair(self):
+        ls = LinkSet()
+        ls.join({"a", "b"})
+        assert ls.add("b", "c")
+        assert set(ls) == {("b", "c")}
+        assert ls.cluster_of("a") == {"a", "b", "c"}

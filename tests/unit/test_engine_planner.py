@@ -176,6 +176,46 @@ class TestPlannerAnalysis:
         assert len(calls) == 1
 
 
+class TestReadColumns:
+    """``DedupQueryPlan.read``: per binding, in join-state order, the
+    positions of the columns the relational tail reads (L is id, name,
+    kind, ref; R is id, key, label)."""
+
+    def read(self, engine, sql):
+        return engine.plan_for(sql).read
+
+    def test_select_list_only_where_columns_not_read(self, engine):
+        assert self.read(engine, "SELECT DEDUP name FROM L WHERE kind = 'alpha'") == ((1,),)
+
+    def test_star_reads_every_column(self, engine):
+        assert self.read(engine, "SELECT DEDUP * FROM L") is None
+
+    def test_alias_star_reads_every_column(self, engine):
+        sql = "SELECT DEDUP L.*, R.label FROM L JOIN R ON L.ref = R.key"
+        assert self.read(engine, sql) is None
+
+    def test_aggregate_argument_is_read(self, engine):
+        sql = "SELECT DEDUP kind, MIN(name) AS m FROM L GROUP BY kind"
+        assert self.read(engine, sql) == ((1, 2),)
+
+    def test_group_key_not_selected_is_read(self, engine):
+        sql = "SELECT DEDUP COUNT(*) AS n FROM L GROUP BY ref"
+        assert self.read(engine, sql) == ((3,),)
+
+    def test_order_by_alias_adds_nothing(self, engine):
+        assert self.read(engine, "SELECT DEDUP name AS n FROM L ORDER BY n") == ((1,),)
+
+    def test_positions_split_per_binding_in_join_order(self, engine):
+        forward = "SELECT DEDUP L.name, R.label FROM L JOIN R ON L.ref = R.key"
+        backward = "SELECT DEDUP R.label, L.name FROM R JOIN L ON L.ref = R.key"
+        assert self.read(engine, forward) == ((1,), (2,))
+        assert self.read(engine, backward) == ((2,), (1,))
+
+    def test_binding_read_by_where_only_reads_nothing(self, engine):
+        sql = "SELECT DEDUP L.name FROM L JOIN R ON L.ref = R.key WHERE R.label = 'first'"
+        assert self.read(engine, sql) == ((1,), ())
+
+
 class TestModes:
     SQL = "SELECT DEDUP id, name FROM L WHERE kind = 'alpha'"
 

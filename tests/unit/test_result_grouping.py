@@ -62,6 +62,26 @@ class TestDedupResult:
         dr = DedupResult(table(), ["a"], [], LinkSet([("c", "d")]))
         assert dr.clusters() == [{"a"}]
 
+    def test_joined_component_is_one_cluster_without_pairs(self):
+        links = LinkSet()
+        links.join({"a", "b"})
+        dr = DedupResult(table(), ["a"], ["b"], links)
+        assert dr.clusters() == [{"a", "b"}]
+        assert len(dr.links) == 0
+
+    def test_joined_members_outside_result_are_not_listed(self):
+        links = LinkSet()
+        links.join({"a", "b", "z"})
+        dr = DedupResult(table(), ["a", "b", "c"], [], links)
+        assert dr.clusters() == [{"a", "b"}, {"c"}]
+
+    def test_pairs_and_joined_components_merge(self):
+        links = LinkSet([("b", "c")])
+        links.join({"a", "b"})
+        dr = DedupResult(table(), ["a", "d"], ["b", "c"], links)
+        assert dr.clusters() == [{"a", "b", "c"}, {"d"}]
+        assert set(dr.links) == {("b", "c")}
+
 
 class TestGroupSingle:
     """The executor's Group-Entities over one DR_E (columns id, title, year)."""
