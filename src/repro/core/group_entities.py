@@ -17,4 +17,5 @@ from repro.core.result import DedupResult
 
 def group_single(result: DedupResult) -> List[tuple]:
     """One fused tuple per cluster of *result*, in representative order."""
-    return DedupQueryExecutor._group(JoinState.initial(result.table.name, result))
+    every = (tuple(range(len(result.table.schema))),)
+    return DedupQueryExecutor._group(JoinState.initial(result.table.name, result), every)

@@ -108,6 +108,11 @@ class JoinStep:
     right_column: str
 
 
+#: Per binding of a joined row, in join-state order, the positions of
+#: its columns that the relational tail reads.
+ReadColumns = Tuple[Tuple[int, ...], ...]
+
+
 @dataclass
 class DedupQueryPlan:
     """Planner output: the analysed statement, its placements and estimates.
@@ -131,9 +136,9 @@ class DedupQueryPlan:
     residual: Optional[ast.Expr]
     schema: PlanSchema
     residual_predicate: RowEvaluator
+    read: ReadColumns
     estimates: Dict[str, int] = field(default_factory=dict)
     clean_first: Optional[str] = None
-    read: "ReadColumns" = None
     root: PhysicalOperator = field(init=False, repr=False, compare=False)
 
     def explain(self) -> Tuple[List[str], int]:
@@ -340,10 +345,16 @@ class DedupQueryPlanner:
         joined = _joined_infos(infos, steps)
         schema = _output_schema(joined)
         plan = DedupQueryPlan(
-            mode, query, infos, steps, residual, schema, compile_predicate(residual, schema)
+            mode,
+            query,
+            infos,
+            steps,
+            residual,
+            schema,
+            compile_predicate(residual, schema),
+            _read_columns(query, schema, joined),
         )
         plan.root = self.relational.tail(GroupEntitiesOp(self.engine, plan), query)
-        plan.read = _read_columns(query, schema, joined)
         if steps and mode is ExecutionMode.AES:
             info_by = {i.binding.lower(): i for i in infos}
             left_info = info_by[steps[0].left_binding]
@@ -384,19 +395,23 @@ def _read_columns(
     """The columns of *schema* the relational tail of *query* reads — the
     select list's, aggregate arguments included, and the GROUP BY keys'
     (ORDER BY names projected columns only) — as positions within the
-    row of each of the *joined* bindings, or None when the select list
-    has a ``*``."""
+    row of each of the *joined* bindings.  A ``*`` reads every column of
+    every binding, an ``alias.*`` every column of its binding."""
     exprs = [item.expr for item in query.items] + list(query.group_by)
-    if any(isinstance(expr, ast.Star) for expr in exprs):
-        return None
-    positions = sorted(
-        {schema.resolve(ref.name, ref.qualifier) for expr in exprs for ref in column_refs(expr)}
+    stars = [expr.qualifier for expr in exprs if isinstance(expr, ast.Star)]
+    positions = {
+        schema.resolve(ref.name, ref.qualifier) for expr in exprs for ref in column_refs(expr)
+    }
+    positions.update(
+        position
+        for position, f in enumerate(schema)
+        if any(q is None or f.qualifier.lower() == q.lower() for q in stars)
     )
     read: List[Tuple[int, ...]] = []
     offset = 0
     for info in joined:
         width = len(info.index.table.schema)
-        read.append(tuple(p - offset for p in positions if offset <= p < offset + width))
+        read.append(tuple(sorted(p - offset for p in positions if offset <= p < offset + width)))
         offset += width
     return tuple(read)
 
@@ -418,11 +433,6 @@ def _semi_join(
         for row in dirty.qe_rows()
         if row[dirty_column] is not None and join_value(row[dirty_column]) in values
     }
-
-
-#: Per binding of a joined row, in join-state order, the positions of
-#: its columns that the relational tail reads; None when it reads all.
-ReadColumns = Optional[Tuple[Tuple[int, ...], ...]]
 
 
 #: A join-state entry: per bound binding, the ``repr`` of its cluster
@@ -666,7 +676,7 @@ class DedupQueryExecutor:
         return JoinState(state.bindings, state.results, kept)
 
     @staticmethod
-    def _group(state: JoinState, read: ReadColumns = None) -> List[tuple]:
+    def _group(state: JoinState, read: ReadColumns) -> List[tuple]:
         """Group-Entities: one fused tuple per entry, in key order.
 
         A binding's cluster of one row passes that row's values through
@@ -674,7 +684,7 @@ class DedupQueryExecutor:
         of two or more rows fuse, column by column, in first-seen order.
         *read* (:attr:`DedupQueryPlan.read`) names, per binding, the
         columns the tail reads: only those fuse, and the others keep the
-        cluster's first row's value.  None fuses every column.
+        cluster's first row's value.
         """
         grouped: List[tuple] = []
         for _, clusters in sorted(state.entries, key=lambda entry: entry[0]):
@@ -682,8 +692,6 @@ class DedupQueryExecutor:
             for binding, rows in enumerate(clusters):
                 if len(rows) == 1:
                     fused.extend(rows[0].values)
-                elif read is None:
-                    fused.extend(merge_values(column) for column in zip(*(r.values for r in rows)))
                 else:
                     values = list(rows[0].values)
                     for position in read[binding]:

@@ -82,19 +82,8 @@ class LinkSet:
         self._representative.pop(root_b, None)
 
     def join(self, members: Collection[Any]) -> None:
-        """Put all of *members* in one component, recording no pair.
-
-        When none of them is linked yet — a cluster read into a fresh
-        result — the member set is adopted in one step.
-        """
+        """Put all of *members* in one component, recording no pair."""
         if len(members) < 2:
-            return
-        root_of = self._root_of
-        if root_of.keys().isdisjoint(members):
-            group = set(members)
-            root = next(iter(group))
-            root_of.update(dict.fromkeys(group, root))
-            self._members[root] = group
             return
         first, *rest = members
         for member in rest:

@@ -224,20 +224,21 @@ def test_state_holds_one_entry_per_cluster_combination(mode):
 
 
 #: Per query, the columns its tail reads, by binding in join-state order
-#: (None: every column).
+#: (ALL: every column of the binding).
+ALL = "*"
 READ = {
-    "single": None,
+    "single": (ALL,),
     "two-way": (("surname",), ("name",)),
     "residual-or": (("surname", "state"), ("country",)),
     "residual-compare": (("given_name",), ("name",)),
-    "select-star": None,
+    "select-star": (ALL, ALL),
     "group-count": ((), ("org_type",)),
     "distinct-order-limit": (("state",), ("name",)),
     "three-way": (("title",), ("name",), ("surname",)),
     "three-way-reversed": (("surname",), ("name",), ("title",)),
     "aggregate-unselected": (("given_name",), ("org_type",)),
     "group-key-unselected": ((), ("country",)),
-    "alias-star": None,
+    "alias-star": (ALL, ("name",)),
 }
 
 
@@ -254,14 +255,15 @@ def test_fuses_only_clusters_of_two_or_more_rows(monkeypatch):
         before = len(calls)
         engine.execute(QUERIES[name])
         state, read = states[-1]
-        if READ[name] is None:
-            assert read is None, name
-        else:
-            names = tuple(
-                tuple(engine.index_of(binding).table.schema.names[p] for p in positions)
-                for binding, positions in zip(state.bindings, read)
-            )
-            assert names == READ[name], name
+        schemas = [engine.index_of(binding).table.schema for binding in state.bindings]
+        names = tuple(
+            tuple(schema.names[p] for p in positions) for schema, positions in zip(schemas, read)
+        )
+        expected_names = tuple(
+            tuple(schema.names) if columns == ALL else columns
+            for schema, columns in zip(schemas, READ[name])
+        )
+        assert names == expected_names, name
         every = sum(
             len(cluster[0].values)
             for _, clusters in state.entries
@@ -269,7 +271,7 @@ def test_fuses_only_clusters_of_two_or_more_rows(monkeypatch):
             if len(cluster) > 1
         )
         expected = sum(
-            len(cluster[0].values) if read is None else len(read[binding])
+            len(read[binding])
             for _, clusters in state.entries
             for binding, cluster in enumerate(clusters)
             if len(cluster) > 1

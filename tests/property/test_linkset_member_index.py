@@ -124,7 +124,7 @@ def test_representative_memo_is_dropped_on_merge():
 
 def test_join_reads_as_one_cluster_without_pairs():
     links = LinkSet([("a", "b")])
-    links.join({"c", "d", "e"})  # none linked yet: adopted whole
+    links.join({"c", "d", "e"})  # none linked yet: a new component
     links.join({"e", "b", "f"})  # overlaps two components: merged
     assert set(links) == {("a", "b")}
     assert links.cluster_of("d") == set("abcdef")

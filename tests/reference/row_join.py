@@ -155,7 +155,7 @@ class RowJoinExecutor(DedupQueryExecutor):
         results[right_binding] = right_dr
         return RowJoinState(state.bindings + [right_binding], results, joined)
 
-    def _group(self, state: RowJoinState, read: Any = None) -> List[tuple]:
+    def _group(self, state: RowJoinState, read: Any) -> List[tuple]:
         """Group-Entities: one fused tuple per cross-binding cluster key.
 
         The key is the ``repr`` of each binding's cluster representative.

@@ -188,11 +188,15 @@ class TestReadColumns:
         assert self.read(engine, "SELECT DEDUP name FROM L WHERE kind = 'alpha'") == ((1,),)
 
     def test_star_reads_every_column(self, engine):
-        assert self.read(engine, "SELECT DEDUP * FROM L") is None
+        assert self.read(engine, "SELECT DEDUP * FROM L") == ((0, 1, 2, 3),)
 
-    def test_alias_star_reads_every_column(self, engine):
+    def test_alias_star_reads_every_column_of_its_binding(self, engine):
         sql = "SELECT DEDUP L.*, R.label FROM L JOIN R ON L.ref = R.key"
-        assert self.read(engine, sql) is None
+        assert self.read(engine, sql) == ((0, 1, 2, 3), (2,))
+
+    def test_star_reads_every_column_of_every_binding(self, engine):
+        sql = "SELECT DEDUP * FROM L JOIN R ON L.ref = R.key"
+        assert self.read(engine, sql) == ((0, 1, 2, 3), (0, 1, 2))
 
     def test_aggregate_argument_is_read(self, engine):
         sql = "SELECT DEDUP kind, MIN(name) AS m FROM L GROUP BY kind"
